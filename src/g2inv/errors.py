@@ -19,15 +19,6 @@ class NonProbabilityMeasureError(G2Error):
     """A probability measure (total mass one) was required."""
 
 
-class InterpolationMismatchError(G2Error):
-    """The per-edge quadratic ansatz for the diagonal Green's function failed.
-
-    Raised when the verification point of the three-point interpolation does
-    not match; this signals a bug or a measure outside the supported class,
-    never a value to be silently re-fitted at higher degree.
-    """
-
-
 # -- graph invariants -------------------------------------------------------
 
 class GenusZeroError(G2Error):

@@ -5,7 +5,8 @@ field is `fractions.Fraction`; the same code paths also accept elements of
 a symbolic field (sympy expressions), which is how the fiber-type tables
 are regenerated as rational functions of the edge lengths.  Everything
 that needs to know which field it is in lives here: coercion, zero
-testing, and Gaussian elimination.
+testing, and Gaussian elimination (one solve, or one factorization for a
+whole inverse).
 """
 
 from __future__ import annotations
@@ -75,8 +76,24 @@ def solve_dense(matrix: Sequence[Sequence[Any]], rhs: Sequence[Any]) -> list:
     Raises ValueError on a singular matrix.  Entries may be Fractions or
     elements of any exact field supporting +, -, *, / and a sound zero test.
     """
-    n = len(rhs)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    return [row[0] for row in _solve_block(matrix, [[b] for b in rhs])]
+
+
+def inverse_dense(matrix: Sequence[Sequence[Any]]) -> list:
+    """The exact inverse of a square matrix: one elimination, n right-hand sides.
+
+    Raises ValueError on a singular matrix.
+    """
+    n = len(matrix)
+    identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    return _solve_block(matrix, identity)
+
+
+def _solve_block(matrix: Sequence[Sequence[Any]], rhs: Sequence[Sequence[Any]]) -> list:
+    """Solve matrix X = rhs for a block of right-hand sides (rows of rhs)."""
+    n = len(matrix)
+    aug = [list(row) + list(rhs[i]) for i, row in enumerate(matrix)]
+    width = len(aug[0]) if n else 0
     for col in range(n):
         pivot_row = None
         for r in range(col, n):
@@ -92,54 +109,15 @@ def solve_dense(matrix: Sequence[Sequence[Any]], rhs: Sequence[Any]) -> list:
             factor = simplify_exact(aug[r][col] / pivot)
             if is_exact_zero(factor):
                 continue
-            for c in range(col, n + 1):
+            for c in range(col, width):
                 aug[r][c] = simplify_exact(aug[r][c] - factor * aug[col][c])
-    sol = [None] * n
+    sol: list = [None] * n
     for row in range(n - 1, -1, -1):
-        acc = aug[row][n]
-        for c in range(row + 1, n):
-            acc = acc - aug[row][c] * sol[c]
-        sol[row] = simplify_exact(acc / aug[row][row])
-    return sol
-
-
-def particular_solution(
-    matrix: Sequence[Sequence[Any]], rhs: Sequence[Any]
-) -> list | None:
-    """One exact solution of a (possibly rectangular) system, or None.
-
-    Returns None when the system is inconsistent.  Free variables are set
-    to zero.
-    """
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    aug = [list(matrix[i]) + [rhs[i]] for i in range(rows)]
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot_row = None
-        for rr in range(r, rows):
-            if not is_exact_zero(aug[rr][c]):
-                pivot_row = rr
-                break
-        if pivot_row is None:
-            continue
-        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        pivot = aug[r][c]
-        for rr in range(rows):
-            if rr == r or is_exact_zero(aug[rr][c]):
-                continue
-            factor = simplify_exact(aug[rr][c] / pivot)
-            for cc in range(c, cols + 1):
-                aug[rr][cc] = simplify_exact(aug[rr][cc] - factor * aug[r][cc])
-        pivot_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    for rr in range(r, rows):
-        if not is_exact_zero(aug[rr][cols]):
-            return None
-    sol = [Fraction(0)] * cols
-    for i, c in enumerate(pivot_cols):
-        sol[c] = simplify_exact(aug[i][cols] / aug[i][c])
+        values = []
+        for k in range(n, width):
+            acc = aug[row][k]
+            for c in range(row + 1, n):
+                acc = acc - aug[row][c] * sol[c][k - n]
+            values.append(simplify_exact(acc / aug[row][row]))
+        sol[row] = values
     return sol

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidParamsError
+from .errors import DisconnectedError, InvalidParamsError
 from .exact import as_rational
 from .metric_graph import PMGraph
 from .pm_invariants import NonArchReport
@@ -68,9 +68,10 @@ def graph_from_dict(doc: dict) -> PMGraph:
             (e["id"], e["from"], e["to"], parse_rational(e["length"]))
             for e in doc.get("edges", [])
         ]
-    except (KeyError, TypeError) as exc:
+        # building the graph validates it: unhashable ids raise TypeError
+        return PMGraph(vertices, edges)
+    except (KeyError, TypeError, DisconnectedError) as exc:
         raise InvalidParamsError(f"malformed graph document: {exc}") from exc
-    return PMGraph(vertices, edges)
 
 
 def graph_to_dict(graph: PMGraph) -> dict:

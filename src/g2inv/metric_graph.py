@@ -4,9 +4,10 @@ A polarized metric graph is a finite connected multigraph (loops allowed)
 whose edges carry positive rational lengths and whose vertices carry
 nonnegative integer weights.  Treating edge lengths as resistances turns
 the graph into an electrical network; this module solves the associated
-Laplace problems exactly over the rationals: Poisson equations, effective
-resistance, the resistance pairing on divisors, Green's functions for
-vertex-mass-plus-constant-density measures, and exact integration.
+Laplace problems exactly over the rationals: the vertex resistance
+matrix, Poisson equations, effective resistance, the resistance pairing on
+divisors, Green's functions for vertex-mass-plus-constant-density
+measures, and exact integration.
 
 Conventions:
 
@@ -23,10 +24,21 @@ Conventions:
 * Measures are vertex point masses plus a constant density per edge.
   This class is closed under everything done here, and for such measures
   the diagonal Green's function x -> g(x,x) is quadratic on every edge.
-* Points in the interior of an edge are handled by one mechanism only:
-  temporary subdivision of the edge at that point.  Solutions are
-  returned on the subdivided graph (`PiecewisePoly.graph` says which);
-  values at the original points are unchanged by subdivision.
+* The vertex resistances r(a, b) come from one factorization of the
+  reduced Laplacian per graph, memoized on the immutable `PMGraph`.
+  Closed forms extend them to edge interiors (Baker-Faber 2006): for x at
+  offset t on an edge e = (a, b) of length L and any z outside the
+  interior of e,
+
+      r(x, z) = ((L - t) r(a, z) + t r(b, z)) / L + k t (L - t),
+      k = (L - r(a, b)) / L^2,
+
+  and for x, z on e at distance d, r(x, z) = d - k d^2.  The diagonal
+  Green's function is integrated from these, with no per-point solve.
+* The Poisson solver handles a point source in the interior of an edge
+  by temporarily subdividing the edge there.  Its solution is returned on
+  the subdivided graph (`PiecewisePoly.graph` says which); values at the
+  original points are unchanged by subdivision.
 """
 
 from __future__ import annotations
@@ -37,12 +49,13 @@ from typing import Any, Hashable, Iterable, Mapping
 
 from .errors import (
     DisconnectedError,
-    InterpolationMismatchError,
+    FormulaMismatchError,
     NonProbabilityMeasureError,
     NonZeroMassError,
 )
 from .exact import (
     as_rational,
+    inverse_dense,
     is_exact_zero,
     sign_known_nonnegative,
     simplify_exact,
@@ -100,6 +113,7 @@ class PMGraph:
             self._incident[v].append((eid, 1))
 
         self._check_connected()
+        self._resistances: dict[VertexId, dict[VertexId, Any]] | None = None
 
     def _check_connected(self) -> None:
         start = next(iter(self._genus))
@@ -161,6 +175,18 @@ class PMGraph:
         for _, _, length in self._edges.values():
             total = total + length
         return total
+
+    def resistance(self, a: VertexId, b: VertexId):
+        """Effective resistance between two vertices.
+
+        The whole vertex resistance matrix is computed on first use, from
+        one exact inversion of the reduced Laplacian, and kept.
+        """
+        if a not in self._genus or b not in self._genus:
+            raise ValueError(f"unknown vertex {a!r} or {b!r}")
+        if self._resistances is None:
+            self._resistances = _vertex_resistances(self)
+        return self._resistances[a][b]
 
     # -- points -------------------------------------------------------------
 
@@ -443,9 +469,10 @@ class PiecewisePoly:
     def add_constant(self, const: Any) -> "PiecewisePoly":
         const = as_rational(const)
         coeffs = {
-            e: (c2, c1, c0 + const) for e, (c2, c1, c0) in self._coeffs.items()
+            e: (c2, c1, simplify_exact(c0 + const))
+            for e, (c2, c1, c0) in self._coeffs.items()
         }
-        values = {v: val + const for v, val in self._values.items()}
+        values = {v: simplify_exact(val + const) for v, val in self._values.items()}
         return PiecewisePoly(self.graph, coeffs, values, check=False)
 
     def __repr__(self) -> str:
@@ -611,6 +638,55 @@ def _combined_source(
     return point_mass, density
 
 
+def _reduced_laplacian(graph: PMGraph, base: VertexId) -> tuple[list, list]:
+    """The weighted Laplacian with the row and column of `base` removed.
+
+    Returns (vertex order, matrix); edge weights are 1/length and loops
+    contribute nothing.
+    """
+    order = [v for v in graph.vertex_ids if v != base]
+    index = {v: i for i, v in enumerate(order)}
+    n = len(order)
+    matrix = [[Fraction(0)] * n for _ in range(n)]
+    for v in order:
+        i = index[v]
+        for eid, end in graph.incident(v):
+            u, w = graph.edge_ends(eid)
+            other = w if end == 0 else u
+            if other == v:
+                continue  # loop: no off-diagonal term
+            conductance = 1 / graph.edge_length(eid)
+            matrix[i][i] = matrix[i][i] + conductance
+            if other != base:
+                j = index[other]
+                matrix[i][j] = matrix[i][j] - conductance
+        matrix[i] = [simplify_exact(x) for x in matrix[i]]
+    return order, matrix
+
+
+def _vertex_resistances(graph: PMGraph) -> dict[VertexId, dict[VertexId, Any]]:
+    """r(a, b) for every vertex pair from the inverse M of the reduced
+    Laplacian: r(a, b) = M[a][a] + M[b][b] - 2 M[a][b], M = 0 at the base."""
+    base = graph.vertex_ids[0]
+    order, matrix = _reduced_laplacian(graph, base)
+    inverse = inverse_dense(matrix)
+    row = {base: [Fraction(0)] * len(order)}
+    row.update(zip(order, inverse))
+    index = {v: i for i, v in enumerate(order)}
+
+    def entry(a: VertexId, b: VertexId):
+        return Fraction(0) if b == base else row[a][index[b]]
+
+    resistances: dict[VertexId, dict[VertexId, Any]] = {
+        v: {} for v in graph.vertex_ids
+    }
+    for i, a in enumerate(graph.vertex_ids):
+        for b in graph.vertex_ids[i:]:
+            r = simplify_exact(entry(a, a) + entry(b, b) - 2 * entry(a, b))
+            resistances[a][b] = resistances[b][a] = r
+    return resistances
+
+
 def _solve_vertex_potentials(
     graph: PMGraph,
     point_mass: Mapping[VertexId, Any],
@@ -622,30 +698,15 @@ def _solve_vertex_potentials(
     b(p) collects the point mass at p plus half of each incident edge's
     density mass (a loop contributes its full density mass).
     """
-    order = [v for v in graph.vertex_ids if v != base]
-    index = {v: i for i, v in enumerate(order)}
-    n = len(order)
-    if n == 0:
+    order, matrix = _reduced_laplacian(graph, base)
+    if not order:
         return {base: Fraction(0)}
-
-    matrix = [[Fraction(0)] * n for _ in range(n)]
-    rhs = [Fraction(0)] * n
+    rhs = []
     for v in order:
-        i = index[v]
         b = point_mass[v]
-        for eid, end in graph.incident(v):
-            u, w, length = *graph.edge_ends(eid), graph.edge_length(eid)
-            other = w if end == 0 else u
-            b = b + density[eid] * length / 2
-            if other == v:
-                continue  # loop: no off-diagonal term
-            matrix[i][i] = matrix[i][i] + 1 / length
-            if other != base:
-                j = index[other]
-                matrix[i][j] = matrix[i][j] - 1 / length
-        rhs[i] = simplify_exact(b)
-        matrix[i] = [simplify_exact(x) for x in matrix[i]]
-
+        for eid, _ in graph.incident(v):
+            b = b + density[eid] * graph.edge_length(eid) / 2
+        rhs.append(simplify_exact(b))
     try:
         sol = solve_dense(matrix, rhs)
     except ValueError as exc:  # pragma: no cover - cannot happen when connected
@@ -748,39 +809,22 @@ def effective_resistance(graph: PMGraph, x: GraphPoint, y: GraphPoint):
 
 
 def resistance_pairing(graph: PMGraph, d: GraphDivisor, e: GraphDivisor):
-    """The resistance function extended bilinearly to pairs of divisors."""
-    cache: dict[frozenset, Any] = {}
+    """The resistance function extended bilinearly to pairs of divisors.
+
+    Vertex pairs are read from the memoized resistance matrix; a pair with
+    an edge-interior point takes a Poisson solve.
+    """
     total = Fraction(0)
     for px, cx in d.support:
         for py, cy in e.support:
             if px == py:
                 continue
-            key = frozenset((px, py))
-            if key not in cache:
-                cache[key] = effective_resistance(graph, px, py)
-            total = total + cx * cy * cache[key]
-    return simplify_exact(total)
-
-
-def _green_raw(
-    graph: PMGraph, mu: GraphMeasure, y: GraphPoint
-) -> tuple[PiecewisePoly, GraphPoint, GraphMeasure]:
-    """Green's function machinery shared by the public entry points.
-
-    Returns (g, y', mu') where g lives on the (possibly subdivided) graph,
-    y' is y there, and mu' is the measure there.  g solves
-    Delta g = delta_y - mu and is normalized by integral(g dmu) = 0.
-    """
-    mass = mu.total_mass(graph)
-    if not is_exact_zero(mass - 1):
-        raise NonProbabilityMeasureError(f"measure has mass {mass}, expected 1")
-    graph.validate_point(y)
-    smap, (py,) = _subdivide_at_points(graph, [y])
-    work = smap.graph if smap is not None else graph
-    wmu = smap.map_measure(mu) if smap is not None else mu
-    f = solve_poisson(work, GraphDivisor([(py, 1)]), -wmu, base=py.vertex)
-    shift = integrate(work, f, measure=wmu)
-    return f.add_constant(simplify_exact(-shift)), py, wmu
+            if px.is_vertex and py.is_vertex:
+                r = graph.resistance(px.vertex, py.vertex)
+            else:
+                r = effective_resistance(graph, px, py)
+            total = simplify_exact(total + cx * cy * r)
+    return total
 
 
 def green_function(graph: PMGraph, mu: GraphMeasure, y: GraphPoint) -> PiecewisePoly:
@@ -790,54 +834,74 @@ def green_function(graph: PMGraph, mu: GraphMeasure, y: GraphPoint) -> Piecewise
     lies in the interior of an edge the result is returned on the graph
     subdivided at y.
     """
-    g, _, _ = _green_raw(graph, mu, y)
-    return g
+    mass = mu.total_mass(graph)
+    if not is_exact_zero(mass - 1):
+        raise NonProbabilityMeasureError(f"measure has mass {mass}, expected 1")
+    graph.validate_point(y)
+    smap, (py,) = _subdivide_at_points(graph, [y])
+    work = smap.graph if smap is not None else graph
+    wmu = smap.map_measure(mu) if smap is not None else mu
+    f = solve_poisson(work, GraphDivisor([(py, 1)]), -wmu, base=py.vertex)
+    return f.add_constant(-integrate(work, f, measure=wmu))
 
 
 def diagonal_green(graph: PMGraph, mu: GraphMeasure) -> PiecewisePoly:
     """The diagonal x -> g(x, x) of the Green's function, per-edge quadratic.
 
-    Computed by evaluating at three offsets per edge and interpolating; a
-    fourth point plus both endpoints must match exactly, else
-    InterpolationMismatchError is raised.
+    g(x, x) = j(x) - I/2 with j(x) the integral of r(x, z) dmu(z) and I
+    the integral of j against mu.  j is integrated in closed form from the
+    vertex resistances (see the module docstring): at each vertex, and as
+    one quadratic per edge.  Each edge quadratic is built from the
+    same-edge formula, the vertex values from the formula for points
+    outside the edge; the two must agree exactly at both ends of every
+    edge, else FormulaMismatchError is raised.
     """
     mass = mu.total_mass(graph)
     if not is_exact_zero(mass - 1):
         raise NonProbabilityMeasureError(f"measure has mass {mass}, expected 1")
+    r = graph.resistance
+    kappa = {}
+    for e in graph.edge_ids:
+        a, b = graph.edge_ends(e)
+        length = graph.edge_length(e)
+        kappa[e] = simplify_exact((length - r(a, b)) / (length * length))
 
-    def g_at(point: GraphPoint):
-        g, py, _ = _green_raw(graph, mu, point)
-        return g(py)
+    # j at a vertex w: point masses, plus for each edge f = (c, d) its
+    # density times  integral_f r(w, z) dz = L (r(c, w) + r(d, w)) / 2 + k L^3 / 6
+    j = {}
+    for w in graph.vertex_ids:
+        total = Fraction(0)
+        for v, m in mu.vertex_masses.items():
+            total = simplify_exact(total + m * r(v, w))
+        for f, rho in mu.edge_densities.items():
+            c, d = graph.edge_ends(f)
+            length = graph.edge_length(f)
+            along = length * (r(c, w) + r(d, w)) / 2 + kappa[f] * length**3 / 6
+            total = simplify_exact(total + rho * along)
+        j[w] = total
 
-    values = {v: g_at(graph.vertex_point(v)) for v in graph.vertex_ids}
     coeffs = {}
     for e in graph.edge_ids:
-        length = graph.edge_length(e)
-        samples = [length / 4, length / 2, 3 * length / 4]
-        sample_vals = [g_at(graph.point(e, t)) for t in samples]
-        c2, c1, c0 = _interpolate_quadratic(samples, sample_vals)
-        check_t = length / 3
-        predicted = c2 * check_t * check_t + c1 * check_t + c0
-        if not is_exact_zero(predicted - g_at(graph.point(e, check_t))):
-            raise InterpolationMismatchError(
-                f"diagonal of the Green's function is not quadratic on edge {e!r}"
-            )
-        u, v = graph.edge_ends(e)
-        end_val = c2 * length * length + c1 * length + c0
-        if not (
-            is_exact_zero(c0 - values[u]) and is_exact_zero(end_val - values[v])
-        ):
-            raise InterpolationMismatchError(
-                f"diagonal interpolation on edge {e!r} disagrees at an endpoint"
-            )
+        a, b = graph.edge_ends(e)
+        length, k, rho = graph.edge_length(e), kappa[e], mu.density(e)
+        # j without e's own density, at both ends of e
+        own = simplify_exact(rho * (length * r(a, b) / 2 + k * length**3 / 6))
+        lo, hi = simplify_exact(j[a] - own), simplify_exact(j[b] - own)
+        # x at offset t: interpolate the rest of mu, add the bulge
+        # k t (L - t) times its mass, and integrate d - k d^2 against e's
+        # density:  rho ((t^2 + (L - t)^2) / 2 - k (t^3 + (L - t)^3) / 3)
+        c2 = simplify_exact(rho * (1 - k * length) - k * (1 - rho * length))
+        c1 = simplify_exact((hi - lo) / length - c2 * length)
+        c0 = simplify_exact(
+            lo + rho * length * length * (Fraction(1, 2) - k * length / 3)
+        )
         coeffs[e] = (c2, c1, c0)
-    return PiecewisePoly(graph, coeffs, values, check=False)
 
-
-def _interpolate_quadratic(ts: list, vals: list) -> tuple[Any, Any, Any]:
-    matrix = [[t * t, t, Fraction(1)] for t in ts]
-    c2, c1, c0 = solve_dense(matrix, vals)
-    return c2, c1, c0
+    try:
+        j_poly = PiecewisePoly(graph, coeffs, j)
+    except ValueError as exc:
+        raise FormulaMismatchError(f"diagonal Green's function: {exc}") from exc
+    return j_poly.add_constant(-integrate(graph, j_poly, measure=mu) / 2)
 
 
 def integrate(

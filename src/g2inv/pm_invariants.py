@@ -6,10 +6,15 @@ probability measure mu making x -> g(x,x) + g(K,x) constant), and from it
 the invariants epsilon, phi and lambda, together with the node counts
 delta0 (total length of non-bridge edges) and delta1 (bridge edges).
 
-phi is computed through two independent routes, an integral against the
-admissible measure and a resistance-pairing formula, and the two values
-are compared exactly; disagreement raises FormulaMismatchError rather
-than returning either number.
+Everything is derived from the graph's memoized vertex resistance matrix
+(see `metric_graph`): bridges are the edges with r(a, b) = len(e), the
+admissible measure and the diagonal Green's function have closed forms
+in r, and r(K, K) is read off directly.  Two runtime cross-checks stay
+hard errors: the admissibility of the measure is verified exactly with
+g(K, .) from independent Poisson solves (AdmissibilityFailureError), and
+phi is computed through two routes, an integral against the admissible
+measure and a resistance-pairing formula, compared exactly
+(FormulaMismatchError).
 """
 
 from __future__ import annotations
@@ -23,14 +28,13 @@ from .errors import (
     FormulaMismatchError,
     GenusZeroError,
 )
-from .exact import is_exact_zero, particular_solution, simplify_exact
+from .exact import is_exact_zero, simplify_exact
 from .metric_graph import (
     GraphDivisor,
     GraphMeasure,
     PMGraph,
     PiecewisePoly,
     diagonal_green,
-    effective_resistance,
     green_function,
     integrate,
     resistance_pairing,
@@ -62,23 +66,10 @@ class NodeCounts:
 
 
 def is_bridge(graph: PMGraph, e) -> bool:
-    """Whether removing edge e disconnects the graph.  Loops never do."""
+    """Whether removing edge e disconnects the graph: exactly when the
+    resistance between its ends equals its length.  Loops never do."""
     u, v = graph.edge_ends(e)
-    if u == v:
-        return False
-    seen = {u}
-    stack = [u]
-    while stack:
-        w = stack.pop()
-        for eid, end in graph.incident(w):
-            if eid == e:
-                continue
-            ends = graph.edge_ends(eid)
-            other = ends[1 - end]
-            if other not in seen:
-                seen.add(other)
-                stack.append(other)
-    return v not in seen
+    return u != v and is_exact_zero(graph.resistance(u, v) - graph.edge_length(e))
 
 
 def node_counts(graph: PMGraph) -> NodeCounts:
@@ -92,116 +83,43 @@ def node_counts(graph: PMGraph) -> NodeCounts:
     return NodeCounts(simplify_exact(delta0), simplify_exact(delta1))
 
 
-def _resistance_without_edge(graph: PMGraph, e):
-    """Effective resistance between the ends of e in the graph minus e.
+def admissibility_poly(
+    graph: PMGraph, mu: GraphMeasure, diag: PiecewisePoly
+) -> PiecewisePoly:
+    """The function x -> g_mu(x,x) + g_mu(K,x); constant iff mu is admissible.
 
-    Returns None when e is a bridge (the complement is disconnected).
+    `diag` is mu's diagonal Green's function (`diagonal_green`).  g(K, .)
+    comes from Poisson solves, independently of the resistance matrix.
     """
-    u, v = graph.edge_ends(e)
-    if u == v:
-        return Fraction(0)
-    if is_bridge(graph, e):
-        return None
-    rest = PMGraph(
-        [(w, graph.genus(w)) for w in graph.vertex_ids],
-        [
-            (eid, *graph.edge_ends(eid), graph.edge_length(eid))
-            for eid in graph.edge_ids
-            if eid != e
-        ],
-    )
-    return effective_resistance(rest, rest.vertex_point(u), rest.vertex_point(v))
-
-
-def _candidate_measure(graph: PMGraph, g: int) -> GraphMeasure:
-    """The closed-form candidate for the admissible measure.
-
-    Vertex masses q(v)/g; on a non-bridge edge the density is
-    1/(g (l(e) + R(e))) with R(e) the complementary resistance; bridges
-    carry no density.  Always a probability measure for connected graphs.
-    """
-    masses = {v: Fraction(graph.genus(v), g) for v in graph.vertex_ids}
-    densities = {}
-    for e in graph.edge_ids:
-        r_rest = _resistance_without_edge(graph, e)
-        if r_rest is None:
-            continue
-        densities[e] = 1 / (g * (graph.edge_length(e) + r_rest))
-    return GraphMeasure(masses, densities)
-
-
-def admissibility_poly(graph: PMGraph, mu: GraphMeasure) -> PiecewisePoly:
-    """The function x -> g_mu(x,x) + g_mu(K,x); constant iff mu is admissible."""
-    k = canonical_divisor(graph)
-    h = diagonal_green(graph, mu)
-    for pt, coeff in k.support:
+    h = diag
+    for pt, coeff in canonical_divisor(graph).support:
         h = h + green_function(graph, mu, pt).scale(coeff)
     return h
-
-
-def _solve_for_measure(graph: PMGraph) -> GraphMeasure | None:
-    """Find the admissible measure by probing the constancy conditions.
-
-    The per-edge quadratic/linear coefficients and the vertex differences
-    of the constancy function depend affinely on mu across probability
-    measures, so probing each basis measure (one vertex mass, one uniform
-    edge) turns admissibility into a rational linear system.
-    """
-    basis = [GraphMeasure({v: 1}, {}) for v in graph.vertex_ids]
-    basis += [
-        GraphMeasure({}, {e: 1 / graph.edge_length(e)}) for e in graph.edge_ids
-    ]
-    probes = [admissibility_poly(graph, mu) for mu in basis]
-
-    rows: list[list] = []
-    rhs: list = []
-    for e in graph.edge_ids:
-        for k in (0, 1):
-            rows.append([p.coefficients(e)[k] for p in probes])
-            rhs.append(Fraction(0))
-    v0 = graph.vertex_ids[0]
-    for v in graph.vertex_ids[1:]:
-        rows.append(
-            [p.value_at_vertex(v) - p.value_at_vertex(v0) for p in probes]
-        )
-        rhs.append(Fraction(0))
-    rows.append([Fraction(1)] * len(basis))
-    rhs.append(Fraction(1))
-
-    weights = particular_solution(rows, rhs)
-    if weights is None:
-        return None
-    mu = GraphMeasure({}, {})
-    for w, nu in zip(weights, basis):
-        if not is_exact_zero(w):
-            mu = mu + nu.scale(w)
-    return mu
 
 
 def admissible_measure(graph: PMGraph) -> GraphMeasure:
     """The unique probability measure with g(x,x) + g(K,x) constant.
 
-    Tries the closed-form candidate first and verifies the defining
-    property exactly; if the candidate fails, falls back to solving the
-    constancy conditions as a linear system.
+    The closed form of Zhang 1993, Thm 3.2: vertex masses q(v)/g; an edge
+    e = (a, b) of length L has density 1/(g (L + R(e))), with
+    R(e) = L r(a, b) / (L - r(a, b)) the resistance between its ends in
+    the graph minus e.  That is (L - r(a, b)) / (g L^2), which vanishes on
+    bridges and is 1/(g L) on loops.  `nonarch_report` verifies the
+    property exactly on every run (AdmissibilityFailureError otherwise);
+    `admissibility_poly` checks it for any measure.
     """
     g = total_genus(graph)
     if g == 0:
         raise GenusZeroError("a genus-0 graph has no admissible measure")
-    mu = _candidate_measure(graph, g)
-    if admissibility_poly(graph, mu).constant_value() is not None:
-        return mu
-    mu = _solve_for_measure(graph)
-    if (
-        mu is None
-        or not mu.is_probability(graph)
-        or admissibility_poly(graph, mu).constant_value() is None
-    ):
-        raise AdmissibilityFailureError(
-            "no vertex-mass plus constant-density measure satisfies the "
-            "constancy property on this graph"
+    masses = {v: Fraction(graph.genus(v), g) for v in graph.vertex_ids}
+    densities = {}
+    for e in graph.edge_ids:
+        a, b = graph.edge_ends(e)
+        length = graph.edge_length(e)
+        densities[e] = simplify_exact(
+            (length - graph.resistance(a, b)) / (g * length * length)
         )
-    return mu
+    return GraphMeasure(masses, densities)
 
 
 def _genus_at_least_two(graph: PMGraph) -> int:
@@ -211,59 +129,18 @@ def _genus_at_least_two(graph: PMGraph) -> int:
     return g
 
 
-def _epsilon_from(graph, g, k, mu, diag):
-    return integrate(graph, diag, divisor=k, measure=mu.scale(2 * g - 2))
-
-
 def epsilon_invariant(graph: PMGraph):
     """epsilon = integral of g(x,x) against (2g-2) mu + delta_K."""
-    g = _genus_at_least_two(graph)
-    mu = admissible_measure(graph)
-    diag = diagonal_green(graph, mu)
-    return _epsilon_from(graph, g, canonical_divisor(graph), mu, diag)
-
-
-def _phi_from(graph, g, k, mu, diag, counts):
-    """phi by the integral route, cross-checked against the resistance route."""
-    integral = integrate(
-        graph, diag, divisor=k.scale(-1), measure=mu.scale(10 * g + 2)
-    )
-    phi = simplify_exact(-counts.delta / 4 + integral / 4)
-    if g == 2:
-        eps = _epsilon_from(graph, g, k, mu, diag)
-        r_kk = resistance_pairing(graph, k, k)
-        phi_resist = simplify_exact(
-            -counts.delta / 4 - Fraction(3, 8) * r_kk + 2 * eps
-        )
-        if not is_exact_zero(phi - phi_resist):
-            raise FormulaMismatchError(
-                f"phi routes disagree: integral gives {phi}, "
-                f"resistance formula gives {phi_resist}"
-            )
-    return phi
+    return nonarch_report(graph).epsilon
 
 
 def phi_invariant(graph: PMGraph):
-    g = _genus_at_least_two(graph)
-    mu = admissible_measure(graph)
-    diag = diagonal_green(graph, mu)
-    return _phi_from(
-        graph, g, canonical_divisor(graph), mu, diag, node_counts(graph)
-    )
+    return nonarch_report(graph).phi
 
 
 def lambda_invariant(graph: PMGraph):
     """lambda = (g-1)/(6(2g+1)) phi + (epsilon + delta)/12."""
-    g = _genus_at_least_two(graph)
-    mu = admissible_measure(graph)
-    diag = diagonal_green(graph, mu)
-    k = canonical_divisor(graph)
-    counts = node_counts(graph)
-    phi = _phi_from(graph, g, k, mu, diag, counts)
-    eps = _epsilon_from(graph, g, k, mu, diag)
-    return simplify_exact(
-        Fraction(g - 1, 6 * (2 * g + 1)) * phi + (eps + counts.delta) / 12
-    )
+    return nonarch_report(graph).lambda_
 
 
 @dataclass(frozen=True)
@@ -280,14 +157,37 @@ class NonArchReport:
 
 
 def nonarch_report(graph: PMGraph) -> NonArchReport:
-    """All invariants at once, sharing one admissible-measure computation."""
+    """All invariants at once, from one admissible measure and its diagonal.
+
+    The measure must make g(x,x) + g(K,x) exactly constant, else
+    AdmissibilityFailureError.  phi is the integral of g(x,x) against (10g+2) mu - delta_K, minus
+    delta/4; for g = 2 it must equal -delta/4 - 3/8 r(K,K) + 2 epsilon
+    exactly, else FormulaMismatchError.
+    """
     g = _genus_at_least_two(graph)
     mu = admissible_measure(graph)
     diag = diagonal_green(graph, mu)
+    if admissibility_poly(graph, mu, diag).constant_value() is None:
+        raise AdmissibilityFailureError(
+            "g(x,x) + g(K,x) is not constant for the closed-form measure"
+        )
     k = canonical_divisor(graph)
     counts = node_counts(graph)
-    eps = _epsilon_from(graph, g, k, mu, diag)
-    phi = _phi_from(graph, g, k, mu, diag, counts)
+    r_kk = resistance_pairing(graph, k, k)
+    eps = integrate(graph, diag, divisor=k, measure=mu.scale(2 * g - 2))
+    integral = integrate(
+        graph, diag, divisor=k.scale(-1), measure=mu.scale(10 * g + 2)
+    )
+    phi = simplify_exact(-counts.delta / 4 + integral / 4)
+    if g == 2:
+        phi_resist = simplify_exact(
+            -counts.delta / 4 - Fraction(3, 8) * r_kk + 2 * eps
+        )
+        if not is_exact_zero(phi - phi_resist):
+            raise FormulaMismatchError(
+                f"phi routes disagree: integral gives {phi}, "
+                f"resistance formula gives {phi_resist}"
+            )
     lam = simplify_exact(
         Fraction(g - 1, 6 * (2 * g + 1)) * phi + (eps + counts.delta) / 12
     )
@@ -295,8 +195,8 @@ def nonarch_report(graph: PMGraph) -> NonArchReport:
         genus=g,
         delta0=counts.delta0,
         delta1=counts.delta1,
-        r_kk=resistance_pairing(graph, k, k),
-        epsilon=simplify_exact(eps),
+        r_kk=r_kk,
+        epsilon=eps,
         phi=phi,
         lambda_=lam,
     )

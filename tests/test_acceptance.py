@@ -24,7 +24,7 @@ from g2inv.cli import main
 from g2inv.errors import DegenerateThetaNullError
 from g2inv.fiber_catalog import ARITY, FiberType, closed_form, graph_of_type
 from g2inv.formats import save_tau
-from g2inv.metric_graph import PMGraph, green_function, subdivide
+from g2inv.metric_graph import PMGraph, diagonal_green, green_function, subdivide
 from g2inv.pm_invariants import (
     admissibility_poly,
     admissible_measure,
@@ -152,7 +152,7 @@ def test_acceptance_05_admissibility():
                 params = tuple(rand_frac(rng) for _ in range(ARITY[tag]))
                 graph = graph_of_type(FiberType(tag, params))
                 mu = admissible_measure(graph)
-                h = admissibility_poly(graph, mu)
+                h = admissibility_poly(graph, mu, diagonal_green(graph, mu))
                 for e in h.graph.edge_ids:
                     c2, c1, _c0 = h.coefficients(e)
                     assert c2 == 0 and c1 == 0, (tag, params, e)

@@ -81,6 +81,23 @@ def test_nonarch_parse_failures_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_nonarch_disconnected_graph_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "disconnected.json"
+    path.write_text(json.dumps({
+        "vertices": [{"id": "u", "genus": 1}, {"id": "w", "genus": 1}],
+        "edges": [],
+    }))
+    assert main(["nonarch", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_nonarch_unhashable_vertex_id_exits_2(tmp_path, capsys):
+    path = tmp_path / "list-id.json"
+    path.write_text(json.dumps({"vertices": [{"id": ["v"], "genus": 2}], "edges": []}))
+    assert main(["nonarch", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])

@@ -1,0 +1,104 @@
+"""Property tests over random pm-graphs with loops, parallel edges, bridges
+and vertex weights: the closed-form resistance-matrix results against the
+Poisson-solve routes they replaced."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from g2inv.metric_graph import (
+    GraphMeasure,
+    PMGraph,
+    diagonal_green,
+    effective_resistance,
+    green_function,
+)
+from g2inv.pm_invariants import canonical_divisor, nonarch_report
+
+LENGTHS = st.fractions(min_value=Fraction(1, 8), max_value=12, max_denominator=8)
+PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+@st.composite
+def pm_graphs(draw, max_vertices=5, genus=None):
+    """A connected graph: a random spanning tree (all bridges) plus extra
+    edges between random vertices (loops and parallel edges allowed).
+
+    With `genus` set, the extra edges and the vertex weights are drawn so
+    that the total genus is exactly that.
+    """
+    n = draw(st.integers(1, max_vertices))
+    names = [f"v{i}" for i in range(n)]
+    edges = [
+        (f"t{i}", names[draw(st.integers(0, i - 1))], names[i], draw(LENGTHS))
+        for i in range(1, n)
+    ]
+    extras = draw(st.integers(0 if n > 1 else 1, 3 if genus is None else genus))
+    for k in range(extras):
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        edges.append((f"x{k}", names[u], names[v], draw(LENGTHS)))
+    weights = [0] * n
+    if genus is None:
+        weights = [draw(st.integers(0, 2)) for _ in range(n)]
+    else:
+        for _ in range(genus - extras):
+            weights[draw(st.integers(0, n - 1))] += 1
+    return PMGraph(list(zip(names, weights)), edges)
+
+
+@st.composite
+def graphs_with_measure(draw):
+    """A graph, a probability measure on it, and one interior offset per edge."""
+    graph = draw(pm_graphs())
+    masses = {v: draw(st.integers(0, 3)) for v in graph.vertex_ids}
+    densities = {e: draw(st.integers(0, 3)) for e in graph.edge_ids}
+    raw = GraphMeasure(masses, densities)
+    if raw.total_mass(graph) == 0:
+        raw = GraphMeasure({graph.vertex_ids[0]: 1})
+    mu = raw.scale(1 / raw.total_mass(graph))
+    fractions = st.fractions(min_value=0, max_value=1, max_denominator=16)
+    offsets = {
+        e: graph.edge_length(e) * draw(fractions.filter(lambda x: 0 < x < 1))
+        for e in graph.edge_ids
+    }
+    return graph, mu, offsets
+
+
+@PROPERTY_SETTINGS
+@given(graphs_with_measure())
+def test_diagonal_green_matches_green_function(case):
+    graph, mu, offsets = case
+    diag = diagonal_green(graph, mu)
+    for v in graph.vertex_ids:
+        p = graph.vertex_point(v)
+        assert diag(p) == green_function(graph, mu, p)(p)
+    for e, t in offsets.items():
+        p = graph.point(e, t)
+        g = green_function(graph, mu, p)  # lives on the graph cut at p
+        (pole,) = set(g.graph.vertex_ids) - set(graph.vertex_ids)
+        assert diag(p) == g.value_at_vertex(pole)
+
+
+@PROPERTY_SETTINGS
+@given(pm_graphs(genus=2))
+def test_phi_matches_cinkir_tau_route(graph):
+    """phi = 4 tau + r(K,K)/8 - ell/4 for total genus 2 (Cinkir 2011), with
+    tau = 1/4 sum_e [(r(b,y) - r(a,y))^2 / L + (L/3)(1 - r(a,b)/L)^2] and
+    every resistance taken from a Poisson solve."""
+
+    def r(a, b):
+        return effective_resistance(graph, graph.vertex_point(a), graph.vertex_point(b))
+
+    y = graph.vertex_ids[0]
+    tau = Fraction(0)
+    for e in graph.edge_ids:
+        a, b = graph.edge_ends(e)
+        length = graph.edge_length(e)
+        tau += (r(b, y) - r(a, y)) ** 2 / length + length / 3 * (1 - r(a, b) / length) ** 2
+    tau /= 4
+    k = canonical_divisor(graph).support
+    r_kk = sum(cp * cq * r(p.vertex, q.vertex) for p, cp in k for q, cq in k)
+
+    report = nonarch_report(graph)
+    assert report.r_kk == r_kk
+    assert report.phi == 4 * tau + r_kk / 8 - graph.total_length / 4
