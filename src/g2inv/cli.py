@@ -139,6 +139,8 @@ def _run_nonarch(args) -> int:
 
 def _run_arch(args) -> int:
     tolerance = _default_tolerance()
+    if args.workers < 1:
+        raise InvalidParamsError(f"--workers must be at least 1, got {args.workers}")
     tau = load_tau(args.tau)
     config = QuadratureConfig(
         n_samples=args.samples,
@@ -148,6 +150,9 @@ def _run_arch(args) -> int:
     )
     try:
         report = arch_invariants(tau, config, tol=tolerance, workers=args.workers)
+    except FormulaMismatchError as exc:
+        print(f"internal cross-check failed: {exc}", file=sys.stderr)
+        return 4
     except DegenerateThetaNullError as exc:
         print(f"degenerate surface: {exc}", file=sys.stderr)
         return 5

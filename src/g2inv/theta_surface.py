@@ -15,10 +15,20 @@ Numerical conventions:
   norm is then ||theta||(z) = (det Y)^(1/4) |S| with no large exponentials.
 * The truncation radius comes from a Gaussian tail bound driven by the
   smallest eigenvalue of Y and is capped at 64.
+* log||Delta_2|| and log||H|| are Sp4(Z)-invariant, so both first move
+  tau into the Siegel fundamental domain (`siegel_reduce`, the algorithm
+  of Deconinck et al., Math. Comp. 2004).  There the smallest eigenvalue
+  of Y is at least sqrt(3)/4, the radius stays small and the cap is never
+  reached, so any valid period matrix is accepted.  `theta` and
+  `theta_norm` are not invariant: they sum at the tau they are given and
+  keep the cap.
 * log||H|| reduces to the mean of log||theta||(tau u + v) over uniform
-  (u, v) in [0,1)^4; the estimator splits the sample budget into 8
-  substreams whose spread gives the standard error.  Fixed (seed, N,
-  method) give bit-identical results regardless of worker count.
+  (u, v) in [0,1)^4.  Per batch of points the lattice sum factors into
+  two per-sample rows of 1-D exponentials and one fixed matrix, A1 C A2',
+  which is safe from overflow on a reduced tau.  The estimator splits the
+  sample budget into 8 substreams whose spread gives the standard error.
+  Fixed (seed, N, method) give bit-identical results regardless of
+  worker count.
 """
 
 from __future__ import annotations
@@ -43,24 +53,38 @@ DEFAULT_THETA_TOL = 1e-12
 DEFAULT_PRODUCT_TOL = 1e-10
 DEFAULT_TARGET_STDERR = 1e-3
 TRUNCATION_CAP = 64
+REDUCTION_CAP = 200
 SUBSTREAMS = 8
 _CHUNK = 16384
 LOG_2PI = math.log(2 * math.pi)
 
 HALF = Fraction(1, 2)
 
+# Gottschling's quasi-inversion (A, B; C, D) = (diag(0,1), -diag(1,0);
+# diag(1,0), diag(0,1)), which sends tau11 to -1/tau11
+_QUASI_INVERSION = np.array(
+    [[0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]], dtype=object
+)
+_to_int = np.frompyfunc(int, 1, 1)
+# a tau with |tau11| = 1 is its own image under the quasi-inversion up to
+# rounding; the margin keeps rounding from bouncing it back and forth
+_UNIT_MARGIN = 1e-12
+
 
 class SiegelMatrix:
     """A 2x2 complex symmetric matrix with positive definite imaginary part.
 
     Input is symmetrized exactly when the asymmetry is below 1e-12 and
-    rejected otherwise; NotPositiveDefiniteError if Im tau is not PD.
+    rejected otherwise; non-finite entries are rejected (ValueError);
+    NotPositiveDefiniteError if Im tau is not PD.
     """
 
     def __init__(self, tau):
         m = np.asarray(tau, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError(f"period matrix must be 2x2, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError(f"period matrix entries must be finite, got {m.tolist()}")
         if abs(m[0, 1] - m[1, 0]) > 1e-12:
             raise ValueError(
                 f"period matrix is not symmetric: off-diagonals "
@@ -177,6 +201,69 @@ def _truncation_radius(lambda_min: float, tol: float) -> int:
     )
 
 
+def _lagrange_basis(y: np.ndarray) -> np.ndarray:
+    """U in GL2(Z) such that U y U' satisfies |2 y12| <= y11 <= y22."""
+    u = np.eye(2, dtype=int).astype(object)
+    for _ in range(REDUCTION_CAP):
+        if y[0, 0] > y[1, 1]:
+            step = np.array([[0, 1], [1, 0]], dtype=object)
+        else:
+            q = int(np.rint(y[0, 1] / y[0, 0]))
+            if q == 0:
+                return u
+            step = np.array([[1, 0], [-q, 1]], dtype=object)
+        as_float = step.astype(float)
+        y = as_float @ y @ as_float.T
+        u = step @ u
+    raise FormulaMismatchError(
+        f"Lagrange reduction of Im tau did not finish in {REDUCTION_CAP} steps"
+    )
+
+
+def _conjugation(u: np.ndarray) -> np.ndarray:
+    """The symplectic matrix diag(U, U^-T), acting as tau -> U tau U'."""
+    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
+    inv_t = det * np.array([[u[1, 1], -u[1, 0]], [-u[0, 1], u[0, 0]]], dtype=object)
+    return np.block([[u, 0 * u], [0 * u, inv_t]])
+
+
+def _translation(b: np.ndarray) -> np.ndarray:
+    """The symplectic matrix [[I, B], [0, I]], acting as tau -> tau + B."""
+    eye = np.eye(2, dtype=int).astype(object)
+    return np.block([[eye, _to_int(b)], [0 * eye, eye]])
+
+
+def siegel_reduce(tau: SiegelMatrix) -> tuple[SiegelMatrix, np.ndarray]:
+    """Move tau into the Siegel fundamental domain (Deconinck et al. 2004).
+
+    Returns (tau_red, M): M = [[A, B], [C, D]] is a 4x4 matrix of Python
+    integers (object dtype, so no word overflows) with M' J M = J and
+    tau_red = (A tau + B)(C tau + D)^-1.  The loop Lagrange-reduces Y,
+    subtracts the nearest integer matrix from X and, while |tau11| < 1,
+    applies the quasi-inversion.  On return |2 Y12| <= Y11 <= Y22,
+    |X_ij| <= 1/2 and |tau11| >= 1, so the smallest eigenvalue of Y is at
+    least sqrt(3)/4.  A loop that does not finish within REDUCTION_CAP
+    rounds is a bug: FormulaMismatchError.
+    """
+    t = tau.matrix
+    word = np.eye(4, dtype=int).astype(object)
+    for _ in range(REDUCTION_CAP):
+        u = _lagrange_basis(t.imag)
+        as_float = u.astype(float)
+        t = as_float @ t @ as_float.T
+        shift = np.rint(t.real)
+        t = (t + t.T) / 2 - shift
+        word = _translation(-shift) @ _conjugation(u) @ word
+        if abs(t[0, 0]) >= 1 - _UNIT_MARGIN:
+            return SiegelMatrix(t), word
+        (t11, t12), (_, t22) = t
+        t = np.array([[-1, t12], [t12, t11 * t22 - t12 * t12]]) / t11
+        word = _QUASI_INVERSION @ word
+    raise FormulaMismatchError(
+        f"Siegel reduction of {tau!r} did not finish in {REDUCTION_CAP} rounds"
+    )
+
+
 def _theta_scaled(char: ThetaChar, z, tau: SiegelMatrix, tol: float):
     """Return (S, shift) with theta = S * exp(shift), |terms of S| <= 1."""
     z = np.asarray(z, dtype=complex).reshape(2)
@@ -235,10 +322,12 @@ def log_delta2(
 ) -> float:
     """log of the normalized discriminant 2^-12 (det Y)^5 prod |theta[c](0)|^2.
 
-    Evaluated over the 10 even characteristics and cross-checked against
-    the equivalent product of ||theta||^2 at the points tau a + b; the two
-    routes must agree within 10 tol.
+    Sp4(Z)-invariant, so evaluated at siegel_reduce(tau): over the 10 even
+    characteristics, cross-checked against the equivalent product of
+    ||theta||^2 at the points tau a + b; the two routes must agree within
+    10 tol.
     """
+    tau, _ = siegel_reduce(tau)
     theta_tol = min(DEFAULT_THETA_TOL, tol * 1e-2)
     log_nulls = 0.0
     for char in even_characteristics():
@@ -298,22 +387,30 @@ _KRONECKER = np.array([math.sqrt(2) - 1, math.sqrt(3) - 1, math.sqrt(5) - 2, mat
 def _log_theta_norm_batch(tau: SiegelMatrix, u: np.ndarray, v: np.ndarray, tol: float) -> np.ndarray:
     """log||theta||(tau u + v) for batches of points in [0,1)^2 x [0,1)^2.
 
-    Returns NaN where ||theta|| is below machine epsilon (points straddling
-    the theta divisor); callers count those as rejected.
+    Up to a factor of modulus one the scaled sum is the sum over m = n + u of
+    exp(pi i m' tau m + 2 pi i m' v).  Splitting m1 m2 = n1 n2 + n1 u2 +
+    u1 n2 + u1 u2 factors it as rowsum((A1 C) * A2) exp(2 pi i tau12 u1 u2)
+    with per-sample rows
+        A1[b, n1] = exp(pi i tau11 m1^2 + 2 pi i tau12 n1 u2 + 2 pi i m1 v1)
+    (A2 likewise) and C[n1, n2] = exp(2 pi i tau12 n1 n2) fixed per tau.
+    Each factor stays in floating-point range when Y is reduced; a
+    non-finite sum raises QuadratureUnstableError.  Returns NaN where
+    ||theta|| is below machine epsilon (points straddling the theta
+    divisor); callers count those as rejected.
     """
     radius = _truncation_radius(tau.min_eigenvalue, tol)
-    n1 = np.arange(-radius - 1, radius + 1)
-    grid1, grid2 = np.meshgrid(n1, n1, indexing="ij")
-    lattice = np.stack([grid1.ravel(), grid2.ravel()], axis=1).astype(float)
-
-    xm, ym = tau.x_part, tau.y_part
-    n_yn = np.einsum("li,ij,lj->l", lattice, ym, lattice)
-    n_xn = np.einsum("li,ij,lj->l", lattice, xm, lattice)
-    u_yu = np.einsum("bi,ij,bj->b", u, ym, u)
-    cross_y = u @ (ym @ lattice.T)
-    quad = n_yn[None, :] + 2 * cross_y + u_yu[:, None]
-    phase = n_xn[None, :] + 2 * (u @ (xm @ lattice.T) + v @ lattice.T)
-    s = np.exp(math.pi * (-quad + 1j * phase)).sum(axis=1)
+    n = np.arange(-radius - 1, radius + 1, dtype=float)
+    (t11, t12), (_, t22) = tau.matrix
+    u1, u2, v1, v2 = u[:, :1], u[:, 1:], v[:, :1], v[:, 1:]
+    m1, m2 = n + u1, n + u2
+    a1 = np.exp(1j * math.pi * (t11 * m1 * m1 + 2 * (t12 * n * u2 + m1 * v1)))
+    a2 = np.exp(1j * math.pi * (t22 * m2 * m2 + 2 * (t12 * n * u1 + m2 * v2)))
+    c = np.exp(2j * math.pi * t12 * np.outer(n, n))
+    s = ((a1 @ c) * a2).sum(axis=1) * np.exp(2j * math.pi * t12 * u[:, 0] * u[:, 1])
+    if not np.all(np.isfinite(s)):
+        raise QuadratureUnstableError(
+            f"theta lattice sum overflowed at {tau!r} (radius {radius})"
+        )
     norms = tau.det_y**0.25 * np.abs(s)
     with np.errstate(divide="ignore"):
         vals = np.where(norms < np.finfo(float).eps, np.nan, np.log(norms))
@@ -338,12 +435,14 @@ def log_h(
 ) -> QuadratureResult:
     """The mean of log||theta||(tau u + v) over the unit 4-torus.
 
-    Splits the budget into 8 equal substreams; the estimate is the mean of
-    substream means and the standard error their sample spread.  The
-    _integrand hook substitutes a different function of (u, v) batches and
-    exists for self-tests of the quadrature layer.
+    Sp4(Z)-invariant, so evaluated at siegel_reduce(tau).  Splits the
+    budget into 8 equal substreams; the estimate is the mean of substream
+    means and the standard error their sample spread.  The _integrand hook
+    substitutes a different function of (u, v) batches and exists for
+    self-tests of the quadrature layer.
     """
     config = config or QuadratureConfig()
+    tau, _ = siegel_reduce(tau)
     if _integrand is None:
         integrand = lambda u, v: _log_theta_norm_batch(tau, u, v, tol)
     else:

@@ -1,15 +1,20 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import json
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from test_theta_surface import random_tau, reference_log_h
+
 from g2inv.cli import main
+from g2inv.errors import TruncationOverflowError
 from g2inv.formats import arch_from_dict, nonarch_from_dict, save_graph, save_tau
 from g2inv.metric_graph import PMGraph
-from g2inv.theta_surface import SiegelMatrix
+from g2inv.theta_surface import SiegelMatrix, ThetaChar, even_characteristics, theta
 
 GENERIC_TAU = SiegelMatrix(
     np.array([[0.12 + 1.3j, 0.21 + 0.33j], [0.21 + 0.33j, -0.17 + 1.1j]])
@@ -170,6 +175,73 @@ def test_arch_validation_exits_2(tmp_path, tau_file, capsys):
     skew.write_text('{"tau": ["1i", "0.2", "0.3", "1i"]}')
     assert main(["arch", str(skew)]) == 2
     capsys.readouterr()
+
+
+def test_arch_non_finite_entry_exits_2(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text('{"tau": ["0.1+1.2i", "nan+0.3i", "nan+0.3i", "0.2+1.1i"]}')
+    assert main(["arch", str(path), "--samples", "10000"]) == 2
+    err = capsys.readouterr().err
+    assert "finite" in err
+    assert "truncation radius" not in err
+
+
+def test_arch_workers_below_one_exits_2(tau_file, capsys):
+    for workers in ("0", "-3"):
+        assert main(["arch", tau_file, "--samples", "10000", "--workers", workers]) == 2
+        captured = capsys.readouterr()
+        assert "--workers" in captured.err
+        assert captured.out == ""
+
+
+def _arch_doc(path, capsys, samples=10000):
+    args = ["arch", str(path), "--samples", str(samples), "--seed", "4", "--format", "structured"]
+    assert main(args) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def _within(a, a_err, b, b_err):
+    return abs(a - b) < 10 * math.hypot(a_err, b_err)
+
+
+def test_arch_on_squashed_tau(tmp_path, capsys):
+    """A tau that needs truncation radius 49 where it stands: `arch`
+    reduces it first and must agree with sums taken at the tau itself."""
+    t = np.array([[0.3 + 0.004j, 0.2 + 0.001j], [0.2 + 0.001j, 0.1 + 3j]])
+    squashed = SiegelMatrix(t)
+    path = tmp_path / "squashed.json"
+    save_tau(str(path), squashed)
+    doc = _arch_doc(path, capsys)
+
+    direct = -12 * math.log(2) + 5 * math.log(squashed.det_y)
+    for char in even_characteristics():
+        direct += 2 * math.log(abs(theta(char, (0, 0), squashed)))
+    assert abs(doc["log_delta2"] - direct) < 1e-9
+    ref_h, ref_err = reference_log_h(t, 1000, seed=1)
+    assert _within(doc["log_h"], doc["log_h_stderr"], ref_h, ref_err)
+    assert _within(doc["phi"], doc["phi_stderr"], -0.5 * direct + 10 * ref_h, 10 * ref_err)
+
+
+def test_arch_on_shear_image_over_the_radius_cap(tmp_path, capsys):
+    """A shear image U tau U' squashed past truncation radius 64, which
+    direct `theta` refuses, gives its preimage's invariants."""
+    pre = random_tau(random.Random(64))
+    for k in range(1, 400):
+        u = np.array([[1, k], [0, 1]]) @ np.array([[1, 0], [1, 1]])
+        image = SiegelMatrix(u @ pre.matrix @ u.T)
+        try:
+            theta(ThetaChar((0, 0), (0, 0)), (0, 0), image)
+        except TruncationOverflowError:
+            break
+    else:
+        pytest.fail("no shear image over the radius cap")
+    save_tau(str(tmp_path / "pre.json"), pre)
+    save_tau(str(tmp_path / "image.json"), image)
+    want = _arch_doc(tmp_path / "pre.json", capsys)
+    got = _arch_doc(tmp_path / "image.json", capsys)
+    assert abs(got["log_delta2"] - want["log_delta2"]) < 1e-9
+    assert _within(got["log_h"], got["log_h_stderr"], want["log_h"], want["log_h_stderr"])
+    assert _within(got["phi"], got["phi_stderr"], want["phi"], want["phi_stderr"])
 
 
 def test_tolerance_env_var(tau_file, capsys, monkeypatch):

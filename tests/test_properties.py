@@ -4,7 +4,7 @@ Poisson-solve routes they replaced."""
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from g2inv.metric_graph import (
     GraphMeasure,
@@ -16,7 +16,14 @@ from g2inv.metric_graph import (
 from g2inv.pm_invariants import canonical_divisor, nonarch_report
 
 LENGTHS = st.fractions(min_value=Fraction(1, 8), max_value=12, max_denominator=8)
-PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
+# no shrink phase: shrinking re-runs exact solves for minutes before a
+# failure is reported; the failing example is reported unshrunk instead
+PROPERTY_SETTINGS = settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    phases=[phase for phase in Phase if phase is not Phase.shrink],
+)
 
 
 @st.composite

@@ -31,6 +31,7 @@ from g2inv.theta_surface import (
     log_delta2,
     log_h,
     odd_characteristics,
+    siegel_reduce,
     theta,
     theta_norm,
 )
@@ -58,6 +59,61 @@ def brute_theta(char: ThetaChar, z, tau: SiegelMatrix, box: int = 12) -> complex
                 lin = m0 * (zz[0] + sb[0]) + m1 * (zz[1] + sb[1])
                 total += mpmath.e ** (mpmath.pi * 1j * (quad + 2 * lin))
         return complex(total)
+
+
+def reference_log_h(t: np.ndarray, samples: int, seed: int) -> tuple[float, float]:
+    """Monte Carlo mean of log||theta||(t u + v) and its standard error from
+    the plain lattice sum over n + u, unfactored and at t itself (no
+    reduction), with a box well past where exp(-pi n'Yn) underflows."""
+    lam = float(np.linalg.eigvalsh(t.imag)[0])
+    box = math.ceil(math.sqrt(45 / (math.pi * lam))) + 2
+    ns = np.arange(-box, box + 1, dtype=float)
+    lattice = np.stack([g.ravel() for g in np.meshgrid(ns, ns, indexing="ij")], axis=1)
+    quarter_log_det = 0.25 * math.log(float(np.linalg.det(t.imag)))
+    n_xn = np.einsum("li,ij,lj->l", lattice, t.real, lattice)
+    points = np.random.default_rng(seed).random((samples, 4))
+    values = []
+    for block in np.array_split(points, max(1, samples * len(lattice) // 500_000)):
+        u, v = block[:, :2], block[:, 2:]
+        m = lattice[None, :, :] + u[:, None, :]
+        real = -math.pi * np.einsum("pli,ij,plj->pl", m, t.imag, m)
+        imag = math.pi * (n_xn[None, :] + 2 * (u @ t.real + v) @ lattice.T)
+        values.append(quarter_log_det + np.log(np.abs(np.exp(real + 1j * imag).sum(axis=1))))
+    vals = np.concatenate(values)
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
+
+
+J4 = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]]).astype(int)
+
+
+def act(word: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(A t + B)(C t + D)^-1 for word = [[A, B], [C, D]], symmetrized."""
+    word = np.asarray(word, dtype=float)
+    a, b, c, d = word[:2, :2], word[:2, 2:], word[2:, :2], word[2:, 2:]
+    image = (a @ t + b) @ np.linalg.inv(c @ t + d)
+    return (image + image.T) / 2
+
+
+def random_word(rng: random.Random, length: int) -> np.ndarray:
+    """A product of random Sp4(Z) generators: translations tau + B,
+    conjugations U tau U' by integer shears, and the inversion -tau^-1."""
+    eye, zero = np.eye(2, dtype=int), np.zeros((2, 2), dtype=int)
+    word = np.eye(4, dtype=int)
+    for _ in range(length):
+        kind = rng.randrange(3)
+        if kind == 0:
+            b01 = rng.randint(-2, 2)
+            b = np.array([[rng.randint(-2, 2), b01], [b01, rng.randint(-2, 2)]])
+            step = np.block([[eye, b], [zero, eye]])
+        elif kind == 1:
+            u = np.array([[1, rng.choice((-2, -1, 1, 2))], [0, 1]])
+            if rng.random() < 0.5:
+                u = u.T
+            step = np.block([[u, zero], [zero, np.round(np.linalg.inv(u)).astype(int).T]])
+        else:
+            step = np.block([[zero, -eye], [eye, zero]])
+        word = step @ word
+    return word
 
 
 def random_tau(rng: random.Random) -> SiegelMatrix:
@@ -331,3 +387,72 @@ def test_log_h_modular_invariance():
     shift = np.array([[1.0, -1.0], [-1.0, 2.0]])
     moved = log_h(SiegelMatrix(GENERIC_TAU.matrix + shift), config)
     assert abs(moved.value - base.value) < 10 * (base.stderr + moved.stderr) + 1e-3
+
+
+def test_siegel_reduce_lands_in_fundamental_domain(rng):
+    for _ in range(40):
+        tau = random_tau(rng)
+        image = act(random_word(rng, rng.randint(1, 6)), tau.matrix)
+        reduced, word = siegel_reduce(SiegelMatrix(image))
+        t = reduced.matrix
+        x, y = t.real, t.imag
+        assert abs(2 * y[0, 1]) <= y[0, 0] * (1 + 1e-12)
+        assert y[0, 0] <= y[1, 1] * (1 + 1e-12)
+        assert np.all(np.abs(x) <= 0.5 + 1e-12)
+        assert abs(t[0, 0]) >= 1 - 1e-12
+        assert reduced.min_eigenvalue >= math.sqrt(3) / 4 - 1e-12
+        assert all(isinstance(x, int) for x in word.flat)
+        assert np.array_equal(word.T @ J4 @ word, J4)
+        assert np.max(np.abs(act(word, image) - t)) < 1e-9
+
+
+def test_siegel_reduce_keeps_a_reduced_tau():
+    tau = SiegelMatrix(np.array([[0.12 + 1.1j, 0.21 + 0.33j], [0.21 + 0.33j, -0.17 + 1.3j]]))
+    reduced, word = siegel_reduce(tau)
+    assert np.array_equal(word, np.eye(4))
+    assert np.array_equal(reduced.matrix, tau.matrix)
+
+
+def _unreduced_images(rng, count):
+    """(preimage, image) pairs under random words of length 3 to 5 whose
+    image is cheap enough for the brute-force sums (lambda_min >= 0.1)."""
+    pairs = []
+    while len(pairs) < count:
+        tau = random_tau(rng)
+        image = SiegelMatrix(act(random_word(rng, rng.randint(3, 5)), tau.matrix))
+        reduced, _ = siegel_reduce(image)
+        if image.min_eigenvalue >= 0.1 and not np.allclose(reduced.matrix, image.matrix):
+            pairs.append((tau, image))
+    return pairs
+
+
+def test_log_delta2_invariant_under_random_words(rng):
+    for _, image in _unreduced_images(rng, 3):
+        lam = image.min_eigenvalue
+        box = math.ceil(math.sqrt(35 / (math.pi * lam))) + 2
+        with mpmath.workdps(40):
+            total = -12 * mpmath.log(2) + 5 * mpmath.log(image.det_y)
+            for char in even_characteristics():
+                total += 2 * mpmath.log(abs(brute_theta(char, (0, 0), image, box)))
+        assert abs(log_delta2(image) - float(total)) < 1e-9
+
+
+def test_log_h_and_phi_invariant_under_random_words(rng):
+    config = QuadratureConfig(n_samples=40000, seed=17)
+    for index, (tau, image) in enumerate(_unreduced_images(rng, 3)):
+        report = arch_invariants(image, config)
+        ref_h, ref_err = reference_log_h(image.matrix, 8000, seed=index)
+        ref_phi = -0.5 * log_delta2(tau) + 10 * ref_h
+        assert abs(report.log_h - ref_h) < 10 * math.hypot(report.log_h_stderr, ref_err)
+        assert abs(report.phi - ref_phi) < 10 * math.hypot(report.phi_stderr, 10 * ref_err)
+
+
+def test_siegel_reduce_word_past_int64():
+    """An integer step beyond the int64 range stays exact: the word holds
+    Python integers."""
+    skewed = SiegelMatrix(np.array([[1e-20j, 0.099j], [0.099j, 1e20j]]))
+    reduced, word = siegel_reduce(skewed)
+    assert max(abs(x) for x in word.flat) > 2**63
+    assert np.array_equal(word.T @ J4 @ word, J4)
+    y = reduced.y_part
+    assert abs(2 * y[0, 1]) <= y[0, 0] <= y[1, 1]
