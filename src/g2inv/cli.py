@@ -21,8 +21,6 @@ import random
 import sys
 from fractions import Fraction
 
-import sympy
-
 from .errors import (
     AdmissibilityFailureError,
     DegenerateThetaNullError,
@@ -32,7 +30,7 @@ from .errors import (
     QuadratureUnstableError,
     TruncationOverflowError,
 )
-from .exact import simplify_exact
+from .exact import rational_function_field
 from .fiber_catalog import ARITY, FiberType, closed_form, graph_of_type
 from .formats import (
     arch_to_dict,
@@ -51,6 +49,9 @@ from .theta_surface import (
 )
 
 TAGS = ("I", "II", "III", "IV", "V", "VI", "VII")
+# table column -> the NonArchReport field it shows
+TABLE_FIELDS = {"delta0": "delta0", "delta1": "delta1", "rKK": "r_kk",
+                "epsilon": "epsilon", "phi": "phi", "lambda": "lambda_"}
 
 
 def _default_tolerance() -> float:
@@ -186,32 +187,21 @@ def _run_arch(args) -> int:
 
 
 def _symbolic_rows():
-    symbols = sympy.symbols("a b c", positive=True)
+    field, *symbols = rational_function_field("a,b,c")
     rows = []
     for tag in TAGS:
         fiber = FiberType(tag, symbols[: ARITY[tag]])
         computed = nonarch_report(graph_of_type(fiber))
         reference = closed_form(fiber)
-        for field in ("delta0", "delta1", "r_kk", "epsilon", "phi", "lambda_"):
-            diff = simplify_exact(
-                sympy.sympify(getattr(computed, field))
-                - sympy.sympify(getattr(reference, field))
-            )
-            if diff != 0:
+        row = {"type": str(fiber)}
+        for column, name in TABLE_FIELDS.items():
+            got, want = getattr(computed, name), getattr(reference, name)
+            if got - want != 0:
                 raise FormulaMismatchError(
-                    f"symbolic table row {fiber}: {field} differs by {diff}"
+                    f"symbolic table row {fiber}: {name} is {got}, closed form {want}"
                 )
-        rows.append(
-            {
-                "type": str(fiber),
-                "delta0": str(reference.delta0),
-                "delta1": str(reference.delta1),
-                "rKK": str(simplify_exact(sympy.sympify(reference.r_kk))),
-                "epsilon": str(simplify_exact(sympy.sympify(reference.epsilon))),
-                "phi": str(simplify_exact(sympy.sympify(reference.phi))),
-                "lambda": str(simplify_exact(sympy.sympify(reference.lambda_))),
-            }
-        )
+            row[column] = str(field(want).as_expr())
+        rows.append(row)
     return rows
 
 
@@ -224,7 +214,7 @@ def _run_table(args) -> int:
     if args.format == "structured":
         print(json.dumps({"rows": rows}, indent=2))
         return 0
-    columns = ("type", "delta0", "delta1", "rKK", "epsilon", "phi", "lambda")
+    columns = ("type", *TABLE_FIELDS)
     widths = {c: max(len(c), *(len(r[c]) for r in rows)) for c in columns}
     print("  ".join(c.ljust(widths[c]) for c in columns))
     for row in rows:

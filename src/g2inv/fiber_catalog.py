@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Any
 
 from .errors import InvalidParamsError, UnclassifiableError
-from .exact import as_rational, is_exact_zero, sign_known_nonnegative
+from .exact import as_rational, sign_known_nonnegative, sort_exact
 from .metric_graph import PMGraph
 from .pm_invariants import NonArchReport, total_genus
 
@@ -47,18 +47,17 @@ class FiberType:
                 f"got {len(params)}"
             )
         for p in params:
-            nonneg = sign_known_nonnegative(p)
-            if nonneg is False or (nonneg is True and is_exact_zero(p)):
+            if p == 0 or sign_known_nonnegative(p) is False:
                 raise InvalidParamsError(f"parameters must be positive, got {p}")
         object.__setattr__(self, "params", params)
 
     def canonical(self) -> "FiberType":
         """Sort parameters wherever the shape is symmetric."""
         if self.tag in ("V", "VII"):
-            return FiberType(self.tag, tuple(sorted(self.params)))
+            return FiberType(self.tag, tuple(sort_exact(self.params)))
         if self.tag == "VI":
             a, b, c = self.params
-            return FiberType(self.tag, (a, *sorted((b, c))))
+            return FiberType(self.tag, (a, *sort_exact((b, c))))
         return self
 
     def __str__(self) -> str:

@@ -1,13 +1,15 @@
 """Exact potential theory on polarized metric graphs.
 
 A polarized metric graph is a finite connected multigraph (loops allowed)
-whose edges carry positive rational lengths and whose vertices carry
-nonnegative integer weights.  Treating edge lengths as resistances turns
-the graph into an electrical network; this module solves the associated
-Laplace problems exactly over the rationals: the vertex resistance
-matrix, Poisson equations, effective resistance, the resistance pairing on
-divisors, Green's functions for vertex-mass-plus-constant-density
-measures, and exact integration.
+whose edges carry positive lengths and whose vertices carry nonnegative
+integer weights.  Treating edge lengths as resistances turns the graph
+into an electrical network; this module solves the associated Laplace
+problems exactly: the vertex resistance matrix, Poisson equations,
+effective resistance, the resistance pairing on divisors, Green's
+functions for vertex-mass-plus-constant-density measures, and exact
+integration.  Lengths are rationals, or rational functions of positive
+symbolic lengths; the code is the same for both, because only `exact`
+knows the field (see there).
 
 Conventions:
 
@@ -56,10 +58,9 @@ from .errors import (
 from .exact import (
     as_rational,
     inverse_dense,
-    is_exact_zero,
     sign_known_nonnegative,
-    simplify_exact,
     solve_dense,
+    sort_exact,
 )
 
 VertexId = Hashable
@@ -67,8 +68,7 @@ EdgeId = Hashable
 
 
 def _require_positive(value: Any, what: str) -> None:
-    nonneg = sign_known_nonnegative(value)
-    if nonneg is False or (nonneg is True and is_exact_zero(value)):
+    if value == 0 or sign_known_nonnegative(value) is False:
         raise ValueError(f"{what} must be positive, got {value}")
 
 
@@ -79,7 +79,8 @@ class PMGraph:
     (id, genus) pairs and `edges` an iterable of (id, u, v, length)
     tuples; u == v gives a loop, which counts twice toward the degree
     of its vertex.  Lengths may be ints, Fractions, 'p/q' strings, or
-    elements of a symbolic field.
+    elements of a rational-function field (`exact.rational_function_field`),
+    whose generators count as positive.
     """
 
     def __init__(
@@ -91,7 +92,7 @@ class PMGraph:
         for vid, q in vertices:
             if vid in self._genus:
                 raise ValueError(f"duplicate vertex id {vid!r}")
-            if not isinstance(q, int) or q < 0:
+            if not isinstance(q, int) or isinstance(q, bool) or q < 0:
                 raise ValueError(f"vertex {vid!r}: genus must be a nonnegative int")
             self._genus[vid] = q
         if not self._genus:
@@ -205,9 +206,9 @@ class PMGraph:
             raise ValueError(f"unknown edge {e!r}")
         u, v, length = self._edges[e]
         offset = as_rational(offset)
-        if is_exact_zero(offset):
+        if offset == 0:
             return self.vertex_point(u)
-        if is_exact_zero(offset - length):
+        if offset - length == 0:
             return self.vertex_point(v)
         if sign_known_nonnegative(offset) is False or (
             sign_known_nonnegative(length - offset) is False
@@ -268,9 +269,7 @@ class GraphDivisor:
                 acc[pt] = acc[pt] + coeff
             else:
                 acc[pt] = coeff
-        self._coeffs = {
-            pt: c for pt, c in acc.items() if not is_exact_zero(c)
-        }
+        self._coeffs = {pt: c for pt, c in acc.items() if c != 0}
 
     @property
     def support(self) -> tuple[tuple[GraphPoint, Any], ...]:
@@ -318,12 +317,12 @@ class GraphMeasure:
         self._mass = {
             v: as_rational(m)
             for v, m in (vertex_mass or {}).items()
-            if not is_exact_zero(as_rational(m))
+            if as_rational(m) != 0
         }
         self._density = {
             e: as_rational(d)
             for e, d in (edge_density or {}).items()
-            if not is_exact_zero(as_rational(d))
+            if as_rational(d) != 0
         }
 
     @property
@@ -348,10 +347,10 @@ class GraphMeasure:
             total = total + m
         for e, d in self._density.items():
             total = total + d * graph.edge_length(e)
-        return simplify_exact(total)
+        return total
 
     def is_probability(self, graph: PMGraph) -> bool:
-        if not is_exact_zero(self.total_mass(graph) - 1):
+        if self.total_mass(graph) - 1 != 0:
             return False
         parts = list(self._mass.values()) + list(self._density.values())
         return all(sign_known_nonnegative(p) is not False for p in parts)
@@ -408,10 +407,10 @@ class PiecewisePoly:
             u, v = self.graph.edge_ends(e)
             c2, c1, c0 = self._coeffs[e]
             length = self.graph.edge_length(e)
-            if not is_exact_zero(c0 - self._values[u]):
+            if c0 - self._values[u] != 0:
                 raise ValueError(f"edge {e!r}: value at offset 0 disagrees with vertex")
             end_val = c2 * length * length + c1 * length + c0
-            if not is_exact_zero(end_val - self._values[v]):
+            if end_val - self._values[v] != 0:
                 raise ValueError(
                     f"edge {e!r}: value at offset len disagrees with vertex"
                 )
@@ -427,16 +426,16 @@ class PiecewisePoly:
             return self._values[point.vertex]
         c2, c1, c0 = self._coeffs[point.edge]
         t = point.offset
-        return simplify_exact(c2 * t * t + c1 * t + c0)
+        return c2 * t * t + c1 * t + c0
 
     def constant_value(self):
         """The constant this function equals everywhere, or None."""
         ref = next(iter(self._values.values()))
         for val in self._values.values():
-            if not is_exact_zero(val - ref):
+            if val - ref != 0:
                 return None
         for c2, c1, _ in self._coeffs.values():
-            if not (is_exact_zero(c2) and is_exact_zero(c1)):
+            if c2 != 0 or c1 != 0:
                 return None
         return ref
 
@@ -469,10 +468,9 @@ class PiecewisePoly:
     def add_constant(self, const: Any) -> "PiecewisePoly":
         const = as_rational(const)
         coeffs = {
-            e: (c2, c1, simplify_exact(c0 + const))
-            for e, (c2, c1, c0) in self._coeffs.items()
+            e: (c2, c1, c0 + const) for e, (c2, c1, c0) in self._coeffs.items()
         }
-        values = {v: simplify_exact(val + const) for v, val in self._values.items()}
+        values = {v: val + const for v, val in self._values.items()}
         return PiecewisePoly(self.graph, coeffs, values, check=False)
 
     def __repr__(self) -> str:
@@ -507,21 +505,13 @@ class SubdivisionMap:
             cleaned: list[Any] = []
             for t in offsets:
                 t = as_rational(t)
-                if is_exact_zero(t) or is_exact_zero(t - length):
+                if t == 0 or t - length == 0:
                     continue  # endpoint cut is a no-op
-                if any(is_exact_zero(t - s) for s in cleaned):
+                if any(t - s == 0 for s in cleaned):
                     continue
                 cleaned.append(t)
-            if not cleaned:
-                continue
-            try:
-                cleaned.sort()
-            except TypeError:
-                if len(cleaned) > 1:
-                    raise ValueError(
-                        "multiple symbolic cut offsets on one edge cannot be ordered"
-                    )
-            self._cuts[e] = cleaned
+            if cleaned:
+                self._cuts[e] = sort_exact(cleaned)
 
         vertices = [(v, parent.genus(v)) for v in parent.vertex_ids]
         edges = []
@@ -544,7 +534,7 @@ class SubdivisionMap:
             segs = []
             for i in range(len(nodes) - 1):
                 seg_id = ("seg", e, i)
-                seg_len = simplify_exact(bounds[i + 1] - bounds[i])
+                seg_len = bounds[i + 1] - bounds[i]
                 edges.append((seg_id, nodes[i], nodes[i + 1], seg_len))
                 segs.append((seg_id, bounds[i], bounds[i + 1]))
             self._segments[e] = segs
@@ -554,7 +544,7 @@ class SubdivisionMap:
         """The subdivision vertex created at offset t of parent edge e."""
         t = as_rational(t)
         for i, s in enumerate(self._cuts.get(e, [])):
-            if is_exact_zero(t - s):
+            if t - s == 0:
                 return self.graph.vertex_point(self._cut_vertex[(e, i)])
         raise ValueError(f"no cut at offset {t} on edge {e!r}")
 
@@ -565,13 +555,13 @@ class SubdivisionMap:
         if e not in self._cuts:
             return self.graph.point(e, t)
         for i, s in enumerate(self._cuts[e]):
-            if is_exact_zero(t - s):
+            if t - s == 0:
                 return self.graph.vertex_point(self._cut_vertex[(e, i)])
         for seg_id, lo, hi in self._segments[e]:
             below = sign_known_nonnegative(t - lo)
             above = sign_known_nonnegative(hi - t)
             if below and above:
-                return self.graph.point(seg_id, simplify_exact(t - lo))
+                return self.graph.point(seg_id, t - lo)
         raise ValueError(f"cannot locate offset {t} on subdivided edge {e!r}")
 
     def map_divisor(self, d: GraphDivisor) -> GraphDivisor:
@@ -660,7 +650,6 @@ def _reduced_laplacian(graph: PMGraph, base: VertexId) -> tuple[list, list]:
             if other != base:
                 j = index[other]
                 matrix[i][j] = matrix[i][j] - conductance
-        matrix[i] = [simplify_exact(x) for x in matrix[i]]
     return order, matrix
 
 
@@ -682,7 +671,7 @@ def _vertex_resistances(graph: PMGraph) -> dict[VertexId, dict[VertexId, Any]]:
     }
     for i, a in enumerate(graph.vertex_ids):
         for b in graph.vertex_ids[i:]:
-            r = simplify_exact(entry(a, a) + entry(b, b) - 2 * entry(a, b))
+            r = entry(a, a) + entry(b, b) - 2 * entry(a, b)
             resistances[a][b] = resistances[b][a] = r
     return resistances
 
@@ -706,7 +695,7 @@ def _solve_vertex_potentials(
         b = point_mass[v]
         for eid, _ in graph.incident(v):
             b = b + density[eid] * graph.edge_length(eid) / 2
-        rhs.append(simplify_exact(b))
+        rhs.append(b)
     try:
         sol = solve_dense(matrix, rhs)
     except ValueError as exc:  # pragma: no cover - cannot happen when connected
@@ -730,8 +719,8 @@ def _poly_from_potentials(
         length = graph.edge_length(e)
         c2 = -density[e] / 2
         c0 = potentials[u]
-        c1 = simplify_exact((potentials[v] - potentials[u]) / length - c2 * length)
-        coeffs[e] = (simplify_exact(c2), c1, c0)
+        c1 = (potentials[v] - potentials[u]) / length - c2 * length
+        coeffs[e] = (c2, c1, c0)
     return PiecewisePoly(graph, coeffs, dict(potentials), check=False)
 
 
@@ -752,7 +741,7 @@ def solve_poisson(
     total = divisor.degree if divisor is not None else Fraction(0)
     if measure is not None:
         total = total + measure.total_mass(graph)
-    if not is_exact_zero(total):
+    if total != 0:
         raise NonZeroMassError(f"source has total mass {total}, expected 0")
 
     if divisor is not None and any(not pt.is_vertex for pt, _ in divisor.support):
@@ -779,12 +768,10 @@ def poly_laplacian(f: PiecewisePoly) -> tuple[GraphDivisor, GraphMeasure]:
         c2, c1, _ = f.coefficients(e)
         u, v = graph.edge_ends(e)
         length = graph.edge_length(e)
-        density[e] = simplify_exact(-2 * c2)
+        density[e] = -2 * c2
         slope_sum[u] = slope_sum[u] + c1
         slope_sum[v] = slope_sum[v] - (2 * c2 * length + c1)
-    points = GraphDivisor(
-        (vertex_point(v), simplify_exact(-s)) for v, s in slope_sum.items()
-    )
+    points = GraphDivisor((vertex_point(v), -s) for v, s in slope_sum.items())
     return points, GraphMeasure({}, density)
 
 
@@ -823,7 +810,7 @@ def resistance_pairing(graph: PMGraph, d: GraphDivisor, e: GraphDivisor):
                 r = graph.resistance(px.vertex, py.vertex)
             else:
                 r = effective_resistance(graph, px, py)
-            total = simplify_exact(total + cx * cy * r)
+            total = total + cx * cy * r
     return total
 
 
@@ -835,7 +822,7 @@ def green_function(graph: PMGraph, mu: GraphMeasure, y: GraphPoint) -> Piecewise
     subdivided at y.
     """
     mass = mu.total_mass(graph)
-    if not is_exact_zero(mass - 1):
+    if mass - 1 != 0:
         raise NonProbabilityMeasureError(f"measure has mass {mass}, expected 1")
     graph.validate_point(y)
     smap, (py,) = _subdivide_at_points(graph, [y])
@@ -857,14 +844,14 @@ def diagonal_green(graph: PMGraph, mu: GraphMeasure) -> PiecewisePoly:
     edge, else FormulaMismatchError is raised.
     """
     mass = mu.total_mass(graph)
-    if not is_exact_zero(mass - 1):
+    if mass - 1 != 0:
         raise NonProbabilityMeasureError(f"measure has mass {mass}, expected 1")
     r = graph.resistance
     kappa = {}
     for e in graph.edge_ids:
         a, b = graph.edge_ends(e)
         length = graph.edge_length(e)
-        kappa[e] = simplify_exact((length - r(a, b)) / (length * length))
+        kappa[e] = (length - r(a, b)) / (length * length)
 
     # j at a vertex w: point masses, plus for each edge f = (c, d) its
     # density times  integral_f r(w, z) dz = L (r(c, w) + r(d, w)) / 2 + k L^3 / 6
@@ -872,12 +859,12 @@ def diagonal_green(graph: PMGraph, mu: GraphMeasure) -> PiecewisePoly:
     for w in graph.vertex_ids:
         total = Fraction(0)
         for v, m in mu.vertex_masses.items():
-            total = simplify_exact(total + m * r(v, w))
+            total = total + m * r(v, w)
         for f, rho in mu.edge_densities.items():
             c, d = graph.edge_ends(f)
             length = graph.edge_length(f)
             along = length * (r(c, w) + r(d, w)) / 2 + kappa[f] * length**3 / 6
-            total = simplify_exact(total + rho * along)
+            total = total + rho * along
         j[w] = total
 
     coeffs = {}
@@ -885,16 +872,14 @@ def diagonal_green(graph: PMGraph, mu: GraphMeasure) -> PiecewisePoly:
         a, b = graph.edge_ends(e)
         length, k, rho = graph.edge_length(e), kappa[e], mu.density(e)
         # j without e's own density, at both ends of e
-        own = simplify_exact(rho * (length * r(a, b) / 2 + k * length**3 / 6))
-        lo, hi = simplify_exact(j[a] - own), simplify_exact(j[b] - own)
+        own = rho * (length * r(a, b) / 2 + k * length**3 / 6)
+        lo, hi = j[a] - own, j[b] - own
         # x at offset t: interpolate the rest of mu, add the bulge
         # k t (L - t) times its mass, and integrate d - k d^2 against e's
         # density:  rho ((t^2 + (L - t)^2) / 2 - k (t^3 + (L - t)^3) / 3)
-        c2 = simplify_exact(rho * (1 - k * length) - k * (1 - rho * length))
-        c1 = simplify_exact((hi - lo) / length - c2 * length)
-        c0 = simplify_exact(
-            lo + rho * length * length * (Fraction(1, 2) - k * length / 3)
-        )
+        c2 = rho * (1 - k * length) - k * (1 - rho * length)
+        c1 = (hi - lo) / length - c2 * length
+        c0 = lo + rho * length * length * (Fraction(1, 2) - k * length / 3)
         coeffs[e] = (c2, c1, c0)
 
     try:
@@ -930,4 +915,4 @@ def integrate(
                 + c0 * length
             )
             total = total + rho * antiderivative
-    return simplify_exact(total)
+    return total

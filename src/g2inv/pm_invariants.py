@@ -28,7 +28,6 @@ from .errors import (
     FormulaMismatchError,
     GenusZeroError,
 )
-from .exact import is_exact_zero, simplify_exact
 from .metric_graph import (
     GraphDivisor,
     GraphMeasure,
@@ -69,7 +68,7 @@ def is_bridge(graph: PMGraph, e) -> bool:
     """Whether removing edge e disconnects the graph: exactly when the
     resistance between its ends equals its length.  Loops never do."""
     u, v = graph.edge_ends(e)
-    return u != v and is_exact_zero(graph.resistance(u, v) - graph.edge_length(e))
+    return u != v and graph.resistance(u, v) - graph.edge_length(e) == 0
 
 
 def node_counts(graph: PMGraph) -> NodeCounts:
@@ -80,7 +79,7 @@ def node_counts(graph: PMGraph) -> NodeCounts:
             delta1 = delta1 + graph.edge_length(e)
         else:
             delta0 = delta0 + graph.edge_length(e)
-    return NodeCounts(simplify_exact(delta0), simplify_exact(delta1))
+    return NodeCounts(delta0, delta1)
 
 
 def admissibility_poly(
@@ -116,9 +115,7 @@ def admissible_measure(graph: PMGraph) -> GraphMeasure:
     for e in graph.edge_ids:
         a, b = graph.edge_ends(e)
         length = graph.edge_length(e)
-        densities[e] = simplify_exact(
-            (length - graph.resistance(a, b)) / (g * length * length)
-        )
+        densities[e] = (length - graph.resistance(a, b)) / (g * length * length)
     return GraphMeasure(masses, densities)
 
 
@@ -178,19 +175,15 @@ def nonarch_report(graph: PMGraph) -> NonArchReport:
     integral = integrate(
         graph, diag, divisor=k.scale(-1), measure=mu.scale(10 * g + 2)
     )
-    phi = simplify_exact(-counts.delta / 4 + integral / 4)
+    phi = -counts.delta / 4 + integral / 4
     if g == 2:
-        phi_resist = simplify_exact(
-            -counts.delta / 4 - Fraction(3, 8) * r_kk + 2 * eps
-        )
-        if not is_exact_zero(phi - phi_resist):
+        phi_resist = -counts.delta / 4 - Fraction(3, 8) * r_kk + 2 * eps
+        if phi - phi_resist != 0:
             raise FormulaMismatchError(
                 f"phi routes disagree: integral gives {phi}, "
                 f"resistance formula gives {phi_resist}"
             )
-    lam = simplify_exact(
-        Fraction(g - 1, 6 * (2 * g + 1)) * phi + (eps + counts.delta) / 12
-    )
+    lam = Fraction(g - 1, 6 * (2 * g + 1)) * phi + (eps + counts.delta) / 12
     return NonArchReport(
         genus=g,
         delta0=counts.delta0,

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import dataclasses
 import json
 import math
 import random
@@ -84,6 +85,14 @@ def test_nonarch_parse_failures_exit_2(tmp_path, capsys):
     save_graph(str(graph), PMGraph([("v", 2)]))
     assert main(["nonarch", str(graph), "--type", "I"]) == 2
     capsys.readouterr()
+    # a boolean genus is not an int, though Python's bool subclasses int
+    boolean = tmp_path / "bool-genus.json"
+    boolean.write_text(json.dumps({
+        "vertices": [{"id": "u", "genus": True}, {"id": "w", "genus": 1}],
+        "edges": [{"id": "e", "from": "u", "to": "w", "length": "1"}],
+    }))
+    assert main(["nonarch", str(boolean)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_nonarch_disconnected_graph_file_exits_2(tmp_path, capsys):
@@ -272,11 +281,48 @@ def test_verify_zero_samples_is_vacuous_pass(capsys):
     assert out.count("0/0 pass") == 7
 
 
+# every cell of the seven-type table, as `table` prints it
+TABLE_ROWS = [
+    ("I", "0", "0", "0", "0", "0", "0"),
+    ("II(a)", "0", "a", "2*a", "a", "a", "a/5"),
+    ("III(a)", "a", "0", "0", "a/6", "a/12", "a/10"),
+    ("IV(a, b)", "b", "a", "2*a", "a + b/6", "a + b/12", "a/5 + b/10"),
+    ("V(a, b)", "a + b", "0", "0", "a/6 + b/6", "a/12 + b/12", "a/10 + b/10"),
+    (
+        "VI(a, b, c)", "b + c", "a", "2*a", "a + b/6 + c/6", "a + b/12 + c/12",
+        "a/5 + b/10 + c/10",
+    ),
+    (
+        "VII(a, b, c)",
+        "a + b + c",
+        "0",
+        "2*a*b*c/(a*b + a*c + b*c)",
+        "(a**2*b + a**2*c + a*b**2 + 4*a*b*c + a*c**2 + b**2*c + b*c**2)"
+        "/(6*a*b + 6*a*c + 6*b*c)",
+        "(a**2*b + a**2*c + a*b**2 - 2*a*b*c + a*c**2 + b**2*c + b*c**2)"
+        "/(12*a*b + 12*a*c + 12*b*c)",
+        "a/10 + b/10 + c/10",
+    ),
+]
+
+
 def test_table_structured(capsys):
     assert main(["table", "--format", "structured"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    rows = {row["type"]: row for row in doc["rows"]}
-    assert len(rows) == 7
-    assert rows["II(a)"]["phi"] == "a"
-    assert rows["V(a, b)"]["lambda"] == "a/10 + b/10"
-    assert "a*b*c" in rows["VII(a, b, c)"]["rKK"]
+    columns = ("type", "delta0", "delta1", "rKK", "epsilon", "phi", "lambda")
+    assert [tuple(row[c] for c in columns) for row in doc["rows"]] == TABLE_ROWS
+    assert all(list(row) == list(columns) for row in doc["rows"])
+
+
+def test_table_mismatch_exits_4(monkeypatch, capsys):
+    import g2inv.cli
+
+    def skewed(fiber):  # phi off by a^2 from type II on
+        report = g2inv.fiber_catalog.closed_form(fiber)
+        if not fiber.params:
+            return report
+        return dataclasses.replace(report, phi=report.phi + fiber.params[0] ** 2)
+
+    monkeypatch.setattr(g2inv.cli, "closed_form", skewed)
+    assert main(["table"]) == 4
+    assert "symbolic table row II(a): phi" in capsys.readouterr().err

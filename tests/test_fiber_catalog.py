@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from g2inv.errors import InvalidParamsError, UnclassifiableError
+from g2inv.exact import rational_function_field
 from g2inv.fiber_catalog import FiberType, classify, closed_form, graph_of_type
 from g2inv.metric_graph import PMGraph, subdivide
 from g2inv.pm_invariants import node_counts, nonarch_report, total_genus
@@ -36,6 +37,11 @@ def test_arity_and_positivity():
         FiberType("VIII", ())
     with pytest.raises(InvalidParamsError):
         FiberType("II", (0.5,))
+    _, a = rational_function_field("a")
+    with pytest.raises(InvalidParamsError):
+        FiberType("II", (-a,))
+    with pytest.raises(InvalidParamsError):
+        FiberType("II", (a - a,))
 
 
 def test_str_forms():
@@ -64,6 +70,10 @@ def test_canonical_sorting():
     assert FiberType("V", (5, 2)).canonical() == FiberType("V", (2, 5))
     assert FiberType("VI", (2, 3, 1)).canonical() == FiberType("VI", (2, 1, 3))
     assert FiberType("IV", (3, 1)).canonical() == FiberType("IV", (3, 1))
+    _, a, b = rational_function_field("a,b")
+    assert FiberType("V", (a, a / 2)).canonical() == FiberType("V", (a / 2, a))
+    with pytest.raises(ValueError):
+        FiberType("V", (a, b)).canonical()  # a - b has no known sign
 
 
 def test_closed_form_spot_values():

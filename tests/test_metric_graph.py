@@ -5,13 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
-import sympy
 
 from g2inv.errors import (
     DisconnectedError,
     NonProbabilityMeasureError,
     NonZeroMassError,
 )
+from g2inv.exact import rational_function_field
 from g2inv.metric_graph import (
     GraphDivisor,
     GraphMeasure,
@@ -55,6 +55,8 @@ def test_rejects_bad_input():
     with pytest.raises(ValueError):
         PMGraph([("a", -1)])
     with pytest.raises(ValueError):
+        PMGraph([("a", True)])
+    with pytest.raises(ValueError):
         PMGraph([("a", 0)], [("e", "a", "b", 1)])
     with pytest.raises(ValueError):
         PMGraph([("a", 0)], [("e", "a", "a", 0)])
@@ -64,6 +66,12 @@ def test_rejects_bad_input():
         PMGraph([])
     with pytest.raises(DisconnectedError):
         PMGraph([("a", 0), ("b", 0)])
+    _, a, b = rational_function_field("a,b")
+    with pytest.raises(ValueError):
+        circle(-a)
+    with pytest.raises(ValueError):
+        circle(a - a)
+    assert circle(a - b).edge_length("e") == a - b  # sign unknown: accepted
 
 
 def test_rejects_float_lengths():
@@ -150,6 +158,22 @@ def test_poisson_interior_point_subdivides():
     assert f.value_at_vertex(smap_pt) == 3
     assert f.value_at_vertex("u") == 3
     assert f.value_at_vertex("v") == 0
+
+
+def test_symbolic_cuts_are_ordered_numerically():
+    # Python's < on field elements is structural (a < a/2 holds), so the
+    # cuts must be ordered by sign: segments a/4, a/12, 2a/3
+    _, a = rational_function_field("a")
+    smap = subdivide(segment(a), {"e": [a / 3, a / 4]})
+    lengths = [smap.graph.edge_length(e) for e in smap.graph.edge_ids]
+    assert lengths == [a / 4, a / 12, 2 * a / 3]
+    assert smap.cut_point("e", a / 4) == smap.graph.vertex_point(("cut", "e", 0))
+    assert smap.map_point(segment(a).point("e", a / 2)) == smap.graph.point(
+        ("seg", "e", 2), a / 6
+    )
+    _, a, b = rational_function_field("a,b")
+    with pytest.raises(ValueError):
+        subdivide(segment(a + b), {"e": [a, b]})  # a - b has no known sign
 
 
 def test_poly_laplacian_inverts_solve(rng):
@@ -378,14 +402,14 @@ def test_diagonal_green_circle_with_vertex_mass():
 
 
 def test_diagonal_green_symbolic():
-    a = sympy.Symbol("a", positive=True)
+    field, a = rational_function_field("a")
     g = circle(a)
-    mu = GraphMeasure({"v": sympy.Rational(1, 2)}, {"e": 1 / (2 * a)})
+    mu = GraphMeasure({"v": Fraction(1, 2)}, {"e": 1 / (2 * a)})
     diag = diagonal_green(g, mu)
-    assert sympy.simplify(diag.value_at_vertex("v") - a / 48) == 0
+    assert diag.value_at_vertex("v") == a / 48
     c2, c1, c0 = diag.coefficients("e")
-    assert sympy.simplify(c2 + 1 / (2 * a)) == 0
-    assert sympy.simplify(c1 - sympy.Rational(1, 2)) == 0
+    assert c2 == -1 / (2 * a)
+    assert c1 == field(Fraction(1, 2))
 
 
 def test_diagonal_green_against_discrete_oracle(rng):

@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 from g2inv.errors import GenusZeroError
+from g2inv.exact import rational_function_field
+from g2inv.fiber_catalog import FiberType, closed_form, graph_of_type
 from g2inv.metric_graph import PMGraph, diagonal_green, subdivide, vertex_point
 from g2inv.pm_invariants import (
     admissibility_poly,
@@ -273,6 +275,18 @@ def test_scaling_covariance(rng):
         assert srep.epsilon == s * rep.epsilon
         assert srep.phi == s * rep.phi
         assert srep.lambda_ == s * rep.lambda_
+
+
+def test_symbolic_elimination_on_subdivided_types():
+    # a cut at every edge midpoint gives 5 vertices: a 4x4 symbolic elimination
+    _, a, b, c = rational_function_field("a,b,c")
+    for tag in ("VI", "VII"):
+        fiber = FiberType(tag, (a, b, c))
+        base = graph_of_type(fiber)
+        cuts = {e: [base.edge_length(e) / 2] for e in base.edge_ids}
+        graph = subdivide(base, cuts).graph
+        assert graph.num_vertices == 5
+        assert nonarch_report(graph) == closed_form(fiber)
 
 
 def test_invariants_need_genus_two():
