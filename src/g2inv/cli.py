@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -62,8 +63,8 @@ def _default_tolerance() -> float:
         value = float(raw)
     except ValueError as exc:
         raise InvalidParamsError(f"G2INV_TOL is not a number: {raw!r}") from exc
-    if value <= 0:
-        raise InvalidParamsError(f"G2INV_TOL must be positive, got {raw!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise InvalidParamsError(f"G2INV_TOL must be positive and finite, got {raw!r}")
     return value
 
 

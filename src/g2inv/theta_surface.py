@@ -24,8 +24,12 @@ Numerical conventions:
   keep the cap.
 * log||H|| reduces to the mean of log||theta||(tau u + v) over uniform
   (u, v) in [0,1)^4.  Per batch of points the lattice sum factors into
-  two per-sample rows of 1-D exponentials and one fixed matrix, A1 C A2',
-  which is safe from overflow on a reduced tau.  The estimator splits the
+  two per-sample rows of 1-D Gaussian terms and one fixed matrix,
+  A1 C A2'.  Each row is built from two anchor terms (n = 0 and n = -1)
+  and their step ratios by the Gaussian second-difference recurrence, so a
+  sample costs 9 complex exponentials at any truncation radius; on a
+  reduced tau every factor stays in floating-point range, and a sum that
+  leaves it is an error, never a rejected sample.  The estimator splits the
   sample budget into 8 substreams whose spread gives the standard error.
   Fixed (seed, N, method) give bit-identical results regardless of
   worker count.
@@ -369,8 +373,10 @@ class QuadratureConfig:
             raise ValueError(f"need at least 10^4 samples, got {self.n_samples}")
         if self.method not in ("monte-carlo", "lattice-rule"):
             raise ValueError(f"unknown quadrature method {self.method!r}")
-        if self.target_stderr <= 0:
-            raise ValueError("target standard error must be positive")
+        if not (math.isfinite(self.target_stderr) and self.target_stderr > 0):
+            raise ValueError(
+                f"target standard error must be positive and finite, got {self.target_stderr!r}"
+            )
 
 
 class QuadratureResult(NamedTuple):
@@ -384,29 +390,68 @@ class QuadratureResult(NamedTuple):
 _KRONECKER = np.array([math.sqrt(2) - 1, math.sqrt(3) - 1, math.sqrt(5) - 2, math.sqrt(7) - 2])
 
 
+def _gaussian_rows(radius: int, t: complex, c: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rows exp(f(n)) for n = -radius-1 .. radius, one contiguous row per n,
+    where per sample f(n) = pi i t (n+u)^2 + 2 pi i c n + 2 pi i (n+u) v.
+
+    f has second difference 2 pi i t, so with q = exp(2 pi i t) the ratios
+    G_n = exp(f(n+1) - f(n)) obey G_{n+1} = G_n q, and downward
+    H_n = exp(f(n-1) - f(n)) obey H_{n-1} = H_n q.  Only the anchors
+    exp(f(0)), exp(f(-1)), G_0 and H_{-1} are exponentials; the other
+    rows are products, walking up from n = 0 and down from n = -1.  With
+    Y reduced every ratio has modulus at most one apart from the bounded
+    c term, and each row carries at most about 2(radius+1) roundings.
+    """
+    pi_i = 1j * math.pi
+    slope = 2 * pi_i * (c + v)
+    anchors = np.exp(
+        np.stack(
+            [
+                pi_i * t * u * u + 2 * pi_i * u * v,  # f(0)
+                pi_i * t * (u - 1) ** 2 + 2 * pi_i * (u - 1) * v - 2 * pi_i * c,  # f(-1)
+                pi_i * t * (2 * u + 1) + slope,  # f(1) - f(0)
+                -pi_i * t * (2 * u - 3) - slope,  # f(-2) - f(-1)
+            ]
+        )
+    )
+    q = np.exp(2 * pi_i * t)
+    rows = np.empty((2 * radius + 2, len(u)), dtype=complex)
+    mid = radius + 1  # the row of n = 0
+    rows[mid], rows[mid - 1], up, down = anchors
+    for k in range(mid + 1, 2 * radius + 2):
+        np.multiply(rows[k - 1], up, out=rows[k])
+        up *= q
+    for k in range(mid - 2, -1, -1):
+        np.multiply(rows[k + 1], down, out=rows[k])
+        down *= q
+    return rows
+
+
 def _log_theta_norm_batch(tau: SiegelMatrix, u: np.ndarray, v: np.ndarray, tol: float) -> np.ndarray:
     """log||theta||(tau u + v) for batches of points in [0,1)^2 x [0,1)^2.
 
     Up to a factor of modulus one the scaled sum is the sum over m = n + u of
     exp(pi i m' tau m + 2 pi i m' v).  Splitting m1 m2 = n1 n2 + n1 u2 +
-    u1 n2 + u1 u2 factors it as rowsum((A1 C) * A2) exp(2 pi i tau12 u1 u2)
-    with per-sample rows
-        A1[b, n1] = exp(pi i tau11 m1^2 + 2 pi i tau12 n1 u2 + 2 pi i m1 v1)
-    (A2 likewise) and C[n1, n2] = exp(2 pi i tau12 n1 n2) fixed per tau.
-    Each factor stays in floating-point range when Y is reduced; a
-    non-finite sum raises QuadratureUnstableError.  Returns NaN where
-    ||theta|| is below machine epsilon (points straddling the theta
-    divisor); callers count those as rejected.
+    u1 n2 + u1 u2 factors it as colsum(C A1 * A2) exp(2 pi i tau12 u1 u2)
+    with per-sample columns
+        A1[n1, b] = exp(pi i tau11 m1^2 + 2 pi i tau12 n1 u2 + 2 pi i m1 v1)
+    (A2 likewise) and the symmetric C[n1, n2] = exp(2 pi i tau12 n1 n2)
+    fixed per tau.  A1 and A2 come from `_gaussian_rows`: four
+    exponentials per sample each, whatever the radius, plus one for the
+    u1 u2 term.  Each factor stays in floating-point range when Y is
+    reduced; a sum that leaves it raises QuadratureUnstableError.
+    Returns NaN where ||theta|| is below machine epsilon (points
+    straddling the theta divisor); callers count those as rejected.
     """
     radius = _truncation_radius(tau.min_eigenvalue, tol)
     n = np.arange(-radius - 1, radius + 1, dtype=float)
     (t11, t12), (_, t22) = tau.matrix
-    u1, u2, v1, v2 = u[:, :1], u[:, 1:], v[:, :1], v[:, 1:]
-    m1, m2 = n + u1, n + u2
-    a1 = np.exp(1j * math.pi * (t11 * m1 * m1 + 2 * (t12 * n * u2 + m1 * v1)))
-    a2 = np.exp(1j * math.pi * (t22 * m2 * m2 + 2 * (t12 * n * u1 + m2 * v2)))
-    c = np.exp(2j * math.pi * t12 * np.outer(n, n))
-    s = ((a1 @ c) * a2).sum(axis=1) * np.exp(2j * math.pi * t12 * u[:, 0] * u[:, 1])
+    (u1, u2), (v1, v2) = np.ascontiguousarray(u.T), np.ascontiguousarray(v.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a1 = _gaussian_rows(radius, t11, t12 * u2, u1, v1)
+        a2 = _gaussian_rows(radius, t22, t12 * u1, u2, v2)
+        c = np.exp(2j * math.pi * t12 * np.outer(n, n))
+        s = ((c @ a1) * a2).sum(axis=0) * np.exp(2j * math.pi * t12 * u1 * u2)
     if not np.all(np.isfinite(s)):
         raise QuadratureUnstableError(
             f"theta lattice sum overflowed at {tau!r} (radius {radius})"

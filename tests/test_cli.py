@@ -184,6 +184,12 @@ def test_arch_validation_exits_2(tmp_path, tau_file, capsys):
     skew.write_text('{"tau": ["1i", "0.2", "0.3", "1i"]}')
     assert main(["arch", str(skew)]) == 2
     capsys.readouterr()
+    # a NaN or infinite target would switch the stderr gate off
+    for bad in ("nan", "inf"):
+        assert main(["arch", tau_file, "--samples", "10000", "--target-stderr", bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "finite" in captured.err
+        assert captured.out == ""
 
 
 def test_arch_non_finite_entry_exits_2(tmp_path, capsys):
@@ -260,11 +266,11 @@ def test_tolerance_env_var(tau_file, capsys, monkeypatch):
     assert main(args) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["tolerance"] == 1e-8
-    monkeypatch.setenv("G2INV_TOL", "banana")
-    assert main(args) == 2
-    monkeypatch.setenv("G2INV_TOL", "-1")
-    assert main(args) == 2
-    capsys.readouterr()
+    for bad in ("banana", "-1", "nan", "inf"):
+        monkeypatch.setenv("G2INV_TOL", bad)
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: G2INV_TOL") and captured.out == ""
 
 
 def test_verify_is_seeded_and_exact(capsys):

@@ -7,8 +7,10 @@ matrices.  The quadrature layer is validated on integrands with known
 means before being trusted on the theta integrand.
 """
 
+import itertools
 import math
 import random
+import warnings
 
 import mpmath
 import numpy as np
@@ -21,6 +23,7 @@ from g2inv.errors import (
     TruncationOverflowError,
 )
 from g2inv.theta_surface import (
+    DEFAULT_THETA_TOL,
     ArchReport,
     QuadratureConfig,
     SiegelMatrix,
@@ -30,6 +33,7 @@ from g2inv.theta_surface import (
     even_characteristics,
     log_delta2,
     log_h,
+    _log_theta_norm_batch,
     odd_characteristics,
     siegel_reduce,
     theta,
@@ -312,8 +316,9 @@ def test_quadrature_config_validation():
         QuadratureConfig(n_samples=5000)
     with pytest.raises(ValueError):
         QuadratureConfig(method="sobol")
-    with pytest.raises(ValueError):
-        QuadratureConfig(target_stderr=0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            QuadratureConfig(target_stderr=bad)
 
 
 def test_log_h_constant_integrand_self_test():
@@ -337,6 +342,42 @@ def test_log_h_known_mean_integrand():
         _integrand=lambda u, v: u[:, 0] + v[:, 1],
     )
     assert abs(lattice.value - 1.0) < 1e-3
+
+
+def test_kernel_matches_pointwise_theta_norm(rng):
+    """The torus-average kernel against `theta_norm`, whose meshgrid sum
+    shares none of its factoring or recurrence, point by point: an error
+    of 1e-6 per point hides inside the Monte Carlo spread but not here."""
+    taus = [siegel_reduce(random_tau(rng))[0] for _ in range(20)]
+    taus.append(SiegelMatrix(np.array([[0.1 + 1.2j, 0.3 + 0.4j], [0.3 + 0.4j, -0.2 + 300j]])))
+    edges = (0.0, 0.5, 1 - 1e-9)
+    for index, tau in enumerate(taus):
+        points = np.random.default_rng(index).random((256, 4))
+        points[:9, :2] = list(itertools.product(edges, edges))
+        u, v = points[:, :2], points[:, 2:]
+        got = _log_theta_norm_batch(tau, u, v, DEFAULT_THETA_TOL)
+        norms = np.array([theta_norm(tau.matrix @ a + b, tau) for a, b in zip(u, v)])
+        with np.errstate(divide="ignore"):
+            want = np.where(norms < np.finfo(float).eps, np.nan, np.log(norms))
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.nanmax(np.abs(got - want)) < 1e-10
+
+
+def _stretched_tau(scale: float) -> SiegelMatrix:
+    return SiegelMatrix(0.05 + 1j * scale * np.array([[1, 0.48], [0.48, 1.1]]))
+
+
+def test_log_h_float_range_is_kept_and_refused_cleanly():
+    """A reduced tau this stretched is refused by `log_delta2` long before;
+    a direct `log_h` keeps the range it had and past it raises
+    QuadratureUnstableError without a numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for method in ("monte-carlo", "lattice-rule"):
+            config = QuadratureConfig(n_samples=20000, seed=0, method=method, target_stderr=10)
+            assert math.isfinite(log_h(_stretched_tau(64), config).value)
+            with pytest.raises(QuadratureUnstableError):
+                log_h(_stretched_tau(100), config)
 
 
 def test_log_h_reproducible_across_workers():
