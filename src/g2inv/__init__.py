@@ -43,21 +43,32 @@ from .pm_invariants import (
     phi_invariant,
     total_genus,
 )
-from .theta_surface import (
-    ArchReport,
-    QuadratureConfig,
-    QuadratureResult,
-    SiegelMatrix,
-    ThetaChar,
-    arch_invariants,
-    even_characteristics,
-    log_delta2,
-    log_h,
-    odd_characteristics,
-    siegel_reduce,
-    theta,
-    theta_norm,
-)
+# the theta names load numpy, so they are imported on first use (PEP 562)
+# and the graph half starts without it
+_THETA_NAMES = frozenset({
+    "ArchReport",
+    "QuadratureConfig",
+    "QuadratureResult",
+    "SiegelMatrix",
+    "ThetaChar",
+    "arch_invariants",
+    "even_characteristics",
+    "log_delta2",
+    "log_h",
+    "odd_characteristics",
+    "siegel_reduce",
+    "theta",
+    "theta_norm",
+})
+
+
+def __getattr__(name: str):
+    if name in _THETA_NAMES:
+        from . import theta_surface
+
+        return getattr(theta_surface, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

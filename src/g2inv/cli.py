@@ -42,12 +42,6 @@ from .formats import (
     parse_rational,
 )
 from .pm_invariants import nonarch_report, total_genus
-from .theta_surface import (
-    DEFAULT_PRODUCT_TOL,
-    DEFAULT_TARGET_STDERR,
-    QuadratureConfig,
-    arch_invariants,
-)
 
 TAGS = ("I", "II", "III", "IV", "V", "VI", "VII")
 # table column -> the NonArchReport field it shows
@@ -55,10 +49,10 @@ TABLE_FIELDS = {"delta0": "delta0", "delta1": "delta1", "rKK": "r_kk",
                 "epsilon": "epsilon", "phi": "phi", "lambda": "lambda_"}
 
 
-def _default_tolerance() -> float:
+def _default_tolerance(default: float) -> float:
     raw = os.environ.get("G2INV_TOL")
     if raw is None:
-        return DEFAULT_PRODUCT_TOL
+        return default
     try:
         value = float(raw)
     except ValueError as exc:
@@ -92,7 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ar.add_argument("--seed", type=int, default=0)
     ar.add_argument("--method", choices=("monte-carlo", "lattice-rule"), default="monte-carlo")
     ar.add_argument("--workers", type=int, default=1)
-    ar.add_argument("--target-stderr", type=float, default=DEFAULT_TARGET_STDERR)
+    # default None: the theta module, which holds the default, loads numpy
+    ar.add_argument("--target-stderr", type=float)
     ar.add_argument("--format", choices=("human", "structured"), default="human")
 
     tb = sub.add_parser("table", help="regenerate the seven-type invariant table symbolically")
@@ -140,7 +135,15 @@ def _run_nonarch(args) -> int:
 
 
 def _run_arch(args) -> int:
-    tolerance = _default_tolerance()
+    from .theta_surface import (
+        DEFAULT_PRODUCT_TOL,
+        DEFAULT_TARGET_STDERR,
+        QuadratureConfig,
+        arch_invariants,
+    )
+
+    tolerance = _default_tolerance(DEFAULT_PRODUCT_TOL)
+    target = DEFAULT_TARGET_STDERR if args.target_stderr is None else args.target_stderr
     if args.workers < 1:
         raise InvalidParamsError(f"--workers must be at least 1, got {args.workers}")
     tau = load_tau(args.tau)
@@ -148,7 +151,7 @@ def _run_arch(args) -> int:
         n_samples=args.samples,
         seed=args.seed,
         method=args.method,
-        target_stderr=args.target_stderr,
+        target_stderr=target,
     )
     try:
         report = arch_invariants(tau, config, tol=tolerance, workers=args.workers)
@@ -169,7 +172,7 @@ def _run_arch(args) -> int:
         method=args.method,
         workers=args.workers,
         tolerance=tolerance,
-        target_stderr=args.target_stderr,
+        target_stderr=target,
     )
     if args.format == "structured":
         print(json.dumps(doc, indent=2))

@@ -14,16 +14,27 @@ values that may be of different kinds are compared as `x - y == 0`.
 The generators are declared positive, which is what decides signs
 (`sign_known_nonnegative`) and the numeric order (`sort_exact`) of
 field elements; Python's `<` on them is a structural order, not a numeric
-one.  Gaussian elimination (one solve, or one factorization for a whole
-inverse) works in either field.  sympy is imported by the first
-`rational_function_field` call, so rational work never loads it.
+one.  sympy is imported by the first `rational_function_field` call, so
+rational work never loads it.
+
+Linear solves (`solve_dense`, and `inverse_dense` as one elimination with
+n right-hand sides) run one fraction-free loop, Bareiss's elimination
+(Math. Comp. 22, 1968), in the ring of numerators: Z for rational
+entries, the polynomial ring Q[a, b, ...] once any entry is a field
+element.  Each row is scaled by the lcm of its denominators, every update
+(p a_rc - f a_kc) / prev is an exact ring division, and back-substitution
+against the last pivot det gives y = det x in the ring.  Only then is
+each x = y / det built as a field value, reduced once.  `_ring_of`
+supplies the few kind-specific pieces; the loop itself never changes.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import sys
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, reduce
 from typing import Any, Iterable, Sequence
 
 
@@ -99,7 +110,7 @@ def sort_exact(values: Iterable[Any]) -> list:
 
 
 def solve_dense(matrix: Sequence[Sequence[Any]], rhs: Sequence[Any]) -> list:
-    """Solve a square system exactly by Gaussian elimination.
+    """Solve a square system exactly by fraction-free elimination.
 
     Raises ValueError on a singular matrix.
     """
@@ -116,35 +127,74 @@ def inverse_dense(matrix: Sequence[Sequence[Any]]) -> list:
     return _solve_block(matrix, identity)
 
 
+def _ring_of(entries: Iterable[Any]) -> tuple:
+    """The kind-specific pieces of the elimination: (split, lcm, quotient,
+    rebuild, one) for the ring the entries have their numerators in.
+
+    `split(x)` is (numerator, denominator) in the ring, `lcm(*ds)` a common
+    multiple, `quotient(p, q)` the exact ring quotient, `rebuild(p, q)` the
+    field value p/q in lowest terms.  The ring is Z for ints and Fractions,
+    and the polynomial ring of the field once any entry is a field element.
+    """
+    fields = sys.modules.get("sympy.polys.fields")
+    element = None
+    if fields is not None:
+        element = next((x for x in entries if isinstance(x, fields.FracElement)), None)
+    if element is None:
+        split = operator.attrgetter("numerator", "denominator")
+        return split, math.lcm, operator.floordiv, Fraction, 1
+    field = element.field
+    ring = field.ring
+
+    def split(x: Any) -> tuple:
+        if isinstance(x, fields.FracElement):
+            return x.numer, x.denom
+        return ring(x.numerator), ring(x.denominator)
+
+    def lcm(*denominators: Any) -> Any:
+        return reduce(lambda p, q: p.lcm(q), denominators, ring.one)
+
+    return split, lcm, lambda p, q: p.exquo(q), field.new, ring.one
+
+
 def _solve_block(matrix: Sequence[Sequence[Any]], rhs: Sequence[Sequence[Any]]) -> list:
-    """Solve matrix X = rhs for a block of right-hand sides (rows of rhs)."""
+    """Solve matrix X = rhs for a block of right-hand sides (rows of rhs)
+    by fraction-free elimination (see the module docstring)."""
     n = len(matrix)
-    aug = [list(row) + list(rhs[i]) for i, row in enumerate(matrix)]
-    width = len(aug[0]) if n else 0
+    rows = [list(row) + list(rhs[i]) for i, row in enumerate(matrix)]
+    split, lcm, quotient, rebuild, one = _ring_of(x for row in rows for x in row)
+    aug = []
+    for row in rows:
+        parts = [split(x) for x in row]
+        scale = lcm(*(d for _, d in parts))
+        aug.append([p * quotient(scale, d) for p, d in parts])
+    prev = one
     for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if aug[r][col] != 0:
-                pivot_row = r
-                break
+        pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot_row is None:
             raise ValueError("singular system")
-        if pivot_row != col:
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
+        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+        top = aug[col]
+        pivot = top[col]
         for r in range(col + 1, n):
-            factor = aug[r][col] / pivot
-            if factor == 0:
-                continue
-            for c in range(col, width):
-                aug[r][c] = aug[r][c] - factor * aug[col][c]
+            row = aug[r]
+            f = row[col]
+            if f == 0:  # the same update, without the zero product
+                row[col + 1:] = [quotient(pivot * x, prev) for x in row[col + 1:]]
+            else:
+                row[col + 1:] = [
+                    quotient(pivot * x - f * y, prev)
+                    for x, y in zip(row[col + 1:], top[col + 1:])
+                ]
+        prev = pivot
+    det = prev
     sol: list = [None] * n
-    for row in range(n - 1, -1, -1):
-        values = []
-        for k in range(n, width):
-            acc = aug[row][k]
-            for c in range(row + 1, n):
-                acc = acc - aug[row][c] * sol[c][k - n]
-            values.append(acc / aug[row][row])
-        sol[row] = values
-    return sol
+    for i in range(n - 1, -1, -1):
+        row = aug[i]
+        acc = [det * y for y in row[n:]]
+        for c in range(i + 1, n):
+            u = row[c]
+            if u != 0:
+                acc = [a - u * s for a, s in zip(acc, sol[c])]
+        sol[i] = [quotient(a, row[i]) for a in acc]
+    return [[rebuild(y, det) for y in ys] for ys in sol]

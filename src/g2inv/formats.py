@@ -14,14 +14,15 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DisconnectedError, InvalidParamsError
 from .exact import as_rational
 from .metric_graph import PMGraph
 from .pm_invariants import NonArchReport
-from .theta_surface import ArchReport, SiegelMatrix
+
+if TYPE_CHECKING:  # the theta module loads numpy: imported where it is used
+    from .theta_surface import ArchReport, SiegelMatrix
 
 
 def parse_rational(value) -> Fraction:
@@ -107,6 +108,10 @@ def save_graph(path: str, graph: PMGraph) -> None:
 
 
 def tau_from_dict(doc) -> SiegelMatrix:
+    import numpy as np
+
+    from .theta_surface import SiegelMatrix
+
     entries = doc.get("tau") if isinstance(doc, dict) else doc
     if not isinstance(entries, list) or len(entries) != 4:
         raise InvalidParamsError(
@@ -198,6 +203,8 @@ def arch_to_dict(report: ArchReport) -> dict:
 
 
 def arch_from_dict(doc: dict) -> ArchReport:
+    from .theta_surface import ArchReport
+
     return ArchReport(
         log_delta2=float(doc["log_delta2"]),
         log_h=float(doc["log_h"]),

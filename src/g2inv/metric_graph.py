@@ -477,15 +477,6 @@ class PiecewisePoly:
         return f"PiecewisePoly(on {self.graph!r})"
 
 
-def zero_poly(graph: PMGraph) -> PiecewisePoly:
-    return PiecewisePoly(
-        graph,
-        {e: (Fraction(0), Fraction(0), Fraction(0)) for e in graph.edge_ids},
-        {v: Fraction(0) for v in graph.vertex_ids},
-        check=False,
-    )
-
-
 # -- subdivision ------------------------------------------------------------
 
 

@@ -535,7 +535,12 @@ def log_h(
 
 @dataclass(frozen=True)
 class ArchReport:
-    """The archimedean invariant chain at one period matrix."""
+    """The archimedean invariant chain at one period matrix.
+
+    `residual` compares two algebraically identical recombinations of
+    lambda (see `arch_invariants`), so it measures floating-point rounding
+    only; it is no margin on the accuracy of any field.
+    """
 
     log_delta2: float
     log_h: float

@@ -3,7 +3,10 @@
 import dataclasses
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +30,18 @@ def tau_file(tmp_path):
     path = tmp_path / "tau.json"
     save_tau(str(path), GENERIC_TAU)
     return str(path)
+
+
+def test_graph_commands_do_not_load_numpy():
+    code = (
+        "import sys, g2inv.cli\n"
+        "g2inv.cli.main(['nonarch', '--type', 'VII', '--params', '1,2,3'])\n"
+        "g2inv.cli.main(['verify', '--samples', '5'])\n"
+        "assert 'numpy' not in sys.modules"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True)
 
 
 def test_nonarch_type_matches_spec_example(capsys):

@@ -8,6 +8,9 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, strategies as st
+
+from conftest import PROPERTY_SETTINGS
 
 from g2inv.exact import (
     as_rational,
@@ -70,6 +73,89 @@ def test_solves_pivot_in_both_fields():
     assert inverse_dense([[a, 1], [1, 0]]) == [[0, 1], [1, -a]]
     with pytest.raises(ValueError):
         solve_dense([[a, b], [2 * a, 2 * b]], [1, 1])
+
+
+# -- the elimination, checked by direct multiplication only ------------------
+
+ENTRIES = st.one_of(st.just(Fraction(0)), st.fractions(-9, 9, max_denominator=7))
+NONZERO = st.fractions(-9, 9, max_denominator=7).filter(lambda x: x != 0)
+
+
+def _matmul(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
+
+
+def _identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def nonsingular_matrices(draw, max_size=8):
+    """P L U with L lower triangular (nonzero diagonal, zeros allowed below),
+    U unit upper triangular and P a permutation: nonsingular by
+    construction.  A permuted row of L that starts with zero gives a zero
+    leading entry, which forces a row swap."""
+    n = draw(st.integers(0, max_size))
+    lower = [
+        [draw(ENTRIES) if j < i else draw(NONZERO) if j == i else Fraction(0) for j in range(n)]
+        for i in range(n)
+    ]
+    upper = [
+        [draw(ENTRIES) if j > i else Fraction(int(j == i)) for j in range(n)]
+        for i in range(n)
+    ]
+    order = draw(st.permutations(range(n)))
+    product = _matmul(lower, upper)
+    return [product[i] for i in order]
+
+
+@PROPERTY_SETTINGS
+@given(nonsingular_matrices(), st.lists(ENTRIES, min_size=8, max_size=8))
+def test_elimination_inverts_and_solves(matrix, rhs):
+    n = len(matrix)
+    b = rhs[:n]
+    inverse = inverse_dense(matrix)
+    assert _matmul(matrix, inverse) == _identity(n)
+    assert all(isinstance(x, Fraction) for row in inverse for x in row)
+    x = solve_dense(matrix, b)
+    assert _matmul(matrix, [[v] for v in x]) == [[v] for v in b]
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(2, 8).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n),
+            st.integers(0, n - 1),
+            st.integers(1, n - 1),
+            ENTRIES,
+        )
+    )
+)
+def test_elimination_rejects_a_scaled_duplicate_row(case):
+    matrix, source, shift, factor = case
+    n = len(matrix)
+    matrix[(source + shift) % n] = [factor * x for x in matrix[source]]
+    with pytest.raises(ValueError, match="singular system"):
+        inverse_dense(matrix)
+    with pytest.raises(ValueError, match="singular system"):
+        solve_dense(matrix, [Fraction(1)] * n)
+
+
+def test_elimination_over_rational_functions():
+    _, a, b = rational_function_field("a,b")
+    # mixed int, Fraction and field entries; a zero leading entry
+    matrix = [
+        [0, a / b, Fraction(1, 2)],
+        [b + 1, 2, a * b],
+        [Fraction(-3, 4), 1 / (a + b), 5],
+    ]
+    rhs = [a, Fraction(2, 3), b / (a + 1)]
+    inverse = inverse_dense(matrix)
+    product = [[sum(x * y for x, y in zip(row, col)) for col in zip(*inverse)] for row in matrix]
+    assert all(product[i][j] - int(i == j) == 0 for i in range(3) for j in range(3))
+    x = solve_dense(matrix, rhs)
+    assert all(sum(m * v for m, v in zip(row, x)) - r == 0 for row, r in zip(matrix, rhs))
 
 
 def test_rational_work_does_not_load_sympy():

@@ -1,10 +1,12 @@
 """Property tests over random pm-graphs with loops, parallel edges, bridges
 and vertex weights: the closed-form resistance-matrix results against the
-Poisson-solve routes they replaced."""
+Poisson-solve routes they replaced, and the invariance laws of the report."""
 
 from fractions import Fraction
 
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import given, strategies as st
+
+from conftest import PROPERTY_SETTINGS
 
 from g2inv.metric_graph import (
     GraphMeasure,
@@ -13,17 +15,9 @@ from g2inv.metric_graph import (
     effective_resistance,
     green_function,
 )
-from g2inv.pm_invariants import canonical_divisor, nonarch_report
+from g2inv.pm_invariants import NonArchReport, canonical_divisor, nonarch_report
 
 LENGTHS = st.fractions(min_value=Fraction(1, 8), max_value=12, max_denominator=8)
-# no shrink phase: shrinking re-runs exact solves for minutes before a
-# failure is reported; the failing example is reported unshrunk instead
-PROPERTY_SETTINGS = settings(
-    max_examples=100,
-    deadline=None,
-    derandomize=True,
-    phases=[phase for phase in Phase if phase is not Phase.shrink],
-)
 
 
 @st.composite
@@ -109,3 +103,55 @@ def test_phi_matches_cinkir_tau_route(graph):
     report = nonarch_report(graph)
     assert report.r_kk == r_kk
     assert report.phi == 4 * tau + r_kk / 8 - graph.total_length / 4
+
+
+def _rebuild(graph, vertices=None, edges=None):
+    """A new PMGraph from the given (or the graph's own) vertex and edge lists."""
+    if vertices is None:
+        vertices = [(v, graph.genus(v)) for v in graph.vertex_ids]
+    if edges is None:
+        edges = [(e, *graph.edge_ends(e), graph.edge_length(e)) for e in graph.edge_ids]
+    return PMGraph(vertices, edges)
+
+
+@PROPERTY_SETTINGS
+@given(pm_graphs(genus=2), st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9))
+def test_report_scales_with_lengths(graph, t):
+    """Every invariant but the genus is homogeneous of degree 1 in the lengths."""
+    report = nonarch_report(graph)
+    scaled = _rebuild(
+        graph,
+        edges=[(e, *graph.edge_ends(e), t * graph.edge_length(e)) for e in graph.edge_ids],
+    )
+    assert nonarch_report(scaled) == NonArchReport(
+        genus=report.genus,
+        delta0=t * report.delta0,
+        delta1=t * report.delta1,
+        r_kk=t * report.r_kk,
+        epsilon=t * report.epsilon,
+        phi=t * report.phi,
+        lambda_=t * report.lambda_,
+    )
+
+
+@PROPERTY_SETTINGS
+@given(pm_graphs(genus=2))
+def test_report_ignores_vertex_order(graph):
+    """Reversing the vertex order moves the base vertex of the resistance
+    matrix and the pivot order of every solve; the report stays the same."""
+    reordered = _rebuild(graph, vertices=[(v, graph.genus(v)) for v in reversed(graph.vertex_ids)])
+    assert nonarch_report(reordered) == nonarch_report(graph)
+
+
+@PROPERTY_SETTINGS
+@given(pm_graphs(genus=2))
+def test_report_ignores_halving_every_edge(graph):
+    """A genus-0 vertex at the middle of every edge changes no invariant."""
+    vertices = [(v, graph.genus(v)) for v in graph.vertex_ids]
+    edges = []
+    for e in graph.edge_ids:
+        u, v = graph.edge_ends(e)
+        half = graph.edge_length(e) / 2
+        vertices.append((f"mid-{e}", 0))
+        edges += [(f"{e}a", u, f"mid-{e}", half), (f"{e}b", f"mid-{e}", v, half)]
+    assert nonarch_report(_rebuild(graph, vertices, edges)) == nonarch_report(graph)
