@@ -44,6 +44,9 @@ from .formats import (
 from .pm_invariants import nonarch_report, total_genus
 
 TAGS = ("I", "II", "III", "IV", "V", "VI", "VII")
+# what `main` reports as bad input: an "error: ..." line and exit 2
+INPUT_ERRORS = (InvalidParamsError, NotPositiveDefiniteError,
+                TruncationOverflowError, OSError, ValueError)
 # table column -> the NonArchReport field it shows
 TABLE_FIELDS = {"delta0": "delta0", "delta1": "delta1", "rKK": "r_kk",
                 "epsilon": "epsilon", "phi": "phi", "lambda": "lambda_"}
@@ -264,13 +267,7 @@ def main(argv=None) -> int:
         if args.command == "table":
             return _run_table(args)
         return _run_verify(args)
-    except (
-        InvalidParamsError,
-        NotPositiveDefiniteError,
-        TruncationOverflowError,
-        OSError,
-        ValueError,
-    ) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -96,7 +96,7 @@ def load_graph(path: str) -> PMGraph:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # bad or too deep
             raise InvalidParamsError(f"graph file is not valid JSON: {exc}") from exc
     return graph_from_dict(doc)
 
@@ -130,7 +130,7 @@ def load_tau(path: str) -> SiegelMatrix:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # bad or too deep
             raise InvalidParamsError(f"period-matrix file is not valid JSON: {exc}") from exc
     try:
         return tau_from_dict(doc)

@@ -844,19 +844,22 @@ def diagonal_green(graph: PMGraph, mu: GraphMeasure) -> PiecewisePoly:
         length = graph.edge_length(e)
         kappa[e] = (length - r(a, b)) / (length * length)
 
-    # j at a vertex w: point masses, plus for each edge f = (c, d) its
-    # density times  integral_f r(w, z) dz = L (r(c, w) + r(d, w)) / 2 + k L^3 / 6
-    j = {}
-    for w in graph.vertex_ids:
-        total = Fraction(0)
-        for v, m in mu.vertex_masses.items():
-            total = total + m * r(v, w)
-        for f, rho in mu.edge_densities.items():
-            c, d = graph.edge_ends(f)
-            length = graph.edge_length(f)
-            along = length * (r(c, w) + r(d, w)) / 2 + kappa[f] * length**3 / 6
-            total = total + rho * along
-        j[w] = total
+    # j(w) = integral of r(w, z) dmu(z).  An edge f = (c, d) of density rho
+    # adds rho (L (r(c, w) + r(d, w)) / 2 + k L^3 / 6): weight rho L / 2 at
+    # each end (both halves at a loop's one vertex, as r(c, w) counts twice),
+    # folded with the masses into W_v, and a w-free term summed into C:
+    # j(w) = C + sum_v W_v r(v, w), V^2 products.
+    weight = mu.vertex_masses
+    const = Fraction(0)
+    for f, rho in mu.edge_densities.items():
+        length = graph.edge_length(f)
+        for end in graph.edge_ends(f):
+            weight[end] = weight.get(end, Fraction(0)) + rho * length / 2
+        const = const + rho * kappa[f] * length**3 / 6
+    j = {
+        w: sum((w_v * r(v, w) for v, w_v in weight.items()), const)
+        for w in graph.vertex_ids
+    }
 
     coeffs = {}
     for e in graph.edge_ids:

@@ -11,10 +11,10 @@ Everything is derived from the graph's memoized vertex resistance matrix
 admissible measure and the diagonal Green's function have closed forms
 in r, and r(K, K) is read off directly.  Two runtime cross-checks stay
 hard errors: the admissibility of the measure is verified exactly with
-g(K, .) from independent Poisson solves (AdmissibilityFailureError), and
-phi is computed through two routes, an integral against the admissible
-measure and a resistance-pairing formula, compared exactly
-(FormulaMismatchError).
+g(K, .) from one Poisson solve with source K - (2g-2) mu, independent of
+the resistance matrix (AdmissibilityFailureError), and phi is computed
+through two routes, an integral against the admissible measure and a
+resistance-pairing formula, compared exactly (FormulaMismatchError).
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ from .metric_graph import (
     PMGraph,
     PiecewisePoly,
     diagonal_green,
-    green_function,
     integrate,
     resistance_pairing,
+    solve_poisson,
     vertex_point,
 )
 
@@ -87,13 +87,14 @@ def admissibility_poly(
 ) -> PiecewisePoly:
     """The function x -> g_mu(x,x) + g_mu(K,x); constant iff mu is admissible.
 
-    `diag` is mu's diagonal Green's function (`diagonal_green`).  g(K, .)
-    comes from Poisson solves, independently of the resistance matrix.
+    `diag` is mu's diagonal Green's function (`diagonal_green`).  By
+    linearity g(K, .) = sum_p K(p) g(p, .) solves Delta f = K - deg(K) mu
+    with integral(f dmu) = 0: one Poisson solve, independent of the
+    resistance matrix.
     """
-    h = diag
-    for pt, coeff in canonical_divisor(graph).support:
-        h = h + green_function(graph, mu, pt).scale(coeff)
-    return h
+    k = canonical_divisor(graph)
+    f = solve_poisson(graph, k, mu.scale(-k.degree), graph.vertex_ids[0])
+    return diag + f.add_constant(-integrate(graph, f, measure=mu))
 
 
 def admissible_measure(graph: PMGraph) -> GraphMeasure:
@@ -171,11 +172,10 @@ def nonarch_report(graph: PMGraph) -> NonArchReport:
     k = canonical_divisor(graph)
     counts = node_counts(graph)
     r_kk = resistance_pairing(graph, k, k)
-    eps = integrate(graph, diag, divisor=k, measure=mu.scale(2 * g - 2))
-    integral = integrate(
-        graph, diag, divisor=k.scale(-1), measure=mu.scale(10 * g + 2)
-    )
-    phi = -counts.delta / 4 + integral / 4
+    diag_k = integrate(graph, diag, divisor=k)
+    diag_mu = integrate(graph, diag, measure=mu)
+    eps = diag_k + (2 * g - 2) * diag_mu
+    phi = -counts.delta / 4 + (-diag_k + (10 * g + 2) * diag_mu) / 4
     if g == 2:
         phi_resist = -counts.delta / 4 - Fraction(3, 8) * r_kk + 2 * eps
         if phi - phi_resist != 0:

@@ -94,10 +94,10 @@ class SiegelMatrix:
                 f"period matrix is not symmetric: off-diagonals "
                 f"{m[0, 1]} vs {m[1, 0]}"
             )
-        m = (m + m.T) / 2
+        m = m / 2 + m.T / 2  # halve first: entries near the float limit stay finite
         y = m.imag
         eigs = np.linalg.eigvalsh(y)
-        if eigs[0] <= 0:
+        if not eigs[0] > 0:  # NaN too
             raise NotPositiveDefiniteError(
                 f"Im tau must be positive definite, eigenvalues {eigs}"
             )

@@ -127,6 +127,15 @@ def test_nonarch_unhashable_vertex_id_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_too_deeply_nested_files_exit_2(tmp_path, capsys):
+    # past the JSON decoder's recursion limit: an input error, not a traceback
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    for argv in (["nonarch", str(path)], ["arch", str(path)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])

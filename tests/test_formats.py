@@ -1,13 +1,19 @@
 """Round-trip and validation tests for the file formats."""
 
+import contextlib
+import copy
+import io
 import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import random_pm_graph
+from conftest import PROPERTY_SETTINGS, random_pm_graph
+
+from g2inv.cli import INPUT_ERRORS, main
 
 from g2inv.errors import InvalidParamsError, NotPositiveDefiniteError
 from g2inv.fiber_catalog import FiberType, closed_form
@@ -28,6 +34,7 @@ from g2inv.formats import (
     save_tau,
     tau_from_dict,
 )
+from g2inv.metric_graph import PMGraph
 from g2inv.theta_surface import ArchReport, SiegelMatrix
 
 
@@ -115,6 +122,9 @@ def test_tau_document_validation():
         tau_from_dict(["1i", "0.2", "0.3", "1i"])
     with pytest.raises(NotPositiveDefiniteError):
         tau_from_dict(["1i", "0", "0", "-1i"])
+    # entries near the float limit: symmetrizing must not overflow to inf/NaN
+    huge = tau_from_dict(["1e308i", "0.1+0.2i", "0.1+0.2i", "1.2i"])
+    assert huge.matrix[0, 0] == 1e308j and huge.min_eigenvalue > 0
 
 
 def test_nonarch_report_round_trip():
@@ -140,3 +150,134 @@ def test_arch_report_round_trip_is_bit_exact():
     )
     doc = json.loads(json.dumps(arch_to_dict(report)))
     assert arch_from_dict(doc) == report
+
+
+# -- malformed documents -------------------------------------------------------
+
+# any JSON value: the shape a corrupted or hand-edited file may take
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+# wrong types, bad rationals and non-finite or huge complex entries
+GRAPH_JUNK = st.sampled_from(
+    ["1/0", "0/0", "0", "-1", "nan", "inf", "1e400", "x", "", 0.5, -1, True, None, [], {}]
+) | JSON_VALUES
+TAU_JUNK = st.sampled_from(
+    ["nan", "1e400i", "1e308i", "1e308", "-1i", "0", "1ii", "inf", "", 1.5, None, []]
+) | st.complex_numbers().map(format_complex_entry) | JSON_VALUES
+
+
+def _corrupt(draw, doc, junk):
+    """A copy of doc with up to two faults, each a value swapped for junk
+    or a key or list item removed, at a random depth."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(0, 2))):
+        parent, key, node = None, None, doc
+        while isinstance(node, (dict, list)) and node and (parent is None or draw(st.booleans())):
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+            parent, node = node, node[key]
+        if parent is None:
+            return draw(junk)
+        if draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(junk)
+    return doc
+
+
+@st.composite
+def graph_documents(draw):
+    """A valid graph document of 1-3 vertices, then up to two faults; or
+    any JSON value at all."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(JSON_VALUES)
+    ids = [f"v{i}" for i in range(draw(st.integers(1, 3)))]
+    vertices = [{"id": v, "genus": draw(st.integers(0, 2))} for v in ids]
+    ends = list(zip(ids, ids[1:])) + draw(
+        st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=2)
+    )
+    lengths = st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9).map(str)
+    edges = [
+        {"id": f"e{k}", "from": u, "to": w, "length": draw(lengths)}
+        for k, (u, w) in enumerate(ends)
+    ]
+    return _corrupt(draw, {"vertices": vertices, "edges": edges}, GRAPH_JUNK)
+
+
+@st.composite
+def tau_documents(draw):
+    """A valid period matrix as four entries, bare or under "tau", then up
+    to two faults; or any JSON value at all."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(JSON_VALUES)
+    parts = st.floats(min_value=-1, max_value=1)
+    y1, y2 = draw(st.floats(0.5, 3)), draw(st.floats(0.5, 3))
+    z12 = complex(draw(parts), 0.4 * draw(parts))  # |Im tau12| < 1/2: Im tau is PD
+    entries = [complex(draw(parts), y1), z12, z12, complex(draw(parts), y2)]
+    entries = [format_complex_entry(z) for z in entries]
+    doc = {"tau": entries} if draw(st.booleans()) else entries
+    return _corrupt(draw, doc, TAU_JUNK)
+
+
+def _load_or_input_error(loader, doc):
+    """The loaded object, or None when the loader raised an error that
+    `cli.main` reports as exit 2; any other exception propagates."""
+    try:
+        return loader(doc)
+    except INPUT_ERRORS:
+        return None
+
+
+@PROPERTY_SETTINGS
+@given(graph_documents())
+def test_graph_loader_returns_a_graph_or_an_input_error(doc):
+    graph = _load_or_input_error(graph_from_dict, doc)
+    assert graph is None or isinstance(graph, PMGraph)
+
+
+@PROPERTY_SETTINGS
+@given(tau_documents())
+def test_tau_loader_returns_a_siegel_matrix_or_an_input_error(doc):
+    tau = _load_or_input_error(tau_from_dict, doc)
+    if tau is not None:
+        assert np.all(np.isfinite(tau.matrix))
+        assert np.array_equal(tau.matrix, tau.matrix.T)
+        assert tau.min_eigenvalue > 0
+
+
+def _run_cli(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(PROPERTY_SETTINGS, max_examples=20)
+@given(graph_documents())
+def test_bad_graph_files_exit_2_through_the_cli(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("graph") / "graph.json"
+    path.write_text(json.dumps(doc))
+    code, err = _run_cli(["nonarch", str(path)])
+    assert "Traceback" not in err
+    if _load_or_input_error(graph_from_dict, doc) is None:
+        assert code == 2
+        assert err.startswith("error: ")
+    else:
+        assert code in (0, 3)  # genus 2, or any other genus
+
+
+@settings(PROPERTY_SETTINGS, max_examples=20)
+@given(tau_documents())
+def test_bad_tau_files_exit_2_through_the_cli(tmp_path_factory, doc):
+    # a valid period matrix would start the quadrature: only rejected ones run
+    assume(_load_or_input_error(tau_from_dict, doc) is None)
+    path = tmp_path_factory.mktemp("tau") / "tau.json"
+    path.write_text(json.dumps(doc))
+    # the smallest valid sample count: a wrongly accepted tau runs and exits 0
+    code, err = _run_cli(["arch", str(path), "--samples", "10000"])
+    assert "Traceback" not in err
+    assert code == 2
+    assert err.startswith("error: ")

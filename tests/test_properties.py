@@ -15,7 +15,13 @@ from g2inv.metric_graph import (
     effective_resistance,
     green_function,
 )
-from g2inv.pm_invariants import NonArchReport, canonical_divisor, nonarch_report
+from g2inv.pm_invariants import (
+    NonArchReport,
+    admissibility_poly,
+    admissible_measure,
+    canonical_divisor,
+    nonarch_report,
+)
 
 LENGTHS = st.fractions(min_value=Fraction(1, 8), max_value=12, max_denominator=8)
 
@@ -48,15 +54,22 @@ def pm_graphs(draw, max_vertices=5, genus=None):
 
 
 @st.composite
-def graphs_with_measure(draw):
-    """A graph, a probability measure on it, and one interior offset per edge."""
-    graph = draw(pm_graphs())
+def probability_measures(draw, graph):
+    """Integer masses and densities of 0-3 on a graph, scaled to mass one
+    (a unit mass at the first vertex when all are 0)."""
     masses = {v: draw(st.integers(0, 3)) for v in graph.vertex_ids}
     densities = {e: draw(st.integers(0, 3)) for e in graph.edge_ids}
     raw = GraphMeasure(masses, densities)
     if raw.total_mass(graph) == 0:
         raw = GraphMeasure({graph.vertex_ids[0]: 1})
-    mu = raw.scale(1 / raw.total_mass(graph))
+    return raw.scale(1 / raw.total_mass(graph))
+
+
+@st.composite
+def graphs_with_measure(draw):
+    """A graph, a probability measure on it, and one interior offset per edge."""
+    graph = draw(pm_graphs())
+    mu = draw(probability_measures(graph))
     fractions = st.fractions(min_value=0, max_value=1, max_denominator=16)
     offsets = {
         e: graph.edge_length(e) * draw(fractions.filter(lambda x: 0 < x < 1))
@@ -78,6 +91,34 @@ def test_diagonal_green_matches_green_function(case):
         g = green_function(graph, mu, p)  # lives on the graph cut at p
         (pole,) = set(g.graph.vertex_ids) - set(graph.vertex_ids)
         assert diag(p) == g.value_at_vertex(pole)
+
+
+def assert_one_solve_matches_green_functions(graph, mu):
+    """admissibility_poly's single Poisson solve for g(K, .) equals the sum
+    of K(p) g(p, .) over one solve per support point, coefficient by
+    coefficient; a shift by a constant (a wrong normalization) fails too."""
+    diag = diagonal_green(graph, mu)
+    h = admissibility_poly(graph, mu, diag)
+    want = diag
+    for p, coeff in canonical_divisor(graph).support:
+        want = want + green_function(graph, mu, p).scale(coeff)
+    for e in graph.edge_ids:
+        assert h.coefficients(e) == want.coefficients(e)
+    for v in graph.vertex_ids:
+        assert h.value_at_vertex(v) == want.value_at_vertex(v)
+
+
+@PROPERTY_SETTINGS
+@given(pm_graphs(genus=2))
+def test_one_solve_g_k_matches_green_functions_admissible(graph):
+    assert_one_solve_matches_green_functions(graph, admissible_measure(graph))
+
+
+@PROPERTY_SETTINGS
+@given(pm_graphs().flatmap(lambda g: st.tuples(st.just(g), probability_measures(g))))
+def test_one_solve_g_k_matches_green_functions_any_measure(case):
+    """Any genus, and a measure that is not admissible: h is not constant."""
+    assert_one_solve_matches_green_functions(*case)
 
 
 @PROPERTY_SETTINGS
