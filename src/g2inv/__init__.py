@@ -36,11 +36,8 @@ from .pm_invariants import (
     NonArchReport,
     admissible_measure,
     canonical_divisor,
-    epsilon_invariant,
-    lambda_invariant,
     node_counts,
     nonarch_report,
-    phi_invariant,
     total_genus,
 )
 # the theta names load numpy, so they are imported on first use (PEP 562)
@@ -103,17 +100,14 @@ __all__ = [
     "closed_form",
     "diagonal_green",
     "effective_resistance",
-    "epsilon_invariant",
     "even_characteristics",
     "graph_of_type",
     "green_function",
-    "lambda_invariant",
     "log_delta2",
     "log_h",
     "node_counts",
     "nonarch_report",
     "odd_characteristics",
-    "phi_invariant",
     "resistance_pairing",
     "siegel_reduce",
     "subdivide",

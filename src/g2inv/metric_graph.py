@@ -37,10 +37,11 @@ Conventions:
 
   and for x, z on e at distance d, r(x, z) = d - k d^2.  The diagonal
   Green's function is integrated from these, with no per-point solve.
-* The Poisson solver handles a point source in the interior of an edge
-  by temporarily subdividing the edge there.  Its solution is returned on
-  the subdivided graph (`PiecewisePoly.graph` says which); values at the
-  original points are unchanged by subdivision.
+* Sources are vertex supported: the solvers raise ValueError on a point
+  inside an edge.  To put a source there, `subdivide` the graph first;
+  the cut is a genus-0 vertex and values at the old points are unchanged.
+  Evaluating a function (`PiecewisePoly.__call__`) and integrating it
+  against a divisor take interior points, as they solve nothing.
 """
 
 from __future__ import annotations
@@ -285,16 +286,6 @@ class GraphDivisor:
     def coefficient(self, pt: GraphPoint):
         return self._coeffs.get(pt, Fraction(0))
 
-    def scale(self, factor: Any) -> "GraphDivisor":
-        factor = as_rational(factor)
-        return GraphDivisor((pt, c * factor) for pt, c in self._coeffs.items())
-
-    def __add__(self, other: "GraphDivisor") -> "GraphDivisor":
-        return GraphDivisor(list(self._coeffs.items()) + list(other._coeffs.items()))
-
-    def __neg__(self) -> "GraphDivisor":
-        return self.scale(-1)
-
     def __len__(self) -> int:
         return len(self._coeffs)
 
@@ -365,15 +356,6 @@ class GraphMeasure:
     def __neg__(self) -> "GraphMeasure":
         return self.scale(-1)
 
-    def __add__(self, other: "GraphMeasure") -> "GraphMeasure":
-        mass = dict(self._mass)
-        for v, m in other._mass.items():
-            mass[v] = mass.get(v, Fraction(0)) + m
-        density = dict(self._density)
-        for e, d in other._density.items():
-            density[e] = density.get(e, Fraction(0)) + d
-        return GraphMeasure(mass, density)
-
     def __repr__(self) -> str:
         return f"GraphMeasure(masses={self._mass!r}, densities={self._density!r})"
 
@@ -439,23 +421,15 @@ class PiecewisePoly:
                 return None
         return ref
 
-    def _zip(self, other: "PiecewisePoly", op) -> "PiecewisePoly":
+    def __add__(self, other: "PiecewisePoly") -> "PiecewisePoly":
         if other.graph is not self.graph:
             raise ValueError("piecewise polynomials live on different graphs")
         coeffs = {
-            e: tuple(op(a, b) for a, b in zip(self._coeffs[e], other._coeffs[e]))
+            e: tuple(a + b for a, b in zip(self._coeffs[e], other._coeffs[e]))
             for e in self.graph.edge_ids
         }
-        values = {
-            v: op(self._values[v], other._values[v]) for v in self.graph.vertex_ids
-        }
+        values = {v: self._values[v] + other._values[v] for v in self.graph.vertex_ids}
         return PiecewisePoly(self.graph, coeffs, values, check=False)
-
-    def __add__(self, other: "PiecewisePoly") -> "PiecewisePoly":
-        return self._zip(other, lambda a, b: a + b)
-
-    def __sub__(self, other: "PiecewisePoly") -> "PiecewisePoly":
-        return self._zip(other, lambda a, b: a - b)
 
     def scale(self, factor: Any) -> "PiecewisePoly":
         factor = as_rational(factor)
@@ -480,120 +454,47 @@ class PiecewisePoly:
 # -- subdivision ------------------------------------------------------------
 
 
-class SubdivisionMap:
-    """Result of subdividing edges at interior points.
+def subdivide(graph: PMGraph, cuts: Mapping[EdgeId, Iterable[Any]]) -> PMGraph:
+    """The graph with edges cut at interior offsets.
 
-    Provides the subdivided graph together with translations of points,
-    divisors and measures from the parent graph.  Subdivision vertices get
-    genus 0, so the total genus and first Betti number are unchanged.
+    `cuts` maps edge ids to offsets from the edge's first endpoint;
+    endpoint and repeated offsets are ignored, and a key that is not an
+    edge raises ValueError.  Offsets are ordered by sign (`sort_exact`),
+    so symbolic offsets need a known order, else ValueError.  The i-th cut
+    of edge e in offset order is the genus-0 vertex ("cut", e, i), and the
+    pieces of e from its first endpoint on are the edges ("seg", e, 0),
+    ("seg", e, 1), ...; uncut edges keep their ids.  The total genus and
+    the first Betti number are unchanged.
     """
-
-    def __init__(self, parent: PMGraph, cuts: Mapping[EdgeId, Iterable[Any]]):
-        self.parent = parent
-        self._cuts: dict[EdgeId, list[Any]] = {}
-        for e, offsets in cuts.items():
-            length = parent.edge_length(e)
-            cleaned: list[Any] = []
-            for t in offsets:
-                t = as_rational(t)
-                if t == 0 or t - length == 0:
-                    continue  # endpoint cut is a no-op
-                if any(t - s == 0 for s in cleaned):
-                    continue
-                cleaned.append(t)
-            if cleaned:
-                self._cuts[e] = sort_exact(cleaned)
-
-        vertices = [(v, parent.genus(v)) for v in parent.vertex_ids]
-        edges = []
-        self._cut_vertex: dict[tuple[EdgeId, int], VertexId] = {}
-        self._segments: dict[EdgeId, list[tuple[EdgeId, Any, Any]]] = {}
-        for e in parent.edge_ids:
-            u, v, length = *parent.edge_ends(e), parent.edge_length(e)
-            if e not in self._cuts:
-                edges.append((e, u, v, length))
-                continue
-            offsets = self._cuts[e]
-            nodes = [u]
-            for i, t in enumerate(offsets):
-                w = ("cut", e, i)
-                self._cut_vertex[(e, i)] = w
-                vertices.append((w, 0))
-                nodes.append(w)
-            nodes.append(v)
-            bounds = [Fraction(0)] + offsets + [length]
-            segs = []
-            for i in range(len(nodes) - 1):
-                seg_id = ("seg", e, i)
-                seg_len = bounds[i + 1] - bounds[i]
-                edges.append((seg_id, nodes[i], nodes[i + 1], seg_len))
-                segs.append((seg_id, bounds[i], bounds[i + 1]))
-            self._segments[e] = segs
-        self.graph = PMGraph(vertices, edges)
-
-    def cut_point(self, e: EdgeId, t: Any) -> GraphPoint:
-        """The subdivision vertex created at offset t of parent edge e."""
-        t = as_rational(t)
-        for i, s in enumerate(self._cuts.get(e, [])):
-            if t - s == 0:
-                return self.graph.vertex_point(self._cut_vertex[(e, i)])
-        raise ValueError(f"no cut at offset {t} on edge {e!r}")
-
-    def map_point(self, p: GraphPoint) -> GraphPoint:
-        if p.is_vertex:
-            return self.graph.vertex_point(p.vertex)
-        e, t = p.edge, p.offset
-        if e not in self._cuts:
-            return self.graph.point(e, t)
-        for i, s in enumerate(self._cuts[e]):
-            if t - s == 0:
-                return self.graph.vertex_point(self._cut_vertex[(e, i)])
-        for seg_id, lo, hi in self._segments[e]:
-            below = sign_known_nonnegative(t - lo)
-            above = sign_known_nonnegative(hi - t)
-            if below and above:
-                return self.graph.point(seg_id, t - lo)
-        raise ValueError(f"cannot locate offset {t} on subdivided edge {e!r}")
-
-    def map_divisor(self, d: GraphDivisor) -> GraphDivisor:
-        return GraphDivisor((self.map_point(pt), c) for pt, c in d.support)
-
-    def map_measure(self, m: GraphMeasure) -> GraphMeasure:
-        density: dict[EdgeId, Any] = {}
-        for e, rho in m.edge_densities.items():
-            if e in self._segments:
-                for seg_id, _, _ in self._segments[e]:
-                    density[seg_id] = rho  # densities are per unit length
-            else:
-                density[e] = rho
-        return GraphMeasure(m.vertex_masses, density)
-
-
-def subdivide(graph: PMGraph, cuts: Mapping[EdgeId, Iterable[Any]]) -> SubdivisionMap:
-    """Subdivide edges of a graph at interior offsets."""
-    return SubdivisionMap(graph, cuts)
-
-
-def _subdivide_at_points(
-    graph: PMGraph, points: Iterable[GraphPoint]
-) -> tuple[SubdivisionMap | None, list[GraphPoint]]:
-    """Subdivide so that every listed point becomes a vertex.
-
-    Returns (map or None, points translated to the working graph); None
-    means no subdivision was necessary.
-    """
-    cuts: dict[EdgeId, list[Any]] = {}
-    pts = list(points)
-    if all(p.is_vertex for p in pts):
-        return None, pts
-    for p in pts:
-        if not p.is_vertex:
-            cuts.setdefault(p.edge, []).append(p.offset)
-    smap = SubdivisionMap(graph, cuts)
-    return smap, [smap.map_point(p) for p in pts]
+    unknown = [e for e in cuts if e not in graph.edge_ids]
+    if unknown:
+        raise ValueError(f"cuts name unknown edges {unknown!r}")
+    vertices = [(v, graph.genus(v)) for v in graph.vertex_ids]
+    edges = []
+    for e in graph.edge_ids:
+        u, v, length = *graph.edge_ends(e), graph.edge_length(e)
+        offsets: list[Any] = []
+        for t in map(as_rational, cuts.get(e, ())):
+            if not (t == 0 or t - length == 0 or any(t - s == 0 for s in offsets)):
+                offsets.append(t)
+        if not offsets:
+            edges.append((e, u, v, length))
+            continue
+        nodes = [u] + [("cut", e, i) for i in range(len(offsets))] + [v]
+        vertices += [(w, 0) for w in nodes[1:-1]]
+        bounds = [Fraction(0)] + sort_exact(offsets) + [length]
+        for i in range(len(nodes) - 1):
+            edges.append((("seg", e, i), nodes[i], nodes[i + 1], bounds[i + 1] - bounds[i]))
+    return PMGraph(vertices, edges)
 
 
 # -- core solves ------------------------------------------------------------
+
+
+def _vertex_of(p: GraphPoint) -> VertexId:
+    if not p.is_vertex:
+        raise ValueError(f"{p!r} lies inside an edge; subdivide the graph there first")
+    return p.vertex
 
 
 def _combined_source(
@@ -601,16 +502,15 @@ def _combined_source(
 ) -> tuple[dict[VertexId, Any], dict[EdgeId, Any]]:
     """Vertex point masses and edge densities of divisor + measure.
 
-    The divisor part must be vertex supported (callers subdivide first).
+    The divisor part must be vertex supported.
     """
     point_mass: dict[VertexId, Any] = {v: Fraction(0) for v in graph.vertex_ids}
     density: dict[EdgeId, Any] = {e: Fraction(0) for e in graph.edge_ids}
     if divisor is not None:
         for pt, coeff in divisor.support:
             graph.validate_point(pt)
-            if not pt.is_vertex:
-                raise ValueError("divisor must be vertex-supported at this stage")
-            point_mass[pt.vertex] = point_mass[pt.vertex] + coeff
+            v = _vertex_of(pt)
+            point_mass[v] = point_mass[v] + coeff
     if measure is not None:
         for v, m in measure.vertex_masses.items():
             point_mass[v] = point_mass[v] + m
@@ -723,9 +623,8 @@ def solve_poisson(
 ) -> PiecewisePoly:
     """Solve Delta f = divisor + measure with f(base) = 0.
 
-    The source must have total mass exactly zero.  If the divisor touches
-    edge interiors the problem is solved on the subdivided graph and the
-    result lives there (see `PiecewisePoly.graph`).
+    The source must have total mass exactly zero, and its divisor must
+    be vertex supported (see the module docstring).
     """
     if base not in graph.vertex_ids:
         raise ValueError(f"base vertex {base!r} not in graph")
@@ -734,12 +633,6 @@ def solve_poisson(
         total = total + measure.total_mass(graph)
     if total != 0:
         raise NonZeroMassError(f"source has total mass {total}, expected 0")
-
-    if divisor is not None and any(not pt.is_vertex for pt, _ in divisor.support):
-        smap, _ = _subdivide_at_points(graph, [pt for pt, _ in divisor.support])
-        graph = smap.graph
-        divisor = smap.map_divisor(divisor)
-        measure = smap.map_measure(measure) if measure is not None else None
 
     point_mass, density = _combined_source(graph, divisor, measure)
     potentials = _solve_vertex_potentials(graph, point_mass, density, base)
@@ -767,60 +660,45 @@ def poly_laplacian(f: PiecewisePoly) -> tuple[GraphDivisor, GraphMeasure]:
 
 
 def effective_resistance(graph: PMGraph, x: GraphPoint, y: GraphPoint):
-    """Effective resistance between two points, edge lengths as resistances."""
+    """Effective resistance between two vertex points, edge lengths as
+    resistances, by one Poisson solve (independent of `PMGraph.resistance`)."""
     graph.validate_point(x)
     graph.validate_point(y)
-    if x == y:
+    vx, vy = _vertex_of(x), _vertex_of(y)
+    if vx == vy:
         return Fraction(0)
-    smap, (px, py) = _subdivide_at_points(graph, [x, y])
-    work = smap.graph if smap is not None else graph
-    f = solve_poisson(
-        work,
-        GraphDivisor([(px, 1), (py, -1)]),
-        None,
-        base=py.vertex,
-    )
-    r = f(px)
+    f = solve_poisson(graph, GraphDivisor([(x, 1), (y, -1)]), None, base=vy)
+    r = f.value_at_vertex(vx)
     if sign_known_nonnegative(r) is False:  # pragma: no cover - sanity guard
         raise AssertionError("negative effective resistance")
     return r
 
 
 def resistance_pairing(graph: PMGraph, d: GraphDivisor, e: GraphDivisor):
-    """The resistance function extended bilinearly to pairs of divisors.
-
-    Vertex pairs are read from the memoized resistance matrix; a pair with
-    an edge-interior point takes a Poisson solve.
-    """
+    """The resistance function extended bilinearly to pairs of vertex
+    supported divisors, read from the memoized resistance matrix."""
     total = Fraction(0)
     for px, cx in d.support:
+        a = _vertex_of(px)
         for py, cy in e.support:
-            if px == py:
-                continue
-            if px.is_vertex and py.is_vertex:
-                r = graph.resistance(px.vertex, py.vertex)
-            else:
-                r = effective_resistance(graph, px, py)
-            total = total + cx * cy * r
+            b = _vertex_of(py)
+            if a != b:
+                total = total + cx * cy * graph.resistance(a, b)
     return total
 
 
 def green_function(graph: PMGraph, mu: GraphMeasure, y: GraphPoint) -> PiecewisePoly:
     """The Green's function g(., y) of a probability measure.
 
-    Solves Delta g = delta_y - mu, normalized by integral(g dmu) = 0.  If y
-    lies in the interior of an edge the result is returned on the graph
-    subdivided at y.
+    Solves Delta g = delta_y - mu, normalized by integral(g dmu) = 0.  The
+    pole y must be a vertex.
     """
     mass = mu.total_mass(graph)
     if mass - 1 != 0:
         raise NonProbabilityMeasureError(f"measure has mass {mass}, expected 1")
     graph.validate_point(y)
-    smap, (py,) = _subdivide_at_points(graph, [y])
-    work = smap.graph if smap is not None else graph
-    wmu = smap.map_measure(mu) if smap is not None else mu
-    f = solve_poisson(work, GraphDivisor([(py, 1)]), -wmu, base=py.vertex)
-    return f.add_constant(-integrate(work, f, measure=wmu))
+    f = solve_poisson(graph, GraphDivisor([(y, 1)]), -mu, base=_vertex_of(y))
+    return f.add_constant(-integrate(graph, f, measure=mu))
 
 
 def diagonal_green(graph: PMGraph, mu: GraphMeasure) -> PiecewisePoly:

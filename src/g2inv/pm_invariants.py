@@ -127,23 +127,13 @@ def _genus_at_least_two(graph: PMGraph) -> int:
     return g
 
 
-def epsilon_invariant(graph: PMGraph):
-    """epsilon = integral of g(x,x) against (2g-2) mu + delta_K."""
-    return nonarch_report(graph).epsilon
-
-
-def phi_invariant(graph: PMGraph):
-    return nonarch_report(graph).phi
-
-
-def lambda_invariant(graph: PMGraph):
-    """lambda = (g-1)/(6(2g+1)) phi + (epsilon + delta)/12."""
-    return nonarch_report(graph).lambda_
-
-
 @dataclass(frozen=True)
 class NonArchReport:
-    """Every invariant of one graph: exact rationals throughout."""
+    """Every invariant of one graph: exact rationals throughout.
+
+    epsilon integrates g(x,x) against (2g-2) mu + delta_K, and
+    lambda = (g-1)/(6(2g+1)) phi + (epsilon + delta)/12.
+    """
 
     genus: int
     delta0: Any

@@ -256,7 +256,7 @@ def siegel_reduce(tau: SiegelMatrix) -> tuple[SiegelMatrix, np.ndarray]:
         as_float = u.astype(float)
         t = as_float @ t @ as_float.T
         shift = np.rint(t.real)
-        t = (t + t.T) / 2 - shift
+        t = t / 2 + t.T / 2 - shift  # halve first: t + t.T can overflow
         word = _translation(-shift) @ _conjugation(u) @ word
         if abs(t[0, 0]) >= 1 - _UNIT_MARGIN:
             return SiegelMatrix(t), word
@@ -287,16 +287,17 @@ def _theta_scaled(char: ThetaChar, z, tau: SiegelMatrix, tol: float):
 
     xm, ym = tau.x_part, tau.y_part
     w = z.real + b
-    re_exp = (
-        -math.pi
-        * (ym[0, 0] * m1 * m1 + 2 * ym[0, 1] * m1 * m2 + ym[1, 1] * m2 * m2)
-        - 2 * math.pi * (m1 * y[0] + m2 * y[1])
-        - shift
-    )
-    im_exp = math.pi * (
-        xm[0, 0] * m1 * m1 + 2 * xm[0, 1] * m1 * m2 + xm[1, 1] * m2 * m2
-    ) + 2 * math.pi * (m1 * w[0] + m2 * w[1])
-    s = complex(np.sum(np.exp(re_exp + 1j * im_exp)))
+    with np.errstate(over="ignore"):  # a huge Y entry: exp(-inf) = 0 is the limit
+        re_exp = (
+            -math.pi
+            * (ym[0, 0] * m1 * m1 + 2 * ym[0, 1] * m1 * m2 + ym[1, 1] * m2 * m2)
+            - 2 * math.pi * (m1 * y[0] + m2 * y[1])
+            - shift
+        )
+        im_exp = math.pi * (
+            xm[0, 0] * m1 * m1 + 2 * xm[0, 1] * m1 * m2 + xm[1, 1] * m2 * m2
+        ) + 2 * math.pi * (m1 * w[0] + m2 * w[1])
+        s = complex(np.sum(np.exp(re_exp + 1j * im_exp)))
     return s, shift
 
 

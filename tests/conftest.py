@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import Phase, settings
 
-from g2inv.metric_graph import GraphMeasure, PMGraph
+from g2inv.metric_graph import GraphMeasure, PMGraph, subdivide
 
 # no shrink phase: shrinking re-runs exact solves for minutes before a
 # failure is reported; the failing example is reported unshrunk instead
@@ -59,6 +59,35 @@ def random_probability_measure(rng: random.Random, graph: PMGraph) -> GraphMeasu
         raw = GraphMeasure({v: 1}, {})
         total = Fraction(1)
     return raw.scale(Fraction(1) / total)
+
+
+def subdivide_at(graph, points, mu=None):
+    """`subdivide` graph at the edge-interior `points`.
+
+    Returns the new graph, each point as a vertex point of it (the i-th
+    cut of e is the vertex ("cut", e, i)), and mu carried over: each piece
+    ("seg", e, i) keeps e's density, since densities are per unit length.
+    """
+    cuts = {}
+    for p in points:
+        if not p.is_vertex:
+            cuts.setdefault(p.edge, []).append(p.offset)
+    fine = subdivide(graph, cuts)
+
+    def vertex(p):  # the cut that ends the pieces ("seg", e, 0..i) at p
+        if p.is_vertex:
+            return fine.vertex_point(p.vertex)
+        i, end = 0, fine.edge_length(("seg", p.edge, 0))
+        while end - p.offset != 0:
+            i += 1
+            end = end + fine.edge_length(("seg", p.edge, i))
+        return fine.vertex_point(("cut", p.edge, i))
+
+    fine_mu = None
+    if mu is not None:
+        parent = {s: s if s in graph.edge_ids else s[1] for s in fine.edge_ids}
+        fine_mu = GraphMeasure(mu.vertex_masses, {s: mu.density(parent[s]) for s in parent})
+    return fine, [vertex(p) for p in points], fine_mu
 
 
 @pytest.fixture

@@ -125,7 +125,7 @@ def test_acceptance_03_lambda_law():
                 }
                 variants = [relabeled(base_graph)]
                 if cuts:
-                    variants.append(subdivide(base_graph, cuts).graph)
+                    variants.append(subdivide(base_graph, cuts))
                 for graph in variants:
                     rep = nonarch_report(graph)
                     assert rep == base

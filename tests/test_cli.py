@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -223,6 +224,17 @@ def test_arch_non_finite_entry_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "finite" in err
     assert "truncation radius" not in err
+
+
+def test_arch_huge_finite_entry_exits_5_without_warnings(tmp_path, capsys):
+    # Y11 = 1e308 is finite: the reduction must not overflow it to inf, and
+    # the theta terms it sends to exp(-inf) vanish without a warning
+    path = tmp_path / "huge.json"
+    path.write_text('{"tau": ["1e308i", "0.1+0.2i", "0.1+0.2i", "1.2i"]}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["arch", str(path), "--samples", "10000"]) == 5
+    assert "[0 1/2; 0 0]" in capsys.readouterr().err
 
 
 def test_arch_workers_below_one_exits_2(tau_file, capsys):

@@ -142,7 +142,7 @@ def test_classify_subdivision_invariance(rng):
             for e in g.edge_ids
             if rng.random() < 0.7
         }
-        assert classify(subdivide(g, cuts).graph) == t.canonical()
+        assert classify(subdivide(g, cuts)) == t.canonical()
 
 
 def test_classify_rejects_wrong_genus():

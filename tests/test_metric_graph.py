@@ -27,7 +27,7 @@ from g2inv.metric_graph import (
     vertex_point,
 )
 
-from conftest import rand_frac, random_pm_graph, random_probability_measure
+from conftest import rand_frac, random_pm_graph, random_probability_measure, subdivide_at
 from oracles import DiscreteNetwork
 
 
@@ -148,29 +148,52 @@ def test_poisson_mass_must_vanish():
 
 def test_poisson_interior_point_subdivides():
     g = segment(4)
-    x = g.point("e", 1)
-    sigma = GraphDivisor([(x, 1), (g.vertex_point("v"), -1)])
-    f = solve_poisson(g, sigma, None, base="v")
-    assert f.graph is not g
-    assert f.graph.num_vertices == 3
+    h, (x,), _ = subdivide_at(g, [g.point("e", 1)])
+    sigma = GraphDivisor([(x, 1), (h.vertex_point("v"), -1)])
+    f = solve_poisson(h, sigma, None, base="v")
+    assert h.num_vertices == 3
     # potential drops linearly from x to v and is flat on the dead branch
-    smap_pt = [p for p in f.graph.vertex_ids if p not in ("u", "v")][0]
-    assert f.value_at_vertex(smap_pt) == 3
+    assert f(x) == 3
     assert f.value_at_vertex("u") == 3
     assert f.value_at_vertex("v") == 0
 
 
+@pytest.mark.parametrize(
+    "solver", ["solve_poisson", "green_function", "effective_resistance", "resistance_pairing"]
+)
+def test_solvers_reject_edge_interior_points(solver):
+    g = segment(4)
+    x, v = g.point("e", 1), g.vertex_point("v")
+    mu = GraphMeasure({"u": Fraction(1, 2), "v": Fraction(1, 2)}, {})
+    calls = {
+        "solve_poisson": lambda: solve_poisson(g, GraphDivisor([(x, 1), (v, -1)]), None, "v"),
+        "green_function": lambda: green_function(g, mu, x),
+        "effective_resistance": lambda: effective_resistance(g, v, x),
+        "resistance_pairing": lambda: resistance_pairing(
+            g, GraphDivisor([(x, 1)]), GraphDivisor([(v, 1)])
+        ),
+    }
+    with pytest.raises(ValueError, match="subdivide"):
+        calls[solver]()
+
+
 def test_symbolic_cuts_are_ordered_numerically():
     # Python's < on field elements is structural (a < a/2 holds), so the
-    # cuts must be ordered by sign: segments a/4, a/12, 2a/3
+    # cuts must be ordered by sign: segments a/4, a/12, 2a/3; endpoint and
+    # repeated cuts are ignored
     _, a = rational_function_field("a")
-    smap = subdivide(segment(a), {"e": [a / 3, a / 4]})
-    lengths = [smap.graph.edge_length(e) for e in smap.graph.edge_ids]
-    assert lengths == [a / 4, a / 12, 2 * a / 3]
-    assert smap.cut_point("e", a / 4) == smap.graph.vertex_point(("cut", "e", 0))
-    assert smap.map_point(segment(a).point("e", a / 2)) == smap.graph.point(
-        ("seg", "e", 2), a / 6
-    )
+    h = subdivide(segment(a), {"e": [a / 3, a / 4, a, 0, a / 4]})
+    segs = [("seg", "e", i) for i in range(3)]
+    assert h.edge_ids == tuple(segs)
+    assert [h.edge_length(s) for s in segs] == [a / 4, a / 12, 2 * a / 3]
+    assert [h.edge_ends(s) for s in segs] == [
+        ("u", ("cut", "e", 0)),
+        (("cut", "e", 0), ("cut", "e", 1)),
+        (("cut", "e", 1), "v"),
+    ]
+    assert h.genus(("cut", "e", 0)) == h.genus(("cut", "e", 1)) == 0
+    with pytest.raises(ValueError, match="unknown edge"):
+        subdivide(segment(a), {"f": [a / 2]})
     _, a, b = rational_function_field("a,b")
     with pytest.raises(ValueError):
         subdivide(segment(a + b), {"e": [a, b]})  # a - b has no known sign
@@ -202,18 +225,21 @@ def test_resistance_segment_and_series():
     r = effective_resistance(g, g.vertex_point("u"), g.vertex_point("v"))
     assert r == 5
     # interior points split the edge in series
-    r2 = effective_resistance(g, g.point("e", 2), g.point("e", Fraction(7, 2)))
-    assert r2 == Fraction(3, 2)
+    h, (x, y), _ = subdivide_at(g, [g.point("e", 2), g.point("e", Fraction(7, 2))])
+    assert effective_resistance(h, x, y) == Fraction(3, 2)
 
 
 def test_resistance_circle():
     a = Fraction(4)
     g = circle(a)
-    v = g.vertex_point("v")
+
+    def r_to(t):
+        h, (x,), _ = subdivide_at(g, [g.point("e", t)])
+        return effective_resistance(h, h.vertex_point("v"), x)
+
     for t in (1, 2, 3, Fraction(1, 3)):
-        r = effective_resistance(g, v, g.point("e", t))
-        assert r == Fraction(t) * (a - t) / a
-    assert effective_resistance(g, v, g.point("e", 2)) == 1
+        assert r_to(t) == Fraction(t) * (a - t) / a
+    assert r_to(2) == 1
 
 
 def test_resistance_theta_graph():
@@ -236,14 +262,14 @@ def test_resistance_is_a_metric(rng):
                 e = rng.choice(g.edge_ids)
                 t = g.edge_length(e) * Fraction(rng.randint(0, 8), 8)
                 pts.append(g.point(e, t))
-        x, y, z = pts
-        rxy = effective_resistance(g, x, y)
-        ryx = effective_resistance(g, y, x)
+        h, (x, y, z), _ = subdivide_at(g, pts)
+        rxy = effective_resistance(h, x, y)
+        ryx = effective_resistance(h, y, x)
         assert rxy == ryx
         assert rxy >= 0
         assert (rxy == 0) == (x == y)
-        rxz = effective_resistance(g, x, z)
-        ryz = effective_resistance(g, y, z)
+        rxz = effective_resistance(h, x, z)
+        ryz = effective_resistance(h, y, z)
         assert rxz <= rxy + ryz
 
 
@@ -257,8 +283,7 @@ def test_resistance_survives_subdivision(rng):
         for e in g.edge_ids:
             if rng.random() < 0.5:
                 cuts[e] = [g.edge_length(e) * Fraction(rng.randint(1, 3), 4)]
-        smap = subdivide(g, cuts)
-        h = smap.graph
+        h = subdivide(g, cuts)
         after = effective_resistance(h, h.vertex_point(u), h.vertex_point(v))
         assert before == after
         assert h.betti1 == g.betti1
@@ -323,12 +348,10 @@ def test_green_interior_pole():
     a = Fraction(5)
     g = circle(a)
     mu = GraphMeasure({}, {"e": 1 / a})
-    y = g.point("e", 2)
-    gr = green_function(g, mu, y)
+    h, (pole,), hmu = subdivide_at(g, [g.point("e", 2)], mu)
+    gr = green_function(h, hmu, pole)
     # rotation invariance: the value at the pole equals the vertex-pole case
-    assert gr.graph is not g
-    pole = [v for v in gr.graph.vertex_ids if v != "v"][0]
-    assert gr.value_at_vertex(pole) == a / 12
+    assert gr(pole) == a / 12
 
 
 def test_green_symmetry(rng):
@@ -349,14 +372,7 @@ def test_green_symmetry(rng):
         x, y = pts
         if x == y:
             continue
-        cuts = {}
-        for p in pts:
-            if not p.is_vertex:
-                cuts.setdefault(p.edge, []).append(p.offset)
-        smap = subdivide(g, cuts)
-        h = smap.graph
-        hx, hy = smap.map_point(x), smap.map_point(y)
-        hmu = smap.map_measure(mu)
+        h, (hx, hy), hmu = subdivide_at(g, pts, mu)
         gx = green_function(h, hmu, hx)
         gy = green_function(h, hmu, hy)
         assert gx(hy) == gy(hx)
@@ -444,16 +460,14 @@ def test_green_invariant_under_subdivision(rng):
         mu = random_probability_measure(rng, g)
         y = g.vertex_ids[0]
         coarse = green_function(g, mu, g.vertex_point(y))
-        cuts = {
-            e: [g.edge_length(e) * Fraction(rng.randint(1, 3), 4)]
+        points = [
+            g.point(e, g.edge_length(e) * Fraction(rng.randint(1, 3), 4))
             for e in g.edge_ids
             if rng.random() < 0.5
-        }
-        smap = subdivide(g, cuts)
-        h = smap.graph
-        fine = green_function(h, smap.map_measure(mu), h.vertex_point(y))
+        ]
+        h, cuts, hmu = subdivide_at(g, points, mu)
+        fine = green_function(h, hmu, h.vertex_point(y))
         for v in g.vertex_ids:
             assert fine.value_at_vertex(v) == coarse.value_at_vertex(v)
-        for e, offsets in cuts.items():
-            cut_pt = smap.cut_point(e, offsets[0])
-            assert fine(cut_pt) == coarse(g.point(e, offsets[0]))
+        for p, cut in zip(points, cuts):
+            assert fine(cut) == coarse(p)

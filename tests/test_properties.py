@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from conftest import PROPERTY_SETTINGS
+from conftest import PROPERTY_SETTINGS, subdivide_at
 
 from g2inv.metric_graph import (
     GraphMeasure,
@@ -88,9 +88,8 @@ def test_diagonal_green_matches_green_function(case):
         assert diag(p) == green_function(graph, mu, p)(p)
     for e, t in offsets.items():
         p = graph.point(e, t)
-        g = green_function(graph, mu, p)  # lives on the graph cut at p
-        (pole,) = set(g.graph.vertex_ids) - set(graph.vertex_ids)
-        assert diag(p) == g.value_at_vertex(pole)
+        fine, (pole,), fine_mu = subdivide_at(graph, [p], mu)  # pole: the cut at p
+        assert diag(p) == green_function(fine, fine_mu, pole)(pole)
 
 
 def assert_one_solve_matches_green_functions(graph, mu):
