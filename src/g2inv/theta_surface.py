@@ -26,11 +26,13 @@ Numerical conventions:
   (u, v) in [0,1)^4.  Per batch of points the lattice sum factors into
   two per-sample rows of 1-D Gaussian terms and one fixed matrix,
   A1 C A2'.  Each row is built from two anchor terms (n = 0 and n = -1)
-  and their step ratios by the Gaussian second-difference recurrence, so a
-  sample costs 9 complex exponentials at any truncation radius; on a
-  reduced tau every factor stays in floating-point range, and a sum that
-  leaves it is an error, never a rejected sample.  The estimator splits the
-  sample budget into 8 substreams whose spread gives the standard error.
+  and their step ratios by the Gaussian second-difference recurrence.
+  Only |sum| enters the norm, so each anchor is the real exponential of
+  its real part (its modulus, so the float range is kept) times a phase
+  derived from one unit phase per row: a sample costs 2 unit phases and
+  9 real exponentials at any radius.  On a reduced tau every factor stays
+  in floating-point range; a sum that leaves it is an error, never a
+  rejected sample.  The spread of 8 substreams gives the standard error.
   Fixed (seed, N, method) give bit-identical results regardless of
   worker count.
 """
@@ -59,7 +61,7 @@ DEFAULT_TARGET_STDERR = 1e-3
 TRUNCATION_CAP = 64
 REDUCTION_CAP = 200
 SUBSTREAMS = 8
-_CHUNK = 16384
+_CHUNK = 4096  # points per kernel call: a (2r+2) x 4096 complex row block stays cache-sized
 LOG_2PI = math.log(2 * math.pi)
 
 HALF = Fraction(1, 2)
@@ -391,34 +393,38 @@ class QuadratureResult(NamedTuple):
 _KRONECKER = np.array([math.sqrt(2) - 1, math.sqrt(3) - 1, math.sqrt(5) - 2, math.sqrt(7) - 2])
 
 
-def _gaussian_rows(radius: int, t: complex, c: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rows exp(f(n)) for n = -radius-1 .. radius, one contiguous row per n,
-    where per sample f(n) = pi i t (n+u)^2 + 2 pi i c n + 2 pi i (n+u) v.
+def _gaussian_rows(radius: int, t: complex, t12: complex, w: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rows exp(f(n) - i Im f(0)) for n = -radius-1 .. radius, one contiguous
+    row per n, where per sample f(n) = pi i t (n+u)^2 + 2 pi i c n +
+    2 pi i (n+u) v with c = t12 w.
 
     f has second difference 2 pi i t, so with q = exp(2 pi i t) the ratios
     G_n = exp(f(n+1) - f(n)) obey G_{n+1} = G_n q, and downward
     H_n = exp(f(n-1) - f(n)) obey H_{n-1} = H_n q.  Only the anchors
     exp(f(0)), exp(f(-1)), G_0 and H_{-1} are exponentials; the other
-    rows are products, walking up from n = 0 and down from n = -1.  With
-    Y reduced every ratio has modulus at most one apart from the bounded
-    c term, and each row carries at most about 2(radius+1) roundings.
+    rows are products, walking up from n = 0 and down from n = -1.  The
+    column phase exp(i Im f(0)) drops out of |A1 C A2'|, so each anchor is
+    exp(its real part) times a phase from g = exp(i Im(f(1) - f(0))):
+    conj(g) e^(2 pi i Re t) for exp(f(-1)), conj(g) e^(4 pi i Re t) for
+    H_{-1}.  With Y reduced every ratio has modulus at most one apart from
+    the bounded c term; each row carries about 2(radius+1) roundings.
     """
-    pi_i = 1j * math.pi
-    slope = 2 * pi_i * (c + v)
-    anchors = np.exp(
-        np.stack(
-            [
-                pi_i * t * u * u + 2 * pi_i * u * v,  # f(0)
-                pi_i * t * (u - 1) ** 2 + 2 * pi_i * (u - 1) * v - 2 * pi_i * c,  # f(-1)
-                pi_i * t * (2 * u + 1) + slope,  # f(1) - f(0)
-                -pi_i * t * (2 * u - 3) - slope,  # f(-2) - f(-1)
-            ]
-        )
-    )
-    q = np.exp(2 * pi_i * t)
+    pi, x, y = math.pi, t.real, t.imag
+    lift = 2 * pi * t12.imag * w  # 2 pi Im c
+    phase = 2 * pi * (x * u + t12.real * w + v) + pi * x
+    up = np.empty(len(u), dtype=complex)
+    np.cos(phase, out=up.real)
+    np.sin(phase, out=up.imag)
     rows = np.empty((2 * radius + 2, len(u)), dtype=complex)
     mid = radius + 1  # the row of n = 0
-    rows[mid], rows[mid - 1], up, down = anchors
+    down = np.conjugate(up)
+    np.multiply(down, np.exp(2j * pi * x), out=rows[mid - 1])
+    down *= np.exp(4j * pi * x)
+    rows[mid] = np.exp(-pi * y * u * u)
+    np.multiply(rows[mid - 1], np.exp(lift - pi * y * (u - 1) ** 2), out=rows[mid - 1])
+    np.multiply(up, np.exp(-pi * y * (2 * u + 1) - lift), out=up)
+    np.multiply(down, np.exp(pi * y * (2 * u - 3) + lift), out=down)
+    q = np.exp(2j * pi * t)
     for k in range(mid + 1, 2 * radius + 2):
         np.multiply(rows[k - 1], up, out=rows[k])
         up *= q
@@ -428,48 +434,54 @@ def _gaussian_rows(radius: int, t: complex, c: np.ndarray, u: np.ndarray, v: np.
     return rows
 
 
-def _log_theta_norm_batch(tau: SiegelMatrix, u: np.ndarray, v: np.ndarray, tol: float) -> np.ndarray:
-    """log||theta||(tau u + v) for batches of points in [0,1)^2 x [0,1)^2.
+def _theta_kernel(tau: SiegelMatrix, tol: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The batch function (u, v) -> log||theta||(tau u + v) for (B, 2) arrays.
 
     Up to a factor of modulus one the scaled sum is the sum over m = n + u of
     exp(pi i m' tau m + 2 pi i m' v).  Splitting m1 m2 = n1 n2 + n1 u2 +
     u1 n2 + u1 u2 factors it as colsum(C A1 * A2) exp(2 pi i tau12 u1 u2)
     with per-sample columns
         A1[n1, b] = exp(pi i tau11 m1^2 + 2 pi i tau12 n1 u2 + 2 pi i m1 v1)
-    (A2 likewise) and the symmetric C[n1, n2] = exp(2 pi i tau12 n1 n2)
-    fixed per tau.  A1 and A2 come from `_gaussian_rows`: four
-    exponentials per sample each, whatever the radius, plus one for the
-    u1 u2 term.  Each factor stays in floating-point range when Y is
-    reduced; a sum that leaves it raises QuadratureUnstableError.
-    Returns NaN where ||theta|| is below machine epsilon (points
-    straddling the theta divisor); callers count those as rejected.
+    (A2 likewise) and the symmetric C[n1, n2] = exp(2 pi i tau12 n1 n2),
+    computed here once per tau.  Only |s| enters the norm, so per-sample
+    unit factors are dropped: A1 and A2 come from `_gaussian_rows`, one unit
+    phase and four real exponentials per sample each, whatever the radius,
+    and the u1 u2 term is kept as its modulus exp(-2 pi Y12 u1 u2).  Each
+    factor stays in floating-point range when Y is reduced; a sum that
+    leaves it raises QuadratureUnstableError.  Returns NaN where ||theta||
+    is below machine epsilon (points straddling the theta divisor);
+    callers count those as rejected.
     """
     radius = _truncation_radius(tau.min_eigenvalue, tol)
     n = np.arange(-radius - 1, radius + 1, dtype=float)
     (t11, t12), (_, t22) = tau.matrix
-    (u1, u2), (v1, v2) = np.ascontiguousarray(u.T), np.ascontiguousarray(v.T)
     with np.errstate(over="ignore", invalid="ignore"):
-        a1 = _gaussian_rows(radius, t11, t12 * u2, u1, v1)
-        a2 = _gaussian_rows(radius, t22, t12 * u1, u2, v2)
         c = np.exp(2j * math.pi * t12 * np.outer(n, n))
-        s = ((c @ a1) * a2).sum(axis=0) * np.exp(2j * math.pi * t12 * u1 * u2)
-    if not np.all(np.isfinite(s)):
-        raise QuadratureUnstableError(
-            f"theta lattice sum overflowed at {tau!r} (radius {radius})"
-        )
-    norms = tau.det_y**0.25 * np.abs(s)
-    with np.errstate(divide="ignore"):
-        vals = np.where(norms < np.finfo(float).eps, np.nan, np.log(norms))
-    return vals
+
+    def log_norms(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        (u1, u2), (v1, v2) = u.T, v.T  # contiguous rows when log_h passes its layout
+        with np.errstate(over="ignore", invalid="ignore"):
+            a1 = _gaussian_rows(radius, t11, t12, u2, u1, v1)
+            a2 = _gaussian_rows(radius, t22, t12, u1, u2, v2)
+            s = np.abs(((c @ a1) * a2).sum(axis=0)) * np.exp(-2 * math.pi * t12.imag * u1 * u2)
+        if not np.all(np.isfinite(s)):
+            raise QuadratureUnstableError(
+                f"theta lattice sum overflowed at {tau!r} (radius {radius})"
+            )
+        norms = tau.det_y**0.25 * s
+        with np.errstate(divide="ignore"):
+            return np.where(norms < np.finfo(float).eps, np.nan, np.log(norms))
+
+    return log_norms
 
 
 def _substream_points(method: str, child_seed, count: int) -> np.ndarray:
+    """One substream's points as contiguous rows (u1, u2, v1, v2)."""
     rng = np.random.default_rng(child_seed)
     if method == "monte-carlo":
-        return rng.random((count, 4))
-    offset = rng.random(4)
-    steps = np.arange(1, count + 1, dtype=float)[:, None]
-    return np.mod(offset + steps * _KRONECKER[None, :], 1.0)
+        return np.ascontiguousarray(rng.random((count, 4)).T)
+    steps = np.arange(1, count + 1, dtype=float)
+    return np.mod(rng.random(4)[:, None] + _KRONECKER[:, None] * steps, 1.0)
 
 
 def log_h(
@@ -482,29 +494,27 @@ def log_h(
     """The mean of log||theta||(tau u + v) over the unit 4-torus.
 
     Sp4(Z)-invariant, so evaluated at siegel_reduce(tau).  Splits the
-    budget into 8 equal substreams; the estimate is the mean of substream
+    budget into 8 substreams, which differ by at most one point and
+    together hold exactly n_samples; the estimate is the mean of substream
     means and the standard error their sample spread.  The _integrand hook
     substitutes a different function of (u, v) batches and exists for
     self-tests of the quadrature layer.
     """
     config = config or QuadratureConfig()
     tau, _ = siegel_reduce(tau)
-    if _integrand is None:
-        integrand = lambda u, v: _log_theta_norm_batch(tau, u, v, tol)
-    else:
-        integrand = _integrand
-
-    per_stream = config.n_samples // SUBSTREAMS
+    integrand = _integrand or _theta_kernel(tau, tol)
+    per_stream, extra = divmod(config.n_samples, SUBSTREAMS)
     children = np.random.SeedSequence(config.seed).spawn(SUBSTREAMS)
 
     def run_substream(index: int) -> tuple[float, int, int]:
-        points = _substream_points(config.method, children[index], per_stream)
+        count = per_stream + (index < extra)
+        coords = _substream_points(config.method, children[index], count)
         total = 0.0
         kept = 0
         rejected = 0
-        for start in range(0, per_stream, _CHUNK):
-            block = points[start : start + _CHUNK]
-            vals = integrand(block[:, :2], block[:, 2:])
+        for start in range(0, count, _CHUNK):
+            block = coords[:, start : start + _CHUNK]
+            vals = integrand(block[:2].T, block[2:].T)
             bad = int(np.count_nonzero(np.isnan(vals)))
             rejected += bad
             kept += len(vals) - bad

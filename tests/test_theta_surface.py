@@ -33,7 +33,7 @@ from g2inv.theta_surface import (
     even_characteristics,
     log_delta2,
     log_h,
-    _log_theta_norm_batch,
+    _theta_kernel,
     odd_characteristics,
     siegel_reduce,
     theta,
@@ -65,25 +65,33 @@ def brute_theta(char: ThetaChar, z, tau: SiegelMatrix, box: int = 12) -> complex
         return complex(total)
 
 
-def reference_log_h(t: np.ndarray, samples: int, seed: int) -> tuple[float, float]:
-    """Monte Carlo mean of log||theta||(t u + v) and its standard error from
-    the plain lattice sum over n + u, unfactored and at t itself (no
+def lattice_sum_norms(t: np.ndarray):
+    """The batch function (u, v) -> ||theta||(t u + v) for (B, 2) arrays,
+    from the plain lattice sum over n + u, unfactored and at t itself (no
     reduction), with a box well past where exp(-pi n'Yn) underflows."""
     lam = float(np.linalg.eigvalsh(t.imag)[0])
     box = math.ceil(math.sqrt(45 / (math.pi * lam))) + 2
     ns = np.arange(-box, box + 1, dtype=float)
     lattice = np.stack([g.ravel() for g in np.meshgrid(ns, ns, indexing="ij")], axis=1)
-    quarter_log_det = 0.25 * math.log(float(np.linalg.det(t.imag)))
+    quarter_det = float(np.linalg.det(t.imag)) ** 0.25
     n_xn = np.einsum("li,ij,lj->l", lattice, t.real, lattice)
-    points = np.random.default_rng(seed).random((samples, 4))
-    values = []
-    for block in np.array_split(points, max(1, samples * len(lattice) // 500_000)):
-        u, v = block[:, :2], block[:, 2:]
+
+    def norms(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         m = lattice[None, :, :] + u[:, None, :]
         real = -math.pi * np.einsum("pli,ij,plj->pl", m, t.imag, m)
         imag = math.pi * (n_xn[None, :] + 2 * (u @ t.real + v) @ lattice.T)
-        values.append(quarter_log_det + np.log(np.abs(np.exp(real + 1j * imag).sum(axis=1))))
-    vals = np.concatenate(values)
+        return quarter_det * np.abs(np.exp(real + 1j * imag).sum(axis=1))
+
+    return norms
+
+
+def reference_log_h(t: np.ndarray, samples: int, seed: int) -> tuple[float, float]:
+    """Monte Carlo mean of log||theta||(t u + v) and its standard error from
+    `lattice_sum_norms`, in blocks of 500 points."""
+    norms = lattice_sum_norms(t)
+    points = np.random.default_rng(seed).random((samples, 4))
+    blocks = np.array_split(points, max(1, samples // 500))
+    vals = np.concatenate([np.log(norms(b[:, :2], b[:, 2:])) for b in blocks])
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
 
 
@@ -344,18 +352,56 @@ def test_log_h_known_mean_integrand():
     assert abs(lattice.value - 1.0) < 1e-3
 
 
+@pytest.mark.parametrize("method", ["monte-carlo", "lattice-rule"])
+@pytest.mark.parametrize("n_samples", [10000, 10007, 8 * 4096 + 5])
+def test_log_h_sums_exactly_n_samples(method, n_samples):
+    seen = []
+
+    def count(u, v):
+        seen.append(len(u))
+        return np.ones(len(u))
+
+    log_h(GENERIC_TAU, QuadratureConfig(n_samples=n_samples, seed=2, method=method), _integrand=count)
+    assert sum(seen) == n_samples
+
+
+@pytest.mark.parametrize("method", ["monte-carlo", "lattice-rule"])
+def test_log_h_kernel_matches_lattice_sum_through_quadrature(method):
+    """The factored kernel inside `log_h` against the unfactored lattice
+    sum passed through the `_integrand` hook, with substreams that span
+    several chunks and end in a partial one: the point layout, chunking
+    and NaN accounting must give the same value and the same rejections.
+    The stretched tau loses about a quarter of its points to the eps
+    floor."""
+    eps = np.finfo(float).eps
+    for tau in (siegel_reduce(GENERIC_TAU)[0], _stretched_tau(56)):
+        norms = lattice_sum_norms(tau.matrix)
+
+        def ref(u, v):
+            values = norms(u, v)
+            with np.errstate(divide="ignore"):
+                return np.where(values < eps, np.nan, np.log(values))
+
+        config = QuadratureConfig(n_samples=40005, seed=4, method=method, target_stderr=10)
+        got = log_h(tau, config)
+        want = log_h(tau, config, _integrand=ref)
+        assert abs(got.value - want.value) < 1e-10
+        assert got.rejected == want.rejected
+
+
 def test_kernel_matches_pointwise_theta_norm(rng):
     """The torus-average kernel against `theta_norm`, whose meshgrid sum
     shares none of its factoring or recurrence, point by point: an error
     of 1e-6 per point hides inside the Monte Carlo spread but not here."""
     taus = [siegel_reduce(random_tau(rng))[0] for _ in range(20)]
     taus.append(SiegelMatrix(np.array([[0.1 + 1.2j, 0.3 + 0.4j], [0.3 + 0.4j, -0.2 + 300j]])))
+    taus.append(_stretched_tau(64))  # the moduli span their widest kept range
     edges = (0.0, 0.5, 1 - 1e-9)
     for index, tau in enumerate(taus):
         points = np.random.default_rng(index).random((256, 4))
         points[:9, :2] = list(itertools.product(edges, edges))
         u, v = points[:, :2], points[:, 2:]
-        got = _log_theta_norm_batch(tau, u, v, DEFAULT_THETA_TOL)
+        got = _theta_kernel(tau, DEFAULT_THETA_TOL)(u, v)
         norms = np.array([theta_norm(tau.matrix @ a + b, tau) for a, b in zip(u, v)])
         with np.errstate(divide="ignore"):
             want = np.where(norms < np.finfo(float).eps, np.nan, np.log(norms))
