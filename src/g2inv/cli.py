@@ -47,6 +47,8 @@ TAGS = ("I", "II", "III", "IV", "V", "VI", "VII")
 # what `main` reports as bad input: an "error: ..." line and exit 2
 INPUT_ERRORS = (InvalidParamsError, NotPositiveDefiniteError,
                 TruncationOverflowError, OSError, ValueError)
+# what `main` reports as a failed internal cross-check: exit 4
+CROSS_CHECK_ERRORS = (FormulaMismatchError, AdmissibilityFailureError)
 # table column -> the NonArchReport field it shows
 TABLE_FIELDS = {"delta0": "delta0", "delta1": "delta1", "rKK": "r_kk",
                 "epsilon": "epsilon", "phi": "phi", "lambda": "lambda_"}
@@ -128,7 +130,7 @@ def _run_nonarch(args) -> int:
         return 3
     try:
         report = nonarch_report(graph)
-    except (FormulaMismatchError, AdmissibilityFailureError) as exc:
+    except CROSS_CHECK_ERRORS as exc:
         print(f"internal cross-check failed: {exc}", file=sys.stderr)
         print("offending graph:", file=sys.stderr)
         print(json.dumps(graph_to_dict(graph), indent=2), file=sys.stderr)
@@ -158,9 +160,6 @@ def _run_arch(args) -> int:
     )
     try:
         report = arch_invariants(tau, config, tol=tolerance, workers=args.workers)
-    except FormulaMismatchError as exc:
-        print(f"internal cross-check failed: {exc}", file=sys.stderr)
-        return 4
     except DegenerateThetaNullError as exc:
         print(f"degenerate surface: {exc}", file=sys.stderr)
         return 5
@@ -213,11 +212,7 @@ def _symbolic_rows():
 
 
 def _run_table(args) -> int:
-    try:
-        rows = _symbolic_rows()
-    except FormulaMismatchError as exc:
-        print(f"internal cross-check failed: {exc}", file=sys.stderr)
-        return 4
+    rows = _symbolic_rows()
     if args.format == "structured":
         print(json.dumps({"rows": rows}, indent=2))
         return 0
@@ -270,6 +265,9 @@ def main(argv=None) -> int:
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except CROSS_CHECK_ERRORS as exc:
+        print(f"internal cross-check failed: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -17,15 +17,19 @@ field elements; Python's `<` on them is a structural order, not a numeric
 one.  sympy is imported by the first `rational_function_field` call, so
 rational work never loads it.
 
-Linear solves (`solve_dense`, and `inverse_dense` as one elimination with
-n right-hand sides) run one fraction-free loop, Bareiss's elimination
-(Math. Comp. 22, 1968), in the ring of numerators: Z for rational
-entries, the polynomial ring Q[a, b, ...] once any entry is a field
-element.  Each row is scaled by the lcm of its denominators, every update
-(p a_rc - f a_kc) / prev is an exact ring division, and back-substitution
-against the last pivot det gives y = det x in the ring.  Only then is
-each x = y / det built as a field value, reduced once.  `_ring_of`
-supplies the few kind-specific pieces; the loop itself never changes.
+Linear solves (`solve_dense`; `inverse_dense` and `ring_inverse` as one
+elimination with n right-hand sides) run one fraction-free loop,
+Bareiss's elimination (Math. Comp. 22, 1968), in the ring of numerators:
+Z for rational entries, the polynomial ring Q[a, b, ...] once any entry
+is a field element.  Each row is scaled by the lcm of its denominators,
+every update (p a_rc - f a_kc) / prev is an exact ring division, and
+back-substitution against the last pivot det gives y = det x in the
+ring.  `solve_dense` and `inverse_dense` then build each x = y / det as a
+field value, reduced once.  `ring_inverse` builds none: it returns
+Y = det M^-1 and det as they are (`RingInverse`), so a caller combines
+entries in the ring and pays one reduction per value it reads.
+`_ring_of` supplies the few kind-specific pieces; the loop itself never
+changes.
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from collections import namedtuple
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, reduce
 from typing import Any, Iterable, Sequence
@@ -114,7 +120,9 @@ def solve_dense(matrix: Sequence[Sequence[Any]], rhs: Sequence[Any]) -> list:
 
     Raises ValueError on a singular matrix.
     """
-    return [row[0] for row in _solve_block(matrix, [[b] for b in rhs])]
+    ring = _ring_of([x for row in matrix for x in row] + list(rhs))
+    ys, det = _eliminate(matrix, [[b] for b in rhs], ring)
+    return [ring.rebuild(y, det) for (y,) in ys]
 
 
 def inverse_dense(matrix: Sequence[Sequence[Any]]) -> list:
@@ -122,14 +130,58 @@ def inverse_dense(matrix: Sequence[Sequence[Any]]) -> list:
 
     Raises ValueError on a singular matrix.
     """
+    inverse = ring_inverse(matrix)
+    return [[inverse.value(y) for y in row] for row in inverse.y]
+
+
+def ring_inverse(
+    matrix: Sequence[Sequence[Any]], context: Iterable[Any] = ()
+) -> RingInverse:
+    """The inverse of a square matrix, left in the ring of numerators.
+
+    One elimination with n right-hand sides, as `inverse_dense`, but no
+    entry is rebuilt as a field value.  The ring is chosen from the
+    entries and the `context` values together, so values of the context's
+    field can later be brought into it (`RingInverse.in_ring`).  Raises
+    ValueError on a singular matrix.
+    """
+    ring = _ring_of([x for row in matrix for x in row] + list(context))
     n = len(matrix)
     identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    return _solve_block(matrix, identity)
+    return RingInverse(ring, *_eliminate(matrix, identity, ring))
 
 
-def _ring_of(entries: Iterable[Any]) -> tuple:
-    """The kind-specific pieces of the elimination: (split, lcm, quotient,
-    rebuild, one) for the ring the entries have their numerators in.
+@dataclass(frozen=True)
+class RingInverse:
+    """M^-1 = Y / det, with Y (its rows `y`) and det in the ring of numerators.
+
+    Combine entries y[i][j] with ring arithmetic (+, -, and * by ints or
+    ring elements) and turn each combination into one field value, reduced
+    once, with `value`.  `in_ring` writes field values as ring numerators
+    over one common denominator, so they can take part in a combination.
+    """
+
+    ring: _Ring
+    y: list
+    det: Any
+
+    def value(self, numerator: Any, denominator: Any = None) -> Any:
+        """The field value numerator / (denominator det) in lowest terms;
+        both are ring elements, the denominator 1 when omitted."""
+        det = self.det if denominator is None else denominator * self.det
+        return self.ring.rebuild(numerator, det)
+
+    def in_ring(self, values: Iterable[Any]) -> tuple[list, Any]:
+        """(numerators, d) with each value = numerator / d, all in the ring."""
+        return _common_denominator(self.ring, values)
+
+
+# the kind-specific pieces of the elimination (see `_ring_of`)
+_Ring = namedtuple("_Ring", "split lcm quotient rebuild one")
+
+
+def _ring_of(entries: Iterable[Any]) -> _Ring:
+    """The ring the entries have their numerators in, as its pieces.
 
     `split(x)` is (numerator, denominator) in the ring, `lcm(*ds)` a common
     multiple, `quotient(p, q)` the exact ring quotient, `rebuild(p, q)` the
@@ -142,7 +194,7 @@ def _ring_of(entries: Iterable[Any]) -> tuple:
         element = next((x for x in entries if isinstance(x, fields.FracElement)), None)
     if element is None:
         split = operator.attrgetter("numerator", "denominator")
-        return split, math.lcm, operator.floordiv, Fraction, 1
+        return _Ring(split, math.lcm, operator.floordiv, Fraction, 1)
     field = element.field
     ring = field.ring
 
@@ -154,21 +206,26 @@ def _ring_of(entries: Iterable[Any]) -> tuple:
     def lcm(*denominators: Any) -> Any:
         return reduce(lambda p, q: p.lcm(q), denominators, ring.one)
 
-    return split, lcm, lambda p, q: p.exquo(q), field.new, ring.one
+    return _Ring(split, lcm, lambda p, q: p.exquo(q), field.new, ring.one)
 
 
-def _solve_block(matrix: Sequence[Sequence[Any]], rhs: Sequence[Sequence[Any]]) -> list:
-    """Solve matrix X = rhs for a block of right-hand sides (rows of rhs)
-    by fraction-free elimination (see the module docstring)."""
+def _common_denominator(ring: _Ring, values: Iterable[Any]) -> tuple[list, Any]:
+    """(numerators, d) with each value = numerator / d, all in the ring."""
+    parts = [ring.split(x) for x in values]
+    d = ring.lcm(*(q for _, q in parts))
+    return [p * ring.quotient(d, q) for p, q in parts], d
+
+
+def _eliminate(
+    matrix: Sequence[Sequence[Any]], rhs: Sequence[Sequence[Any]], ring: _Ring
+) -> tuple[list, Any]:
+    """(Y, det) with Y = det X for matrix X = rhs (a block of right-hand
+    sides, rows of rhs), all in the ring, by fraction-free elimination
+    (see the module docstring).  Raises ValueError on a singular matrix."""
     n = len(matrix)
-    rows = [list(row) + list(rhs[i]) for i, row in enumerate(matrix)]
-    split, lcm, quotient, rebuild, one = _ring_of(x for row in rows for x in row)
-    aug = []
-    for row in rows:
-        parts = [split(x) for x in row]
-        scale = lcm(*(d for _, d in parts))
-        aug.append([p * quotient(scale, d) for p, d in parts])
-    prev = one
+    quotient = ring.quotient
+    aug = [_common_denominator(ring, (*row, *rhs[i]))[0] for i, row in enumerate(matrix)]
+    prev = ring.one
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot_row is None:
@@ -197,4 +254,4 @@ def _solve_block(matrix: Sequence[Sequence[Any]], rhs: Sequence[Sequence[Any]]) 
             if u != 0:
                 acc = [a - u * s for a, s in zip(acc, sol[c])]
         sol[i] = [quotient(a, row[i]) for a in acc]
-    return [[rebuild(y, det) for y in ys] for ys in sol]
+    return sol, det

@@ -27,10 +27,15 @@ Conventions:
   This class is closed under everything done here, and for such measures
   the diagonal Green's function x -> g(x,x) is quadratic on every edge.
 * The vertex resistances r(a, b) come from one factorization of the
-  reduced Laplacian per graph, memoized on the immutable `PMGraph`.
-  Closed forms extend them to edge interiors (Baker-Faber 2006): for x at
-  offset t on an edge e = (a, b) of length L and any z outside the
-  interior of e,
+  reduced Laplacian per graph, memoized on the immutable `PMGraph` as
+  Y = det M^-1 and det in the ring of numerators (`exact.ring_inverse`).
+  A resistance r(a, b) = (Y_aa + Y_bb - 2 Y_ab) / det becomes a field
+  value only when a pair is asked for, and the weighted sums
+  j(w) = C + sum_v W_v r(v, w) behind the diagonal Green's function are
+  one ring mat-vec with one field value per vertex; no resistance
+  matrix is ever built.  Closed forms extend r to edge interiors
+  (Baker-Faber 2006): for x at offset t on an edge e = (a, b) of length
+  L and any z outside the interior of e,
 
       r(x, z) = ((L - t) r(a, z) + t r(b, z)) / L + k t (L - t),
       k = (L - r(a, b)) / L^2,
@@ -57,8 +62,9 @@ from .errors import (
     NonZeroMassError,
 )
 from .exact import (
+    RingInverse,
     as_rational,
-    inverse_dense,
+    ring_inverse,
     sign_known_nonnegative,
     solve_dense,
     sort_exact,
@@ -91,6 +97,8 @@ class PMGraph:
     ):
         self._genus: dict[VertexId, int] = {}
         for vid, q in vertices:
+            if vid is None:  # a GraphPoint with vertex None is an edge point
+                raise ValueError("a vertex id must not be None")
             if vid in self._genus:
                 raise ValueError(f"duplicate vertex id {vid!r}")
             if not isinstance(q, int) or isinstance(q, bool) or q < 0:
@@ -115,7 +123,11 @@ class PMGraph:
             self._incident[v].append((eid, 1))
 
         self._check_connected()
-        self._resistances: dict[VertexId, dict[VertexId, Any]] | None = None
+        # the factored reduced Laplacian, its vertex -> index map (the base
+        # vertex has none: its row and column are 0), and r of each pair read
+        self._inverse: RingInverse | None = None
+        self._slot: dict[VertexId, int] = {}
+        self._pairs: dict[tuple[VertexId, VertexId], Any] = {}
 
     def _check_connected(self) -> None:
         start = next(iter(self._genus))
@@ -181,14 +193,38 @@ class PMGraph:
     def resistance(self, a: VertexId, b: VertexId):
         """Effective resistance between two vertices.
 
-        The whole vertex resistance matrix is computed on first use, from
-        one exact inversion of the reduced Laplacian, and kept.
+        The first call factors the reduced Laplacian, once and exactly,
+        and keeps the inverse in the ring (`exact.ring_inverse`); each pair
+        is then r(a, b) = (Y_aa + Y_bb - 2 Y_ab) / det, one field value,
+        kept too.
         """
         if a not in self._genus or b not in self._genus:
             raise ValueError(f"unknown vertex {a!r} or {b!r}")
-        if self._resistances is None:
-            self._resistances = _vertex_resistances(self)
-        return self._resistances[a][b]
+        if a == b:
+            return Fraction(0)
+        r = self._pairs.get((a, b))
+        if r is None:
+            inverse, slot = self._factored()
+            i, j = slot.get(a), slot.get(b)
+            y = inverse.y
+            if i is None:
+                numerator = y[j][j]
+            elif j is None:
+                numerator = y[i][i]
+            else:
+                numerator = y[i][i] + y[j][j] - 2 * y[i][j]
+            r = self._pairs[a, b] = self._pairs[b, a] = inverse.value(numerator)
+        return r
+
+    def _factored(self) -> tuple[RingInverse, dict[VertexId, int]]:
+        """The memo: Y / det, the inverse of the reduced Laplacian based at
+        the first vertex, and each other vertex's index in it."""
+        if self._inverse is None:
+            order, matrix = _reduced_laplacian(self, self.vertex_ids[0])
+            lengths = [length for _, _, length in self._edges.values()]
+            self._inverse = ring_inverse(matrix, context=lengths)
+            self._slot = {v: i for i, v in enumerate(order)}
+        return self._inverse, self._slot
 
     # -- points -------------------------------------------------------------
 
@@ -544,29 +580,6 @@ def _reduced_laplacian(graph: PMGraph, base: VertexId) -> tuple[list, list]:
     return order, matrix
 
 
-def _vertex_resistances(graph: PMGraph) -> dict[VertexId, dict[VertexId, Any]]:
-    """r(a, b) for every vertex pair from the inverse M of the reduced
-    Laplacian: r(a, b) = M[a][a] + M[b][b] - 2 M[a][b], M = 0 at the base."""
-    base = graph.vertex_ids[0]
-    order, matrix = _reduced_laplacian(graph, base)
-    inverse = inverse_dense(matrix)
-    row = {base: [Fraction(0)] * len(order)}
-    row.update(zip(order, inverse))
-    index = {v: i for i, v in enumerate(order)}
-
-    def entry(a: VertexId, b: VertexId):
-        return Fraction(0) if b == base else row[a][index[b]]
-
-    resistances: dict[VertexId, dict[VertexId, Any]] = {
-        v: {} for v in graph.vertex_ids
-    }
-    for i, a in enumerate(graph.vertex_ids):
-        for b in graph.vertex_ids[i:]:
-            r = entry(a, a) + entry(b, b) - 2 * entry(a, b)
-            resistances[a][b] = resistances[b][a] = r
-    return resistances
-
-
 def _solve_vertex_potentials(
     graph: PMGraph,
     point_mass: Mapping[VertexId, Any],
@@ -726,7 +739,7 @@ def diagonal_green(graph: PMGraph, mu: GraphMeasure) -> PiecewisePoly:
     # adds rho (L (r(c, w) + r(d, w)) / 2 + k L^3 / 6): weight rho L / 2 at
     # each end (both halves at a loop's one vertex, as r(c, w) counts twice),
     # folded with the masses into W_v, and a w-free term summed into C:
-    # j(w) = C + sum_v W_v r(v, w), V^2 products.
+    # j(w) = C + sum_v W_v r(v, w), one mat-vec in the ring.
     weight = mu.vertex_masses
     const = Fraction(0)
     for f, rho in mu.edge_densities.items():
@@ -734,10 +747,7 @@ def diagonal_green(graph: PMGraph, mu: GraphMeasure) -> PiecewisePoly:
         for end in graph.edge_ends(f):
             weight[end] = weight.get(end, Fraction(0)) + rho * length / 2
         const = const + rho * kappa[f] * length**3 / 6
-    j = {
-        w: sum((w_v * r(v, w) for v, w_v in weight.items()), const)
-        for w in graph.vertex_ids
-    }
+    j = _resistance_sums(graph, weight, const)
 
     coeffs = {}
     for e in graph.edge_ids:
@@ -759,6 +769,33 @@ def diagonal_green(graph: PMGraph, mu: GraphMeasure) -> PiecewisePoly:
     except ValueError as exc:
         raise FormulaMismatchError(f"diagonal Green's function: {exc}") from exc
     return j_poly.add_constant(-integrate(graph, j_poly, measure=mu) / 2)
+
+
+def _resistance_sums(
+    graph: PMGraph, weight: Mapping[VertexId, Any], const: Any
+) -> dict[VertexId, Any]:
+    """C + sum_v W_v r(v, w) for every vertex w, from the factored
+    Laplacian with no resistance built: with W and C over one common ring
+    denominator d (numerators n_v and c) and Y = 0 at the base vertex,
+
+        d det j(w) = c det + sum_v n_v Y_vv + N Y_ww - 2 (Y n)_w,
+
+    N = sum_v n_v, so the ring work is one mat-vec and each j(w) is one
+    field value.
+    """
+    inverse, slot = graph._factored()
+    y = inverse.y
+    (c, *numerators), d = inverse.in_ring([const, *weight.values()])
+    big_n = sum(numerators)
+    sparse = [(slot[v], n_v) for v, n_v in zip(weight, numerators) if v in slot]
+    at_base = c * inverse.det + sum(n_v * y[i][i] for i, n_v in sparse)
+
+    def numerator(i: int | None):  # d det j(w) for w at index i (None: base)
+        if i is None:
+            return at_base
+        return at_base + big_n * y[i][i] - 2 * sum(n_v * y[i][k] for k, n_v in sparse)
+
+    return {w: inverse.value(numerator(slot.get(w)), d) for w in graph.vertex_ids}
 
 
 def integrate(

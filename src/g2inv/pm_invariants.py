@@ -6,15 +6,18 @@ probability measure mu making x -> g(x,x) + g(K,x) constant), and from it
 the invariants epsilon, phi and lambda, together with the node counts
 delta0 (total length of non-bridge edges) and delta1 (bridge edges).
 
-Everything is derived from the graph's memoized vertex resistance matrix
-(see `metric_graph`): bridges are the edges with r(a, b) = len(e), the
-admissible measure and the diagonal Green's function have closed forms
-in r, and r(K, K) is read off directly.  Two runtime cross-checks stay
-hard errors: the admissibility of the measure is verified exactly with
-g(K, .) from one Poisson solve with source K - (2g-2) mu, independent of
-the resistance matrix (AdmissibilityFailureError), and phi is computed
-through two routes, an integral against the admissible measure and a
-resistance-pairing formula, compared exactly (FormulaMismatchError).
+Everything is derived from the graph's one factorization of its reduced
+Laplacian (see `metric_graph`): bridges are the edges with
+r(a, b) = len(e), the admissible measure and the diagonal Green's
+function have closed forms in r, and r(K, K) is read off directly.  A
+report solves nothing after that factorization.  Two runtime
+cross-checks stay hard errors: the admissibility of the measure is
+verified exactly through the Laplacian of the diagonal, which must equal
+deg(K) mu - K (`is_admissible`, AdmissibilityFailureError), and phi is
+computed through two routes, an integral against the admissible measure
+and a resistance-pairing formula, compared exactly
+(FormulaMismatchError).  `admissibility_poly`, which solves for
+g(K, .) with one Poisson solve, stays as the independent reference route.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .metric_graph import (
     PiecewisePoly,
     diagonal_green,
     integrate,
+    poly_laplacian,
     resistance_pairing,
     solve_poisson,
     vertex_point,
@@ -90,11 +94,32 @@ def admissibility_poly(
     `diag` is mu's diagonal Green's function (`diagonal_green`).  By
     linearity g(K, .) = sum_p K(p) g(p, .) solves Delta f = K - deg(K) mu
     with integral(f dmu) = 0: one Poisson solve, independent of the
-    resistance matrix.
+    resistance matrix.  Kept as the independent reference for
+    `is_admissible`, which reports use and which solves nothing.
     """
     k = canonical_divisor(graph)
     f = solve_poisson(graph, k, mu.scale(-k.degree), graph.vertex_ids[0])
     return diag + f.add_constant(-integrate(graph, f, measure=mu))
+
+
+def is_admissible(graph: PMGraph, mu: GraphMeasure, diag: PiecewisePoly) -> bool:
+    """Whether x -> g_mu(x,x) + g_mu(K,x) is constant, from the Laplacian of
+    `diag` (mu's `diagonal_green`) alone.
+
+    Delta_x g_mu(K, x) = K - deg(K) mu, and on a connected graph a
+    continuous piecewise quadratic is constant exactly when its Laplacian
+    is 0 (Baker-Faber 2006).  So the sum is constant exactly when
+    Delta diag = deg(K) mu - K, at every vertex and as a density on every
+    edge: an exact comparison, with no solve.
+    """
+    k = canonical_divisor(graph)
+    points, density = poly_laplacian(diag)
+    return all(
+        density.density(e) - k.degree * mu.density(e) == 0 for e in graph.edge_ids
+    ) and all(
+        points.coefficient(p) + k.coefficient(p) - k.degree * mu.mass(p.vertex) == 0
+        for p in map(vertex_point, graph.vertex_ids)
+    )
 
 
 def admissible_measure(graph: PMGraph) -> GraphMeasure:
@@ -106,7 +131,7 @@ def admissible_measure(graph: PMGraph) -> GraphMeasure:
     the graph minus e.  That is (L - r(a, b)) / (g L^2), which vanishes on
     bridges and is 1/(g L) on loops.  `nonarch_report` verifies the
     property exactly on every run (AdmissibilityFailureError otherwise);
-    `admissibility_poly` checks it for any measure.
+    `is_admissible` and `admissibility_poly` check it for any measure.
     """
     g = total_genus(graph)
     if g == 0:
@@ -147,15 +172,15 @@ class NonArchReport:
 def nonarch_report(graph: PMGraph) -> NonArchReport:
     """All invariants at once, from one admissible measure and its diagonal.
 
-    The measure must make g(x,x) + g(K,x) exactly constant, else
-    AdmissibilityFailureError.  phi is the integral of g(x,x) against (10g+2) mu - delta_K, minus
-    delta/4; for g = 2 it must equal -delta/4 - 3/8 r(K,K) + 2 epsilon
-    exactly, else FormulaMismatchError.
+    The measure must make g(x,x) + g(K,x) exactly constant (`is_admissible`),
+    else AdmissibilityFailureError.  phi is the integral of g(x,x) against
+    (10g+2) mu - delta_K, minus delta/4; for g = 2 it must equal
+    -delta/4 - 3/8 r(K,K) + 2 epsilon exactly, else FormulaMismatchError.
     """
     g = _genus_at_least_two(graph)
     mu = admissible_measure(graph)
     diag = diagonal_green(graph, mu)
-    if admissibility_poly(graph, mu, diag).constant_value() is None:
+    if not is_admissible(graph, mu, diag):
         raise AdmissibilityFailureError(
             "g(x,x) + g(K,x) is not constant for the closed-form measure"
         )

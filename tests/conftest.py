@@ -93,3 +93,22 @@ def subdivide_at(graph, points, mu=None):
 @pytest.fixture
 def rng():
     return random.Random(20260817)
+
+
+@pytest.fixture
+def skewed_admissible_measure(monkeypatch):
+    """Make `pm_invariants.admissible_measure` return a probability measure
+    that is not admissible: half the closed form plus half a unit mass at
+    the first vertex (admissible only where the closed form is that mass)."""
+    from g2inv import pm_invariants
+
+    closed_form = pm_invariants.admissible_measure
+
+    def skewed(graph):
+        mu = closed_form(graph)
+        masses = mu.vertex_masses
+        v = graph.vertex_ids[0]
+        masses[v] = mu.mass(v) + 1
+        return GraphMeasure(masses, mu.edge_densities).scale(Fraction(1, 2))
+
+    monkeypatch.setattr(pm_invariants, "admissible_measure", skewed)

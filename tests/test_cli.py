@@ -17,6 +17,7 @@ from test_theta_surface import random_tau, reference_log_h
 
 from g2inv.cli import main
 from g2inv.errors import TruncationOverflowError
+from g2inv.fiber_catalog import FiberType, graph_of_type
 from g2inv.formats import arch_from_dict, nonarch_from_dict, save_graph, save_tau
 from g2inv.metric_graph import PMGraph
 from g2inv.theta_surface import SiegelMatrix, ThetaChar, even_characteristics, theta
@@ -368,3 +369,32 @@ def test_table_mismatch_exits_4(monkeypatch, capsys):
     monkeypatch.setattr(g2inv.cli, "closed_form", skewed)
     assert main(["table"]) == 4
     assert "symbolic table row II(a): phi" in capsys.readouterr().err
+
+
+def test_nonarch_non_admissible_measure_exits_4(tmp_path, skewed_admissible_measure, capsys):
+    path = tmp_path / "vii.json"
+    save_graph(str(path), graph_of_type(FiberType("VII", (1, 2, 3))))
+    assert main(["nonarch", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal cross-check failed: ")
+    assert "offending graph:" in err
+
+
+@pytest.mark.parametrize("argv", [["verify", "--samples", "1"], ["table"]])
+def test_graph_sweeps_non_admissible_measure_exit_4(argv, skewed_admissible_measure, capsys):
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal cross-check failed: ")
+    assert "Traceback" not in err
+
+
+def test_verify_formula_mismatch_exits_4(monkeypatch, capsys):
+    import g2inv.pm_invariants
+
+    pairing = g2inv.pm_invariants.resistance_pairing
+    # r(K, K) one too large: the resistance route to phi disagrees
+    monkeypatch.setattr(
+        g2inv.pm_invariants, "resistance_pairing", lambda *args: pairing(*args) + 1
+    )
+    assert main(["verify", "--samples", "1"]) == 4
+    assert capsys.readouterr().err.startswith("internal cross-check failed: phi routes disagree")

@@ -16,6 +16,7 @@ from g2inv.exact import (
     as_rational,
     inverse_dense,
     rational_function_field,
+    ring_inverse,
     sign_known_nonnegative,
     solve_dense,
     sort_exact,
@@ -73,6 +74,29 @@ def test_solves_pivot_in_both_fields():
     assert inverse_dense([[a, 1], [1, 0]]) == [[0, 1], [1, -a]]
     with pytest.raises(ValueError):
         solve_dense([[a, b], [2 * a, 2 * b]], [1, 1])
+
+
+def test_ring_inverse_stays_in_the_ring_until_read():
+    F = Fraction
+    matrix = [[F(3, 2), F(-1, 2)], [F(-1, 2), F(5, 6)]]
+    inverse = ring_inverse(matrix)
+    y = inverse.y
+    assert all(type(x) is int for x in [*y[0], *y[1], inverse.det])
+    want = inverse_dense(matrix)
+    assert [[inverse.value(x) for x in row] for row in y] == want
+    # a ring combination is one value: the trace of the inverse
+    assert inverse.value(y[0][0] + y[1][1]) == want[0][0] + want[1][1]
+    assert inverse.in_ring([F(1, 2), F(-2, 3), 4]) == ([3, -4, 24], 6)
+    assert inverse.value(3 * y[0][1], 6) == want[0][1] / 2
+    # a field element in the context puts a rational matrix in its ring, so
+    # values of that field can be combined with the entries
+    _, a = rational_function_field("a")
+    inverse = ring_inverse(matrix, context=[a])
+    (n,), d = inverse.in_ring([1 / a])
+    assert inverse.value(n * inverse.y[0][0], d) == want[0][0] / a
+    empty = ring_inverse([], context=[a])
+    (n,), d = empty.in_ring([a / 3])
+    assert empty.value(n, 3 * d) == a / 9
 
 
 # -- the elimination, checked by direct multiplication only ------------------

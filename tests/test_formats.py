@@ -104,6 +104,20 @@ def test_graph_document_validation():
         )
 
 
+def test_null_vertex_id_is_refused(tmp_path, capsys):
+    """A null id would read as an edge point, not as a vertex."""
+    doc = {
+        "vertices": [{"id": None, "genus": 1}, {"id": "w", "genus": 1}],
+        "edges": [{"id": "e", "from": None, "to": "w", "length": "1"}],
+    }
+    with pytest.raises(ValueError, match="vertex id must not be None"):
+        graph_from_dict(doc)
+    path = tmp_path / "null-id.json"
+    path.write_text(json.dumps(doc))
+    assert main(["nonarch", str(path)]) == 2
+    assert capsys.readouterr().err == "error: a vertex id must not be None\n"
+
+
 def test_tau_round_trip(tmp_path):
     tau = SiegelMatrix(np.array([[0.12 + 1.3j, 0.21 + 0.33j], [0.21 + 0.33j, -0.17 + 1.1j]]))
     path = tmp_path / "tau.json"

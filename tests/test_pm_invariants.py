@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from g2inv import metric_graph, pm_invariants
-from g2inv.errors import GenusZeroError
+from g2inv.errors import AdmissibilityFailureError, GenusZeroError
 from g2inv.exact import rational_function_field
 from g2inv.fiber_catalog import FiberType, closed_form, graph_of_type
 from g2inv.metric_graph import PMGraph, diagonal_green, subdivide, vertex_point
@@ -149,30 +149,36 @@ def test_admissibility_property_random(rng):
         seen += 1
 
 
-def test_report_makes_one_poisson_solve_and_one_inversion(monkeypatch):
-    """g(K, .) takes one Poisson solve however many points K has, and the
-    resistance matrix one inversion: a count, so it holds on any host."""
+def test_report_refuses_a_measure_that_is_not_admissible(skewed_admissible_measure):
+    graph = graph_of_type(FiberType("VII", (1, 2, 3)))
+    with pytest.raises(AdmissibilityFailureError):
+        nonarch_report(graph)
+
+
+def test_report_makes_no_poisson_solve_and_one_factorization(monkeypatch):
+    """The resistance data is one factorization of the reduced Laplacian
+    and admissibility is read off a Laplacian, so a report solves nothing
+    after the factorization: a count, so it holds on any host."""
     base = graph_of_type(FiberType("VII", (1, 2, 3)))
     graph = subdivide(base, {e: [base.edge_length(e) / 2] for e in base.edge_ids})
     assert len(canonical_divisor(graph)) == 2
-    calls = {"solve_poisson": 0, "inverse_dense": 0}
+    calls = {"solve_poisson": 0, "solve_dense": 0, "ring_inverse": 0}
 
-    def counting(name, inner):
+    def counting(module, name):
+        inner = getattr(module, name)
+
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return inner(*args, **kwargs)
-        return wrapper
 
-    solve = counting("solve_poisson", metric_graph.solve_poisson)
-    # both names: the one nonarch_report's check calls, and the one every
-    # Green's function and resistance solve in metric_graph calls
-    monkeypatch.setattr(pm_invariants, "solve_poisson", solve, raising=False)
-    monkeypatch.setattr(metric_graph, "solve_poisson", solve)
-    monkeypatch.setattr(
-        metric_graph, "inverse_dense", counting("inverse_dense", metric_graph.inverse_dense)
-    )
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(pm_invariants, "solve_poisson")
+    counting(metric_graph, "solve_poisson")
+    counting(metric_graph, "solve_dense")
+    counting(metric_graph, "ring_inverse")
     nonarch_report(graph)
-    assert calls == {"solve_poisson": 1, "inverse_dense": 1}
+    assert calls == {"solve_poisson": 0, "solve_dense": 0, "ring_inverse": 1}
 
 
 # -- the seven table rows ------------------------------------------------------

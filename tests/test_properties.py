@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from conftest import PROPERTY_SETTINGS, subdivide_at
+from conftest import PROPERTY_SETTINGS, random_probability_measure, subdivide_at
 
 from g2inv.metric_graph import (
     GraphMeasure,
@@ -20,6 +20,7 @@ from g2inv.pm_invariants import (
     admissibility_poly,
     admissible_measure,
     canonical_divisor,
+    is_admissible,
     nonarch_report,
 )
 
@@ -118,6 +119,30 @@ def test_one_solve_g_k_matches_green_functions_admissible(graph):
 def test_one_solve_g_k_matches_green_functions_any_measure(case):
     """Any genus, and a measure that is not admissible: h is not constant."""
     assert_one_solve_matches_green_functions(*case)
+
+
+@PROPERTY_SETTINGS
+@given(pm_graphs(genus=2), st.randoms(use_true_random=False))
+def test_laplacian_check_agrees_with_poisson_route(graph, rng):
+    """is_admissible, read off the Laplacian of the diagonal, accepts
+    exactly when admissibility_poly's solved g(x,x) + g(K,x) is constant:
+    for the admissible measure, which both accept, a random one, and the
+    admissible one with half a unit of mass moved between two vertices,
+    which keeps the edge densities that the check compares."""
+    mu = admissible_measure(graph)
+    diag = diagonal_green(graph, mu)
+    assert is_admissible(graph, mu, diag)
+    assert admissibility_poly(graph, mu, diag).constant_value() is not None
+    measures = [random_probability_measure(rng, graph)]
+    if graph.num_vertices > 1:
+        u, v = graph.vertex_ids[:2]
+        masses = mu.vertex_masses
+        masses[u], masses[v] = mu.mass(u) + Fraction(1, 2), mu.mass(v) - Fraction(1, 2)
+        measures.append(GraphMeasure(masses, mu.edge_densities))
+    for nu in measures:
+        diag = diagonal_green(graph, nu)
+        constant = admissibility_poly(graph, nu, diag).constant_value() is not None
+        assert is_admissible(graph, nu, diag) == constant
 
 
 @PROPERTY_SETTINGS
