@@ -14,7 +14,6 @@ from .errors import (
     GenusZeroError,
     InvalidParamsError,
     NonProbabilityMeasureError,
-    NonZeroMassError,
     NotPositiveDefiniteError,
     QuadratureUnstableError,
     TruncationOverflowError,
@@ -26,8 +25,6 @@ from .metric_graph import (
     GraphMeasure,
     PMGraph,
     diagonal_green,
-    effective_resistance,
-    green_function,
     resistance_pairing,
     subdivide,
     vertex_point,
@@ -83,7 +80,6 @@ __all__ = [
     "InvalidParamsError",
     "NonArchReport",
     "NonProbabilityMeasureError",
-    "NonZeroMassError",
     "NotPositiveDefiniteError",
     "PMGraph",
     "QuadratureConfig",
@@ -99,10 +95,8 @@ __all__ = [
     "classify",
     "closed_form",
     "diagonal_green",
-    "effective_resistance",
     "even_characteristics",
     "graph_of_type",
-    "green_function",
     "log_delta2",
     "log_h",
     "node_counts",

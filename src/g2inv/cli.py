@@ -15,6 +15,7 @@ Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -67,6 +68,7 @@ def _default_tolerance(default: float) -> float:
     return value
 
 
+@functools.cache  # the parser reads no state, so one per process serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="g2inv",

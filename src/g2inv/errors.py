@@ -7,10 +7,6 @@ class G2Error(Exception):
 
 # -- metric graphs ----------------------------------------------------------
 
-class NonZeroMassError(G2Error):
-    """The source measure of a Poisson problem does not have total mass zero."""
-
-
 class DisconnectedError(G2Error):
     """The graph is not connected."""
 

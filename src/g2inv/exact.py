@@ -1,4 +1,4 @@
-"""Exact arithmetic: the field, coercion, signs, ordering, dense linear solves.
+"""Exact arithmetic: the field, coercion, signs, ordering, the ring inverse.
 
 The graph half of the package computes over an exact field, and this is
 the only module that knows which.  Numbers are `fractions.Fraction`.
@@ -17,19 +17,17 @@ field elements; Python's `<` on them is a structural order, not a numeric
 one.  sympy is imported by the first `rational_function_field` call, so
 rational work never loads it.
 
-Linear solves (`solve_dense`; `inverse_dense` and `ring_inverse` as one
-elimination with n right-hand sides) run one fraction-free loop,
-Bareiss's elimination (Math. Comp. 22, 1968), in the ring of numerators:
-Z for rational entries, the polynomial ring Q[a, b, ...] once any entry
-is a field element.  Each row is scaled by the lcm of its denominators,
-every update (p a_rc - f a_kc) / prev is an exact ring division, and
-back-substitution against the last pivot det gives y = det x in the
-ring.  `solve_dense` and `inverse_dense` then build each x = y / det as a
-field value, reduced once.  `ring_inverse` builds none: it returns
-Y = det M^-1 and det as they are (`RingInverse`), so a caller combines
-entries in the ring and pays one reduction per value it reads.
-`_ring_of` supplies the few kind-specific pieces; the loop itself never
-changes.
+The one linear-algebra entry point, `ring_inverse`, inverts a matrix by
+one fraction-free loop with n right-hand sides, Bareiss's elimination
+(Math. Comp. 22, 1968), in the ring of numerators: Z for rational
+entries, the polynomial ring Q[a, b, ...] once any entry is a field
+element.  Each row is scaled by the lcm of its denominators, every
+update (p a_rc - f a_kc) / prev is an exact ring division, and
+back-substitution against the last pivot det gives Y = det M^-1 in the
+ring.  No entry is rebuilt as a field value: `RingInverse` keeps Y and
+det as they are, so a caller combines entries in the ring and pays one
+reduction per value it reads.  `_ring_of` supplies the few kind-specific
+pieces; the loop itself never changes.
 """
 
 from __future__ import annotations
@@ -115,40 +113,19 @@ def sort_exact(values: Iterable[Any]) -> list:
     return sorted(values, key=cmp_to_key(compare))
 
 
-def solve_dense(matrix: Sequence[Sequence[Any]], rhs: Sequence[Any]) -> list:
-    """Solve a square system exactly by fraction-free elimination.
-
-    Raises ValueError on a singular matrix.
-    """
-    ring = _ring_of([x for row in matrix for x in row] + list(rhs))
-    ys, det = _eliminate(matrix, [[b] for b in rhs], ring)
-    return [ring.rebuild(y, det) for (y,) in ys]
-
-
-def inverse_dense(matrix: Sequence[Sequence[Any]]) -> list:
-    """The exact inverse of a square matrix: one elimination, n right-hand sides.
-
-    Raises ValueError on a singular matrix.
-    """
-    inverse = ring_inverse(matrix)
-    return [[inverse.value(y) for y in row] for row in inverse.y]
-
-
 def ring_inverse(
     matrix: Sequence[Sequence[Any]], context: Iterable[Any] = ()
 ) -> RingInverse:
     """The inverse of a square matrix, left in the ring of numerators.
 
-    One elimination with n right-hand sides, as `inverse_dense`, but no
-    entry is rebuilt as a field value.  The ring is chosen from the
-    entries and the `context` values together, so values of the context's
-    field can later be brought into it (`RingInverse.in_ring`).  Raises
-    ValueError on a singular matrix.
+    One elimination with n right-hand sides, and no entry is rebuilt as
+    a field value.  The ring is chosen from the entries and the `context`
+    values together, so values of the context's field can later be
+    brought into it (`RingInverse.in_ring`).  Raises ValueError on a
+    singular matrix.
     """
     ring = _ring_of([x for row in matrix for x in row] + list(context))
-    n = len(matrix)
-    identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    return RingInverse(ring, *_eliminate(matrix, identity, ring))
+    return RingInverse(ring, *_eliminate(matrix, ring))
 
 
 @dataclass(frozen=True)
@@ -216,15 +193,16 @@ def _common_denominator(ring: _Ring, values: Iterable[Any]) -> tuple[list, Any]:
     return [p * ring.quotient(d, q) for p, q in parts], d
 
 
-def _eliminate(
-    matrix: Sequence[Sequence[Any]], rhs: Sequence[Sequence[Any]], ring: _Ring
-) -> tuple[list, Any]:
-    """(Y, det) with Y = det X for matrix X = rhs (a block of right-hand
-    sides, rows of rhs), all in the ring, by fraction-free elimination
-    (see the module docstring).  Raises ValueError on a singular matrix."""
+def _eliminate(matrix: Sequence[Sequence[Any]], ring: _Ring) -> tuple[list, Any]:
+    """(Y, det) with Y = det M^-1, all in the ring, by fraction-free
+    elimination of [M | I] (see the module docstring).  Raises ValueError
+    on a singular matrix."""
     n = len(matrix)
     quotient = ring.quotient
-    aug = [_common_denominator(ring, (*row, *rhs[i]))[0] for i, row in enumerate(matrix)]
+    aug = [
+        _common_denominator(ring, (*row, *(int(i == j) for j in range(n))))[0]
+        for i, row in enumerate(matrix)
+    ]
     prev = ring.one
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)

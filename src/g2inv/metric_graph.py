@@ -3,13 +3,15 @@
 A polarized metric graph is a finite connected multigraph (loops allowed)
 whose edges carry positive lengths and whose vertices carry nonnegative
 integer weights.  Treating edge lengths as resistances turns the graph
-into an electrical network; this module solves the associated Laplace
-problems exactly: the vertex resistance matrix, Poisson equations,
-effective resistance, the resistance pairing on divisors, Green's
-functions for vertex-mass-plus-constant-density measures, and exact
-integration.  Lengths are rationals, or rational functions of positive
-symbolic lengths; the code is the same for both, because only `exact`
-knows the field (see there).
+into an electrical network; this module computes its potential theory
+exactly from one primitive, the vertex resistances: the resistance
+pairing on divisors, the diagonal Green's function of a
+vertex-mass-plus-constant-density measure, the distributional Laplacian
+of a piecewise quadratic, and exact integration.  It solves no Poisson
+equation; the tests keep one, as an independent reference route.
+Lengths are rationals, or rational functions of positive symbolic
+lengths; the code is the same for both, because only `exact` knows the
+field (see there).
 
 Conventions:
 
@@ -42,11 +44,12 @@ Conventions:
 
   and for x, z on e at distance d, r(x, z) = d - k d^2.  The diagonal
   Green's function is integrated from these, with no per-point solve.
-* Sources are vertex supported: the solvers raise ValueError on a point
-  inside an edge.  To put a source there, `subdivide` the graph first;
-  the cut is a genus-0 vertex and values at the old points are unchanged.
-  Evaluating a function (`PiecewisePoly.__call__`) and integrating it
-  against a divisor take interior points, as they solve nothing.
+* Divisors paired by resistance are vertex supported:
+  `resistance_pairing` raises ValueError on a point inside an edge.  To
+  put a point there, `subdivide` the graph first; the cut is a genus-0
+  vertex and values at the old points are unchanged.  Evaluating a
+  function (`PiecewisePoly.__call__`) and integrating it against a
+  divisor take interior points.
 """
 
 from __future__ import annotations
@@ -55,20 +58,8 @@ from fractions import Fraction
 from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Mapping
 
-from .errors import (
-    DisconnectedError,
-    FormulaMismatchError,
-    NonProbabilityMeasureError,
-    NonZeroMassError,
-)
-from .exact import (
-    RingInverse,
-    as_rational,
-    ring_inverse,
-    sign_known_nonnegative,
-    solve_dense,
-    sort_exact,
-)
+from .errors import DisconnectedError, FormulaMismatchError, NonProbabilityMeasureError
+from .exact import RingInverse, as_rational, ring_inverse, sign_known_nonnegative, sort_exact
 
 VertexId = Hashable
 EdgeId = Hashable
@@ -136,8 +127,7 @@ class PMGraph:
         while stack:
             v = stack.pop()
             for eid, end in self._incident[v]:
-                u, w, _ = self._edges[eid]
-                other = w if end == 0 else u
+                other = self._edges[eid][1 - end]
                 if other not in seen:
                     seen.add(other)
                     stack.append(other)
@@ -185,10 +175,7 @@ class PMGraph:
 
     @property
     def total_length(self):
-        total = Fraction(0)
-        for _, _, length in self._edges.values():
-            total = total + length
-        return total
+        return sum((length for _, _, length in self._edges.values()), Fraction(0))
 
     def resistance(self, a: VertexId, b: VertexId):
         """Effective resistance between two vertices.
@@ -314,10 +301,7 @@ class GraphDivisor:
 
     @property
     def degree(self):
-        total = Fraction(0)
-        for c in self._coeffs.values():
-            total = total + c
-        return total
+        return sum(self._coeffs.values(), Fraction(0))
 
     def coefficient(self, pt: GraphPoint):
         return self._coeffs.get(pt, Fraction(0))
@@ -388,9 +372,6 @@ class GraphMeasure:
             {v: m * factor for v, m in self._mass.items()},
             {e: d * factor for e, d in self._density.items()},
         )
-
-    def __neg__(self) -> "GraphMeasure":
-        return self.scale(-1)
 
     def __repr__(self) -> str:
         return f"GraphMeasure(masses={self._mass!r}, densities={self._density!r})"
@@ -524,35 +505,13 @@ def subdivide(graph: PMGraph, cuts: Mapping[EdgeId, Iterable[Any]]) -> PMGraph:
     return PMGraph(vertices, edges)
 
 
-# -- core solves ------------------------------------------------------------
+# -- resistances ------------------------------------------------------------
 
 
 def _vertex_of(p: GraphPoint) -> VertexId:
     if not p.is_vertex:
         raise ValueError(f"{p!r} lies inside an edge; subdivide the graph there first")
     return p.vertex
-
-
-def _combined_source(
-    graph: PMGraph, divisor: GraphDivisor | None, measure: GraphMeasure | None
-) -> tuple[dict[VertexId, Any], dict[EdgeId, Any]]:
-    """Vertex point masses and edge densities of divisor + measure.
-
-    The divisor part must be vertex supported.
-    """
-    point_mass: dict[VertexId, Any] = {v: Fraction(0) for v in graph.vertex_ids}
-    density: dict[EdgeId, Any] = {e: Fraction(0) for e in graph.edge_ids}
-    if divisor is not None:
-        for pt, coeff in divisor.support:
-            graph.validate_point(pt)
-            v = _vertex_of(pt)
-            point_mass[v] = point_mass[v] + coeff
-    if measure is not None:
-        for v, m in measure.vertex_masses.items():
-            point_mass[v] = point_mass[v] + m
-        for e, d in measure.edge_densities.items():
-            density[e] = density[e] + d
-    return point_mass, density
 
 
 def _reduced_laplacian(graph: PMGraph, base: VertexId) -> tuple[list, list]:
@@ -568,8 +527,7 @@ def _reduced_laplacian(graph: PMGraph, base: VertexId) -> tuple[list, list]:
     for v in order:
         i = index[v]
         for eid, end in graph.incident(v):
-            u, w = graph.edge_ends(eid)
-            other = w if end == 0 else u
+            other = graph.edge_ends(eid)[1 - end]
             if other == v:
                 continue  # loop: no off-diagonal term
             conductance = 1 / graph.edge_length(eid)
@@ -580,83 +538,11 @@ def _reduced_laplacian(graph: PMGraph, base: VertexId) -> tuple[list, list]:
     return order, matrix
 
 
-def _solve_vertex_potentials(
-    graph: PMGraph,
-    point_mass: Mapping[VertexId, Any],
-    density: Mapping[EdgeId, Any],
-    base: VertexId,
-) -> dict[VertexId, Any]:
-    """Solve the weighted-Laplacian system L f = b with f(base) = 0.
-
-    b(p) collects the point mass at p plus half of each incident edge's
-    density mass (a loop contributes its full density mass).
-    """
-    order, matrix = _reduced_laplacian(graph, base)
-    if not order:
-        return {base: Fraction(0)}
-    rhs = []
-    for v in order:
-        b = point_mass[v]
-        for eid, _ in graph.incident(v):
-            b = b + density[eid] * graph.edge_length(eid) / 2
-        rhs.append(b)
-    try:
-        sol = solve_dense(matrix, rhs)
-    except ValueError as exc:  # pragma: no cover - cannot happen when connected
-        raise AssertionError(
-            "reduced Laplacian of a connected graph is nonsingular"
-        ) from exc
-    potentials = {base: Fraction(0)}
-    for v, val in zip(order, sol):
-        potentials[v] = val
-    return potentials
-
-
-def _poly_from_potentials(
-    graph: PMGraph,
-    potentials: Mapping[VertexId, Any],
-    density: Mapping[EdgeId, Any],
-) -> PiecewisePoly:
-    coeffs = {}
-    for e in graph.edge_ids:
-        u, v = graph.edge_ends(e)
-        length = graph.edge_length(e)
-        c2 = -density[e] / 2
-        c0 = potentials[u]
-        c1 = (potentials[v] - potentials[u]) / length - c2 * length
-        coeffs[e] = (c2, c1, c0)
-    return PiecewisePoly(graph, coeffs, dict(potentials), check=False)
-
-
-def solve_poisson(
-    graph: PMGraph,
-    divisor: GraphDivisor | None,
-    measure: GraphMeasure | None,
-    base: VertexId,
-) -> PiecewisePoly:
-    """Solve Delta f = divisor + measure with f(base) = 0.
-
-    The source must have total mass exactly zero, and its divisor must
-    be vertex supported (see the module docstring).
-    """
-    if base not in graph.vertex_ids:
-        raise ValueError(f"base vertex {base!r} not in graph")
-    total = divisor.degree if divisor is not None else Fraction(0)
-    if measure is not None:
-        total = total + measure.total_mass(graph)
-    if total != 0:
-        raise NonZeroMassError(f"source has total mass {total}, expected 0")
-
-    point_mass, density = _combined_source(graph, divisor, measure)
-    potentials = _solve_vertex_potentials(graph, point_mass, density, base)
-    return _poly_from_potentials(graph, potentials, density)
-
-
 def poly_laplacian(f: PiecewisePoly) -> tuple[GraphDivisor, GraphMeasure]:
     """The distributional Laplacian of f, split into points and densities.
 
-    Inverse of `solve_poisson` up to the base-point normalization: it
-    returns (divisor of vertex masses, measure holding -f'' per edge).
+    Returns (divisor of vertex masses, measure holding -f'' per edge), in
+    the sign convention of the module docstring.
     """
     graph = f.graph
     density = {}
@@ -672,21 +558,6 @@ def poly_laplacian(f: PiecewisePoly) -> tuple[GraphDivisor, GraphMeasure]:
     return points, GraphMeasure({}, density)
 
 
-def effective_resistance(graph: PMGraph, x: GraphPoint, y: GraphPoint):
-    """Effective resistance between two vertex points, edge lengths as
-    resistances, by one Poisson solve (independent of `PMGraph.resistance`)."""
-    graph.validate_point(x)
-    graph.validate_point(y)
-    vx, vy = _vertex_of(x), _vertex_of(y)
-    if vx == vy:
-        return Fraction(0)
-    f = solve_poisson(graph, GraphDivisor([(x, 1), (y, -1)]), None, base=vy)
-    r = f.value_at_vertex(vx)
-    if sign_known_nonnegative(r) is False:  # pragma: no cover - sanity guard
-        raise AssertionError("negative effective resistance")
-    return r
-
-
 def resistance_pairing(graph: PMGraph, d: GraphDivisor, e: GraphDivisor):
     """The resistance function extended bilinearly to pairs of vertex
     supported divisors, read from the memoized resistance matrix."""
@@ -698,20 +569,6 @@ def resistance_pairing(graph: PMGraph, d: GraphDivisor, e: GraphDivisor):
             if a != b:
                 total = total + cx * cy * graph.resistance(a, b)
     return total
-
-
-def green_function(graph: PMGraph, mu: GraphMeasure, y: GraphPoint) -> PiecewisePoly:
-    """The Green's function g(., y) of a probability measure.
-
-    Solves Delta g = delta_y - mu, normalized by integral(g dmu) = 0.  The
-    pole y must be a vertex.
-    """
-    mass = mu.total_mass(graph)
-    if mass - 1 != 0:
-        raise NonProbabilityMeasureError(f"measure has mass {mass}, expected 1")
-    graph.validate_point(y)
-    f = solve_poisson(graph, GraphDivisor([(y, 1)]), -mu, base=_vertex_of(y))
-    return f.add_constant(-integrate(graph, f, measure=mu))
 
 
 def diagonal_green(graph: PMGraph, mu: GraphMeasure) -> PiecewisePoly:

@@ -16,8 +16,12 @@ verified exactly through the Laplacian of the diagonal, which must equal
 deg(K) mu - K (`is_admissible`, AdmissibilityFailureError), and phi is
 computed through two routes, an integral against the admissible measure
 and a resistance-pairing formula, compared exactly
-(FormulaMismatchError).  `admissibility_poly`, which solves for
-g(K, .) with one Poisson solve, stays as the independent reference route.
+(FormulaMismatchError).  The independent Poisson-solve route for g(K, .)
+lives in the tests, as the reference these checks are tested against.
+
+A report needs a pm-graph: its canonical divisor K must be effective,
+so a genus-0 vertex of valence 1, where K has coefficient -1, is refused
+with a ValueError that names it.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from .metric_graph import (
     integrate,
     poly_laplacian,
     resistance_pairing,
-    solve_poisson,
     vertex_point,
 )
 
@@ -76,30 +79,10 @@ def is_bridge(graph: PMGraph, e) -> bool:
 
 
 def node_counts(graph: PMGraph) -> NodeCounts:
-    delta0 = Fraction(0)
-    delta1 = Fraction(0)
-    for e in graph.edge_ids:
-        if is_bridge(graph, e):
-            delta1 = delta1 + graph.edge_length(e)
-        else:
-            delta0 = delta0 + graph.edge_length(e)
+    bridge = {e: is_bridge(graph, e) for e in graph.edge_ids}
+    delta0 = sum((graph.edge_length(e) for e in bridge if not bridge[e]), Fraction(0))
+    delta1 = sum((graph.edge_length(e) for e in bridge if bridge[e]), Fraction(0))
     return NodeCounts(delta0, delta1)
-
-
-def admissibility_poly(
-    graph: PMGraph, mu: GraphMeasure, diag: PiecewisePoly
-) -> PiecewisePoly:
-    """The function x -> g_mu(x,x) + g_mu(K,x); constant iff mu is admissible.
-
-    `diag` is mu's diagonal Green's function (`diagonal_green`).  By
-    linearity g(K, .) = sum_p K(p) g(p, .) solves Delta f = K - deg(K) mu
-    with integral(f dmu) = 0: one Poisson solve, independent of the
-    resistance matrix.  Kept as the independent reference for
-    `is_admissible`, which reports use and which solves nothing.
-    """
-    k = canonical_divisor(graph)
-    f = solve_poisson(graph, k, mu.scale(-k.degree), graph.vertex_ids[0])
-    return diag + f.add_constant(-integrate(graph, f, measure=mu))
 
 
 def is_admissible(graph: PMGraph, mu: GraphMeasure, diag: PiecewisePoly) -> bool:
@@ -131,7 +114,7 @@ def admissible_measure(graph: PMGraph) -> GraphMeasure:
     the graph minus e.  That is (L - r(a, b)) / (g L^2), which vanishes on
     bridges and is 1/(g L) on loops.  `nonarch_report` verifies the
     property exactly on every run (AdmissibilityFailureError otherwise);
-    `is_admissible` and `admissibility_poly` check it for any measure.
+    `is_admissible` checks it for any measure.
     """
     g = total_genus(graph)
     if g == 0:
@@ -176,15 +159,22 @@ def nonarch_report(graph: PMGraph) -> NonArchReport:
     else AdmissibilityFailureError.  phi is the integral of g(x,x) against
     (10g+2) mu - delta_K, minus delta/4; for g = 2 it must equal
     -delta/4 - 3/8 r(K,K) + 2 epsilon exactly, else FormulaMismatchError.
+    A genus-0 vertex of valence 1 makes K not effective: ValueError.
     """
     g = _genus_at_least_two(graph)
+    k = canonical_divisor(graph)
+    leaf = next((p.vertex for p, c in k.support if c < 0), None)
+    if leaf is not None:
+        raise ValueError(
+            f"vertex {leaf!r} has genus 0 and valence 1, so the canonical "
+            "divisor is not effective: not a pm-graph"
+        )
     mu = admissible_measure(graph)
     diag = diagonal_green(graph, mu)
     if not is_admissible(graph, mu, diag):
         raise AdmissibilityFailureError(
             "g(x,x) + g(K,x) is not constant for the closed-form measure"
         )
-    k = canonical_divisor(graph)
     counts = node_counts(graph)
     r_kk = resistance_pairing(graph, k, k)
     diag_k = integrate(graph, diag, divisor=k)

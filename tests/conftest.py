@@ -48,6 +48,17 @@ def random_pm_graph(
     return PMGraph(vertices, edges)
 
 
+def drop_genus0_leaves(graph: PMGraph) -> PMGraph:
+    """The graph without its genus-0 vertices of valence 1, each dropped
+    with its edge until none is left.  Total genus and connectedness stay."""
+    leaf = next((v for v in graph.vertex_ids if (graph.genus(v), graph.degree(v)) == (0, 1)), None)
+    if leaf is None:
+        return graph
+    vertices = [(v, graph.genus(v)) for v in graph.vertex_ids if v != leaf]
+    edges = [(e, *graph.edge_ends(e), graph.edge_length(e)) for e in graph.edge_ids]
+    return drop_genus0_leaves(PMGraph(vertices, [e for e in edges if leaf not in e[1:3]]))
+
+
 def random_probability_measure(rng: random.Random, graph: PMGraph) -> GraphMeasure:
     """A random probability measure with masses on some vertices and edges."""
     masses = {v: Fraction(rng.randint(0, 4)) for v in graph.vertex_ids}

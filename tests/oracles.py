@@ -1,16 +1,124 @@
-"""Independent floating-point oracle: resistor-chain discretization.
+"""Reference routes the package's potential theory is tested against.
 
-Each edge is replaced by n equal resistors in series; measures are lumped
-onto the chain nodes (half a segment's mass to each segment endpoint).
-Everything is solved with numpy in floats, sharing no code with the exact
-rational path.  Agreement is expected to O(1/n).
+The exact Poisson route solves Delta f = divisor + measure for the vertex
+potentials by a plain Gauss-Jordan elimination in field arithmetic
+(`solve`); resistances, Green's functions and g(K, .) each take one such
+solve.  It imports nothing from `g2inv.exact` and asks no `PMGraph` for a
+resistance, so it shares no elimination code with `ring_inverse`.
+
+The float oracle replaces each edge by n equal resistors in series and
+lumps measures onto the chain nodes (half a segment's mass to each end),
+solved with numpy in floats.  Agreement is expected to O(1/n).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
-from g2inv.metric_graph import GraphMeasure, PMGraph
+from g2inv.errors import NonProbabilityMeasureError
+from g2inv.metric_graph import GraphDivisor, GraphMeasure, PiecewisePoly, PMGraph, integrate
+
+
+class NonZeroMassError(Exception):
+    """The source of a Poisson problem does not have total mass zero."""
+
+
+def solve(matrix, rhs) -> list:
+    """x with matrix x = rhs, by Gauss-Jordan elimination on the field values
+    themselves (Fractions or rational functions).  Raises ValueError on a
+    singular matrix."""
+    rows = [
+        [Fraction(x) if isinstance(x, int) else x for x in (*row, b)]
+        for row, b in zip(matrix, rhs)
+    ]
+    for col in range(len(rows)):
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            raise ValueError("singular system")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        top = rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r, row in enumerate(rows):
+            if r != col and row[col] != 0:
+                rows[r] = [x - row[col] * y for x, y in zip(row, top)]
+    return [row[-1] for row in rows]
+
+
+def _vertex_of(p):
+    if not p.is_vertex:
+        raise ValueError(f"{p!r} lies inside an edge; subdivide the graph there first")
+    return p.vertex
+
+
+def solve_poisson(graph: PMGraph, divisor, measure, base) -> PiecewisePoly:
+    """f with Delta f = divisor + measure and f(base) = 0, in the sign
+    convention of `g2inv.metric_graph`.  The source must have total mass
+    zero (NonZeroMassError) and a vertex-supported divisor (ValueError).
+
+    Row v of the system is the weighted Laplacian, sum over the non-loop
+    edges at v of (f(v) - f(w)) / len, against the point mass at v plus
+    half of each incident edge's density mass (a loop's twice)."""
+    if base not in graph.vertex_ids:
+        raise ValueError(f"base vertex {base!r} not in graph")
+    mass = dict.fromkeys(graph.vertex_ids, Fraction(0))
+    density = dict.fromkeys(graph.edge_ids, Fraction(0))
+    for p, c in divisor.support if divisor is not None else ():
+        graph.validate_point(p)
+        mass[_vertex_of(p)] += c
+    if measure is not None:
+        for v, m in measure.vertex_masses.items():
+            mass[v] += m
+        density.update(measure.edge_densities)
+    total = sum(mass.values()) + sum(d * graph.edge_length(e) for e, d in density.items())
+    if total != 0:
+        raise NonZeroMassError(f"source has total mass {total}, expected 0")
+    order = [v for v in graph.vertex_ids if v != base]
+    matrix = [[Fraction(0)] * len(order) for _ in order]
+    rhs = [mass[v] for v in order]
+    for i, v in enumerate(order):
+        for e, end in graph.incident(v):
+            length = graph.edge_length(e)
+            rhs[i] += density[e] * length / 2
+            w = graph.edge_ends(e)[1 - end]
+            if w != v:
+                matrix[i][i] += 1 / length
+                if w != base:
+                    matrix[i][order.index(w)] -= 1 / length
+    f = {base: Fraction(0), **dict(zip(order, solve(matrix, rhs)))}
+    coeffs = {}
+    for e in graph.edge_ids:
+        (u, v), length, c2 = graph.edge_ends(e), graph.edge_length(e), -density[e] / 2
+        coeffs[e] = (c2, (f[v] - f[u]) / length - c2 * length, f[u])
+    return PiecewisePoly(graph, coeffs, f)
+
+
+def effective_resistance(graph: PMGraph, x, y):
+    """r(x, y) between two vertex points: f(x) for Delta f = delta_x - delta_y."""
+    f = solve_poisson(graph, GraphDivisor([(x, 1), (y, -1)]), None, _vertex_of(y))
+    return f.value_at_vertex(_vertex_of(x))
+
+
+def green_function(graph: PMGraph, mu: GraphMeasure, y) -> PiecewisePoly:
+    """g_mu(., y) for a probability measure mu and a vertex y: Delta g =
+    delta_y - mu, normalized by integral(g dmu) = 0."""
+    if mu.total_mass(graph) - 1 != 0:
+        raise NonProbabilityMeasureError("a Green's function needs a probability measure")
+    f = solve_poisson(graph, GraphDivisor([(y, 1)]), mu.scale(-1), _vertex_of(y))
+    return f.add_constant(-integrate(graph, f, measure=mu))
+
+
+def green_of_canonical(graph: PMGraph, mu: GraphMeasure) -> PiecewisePoly:
+    """g_mu(K, .) for the canonical divisor K (coefficient 2 q(v) - 2 + deg(v)):
+    by linearity Delta f = K - deg(K) mu with integral(f dmu) = 0, one solve.
+    mu is admissible exactly when diagonal_green(graph, mu) plus this is
+    constant."""
+    k = GraphDivisor(
+        (graph.vertex_point(v), 2 * graph.genus(v) - 2 + graph.degree(v))
+        for v in graph.vertex_ids
+    )
+    f = solve_poisson(graph, k, mu.scale(-k.degree), graph.vertex_ids[0])
+    return f.add_constant(-integrate(graph, f, measure=mu))
 
 
 class DiscreteNetwork:

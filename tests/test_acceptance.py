@@ -17,19 +17,15 @@ import numpy as np
 import pytest
 
 from conftest import rand_frac
-from oracles import DiscreteNetwork
+from oracles import DiscreteNetwork, green_function, green_of_canonical
 from test_theta_surface import random_tau
 
 from g2inv.cli import main
 from g2inv.errors import DegenerateThetaNullError
 from g2inv.fiber_catalog import ARITY, FiberType, closed_form, graph_of_type
 from g2inv.formats import save_tau
-from g2inv.metric_graph import PMGraph, diagonal_green, green_function, subdivide
-from g2inv.pm_invariants import (
-    admissibility_poly,
-    admissible_measure,
-    nonarch_report,
-)
+from g2inv.metric_graph import PMGraph, diagonal_green, subdivide
+from g2inv.pm_invariants import admissible_measure, nonarch_report
 from g2inv.theta_surface import (
     QuadratureConfig,
     SiegelMatrix,
@@ -152,7 +148,7 @@ def test_acceptance_05_admissibility():
                 params = tuple(rand_frac(rng) for _ in range(ARITY[tag]))
                 graph = graph_of_type(FiberType(tag, params))
                 mu = admissible_measure(graph)
-                h = admissibility_poly(graph, mu, diagonal_green(graph, mu))
+                h = diagonal_green(graph, mu) + green_of_canonical(graph, mu)
                 for e in h.graph.edge_ids:
                     c2, c1, _c0 = h.coefficients(e)
                     assert c2 == 0 and c1 == 0, (tag, params, e)

@@ -15,6 +15,7 @@ import pytest
 
 from test_theta_surface import random_tau, reference_log_h
 
+from g2inv import cli
 from g2inv.cli import main
 from g2inv.errors import TruncationOverflowError
 from g2inv.fiber_catalog import FiberType, graph_of_type
@@ -112,6 +113,17 @@ def test_nonarch_parse_failures_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_nonarch_genus0_leaf_exits_2(tmp_path, capsys):
+    # II(1) with a genus-0 leaf: K(leaf) = -1, so it is no pm-graph
+    path = tmp_path / "leaf.json"
+    save_graph(str(path), PMGraph([("u", 1), ("w", 1), ("leaf", 0)],
+                                  [("e", "u", "w", 1), ("h", "w", "leaf", 1)]))
+    assert main(["nonarch", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: vertex 'leaf' ")
+
+
 def test_nonarch_disconnected_graph_file_exits_2(tmp_path, capsys):
     path = tmp_path / "disconnected.json"
     path.write_text(json.dumps({
@@ -142,6 +154,24 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+def test_one_parser_serves_every_call(capsys):
+    """`main` builds its parser once per process: a structured call and an
+    argparse error (exit 2) in between leave later outputs as they were."""
+    assert cli._build_parser() is cli._build_parser()
+    human = ["nonarch", "--type", "VII", "--params", "1,2,3"]
+    calls = [human, [*human, "--format", "structured"], ["verify", "--samples", "2"]]
+
+    def output(argv):
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    first = [output(argv) for argv in calls]
+    with pytest.raises(SystemExit) as info:
+        main(["nonarch", "--format", "xml"])
+    assert info.value.code == 2
+    assert [output(argv) for argv in calls] == first
 
 
 def test_arch_structured_output_round_trips(tau_file, capsys):

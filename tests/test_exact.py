@@ -1,26 +1,34 @@
-"""The exact field: coercion, the sign rule, ordering and linear solves, over
-the rationals and over the rational-function field of the table."""
+"""The exact field: coercion, the sign rule, ordering and the ring inverse,
+over the rationals and over the rational-function field of the table; and
+the reference solve in `oracles`, which shares no code with the inverse."""
 
+import ast
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import given, strategies as st
 
 from conftest import PROPERTY_SETTINGS
+from oracles import solve
 
 from g2inv.exact import (
     as_rational,
-    inverse_dense,
     rational_function_field,
     ring_inverse,
     sign_known_nonnegative,
-    solve_dense,
     sort_exact,
 )
+
+
+def _inverse(matrix):
+    """`ring_inverse`'s entries, each read as one field value."""
+    inverse = ring_inverse(matrix)
+    return [[inverse.value(y) for y in row] for row in inverse.y]
 
 
 def test_coercion():
@@ -65,15 +73,21 @@ def test_sort_exact():
 
 
 def test_solves_pivot_in_both_fields():
+    # a zero leading entry forces a row swap, in the inverse and the reference
     F = Fraction
-    solution = solve_dense([[F(0), F(2)], [F(3), F(1)]], [F(4), F(5)])
-    assert solution == [1, 2] and all(isinstance(x, Fraction) for x in solution)
+    inverse = _inverse([[F(0), F(2)], [F(3), F(1)]])
+    assert inverse == [[F(-1, 6), F(1, 3)], [F(1, 2), 0]]
+    solution = solve([[F(0), F(2)], [F(3), F(1)]], [F(4), F(5)])
+    assert solution == [1, 2]
+    assert all(isinstance(x, Fraction) for x in [*solution, *inverse[0], *inverse[1]])
     _, a, b = rational_function_field("a,b")
-    # a zero leading entry forces a row swap
-    assert solve_dense([[0, a], [b, 1]], [a, b + 1]) == [1, 1]
-    assert inverse_dense([[a, 1], [1, 0]]) == [[0, 1], [1, -a]]
+    assert solve([[0, a], [b, 1]], [a, b + 1]) == [1, 1]
+    assert _inverse([[0, a], [b, 1]]) == [[-1 / (a * b), 1 / b], [1 / a, 0]]
+    assert _inverse([[a, 1], [1, 0]]) == [[0, 1], [1, -a]]
     with pytest.raises(ValueError):
-        solve_dense([[a, b], [2 * a, 2 * b]], [1, 1])
+        ring_inverse([[a, b], [2 * a, 2 * b]])
+    with pytest.raises(ValueError):
+        solve([[a, b], [2 * a, 2 * b]], [1, 1])
 
 
 def test_ring_inverse_stays_in_the_ring_until_read():
@@ -82,7 +96,7 @@ def test_ring_inverse_stays_in_the_ring_until_read():
     inverse = ring_inverse(matrix)
     y = inverse.y
     assert all(type(x) is int for x in [*y[0], *y[1], inverse.det])
-    want = inverse_dense(matrix)
+    want = [[F(5, 6), F(1, 2)], [F(1, 2), F(3, 2)]]
     assert [[inverse.value(x) for x in row] for row in y] == want
     # a ring combination is one value: the trace of the inverse
     assert inverse.value(y[0][0] + y[1][1]) == want[0][0] + want[1][1]
@@ -99,7 +113,7 @@ def test_ring_inverse_stays_in_the_ring_until_read():
     assert empty.value(n, 3 * d) == a / 9
 
 
-# -- the elimination, checked by direct multiplication only ------------------
+# -- the eliminations, checked by direct multiplication only -----------------
 
 ENTRIES = st.one_of(st.just(Fraction(0)), st.fractions(-9, 9, max_denominator=7))
 NONZERO = st.fractions(-9, 9, max_denominator=7).filter(lambda x: x != 0)
@@ -138,10 +152,10 @@ def nonsingular_matrices(draw, max_size=8):
 def test_elimination_inverts_and_solves(matrix, rhs):
     n = len(matrix)
     b = rhs[:n]
-    inverse = inverse_dense(matrix)
+    inverse = _inverse(matrix)
     assert _matmul(matrix, inverse) == _identity(n)
     assert all(isinstance(x, Fraction) for row in inverse for x in row)
-    x = solve_dense(matrix, b)
+    x = solve(matrix, b)
     assert _matmul(matrix, [[v] for v in x]) == [[v] for v in b]
 
 
@@ -161,9 +175,9 @@ def test_elimination_rejects_a_scaled_duplicate_row(case):
     n = len(matrix)
     matrix[(source + shift) % n] = [factor * x for x in matrix[source]]
     with pytest.raises(ValueError, match="singular system"):
-        inverse_dense(matrix)
+        ring_inverse(matrix)
     with pytest.raises(ValueError, match="singular system"):
-        solve_dense(matrix, [Fraction(1)] * n)
+        solve(matrix, [Fraction(1)] * n)
 
 
 def test_elimination_over_rational_functions():
@@ -175,10 +189,10 @@ def test_elimination_over_rational_functions():
         [Fraction(-3, 4), 1 / (a + b), 5],
     ]
     rhs = [a, Fraction(2, 3), b / (a + 1)]
-    inverse = inverse_dense(matrix)
+    inverse = _inverse(matrix)
     product = [[sum(x * y for x, y in zip(row, col)) for col in zip(*inverse)] for row in matrix]
     assert all(product[i][j] - int(i == j) == 0 for i in range(3) for j in range(3))
-    x = solve_dense(matrix, rhs)
+    x = solve(matrix, rhs)
     assert all(sum(m * v for m, v in zip(row, x)) - r == 0 for row, r in zip(matrix, rhs))
 
 
@@ -191,3 +205,14 @@ def test_rational_work_does_not_load_sympy():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True)
+
+
+def test_reference_solve_shares_no_code_with_the_runtime():
+    """`oracles` imports nothing from `g2inv.exact` and asks no graph for a
+    resistance, so its Poisson route is independent of `ring_inverse`."""
+    nodes = list(ast.walk(ast.parse(Path(__file__).with_name("oracles.py").read_text())))
+    imports = [n for n in nodes if isinstance(n, (ast.Import, ast.ImportFrom))]
+    names = [f"{getattr(n, 'module', '')}.{a.name}".lstrip(".") for n in imports for a in n.names]
+    assert names and not any(name.startswith("g2inv.exact") for name in names)
+    calls = [n.func for n in nodes if isinstance(n, ast.Call)]
+    assert not any(isinstance(f, ast.Attribute) and f.attr == "resistance" for f in calls)

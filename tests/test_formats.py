@@ -35,6 +35,7 @@ from g2inv.formats import (
     tau_from_dict,
 )
 from g2inv.metric_graph import PMGraph
+from g2inv.pm_invariants import total_genus
 from g2inv.theta_surface import ArchReport, SiegelMatrix
 
 
@@ -276,11 +277,17 @@ def test_bad_graph_files_exit_2_through_the_cli(tmp_path_factory, doc):
     path.write_text(json.dumps(doc))
     code, err = _run_cli(["nonarch", str(path)])
     assert "Traceback" not in err
-    if _load_or_input_error(graph_from_dict, doc) is None:
+    graph = _load_or_input_error(graph_from_dict, doc)
+    if graph is None:
         assert code == 2
         assert err.startswith("error: ")
+    elif total_genus(graph) != 2:
+        assert code == 3
+    elif any(graph.genus(v) == 0 and graph.degree(v) == 1 for v in graph.vertex_ids):
+        assert code == 2  # a genus-0 leaf: K is not effective
+        assert err.startswith("error: vertex ")
     else:
-        assert code in (0, 3)  # genus 2, or any other genus
+        assert code == 0
 
 
 @settings(PROPERTY_SETTINGS, max_examples=20)

@@ -1,34 +1,28 @@
 """Exact potential theory on metric graphs, checked against hand-derived
-closed forms, internal identities, and the float resistor-chain oracle."""
+closed forms, internal identities, and the reference routes in `oracles`:
+the exact Poisson solve and the float resistor-chain network."""
 
-import random
 from fractions import Fraction
 
 import pytest
 
-from g2inv.errors import (
-    DisconnectedError,
-    NonProbabilityMeasureError,
-    NonZeroMassError,
-)
+from g2inv.errors import DisconnectedError, NonProbabilityMeasureError
 from g2inv.exact import rational_function_field
 from g2inv.metric_graph import (
     GraphDivisor,
     GraphMeasure,
     PMGraph,
     diagonal_green,
-    effective_resistance,
-    green_function,
     integrate,
     poly_laplacian,
     resistance_pairing,
-    solve_poisson,
     subdivide,
     vertex_point,
 )
 
-from conftest import rand_frac, random_pm_graph, random_probability_measure, subdivide_at
-from oracles import DiscreteNetwork
+from conftest import random_pm_graph, random_probability_measure, subdivide_at
+from oracles import DiscreteNetwork, NonZeroMassError, effective_resistance
+from oracles import green_function, solve_poisson
 
 
 def segment(a):
@@ -115,7 +109,7 @@ def test_measure_mass_and_probability():
     assert mu.total_mass(g) == 1
     assert mu.is_probability(g)
     assert not mu.scale(2).is_probability(g)
-    assert (-mu).total_mass(g) == -1
+    assert mu.scale(-1).total_mass(g) == -1
 
 
 # -- Poisson equation --------------------------------------------------------

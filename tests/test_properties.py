@@ -1,23 +1,20 @@
 """Property tests over random pm-graphs with loops, parallel edges, bridges
 and vertex weights: the closed-form resistance-matrix results against the
-Poisson-solve routes they replaced, and the invariance laws of the report."""
+Poisson-solve reference routes in `oracles`, and the invariance laws of
+the report."""
 
+import re
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
-from conftest import PROPERTY_SETTINGS, random_probability_measure, subdivide_at
+from conftest import PROPERTY_SETTINGS, drop_genus0_leaves, random_probability_measure, subdivide_at
+from oracles import effective_resistance, green_function, green_of_canonical
 
-from g2inv.metric_graph import (
-    GraphMeasure,
-    PMGraph,
-    diagonal_green,
-    effective_resistance,
-    green_function,
-)
+from g2inv.metric_graph import GraphMeasure, PMGraph, diagonal_green
 from g2inv.pm_invariants import (
     NonArchReport,
-    admissibility_poly,
     admissible_measure,
     canonical_divisor,
     is_admissible,
@@ -52,6 +49,10 @@ def pm_graphs(draw, max_vertices=5, genus=None):
         for _ in range(genus - extras):
             weights[draw(st.integers(0, n - 1))] += 1
     return PMGraph(list(zip(names, weights)), edges)
+
+
+# what a report accepts: genus 2 and no genus-0 leaf (see `drop_genus0_leaves`)
+REPORTABLE = pm_graphs(genus=2).map(drop_genus0_leaves)
 
 
 @st.composite
@@ -94,11 +95,11 @@ def test_diagonal_green_matches_green_function(case):
 
 
 def assert_one_solve_matches_green_functions(graph, mu):
-    """admissibility_poly's single Poisson solve for g(K, .) equals the sum
-    of K(p) g(p, .) over one solve per support point, coefficient by
-    coefficient; a shift by a constant (a wrong normalization) fails too."""
+    """The single Poisson solve for g(K, .) equals the sum of K(p) g(p, .)
+    over one solve per support point, coefficient by coefficient; a shift
+    by a constant (a wrong normalization) fails too."""
     diag = diagonal_green(graph, mu)
-    h = admissibility_poly(graph, mu, diag)
+    h = diag + green_of_canonical(graph, mu)
     want = diag
     for p, coeff in canonical_divisor(graph).support:
         want = want + green_function(graph, mu, p).scale(coeff)
@@ -125,14 +126,14 @@ def test_one_solve_g_k_matches_green_functions_any_measure(case):
 @given(pm_graphs(genus=2), st.randoms(use_true_random=False))
 def test_laplacian_check_agrees_with_poisson_route(graph, rng):
     """is_admissible, read off the Laplacian of the diagonal, accepts
-    exactly when admissibility_poly's solved g(x,x) + g(K,x) is constant:
+    exactly when g(x,x) + g(K,x), with g(K, .) solved, is constant:
     for the admissible measure, which both accept, a random one, and the
     admissible one with half a unit of mass moved between two vertices,
     which keeps the edge densities that the check compares."""
     mu = admissible_measure(graph)
     diag = diagonal_green(graph, mu)
     assert is_admissible(graph, mu, diag)
-    assert admissibility_poly(graph, mu, diag).constant_value() is not None
+    assert (diag + green_of_canonical(graph, mu)).constant_value() is not None
     measures = [random_probability_measure(rng, graph)]
     if graph.num_vertices > 1:
         u, v = graph.vertex_ids[:2]
@@ -141,12 +142,12 @@ def test_laplacian_check_agrees_with_poisson_route(graph, rng):
         measures.append(GraphMeasure(masses, mu.edge_densities))
     for nu in measures:
         diag = diagonal_green(graph, nu)
-        constant = admissibility_poly(graph, nu, diag).constant_value() is not None
+        constant = (diag + green_of_canonical(graph, nu)).constant_value() is not None
         assert is_admissible(graph, nu, diag) == constant
 
 
 @PROPERTY_SETTINGS
-@given(pm_graphs(genus=2))
+@given(REPORTABLE)
 def test_phi_matches_cinkir_tau_route(graph):
     """phi = 4 tau + r(K,K)/8 - ell/4 for total genus 2 (Cinkir 2011), with
     tau = 1/4 sum_e [(r(b,y) - r(a,y))^2 / L + (L/3)(1 - r(a,b)/L)^2] and
@@ -180,7 +181,7 @@ def _rebuild(graph, vertices=None, edges=None):
 
 
 @PROPERTY_SETTINGS
-@given(pm_graphs(genus=2), st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9))
+@given(REPORTABLE, st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9))
 def test_report_scales_with_lengths(graph, t):
     """Every invariant but the genus is homogeneous of degree 1 in the lengths."""
     report = nonarch_report(graph)
@@ -200,7 +201,7 @@ def test_report_scales_with_lengths(graph, t):
 
 
 @PROPERTY_SETTINGS
-@given(pm_graphs(genus=2))
+@given(REPORTABLE)
 def test_report_ignores_vertex_order(graph):
     """Reversing the vertex order moves the base vertex of the resistance
     matrix and the pivot order of every solve; the report stays the same."""
@@ -209,7 +210,7 @@ def test_report_ignores_vertex_order(graph):
 
 
 @PROPERTY_SETTINGS
-@given(pm_graphs(genus=2))
+@given(REPORTABLE)
 def test_report_ignores_halving_every_edge(graph):
     """A genus-0 vertex at the middle of every edge changes no invariant."""
     vertices = [(v, graph.genus(v)) for v in graph.vertex_ids]
@@ -220,3 +221,16 @@ def test_report_ignores_halving_every_edge(graph):
         vertices.append((f"mid-{e}", 0))
         edges += [(f"{e}a", u, f"mid-{e}", half), (f"{e}b", f"mid-{e}", v, half)]
     assert nonarch_report(_rebuild(graph, vertices, edges)) == nonarch_report(graph)
+
+
+@PROPERTY_SETTINGS
+@given(pm_graphs(genus=2))
+def test_report_refuses_exactly_the_graphs_with_a_genus0_leaf(graph):
+    """K is effective unless some genus-0 vertex has valence 1: the report
+    names the first such vertex, and accepts every other genus-2 draw."""
+    leaves = [v for v in graph.vertex_ids if graph.genus(v) == 0 and graph.degree(v) == 1]
+    if not leaves:
+        nonarch_report(graph)
+        return
+    with pytest.raises(ValueError, match=re.escape(f"vertex {leaves[0]!r} has genus 0")):
+        nonarch_report(graph)
