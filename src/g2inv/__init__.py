@@ -26,6 +26,7 @@ from .metric_graph import (
     PMGraph,
     diagonal_green,
     resistance_pairing,
+    smooth,
     subdivide,
     vertex_point,
 )
@@ -104,6 +105,7 @@ __all__ = [
     "odd_characteristics",
     "resistance_pairing",
     "siegel_reduce",
+    "smooth",
     "subdivide",
     "theta",
     "theta_norm",

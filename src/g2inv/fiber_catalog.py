@@ -5,18 +5,19 @@ genus-0 vertices, is one of seven graphs, labeled I through VII with up
 to three positive length parameters.  This module builds the pm-graph of
 a type, evaluates the known closed-form invariants directly (without
 touching the potential-theory machinery, so the two routes stay
-independent), and recognizes the type of a given graph.
+independent), and recognizes the type of a graph from its stable model
+(`metric_graph.smooth`).  `g2inv nonarch` compares every report with
+`closed_form(classify(graph))` exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
 
 from .errors import InvalidParamsError, UnclassifiableError
 from .exact import as_rational, sign_known_nonnegative, sort_exact
-from .metric_graph import PMGraph
+from .metric_graph import PMGraph, smooth
 from .pm_invariants import NonArchReport, total_genus
 
 ARITY = {"I": 0, "II": 1, "III": 1, "IV": 2, "V": 2, "VI": 3, "VII": 3}
@@ -143,73 +144,39 @@ def closed_form(t: FiberType) -> NonArchReport:
     )
 
 
-def _suppressed_shape(graph: PMGraph):
-    """Merge away valence-2 genus-0 vertices; returns (genus map, edge map)."""
-    verts = {v: graph.genus(v) for v in graph.vertex_ids}
-    edges: dict[Any, tuple] = {
-        e: (*graph.edge_ends(e), graph.edge_length(e)) for e in graph.edge_ids
-    }
-    fresh = 0
-    while True:
-        target = None
-        for v, q in verts.items():
-            if q != 0:
-                continue
-            ends = [
-                (e, i)
-                for e, (a, b, _) in edges.items()
-                for i, x in enumerate((a, b))
-                if x == v
-            ]
-            if len(ends) != 2 or ends[0][0] == ends[1][0]:
-                continue  # not valence 2, or sits alone on a loop
-            target = (v, ends)
-            break
-        if target is None:
-            return verts, edges
-        v, ((e1, i1), (e2, i2)) = target
-        a1 = edges[e1][1 - i1]
-        a2 = edges[e2][1 - i2]
-        merged = edges[e1][2] + edges[e2][2]
-        del edges[e1], edges[e2], verts[v]
-        edges[("merged", fresh)] = (a1, a2, merged)
-        fresh += 1
-
-
 def classify(graph: PMGraph) -> FiberType:
     """The fiber type of a genus-2 pm-graph, parameters canonicalized."""
     if total_genus(graph) != 2:
         raise UnclassifiableError(
             f"total genus is {total_genus(graph)}, expected 2"
         )
-    verts, edges = _suppressed_shape(graph)
-    loops = {e: d for e, d in edges.items() if d[0] == d[1]}
-    links = {e: d for e, d in edges.items() if d[0] != d[1]}
+    stable = smooth(graph)
+    verts = {v: stable.genus(v) for v in stable.vertex_ids}
+    edges = [(*stable.edge_ends(e), stable.edge_length(e)) for e in stable.edge_ids]
+    loops = [d for d in edges if d[0] == d[1]]
+    links = [d for d in edges if d[0] != d[1]]
     genera = sorted(verts.values())
 
     if len(verts) == 1 and not edges and genera == [2]:
         return FiberType("I")
     if len(verts) == 2 and len(links) == 1 and not loops and genera == [1, 1]:
-        return FiberType("II", (next(iter(links.values()))[2],))
+        return FiberType("II", (links[0][2],))
     if len(verts) == 1 and len(loops) == 1 and not links and genera == [1]:
-        return FiberType("III", (next(iter(loops.values()))[2],))
+        return FiberType("III", (loops[0][2],))
     if len(verts) == 2 and len(links) == 1 and len(loops) == 1:
-        bu, bw, blen = next(iter(links.values()))
-        lu, _, llen = next(iter(loops.values()))
+        (bu, bw, blen), (lu, _, llen) = links[0], loops[0]
         other = bw if lu == bu else bu
         if verts[lu] == 0 and verts[other] == 1:
             return FiberType("IV", (blen, llen))
     if len(verts) == 1 and len(loops) == 2 and not links and genera == [0]:
-        la, lb = (d[2] for d in loops.values())
-        return FiberType("V", (la, lb)).canonical()
+        return FiberType("V", tuple(d[2] for d in loops)).canonical()
     if len(verts) == 2 and len(links) == 1 and len(loops) == 2 and genera == [0, 0]:
-        loop_at = {d[0]: d[2] for d in loops.values()}
-        bu, bw, blen = next(iter(links.values()))
+        loop_at = {d[0]: d[2] for d in loops}
+        bu, bw, blen = links[0]
         if set(loop_at) == {bu, bw}:
             return FiberType("VI", (blen, loop_at[bu], loop_at[bw])).canonical()
     if len(verts) == 2 and len(links) == 3 and not loops and genera == [0, 0]:
-        lengths = tuple(d[2] for d in links.values())
-        return FiberType("VII", lengths).canonical()
+        return FiberType("VII", tuple(d[2] for d in links)).canonical()
     raise UnclassifiableError(
         "genus-2 graph does not reduce to any of the seven fiber shapes"
     )

@@ -144,9 +144,6 @@ def save_tau(path: str, tau: SiegelMatrix) -> None:
         fh.write("\n")
 
 
-NONARCH_KEYS = ("genus", "delta0", "delta1", "rKK", "epsilon", "phi", "lambda")
-
-
 def nonarch_to_dict(report: NonArchReport) -> dict:
     return {
         "genus": report.genus,
@@ -169,20 +166,6 @@ def nonarch_from_dict(doc: dict) -> NonArchReport:
         phi=parse_rational(doc["phi"]),
         lambda_=parse_rational(doc["lambda"]),
     )
-
-
-ARCH_KEYS = (
-    "log_delta2",
-    "log_h",
-    "log_h_stderr",
-    "delta_f",
-    "log_s",
-    "phi",
-    "phi_stderr",
-    "lambda",
-    "residual",
-    "rejected",
-)
 
 
 def arch_to_dict(report: ArchReport) -> dict:

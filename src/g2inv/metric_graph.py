@@ -49,7 +49,8 @@ Conventions:
   put a point there, `subdivide` the graph first; the cut is a genus-0
   vertex and values at the old points are unchanged.  Evaluating a
   function (`PiecewisePoly.__call__`) and integrating it against a
-  divisor take interior points.
+  divisor take interior points.  `smooth` undoes subdivision, leaving the
+  stable model, the graph that `pm_invariants.nonarch_report` factors.
 """
 
 from __future__ import annotations
@@ -505,6 +506,42 @@ def subdivide(graph: PMGraph, cuts: Mapping[EdgeId, Iterable[Any]]) -> PMGraph:
     return PMGraph(vertices, edges)
 
 
+def smooth(graph: PMGraph) -> PMGraph:
+    """The graph with every genus-0 vertex of valence 2 merged away.
+
+    The inverse of `subdivide`, in one pass: each chain of genus-0 vertices
+    on two different edges becomes one edge with the summed length, under
+    the id and orientation of whichever of its end edges comes first, so
+    no id is new.  A genus-0 vertex alone on a loop stays, as does one
+    vertex of a bare cycle.  Total genus, first Betti number, total length
+    and every invariant (Zhang 1993) are kept.  With nothing to merge,
+    `graph` itself is returned, memoized factorization and all.
+    """
+
+    def merged(v: VertexId) -> bool:
+        ends = graph.incident(v)
+        return graph.genus(v) == 0 and len(ends) == 2 and ends[0][0] != ends[1][0]
+
+    keep = {v for v in graph.vertex_ids if not merged(v)}
+    if len(keep) == graph.num_vertices:
+        return graph
+    keep = keep or {graph.vertex_ids[0]}
+    seen: set[EdgeId] = set()
+    edges = []
+    for e in graph.edge_ids:
+        ends = graph.edge_ends(e)
+        start = 0 if ends[0] in keep else 1
+        if e in seen or ends[start] not in keep:
+            continue  # walked already, or inside a chain walked from its end
+        f, w, length = e, ends[1 - start], graph.edge_length(e)
+        while w not in keep:  # step through w along its other edge
+            f, end = next(pair for pair in graph.incident(w) if pair[0] != f)
+            seen.add(f)
+            w, length = graph.edge_ends(f)[1 - end], length + graph.edge_length(f)
+        edges.append((e, ends[0], w, length) if start == 0 else (e, w, ends[1], length))
+    return PMGraph([(v, graph.genus(v)) for v in graph.vertex_ids if v in keep], edges)
+
+
 # -- resistances ------------------------------------------------------------
 
 
@@ -571,8 +608,9 @@ def resistance_pairing(graph: PMGraph, d: GraphDivisor, e: GraphDivisor):
     return total
 
 
-def diagonal_green(graph: PMGraph, mu: GraphMeasure) -> PiecewisePoly:
-    """The diagonal x -> g(x, x) of the Green's function, per-edge quadratic.
+def diagonal_green(graph: PMGraph, mu: GraphMeasure) -> tuple[PiecewisePoly, Any]:
+    """The diagonal x -> g(x, x) of the Green's function, per-edge quadratic,
+    and its integral I/2 against mu.
 
     g(x, x) = j(x) - I/2 with j(x) the integral of r(x, z) dmu(z) and I
     the integral of j against mu.  j is integrated in closed form from the
@@ -625,7 +663,8 @@ def diagonal_green(graph: PMGraph, mu: GraphMeasure) -> PiecewisePoly:
         j_poly = PiecewisePoly(graph, coeffs, j)
     except ValueError as exc:
         raise FormulaMismatchError(f"diagonal Green's function: {exc}") from exc
-    return j_poly.add_constant(-integrate(graph, j_poly, measure=mu) / 2)
+    half = integrate(graph, j_poly, measure=mu) / 2
+    return j_poly.add_constant(-half), half
 
 
 def _resistance_sums(

@@ -6,18 +6,21 @@ probability measure mu making x -> g(x,x) + g(K,x) constant), and from it
 the invariants epsilon, phi and lambda, together with the node counts
 delta0 (total length of non-bridge edges) and delta1 (bridge edges).
 
-Everything is derived from the graph's one factorization of its reduced
-Laplacian (see `metric_graph`): bridges are the edges with
-r(a, b) = len(e), the admissible measure and the diagonal Green's
-function have closed forms in r, and r(K, K) is read off directly.  A
-report solves nothing after that factorization.  Two runtime
-cross-checks stay hard errors: the admissibility of the measure is
-verified exactly through the Laplacian of the diagonal, which must equal
-deg(K) mu - K (`is_admissible`, AdmissibilityFailureError), and phi is
-computed through two routes, an integral against the admissible measure
-and a resistance-pairing formula, compared exactly
-(FormulaMismatchError).  The independent Poisson-solve route for g(K, .)
-lives in the tests, as the reference these checks are tested against.
+The invariants do not depend on the model (Zhang 1993), so a report
+derives everything from one factorization of the reduced Laplacian of
+the stable model `smooth(graph)` (see `metric_graph`): bridges are the
+edges with r(a, b) = len(e), the admissible measure and the diagonal
+Green's function have closed forms in r, and r(K, K) is read off
+directly.  A report solves nothing after that factorization.  Two
+runtime cross-checks stay hard errors: the admissibility of the measure
+is verified exactly through the Laplacian of the diagonal, which must
+equal deg(K) mu - K (`is_admissible`, AdmissibilityFailureError), and
+phi is computed through two routes, an integral against the admissible
+measure and a resistance-pairing formula, compared exactly
+(FormulaMismatchError); `g2inv nonarch` adds the paper's closed forms as
+a third (see `nonarch_report`).  The independent Poisson-solve route for
+g(K, .) lives in the tests, as the reference these checks are tested
+against.
 
 A report needs a pm-graph: its canonical divisor K must be effective,
 so a genus-0 vertex of valence 1, where K has coefficient -1, is refused
@@ -44,6 +47,7 @@ from .metric_graph import (
     integrate,
     poly_laplacian,
     resistance_pairing,
+    smooth,
     vertex_point,
 )
 
@@ -128,13 +132,6 @@ def admissible_measure(graph: PMGraph) -> GraphMeasure:
     return GraphMeasure(masses, densities)
 
 
-def _genus_at_least_two(graph: PMGraph) -> int:
-    g = total_genus(graph)
-    if g < 2:
-        raise ValueError(f"invariant defined for total genus >= 2, got {g}")
-    return g
-
-
 @dataclass(frozen=True)
 class NonArchReport:
     """Every invariant of one graph: exact rationals throughout.
@@ -153,15 +150,21 @@ class NonArchReport:
 
 
 def nonarch_report(graph: PMGraph) -> NonArchReport:
-    """All invariants at once, from one admissible measure and its diagonal.
+    """All invariants at once, from one admissible measure and its diagonal
+    on the stable model `smooth(graph)`.
 
     The measure must make g(x,x) + g(K,x) exactly constant (`is_admissible`),
     else AdmissibilityFailureError.  phi is the integral of g(x,x) against
     (10g+2) mu - delta_K, minus delta/4; for g = 2 it must equal
     -delta/4 - 3/8 r(K,K) + 2 epsilon exactly, else FormulaMismatchError.
-    A genus-0 vertex of valence 1 makes K not effective: ValueError.
+    A genus-0 vertex of valence 1 makes K not effective: ValueError.  The
+    closed forms are compared by `cli._run_nonarch`, not here, because
+    `fiber_catalog` imports this module and `FiberType.canonical` cannot
+    order the symbolic lengths of `table`.
     """
-    g = _genus_at_least_two(graph)
+    g = total_genus(graph)
+    if g < 2:
+        raise ValueError(f"invariant defined for total genus >= 2, got {g}")
     k = canonical_divisor(graph)
     leaf = next((p.vertex for p, c in k.support if c < 0), None)
     if leaf is not None:
@@ -169,8 +172,9 @@ def nonarch_report(graph: PMGraph) -> NonArchReport:
             f"vertex {leaf!r} has genus 0 and valence 1, so the canonical "
             "divisor is not effective: not a pm-graph"
         )
+    graph = smooth(graph)  # K has no mass on a merged vertex: k stays valid
     mu = admissible_measure(graph)
-    diag = diagonal_green(graph, mu)
+    diag, diag_mu = diagonal_green(graph, mu)
     if not is_admissible(graph, mu, diag):
         raise AdmissibilityFailureError(
             "g(x,x) + g(K,x) is not constant for the closed-form measure"
@@ -178,7 +182,6 @@ def nonarch_report(graph: PMGraph) -> NonArchReport:
     counts = node_counts(graph)
     r_kk = resistance_pairing(graph, k, k)
     diag_k = integrate(graph, diag, divisor=k)
-    diag_mu = integrate(graph, diag, measure=mu)
     eps = diag_k + (2 * g - 2) * diag_mu
     phi = -counts.delta / 4 + (-diag_k + (10 * g + 2) * diag_mu) / 4
     if g == 2:

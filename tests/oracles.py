@@ -111,8 +111,8 @@ def green_function(graph: PMGraph, mu: GraphMeasure, y) -> PiecewisePoly:
 def green_of_canonical(graph: PMGraph, mu: GraphMeasure) -> PiecewisePoly:
     """g_mu(K, .) for the canonical divisor K (coefficient 2 q(v) - 2 + deg(v)):
     by linearity Delta f = K - deg(K) mu with integral(f dmu) = 0, one solve.
-    mu is admissible exactly when diagonal_green(graph, mu) plus this is
-    constant."""
+    mu is admissible exactly when the diagonal, diagonal_green(graph, mu)[0],
+    plus this is constant."""
     k = GraphDivisor(
         (graph.vertex_point(v), 2 * graph.genus(v) - 2 + graph.degree(v))
         for v in graph.vertex_ids

@@ -148,7 +148,7 @@ def test_acceptance_05_admissibility():
                 params = tuple(rand_frac(rng) for _ in range(ARITY[tag]))
                 graph = graph_of_type(FiberType(tag, params))
                 mu = admissible_measure(graph)
-                h = diagonal_green(graph, mu) + green_of_canonical(graph, mu)
+                h = diagonal_green(graph, mu)[0] + green_of_canonical(graph, mu)
                 for e in h.graph.edge_ids:
                     c2, c1, _c0 = h.coefficients(e)
                     assert c2 == 0 and c1 == 0, (tag, params, e)

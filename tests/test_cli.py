@@ -81,6 +81,53 @@ def test_nonarch_file_matches_inline_type(tmp_path, capsys):
     assert nonarch_from_dict(from_file) == nonarch_from_dict(inline)
 
 
+def halve(graph):
+    """The graph with a genus-0 vertex at the middle of every edge; the new
+    ids are strings, so the graph survives a JSON round trip."""
+    vertices = [(v, graph.genus(v)) for v in graph.vertex_ids]
+    edges = []
+    for e in graph.edge_ids:
+        (u, w), mid, half = graph.edge_ends(e), f"{e}.m", graph.edge_length(e) / 2
+        vertices.append((mid, 0))
+        edges += [(f"{e}.0", u, mid, half), (f"{e}.1", mid, w, half)]
+    return PMGraph(vertices, edges)
+
+
+@pytest.mark.parametrize("fmt", ["human", "structured"])
+def test_nonarch_on_a_halved_graph_prints_the_type_output(tmp_path, capsys, fmt):
+    """VII(1, 2, 3) halved twice (11 vertices) is reported through its
+    stable model and checked against the closed form of the type it
+    classifies as: byte for byte the output of --type."""
+    graph = halve(halve(graph_of_type(FiberType("VII", (1, 2, 3)))))
+    assert graph.num_vertices == 11
+    path = tmp_path / "vii.json"
+    save_graph(str(path), graph)
+    assert main(["nonarch", str(path), "--format", fmt]) == 0
+    from_file = capsys.readouterr()
+    assert main(["nonarch", "--type", "VII", "--params", "1,2,3", "--format", fmt]) == 0
+    assert from_file == capsys.readouterr()
+
+
+def test_nonarch_closed_form_mismatch_exits_4(monkeypatch, capsys):
+    """nonarch compares every report with the paper's closed form for its
+    type: a wrong closed form fails the cross-check and prints nothing on
+    stdout."""
+    import g2inv.fiber_catalog
+
+    def skewed(fiber):  # epsilon one too large
+        report = g2inv.fiber_catalog.closed_form(fiber)
+        return dataclasses.replace(report, epsilon=report.epsilon + 1)
+
+    monkeypatch.setattr(cli, "closed_form", skewed)
+    assert main(["nonarch", "--type", "VII", "--params", "1,2,3"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(
+        "internal cross-check failed: VII(1, 2, 3): epsilon is 12/11, closed form 23/11"
+    )
+    assert "offending graph:" in err
+
+
 def test_nonarch_wrong_genus_exits_3(tmp_path, capsys):
     circle = PMGraph([("v", 0)], [("e", "v", "v", Fraction(1))])
     path = tmp_path / "circle.json"

@@ -16,6 +16,7 @@ from g2inv.metric_graph import (
     integrate,
     poly_laplacian,
     resistance_pairing,
+    smooth,
     subdivide,
     vertex_point,
 )
@@ -191,6 +192,74 @@ def test_symbolic_cuts_are_ordered_numerically():
     _, a, b = rational_function_field("a,b")
     with pytest.raises(ValueError):
         subdivide(segment(a + b), {"e": [a, b]})  # a - b has no known sign
+
+
+def edge_table(g):
+    return {e: (*g.edge_ends(e), g.edge_length(e)) for e in g.edge_ids}
+
+
+def test_smooth_undoes_subdivision():
+    # each cut edge comes back whole under the id and orientation of its
+    # first piece; old vertices and the uncut edge stay as they were
+    g = theta_graph(1, 2, 3)
+    h = subdivide(g, {"ea": [Fraction(1, 2)], "eb": [Fraction(1, 2), 1, Fraction(3, 2)]})
+    assert h.num_vertices == 6
+    s = smooth(h)
+    assert s.vertex_ids == g.vertex_ids
+    assert edge_table(s) == {
+        ("seg", "ea", 0): ("u", "v", 1),
+        ("seg", "eb", 0): ("u", "v", 2),
+        "ec": ("u", "v", 3),
+    }
+    _, a = rational_function_field("a")
+    s = smooth(subdivide(segment(a), {"e": [a / 3, a / 4]}))
+    assert edge_table(s) == {("seg", "e", 0): ("u", "v", a)}
+
+
+def test_smooth_returns_its_input_when_nothing_merges():
+    # genus 0 on three edge-ends, genus 1 on two, and genus 0 alone on a
+    # loop all stay; the input object comes back, factorization memo and all
+    kept = [
+        theta_graph(1, 2, 3),
+        PMGraph([("a", 1), ("m", 1), ("b", 1)], [("x", "a", "m", 1), ("y", "m", "b", 2)]),
+        PMGraph([("v", 0)], [("e", "v", "v", 1)]),
+        PMGraph([("v", 2)]),
+    ]
+    for g in kept:
+        assert smooth(g) is g
+
+
+def test_smooth_bare_cycle_keeps_one_vertex():
+    g = PMGraph(
+        [("a", 0), ("b", 0), ("c", 0)],
+        [("x", "a", "b", 1), ("y", "b", "c", 2), ("z", "c", "a", 3)],
+    )
+    s = smooth(g)
+    assert s.vertex_ids == ("a",)
+    assert edge_table(s) == {"x": ("a", "a", 6)}
+
+
+def test_smooth_reuses_input_ids_only():
+    # ids that look like subdivide's and like a merge counter: every merged
+    # edge keeps an input id, so none can collide with an edge left as it is
+    g = PMGraph(
+        [("a", 1), (("cut", "e", 0), 0), ("b", 1), ("m", 0), ("n", 0)],
+        [
+            (("merged", 0), "a", ("cut", "e", 0), 1),
+            (("seg", "e", 1), ("cut", "e", 0), "b", 2),
+            ("f", "m", "a", 1),  # first end edge of its chain, kept end second
+            (("merged", 1), "m", "b", 1),
+            (("merged", 2), "a", "n", 1),
+            ("g", "n", "a", 2),  # a loop at a through n
+        ],
+    )
+    s = smooth(g)
+    assert s.vertex_ids == ("a", "b")
+    assert edge_table(s) == {
+        ("merged", 0): ("a", "b", 3),
+        "f": ("b", "a", 2),
+        ("merged", 2): ("a", "a", 3),
+    }
 
 
 def test_poly_laplacian_inverts_solve(rng):
@@ -391,8 +460,9 @@ def test_diagonal_green_segment_constant():
     a = Fraction(3)
     g = segment(a)
     mu = GraphMeasure({"u": Fraction(1, 2), "v": Fraction(1, 2)}, {})
-    diag = diagonal_green(g, mu)
+    diag, mean = diagonal_green(g, mu)
     assert diag.constant_value() == a / 4
+    assert mean == a / 4
 
 
 def test_diagonal_green_circle_with_vertex_mass():
@@ -400,7 +470,7 @@ def test_diagonal_green_circle_with_vertex_mass():
     a = Fraction(1)
     g = circle(a)
     mu = GraphMeasure({"v": Fraction(1, 2)}, {"e": 1 / (2 * a)})
-    diag = diagonal_green(g, mu)
+    diag, mean = diagonal_green(g, mu)
     assert diag.value_at_vertex("v") == a / 48
     # g(x, x) = t(a - t)/(2a) + a/48 at offset t
     assert diag.coefficients("e") == (
@@ -408,15 +478,16 @@ def test_diagonal_green_circle_with_vertex_mass():
         Fraction(1, 2),
         Fraction(1, 48),
     )
-    assert integrate(g, diag, measure=mu) == 5 * a / 96 + a / 96
+    assert integrate(g, diag, measure=mu) == mean == 5 * a / 96 + a / 96
 
 
 def test_diagonal_green_symbolic():
     field, a = rational_function_field("a")
     g = circle(a)
     mu = GraphMeasure({"v": Fraction(1, 2)}, {"e": 1 / (2 * a)})
-    diag = diagonal_green(g, mu)
+    diag, mean = diagonal_green(g, mu)
     assert diag.value_at_vertex("v") == a / 48
+    assert mean == integrate(g, diag, measure=mu)
     c2, c1, c0 = diag.coefficients("e")
     assert c2 == -1 / (2 * a)
     assert c1 == field(Fraction(1, 2))
@@ -426,7 +497,7 @@ def test_diagonal_green_against_discrete_oracle(rng):
     for _ in range(3):
         g = random_pm_graph(rng, max_vertices=3, extra_edges=2)
         mu = random_probability_measure(rng, g)
-        diag = diagonal_green(g, mu)
+        diag, _ = diagonal_green(g, mu)
         net = DiscreteNetwork(g, 100)
         approx = net.green_diagonal(mu)
         for v in g.vertex_ids:

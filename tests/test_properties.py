@@ -12,13 +12,24 @@ from hypothesis import given, strategies as st
 from conftest import PROPERTY_SETTINGS, drop_genus0_leaves, random_probability_measure, subdivide_at
 from oracles import effective_resistance, green_function, green_of_canonical
 
-from g2inv.metric_graph import GraphMeasure, PMGraph, diagonal_green
+from g2inv.fiber_catalog import classify, closed_form
+from g2inv.metric_graph import (
+    GraphMeasure,
+    PMGraph,
+    diagonal_green,
+    integrate,
+    resistance_pairing,
+    smooth,
+    subdivide,
+)
 from g2inv.pm_invariants import (
     NonArchReport,
     admissible_measure,
     canonical_divisor,
     is_admissible,
+    node_counts,
     nonarch_report,
+    total_genus,
 )
 
 LENGTHS = st.fractions(min_value=Fraction(1, 8), max_value=12, max_denominator=8)
@@ -84,7 +95,8 @@ def graphs_with_measure(draw):
 @given(graphs_with_measure())
 def test_diagonal_green_matches_green_function(case):
     graph, mu, offsets = case
-    diag = diagonal_green(graph, mu)
+    diag, mean = diagonal_green(graph, mu)
+    assert mean == integrate(graph, diag, measure=mu)
     for v in graph.vertex_ids:
         p = graph.vertex_point(v)
         assert diag(p) == green_function(graph, mu, p)(p)
@@ -98,7 +110,7 @@ def assert_one_solve_matches_green_functions(graph, mu):
     """The single Poisson solve for g(K, .) equals the sum of K(p) g(p, .)
     over one solve per support point, coefficient by coefficient; a shift
     by a constant (a wrong normalization) fails too."""
-    diag = diagonal_green(graph, mu)
+    diag, _ = diagonal_green(graph, mu)
     h = diag + green_of_canonical(graph, mu)
     want = diag
     for p, coeff in canonical_divisor(graph).support:
@@ -131,7 +143,7 @@ def test_laplacian_check_agrees_with_poisson_route(graph, rng):
     admissible one with half a unit of mass moved between two vertices,
     which keeps the edge densities that the check compares."""
     mu = admissible_measure(graph)
-    diag = diagonal_green(graph, mu)
+    diag, _ = diagonal_green(graph, mu)
     assert is_admissible(graph, mu, diag)
     assert (diag + green_of_canonical(graph, mu)).constant_value() is not None
     measures = [random_probability_measure(rng, graph)]
@@ -141,7 +153,7 @@ def test_laplacian_check_agrees_with_poisson_route(graph, rng):
         masses[u], masses[v] = mu.mass(u) + Fraction(1, 2), mu.mass(v) - Fraction(1, 2)
         measures.append(GraphMeasure(masses, mu.edge_densities))
     for nu in measures:
-        diag = diagonal_green(graph, nu)
+        diag, _ = diagonal_green(graph, nu)
         constant = (diag + green_of_canonical(graph, nu)).constant_value() is not None
         assert is_admissible(graph, nu, diag) == constant
 
@@ -171,6 +183,68 @@ def test_phi_matches_cinkir_tau_route(graph):
     assert report.phi == 4 * tau + r_kk / 8 - graph.total_length / 4
 
 
+@PROPERTY_SETTINGS
+@given(pm_graphs(), st.integers(0, 2))
+def test_smooth_merges_exactly_the_genus0_valence2_vertices(graph, halvings):
+    """On any graph, halved 0-2 times by `subdivide` (tuple ids): smooth
+    drops only genus-0 vertices of valence 2 and keeps every other vertex
+    with its genus and valence; it keeps total genus, first Betti number
+    and total length, reuses input edge ids, is idempotent, and returns
+    its input when nothing merges."""
+    for _ in range(halvings):
+        graph = subdivide(graph, {e: [graph.edge_length(e) / 2] for e in graph.edge_ids})
+    stable = smooth(graph)
+    for v in graph.vertex_ids:
+        if v in stable.vertex_ids:
+            assert (stable.genus(v), stable.degree(v)) == (graph.genus(v), graph.degree(v))
+        else:
+            assert (graph.genus(v), graph.degree(v)) == (0, 2)
+    assert (total_genus(stable), stable.betti1, stable.total_length) == (
+        total_genus(graph),
+        graph.betti1,
+        graph.total_length,
+    )
+    assert set(stable.edge_ids) <= set(graph.edge_ids)
+    assert smooth(stable) is stable
+    assert (stable is graph) == (stable.num_vertices == graph.num_vertices)
+
+
+@PROPERTY_SETTINGS
+@given(REPORTABLE)
+def test_stable_model_is_one_of_the_seven_types(graph):
+    """A genus-2 pm-graph smooths to at most 2 vertices and 3 edges, one
+    of the types I-VII, whose closed form equals the report."""
+    stable = smooth(graph)
+    assert stable.num_vertices <= 2
+    assert stable.num_edges <= 3
+    assert closed_form(classify(graph)) == nonarch_report(graph)
+
+
+def report_on_this_model(graph):
+    """The genus-2 report assembled from the public potential theory on
+    `graph` itself rather than on its stable model, which is all that
+    `nonarch_report` factors: so the arithmetic on large models stays
+    checked against the report."""
+    k = canonical_divisor(graph)
+    mu = admissible_measure(graph)
+    diag, mean = diagonal_green(graph, mu)
+    assert is_admissible(graph, mu, diag)
+    assert mean == integrate(graph, diag, measure=mu)
+    diag_k = integrate(graph, diag, divisor=k)
+    counts = node_counts(graph)
+    eps = diag_k + 2 * mean
+    phi = -counts.delta / 4 + (22 * mean - diag_k) / 4
+    return NonArchReport(
+        genus=2,
+        delta0=counts.delta0,
+        delta1=counts.delta1,
+        r_kk=resistance_pairing(graph, k, k),
+        epsilon=eps,
+        phi=phi,
+        lambda_=phi / 30 + (eps + counts.delta) / 12,
+    )
+
+
 def _rebuild(graph, vertices=None, edges=None):
     """A new PMGraph from the given (or the graph's own) vertex and edge lists."""
     if vertices is None:
@@ -183,13 +257,14 @@ def _rebuild(graph, vertices=None, edges=None):
 @PROPERTY_SETTINGS
 @given(REPORTABLE, st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9))
 def test_report_scales_with_lengths(graph, t):
-    """Every invariant but the genus is homogeneous of degree 1 in the lengths."""
+    """Every invariant but the genus is homogeneous of degree 1 in the
+    lengths, in the report and assembled on the unsmoothed graph."""
     report = nonarch_report(graph)
     scaled = _rebuild(
         graph,
         edges=[(e, *graph.edge_ends(e), t * graph.edge_length(e)) for e in graph.edge_ids],
     )
-    assert nonarch_report(scaled) == NonArchReport(
+    assert nonarch_report(scaled) == report_on_this_model(scaled) == NonArchReport(
         genus=report.genus,
         delta0=t * report.delta0,
         delta1=t * report.delta1,
@@ -212,7 +287,9 @@ def test_report_ignores_vertex_order(graph):
 @PROPERTY_SETTINGS
 @given(REPORTABLE)
 def test_report_ignores_halving_every_edge(graph):
-    """A genus-0 vertex at the middle of every edge changes no invariant."""
+    """A genus-0 vertex at the middle of every edge changes no invariant,
+    in the report (which smooths it away again) nor assembled on the
+    halved graph itself."""
     vertices = [(v, graph.genus(v)) for v in graph.vertex_ids]
     edges = []
     for e in graph.edge_ids:
@@ -220,7 +297,10 @@ def test_report_ignores_halving_every_edge(graph):
         half = graph.edge_length(e) / 2
         vertices.append((f"mid-{e}", 0))
         edges += [(f"{e}a", u, f"mid-{e}", half), (f"{e}b", f"mid-{e}", v, half)]
-    assert nonarch_report(_rebuild(graph, vertices, edges)) == nonarch_report(graph)
+    halved = _rebuild(graph, vertices, edges)
+    report = nonarch_report(graph)
+    assert nonarch_report(halved) == report
+    assert report_on_this_model(halved) == report
 
 
 @PROPERTY_SETTINGS
