@@ -42,6 +42,7 @@ from .formats import (
     nonarch_to_dict,
     parse_rational,
 )
+from .metric_graph import smooth
 from .pm_invariants import nonarch_report, total_genus
 
 TAGS = ("I", "II", "III", "IV", "V", "VI", "VII")
@@ -130,8 +131,9 @@ def _run_nonarch(args) -> int:
     if g != 2:
         print(f"error: graph has total genus {g}, need 2", file=sys.stderr)
         return 3
+    stable = smooth(graph)  # once, for both: each then finds nothing to merge
     try:  # the paper's table is a third route, after the report's own two
-        report = _matching_closed_form(nonarch_report(graph), classify(graph))
+        report = _matching_closed_form(nonarch_report(stable), classify(stable))
     except CROSS_CHECK_ERRORS as exc:
         print(f"internal cross-check failed: {exc}", file=sys.stderr)
         print("offending graph:", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Exact arithmetic: the field, coercion, signs, ordering, the ring inverse.
+"""Exact arithmetic: the field, coercion, signs, ordering, the inverse.
 
 The graph half of the package computes over an exact field, and this is
 the only module that knows which.  Numbers are `fractions.Fraction`.
@@ -17,28 +17,18 @@ field elements; Python's `<` on them is a structural order, not a numeric
 one.  sympy is imported by the first `rational_function_field` call, so
 rational work never loads it.
 
-The one linear-algebra entry point, `ring_inverse`, inverts a matrix by
-one fraction-free loop with n right-hand sides, Bareiss's elimination
-(Math. Comp. 22, 1968), in the ring of numerators: Z for rational
-entries, the polynomial ring Q[a, b, ...] once any entry is a field
-element.  Each row is scaled by the lcm of its denominators, every
-update (p a_rc - f a_kc) / prev is an exact ring division, and
-back-substitution against the last pivot det gives Y = det M^-1 in the
-ring.  No entry is rebuilt as a field value: `RingInverse` keeps Y and
-det as they are, so a caller combines entries in the ring and pays one
-reduction per value it reads.  `_ring_of` supplies the few kind-specific
-pieces; the loop itself never changes.
+The one linear-algebra entry point, `inverse`, is a plain Gauss-Jordan
+elimination on the field values themselves, the same code for both
+fields: every + - * / already reduces to lowest terms, so no entry needs
+a separate cleanup.  A genus-2 report inverts only the reduced Laplacian
+of its stable model, which is at most 1 x 1.
 """
 
 from __future__ import annotations
 
-import math
-import operator
 import sys
-from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, reduce
+from functools import cmp_to_key
 from typing import Any, Iterable, Sequence
 
 
@@ -113,123 +103,25 @@ def sort_exact(values: Iterable[Any]) -> list:
     return sorted(values, key=cmp_to_key(compare))
 
 
-def ring_inverse(
-    matrix: Sequence[Sequence[Any]], context: Iterable[Any] = ()
-) -> RingInverse:
-    """The inverse of a square matrix, left in the ring of numerators.
+def inverse(matrix: Sequence[Sequence[Any]]) -> list:
+    """The inverse of a square matrix, as rows of field values.
 
-    One elimination with n right-hand sides, and no entry is rebuilt as
-    a field value.  The ring is chosen from the entries and the `context`
-    values together, so values of the context's field can later be
-    brought into it (`RingInverse.in_ring`).  Raises ValueError on a
-    singular matrix.
+    Gauss-Jordan elimination of [M | I] with row swaps; every entry goes
+    through `as_rational` first, so int entries come back as Fractions and
+    no float can appear.  Raises ValueError on a singular matrix.
     """
-    ring = _ring_of([x for row in matrix for x in row] + list(context))
-    return RingInverse(ring, *_eliminate(matrix, ring))
-
-
-@dataclass(frozen=True)
-class RingInverse:
-    """M^-1 = Y / det, with Y (its rows `y`) and det in the ring of numerators.
-
-    Combine entries y[i][j] with ring arithmetic (+, -, and * by ints or
-    ring elements) and turn each combination into one field value, reduced
-    once, with `value`.  `in_ring` writes field values as ring numerators
-    over one common denominator, so they can take part in a combination.
-    """
-
-    ring: _Ring
-    y: list
-    det: Any
-
-    def value(self, numerator: Any, denominator: Any = None) -> Any:
-        """The field value numerator / (denominator det) in lowest terms;
-        both are ring elements, the denominator 1 when omitted."""
-        det = self.det if denominator is None else denominator * self.det
-        return self.ring.rebuild(numerator, det)
-
-    def in_ring(self, values: Iterable[Any]) -> tuple[list, Any]:
-        """(numerators, d) with each value = numerator / d, all in the ring."""
-        return _common_denominator(self.ring, values)
-
-
-# the kind-specific pieces of the elimination (see `_ring_of`)
-_Ring = namedtuple("_Ring", "split lcm quotient rebuild one")
-
-
-def _ring_of(entries: Iterable[Any]) -> _Ring:
-    """The ring the entries have their numerators in, as its pieces.
-
-    `split(x)` is (numerator, denominator) in the ring, `lcm(*ds)` a common
-    multiple, `quotient(p, q)` the exact ring quotient, `rebuild(p, q)` the
-    field value p/q in lowest terms.  The ring is Z for ints and Fractions,
-    and the polynomial ring of the field once any entry is a field element.
-    """
-    fields = sys.modules.get("sympy.polys.fields")
-    element = None
-    if fields is not None:
-        element = next((x for x in entries if isinstance(x, fields.FracElement)), None)
-    if element is None:
-        split = operator.attrgetter("numerator", "denominator")
-        return _Ring(split, math.lcm, operator.floordiv, Fraction, 1)
-    field = element.field
-    ring = field.ring
-
-    def split(x: Any) -> tuple:
-        if isinstance(x, fields.FracElement):
-            return x.numer, x.denom
-        return ring(x.numerator), ring(x.denominator)
-
-    def lcm(*denominators: Any) -> Any:
-        return reduce(lambda p, q: p.lcm(q), denominators, ring.one)
-
-    return _Ring(split, lcm, lambda p, q: p.exquo(q), field.new, ring.one)
-
-
-def _common_denominator(ring: _Ring, values: Iterable[Any]) -> tuple[list, Any]:
-    """(numerators, d) with each value = numerator / d, all in the ring."""
-    parts = [ring.split(x) for x in values]
-    d = ring.lcm(*(q for _, q in parts))
-    return [p * ring.quotient(d, q) for p, q in parts], d
-
-
-def _eliminate(matrix: Sequence[Sequence[Any]], ring: _Ring) -> tuple[list, Any]:
-    """(Y, det) with Y = det M^-1, all in the ring, by fraction-free
-    elimination of [M | I] (see the module docstring).  Raises ValueError
-    on a singular matrix."""
     n = len(matrix)
-    quotient = ring.quotient
-    aug = [
-        _common_denominator(ring, (*row, *(int(i == j) for j in range(n))))[0]
+    rows = [
+        [*map(as_rational, row), *(Fraction(int(i == j)) for j in range(n))]
         for i, row in enumerate(matrix)
     ]
-    prev = ring.one
     for col in range(n):
-        pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot_row is None:
+        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if pivot is None:
             raise ValueError("singular system")
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        top = aug[col]
-        pivot = top[col]
-        for r in range(col + 1, n):
-            row = aug[r]
-            f = row[col]
-            if f == 0:  # the same update, without the zero product
-                row[col + 1:] = [quotient(pivot * x, prev) for x in row[col + 1:]]
-            else:
-                row[col + 1:] = [
-                    quotient(pivot * x - f * y, prev)
-                    for x, y in zip(row[col + 1:], top[col + 1:])
-                ]
-        prev = pivot
-    det = prev
-    sol: list = [None] * n
-    for i in range(n - 1, -1, -1):
-        row = aug[i]
-        acc = [det * y for y in row[n:]]
-        for c in range(i + 1, n):
-            u = row[c]
-            if u != 0:
-                acc = [a - u * s for a, s in zip(acc, sol[c])]
-        sol[i] = [quotient(a, row[i]) for a in acc]
-    return sol, det
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        top = rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r, row in enumerate(rows):
+            if r != col and row[col] != 0:
+                rows[r] = [x - row[col] * y for x, y in zip(row, top)]
+    return [row[n:] for row in rows]

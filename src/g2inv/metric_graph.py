@@ -28,16 +28,13 @@ Conventions:
 * Measures are vertex point masses plus a constant density per edge.
   This class is closed under everything done here, and for such measures
   the diagonal Green's function x -> g(x,x) is quadratic on every edge.
-* The vertex resistances r(a, b) come from one factorization of the
-  reduced Laplacian per graph, memoized on the immutable `PMGraph` as
-  Y = det M^-1 and det in the ring of numerators (`exact.ring_inverse`).
-  A resistance r(a, b) = (Y_aa + Y_bb - 2 Y_ab) / det becomes a field
-  value only when a pair is asked for, and the weighted sums
-  j(w) = C + sum_v W_v r(v, w) behind the diagonal Green's function are
-  one ring mat-vec with one field value per vertex; no resistance
-  matrix is ever built.  Closed forms extend r to edge interiors
-  (Baker-Faber 2006): for x at offset t on an edge e = (a, b) of length
-  L and any z outside the interior of e,
+* The vertex resistances r(a, b) come from one inverse G = M^-1 of the
+  reduced Laplacian M per graph (`exact.inverse`), memoized on the
+  immutable `PMGraph`: r(a, b) = G_aa + G_bb - 2 G_ab, with G zero in
+  the base vertex's row and column.  No resistance matrix is built.
+  Closed forms extend r to edge interiors (Baker-Faber 2006): for x at
+  offset t on an edge e = (a, b) of length L and any z outside the
+  interior of e,
 
       r(x, z) = ((L - t) r(a, z) + t r(b, z)) / L + k t (L - t),
       k = (L - r(a, b)) / L^2,
@@ -50,7 +47,8 @@ Conventions:
   vertex and values at the old points are unchanged.  Evaluating a
   function (`PiecewisePoly.__call__`) and integrating it against a
   divisor take interior points.  `smooth` undoes subdivision, leaving the
-  stable model, the graph that `pm_invariants.nonarch_report` factors.
+  stable model, the graph whose Laplacian `pm_invariants.nonarch_report`
+  inverts.
 """
 
 from __future__ import annotations
@@ -60,7 +58,7 @@ from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Mapping
 
 from .errors import DisconnectedError, FormulaMismatchError, NonProbabilityMeasureError
-from .exact import RingInverse, as_rational, ring_inverse, sign_known_nonnegative, sort_exact
+from .exact import as_rational, inverse, sign_known_nonnegative, sort_exact
 
 VertexId = Hashable
 EdgeId = Hashable
@@ -115,11 +113,10 @@ class PMGraph:
             self._incident[v].append((eid, 1))
 
         self._check_connected()
-        # the factored reduced Laplacian, its vertex -> index map (the base
-        # vertex has none: its row and column are 0), and r of each pair read
-        self._inverse: RingInverse | None = None
+        # the inverse of the reduced Laplacian and its vertex -> index map
+        # (the base vertex has none: its row and column are 0)
+        self._green: list | None = None
         self._slot: dict[VertexId, int] = {}
-        self._pairs: dict[tuple[VertexId, VertexId], Any] = {}
 
     def _check_connected(self) -> None:
         start = next(iter(self._genus))
@@ -181,38 +178,31 @@ class PMGraph:
     def resistance(self, a: VertexId, b: VertexId):
         """Effective resistance between two vertices.
 
-        The first call factors the reduced Laplacian, once and exactly,
-        and keeps the inverse in the ring (`exact.ring_inverse`); each pair
-        is then r(a, b) = (Y_aa + Y_bb - 2 Y_ab) / det, one field value,
-        kept too.
+        The first call inverts the reduced Laplacian based at the first
+        vertex, once and exactly (`exact.inverse`), and keeps G = M^-1;
+        each pair is then r(a, b) = G_aa + G_bb - 2 G_ab, where the base
+        vertex reads as 0.
         """
         if a not in self._genus or b not in self._genus:
             raise ValueError(f"unknown vertex {a!r} or {b!r}")
         if a == b:
             return Fraction(0)
-        r = self._pairs.get((a, b))
-        if r is None:
-            inverse, slot = self._factored()
-            i, j = slot.get(a), slot.get(b)
-            y = inverse.y
-            if i is None:
-                numerator = y[j][j]
-            elif j is None:
-                numerator = y[i][i]
-            else:
-                numerator = y[i][i] + y[j][j] - 2 * y[i][j]
-            r = self._pairs[a, b] = self._pairs[b, a] = inverse.value(numerator)
-        return r
+        green, slot = self._factored()
+        i, j = slot.get(a), slot.get(b)
+        if i is None:
+            return green[j][j]
+        if j is None:
+            return green[i][i]
+        return green[i][i] + green[j][j] - 2 * green[i][j]
 
-    def _factored(self) -> tuple[RingInverse, dict[VertexId, int]]:
-        """The memo: Y / det, the inverse of the reduced Laplacian based at
-        the first vertex, and each other vertex's index in it."""
-        if self._inverse is None:
+    def _factored(self) -> tuple[list, dict[VertexId, int]]:
+        """The memo: G, the inverse of the reduced Laplacian based at the
+        first vertex, and each other vertex's index in it."""
+        if self._green is None:
             order, matrix = _reduced_laplacian(self, self.vertex_ids[0])
-            lengths = [length for _, _, length in self._edges.values()]
-            self._inverse = ring_inverse(matrix, context=lengths)
+            self._green = inverse(matrix)
             self._slot = {v: i for i, v in enumerate(order)}
-        return self._inverse, self._slot
+        return self._green, self._slot
 
     # -- points -------------------------------------------------------------
 
@@ -515,7 +505,7 @@ def smooth(graph: PMGraph) -> PMGraph:
     no id is new.  A genus-0 vertex alone on a loop stays, as does one
     vertex of a bare cycle.  Total genus, first Betti number, total length
     and every invariant (Zhang 1993) are kept.  With nothing to merge,
-    `graph` itself is returned, memoized factorization and all.
+    `graph` itself is returned, memoized inverse and all.
     """
 
     def merged(v: VertexId) -> bool:
@@ -597,7 +587,7 @@ def poly_laplacian(f: PiecewisePoly) -> tuple[GraphDivisor, GraphMeasure]:
 
 def resistance_pairing(graph: PMGraph, d: GraphDivisor, e: GraphDivisor):
     """The resistance function extended bilinearly to pairs of vertex
-    supported divisors, read from the memoized resistance matrix."""
+    supported divisors, each r read from `PMGraph.resistance`."""
     total = Fraction(0)
     for px, cx in d.support:
         a = _vertex_of(px)
@@ -634,7 +624,7 @@ def diagonal_green(graph: PMGraph, mu: GraphMeasure) -> tuple[PiecewisePoly, Any
     # adds rho (L (r(c, w) + r(d, w)) / 2 + k L^3 / 6): weight rho L / 2 at
     # each end (both halves at a loop's one vertex, as r(c, w) counts twice),
     # folded with the masses into W_v, and a w-free term summed into C:
-    # j(w) = C + sum_v W_v r(v, w), one mat-vec in the ring.
+    # j(w) = C + sum_v W_v r(v, w).
     weight = mu.vertex_masses
     const = Fraction(0)
     for f, rho in mu.edge_densities.items():
@@ -642,7 +632,10 @@ def diagonal_green(graph: PMGraph, mu: GraphMeasure) -> tuple[PiecewisePoly, Any
         for end in graph.edge_ends(f):
             weight[end] = weight.get(end, Fraction(0)) + rho * length / 2
         const = const + rho * kappa[f] * length**3 / 6
-    j = _resistance_sums(graph, weight, const)
+    j = {
+        w: const + sum((m * r(v, w) for v, m in weight.items()), Fraction(0))
+        for w in graph.vertex_ids
+    }
 
     coeffs = {}
     for e in graph.edge_ids:
@@ -665,33 +658,6 @@ def diagonal_green(graph: PMGraph, mu: GraphMeasure) -> tuple[PiecewisePoly, Any
         raise FormulaMismatchError(f"diagonal Green's function: {exc}") from exc
     half = integrate(graph, j_poly, measure=mu) / 2
     return j_poly.add_constant(-half), half
-
-
-def _resistance_sums(
-    graph: PMGraph, weight: Mapping[VertexId, Any], const: Any
-) -> dict[VertexId, Any]:
-    """C + sum_v W_v r(v, w) for every vertex w, from the factored
-    Laplacian with no resistance built: with W and C over one common ring
-    denominator d (numerators n_v and c) and Y = 0 at the base vertex,
-
-        d det j(w) = c det + sum_v n_v Y_vv + N Y_ww - 2 (Y n)_w,
-
-    N = sum_v n_v, so the ring work is one mat-vec and each j(w) is one
-    field value.
-    """
-    inverse, slot = graph._factored()
-    y = inverse.y
-    (c, *numerators), d = inverse.in_ring([const, *weight.values()])
-    big_n = sum(numerators)
-    sparse = [(slot[v], n_v) for v, n_v in zip(weight, numerators) if v in slot]
-    at_base = c * inverse.det + sum(n_v * y[i][i] for i, n_v in sparse)
-
-    def numerator(i: int | None):  # d det j(w) for w at index i (None: base)
-        if i is None:
-            return at_base
-        return at_base + big_n * y[i][i] - 2 * sum(n_v * y[i][k] for k, n_v in sparse)
-
-    return {w: inverse.value(numerator(slot.get(w)), d) for w in graph.vertex_ids}
 
 
 def integrate(

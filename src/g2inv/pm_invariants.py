@@ -7,20 +7,20 @@ the invariants epsilon, phi and lambda, together with the node counts
 delta0 (total length of non-bridge edges) and delta1 (bridge edges).
 
 The invariants do not depend on the model (Zhang 1993), so a report
-derives everything from one factorization of the reduced Laplacian of
-the stable model `smooth(graph)` (see `metric_graph`): bridges are the
-edges with r(a, b) = len(e), the admissible measure and the diagonal
-Green's function have closed forms in r, and r(K, K) is read off
-directly.  A report solves nothing after that factorization.  Two
-runtime cross-checks stay hard errors: the admissibility of the measure
-is verified exactly through the Laplacian of the diagonal, which must
-equal deg(K) mu - K (`is_admissible`, AdmissibilityFailureError), and
-phi is computed through two routes, an integral against the admissible
-measure and a resistance-pairing formula, compared exactly
-(FormulaMismatchError); `g2inv nonarch` adds the paper's closed forms as
-a third (see `nonarch_report`).  The independent Poisson-solve route for
-g(K, .) lives in the tests, as the reference these checks are tested
-against.
+derives everything from one inverse of the reduced Laplacian of the
+stable model `smooth(graph)` (`exact.inverse`, via `metric_graph`), at
+most 1 x 1 in genus 2: bridges are the edges with r(a, b) = len(e), the
+admissible measure and the diagonal Green's function have closed forms
+in r, and r(K, K) is read off directly.  A report solves nothing after
+that inverse.  Two runtime cross-checks stay hard errors: the
+admissibility of the measure is verified exactly through the Laplacian
+of the diagonal, which must equal deg(K) mu - K (`is_admissible`,
+AdmissibilityFailureError), and phi is computed through two routes, an
+integral against the admissible measure and a resistance-pairing
+formula, compared exactly (FormulaMismatchError); `g2inv nonarch` adds
+the paper's closed forms as a third (see `nonarch_report`).  The
+independent Poisson-solve route for g(K, .) lives in the tests, as the
+reference these checks are tested against.
 
 A report needs a pm-graph: its canonical divisor K must be effective,
 so a genus-0 vertex of valence 1, where K has coefficient -1, is refused

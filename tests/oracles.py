@@ -4,7 +4,7 @@ The exact Poisson route solves Delta f = divisor + measure for the vertex
 potentials by a plain Gauss-Jordan elimination in field arithmetic
 (`solve`); resistances, Green's functions and g(K, .) each take one such
 solve.  It imports nothing from `g2inv.exact` and asks no `PMGraph` for a
-resistance, so it shares no elimination code with `ring_inverse`.
+resistance, so it shares no elimination code with `g2inv.exact.inverse`.
 
 The float oracle replaces each edge by n equal resistors in series and
 lumps measures onto the chain nodes (half a segment's mass to each end),

@@ -108,6 +108,42 @@ def test_nonarch_on_a_halved_graph_prints_the_type_output(tmp_path, capsys, fmt)
     assert from_file == capsys.readouterr()
 
 
+def test_nonarch_smooths_once_and_dumps_the_input(tmp_path, monkeypatch, capsys):
+    """VII(1, 2, 3) halved three times (23 vertices): `nonarch` smooths it
+    once and hands the stable model to both the report and the classifier,
+    whose own `smooth` calls find nothing to merge.  A failed cross-check
+    still dumps the graph as given."""
+    import g2inv.fiber_catalog
+    import g2inv.pm_invariants
+    from g2inv.metric_graph import smooth
+
+    graph = halve(halve(halve(graph_of_type(FiberType("VII", (1, 2, 3))))))
+    assert graph.num_vertices == 23
+    path = tmp_path / "vii.json"
+    save_graph(str(path), graph)
+    merged = []
+
+    def counting(g):
+        stable = smooth(g)
+        merged.append(stable is not g)
+        return stable
+
+    for module in (cli, g2inv.pm_invariants, g2inv.fiber_catalog):
+        monkeypatch.setattr(module, "smooth", counting)
+    assert main(["nonarch", str(path)]) == 0
+    assert merged.count(True) == 1 and len(merged) >= 2
+    capsys.readouterr()
+
+    def skewed(fiber):  # epsilon one too large
+        report = g2inv.fiber_catalog.closed_form(fiber)
+        return dataclasses.replace(report, epsilon=report.epsilon + 1)
+
+    monkeypatch.setattr(cli, "closed_form", skewed)
+    assert main(["nonarch", str(path)]) == 4
+    dump = capsys.readouterr().err.split("offending graph:\n", 1)[1]
+    assert len(json.loads(dump)["vertices"]) == 23
+
+
 def test_nonarch_closed_form_mismatch_exits_4(monkeypatch, capsys):
     """nonarch compares every report with the paper's closed form for its
     type: a wrong closed form fails the cross-check and prints nothing on

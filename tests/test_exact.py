@@ -1,6 +1,6 @@
-"""The exact field: coercion, the sign rule, ordering and the ring inverse,
-over the rationals and over the rational-function field of the table; and
-the reference solve in `oracles`, which shares no code with the inverse."""
+"""The exact field: coercion, the sign rule, ordering and the inverse, over
+the rationals and over the rational-function field of the table; and the
+reference solve in `oracles`, which shares no code with the inverse."""
 
 import ast
 import os
@@ -18,17 +18,11 @@ from oracles import solve
 
 from g2inv.exact import (
     as_rational,
+    inverse,
     rational_function_field,
-    ring_inverse,
     sign_known_nonnegative,
     sort_exact,
 )
-
-
-def _inverse(matrix):
-    """`ring_inverse`'s entries, each read as one field value."""
-    inverse = ring_inverse(matrix)
-    return [[inverse.value(y) for y in row] for row in inverse.y]
 
 
 def test_coercion():
@@ -75,42 +69,22 @@ def test_sort_exact():
 def test_solves_pivot_in_both_fields():
     # a zero leading entry forces a row swap, in the inverse and the reference
     F = Fraction
-    inverse = _inverse([[F(0), F(2)], [F(3), F(1)]])
-    assert inverse == [[F(-1, 6), F(1, 3)], [F(1, 2), 0]]
+    want = [[F(-1, 6), F(1, 3)], [F(1, 2), 0]]
     solution = solve([[F(0), F(2)], [F(3), F(1)]], [F(4), F(5)])
-    assert solution == [1, 2]
-    assert all(isinstance(x, Fraction) for x in [*solution, *inverse[0], *inverse[1]])
+    assert all(isinstance(x, Fraction) for x in solution) and solution == [1, 2]
+    # int entries come back as Fractions: no float, not even 0 / 1 == 0.0
+    for matrix in ([[F(0), F(2)], [F(3), F(1)]], [[0, 2], [3, 1]]):
+        result = inverse(matrix)
+        assert result == want
+        assert all(isinstance(x, Fraction) for x in [*result[0], *result[1]])
     _, a, b = rational_function_field("a,b")
     assert solve([[0, a], [b, 1]], [a, b + 1]) == [1, 1]
-    assert _inverse([[0, a], [b, 1]]) == [[-1 / (a * b), 1 / b], [1 / a, 0]]
-    assert _inverse([[a, 1], [1, 0]]) == [[0, 1], [1, -a]]
+    assert inverse([[0, a], [b, 1]]) == [[-1 / (a * b), 1 / b], [1 / a, 0]]
+    assert inverse([[a, 1], [1, 0]]) == [[0, 1], [1, -a]]
     with pytest.raises(ValueError):
-        ring_inverse([[a, b], [2 * a, 2 * b]])
+        inverse([[a, b], [2 * a, 2 * b]])
     with pytest.raises(ValueError):
         solve([[a, b], [2 * a, 2 * b]], [1, 1])
-
-
-def test_ring_inverse_stays_in_the_ring_until_read():
-    F = Fraction
-    matrix = [[F(3, 2), F(-1, 2)], [F(-1, 2), F(5, 6)]]
-    inverse = ring_inverse(matrix)
-    y = inverse.y
-    assert all(type(x) is int for x in [*y[0], *y[1], inverse.det])
-    want = [[F(5, 6), F(1, 2)], [F(1, 2), F(3, 2)]]
-    assert [[inverse.value(x) for x in row] for row in y] == want
-    # a ring combination is one value: the trace of the inverse
-    assert inverse.value(y[0][0] + y[1][1]) == want[0][0] + want[1][1]
-    assert inverse.in_ring([F(1, 2), F(-2, 3), 4]) == ([3, -4, 24], 6)
-    assert inverse.value(3 * y[0][1], 6) == want[0][1] / 2
-    # a field element in the context puts a rational matrix in its ring, so
-    # values of that field can be combined with the entries
-    _, a = rational_function_field("a")
-    inverse = ring_inverse(matrix, context=[a])
-    (n,), d = inverse.in_ring([1 / a])
-    assert inverse.value(n * inverse.y[0][0], d) == want[0][0] / a
-    empty = ring_inverse([], context=[a])
-    (n,), d = empty.in_ring([a / 3])
-    assert empty.value(n, 3 * d) == a / 9
 
 
 # -- the eliminations, checked by direct multiplication only -----------------
@@ -152,9 +126,9 @@ def nonsingular_matrices(draw, max_size=8):
 def test_elimination_inverts_and_solves(matrix, rhs):
     n = len(matrix)
     b = rhs[:n]
-    inverse = _inverse(matrix)
-    assert _matmul(matrix, inverse) == _identity(n)
-    assert all(isinstance(x, Fraction) for row in inverse for x in row)
+    result = inverse(matrix)
+    assert _matmul(matrix, result) == _identity(n)
+    assert all(isinstance(x, Fraction) for row in result for x in row)
     x = solve(matrix, b)
     assert _matmul(matrix, [[v] for v in x]) == [[v] for v in b]
 
@@ -175,7 +149,7 @@ def test_elimination_rejects_a_scaled_duplicate_row(case):
     n = len(matrix)
     matrix[(source + shift) % n] = [factor * x for x in matrix[source]]
     with pytest.raises(ValueError, match="singular system"):
-        ring_inverse(matrix)
+        inverse(matrix)
     with pytest.raises(ValueError, match="singular system"):
         solve(matrix, [Fraction(1)] * n)
 
@@ -189,8 +163,8 @@ def test_elimination_over_rational_functions():
         [Fraction(-3, 4), 1 / (a + b), 5],
     ]
     rhs = [a, Fraction(2, 3), b / (a + 1)]
-    inverse = _inverse(matrix)
-    product = [[sum(x * y for x, y in zip(row, col)) for col in zip(*inverse)] for row in matrix]
+    result = inverse(matrix)
+    product = [[sum(x * y for x, y in zip(row, col)) for col in zip(*result)] for row in matrix]
     assert all(product[i][j] - int(i == j) == 0 for i in range(3) for j in range(3))
     x = solve(matrix, rhs)
     assert all(sum(m * v for m, v in zip(row, x)) - r == 0 for row, r in zip(matrix, rhs))
@@ -209,7 +183,7 @@ def test_rational_work_does_not_load_sympy():
 
 def test_reference_solve_shares_no_code_with_the_runtime():
     """`oracles` imports nothing from `g2inv.exact` and asks no graph for a
-    resistance, so its Poisson route is independent of `ring_inverse`."""
+    resistance, so its Poisson route is independent of `inverse`."""
     nodes = list(ast.walk(ast.parse(Path(__file__).with_name("oracles.py").read_text())))
     imports = [n for n in nodes if isinstance(n, (ast.Import, ast.ImportFrom))]
     names = [f"{getattr(n, 'module', '')}.{a.name}".lstrip(".") for n in imports for a in n.names]

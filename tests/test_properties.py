@@ -159,15 +159,24 @@ def test_laplacian_check_agrees_with_poisson_route(graph, rng):
 
 
 @PROPERTY_SETTINGS
-@given(REPORTABLE)
+@given(st.sampled_from([2, 3, 4]).flatmap(lambda g: pm_graphs(genus=g).map(drop_genus0_leaves)))
 def test_phi_matches_cinkir_tau_route(graph):
-    """phi = 4 tau + r(K,K)/8 - ell/4 for total genus 2 (Cinkir 2011), with
-    tau = 1/4 sum_e [(r(b,y) - r(a,y))^2 / L + (L/3)(1 - r(a,b)/L)^2] and
-    every resistance taken from a Poisson solve."""
+    """epsilon, phi and lambda against Cinkir's formulas in the tau
+    invariant (Invent. Math. 2011), for total genus g = 2, 3 and 4:
+
+        phi     = (5g-2)/g tau + theta/(4g) - ell/4,
+        epsilon = (4g-4)/g tau + theta/(2g),
+        lambda  = (3g-3)/(4g+2) tau + theta/(16g+8) + (g+1) ell/(16g+8),
+
+    with tau = 1/4 sum_e [(r(b,y) - r(a,y))^2 / L + (L/3)(1 - r(a,b)/L)^2],
+    theta = r(K,K), ell the total length, and every resistance taken from a
+    Poisson solve.  Above genus 2 the stable model can keep up to 5
+    vertices, so the report inverts Laplacians larger than 1 x 1."""
 
     def r(a, b):
         return effective_resistance(graph, graph.vertex_point(a), graph.vertex_point(b))
 
+    g = total_genus(graph)
     y = graph.vertex_ids[0]
     tau = Fraction(0)
     for e in graph.edge_ids:
@@ -176,11 +185,17 @@ def test_phi_matches_cinkir_tau_route(graph):
         tau += (r(b, y) - r(a, y)) ** 2 / length + length / 3 * (1 - r(a, b) / length) ** 2
     tau /= 4
     k = canonical_divisor(graph).support
-    r_kk = sum(cp * cq * r(p.vertex, q.vertex) for p, cp in k for q, cq in k)
+    theta = sum(cp * cq * r(p.vertex, q.vertex) for p, cp in k for q, cq in k)
+    ell = graph.total_length
 
     report = nonarch_report(graph)
-    assert report.r_kk == r_kk
-    assert report.phi == 4 * tau + r_kk / 8 - graph.total_length / 4
+    assert report.genus == g
+    assert report.r_kk == theta
+    assert report.phi == Fraction(5 * g - 2, g) * tau + theta / (4 * g) - ell / 4
+    assert report.epsilon == Fraction(4 * g - 4, g) * tau + theta / (2 * g)
+    assert report.lambda_ == (
+        Fraction(3 * g - 3, 4 * g + 2) * tau + (theta + (g + 1) * ell) / (16 * g + 8)
+    )
 
 
 @PROPERTY_SETTINGS
