@@ -21,14 +21,12 @@ from .errors import (
 )
 from .fiber_catalog import FiberType, classify, closed_form, graph_of_type
 from .metric_graph import (
-    GraphDivisor,
     GraphMeasure,
     PMGraph,
     diagonal_green,
     resistance_pairing,
     smooth,
     subdivide,
-    vertex_point,
 )
 from .pm_invariants import (
     NonArchReport,
@@ -76,7 +74,6 @@ __all__ = [
     "FormulaMismatchError",
     "G2Error",
     "GenusZeroError",
-    "GraphDivisor",
     "GraphMeasure",
     "InvalidParamsError",
     "NonArchReport",
@@ -110,5 +107,4 @@ __all__ = [
     "theta",
     "theta_norm",
     "total_genus",
-    "vertex_point",
 ]

@@ -45,7 +45,7 @@ from .formats import (
 from .metric_graph import smooth
 from .pm_invariants import nonarch_report, total_genus
 
-TAGS = ("I", "II", "III", "IV", "V", "VI", "VII")
+TAGS = tuple(ARITY)
 # what `main` reports as bad input: an "error: ..." line and exit 2
 INPUT_ERRORS = (InvalidParamsError, NotPositiveDefiniteError,
                 TruncationOverflowError, OSError, ValueError)

@@ -5,7 +5,7 @@ whose edges carry positive lengths and whose vertices carry nonnegative
 integer weights.  Treating edge lengths as resistances turns the graph
 into an electrical network; this module computes its potential theory
 exactly from one primitive, the vertex resistances: the resistance
-pairing on divisors, the diagonal Green's function of a
+pairing of vertex masses, the diagonal Green's function of a
 vertex-mass-plus-constant-density measure, the distributional Laplacian
 of a piecewise quadratic, and exact integration.  It solves no Poisson
 equation; the tests keep one, as an independent reference route.
@@ -15,8 +15,8 @@ field (see there).
 
 Conventions:
 
-* Each edge is oriented by its endpoint pair (u, v); points on it are
-  addressed by an offset t in [0, len(e)] measured from u.
+* Each edge is oriented by its endpoint pair (u, v); a function on it is
+  a polynomial in the offset t in [0, len(e)] measured from u.
 * A function f that is quadratic on each edge has the distributional
   Laplacian
 
@@ -25,9 +25,11 @@ Conventions:
   With this sign a solution of Delta f = delta_x - delta_y is the
   potential of a unit current flowing from x to y, and the effective
   resistance is r(x, y) = f(x) - f(y).
-* Measures are vertex point masses plus a constant density per edge.
-  This class is closed under everything done here, and for such measures
-  the diagonal Green's function x -> g(x,x) is quadratic on every edge.
+* Measures (`GraphMeasure`) are vertex point masses plus a constant
+  density per edge, and are the only sources: a divisor such as the
+  canonical divisor K is the measure of its integer vertex masses.  This
+  class is closed under everything done here, and for such measures the
+  diagonal Green's function x -> g(x,x) is quadratic on every edge.
 * The vertex resistances r(a, b) come from one inverse G = M^-1 of the
   reduced Laplacian M per graph (`exact.inverse`), memoized on the
   immutable `PMGraph`: r(a, b) = G_aa + G_bb - 2 G_ab, with G zero in
@@ -41,20 +43,17 @@ Conventions:
 
   and for x, z on e at distance d, r(x, z) = d - k d^2.  The diagonal
   Green's function is integrated from these, with no per-point solve.
-* Divisors paired by resistance are vertex supported:
-  `resistance_pairing` raises ValueError on a point inside an edge.  To
-  put a point there, `subdivide` the graph first; the cut is a genus-0
-  vertex and values at the old points are unchanged.  Evaluating a
-  function (`PiecewisePoly.__call__`) and integrating it against a
-  divisor take interior points.  `smooth` undoes subdivision, leaving the
-  stable model, the graph whose Laplacian `pm_invariants.nonarch_report`
-  inverts.
+* Vertex ids are the only points.  `resistance_pairing` pairs vertex
+  masses and raises ValueError on an edge density.  To put a point inside
+  an edge, `subdivide` the graph first; the cut is a genus-0 vertex and
+  values at the old points are unchanged.  `smooth` undoes subdivision,
+  leaving the stable model, the graph whose Laplacian
+  `pm_invariants.nonarch_report` inverts.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Mapping
 
 from .errors import DisconnectedError, FormulaMismatchError, NonProbabilityMeasureError
@@ -87,7 +86,7 @@ class PMGraph:
     ):
         self._genus: dict[VertexId, int] = {}
         for vid, q in vertices:
-            if vid is None:  # a GraphPoint with vertex None is an edge point
+            if vid is None:  # JSON null names no vertex: bad input, exit 2
                 raise ValueError("a vertex id must not be None")
             if vid in self._genus:
                 raise ValueError(f"duplicate vertex id {vid!r}")
@@ -204,104 +203,8 @@ class PMGraph:
             self._slot = {v: i for i, v in enumerate(order)}
         return self._green, self._slot
 
-    # -- points -------------------------------------------------------------
-
-    def vertex_point(self, v: VertexId) -> "GraphPoint":
-        if v not in self._genus:
-            raise ValueError(f"unknown vertex {v!r}")
-        return GraphPoint(vertex=v, edge=None, offset=None)
-
-    def point(self, e: EdgeId, offset: Any) -> "GraphPoint":
-        """The point at `offset` from the first endpoint of edge `e`.
-
-        Offsets 0 and len(e) canonicalize to the corresponding vertex, so
-        each point of the graph has exactly one representation.
-        """
-        if e not in self._edges:
-            raise ValueError(f"unknown edge {e!r}")
-        u, v, length = self._edges[e]
-        offset = as_rational(offset)
-        if offset == 0:
-            return self.vertex_point(u)
-        if offset - length == 0:
-            return self.vertex_point(v)
-        if sign_known_nonnegative(offset) is False or (
-            sign_known_nonnegative(length - offset) is False
-        ):
-            raise ValueError(f"offset {offset} outside [0, {length}] on edge {e!r}")
-        return GraphPoint(vertex=None, edge=e, offset=offset)
-
-    def validate_point(self, p: "GraphPoint") -> None:
-        if p.vertex is not None:
-            if p.vertex not in self._genus:
-                raise ValueError(f"point refers to unknown vertex {p.vertex!r}")
-        elif p.edge not in self._edges:
-            raise ValueError(f"point refers to unknown edge {p.edge!r}")
-
     def __repr__(self) -> str:
         return f"PMGraph({self.num_vertices} vertices, {self.num_edges} edges)"
-
-
-@dataclass(frozen=True)
-class GraphPoint:
-    """A point of a metric graph: a vertex, or an edge-interior position.
-
-    Construct through `PMGraph.vertex_point` / `PMGraph.point`, which
-    canonicalize endpoint offsets to vertices.
-    """
-
-    vertex: VertexId | None
-    edge: EdgeId | None
-    offset: Any
-
-    @property
-    def is_vertex(self) -> bool:
-        return self.vertex is not None
-
-    def __repr__(self) -> str:
-        if self.is_vertex:
-            return f"GraphPoint(vertex={self.vertex!r})"
-        return f"GraphPoint(edge={self.edge!r}, offset={self.offset})"
-
-
-def vertex_point(v: VertexId) -> GraphPoint:
-    """A vertex as a graph point (no graph validation)."""
-    return GraphPoint(vertex=v, edge=None, offset=None)
-
-
-class GraphDivisor:
-    """A finite formal sum of graph points with exact coefficients.
-
-    Points must be canonical (built by `PMGraph.point` or `vertex_point`);
-    duplicates are merged and zero coefficients dropped.
-    """
-
-    def __init__(self, items: Iterable[tuple[GraphPoint, Any]] = ()):
-        acc: dict[GraphPoint, Any] = {}
-        for pt, coeff in items:
-            coeff = as_rational(coeff)
-            if pt in acc:
-                acc[pt] = acc[pt] + coeff
-            else:
-                acc[pt] = coeff
-        self._coeffs = {pt: c for pt, c in acc.items() if c != 0}
-
-    @property
-    def support(self) -> tuple[tuple[GraphPoint, Any], ...]:
-        return tuple(self._coeffs.items())
-
-    @property
-    def degree(self):
-        return sum(self._coeffs.values(), Fraction(0))
-
-    def coefficient(self, pt: GraphPoint):
-        return self._coeffs.get(pt, Fraction(0))
-
-    def __len__(self) -> int:
-        return len(self._coeffs)
-
-    def __repr__(self) -> str:
-        return f"GraphDivisor({dict(self._coeffs)!r})"
 
 
 class GraphMeasure:
@@ -410,13 +313,6 @@ class PiecewisePoly:
 
     def value_at_vertex(self, v: VertexId):
         return self._values[v]
-
-    def __call__(self, point: GraphPoint):
-        if point.is_vertex:
-            return self._values[point.vertex]
-        c2, c1, c0 = self._coeffs[point.edge]
-        t = point.offset
-        return c2 * t * t + c1 * t + c0
 
     def constant_value(self):
         """The constant this function equals everywhere, or None."""
@@ -535,12 +431,6 @@ def smooth(graph: PMGraph) -> PMGraph:
 # -- resistances ------------------------------------------------------------
 
 
-def _vertex_of(p: GraphPoint) -> VertexId:
-    if not p.is_vertex:
-        raise ValueError(f"{p!r} lies inside an edge; subdivide the graph there first")
-    return p.vertex
-
-
 def _reduced_laplacian(graph: PMGraph, base: VertexId) -> tuple[list, list]:
     """The weighted Laplacian with the row and column of `base` removed.
 
@@ -565,12 +455,9 @@ def _reduced_laplacian(graph: PMGraph, base: VertexId) -> tuple[list, list]:
     return order, matrix
 
 
-def poly_laplacian(f: PiecewisePoly) -> tuple[GraphDivisor, GraphMeasure]:
-    """The distributional Laplacian of f, split into points and densities.
-
-    Returns (divisor of vertex masses, measure holding -f'' per edge), in
-    the sign convention of the module docstring.
-    """
+def poly_laplacian(f: PiecewisePoly) -> GraphMeasure:
+    """The distributional Laplacian of f: vertex masses and -f'' per edge,
+    in the sign convention of the module docstring."""
     graph = f.graph
     density = {}
     slope_sum: dict[VertexId, Any] = {v: Fraction(0) for v in graph.vertex_ids}
@@ -581,18 +468,18 @@ def poly_laplacian(f: PiecewisePoly) -> tuple[GraphDivisor, GraphMeasure]:
         density[e] = -2 * c2
         slope_sum[u] = slope_sum[u] + c1
         slope_sum[v] = slope_sum[v] - (2 * c2 * length + c1)
-    points = GraphDivisor((vertex_point(v), -s) for v, s in slope_sum.items())
-    return points, GraphMeasure({}, density)
+    return GraphMeasure({v: -s for v, s in slope_sum.items()}, density)
 
 
-def resistance_pairing(graph: PMGraph, d: GraphDivisor, e: GraphDivisor):
-    """The resistance function extended bilinearly to pairs of vertex
-    supported divisors, each r read from `PMGraph.resistance`."""
+def resistance_pairing(graph: PMGraph, d: GraphMeasure, e: GraphMeasure):
+    """The resistance function extended bilinearly to the vertex masses of
+    two measures, each r read from `PMGraph.resistance`.  An edge density
+    raises ValueError: `subdivide` the graph to put mass inside an edge."""
+    if d.edge_densities or e.edge_densities:
+        raise ValueError("resistance pairing of an edge density; subdivide the graph first")
     total = Fraction(0)
-    for px, cx in d.support:
-        a = _vertex_of(px)
-        for py, cy in e.support:
-            b = _vertex_of(py)
+    for a, cx in d.vertex_masses.items():
+        for b, cy in e.vertex_masses.items():
             if a != b:
                 total = total + cx * cy * graph.resistance(a, b)
     return total
@@ -656,34 +543,26 @@ def diagonal_green(graph: PMGraph, mu: GraphMeasure) -> tuple[PiecewisePoly, Any
         j_poly = PiecewisePoly(graph, coeffs, j)
     except ValueError as exc:
         raise FormulaMismatchError(f"diagonal Green's function: {exc}") from exc
-    half = integrate(graph, j_poly, measure=mu) / 2
+    half = integrate(graph, j_poly, mu) / 2
     return j_poly.add_constant(-half), half
 
 
-def integrate(
-    graph: PMGraph,
-    f: PiecewisePoly,
-    divisor: GraphDivisor | None = None,
-    measure: GraphMeasure | None = None,
-):
-    """Integrate f against a point-plus-density source, exactly."""
+def integrate(graph: PMGraph, f: PiecewisePoly, measure: GraphMeasure):
+    """Integrate f against a vertex-mass-plus-density measure, exactly."""
     if f.graph is not graph:
         raise ValueError("function does not live on this graph")
     total = Fraction(0)
-    if divisor is not None:
-        for pt, coeff in divisor.support:
-            graph.validate_point(pt)
-            total = total + coeff * f(pt)
-    if measure is not None:
-        for v, m in measure.vertex_masses.items():
-            total = total + m * f.value_at_vertex(v)
-        for e, rho in measure.edge_densities.items():
-            c2, c1, c0 = f.coefficients(e)
-            length = graph.edge_length(e)
-            antiderivative = (
-                c2 * length * length * length / 3
-                + c1 * length * length / 2
-                + c0 * length
-            )
-            total = total + rho * antiderivative
+    for v, m in measure.vertex_masses.items():
+        if v not in graph.vertex_ids:
+            raise ValueError(f"measure references unknown vertex {v!r}")
+        total = total + m * f.value_at_vertex(v)
+    for e, rho in measure.edge_densities.items():
+        c2, c1, c0 = f.coefficients(e)
+        length = graph.edge_length(e)
+        antiderivative = (
+            c2 * length * length * length / 3
+            + c1 * length * length / 2
+            + c0 * length
+        )
+        total = total + rho * antiderivative
     return total

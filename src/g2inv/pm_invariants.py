@@ -1,7 +1,9 @@
 """Local invariants of a polarized metric graph.
 
-Builds on the exact potential theory in `metric_graph`: total genus and
-canonical divisor bookkeeping, the admissible measure (the unique
+Builds on the exact potential theory in `metric_graph`: total genus, the
+canonical divisor K as a vertex measure (a divisor is the measure of its
+integer vertex masses, so K is paired, integrated and compared like any
+other measure), the admissible measure (the unique
 probability measure mu making x -> g(x,x) + g(K,x) constant), and from it
 the invariants epsilon, phi and lambda, together with the node counts
 delta0 (total length of non-bridge edges) and delta1 (bridge edges).
@@ -23,7 +25,7 @@ independent Poisson-solve route for g(K, .) lives in the tests, as the
 reference these checks are tested against.
 
 A report needs a pm-graph: its canonical divisor K must be effective,
-so a genus-0 vertex of valence 1, where K has coefficient -1, is refused
+so a genus-0 vertex of valence 1, where K has mass -1, is refused
 with a ValueError that names it.
 """
 
@@ -39,7 +41,6 @@ from .errors import (
     GenusZeroError,
 )
 from .metric_graph import (
-    GraphDivisor,
     GraphMeasure,
     PMGraph,
     PiecewisePoly,
@@ -48,7 +49,6 @@ from .metric_graph import (
     poly_laplacian,
     resistance_pairing,
     smooth,
-    vertex_point,
 )
 
 
@@ -57,11 +57,10 @@ def total_genus(graph: PMGraph) -> int:
     return graph.betti1 + sum(graph.genus(v) for v in graph.vertex_ids)
 
 
-def canonical_divisor(graph: PMGraph) -> GraphDivisor:
-    """The divisor with coefficient 2 q(v) - 2 + deg(v) at each vertex."""
-    return GraphDivisor(
-        (vertex_point(v), 2 * graph.genus(v) - 2 + graph.degree(v))
-        for v in graph.vertex_ids
+def canonical_divisor(graph: PMGraph) -> GraphMeasure:
+    """K as a measure: mass 2 q(v) - 2 + deg(v) at each vertex."""
+    return GraphMeasure(
+        {v: 2 * graph.genus(v) - 2 + graph.degree(v) for v in graph.vertex_ids}
     )
 
 
@@ -100,12 +99,12 @@ def is_admissible(graph: PMGraph, mu: GraphMeasure, diag: PiecewisePoly) -> bool
     edge: an exact comparison, with no solve.
     """
     k = canonical_divisor(graph)
-    points, density = poly_laplacian(diag)
+    deg_k = k.total_mass(graph)
+    lap = poly_laplacian(diag)
     return all(
-        density.density(e) - k.degree * mu.density(e) == 0 for e in graph.edge_ids
+        lap.density(e) - deg_k * mu.density(e) == 0 for e in graph.edge_ids
     ) and all(
-        points.coefficient(p) + k.coefficient(p) - k.degree * mu.mass(p.vertex) == 0
-        for p in map(vertex_point, graph.vertex_ids)
+        lap.mass(v) + k.mass(v) - deg_k * mu.mass(v) == 0 for v in graph.vertex_ids
     )
 
 
@@ -166,7 +165,7 @@ def nonarch_report(graph: PMGraph) -> NonArchReport:
     if g < 2:
         raise ValueError(f"invariant defined for total genus >= 2, got {g}")
     k = canonical_divisor(graph)
-    leaf = next((p.vertex for p, c in k.support if c < 0), None)
+    leaf = next((v for v, c in k.vertex_masses.items() if c < 0), None)
     if leaf is not None:
         raise ValueError(
             f"vertex {leaf!r} has genus 0 and valence 1, so the canonical "
@@ -181,7 +180,7 @@ def nonarch_report(graph: PMGraph) -> NonArchReport:
         )
     counts = node_counts(graph)
     r_kk = resistance_pairing(graph, k, k)
-    diag_k = integrate(graph, diag, divisor=k)
+    diag_k = integrate(graph, diag, k)
     eps = diag_k + (2 * g - 2) * diag_mu
     phi = -counts.delta / 4 + (-diag_k + (10 * g + 2) * diag_mu) / 4
     if g == 2:

@@ -58,6 +58,7 @@ from .errors import (
 DEFAULT_THETA_TOL = 1e-12
 DEFAULT_PRODUCT_TOL = 1e-10
 DEFAULT_TARGET_STDERR = 1e-3
+NULL_FLOOR = 1e-8  # an even theta-null below this in modulus counts as vanishing
 TRUNCATION_CAP = 64
 REDUCTION_CAP = 200
 SUBSTREAMS = 8
@@ -322,11 +323,7 @@ def theta_norm(z, tau: SiegelMatrix, tol: float = DEFAULT_THETA_TOL) -> float:
     return tau.det_y**0.25 * abs(s)
 
 
-def log_delta2(
-    tau: SiegelMatrix,
-    tol: float = DEFAULT_PRODUCT_TOL,
-    null_floor: float = 1e-8,
-) -> float:
+def log_delta2(tau: SiegelMatrix, tol: float = DEFAULT_PRODUCT_TOL) -> float:
     """log of the normalized discriminant 2^-12 (det Y)^5 prod |theta[c](0)|^2.
 
     Sp4(Z)-invariant, so evaluated at siegel_reduce(tau): over the 10 even
@@ -339,7 +336,7 @@ def log_delta2(
     log_nulls = 0.0
     for char in even_characteristics():
         s, _ = _theta_scaled(char, (0, 0), tau, theta_tol)
-        if abs(s) < null_floor:
+        if abs(s) < NULL_FLOOR:
             raise DegenerateThetaNullError(
                 f"even theta-null {char} vanishes (|theta| = {abs(s):.3e}): "
                 f"the surface degenerates to a product of elliptic curves",
@@ -374,6 +371,8 @@ class QuadratureConfig:
     def __post_init__(self):
         if self.n_samples < 10_000:
             raise ValueError(f"need at least 10^4 samples, got {self.n_samples}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         if self.method not in ("monte-carlo", "lattice-rule"):
             raise ValueError(f"unknown quadrature method {self.method!r}")
         if not (math.isfinite(self.target_stderr) and self.target_stderr > 0):

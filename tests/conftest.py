@@ -1,12 +1,15 @@
-"""Shared helpers for the test suite: seeded random graphs and measures."""
+"""Shared helpers for the test suite: seeded random graphs and measures,
+and edge-interior points, which the package itself does not model."""
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Any, Hashable
 
 import pytest
 from hypothesis import Phase, settings
 
-from g2inv.metric_graph import GraphMeasure, PMGraph, subdivide
+from g2inv.metric_graph import GraphMeasure, PiecewisePoly, PMGraph, subdivide
 
 # no shrink phase: shrinking re-runs exact solves for minutes before a
 # failure is reported; the failing example is reported unshrunk instead
@@ -72,27 +75,49 @@ def random_probability_measure(rng: random.Random, graph: PMGraph) -> GraphMeasu
     return raw.scale(Fraction(1) / total)
 
 
-def subdivide_at(graph, points, mu=None):
-    """`subdivide` graph at the edge-interior `points`.
+@dataclass(frozen=True)
+class EdgePoint:
+    """The point at `offset` from the first endpoint of edge `edge`."""
 
-    Returns the new graph, each point as a vertex point of it (the i-th
+    edge: Hashable
+    offset: Any
+
+
+def value_at(f: PiecewisePoly, p):
+    """f at a vertex id or an `EdgePoint`: c2 t^2 + c1 t + c0 there."""
+    if not isinstance(p, EdgePoint):
+        return f.value_at_vertex(p)
+    c2, c1, c0 = f.coefficients(p.edge)
+    return c2 * p.offset * p.offset + c1 * p.offset + c0
+
+
+def subdivide_at(graph, points, mu=None):
+    """`subdivide` graph at the `EdgePoint`s among `points`.
+
+    Returns the new graph, each point as a vertex id of it (a vertex id
+    stays; an offset of 0 or len(e) is e's end vertex; the i-th interior
     cut of e is the vertex ("cut", e, i)), and mu carried over: each piece
     ("seg", e, i) keeps e's density, since densities are per unit length.
     """
     cuts = {}
     for p in points:
-        if not p.is_vertex:
+        if isinstance(p, EdgePoint):
             cuts.setdefault(p.edge, []).append(p.offset)
     fine = subdivide(graph, cuts)
 
     def vertex(p):  # the cut that ends the pieces ("seg", e, 0..i) at p
-        if p.is_vertex:
-            return fine.vertex_point(p.vertex)
+        if not isinstance(p, EdgePoint):
+            return p
+        u, v = graph.edge_ends(p.edge)
+        if p.offset == 0:
+            return u
+        if p.offset - graph.edge_length(p.edge) == 0:
+            return v
         i, end = 0, fine.edge_length(("seg", p.edge, 0))
         while end - p.offset != 0:
             i += 1
             end = end + fine.edge_length(("seg", p.edge, i))
-        return fine.vertex_point(("cut", p.edge, i))
+        return ("cut", p.edge, i)
 
     fine_mu = None
     if mu is not None:

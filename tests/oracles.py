@@ -1,10 +1,12 @@
 """Reference routes the package's potential theory is tested against.
 
-The exact Poisson route solves Delta f = divisor + measure for the vertex
-potentials by a plain Gauss-Jordan elimination in field arithmetic
-(`solve`); resistances, Green's functions and g(K, .) each take one such
-solve.  It imports nothing from `g2inv.exact` and asks no `PMGraph` for a
-resistance, so it shares no elimination code with `g2inv.exact.inverse`.
+The exact Poisson route solves Delta f = the sum of some measures for
+the vertex potentials by a plain Gauss-Jordan elimination in field
+arithmetic (`solve`); resistances, Green's functions and g(K, .) each
+take one such solve.  Points are vertex ids, as in the package, and a
+source must name vertices and edges of its graph.  The route imports
+nothing from `g2inv.exact` and asks no `PMGraph` for a resistance, so it
+shares no elimination code with `g2inv.exact.inverse`.
 
 The float oracle replaces each edge by n equal resistors in series and
 lumps measures onto the chain nodes (half a segment's mass to each end),
@@ -18,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from g2inv.errors import NonProbabilityMeasureError
-from g2inv.metric_graph import GraphDivisor, GraphMeasure, PiecewisePoly, PMGraph, integrate
+from g2inv.metric_graph import GraphMeasure, PiecewisePoly, PMGraph, integrate
 
 
 class NonZeroMassError(Exception):
@@ -45,31 +47,30 @@ def solve(matrix, rhs) -> list:
     return [row[-1] for row in rows]
 
 
-def _vertex_of(p):
-    if not p.is_vertex:
-        raise ValueError(f"{p!r} lies inside an edge; subdivide the graph there first")
-    return p.vertex
-
-
 def solve_poisson(graph: PMGraph, divisor, measure, base) -> PiecewisePoly:
     """f with Delta f = divisor + measure and f(base) = 0, in the sign
-    convention of `g2inv.metric_graph`.  The source must have total mass
-    zero (NonZeroMassError) and a vertex-supported divisor (ValueError).
+    convention of `g2inv.metric_graph`; both are measures, or None.  The
+    source must have total mass zero (NonZeroMassError) and name only
+    vertices and edges of the graph (ValueError).
 
     Row v of the system is the weighted Laplacian, sum over the non-loop
     edges at v of (f(v) - f(w)) / len, against the point mass at v plus
     half of each incident edge's density mass (a loop's twice)."""
-    if base not in graph.vertex_ids:
-        raise ValueError(f"base vertex {base!r} not in graph")
     mass = dict.fromkeys(graph.vertex_ids, Fraction(0))
     density = dict.fromkeys(graph.edge_ids, Fraction(0))
-    for p, c in divisor.support if divisor is not None else ():
-        graph.validate_point(p)
-        mass[_vertex_of(p)] += c
-    if measure is not None:
-        for v, m in measure.vertex_masses.items():
+    for source in (divisor, measure):
+        if source is None:
+            continue
+        for v, m in source.vertex_masses.items():
+            if v not in mass:
+                raise ValueError(f"{v!r} is no vertex; subdivide the graph to put a point there")
             mass[v] += m
-        density.update(measure.edge_densities)
+        for e, d in source.edge_densities.items():
+            if e not in density:
+                raise ValueError(f"unknown edge {e!r}")
+            density[e] += d
+    if base not in mass:
+        raise ValueError(f"base vertex {base!r} not in graph")
     total = sum(mass.values()) + sum(d * graph.edge_length(e) for e, d in density.items())
     if total != 0:
         raise NonZeroMassError(f"source has total mass {total}, expected 0")
@@ -94,9 +95,10 @@ def solve_poisson(graph: PMGraph, divisor, measure, base) -> PiecewisePoly:
 
 
 def effective_resistance(graph: PMGraph, x, y):
-    """r(x, y) between two vertex points: f(x) for Delta f = delta_x - delta_y."""
-    f = solve_poisson(graph, GraphDivisor([(x, 1), (y, -1)]), None, _vertex_of(y))
-    return f.value_at_vertex(_vertex_of(x))
+    """r(x, y) between two vertices: f(x) for Delta f = delta_x - delta_y.
+    The unit masses are separate measures, so x == y cancels to 0."""
+    f = solve_poisson(graph, GraphMeasure({x: 1}), GraphMeasure({y: -1}), y)
+    return f.value_at_vertex(x)
 
 
 def green_function(graph: PMGraph, mu: GraphMeasure, y) -> PiecewisePoly:
@@ -104,8 +106,8 @@ def green_function(graph: PMGraph, mu: GraphMeasure, y) -> PiecewisePoly:
     delta_y - mu, normalized by integral(g dmu) = 0."""
     if mu.total_mass(graph) - 1 != 0:
         raise NonProbabilityMeasureError("a Green's function needs a probability measure")
-    f = solve_poisson(graph, GraphDivisor([(y, 1)]), mu.scale(-1), _vertex_of(y))
-    return f.add_constant(-integrate(graph, f, measure=mu))
+    f = solve_poisson(graph, GraphMeasure({y: 1}), mu.scale(-1), y)
+    return f.add_constant(-integrate(graph, f, mu))
 
 
 def green_of_canonical(graph: PMGraph, mu: GraphMeasure) -> PiecewisePoly:
@@ -113,12 +115,9 @@ def green_of_canonical(graph: PMGraph, mu: GraphMeasure) -> PiecewisePoly:
     by linearity Delta f = K - deg(K) mu with integral(f dmu) = 0, one solve.
     mu is admissible exactly when the diagonal, diagonal_green(graph, mu)[0],
     plus this is constant."""
-    k = GraphDivisor(
-        (graph.vertex_point(v), 2 * graph.genus(v) - 2 + graph.degree(v))
-        for v in graph.vertex_ids
-    )
-    f = solve_poisson(graph, k, mu.scale(-k.degree), graph.vertex_ids[0])
-    return f.add_constant(-integrate(graph, f, measure=mu))
+    k = GraphMeasure({v: 2 * graph.genus(v) - 2 + graph.degree(v) for v in graph.vertex_ids})
+    f = solve_poisson(graph, k, mu.scale(-k.total_mass(graph)), graph.vertex_ids[0])
+    return f.add_constant(-integrate(graph, f, mu))
 
 
 class DiscreteNetwork:

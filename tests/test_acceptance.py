@@ -16,7 +16,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import rand_frac
+from conftest import EdgePoint, rand_frac, value_at
 from oracles import DiscreteNetwork, green_function, green_of_canonical
 from test_theta_surface import random_tau
 
@@ -166,7 +166,7 @@ def test_acceptance_06_discrete_oracle():
             mu = admissible_measure(graph)
             net = DiscreteNetwork(graph, n)
             greens = {
-                v: green_function(graph, mu, graph.vertex_point(v))
+                v: green_function(graph, mu, v)
                 for v in graph.vertex_ids
             }
             for _ in range(10):
@@ -174,10 +174,10 @@ def test_acceptance_06_discrete_oracle():
                 node = rng.choice(net.nodes)
                 if isinstance(node, tuple):
                     e, k = node
-                    point = graph.point(e, graph.edge_length(e) * Fraction(k, n))
+                    point = EdgePoint(e, graph.edge_length(e) * Fraction(k, n))
                 else:
-                    point = graph.vertex_point(node)
-                exact = float(greens[y](point))
+                    point = node
+                exact = float(value_at(greens[y], point))
                 approx = net.green(mu, y)[net.index[node]]
                 assert abs(approx - exact) < 5 / n, (fiber, y, node)
         elapsed = time.perf_counter() - start

@@ -47,6 +47,20 @@ def test_graph_commands_do_not_load_numpy():
     subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True)
 
 
+def test_every_export_resolves():
+    """Each name in `g2inv.__all__` resolves, once; the theta names load
+    lazily from `theta_surface` on first access."""
+    import g2inv
+    from g2inv import theta_surface
+
+    assert len(set(g2inv.__all__)) == len(g2inv.__all__)
+    for name in g2inv.__all__:
+        getattr(g2inv, name)
+    for name in g2inv._THETA_NAMES:
+        assert name in g2inv.__all__
+        assert getattr(g2inv, name) is getattr(theta_surface, name)
+
+
 def test_nonarch_type_matches_spec_example(capsys):
     assert main(["nonarch", "--type", "VII", "--params", "1,1,1"]) == 0
     out = capsys.readouterr().out
@@ -329,6 +343,11 @@ def test_arch_validation_exits_2(tmp_path, tau_file, capsys):
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "finite" in captured.err
         assert captured.out == ""
+    # a negative seed is refused with a message that names the seed
+    assert main(["arch", tau_file, "--samples", "10000", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "seed" in captured.err
+    assert captured.out == ""
 
 
 def test_arch_non_finite_entry_exits_2(tmp_path, capsys):

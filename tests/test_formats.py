@@ -106,7 +106,8 @@ def test_graph_document_validation():
 
 
 def test_null_vertex_id_is_refused(tmp_path, capsys):
-    """A null id would read as an edge point, not as a vertex."""
+    """JSON null names no vertex: the loader refuses it as bad input, and
+    the CLI exits 2 with the error line, as for every malformed file."""
     doc = {
         "vertices": [{"id": None, "genus": 1}, {"id": "w", "genus": 1}],
         "edges": [{"id": "e", "from": None, "to": "w", "length": "1"}],

@@ -9,7 +9,6 @@ import pytest
 from g2inv.errors import DisconnectedError, NonProbabilityMeasureError
 from g2inv.exact import rational_function_field
 from g2inv.metric_graph import (
-    GraphDivisor,
     GraphMeasure,
     PMGraph,
     diagonal_green,
@@ -18,10 +17,9 @@ from g2inv.metric_graph import (
     resistance_pairing,
     smooth,
     subdivide,
-    vertex_point,
 )
 
-from conftest import random_pm_graph, random_probability_measure, subdivide_at
+from conftest import EdgePoint, random_pm_graph, random_probability_measure, subdivide_at, value_at
 from oracles import DiscreteNetwork, NonZeroMassError, effective_resistance
 from oracles import green_function, solve_poisson
 
@@ -84,24 +82,13 @@ def test_counts_and_lengths():
     assert loop.betti1 == 1
 
 
-def test_point_canonicalization():
-    g = segment(4)
-    assert g.point("e", 0) == g.vertex_point("u")
-    assert g.point("e", 4) == g.vertex_point("v")
-    assert g.point("e", "1/2").offset == Fraction(1, 2)
-    with pytest.raises(ValueError):
-        g.point("e", 5)
-    with pytest.raises(ValueError):
-        g.point("e", Fraction(-1, 3))
-
-
 def test_divisor_merging():
+    # a divisor is the measure of its vertex masses: zero masses are dropped
     g = segment(1)
-    p = g.vertex_point("u")
-    d = GraphDivisor([(p, 2), (p, -2), (g.vertex_point("v"), 3)])
-    assert len(d) == 1
-    assert d.degree == 3
-    assert d.coefficient(p) == 0
+    d = GraphMeasure({"u": 2 - 2, "v": 3})
+    assert d.vertex_masses == {"v": 3}
+    assert d.total_mass(g) == 3
+    assert d.mass("u") == 0
 
 
 def test_measure_mass_and_probability():
@@ -118,7 +105,7 @@ def test_measure_mass_and_probability():
 
 def test_poisson_on_segment():
     g = segment(5)
-    sigma = GraphDivisor([(g.vertex_point("u"), 1), (g.vertex_point("v"), -1)])
+    sigma = GraphMeasure({"u": 1, "v": -1})
     f = solve_poisson(g, sigma, None, base="v")
     assert f.value_at_vertex("u") == 5
     assert f.coefficients("e") == (0, -1, 5)
@@ -128,27 +115,27 @@ def test_poisson_on_circle():
     # unit point mass at the vertex balanced by uniform density
     a = Fraction(6)
     g = circle(a)
-    sigma = GraphDivisor([(g.vertex_point("v"), 1)])
+    sigma = GraphMeasure({"v": 1})
     mu = GraphMeasure({}, {"e": -1 / a})
     f = solve_poisson(g, sigma, mu, base="v")
     assert f.coefficients("e") == (1 / (2 * a), Fraction(-1, 2), 0)
-    assert f(g.point("e", 3)) == Fraction(-3, 4)
+    assert value_at(f, EdgePoint("e", 3)) == Fraction(-3, 4)
 
 
 def test_poisson_mass_must_vanish():
     g = segment(1)
     with pytest.raises(NonZeroMassError):
-        solve_poisson(g, GraphDivisor([(g.vertex_point("u"), 1)]), None, base="u")
+        solve_poisson(g, GraphMeasure({"u": 1}), None, base="u")
 
 
 def test_poisson_interior_point_subdivides():
     g = segment(4)
-    h, (x,), _ = subdivide_at(g, [g.point("e", 1)])
-    sigma = GraphDivisor([(x, 1), (h.vertex_point("v"), -1)])
+    h, (x,), _ = subdivide_at(g, [EdgePoint("e", 1)])
+    sigma = GraphMeasure({x: 1, "v": -1})
     f = solve_poisson(h, sigma, None, base="v")
     assert h.num_vertices == 3
     # potential drops linearly from x to v and is flat on the dead branch
-    assert f(x) == 3
+    assert f.value_at_vertex(x) == 3
     assert f.value_at_vertex("u") == 3
     assert f.value_at_vertex("v") == 0
 
@@ -157,15 +144,18 @@ def test_poisson_interior_point_subdivides():
     "solver", ["solve_poisson", "green_function", "effective_resistance", "resistance_pairing"]
 )
 def test_solvers_reject_edge_interior_points(solver):
+    # points are vertex ids; a point inside an edge, or mass spread along
+    # one where only point masses pair, is refused with a pointer to
+    # `subdivide`
     g = segment(4)
-    x, v = g.point("e", 1), g.vertex_point("v")
+    x, v = EdgePoint("e", 1), "v"
     mu = GraphMeasure({"u": Fraction(1, 2), "v": Fraction(1, 2)}, {})
     calls = {
-        "solve_poisson": lambda: solve_poisson(g, GraphDivisor([(x, 1), (v, -1)]), None, "v"),
+        "solve_poisson": lambda: solve_poisson(g, GraphMeasure({x: 1, v: -1}), None, "v"),
         "green_function": lambda: green_function(g, mu, x),
         "effective_resistance": lambda: effective_resistance(g, v, x),
         "resistance_pairing": lambda: resistance_pairing(
-            g, GraphDivisor([(x, 1)]), GraphDivisor([(v, 1)])
+            g, GraphMeasure({}, {"e": Fraction(1, 4)}), GraphMeasure({v: 1})
         ),
     }
     with pytest.raises(ValueError, match="subdivide"):
@@ -270,14 +260,13 @@ def test_poly_laplacian_inverts_solve(rng):
         mu = GraphMeasure(masses, densities)
         balance = mu.total_mass(g)
         base = g.vertex_ids[0]
-        sigma = GraphDivisor([(vertex_point(base), -balance)])
+        sigma = GraphMeasure({base: -balance})
         f = solve_poisson(g, sigma, mu, base=base)
-        points, density = poly_laplacian(f)
+        lap = poly_laplacian(f)
         for v in g.vertex_ids:
-            expected = mu.mass(v) + sigma.coefficient(vertex_point(v))
-            assert points.coefficient(vertex_point(v)) == expected
+            assert lap.mass(v) == mu.mass(v) + sigma.mass(v)
         for e in g.edge_ids:
-            assert density.density(e) == mu.density(e)
+            assert lap.density(e) == mu.density(e)
 
 
 # -- effective resistance ----------------------------------------------------
@@ -285,10 +274,10 @@ def test_poly_laplacian_inverts_solve(rng):
 
 def test_resistance_segment_and_series():
     g = segment(5)
-    r = effective_resistance(g, g.vertex_point("u"), g.vertex_point("v"))
+    r = effective_resistance(g, "u", "v")
     assert r == 5
     # interior points split the edge in series
-    h, (x, y), _ = subdivide_at(g, [g.point("e", 2), g.point("e", Fraction(7, 2))])
+    h, (x, y), _ = subdivide_at(g, [EdgePoint("e", 2), EdgePoint("e", Fraction(7, 2))])
     assert effective_resistance(h, x, y) == Fraction(3, 2)
 
 
@@ -297,8 +286,8 @@ def test_resistance_circle():
     g = circle(a)
 
     def r_to(t):
-        h, (x,), _ = subdivide_at(g, [g.point("e", t)])
-        return effective_resistance(h, h.vertex_point("v"), x)
+        h, (x,), _ = subdivide_at(g, [EdgePoint("e", t)])
+        return effective_resistance(h, "v", x)
 
     for t in (1, 2, 3, Fraction(1, 3)):
         assert r_to(t) == Fraction(t) * (a - t) / a
@@ -307,11 +296,11 @@ def test_resistance_circle():
 
 def test_resistance_theta_graph():
     g = theta_graph(1, 1, 1)
-    assert effective_resistance(g, g.vertex_point("u"), g.vertex_point("v")) == Fraction(1, 3)
+    assert effective_resistance(g, "u", "v") == Fraction(1, 3)
     a, b, c = Fraction(2), Fraction(3), Fraction(5)
     g = theta_graph(a, b, c)
     expected = a * b * c / (a * b + b * c + c * a)
-    assert effective_resistance(g, g.vertex_point("u"), g.vertex_point("v")) == expected
+    assert effective_resistance(g, "u", "v") == expected
 
 
 def test_resistance_is_a_metric(rng):
@@ -320,11 +309,11 @@ def test_resistance_is_a_metric(rng):
         pts = []
         for _ in range(3):
             if rng.random() < 0.4:
-                pts.append(g.vertex_point(rng.choice(g.vertex_ids)))
+                pts.append(rng.choice(g.vertex_ids))
             else:
                 e = rng.choice(g.edge_ids)
                 t = g.edge_length(e) * Fraction(rng.randint(0, 8), 8)
-                pts.append(g.point(e, t))
+                pts.append(EdgePoint(e, t))
         h, (x, y, z), _ = subdivide_at(g, pts)
         rxy = effective_resistance(h, x, y)
         ryx = effective_resistance(h, y, x)
@@ -341,13 +330,13 @@ def test_resistance_survives_subdivision(rng):
         g = random_pm_graph(rng)
         u = rng.choice(g.vertex_ids)
         v = rng.choice(g.vertex_ids)
-        before = effective_resistance(g, g.vertex_point(u), g.vertex_point(v))
+        before = effective_resistance(g, u, v)
         cuts = {}
         for e in g.edge_ids:
             if rng.random() < 0.5:
                 cuts[e] = [g.edge_length(e) * Fraction(rng.randint(1, 3), 4)]
         h = subdivide(g, cuts)
-        after = effective_resistance(h, h.vertex_point(u), h.vertex_point(v))
+        after = effective_resistance(h, u, v)
         assert before == after
         assert h.betti1 == g.betti1
         assert h.total_length == g.total_length
@@ -355,10 +344,9 @@ def test_resistance_survives_subdivision(rng):
 
 def test_resistance_pairing_bilinear():
     g = theta_graph(1, 2, 3)
-    u, v = g.vertex_point("u"), g.vertex_point("v")
-    r = effective_resistance(g, u, v)
-    d = GraphDivisor([(u, 1), (v, 1)])
-    e = GraphDivisor([(u, 1), (v, -2)])
+    r = effective_resistance(g, "u", "v")
+    d = GraphMeasure({"u": 1, "v": 1})
+    e = GraphMeasure({"u": 1, "v": -2})
     # (1,1) x (1,-2): cross terms -2*r and 1*r
     assert resistance_pairing(g, d, e) == -r
     assert resistance_pairing(g, d, d) == 2 * r
@@ -370,7 +358,7 @@ def test_discrete_oracle_matches_resistance(rng):
         if g.num_vertices < 2:
             continue
         u, v = g.vertex_ids[0], g.vertex_ids[-1]
-        exact = effective_resistance(g, g.vertex_point(u), g.vertex_point(v))
+        exact = effective_resistance(g, u, v)
         for n in (50, 100):
             net = DiscreteNetwork(g, n)
             assert abs(net.resistance(u, v) - float(exact)) < 5 / n
@@ -383,14 +371,14 @@ def test_green_needs_probability_measure():
     g = segment(1)
     mu = GraphMeasure({"u": 1, "v": 1}, {})
     with pytest.raises(NonProbabilityMeasureError):
-        green_function(g, mu, g.vertex_point("u"))
+        green_function(g, mu, "u")
 
 
 def test_green_on_segment():
     a = Fraction(7)
     g = segment(a)
     mu = GraphMeasure({"u": Fraction(1, 2), "v": Fraction(1, 2)}, {})
-    gr = green_function(g, mu, g.vertex_point("v"))
+    gr = green_function(g, mu, "v")
     assert gr.value_at_vertex("v") == a / 4
     assert gr.value_at_vertex("u") == -a / 4
     assert gr.coefficients("e") == (0, Fraction(1, 2), -a / 4)
@@ -401,7 +389,7 @@ def test_green_on_circle_uniform():
     a = Fraction(5)
     g = circle(a)
     mu = GraphMeasure({}, {"e": 1 / a})
-    gr = green_function(g, mu, g.vertex_point("v"))
+    gr = green_function(g, mu, "v")
     assert gr.coefficients("e") == (1 / (2 * a), Fraction(-1, 2), a / 12)
     assert gr.value_at_vertex("v") == a / 12
     assert integrate(g, gr, measure=mu) == 0
@@ -411,10 +399,10 @@ def test_green_interior_pole():
     a = Fraction(5)
     g = circle(a)
     mu = GraphMeasure({}, {"e": 1 / a})
-    h, (pole,), hmu = subdivide_at(g, [g.point("e", 2)], mu)
+    h, (pole,), hmu = subdivide_at(g, [EdgePoint("e", 2)], mu)
     gr = green_function(h, hmu, pole)
     # rotation invariance: the value at the pole equals the vertex-pole case
-    assert gr(pole) == a / 12
+    assert gr.value_at_vertex(pole) == a / 12
 
 
 def test_green_symmetry(rng):
@@ -427,18 +415,18 @@ def test_green_symmetry(rng):
         pts = []
         for _ in range(2):
             if rng.random() < 0.5:
-                pts.append(g.vertex_point(rng.choice(g.vertex_ids)))
+                pts.append(rng.choice(g.vertex_ids))
             else:
                 e = rng.choice(g.edge_ids)
                 t = g.edge_length(e) * Fraction(rng.randint(1, 7), 8)
-                pts.append(g.point(e, t))
+                pts.append(EdgePoint(e, t))
         x, y = pts
         if x == y:
             continue
         h, (hx, hy), hmu = subdivide_at(g, pts, mu)
         gx = green_function(h, hmu, hx)
         gy = green_function(h, hmu, hy)
-        assert gx(hy) == gy(hx)
+        assert gx.value_at_vertex(hy) == gy.value_at_vertex(hx)
         checked += 1
 
 
@@ -447,7 +435,7 @@ def test_green_against_discrete_oracle(rng):
         g = random_pm_graph(rng, max_vertices=4, extra_edges=2)
         mu = random_probability_measure(rng, g)
         y = g.vertex_ids[0]
-        gr = green_function(g, mu, g.vertex_point(y))
+        gr = green_function(g, mu, y)
         for n in (50, 100):
             net = DiscreteNetwork(g, n)
             approx = net.green(mu, y)
@@ -511,12 +499,16 @@ def test_diagonal_green_against_discrete_oracle(rng):
 def test_integrate_polynomial_against_density():
     a = Fraction(2)
     g = segment(a)
-    sigma = GraphDivisor([(g.vertex_point("u"), 1), (g.vertex_point("v"), -1)])
+    sigma = GraphMeasure({"u": 1, "v": -1})
     f = solve_poisson(g, sigma, None, base="v")  # f(t) = a - t
     mu = GraphMeasure({}, {"e": 1})
     assert integrate(g, f, measure=mu) == a * a / 2
-    d = GraphDivisor([(g.point("e", 1), 3)])
-    assert integrate(g, f, divisor=d) == 3 * (a - 1)
+    # a point mass inside e sits on a cut of the subdivided graph
+    h, (x,), _ = subdivide_at(g, [EdgePoint("e", 1)])
+    f = solve_poisson(h, sigma, None, base="v")
+    assert integrate(h, f, GraphMeasure({x: 3})) == 3 * (a - 1)
+    with pytest.raises(ValueError, match="unknown vertex"):
+        integrate(h, f, GraphMeasure({EdgePoint("e", 1): 3}))
 
 
 def test_green_invariant_under_subdivision(rng):
@@ -524,15 +516,15 @@ def test_green_invariant_under_subdivision(rng):
         g = random_pm_graph(rng)
         mu = random_probability_measure(rng, g)
         y = g.vertex_ids[0]
-        coarse = green_function(g, mu, g.vertex_point(y))
+        coarse = green_function(g, mu, y)
         points = [
-            g.point(e, g.edge_length(e) * Fraction(rng.randint(1, 3), 4))
+            EdgePoint(e, g.edge_length(e) * Fraction(rng.randint(1, 3), 4))
             for e in g.edge_ids
             if rng.random() < 0.5
         ]
         h, cuts, hmu = subdivide_at(g, points, mu)
-        fine = green_function(h, hmu, h.vertex_point(y))
+        fine = green_function(h, hmu, y)
         for v in g.vertex_ids:
             assert fine.value_at_vertex(v) == coarse.value_at_vertex(v)
         for p, cut in zip(points, cuts):
-            assert fine(cut) == coarse(p)
+            assert fine.value_at_vertex(cut) == value_at(coarse, p)

@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import PROPERTY_SETTINGS, drop_genus0_leaves, random_probability_measure, subdivide_at
+from conftest import EdgePoint, PROPERTY_SETTINGS, drop_genus0_leaves, random_probability_measure
+from conftest import subdivide_at, value_at
 from oracles import effective_resistance, green_function, green_of_canonical
 
 from g2inv.fiber_catalog import classify, closed_form
@@ -98,12 +99,11 @@ def test_diagonal_green_matches_green_function(case):
     diag, mean = diagonal_green(graph, mu)
     assert mean == integrate(graph, diag, measure=mu)
     for v in graph.vertex_ids:
-        p = graph.vertex_point(v)
-        assert diag(p) == green_function(graph, mu, p)(p)
+        assert diag.value_at_vertex(v) == green_function(graph, mu, v).value_at_vertex(v)
     for e, t in offsets.items():
-        p = graph.point(e, t)
+        p = EdgePoint(e, t)
         fine, (pole,), fine_mu = subdivide_at(graph, [p], mu)  # pole: the cut at p
-        assert diag(p) == green_function(fine, fine_mu, pole)(pole)
+        assert value_at(diag, p) == green_function(fine, fine_mu, pole).value_at_vertex(pole)
 
 
 def assert_one_solve_matches_green_functions(graph, mu):
@@ -113,8 +113,8 @@ def assert_one_solve_matches_green_functions(graph, mu):
     diag, _ = diagonal_green(graph, mu)
     h = diag + green_of_canonical(graph, mu)
     want = diag
-    for p, coeff in canonical_divisor(graph).support:
-        want = want + green_function(graph, mu, p).scale(coeff)
+    for v, coeff in canonical_divisor(graph).vertex_masses.items():
+        want = want + green_function(graph, mu, v).scale(coeff)
     for e in graph.edge_ids:
         assert h.coefficients(e) == want.coefficients(e)
     for v in graph.vertex_ids:
@@ -174,7 +174,7 @@ def test_phi_matches_cinkir_tau_route(graph):
     vertices, so the report inverts Laplacians larger than 1 x 1."""
 
     def r(a, b):
-        return effective_resistance(graph, graph.vertex_point(a), graph.vertex_point(b))
+        return effective_resistance(graph, a, b)
 
     g = total_genus(graph)
     y = graph.vertex_ids[0]
@@ -184,8 +184,8 @@ def test_phi_matches_cinkir_tau_route(graph):
         length = graph.edge_length(e)
         tau += (r(b, y) - r(a, y)) ** 2 / length + length / 3 * (1 - r(a, b) / length) ** 2
     tau /= 4
-    k = canonical_divisor(graph).support
-    theta = sum(cp * cq * r(p.vertex, q.vertex) for p, cp in k for q, cq in k)
+    k = canonical_divisor(graph).vertex_masses.items()
+    theta = sum(cp * cq * r(p, q) for p, cp in k for q, cq in k)
     ell = graph.total_length
 
     report = nonarch_report(graph)
@@ -245,7 +245,7 @@ def report_on_this_model(graph):
     diag, mean = diagonal_green(graph, mu)
     assert is_admissible(graph, mu, diag)
     assert mean == integrate(graph, diag, measure=mu)
-    diag_k = integrate(graph, diag, divisor=k)
+    diag_k = integrate(graph, diag, k)
     counts = node_counts(graph)
     eps = diag_k + 2 * mean
     phi = -counts.delta / 4 + (22 * mean - diag_k) / 4

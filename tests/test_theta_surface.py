@@ -327,6 +327,8 @@ def test_quadrature_config_validation():
     for bad in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             QuadratureConfig(target_stderr=bad)
+    with pytest.raises(ValueError, match="seed"):
+        QuadratureConfig(seed=-1)
 
 
 def test_log_h_constant_integrand_self_test():
