@@ -251,6 +251,8 @@ class GraphMeasure:
                 raise ValueError(f"measure references unknown vertex {v!r}")
             total = total + m
         for e, d in self._density.items():
+            if e not in graph.edge_ids:
+                raise ValueError(f"measure references unknown edge {e!r}")
             total = total + d * graph.edge_length(e)
         return total
 
@@ -557,6 +559,8 @@ def integrate(graph: PMGraph, f: PiecewisePoly, measure: GraphMeasure):
             raise ValueError(f"measure references unknown vertex {v!r}")
         total = total + m * f.value_at_vertex(v)
     for e, rho in measure.edge_densities.items():
+        if e not in graph.edge_ids:
+            raise ValueError(f"measure references unknown edge {e!r}")
         c2, c1, c0 = f.coefficients(e)
         length = graph.edge_length(e)
         antiderivative = (

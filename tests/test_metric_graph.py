@@ -10,6 +10,7 @@ from g2inv.errors import DisconnectedError, NonProbabilityMeasureError
 from g2inv.exact import rational_function_field
 from g2inv.metric_graph import (
     GraphMeasure,
+    PiecewisePoly,
     PMGraph,
     diagonal_green,
     integrate,
@@ -510,6 +511,21 @@ def test_integrate_polynomial_against_density():
     with pytest.raises(ValueError, match="unknown vertex"):
         integrate(h, f, GraphMeasure({EdgePoint("e", 1): 3}))
 
+
+
+@pytest.mark.parametrize(
+    "measure_of",
+    [
+        lambda g, m: m.total_mass(g),
+        lambda g, m: integrate(g, PiecewisePoly(g, {"e": (0, 0, 1)}, {"u": 1, "v": 1}), m),
+    ],
+    ids=["total_mass", "integrate"],
+)
+def test_unknown_edge_density_is_a_value_error(measure_of):
+    """A density on an edge the graph lacks is refused by name, as an
+    unknown vertex is, not with a bare KeyError."""
+    with pytest.raises(ValueError, match="unknown edge 'zz'"):
+        measure_of(segment(Fraction(1)), GraphMeasure({}, {"zz": 1}))
 
 def test_green_invariant_under_subdivision(rng):
     for _ in range(8):

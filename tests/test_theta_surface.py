@@ -34,6 +34,7 @@ from g2inv.theta_surface import (
     log_delta2,
     log_h,
     _theta_kernel,
+    _unit_phase,
     odd_characteristics,
     siegel_reduce,
     theta,
@@ -398,6 +399,9 @@ def test_kernel_matches_pointwise_theta_norm(rng):
     taus = [siegel_reduce(random_tau(rng))[0] for _ in range(20)]
     taus.append(SiegelMatrix(np.array([[0.1 + 1.2j, 0.3 + 0.4j], [0.3 + 0.4j, -0.2 + 300j]])))
     taus.append(_stretched_tau(64))  # the moduli span their widest kept range
+    # unreduced, so the row recurrences run to radius 8 and 10
+    taus.append(SiegelMatrix([[0.3 + 0.2j, 0.1 + 0.05j], [0.1 + 0.05j, 0.2 + 0.3j]]))
+    taus.append(SiegelMatrix([[0.45 + 0.12j, -0.5 + 0.03j], [-0.5 + 0.03j, 0.1 + 0.5j]]))
     edges = (0.0, 0.5, 1 - 1e-9)
     for index, tau in enumerate(taus):
         points = np.random.default_rng(index).random((256, 4))
@@ -410,6 +414,23 @@ def test_kernel_matches_pointwise_theta_norm(rng):
         assert np.array_equal(np.isnan(got), np.isnan(want))
         assert np.nanmax(np.abs(got - want)) < 1e-10
 
+
+def test_unit_phase_matches_mpmath():
+    """The table phase against exp(2 pi i t) at 30 digits: random turns up
+    to 64, every table-cell boundary and centre k/2048 for |k| <= 2048,
+    and the edge inputs 1 - 2^-53 and 1e-300."""
+    turns = np.concatenate([
+        np.random.default_rng(15).uniform(-64, 64, 3000),
+        np.arange(-2048, 2049) / 2048,
+        [1 - 2.0**-53, 1e-300],
+    ])
+    got = _unit_phase(turns)
+    with mpmath.workdps(30):
+        error = max(
+            abs(mpmath.expjpi(2 * mpmath.mpf(t)) - mpmath.mpc(g))
+            for t, g in zip(turns.tolist(), got.tolist())
+        )
+    assert error <= 2e-15
 
 def _stretched_tau(scale: float) -> SiegelMatrix:
     return SiegelMatrix(0.05 + 1j * scale * np.array([[1, 0.48], [0.48, 1.1]]))
