@@ -6,31 +6,20 @@ numerical invariants of genus-2 period matrices through theta functions.
 """
 
 from .errors import (
-    AdmissibilityFailureError,
     DegenerateThetaNullError,
     DisconnectedError,
     FormulaMismatchError,
     G2Error,
-    GenusZeroError,
     InvalidParamsError,
-    NonProbabilityMeasureError,
     NotPositiveDefiniteError,
     QuadratureUnstableError,
     TruncationOverflowError,
     UnclassifiableError,
 )
 from .fiber_catalog import FiberType, classify, closed_form, graph_of_type
-from .metric_graph import (
-    GraphMeasure,
-    PMGraph,
-    diagonal_green,
-    resistance_pairing,
-    smooth,
-    subdivide,
-)
+from .metric_graph import PMGraph, resistance_pairing, smooth
 from .pm_invariants import (
     NonArchReport,
-    admissible_measure,
     canonical_divisor,
     node_counts,
     nonarch_report,
@@ -67,17 +56,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArchReport",
-    "AdmissibilityFailureError",
     "DegenerateThetaNullError",
     "DisconnectedError",
     "FiberType",
     "FormulaMismatchError",
     "G2Error",
-    "GenusZeroError",
-    "GraphMeasure",
     "InvalidParamsError",
     "NonArchReport",
-    "NonProbabilityMeasureError",
     "NotPositiveDefiniteError",
     "PMGraph",
     "QuadratureConfig",
@@ -87,12 +72,10 @@ __all__ = [
     "ThetaChar",
     "TruncationOverflowError",
     "UnclassifiableError",
-    "admissible_measure",
     "arch_invariants",
     "canonical_divisor",
     "classify",
     "closed_form",
-    "diagonal_green",
     "even_characteristics",
     "graph_of_type",
     "log_delta2",
@@ -103,7 +86,6 @@ __all__ = [
     "resistance_pairing",
     "siegel_reduce",
     "smooth",
-    "subdivide",
     "theta",
     "theta_norm",
     "total_genus",

@@ -24,7 +24,6 @@ import sys
 from fractions import Fraction
 
 from .errors import (
-    AdmissibilityFailureError,
     DegenerateThetaNullError,
     FormulaMismatchError,
     InvalidParamsError,
@@ -41,6 +40,8 @@ from .formats import (
     load_tau,
     nonarch_to_dict,
     parse_rational,
+    render,
+    render_table,
 )
 from .metric_graph import smooth
 from .pm_invariants import nonarch_report, total_genus
@@ -50,7 +51,7 @@ TAGS = tuple(ARITY)
 INPUT_ERRORS = (InvalidParamsError, NotPositiveDefiniteError,
                 TruncationOverflowError, OSError, ValueError)
 # what `main` reports as a failed internal cross-check: exit 4
-CROSS_CHECK_ERRORS = (FormulaMismatchError, AdmissibilityFailureError)
+CROSS_CHECK_ERRORS = (FormulaMismatchError,)
 # table column -> the NonArchReport field it shows
 TABLE_FIELDS = {"delta0": "delta0", "delta1": "delta1", "rKK": "r_kk",
                 "epsilon": "epsilon", "phi": "phi", "lambda": "lambda_"}
@@ -107,16 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_nonarch(report, fmt: str) -> None:
-    doc = nonarch_to_dict(report)
-    if fmt == "structured":
-        print(json.dumps(doc, indent=2))
-        return
-    width = max(len(k) for k in doc)
-    for key, value in doc.items():
-        print(f"{key:<{width}}  {value}")
-
-
 def _run_nonarch(args) -> int:
     if (args.graph is None) == (args.fiber_type is None):
         raise InvalidParamsError("give exactly one input: a graph file or --type")
@@ -132,14 +123,14 @@ def _run_nonarch(args) -> int:
         print(f"error: graph has total genus {g}, need 2", file=sys.stderr)
         return 3
     stable = smooth(graph)  # once, for both: each then finds nothing to merge
-    try:  # the paper's table is a third route, after the report's own two
+    try:  # the paper's closed form is the second route, after the report's tau route
         report = _matching_closed_form(nonarch_report(stable), classify(stable))
     except CROSS_CHECK_ERRORS as exc:
         print(f"internal cross-check failed: {exc}", file=sys.stderr)
         print("offending graph:", file=sys.stderr)
         print(json.dumps(graph_to_dict(graph), indent=2), file=sys.stderr)
         return 4
-    _print_nonarch(report, args.format)
+    print(render(nonarch_to_dict(report), args.format))
     return 0
 
 
@@ -180,19 +171,7 @@ def _run_arch(args) -> int:
         tolerance=tolerance,
         target_stderr=target,
     )
-    if args.format == "structured":
-        print(json.dumps(doc, indent=2))
-        return 0
-    width = max(len(k) for k in doc)
-    for key, value in doc.items():
-        if key == "log_h":
-            print(f"{key:<{width}}  {value!r} +- {report.log_h_stderr!r}")
-        elif key == "phi":
-            print(f"{key:<{width}}  {value!r} +- {report.phi_stderr!r}")
-        elif isinstance(value, float):
-            print(f"{key:<{width}}  {value!r}")
-        else:
-            print(f"{key:<{width}}  {value}")
+    print(render(doc, args.format, {"log_h": report.log_h_stderr, "phi": report.phi_stderr}))
     return 0
 
 
@@ -221,15 +200,7 @@ def _symbolic_rows():
 
 
 def _run_table(args) -> int:
-    rows = _symbolic_rows()
-    if args.format == "structured":
-        print(json.dumps({"rows": rows}, indent=2))
-        return 0
-    columns = ("type", *TABLE_FIELDS)
-    widths = {c: max(len(c), *(len(r[c]) for r in rows)) for c in columns}
-    print("  ".join(c.ljust(widths[c]) for c in columns))
-    for row in rows:
-        print("  ".join(row[c].ljust(widths[c]) for c in columns))
+    print(render_table(_symbolic_rows(), args.format))
     return 0
 
 

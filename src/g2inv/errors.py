@@ -11,19 +11,7 @@ class DisconnectedError(G2Error):
     """The graph is not connected."""
 
 
-class NonProbabilityMeasureError(G2Error):
-    """A probability measure (total mass one) was required."""
-
-
 # -- graph invariants -------------------------------------------------------
-
-class GenusZeroError(G2Error):
-    """The admissible measure needs total genus at least one."""
-
-
-class AdmissibilityFailureError(G2Error):
-    """No measure of the assumed shape makes g(x,x) + g(K,x) constant."""
-
 
 class FormulaMismatchError(G2Error):
     """Two independent formulas for the same invariant disagree."""

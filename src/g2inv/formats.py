@@ -7,7 +7,9 @@ Conventions chosen for lossless round-trips:
 * complex entries are written as "re+im i" with shortest-round-trip float
   text, so load(save(x)) is bit-identical;
 * reports serialize to JSON objects whose keys match the field names the
-  reports print in human mode.
+  reports print in human mode;
+* `render` and `render_table` produce what the commands print, in either
+  mode, from those objects.
 """
 
 from __future__ import annotations
@@ -200,3 +202,31 @@ def arch_from_dict(doc: dict) -> ArchReport:
         residual=float(doc["residual"]),
         rejected=int(doc["rejected"]),
     )
+
+
+def render(doc: dict, fmt: str, stderrs: dict | None = None) -> str:
+    """A report document as a command prints it: indented JSON for
+    "structured"; otherwise one aligned `key  value` line per field, floats
+    by repr, with ` +- stderr` after the fields that `stderrs` names."""
+    if fmt == "structured":
+        return json.dumps(doc, indent=2)
+    stderrs = stderrs or {}
+    width = max(len(k) for k in doc)
+    lines = []
+    for key, value in doc.items():
+        text = repr(value) if isinstance(value, float) else str(value)
+        if key in stderrs:
+            text += f" +- {stderrs[key]!r}"
+        lines.append(f"{key:<{width}}  {text}")
+    return "\n".join(lines)
+
+
+def render_table(rows: list[dict], fmt: str) -> str:
+    """Table rows (dicts of strings, same keys) as JSON `{"rows": ...}` for
+    "structured", else as left-aligned columns under a header line."""
+    if fmt == "structured":
+        return json.dumps({"rows": rows}, indent=2)
+    columns = list(rows[0])
+    widths = {c: max(len(c), *(len(r[c]) for r in rows)) for c in columns}
+    lines = [dict(zip(columns, columns)), *rows]
+    return "\n".join("  ".join(r[c].ljust(widths[c]) for c in columns) for r in lines)

@@ -1,54 +1,28 @@
-"""Exact potential theory on polarized metric graphs.
+"""Exact resistances on polarized metric graphs.
 
 A polarized metric graph is a finite connected multigraph (loops allowed)
 whose edges carry positive lengths and whose vertices carry nonnegative
 integer weights.  Treating edge lengths as resistances turns the graph
-into an electrical network; this module computes its potential theory
-exactly from one primitive, the vertex resistances: the resistance
-pairing of vertex masses, the diagonal Green's function of a
-vertex-mass-plus-constant-density measure, the distributional Laplacian
-of a piecewise quadratic, and exact integration.  It solves no Poisson
-equation; the tests keep one, as an independent reference route.
-Lengths are rationals, or rational functions of positive symbolic
-lengths; the code is the same for both, because only `exact` knows the
-field (see there).
+into an electrical network, and the graph invariants need one thing
+from it: the effective resistance r(a, b) between vertices.  Lengths are
+rationals, or rational functions of positive symbolic lengths; the code
+is the same for both, because only `exact` knows the field (see there).
 
-Conventions:
+* The vertex resistances come from one inverse G = M^-1 of the reduced
+  Laplacian M per graph (`exact.inverse`), memoized on the immutable
+  `PMGraph`: r(a, b) = G_aa + G_bb - 2 G_ab, with G zero in the base
+  vertex's row and column.  No resistance matrix is built.  Loops add
+  length but no conductance between vertices.
+* `resistance_pairing` extends r bilinearly to vertex-mass maps
+  {vertex: mass}, such as the canonical divisor K of `pm_invariants`.
+* Vertex ids are the only points.  `smooth` merges away every genus-0
+  vertex of valence 2, leaving the stable model, the graph whose
+  Laplacian `pm_invariants.nonarch_report` inverts.
 
-* Each edge is oriented by its endpoint pair (u, v); a function on it is
-  a polynomial in the offset t in [0, len(e)] measured from u.
-* A function f that is quadratic on each edge has the distributional
-  Laplacian
-
-      Delta f = -f'' dx  -  sum_p (sum of outgoing slopes of f at p) delta_p.
-
-  With this sign a solution of Delta f = delta_x - delta_y is the
-  potential of a unit current flowing from x to y, and the effective
-  resistance is r(x, y) = f(x) - f(y).
-* Measures (`GraphMeasure`) are vertex point masses plus a constant
-  density per edge, and are the only sources: a divisor such as the
-  canonical divisor K is the measure of its integer vertex masses.  This
-  class is closed under everything done here, and for such measures the
-  diagonal Green's function x -> g(x,x) is quadratic on every edge.
-* The vertex resistances r(a, b) come from one inverse G = M^-1 of the
-  reduced Laplacian M per graph (`exact.inverse`), memoized on the
-  immutable `PMGraph`: r(a, b) = G_aa + G_bb - 2 G_ab, with G zero in
-  the base vertex's row and column.  No resistance matrix is built.
-  Closed forms extend r to edge interiors (Baker-Faber 2006): for x at
-  offset t on an edge e = (a, b) of length L and any z outside the
-  interior of e,
-
-      r(x, z) = ((L - t) r(a, z) + t r(b, z)) / L + k t (L - t),
-      k = (L - r(a, b)) / L^2,
-
-  and for x, z on e at distance d, r(x, z) = d - k d^2.  The diagonal
-  Green's function is integrated from these, with no per-point solve.
-* Vertex ids are the only points.  `resistance_pairing` pairs vertex
-  masses and raises ValueError on an edge density.  To put a point inside
-  an edge, `subdivide` the graph first; the cut is a genus-0 vertex and
-  values at the old points are unchanged.  `smooth` undoes subdivision,
-  leaving the stable model, the graph whose Laplacian
-  `pm_invariants.nonarch_report` inverts.
+Measures with edge densities, piecewise quadratic potentials,
+subdivision and Zhang's integral route to the invariants live in the
+tests (`conftest`, `oracles`), as references for the formulas in r
+that the package uses.
 """
 
 from __future__ import annotations
@@ -56,8 +30,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Hashable, Iterable, Mapping
 
-from .errors import DisconnectedError, FormulaMismatchError, NonProbabilityMeasureError
-from .exact import as_rational, inverse, sign_known_nonnegative, sort_exact
+from .errors import DisconnectedError
+from .exact import as_rational, inverse, sign_known_nonnegative
 
 VertexId = Hashable
 EdgeId = Hashable
@@ -207,197 +181,10 @@ class PMGraph:
         return f"PMGraph({self.num_vertices} vertices, {self.num_edges} edges)"
 
 
-class GraphMeasure:
-    """Vertex point masses plus a constant density per edge.
-
-    Signed in general; `is_probability` checks for mass one with
-    nonnegative parts.  Zero entries are dropped.
-    """
-
-    def __init__(
-        self,
-        vertex_mass: Mapping[VertexId, Any] | None = None,
-        edge_density: Mapping[EdgeId, Any] | None = None,
-    ):
-        self._mass = {
-            v: as_rational(m)
-            for v, m in (vertex_mass or {}).items()
-            if as_rational(m) != 0
-        }
-        self._density = {
-            e: as_rational(d)
-            for e, d in (edge_density or {}).items()
-            if as_rational(d) != 0
-        }
-
-    @property
-    def vertex_masses(self) -> dict[VertexId, Any]:
-        return dict(self._mass)
-
-    @property
-    def edge_densities(self) -> dict[EdgeId, Any]:
-        return dict(self._density)
-
-    def mass(self, v: VertexId):
-        return self._mass.get(v, Fraction(0))
-
-    def density(self, e: EdgeId):
-        return self._density.get(e, Fraction(0))
-
-    def total_mass(self, graph: PMGraph):
-        total = Fraction(0)
-        for v, m in self._mass.items():
-            if v not in graph.vertex_ids:
-                raise ValueError(f"measure references unknown vertex {v!r}")
-            total = total + m
-        for e, d in self._density.items():
-            if e not in graph.edge_ids:
-                raise ValueError(f"measure references unknown edge {e!r}")
-            total = total + d * graph.edge_length(e)
-        return total
-
-    def is_probability(self, graph: PMGraph) -> bool:
-        if self.total_mass(graph) - 1 != 0:
-            return False
-        parts = list(self._mass.values()) + list(self._density.values())
-        return all(sign_known_nonnegative(p) is not False for p in parts)
-
-    def scale(self, factor: Any) -> "GraphMeasure":
-        factor = as_rational(factor)
-        return GraphMeasure(
-            {v: m * factor for v, m in self._mass.items()},
-            {e: d * factor for e, d in self._density.items()},
-        )
-
-    def __repr__(self) -> str:
-        return f"GraphMeasure(masses={self._mass!r}, densities={self._density!r})"
-
-
-class PiecewisePoly:
-    """A continuous function, quadratic on each edge of its graph.
-
-    Stored as coefficients (c2, c1, c0) per edge, f(t) = c2 t^2 + c1 t + c0
-    in the offset coordinate, plus the vertex values.  Construction checks
-    that edge-end values agree with the vertex values.
-    """
-
-    def __init__(
-        self,
-        graph: PMGraph,
-        edge_coeffs: Mapping[EdgeId, tuple[Any, Any, Any]],
-        vertex_values: Mapping[VertexId, Any],
-        *,
-        check: bool = True,
-    ):
-        self.graph = graph
-        self._coeffs = {
-            e: tuple(as_rational(c) for c in edge_coeffs[e]) for e in graph.edge_ids
-        }
-        self._values = {v: as_rational(vertex_values[v]) for v in graph.vertex_ids}
-        if check:
-            self._check_continuity()
-
-    def _check_continuity(self) -> None:
-        for e in self.graph.edge_ids:
-            u, v = self.graph.edge_ends(e)
-            c2, c1, c0 = self._coeffs[e]
-            length = self.graph.edge_length(e)
-            if c0 - self._values[u] != 0:
-                raise ValueError(f"edge {e!r}: value at offset 0 disagrees with vertex")
-            end_val = c2 * length * length + c1 * length + c0
-            if end_val - self._values[v] != 0:
-                raise ValueError(
-                    f"edge {e!r}: value at offset len disagrees with vertex"
-                )
-
-    def coefficients(self, e: EdgeId) -> tuple[Any, Any, Any]:
-        return self._coeffs[e]
-
-    def value_at_vertex(self, v: VertexId):
-        return self._values[v]
-
-    def constant_value(self):
-        """The constant this function equals everywhere, or None."""
-        ref = next(iter(self._values.values()))
-        for val in self._values.values():
-            if val - ref != 0:
-                return None
-        for c2, c1, _ in self._coeffs.values():
-            if c2 != 0 or c1 != 0:
-                return None
-        return ref
-
-    def __add__(self, other: "PiecewisePoly") -> "PiecewisePoly":
-        if other.graph is not self.graph:
-            raise ValueError("piecewise polynomials live on different graphs")
-        coeffs = {
-            e: tuple(a + b for a, b in zip(self._coeffs[e], other._coeffs[e]))
-            for e in self.graph.edge_ids
-        }
-        values = {v: self._values[v] + other._values[v] for v in self.graph.vertex_ids}
-        return PiecewisePoly(self.graph, coeffs, values, check=False)
-
-    def scale(self, factor: Any) -> "PiecewisePoly":
-        factor = as_rational(factor)
-        coeffs = {
-            e: tuple(c * factor for c in self._coeffs[e]) for e in self.graph.edge_ids
-        }
-        values = {v: self._values[v] * factor for v in self.graph.vertex_ids}
-        return PiecewisePoly(self.graph, coeffs, values, check=False)
-
-    def add_constant(self, const: Any) -> "PiecewisePoly":
-        const = as_rational(const)
-        coeffs = {
-            e: (c2, c1, c0 + const) for e, (c2, c1, c0) in self._coeffs.items()
-        }
-        values = {v: val + const for v, val in self._values.items()}
-        return PiecewisePoly(self.graph, coeffs, values, check=False)
-
-    def __repr__(self) -> str:
-        return f"PiecewisePoly(on {self.graph!r})"
-
-
-# -- subdivision ------------------------------------------------------------
-
-
-def subdivide(graph: PMGraph, cuts: Mapping[EdgeId, Iterable[Any]]) -> PMGraph:
-    """The graph with edges cut at interior offsets.
-
-    `cuts` maps edge ids to offsets from the edge's first endpoint;
-    endpoint and repeated offsets are ignored, and a key that is not an
-    edge raises ValueError.  Offsets are ordered by sign (`sort_exact`),
-    so symbolic offsets need a known order, else ValueError.  The i-th cut
-    of edge e in offset order is the genus-0 vertex ("cut", e, i), and the
-    pieces of e from its first endpoint on are the edges ("seg", e, 0),
-    ("seg", e, 1), ...; uncut edges keep their ids.  The total genus and
-    the first Betti number are unchanged.
-    """
-    unknown = [e for e in cuts if e not in graph.edge_ids]
-    if unknown:
-        raise ValueError(f"cuts name unknown edges {unknown!r}")
-    vertices = [(v, graph.genus(v)) for v in graph.vertex_ids]
-    edges = []
-    for e in graph.edge_ids:
-        u, v, length = *graph.edge_ends(e), graph.edge_length(e)
-        offsets: list[Any] = []
-        for t in map(as_rational, cuts.get(e, ())):
-            if not (t == 0 or t - length == 0 or any(t - s == 0 for s in offsets)):
-                offsets.append(t)
-        if not offsets:
-            edges.append((e, u, v, length))
-            continue
-        nodes = [u] + [("cut", e, i) for i in range(len(offsets))] + [v]
-        vertices += [(w, 0) for w in nodes[1:-1]]
-        bounds = [Fraction(0)] + sort_exact(offsets) + [length]
-        for i in range(len(nodes) - 1):
-            edges.append((("seg", e, i), nodes[i], nodes[i + 1], bounds[i + 1] - bounds[i]))
-    return PMGraph(vertices, edges)
-
-
 def smooth(graph: PMGraph) -> PMGraph:
     """The graph with every genus-0 vertex of valence 2 merged away.
 
-    The inverse of `subdivide`, in one pass: each chain of genus-0 vertices
+    Undoes subdivision, in one pass: each chain of genus-0 vertices
     on two different edges becomes one edge with the summed length, under
     the id and orientation of whichever of its end edges comes first, so
     no id is new.  A genus-0 vertex alone on a loop stays, as does one
@@ -457,116 +244,13 @@ def _reduced_laplacian(graph: PMGraph, base: VertexId) -> tuple[list, list]:
     return order, matrix
 
 
-def poly_laplacian(f: PiecewisePoly) -> GraphMeasure:
-    """The distributional Laplacian of f: vertex masses and -f'' per edge,
-    in the sign convention of the module docstring."""
-    graph = f.graph
-    density = {}
-    slope_sum: dict[VertexId, Any] = {v: Fraction(0) for v in graph.vertex_ids}
-    for e in graph.edge_ids:
-        c2, c1, _ = f.coefficients(e)
-        u, v = graph.edge_ends(e)
-        length = graph.edge_length(e)
-        density[e] = -2 * c2
-        slope_sum[u] = slope_sum[u] + c1
-        slope_sum[v] = slope_sum[v] - (2 * c2 * length + c1)
-    return GraphMeasure({v: -s for v, s in slope_sum.items()}, density)
-
-
-def resistance_pairing(graph: PMGraph, d: GraphMeasure, e: GraphMeasure):
-    """The resistance function extended bilinearly to the vertex masses of
-    two measures, each r read from `PMGraph.resistance`.  An edge density
-    raises ValueError: `subdivide` the graph to put mass inside an edge."""
-    if d.edge_densities or e.edge_densities:
-        raise ValueError("resistance pairing of an edge density; subdivide the graph first")
+def resistance_pairing(graph: PMGraph, d: Mapping[VertexId, Any], e: Mapping[VertexId, Any]):
+    """The resistance function extended bilinearly to two vertex-mass maps
+    {vertex: mass}, each r read from `PMGraph.resistance`; a key that is
+    no vertex of the graph raises ValueError."""
     total = Fraction(0)
-    for a, cx in d.vertex_masses.items():
-        for b, cy in e.vertex_masses.items():
+    for a, cx in d.items():
+        for b, cy in e.items():
             if a != b:
                 total = total + cx * cy * graph.resistance(a, b)
-    return total
-
-
-def diagonal_green(graph: PMGraph, mu: GraphMeasure) -> tuple[PiecewisePoly, Any]:
-    """The diagonal x -> g(x, x) of the Green's function, per-edge quadratic,
-    and its integral I/2 against mu.
-
-    g(x, x) = j(x) - I/2 with j(x) the integral of r(x, z) dmu(z) and I
-    the integral of j against mu.  j is integrated in closed form from the
-    vertex resistances (see the module docstring): at each vertex, and as
-    one quadratic per edge.  Each edge quadratic is built from the
-    same-edge formula, the vertex values from the formula for points
-    outside the edge; the two must agree exactly at both ends of every
-    edge, else FormulaMismatchError is raised.
-    """
-    mass = mu.total_mass(graph)
-    if mass - 1 != 0:
-        raise NonProbabilityMeasureError(f"measure has mass {mass}, expected 1")
-    r = graph.resistance
-    kappa = {}
-    for e in graph.edge_ids:
-        a, b = graph.edge_ends(e)
-        length = graph.edge_length(e)
-        kappa[e] = (length - r(a, b)) / (length * length)
-
-    # j(w) = integral of r(w, z) dmu(z).  An edge f = (c, d) of density rho
-    # adds rho (L (r(c, w) + r(d, w)) / 2 + k L^3 / 6): weight rho L / 2 at
-    # each end (both halves at a loop's one vertex, as r(c, w) counts twice),
-    # folded with the masses into W_v, and a w-free term summed into C:
-    # j(w) = C + sum_v W_v r(v, w).
-    weight = mu.vertex_masses
-    const = Fraction(0)
-    for f, rho in mu.edge_densities.items():
-        length = graph.edge_length(f)
-        for end in graph.edge_ends(f):
-            weight[end] = weight.get(end, Fraction(0)) + rho * length / 2
-        const = const + rho * kappa[f] * length**3 / 6
-    j = {
-        w: const + sum((m * r(v, w) for v, m in weight.items()), Fraction(0))
-        for w in graph.vertex_ids
-    }
-
-    coeffs = {}
-    for e in graph.edge_ids:
-        a, b = graph.edge_ends(e)
-        length, k, rho = graph.edge_length(e), kappa[e], mu.density(e)
-        # j without e's own density, at both ends of e
-        own = rho * (length * r(a, b) / 2 + k * length**3 / 6)
-        lo, hi = j[a] - own, j[b] - own
-        # x at offset t: interpolate the rest of mu, add the bulge
-        # k t (L - t) times its mass, and integrate d - k d^2 against e's
-        # density:  rho ((t^2 + (L - t)^2) / 2 - k (t^3 + (L - t)^3) / 3)
-        c2 = rho * (1 - k * length) - k * (1 - rho * length)
-        c1 = (hi - lo) / length - c2 * length
-        c0 = lo + rho * length * length * (Fraction(1, 2) - k * length / 3)
-        coeffs[e] = (c2, c1, c0)
-
-    try:
-        j_poly = PiecewisePoly(graph, coeffs, j)
-    except ValueError as exc:
-        raise FormulaMismatchError(f"diagonal Green's function: {exc}") from exc
-    half = integrate(graph, j_poly, mu) / 2
-    return j_poly.add_constant(-half), half
-
-
-def integrate(graph: PMGraph, f: PiecewisePoly, measure: GraphMeasure):
-    """Integrate f against a vertex-mass-plus-density measure, exactly."""
-    if f.graph is not graph:
-        raise ValueError("function does not live on this graph")
-    total = Fraction(0)
-    for v, m in measure.vertex_masses.items():
-        if v not in graph.vertex_ids:
-            raise ValueError(f"measure references unknown vertex {v!r}")
-        total = total + m * f.value_at_vertex(v)
-    for e, rho in measure.edge_densities.items():
-        if e not in graph.edge_ids:
-            raise ValueError(f"measure references unknown edge {e!r}")
-        c2, c1, c0 = f.coefficients(e)
-        length = graph.edge_length(e)
-        antiderivative = (
-            c2 * length * length * length / 3
-            + c1 * length * length / 2
-            + c0 * length
-        )
-        total = total + rho * antiderivative
     return total

@@ -1,4 +1,4 @@
-"""Reference routes the package's potential theory is tested against.
+"""Reference routes the package's invariants are tested against.
 
 The exact Poisson route solves Delta f = the sum of some measures for
 the vertex potentials by a plain Gauss-Jordan elimination in field
@@ -6,7 +6,19 @@ arithmetic (`solve`); resistances, Green's functions and g(K, .) each
 take one such solve.  Points are vertex ids, as in the package, and a
 source must name vertices and edges of its graph.  The route imports
 nothing from `g2inv.exact` and asks no `PMGraph` for a resistance, so it
-shares no elimination code with `g2inv.exact.inverse`.
+shares no elimination code with `g2inv.exact.inverse`.  The Laplacian
+of a function f that is quadratic on each edge is
+
+    Delta f = -f'' dx  -  sum_p (sum of outgoing slopes of f at p) delta_p,
+
+so a solution of Delta f = delta_x - delta_y is the potential of a unit
+current from x to y, and r(x, y) = f(x) - f(y).
+
+Zhang's integral route (Zhang 1993) builds the admissible measure mu and
+the diagonal x -> g_mu(x, x) of its Green's function in closed form from
+the resistances of the Poisson route, one solve per vertex
+(`resistances`); integrating the diagonal gives epsilon and phi.  It is
+the reference for the package's resistance formulas (Cinkir's tau).
 
 The float oracle replaces each edge by n equal resistors in series and
 lumps measures onto the chain nodes (half a segment's mass to each end),
@@ -19,12 +31,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from g2inv.errors import NonProbabilityMeasureError
-from g2inv.metric_graph import GraphMeasure, PiecewisePoly, PMGraph, integrate
+from conftest import GraphMeasure, PiecewisePoly, integrate
+from g2inv.metric_graph import PMGraph
 
 
 class NonZeroMassError(Exception):
     """The source of a Poisson problem does not have total mass zero."""
+
+
+class NonProbabilityMeasureError(Exception):
+    """A probability measure (total mass one) was required."""
+
+
+class GenusZeroError(Exception):
+    """The admissible measure needs total genus at least one."""
 
 
 def solve(matrix, rhs) -> list:
@@ -49,7 +69,7 @@ def solve(matrix, rhs) -> list:
 
 def solve_poisson(graph: PMGraph, divisor, measure, base) -> PiecewisePoly:
     """f with Delta f = divisor + measure and f(base) = 0, in the sign
-    convention of `g2inv.metric_graph`; both are measures, or None.  The
+    convention above; both are measures, or None.  The
     source must have total mass zero (NonZeroMassError) and name only
     vertices and edges of the graph (ValueError).
 
@@ -118,6 +138,108 @@ def green_of_canonical(graph: PMGraph, mu: GraphMeasure) -> PiecewisePoly:
     k = GraphMeasure({v: 2 * graph.genus(v) - 2 + graph.degree(v) for v in graph.vertex_ids})
     f = solve_poisson(graph, k, mu.scale(-k.total_mass(graph)), graph.vertex_ids[0])
     return f.add_constant(-integrate(graph, f, mu))
+
+
+def resistances(graph: PMGraph) -> dict:
+    """r(a, b) for every pair of vertices, from one solve per vertex a:
+    f_a with Delta f_a = delta_a - delta_base and f_a(base) = 0 is column a
+    of the inverse of the reduced Laplacian, so
+    r(a, b) = f_a(a) + f_b(b) - 2 f_a(b)."""
+    base = graph.vertex_ids[0]
+    f = {
+        a: solve_poisson(graph, GraphMeasure({a: 1}), GraphMeasure({base: -1}), base)
+        for a in graph.vertex_ids
+    }
+    return {
+        (a, b): f[a].value_at_vertex(a) + f[b].value_at_vertex(b) - 2 * f[a].value_at_vertex(b)
+        for a in graph.vertex_ids
+        for b in graph.vertex_ids
+    }
+
+
+def admissible_measure(graph: PMGraph) -> GraphMeasure:
+    """The unique probability measure with g(x,x) + g(K,x) constant.
+
+    The closed form of Zhang 1993, Thm 3.2: vertex masses q(v)/g; an edge
+    e = (a, b) of length L has density 1/(g (L + R(e))), with
+    R(e) = L r(a, b) / (L - r(a, b)) the resistance between its ends in
+    the graph minus e.  That is (L - r(a, b)) / (g L^2), which vanishes on
+    bridges and is 1/(g L) on loops.  `green_of_canonical` checks the
+    property.
+    """
+    g = graph.betti1 + sum(graph.genus(v) for v in graph.vertex_ids)
+    if g == 0:
+        raise GenusZeroError("a genus-0 graph has no admissible measure")
+    r = resistances(graph)
+    masses = {v: Fraction(graph.genus(v), g) for v in graph.vertex_ids}
+    densities = {}
+    for e in graph.edge_ids:
+        length = graph.edge_length(e)
+        densities[e] = (length - r[graph.edge_ends(e)]) / (g * length * length)
+    return GraphMeasure(masses, densities)
+
+
+def diagonal_green(graph: PMGraph, mu: GraphMeasure) -> tuple[PiecewisePoly, object]:
+    """The diagonal x -> g(x, x) of the Green's function, per-edge quadratic,
+    and its integral I/2 against mu.
+
+    g(x, x) = j(x) - I/2 with j(x) the integral of r(x, z) dmu(z) and I
+    the integral of j against mu.  Closed forms extend r to edge interiors
+    (Baker-Faber 2006): for x at offset t on an edge e = (a, b) of length
+    L and any z outside the interior of e,
+
+        r(x, z) = ((L - t) r(a, z) + t r(b, z)) / L + k t (L - t),
+        k = (L - r(a, b)) / L^2,
+
+    and for x, z on e at distance d, r(x, z) = d - k d^2.  Each edge
+    quadratic of j comes from the same-edge formula, the vertex values from
+    the formula for points outside the edge; `PiecewisePoly` raises
+    ValueError unless the two agree at both ends of every edge.
+    """
+    mass = mu.total_mass(graph)
+    if mass - 1 != 0:
+        raise NonProbabilityMeasureError(f"measure has mass {mass}, expected 1")
+    r = resistances(graph)
+    kappa = {}
+    for e in graph.edge_ids:
+        length = graph.edge_length(e)
+        kappa[e] = (length - r[graph.edge_ends(e)]) / (length * length)
+
+    # j(w) = integral of r(w, z) dmu(z).  An edge f = (c, d) of density rho
+    # adds rho (L (r(c, w) + r(d, w)) / 2 + k L^3 / 6): weight rho L / 2 at
+    # each end (both halves at a loop's one vertex, as r(c, w) counts twice),
+    # folded with the masses into W_v, and a w-free term summed into C:
+    # j(w) = C + sum_v W_v r(v, w).
+    weight = mu.vertex_masses
+    const = Fraction(0)
+    for f, rho in mu.edge_densities.items():
+        length = graph.edge_length(f)
+        for end in graph.edge_ends(f):
+            weight[end] = weight.get(end, Fraction(0)) + rho * length / 2
+        const = const + rho * kappa[f] * length**3 / 6
+    j = {
+        w: const + sum((m * r[v, w] for v, m in weight.items()), Fraction(0))
+        for w in graph.vertex_ids
+    }
+
+    coeffs = {}
+    for e in graph.edge_ids:
+        a, b = graph.edge_ends(e)
+        length, k, rho = graph.edge_length(e), kappa[e], mu.density(e)
+        # j without e's own density, at both ends of e
+        own = rho * (length * r[a, b] / 2 + k * length**3 / 6)
+        lo, hi = j[a] - own, j[b] - own
+        # x at offset t: interpolate the rest of mu, add the bulge
+        # k t (L - t) times its mass, and integrate d - k d^2 against e's
+        # density:  rho ((t^2 + (L - t)^2) / 2 - k (t^3 + (L - t)^3) / 3)
+        c2 = rho * (1 - k * length) - k * (1 - rho * length)
+        c1 = (hi - lo) / length - c2 * length
+        c0 = lo + rho * length * length * (Fraction(1, 2) - k * length / 3)
+        coeffs[e] = (c2, c1, c0)
+
+    j_poly = PiecewisePoly(graph, coeffs, j)
+    half = integrate(graph, j_poly, mu) / 2
+    return j_poly.add_constant(-half), half
 
 
 class DiscreteNetwork:

@@ -16,16 +16,18 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import EdgePoint, rand_frac, value_at
-from oracles import DiscreteNetwork, green_function, green_of_canonical
+from conftest import EdgePoint, rand_frac, subdivide, value_at
+from oracles import DiscreteNetwork, admissible_measure, diagonal_green, green_function
+from oracles import green_of_canonical
+from test_properties import report_on_this_model
 from test_theta_surface import random_tau
 
 from g2inv.cli import main
 from g2inv.errors import DegenerateThetaNullError
 from g2inv.fiber_catalog import ARITY, FiberType, closed_form, graph_of_type
 from g2inv.formats import save_tau
-from g2inv.metric_graph import PMGraph, diagonal_green, subdivide
-from g2inv.pm_invariants import admissible_measure, nonarch_report
+from g2inv.metric_graph import PMGraph
+from g2inv.pm_invariants import nonarch_report
 from g2inv.theta_surface import (
     QuadratureConfig,
     SiegelMatrix,
@@ -130,14 +132,12 @@ def test_acceptance_03_lambda_law():
 
 def test_acceptance_04_phi_cross_check():
     with criterion("4. phi: integral route equals resistance route exactly on every sampled graph"):
-        # nonarch_report itself computes phi along the integral route and
-        # raises FormulaMismatchError unless the resistance route agrees
-        # exactly, so every row here already survived the dual evaluation;
-        # re-assert the identity from the reported fields.
+        # the report takes phi from Cinkir's tau, a formula in resistances;
+        # Zhang's integral route, on the Poisson route's resistances, must
+        # give the same phi, and every other field, on every sampled graph
         rows, _ = sampled_rows()
         for fiber, got, _want in rows:
-            delta = got.delta0 + got.delta1
-            assert got.phi == -Fraction(delta) / 4 - Fraction(3, 8) * got.r_kk + 2 * got.epsilon, fiber
+            assert report_on_this_model(graph_of_type(fiber)) == got, fiber
 
 
 def test_acceptance_05_admissibility():

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -503,30 +504,57 @@ def test_table_mismatch_exits_4(monkeypatch, capsys):
     assert "symbolic table row II(a): phi" in capsys.readouterr().err
 
 
-def test_nonarch_non_admissible_measure_exits_4(tmp_path, skewed_admissible_measure, capsys):
+def test_nonarch_skewed_tau_exits_4(tmp_path, skewed_tau, capsys):
+    """A wrong tau route fails the comparison with the closed form: exit 4,
+    the field named, nothing on stdout, and the graph dumped."""
     path = tmp_path / "vii.json"
     save_graph(str(path), graph_of_type(FiberType("VII", (1, 2, 3))))
     assert main(["nonarch", str(path)]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("internal cross-check failed: ")
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal cross-check failed: VII(1, 2, 3): epsilon is ")
     assert "offending graph:" in err
 
 
-@pytest.mark.parametrize("argv", [["verify", "--samples", "1"], ["table"]])
-def test_graph_sweeps_non_admissible_measure_exit_4(argv, skewed_admissible_measure, capsys):
-    assert main(argv) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("internal cross-check failed: ")
+def test_table_skewed_tau_exits_4(skewed_tau, capsys):
+    assert main(["table"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal cross-check failed: symbolic table row I: epsilon is ")
     assert "Traceback" not in err
 
 
-def test_verify_formula_mismatch_exits_4(monkeypatch, capsys):
+@pytest.mark.parametrize("skewed", ["_tau", "resistance_pairing"])
+def test_verify_mismatch_exits_7(skewed, monkeypatch, capsys):
+    """tau or r(K, K) one too large reaches `verify` as a disagreement with
+    the closed form on every type: MISMATCH lines, FAIL, exit 7."""
     import g2inv.pm_invariants
 
-    pairing = g2inv.pm_invariants.resistance_pairing
-    # r(K, K) one too large: the resistance route to phi disagrees
-    monkeypatch.setattr(
-        g2inv.pm_invariants, "resistance_pairing", lambda *args: pairing(*args) + 1
-    )
-    assert main(["verify", "--samples", "1"]) == 4
-    assert capsys.readouterr().err.startswith("internal cross-check failed: phi routes disagree")
+    right = getattr(g2inv.pm_invariants, skewed)
+    monkeypatch.setattr(g2inv.pm_invariants, skewed, lambda *args: right(*args) + 1)
+    assert main(["verify", "--samples", "1"]) == 7
+    out, err = capsys.readouterr()
+    assert out.count("MISMATCH") == 7 and out.count("0/1 FAIL") == 7
+    assert err == ""
+
+
+# recorded outputs of every graph command: the seven types at fixed
+# rational lengths, the symbolic table in both formats, and a verify sweep
+GOLDEN = {
+    **{
+        f"nonarch-{tag}.json": ["nonarch", "--type", tag, "--params", params,
+                                "--format", "structured"]
+        for tag, params in [("I", ""), ("II", "3/2"), ("III", "2/7"), ("IV", "3/2,5/3"),
+                            ("V", "1/2,7/4"), ("VI", "2,3/5,7/3"), ("VII", "3/2,5/7,11/3")]
+    },
+    "table.json": ["table", "--format", "structured"],
+    "table.txt": ["table"],
+    "verify-20.txt": ["verify", "--samples", "20"],
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_output_matches_golden_file(name, capsys):
+    assert main(GOLDEN[name]) == 0
+    want = (Path(__file__).parent / "data" / name).read_bytes()
+    assert capsys.readouterr().out.encode() == want

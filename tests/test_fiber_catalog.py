@@ -7,10 +7,10 @@ import pytest
 from g2inv.errors import InvalidParamsError, UnclassifiableError
 from g2inv.exact import rational_function_field
 from g2inv.fiber_catalog import FiberType, classify, closed_form, graph_of_type
-from g2inv.metric_graph import PMGraph, subdivide
+from g2inv.metric_graph import PMGraph
 from g2inv.pm_invariants import node_counts, nonarch_report, total_genus
 
-from conftest import rand_frac
+from conftest import rand_frac, subdivide
 
 ALL_TAGS = ("I", "II", "III", "IV", "V", "VI", "VII")
 

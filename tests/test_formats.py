@@ -30,6 +30,8 @@ from g2inv.formats import (
     nonarch_to_dict,
     parse_complex_entry,
     parse_rational,
+    render,
+    render_table,
     save_graph,
     save_tau,
     tau_from_dict,
@@ -167,6 +169,20 @@ def test_arch_report_round_trip_is_bit_exact():
     doc = json.loads(json.dumps(arch_to_dict(report)))
     assert arch_from_dict(doc) == report
 
+
+
+def test_render_aligns_fields_and_appends_stderrs():
+    doc = {"phi": 0.1, "samples": 10_000, "delta0": "3/2"}
+    assert render(doc, "human", {"phi": 0.25}) == (
+        "phi      0.1 +- 0.25\nsamples  10000\ndelta0   3/2"
+    )
+    assert json.loads(render(doc, "structured", {"phi": 0.25})) == doc
+
+
+def test_render_table_pads_every_column_to_its_widest_cell():
+    rows = [{"type": "I", "phi": "0"}, {"type": "II(a)", "phi": "a/12"}]
+    assert render_table(rows, "human") == "type   phi \nI      0   \nII(a)  a/12"
+    assert json.loads(render_table(rows, "structured")) == {"rows": rows}
 
 # -- malformed documents -------------------------------------------------------
 

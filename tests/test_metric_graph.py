@@ -1,28 +1,21 @@
-"""Exact potential theory on metric graphs, checked against hand-derived
-closed forms, internal identities, and the reference routes in `oracles`:
-the exact Poisson solve and the float resistor-chain network."""
+"""Exact potential theory on metric graphs: the package's graphs,
+resistances and smoothing, and the reference routes in `oracles` they
+are tested against (the exact Poisson solve, Zhang's diagonal Green's
+function, and the float resistor-chain network), checked against
+hand-derived closed forms, internal identities and each other."""
 
 from fractions import Fraction
 
 import pytest
 
-from g2inv.errors import DisconnectedError, NonProbabilityMeasureError
+from g2inv.errors import DisconnectedError
 from g2inv.exact import rational_function_field
-from g2inv.metric_graph import (
-    GraphMeasure,
-    PiecewisePoly,
-    PMGraph,
-    diagonal_green,
-    integrate,
-    poly_laplacian,
-    resistance_pairing,
-    smooth,
-    subdivide,
-)
+from g2inv.metric_graph import PMGraph, resistance_pairing, smooth
 
-from conftest import EdgePoint, random_pm_graph, random_probability_measure, subdivide_at, value_at
-from oracles import DiscreteNetwork, NonZeroMassError, effective_resistance
-from oracles import green_function, solve_poisson
+from conftest import EdgePoint, GraphMeasure, PiecewisePoly, integrate, random_pm_graph
+from conftest import random_probability_measure, subdivide, subdivide_at, value_at
+from oracles import DiscreteNetwork, NonProbabilityMeasureError, NonZeroMassError
+from oracles import diagonal_green, effective_resistance, green_function, solve_poisson
 
 
 def segment(a):
@@ -145,9 +138,9 @@ def test_poisson_interior_point_subdivides():
     "solver", ["solve_poisson", "green_function", "effective_resistance", "resistance_pairing"]
 )
 def test_solvers_reject_edge_interior_points(solver):
-    # points are vertex ids; a point inside an edge, or mass spread along
-    # one where only point masses pair, is refused with a pointer to
-    # `subdivide`
+    # points are vertex ids; a point inside an edge is refused, by the
+    # Poisson route with a pointer to `subdivide`, by the package's
+    # resistance pairing as no vertex of the graph
     g = segment(4)
     x, v = EdgePoint("e", 1), "v"
     mu = GraphMeasure({"u": Fraction(1, 2), "v": Fraction(1, 2)}, {})
@@ -155,11 +148,10 @@ def test_solvers_reject_edge_interior_points(solver):
         "solve_poisson": lambda: solve_poisson(g, GraphMeasure({x: 1, v: -1}), None, "v"),
         "green_function": lambda: green_function(g, mu, x),
         "effective_resistance": lambda: effective_resistance(g, v, x),
-        "resistance_pairing": lambda: resistance_pairing(
-            g, GraphMeasure({}, {"e": Fraction(1, 4)}), GraphMeasure({v: 1})
-        ),
+        "resistance_pairing": lambda: resistance_pairing(g, {x: 1}, {v: 1}),
     }
-    with pytest.raises(ValueError, match="subdivide"):
+    message = "unknown vertex" if solver == "resistance_pairing" else "subdivide"
+    with pytest.raises(ValueError, match=message):
         calls[solver]()
 
 
@@ -254,6 +246,9 @@ def test_smooth_reuses_input_ids_only():
 
 
 def test_poly_laplacian_inverts_solve(rng):
+    # the Laplacian of a solution, read off its coefficients in the sign
+    # convention of `oracles`, is the source: -f'' = -2 c2 on each edge,
+    # and minus the sum of outgoing slopes at each vertex
     for _ in range(25):
         g = random_pm_graph(rng)
         masses = {v: Fraction(rng.randint(-3, 3)) for v in g.vertex_ids}
@@ -263,11 +258,15 @@ def test_poly_laplacian_inverts_solve(rng):
         base = g.vertex_ids[0]
         sigma = GraphMeasure({base: -balance})
         f = solve_poisson(g, sigma, mu, base=base)
-        lap = poly_laplacian(f)
-        for v in g.vertex_ids:
-            assert lap.mass(v) == mu.mass(v) + sigma.mass(v)
+        slope_sum = dict.fromkeys(g.vertex_ids, Fraction(0))
         for e in g.edge_ids:
-            assert lap.density(e) == mu.density(e)
+            c2, c1, _ = f.coefficients(e)
+            u, v = g.edge_ends(e)
+            slope_sum[u] += c1
+            slope_sum[v] -= 2 * c2 * g.edge_length(e) + c1
+            assert -2 * c2 == mu.density(e)
+        for v in g.vertex_ids:
+            assert -slope_sum[v] == mu.mass(v) + sigma.mass(v)
 
 
 # -- effective resistance ----------------------------------------------------
@@ -346,8 +345,8 @@ def test_resistance_survives_subdivision(rng):
 def test_resistance_pairing_bilinear():
     g = theta_graph(1, 2, 3)
     r = effective_resistance(g, "u", "v")
-    d = GraphMeasure({"u": 1, "v": 1})
-    e = GraphMeasure({"u": 1, "v": -2})
+    d = {"u": 1, "v": 1}
+    e = {"u": 1, "v": -2}
     # (1,1) x (1,-2): cross terms -2*r and 1*r
     assert resistance_pairing(g, d, e) == -r
     assert resistance_pairing(g, d, d) == 2 * r

@@ -1,5 +1,5 @@
 """Invariants of polarized metric graphs against hand-checked table rows,
-the admissibility property, and internal cross-checks."""
+and the admissible measure of the reference route in `oracles`."""
 
 from fractions import Fraction
 from unittest import mock
@@ -7,12 +7,10 @@ from unittest import mock
 import pytest
 
 from g2inv import metric_graph
-from g2inv.errors import AdmissibilityFailureError, GenusZeroError
 from g2inv.exact import rational_function_field
 from g2inv.fiber_catalog import FiberType, closed_form, graph_of_type
-from g2inv.metric_graph import PMGraph, diagonal_green, subdivide
+from g2inv.metric_graph import PMGraph
 from g2inv.pm_invariants import (
-    admissible_measure,
     canonical_divisor,
     is_bridge,
     node_counts,
@@ -20,8 +18,8 @@ from g2inv.pm_invariants import (
     total_genus,
 )
 
-from conftest import drop_genus0_leaves, rand_frac, random_pm_graph
-from oracles import green_of_canonical
+from conftest import drop_genus0_leaves, rand_frac, random_pm_graph, subdivide
+from oracles import GenusZeroError, admissible_measure, diagonal_green, green_of_canonical
 
 
 def point_graph():
@@ -70,16 +68,13 @@ def test_total_genus():
 
 
 def test_canonical_divisor_degree(rng):
-    g = point_graph()
-    k = canonical_divisor(g)
-    assert k.mass("v") == 2
-    t = banana(1, 2, 3)
-    k = canonical_divisor(t)
-    assert k.mass("u") == 1
-    assert k.mass("w") == 1
+    assert canonical_divisor(point_graph()) == {"v": 2}
+    assert canonical_divisor(banana(1, 2, 3)) == {"u": 1, "w": 1}
+    assert canonical_divisor(part_with_loop(1, 2)) == {"u": 1, "w": 1}
+    assert canonical_divisor(two_part(1)) == {"u": 1, "w": 1}
     for _ in range(20):
         graph = random_pm_graph(rng)
-        assert canonical_divisor(graph).total_mass(graph) == 2 * total_genus(graph) - 2
+        assert sum(canonical_divisor(graph).values()) == 2 * total_genus(graph) - 2
 
 
 def test_node_counts():
@@ -149,22 +144,16 @@ def test_admissibility_property_random(rng):
         seen += 1
 
 
-def test_report_refuses_a_measure_that_is_not_admissible(skewed_admissible_measure):
-    graph = graph_of_type(FiberType("VII", (1, 2, 3)))
-    with pytest.raises(AdmissibilityFailureError):
-        nonarch_report(graph)
-
-
 def test_report_makes_no_poisson_solve_and_one_factorization(monkeypatch):
-    """The resistance data is one factorization of the reduced Laplacian
-    and admissibility is read off a Laplacian, so a report solves nothing
-    but that factorization, which the package has as its only solve: a
-    count, so it holds on any host.  The report factors the stable model,
+    """The resistance data is one factorization of the reduced Laplacian,
+    and every field is a formula in those resistances, so a report solves
+    nothing but that factorization, which the package has as its only
+    solve: a count, so it holds on any host.  The report factors the stable model,
     so on VII halved three times (23 vertices) the matrix is 1 x 1."""
     graph = graph_of_type(FiberType("VII", (1, 2, 3)))
     for _ in range(3):
         graph = subdivide(graph, {e: [graph.edge_length(e) / 2] for e in graph.edge_ids})
-    assert (graph.num_vertices, len(canonical_divisor(graph).vertex_masses)) == (23, 2)
+    assert (graph.num_vertices, len(canonical_divisor(graph))) == (23, 2)
     counting = mock.Mock(wraps=metric_graph.inverse)
     monkeypatch.setattr(metric_graph, "inverse", counting)
     assert nonarch_report(graph) == closed_form(FiberType("VII", (1, 2, 3)))

@@ -1,7 +1,7 @@
 """Property tests over random pm-graphs with loops, parallel edges, bridges
-and vertex weights: the closed-form resistance-matrix results against the
-Poisson-solve reference routes in `oracles`, and the invariance laws of
-the report."""
+and vertex weights: the report against the reference routes in `oracles`
+(Poisson solves, and Zhang's integral route built on them), and the
+invariance laws of the report."""
 
 import re
 from fractions import Fraction
@@ -9,25 +9,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import EdgePoint, PROPERTY_SETTINGS, drop_genus0_leaves, random_probability_measure
-from conftest import subdivide_at, value_at
-from oracles import effective_resistance, green_function, green_of_canonical
+from conftest import EdgePoint, GraphMeasure, PROPERTY_SETTINGS, drop_genus0_leaves
+from conftest import integrate, subdivide, subdivide_at, value_at
+from oracles import admissible_measure, diagonal_green, effective_resistance, green_function
+from oracles import green_of_canonical
 
 from g2inv.fiber_catalog import classify, closed_form
-from g2inv.metric_graph import (
-    GraphMeasure,
-    PMGraph,
-    diagonal_green,
-    integrate,
-    resistance_pairing,
-    smooth,
-    subdivide,
-)
+from g2inv.metric_graph import PMGraph, resistance_pairing, smooth
 from g2inv.pm_invariants import (
     NonArchReport,
-    admissible_measure,
     canonical_divisor,
-    is_admissible,
     node_counts,
     nonarch_report,
     total_genus,
@@ -113,7 +104,7 @@ def assert_one_solve_matches_green_functions(graph, mu):
     diag, _ = diagonal_green(graph, mu)
     h = diag + green_of_canonical(graph, mu)
     want = diag
-    for v, coeff in canonical_divisor(graph).vertex_masses.items():
+    for v, coeff in canonical_divisor(graph).items():
         want = want + green_function(graph, mu, v).scale(coeff)
     for e in graph.edge_ids:
         assert h.coefficients(e) == want.coefficients(e)
@@ -135,30 +126,6 @@ def test_one_solve_g_k_matches_green_functions_any_measure(case):
 
 
 @PROPERTY_SETTINGS
-@given(pm_graphs(genus=2), st.randoms(use_true_random=False))
-def test_laplacian_check_agrees_with_poisson_route(graph, rng):
-    """is_admissible, read off the Laplacian of the diagonal, accepts
-    exactly when g(x,x) + g(K,x), with g(K, .) solved, is constant:
-    for the admissible measure, which both accept, a random one, and the
-    admissible one with half a unit of mass moved between two vertices,
-    which keeps the edge densities that the check compares."""
-    mu = admissible_measure(graph)
-    diag, _ = diagonal_green(graph, mu)
-    assert is_admissible(graph, mu, diag)
-    assert (diag + green_of_canonical(graph, mu)).constant_value() is not None
-    measures = [random_probability_measure(rng, graph)]
-    if graph.num_vertices > 1:
-        u, v = graph.vertex_ids[:2]
-        masses = mu.vertex_masses
-        masses[u], masses[v] = mu.mass(u) + Fraction(1, 2), mu.mass(v) - Fraction(1, 2)
-        measures.append(GraphMeasure(masses, mu.edge_densities))
-    for nu in measures:
-        diag, _ = diagonal_green(graph, nu)
-        constant = (diag + green_of_canonical(graph, nu)).constant_value() is not None
-        assert is_admissible(graph, nu, diag) == constant
-
-
-@PROPERTY_SETTINGS
 @given(st.sampled_from([2, 3, 4]).flatmap(lambda g: pm_graphs(genus=g).map(drop_genus0_leaves)))
 def test_phi_matches_cinkir_tau_route(graph):
     """epsilon, phi and lambda against Cinkir's formulas in the tau
@@ -170,8 +137,11 @@ def test_phi_matches_cinkir_tau_route(graph):
 
     with tau = 1/4 sum_e [(r(b,y) - r(a,y))^2 / L + (L/3)(1 - r(a,b)/L)^2],
     theta = r(K,K), ell the total length, and every resistance taken from a
-    Poisson solve.  Above genus 2 the stable model can keep up to 5
-    vertices, so the report inverts Laplacians larger than 1 x 1."""
+    Poisson solve; and the whole report against Zhang's integral route on
+    the graph as drawn.  The report evaluates these formulas on its own
+    resistances, so the Poisson resistances and the integral route are its
+    independent references.  Above genus 2 the stable model can keep up to
+    5 vertices, so the report inverts Laplacians larger than 1 x 1."""
 
     def r(a, b):
         return effective_resistance(graph, a, b)
@@ -184,7 +154,7 @@ def test_phi_matches_cinkir_tau_route(graph):
         length = graph.edge_length(e)
         tau += (r(b, y) - r(a, y)) ** 2 / length + length / 3 * (1 - r(a, b) / length) ** 2
     tau /= 4
-    k = canonical_divisor(graph).vertex_masses.items()
+    k = canonical_divisor(graph).items()
     theta = sum(cp * cq * r(p, q) for p, cp in k for q, cq in k)
     ell = graph.total_length
 
@@ -196,6 +166,7 @@ def test_phi_matches_cinkir_tau_route(graph):
     assert report.lambda_ == (
         Fraction(3 * g - 3, 4 * g + 2) * tau + (theta + (g + 1) * ell) / (16 * g + 8)
     )
+    assert report_on_this_model(graph) == report
 
 
 @PROPERTY_SETTINGS
@@ -236,27 +207,30 @@ def test_stable_model_is_one_of_the_seven_types(graph):
 
 
 def report_on_this_model(graph):
-    """The genus-2 report assembled from the public potential theory on
+    """The report assembled along Zhang's integral route (`oracles`) on
     `graph` itself rather than on its stable model, which is all that
-    `nonarch_report` factors: so the arithmetic on large models stays
-    checked against the report."""
+    `nonarch_report` factors, in any total genus g >= 2.  With g(x, x) the
+    diagonal for the admissible measure mu: epsilon is its integral
+    against (2g-2) mu + K, phi is a quarter of its integral against
+    (10g+2) mu - K, minus delta/4, and
+    lambda = (g-1)/(6(2g+1)) phi + (epsilon + delta)/12."""
+    g = total_genus(graph)
     k = canonical_divisor(graph)
     mu = admissible_measure(graph)
     diag, mean = diagonal_green(graph, mu)
-    assert is_admissible(graph, mu, diag)
     assert mean == integrate(graph, diag, measure=mu)
-    diag_k = integrate(graph, diag, k)
+    diag_k = integrate(graph, diag, GraphMeasure(k))
     counts = node_counts(graph)
-    eps = diag_k + 2 * mean
-    phi = -counts.delta / 4 + (22 * mean - diag_k) / 4
+    eps = diag_k + (2 * g - 2) * mean
+    phi = -counts.delta / 4 + ((10 * g + 2) * mean - diag_k) / 4
     return NonArchReport(
-        genus=2,
+        genus=g,
         delta0=counts.delta0,
         delta1=counts.delta1,
         r_kk=resistance_pairing(graph, k, k),
         epsilon=eps,
         phi=phi,
-        lambda_=phi / 30 + (eps + counts.delta) / 12,
+        lambda_=Fraction(g - 1, 6 * (2 * g + 1)) * phi + (eps + counts.delta) / 12,
     )
 
 
