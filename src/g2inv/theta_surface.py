@@ -47,7 +47,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -87,7 +87,9 @@ class SiegelMatrix:
 
     Input is symmetrized exactly when the asymmetry is below 1e-12 and
     rejected otherwise; non-finite entries are rejected (ValueError);
-    NotPositiveDefiniteError if Im tau is not PD.
+    NotPositiveDefiniteError if Im tau is not PD.  The matrix and Y^-1
+    (`y_inverse`) are fixed at construction and read-only, so every theta
+    sum at this tau shares one inverse.
     """
 
     def __init__(self, tau):
@@ -110,6 +112,8 @@ class SiegelMatrix:
             )
         self._m = m
         self._m.setflags(write=False)
+        self._y_inverse = np.linalg.inv(y)
+        self._y_inverse.setflags(write=False)
         self.min_eigenvalue = float(eigs[0])
 
     @property
@@ -131,7 +135,8 @@ class SiegelMatrix:
 
     @property
     def y_inverse(self) -> np.ndarray:
-        return np.linalg.inv(self._m.imag)
+        """Y^-1, computed once at construction and read-only."""
+        return self._y_inverse
 
     def __repr__(self) -> str:
         return f"SiegelMatrix({self._m.tolist()!r})"
@@ -171,23 +176,28 @@ class ThetaChar:
         return f"[{fmt(self.a)}; {fmt(self.b)}]"
 
 
+_HALVES = (Fraction(0), HALF)
+_ALL_CHARS = tuple(
+    ThetaChar((a1, a2), (b1, b2))
+    for a1 in _HALVES
+    for a2 in _HALVES
+    for b1 in _HALVES
+    for b2 in _HALVES
+)
+_EVEN_CHARS = tuple(c for c in _ALL_CHARS if c.is_even)
+_ODD_CHARS = tuple(c for c in _ALL_CHARS if not c.is_even)
+
+
 def all_characteristics() -> tuple[ThetaChar, ...]:
-    halves = (Fraction(0), HALF)
-    return tuple(
-        ThetaChar((a1, a2), (b1, b2))
-        for a1 in halves
-        for a2 in halves
-        for b1 in halves
-        for b2 in halves
-    )
+    return _ALL_CHARS
 
 
 def even_characteristics() -> tuple[ThetaChar, ...]:
-    return tuple(c for c in all_characteristics() if c.is_even)
+    return _EVEN_CHARS
 
 
 def odd_characteristics() -> tuple[ThetaChar, ...]:
-    return tuple(c for c in all_characteristics() if not c.is_even)
+    return _ODD_CHARS
 
 
 def _truncation_radius(lambda_min: float, tol: float) -> int:
@@ -268,21 +278,24 @@ def siegel_reduce(tau: SiegelMatrix) -> tuple[SiegelMatrix, np.ndarray]:
         if abs(t[0, 0]) >= 1 - _UNIT_MARGIN:
             return SiegelMatrix(t), word
         (t11, t12), (_, t22) = t
-        t = np.array([[-1, t12], [t12, t11 * t22 - t12 * t12]]) / t11
+        # t11 t22 - t12^2 would underflow from entries near 1e-160 on;
+        # dividing first keeps the digits of tiny entries
+        ratio = t12 / t11
+        t = np.array([[-1 / t11, ratio], [ratio, t22 - t12 * ratio]])
         word = _QUASI_INVERSION @ word
     raise FormulaMismatchError(
         f"Siegel reduction of {tau!r} did not finish in {REDUCTION_CAP} rounds"
     )
 
 
-def _theta_scaled(char: ThetaChar, z, tau: SiegelMatrix, tol: float):
-    """Return (S, shift) with theta = S * exp(shift), |terms of S| <= 1."""
+def _theta_scaled(char: ThetaChar, z, tau: SiegelMatrix, radius: int):
+    """Return (S, shift) with theta = S * exp(shift), |terms of S| <= 1,
+    summing over the box of the given truncation radius."""
     z = np.asarray(z, dtype=complex).reshape(2)
     y = z.imag
     yinv = tau.y_inverse
     shift = math.pi * float(y @ yinv @ y)
 
-    radius = _truncation_radius(tau.min_eigenvalue, tol)
     a = np.array([float(char.a[0]), float(char.a[1])])
     b = np.array([float(char.b[0]), float(char.b[1])])
     center = -yinv @ y - a
@@ -310,7 +323,7 @@ def _theta_scaled(char: ThetaChar, z, tau: SiegelMatrix, tol: float):
 
 def theta(char: ThetaChar, z, tau: SiegelMatrix, tol: float = DEFAULT_THETA_TOL) -> complex:
     """theta[a,b](z; tau) by truncated lattice sum, absolute error < tol."""
-    s, shift = _theta_scaled(char, z, tau, tol)
+    s, shift = _theta_scaled(char, z, tau, _truncation_radius(tau.min_eigenvalue, tol))
     return s * math.exp(shift)
 
 
@@ -323,7 +336,7 @@ def theta_norm(z, tau: SiegelMatrix, tol: float = DEFAULT_THETA_TOL) -> float:
     Invariant under translating z by the period lattice; computed from the
     scaled sum so no large exponentials appear.
     """
-    s, _shift = _theta_scaled(_ZERO_CHAR, z, tau, tol)
+    s, _shift = _theta_scaled(_ZERO_CHAR, z, tau, _truncation_radius(tau.min_eigenvalue, tol))
     return tau.det_y**0.25 * abs(s)
 
 
@@ -336,10 +349,10 @@ def log_delta2(tau: SiegelMatrix, tol: float = DEFAULT_PRODUCT_TOL) -> float:
     10 tol.
     """
     tau, _ = siegel_reduce(tau)
-    theta_tol = min(DEFAULT_THETA_TOL, tol * 1e-2)
+    radius = _truncation_radius(tau.min_eigenvalue, min(DEFAULT_THETA_TOL, tol * 1e-2))
     log_nulls = 0.0
-    for char in even_characteristics():
-        s, _ = _theta_scaled(char, (0, 0), tau, theta_tol)
+    for char in _EVEN_CHARS:
+        s, _ = _theta_scaled(char, (0, 0), tau, radius)
         if abs(s) < NULL_FLOOR:
             raise DegenerateThetaNullError(
                 f"even theta-null {char} vanishes (|theta| = {abs(s):.3e}): "
@@ -350,11 +363,12 @@ def log_delta2(tau: SiegelMatrix, tol: float = DEFAULT_PRODUCT_TOL) -> float:
     value = -12 * math.log(2) + 5 * math.log(tau.det_y) + log_nulls
 
     direct = -12 * math.log(2)
-    for char in even_characteristics():
+    scale = tau.det_y**0.25
+    for char in _EVEN_CHARS:
         a = np.array([float(char.a[0]), float(char.a[1])])
         b = np.array([float(char.b[0]), float(char.b[1])])
-        point = tau.matrix @ a + b
-        direct += 2 * math.log(theta_norm(point, tau, theta_tol))
+        s, _ = _theta_scaled(_ZERO_CHAR, tau.matrix @ a + b, tau, radius)
+        direct += 2 * math.log(scale * abs(s))  # log ||theta||(tau a + b)
     if abs(value - direct) > 10 * tol:
         raise FormulaMismatchError(
             f"discriminant routes disagree: theta-null product {value!r} vs "
@@ -563,13 +577,28 @@ def _theta_kernel(tau: SiegelMatrix, tol: float) -> Callable[[np.ndarray, np.nda
     return log_norms
 
 
-def _substream_points(method: str, child_seed, count: int) -> np.ndarray:
-    """One substream's points as contiguous rows (u1, u2, v1, v2)."""
+def _substream_chunks(method: str, child_seed, count: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """One substream's `count` points as (u, v) chunks of up to _CHUNK points.
+
+    Each chunk is generated when it is asked for, as one block of
+    contiguous coordinate rows (u1, u2, v1, v2) that u and v view as
+    (B, 2) arrays.  Monte Carlo points are consecutive `random` calls on
+    one generator, which fills them from its stream in order; the lattice
+    rule's point k is frac(offset + k K) for k = 1 .. count, with one
+    random offset per substream and x - floor(x) exact for x >= 0.
+    """
     rng = np.random.default_rng(child_seed)
-    if method == "monte-carlo":
-        return np.ascontiguousarray(rng.random((count, 4)).T)
-    steps = np.arange(1, count + 1, dtype=float)
-    return np.mod(rng.random(4)[:, None] + _KRONECKER[:, None] * steps, 1.0)
+    if method == "lattice-rule":
+        offset = rng.random(4)[:, None]
+    for start in range(0, count, _CHUNK):
+        size = min(_CHUNK, count - start)
+        if method == "monte-carlo":
+            block = np.ascontiguousarray(rng.random((size, 4)).T)
+        else:
+            block = _KRONECKER[:, None] * np.arange(start + 1, start + size + 1, dtype=float)
+            block += offset
+            block -= np.floor(block)
+        yield block[:2].T, block[2:].T
 
 
 def log_h(
@@ -584,9 +613,11 @@ def log_h(
     Sp4(Z)-invariant, so evaluated at siegel_reduce(tau).  Splits the
     budget into 8 substreams, which differ by at most one point and
     together hold exactly n_samples; the estimate is the mean of substream
-    means and the standard error their sample spread.  The _integrand hook
-    substitutes a different function of (u, v) batches and exists for
-    self-tests of the quadrature layer.
+    means and the standard error their sample spread.  Each substream
+    generates its points one chunk of _CHUNK at a time (`_substream_chunks`)
+    and sums each chunk as it is made, so no substream's points are ever
+    held at once.  The _integrand hook substitutes a different function of
+    (u, v) batches and exists for self-tests of the quadrature layer.
     """
     config = config or QuadratureConfig()
     tau, _ = siegel_reduce(tau)
@@ -596,13 +627,11 @@ def log_h(
 
     def run_substream(index: int) -> tuple[float, int, int]:
         count = per_stream + (index < extra)
-        coords = _substream_points(config.method, children[index], count)
         total = 0.0
         kept = 0
         rejected = 0
-        for start in range(0, count, _CHUNK):
-            block = coords[:, start : start + _CHUNK]
-            vals = integrand(block[:2].T, block[2:].T)
+        for u, v in _substream_chunks(config.method, children[index], count):
+            vals = integrand(u, v)
             bad = int(np.count_nonzero(np.isnan(vals)))
             rejected += bad
             kept += len(vals) - bad

@@ -371,6 +371,17 @@ def test_arch_huge_finite_entry_exits_5_without_warnings(tmp_path, capsys):
     assert "[0 1/2; 0 0]" in capsys.readouterr().err
 
 
+def test_arch_tiny_diagonal_tau_exits_5_without_warnings(tmp_path, capsys):
+    # diag(1e-300 i, 1e-300 i) is a valid product of elliptic curves: the
+    # reduction must reach the theta-null check without underflowing to NaN
+    path = tmp_path / "tiny.json"
+    path.write_text('{"tau": ["1e-300i", "0", "0", "1e-300i"]}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["arch", str(path), "--samples", "10000"]) == 5
+    assert "vanishes" in capsys.readouterr().err
+
+
 def test_arch_workers_below_one_exits_2(tau_file, capsys):
     for workers in ("0", "-3"):
         assert main(["arch", tau_file, "--samples", "10000", "--workers", workers]) == 2

@@ -369,6 +369,40 @@ def test_log_h_sums_exactly_n_samples(method, n_samples):
 
 
 @pytest.mark.parametrize("method", ["monte-carlo", "lattice-rule"])
+@pytest.mark.parametrize("n_samples", [10007, 8 * 4096 + 5])
+def test_log_h_points_match_whole_substream_formulas(method, n_samples):
+    """The (u, v) chunks `log_h` hands its integrand, bit for bit, against
+    each substream's points drawn at once: one random((count, 4)) call for
+    monte-carlo, frac(offset + k K) for k = 1 .. count for the lattice rule.
+    Chunks hold 4096 points, the last of each substream the rest, so the
+    summation order is fixed too."""
+    seed = 5
+    blocks = []
+
+    def capture(u, v):
+        blocks.append(np.hstack([u, v]))
+        return np.zeros(len(u))
+
+    config = QuadratureConfig(n_samples=n_samples, seed=seed, method=method)
+    log_h(GENERIC_TAU, config, _integrand=capture)
+
+    kronecker = np.array([math.sqrt(2) - 1, math.sqrt(3) - 1, math.sqrt(5) - 2, math.sqrt(7) - 2])
+    per_stream, extra = divmod(n_samples, 8)
+    want, sizes = [], []
+    for index, child in enumerate(np.random.SeedSequence(seed).spawn(8)):
+        count = per_stream + (index < extra)
+        rng = np.random.default_rng(child)
+        if method == "monte-carlo":
+            want.append(rng.random((count, 4)))
+        else:
+            steps = np.arange(1, count + 1, dtype=float)
+            want.append(np.mod(rng.random(4)[:, None] + kronecker[:, None] * steps, 1.0).T)
+        sizes += [min(4096, count - start) for start in range(0, count, 4096)]
+    assert [len(block) for block in blocks] == sizes
+    assert np.array_equal(np.concatenate(blocks), np.concatenate(want))
+
+
+@pytest.mark.parametrize("method", ["monte-carlo", "lattice-rule"])
 def test_log_h_kernel_matches_lattice_sum_through_quadrature(method):
     """The factored kernel inside `log_h` against the unfactored lattice
     sum passed through the `_integrand` hook, with substreams that span
@@ -449,8 +483,9 @@ def test_log_h_float_range_is_kept_and_refused_cleanly():
                 log_h(_stretched_tau(100), config)
 
 
-def test_log_h_reproducible_across_workers():
-    config = QuadratureConfig(n_samples=20000, seed=42)
+@pytest.mark.parametrize("method", ["monte-carlo", "lattice-rule"])
+def test_log_h_reproducible_across_workers(method):
+    config = QuadratureConfig(n_samples=20000, seed=42, method=method)
     one = log_h(GENERIC_TAU, config, workers=1)
     again = log_h(GENERIC_TAU, config, workers=1)
     threaded = log_h(GENERIC_TAU, config, workers=4)
@@ -555,6 +590,21 @@ def test_log_h_and_phi_invariant_under_random_words(rng):
         ref_phi = -0.5 * log_delta2(tau) + 10 * ref_h
         assert abs(report.log_h - ref_h) < 10 * math.hypot(report.log_h_stderr, ref_err)
         assert abs(report.phi - ref_phi) < 10 * math.hypot(report.phi_stderr, 10 * ref_err)
+
+
+def test_siegel_reduce_keeps_the_digits_of_a_tiny_tau():
+    """Scaling tau by s scales its reduction by 1/s down to s = 1e-300,
+    without a numpy warning: the quasi-inversion forms no product of two
+    entries, which for entries near 1e-160 would underflow."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = []
+        for k in range(100, 301, 10):
+            s = 10.0**-k
+            reduced, _ = siegel_reduce(SiegelMatrix(s * GENERIC_TAU.matrix))
+            scaled.append(s * reduced.matrix)
+    for image in scaled[1:]:
+        assert np.max(np.abs(image - scaled[0])) < 1e-14 * np.max(np.abs(scaled[0]))
 
 
 def test_siegel_reduce_word_past_int64():
