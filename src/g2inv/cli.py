@@ -217,15 +217,12 @@ def _run_verify(args) -> int:
                 for _ in range(ARITY[tag])
             )
             fiber = FiberType(tag, params)
-            computed = nonarch_report(graph_of_type(fiber))
-            reference = closed_form(fiber)
-            if computed == reference:
+            try:
+                _matching_closed_form(nonarch_report(graph_of_type(fiber)), fiber)
                 passes += 1
-            else:
+            except CROSS_CHECK_ERRORS as exc:
                 mismatches += 1
-                print(f"MISMATCH {fiber}:")
-                print(f"  pipeline:    {computed}")
-                print(f"  closed form: {reference}")
+                print(f"MISMATCH {exc}")
         status = "pass" if passes == args.samples else "FAIL"
         print(f"{tag:>4}: {passes}/{args.samples} {status}")
     return 7 if mismatches else 0

@@ -2,25 +2,39 @@
 
 Every semistable genus-2 reduction shape, up to suppressing valence-2
 genus-0 vertices, is one of seven graphs, labeled I through VII with up
-to three positive length parameters.  This module builds the pm-graph of
-a type, evaluates the known closed-form invariants directly (without
-touching the potential-theory machinery, so the two routes stay
-independent), and recognizes the type of a graph from its stable model
-(`metric_graph.smooth`).  `g2inv nonarch` compares every report with
-`closed_form(classify(graph))` exactly.
+to three positive length parameters.  `SHAPES` writes each graph down
+once.  This module builds the pm-graph of a type from it, evaluates the
+known closed-form invariants directly (without touching the
+potential-theory machinery or the shapes, so the two routes stay
+independent), and recognizes the type of a graph by matching its stable
+model (`metric_graph.smooth`) against the shapes.  `g2inv nonarch`
+compares every report with `closed_form(classify(graph))` exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 
 from .errors import InvalidParamsError, UnclassifiableError
 from .exact import as_rational, sign_known_nonnegative, sort_exact
 from .metric_graph import PMGraph, smooth
 from .pm_invariants import NonArchReport, total_genus
 
-ARITY = {"I": 0, "II": 1, "III": 1, "IV": 2, "V": 2, "VI": 3, "VII": 3}
+# tag -> (vertex genera, one edge (id, from, to) per length parameter, in
+# parameter order): the one description of each shape, which both
+# `graph_of_type` and `classify` read
+SHAPES = {
+    "I": ({"v": 2}, ()),
+    "II": ({"u": 1, "w": 1}, (("e", "u", "w"),)),
+    "III": ({"v": 1}, (("e", "v", "v"),)),
+    "IV": ({"u": 1, "w": 0}, (("br", "u", "w"), ("lp", "w", "w"))),
+    "V": ({"v": 0}, (("la", "v", "v"), ("lb", "v", "v"))),
+    "VI": ({"u": 0, "w": 0}, (("br", "u", "w"), ("lb", "u", "u"), ("lc", "w", "w"))),
+    "VII": ({"u": 0, "w": 0}, (("ea", "u", "w"), ("eb", "u", "w"), ("ec", "u", "w"))),
+}
+ARITY = {tag: len(edges) for tag, (_, edges) in SHAPES.items()}
 
 
 @dataclass(frozen=True)
@@ -68,38 +82,11 @@ class FiberType:
 
 
 def graph_of_type(t: FiberType) -> PMGraph:
-    """The pm-graph of a fiber type; always total genus 2."""
-    p = t.params
-    if t.tag == "I":
-        return PMGraph([("v", 2)])
-    if t.tag == "II":
-        return PMGraph([("u", 1), ("w", 1)], [("e", "u", "w", p[0])])
-    if t.tag == "III":
-        return PMGraph([("v", 1)], [("e", "v", "v", p[0])])
-    if t.tag == "IV":
-        return PMGraph(
-            [("u", 1), ("w", 0)],
-            [("br", "u", "w", p[0]), ("lp", "w", "w", p[1])],
-        )
-    if t.tag == "V":
-        return PMGraph(
-            [("v", 0)], [("la", "v", "v", p[0]), ("lb", "v", "v", p[1])]
-        )
-    if t.tag == "VI":
-        return PMGraph(
-            [("u", 0), ("w", 0)],
-            [
-                ("br", "u", "w", p[0]),
-                ("lb", "u", "u", p[1]),
-                ("lc", "w", "w", p[2]),
-            ],
-        )
-    if t.tag == "VII":
-        return PMGraph(
-            [("u", 0), ("w", 0)],
-            [("ea", "u", "w", p[0]), ("eb", "u", "w", p[1]), ("ec", "u", "w", p[2])],
-        )
-    raise InvalidParamsError(f"unknown fiber type {t.tag!r}")
+    """The pm-graph of a fiber type, built from its shape; total genus 2."""
+    genera, edges = SHAPES[t.tag]
+    return PMGraph(
+        genera.items(), [(e, u, w, p) for (e, u, w), p in zip(edges, t.params)]
+    )
 
 
 def closed_form(t: FiberType) -> NonArchReport:
@@ -145,38 +132,33 @@ def closed_form(t: FiberType) -> NonArchReport:
 
 
 def classify(graph: PMGraph) -> FiberType:
-    """The fiber type of a genus-2 pm-graph, parameters canonicalized."""
+    """The fiber type of a genus-2 pm-graph, parameters canonicalized.
+
+    The stable model matches a shape when a genus-preserving bijection of
+    vertex ids and an order of its edges carry every template edge onto an
+    edge with the same ends, as unordered pairs; the lengths in that order
+    are the parameters.
+    """
     if total_genus(graph) != 2:
         raise UnclassifiableError(
             f"total genus is {total_genus(graph)}, expected 2"
         )
     stable = smooth(graph)
-    verts = {v: stable.genus(v) for v in stable.vertex_ids}
-    edges = [(*stable.edge_ends(e), stable.edge_length(e)) for e in stable.edge_ids]
-    loops = [d for d in edges if d[0] == d[1]]
-    links = [d for d in edges if d[0] != d[1]]
-    genera = sorted(verts.values())
-
-    if len(verts) == 1 and not edges and genera == [2]:
-        return FiberType("I")
-    if len(verts) == 2 and len(links) == 1 and not loops and genera == [1, 1]:
-        return FiberType("II", (links[0][2],))
-    if len(verts) == 1 and len(loops) == 1 and not links and genera == [1]:
-        return FiberType("III", (loops[0][2],))
-    if len(verts) == 2 and len(links) == 1 and len(loops) == 1:
-        (bu, bw, blen), (lu, _, llen) = links[0], loops[0]
-        other = bw if lu == bu else bu
-        if verts[lu] == 0 and verts[other] == 1:
-            return FiberType("IV", (blen, llen))
-    if len(verts) == 1 and len(loops) == 2 and not links and genera == [0]:
-        return FiberType("V", tuple(d[2] for d in loops)).canonical()
-    if len(verts) == 2 and len(links) == 1 and len(loops) == 2 and genera == [0, 0]:
-        loop_at = {d[0]: d[2] for d in loops}
-        bu, bw, blen = links[0]
-        if set(loop_at) == {bu, bw}:
-            return FiberType("VI", (blen, loop_at[bu], loop_at[bw])).canonical()
-    if len(verts) == 2 and len(links) == 3 and not loops and genera == [0, 0]:
-        return FiberType("VII", tuple(d[2] for d in links)).canonical()
+    ends = {e: {*stable.edge_ends(e)} for e in stable.edge_ids}
+    loops = sum(len(pair) == 1 for pair in ends.values())
+    for tag, (genera, edges) in SHAPES.items():  # counts first: VI and VII differ in loops
+        if (len(genera) != stable.num_vertices or len(edges) != len(ends)
+                or sum(u == w for _, u, w in edges) != loops):
+            continue
+        for image in permutations(stable.vertex_ids):
+            rename = dict(zip(genera, image))
+            if any(stable.genus(rename[v]) != g for v, g in genera.items()):
+                continue
+            want = [{rename[u], rename[w]} for _, u, w in edges]
+            for order in permutations(ends):
+                if all(pair == ends[e] for pair, e in zip(want, order)):
+                    lengths = tuple(map(stable.edge_length, order))
+                    return FiberType(tag, lengths).canonical()
     raise UnclassifiableError(
         "genus-2 graph does not reduce to any of the seven fiber shapes"
     )

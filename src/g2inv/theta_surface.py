@@ -2,7 +2,8 @@
 
 Evaluates genus-2 theta functions with half-integer characteristics by
 truncated lattice sums, the normalized discriminant log||Delta_2|| (two
-algebraically equal routes, compared numerically), the torus average
+algebraically equal routes through two summation codes, the lattice sums
+and the torus-average kernel, compared numerically), the torus average
 log||H|| by seeded quadrature, and from these the invariant chain
 delta_F, log S, phi, lambda.
 
@@ -86,7 +87,8 @@ class SiegelMatrix:
     """A 2x2 complex symmetric matrix with positive definite imaginary part.
 
     Input is symmetrized exactly when the asymmetry is below 1e-12 and
-    rejected otherwise; non-finite entries are rejected (ValueError);
+    rejected otherwise; non-finite entries, and an Im tau whose inverse is
+    not finite (subnormal entries), are rejected (ValueError);
     NotPositiveDefiniteError if Im tau is not PD.  The matrix and Y^-1
     (`y_inverse`) are fixed at construction and read-only, so every theta
     sum at this tau shares one inverse.
@@ -113,6 +115,8 @@ class SiegelMatrix:
         self._m = m
         self._m.setflags(write=False)
         self._y_inverse = np.linalg.inv(y)
+        if not np.all(np.isfinite(self._y_inverse)):  # a subnormal Im tau
+            raise ValueError(f"Im tau is too small to invert in floating point: {y.tolist()}")
         self._y_inverse.setflags(write=False)
         self.min_eigenvalue = float(eigs[0])
 
@@ -186,6 +190,9 @@ _ALL_CHARS = tuple(
 )
 _EVEN_CHARS = tuple(c for c in _ALL_CHARS if c.is_even)
 _ODD_CHARS = tuple(c for c in _ALL_CHARS if not c.is_even)
+# the even characteristics as the kernel's (10, 2) point arrays u = a, v = b
+_EVEN_A = np.array([[float(x) for x in c.a] for c in _EVEN_CHARS])
+_EVEN_B = np.array([[float(x) for x in c.b] for c in _EVEN_CHARS])
 
 
 def all_characteristics() -> tuple[ThetaChar, ...]:
@@ -345,11 +352,13 @@ def log_delta2(tau: SiegelMatrix, tol: float = DEFAULT_PRODUCT_TOL) -> float:
 
     Sp4(Z)-invariant, so evaluated at siegel_reduce(tau): over the 10 even
     characteristics, cross-checked against the equivalent product of
-    ||theta||^2 at the points tau a + b; the two routes must agree within
+    ||theta||^2 at the points tau a + b, which the torus-average kernel
+    (`_theta_kernel`) sums: two summation codes, which must agree within
     10 tol.
     """
     tau, _ = siegel_reduce(tau)
-    radius = _truncation_radius(tau.min_eigenvalue, min(DEFAULT_THETA_TOL, tol * 1e-2))
+    radius_tol = min(DEFAULT_THETA_TOL, tol * 1e-2)
+    radius = _truncation_radius(tau.min_eigenvalue, radius_tol)
     log_nulls = 0.0
     for char in _EVEN_CHARS:
         s, _ = _theta_scaled(char, (0, 0), tau, radius)
@@ -362,17 +371,13 @@ def log_delta2(tau: SiegelMatrix, tol: float = DEFAULT_PRODUCT_TOL) -> float:
         log_nulls += 2 * math.log(abs(s))
     value = -12 * math.log(2) + 5 * math.log(tau.det_y) + log_nulls
 
-    direct = -12 * math.log(2)
-    scale = tau.det_y**0.25
-    for char in _EVEN_CHARS:
-        a = np.array([float(char.a[0]), float(char.a[1])])
-        b = np.array([float(char.b[0]), float(char.b[1])])
-        s, _ = _theta_scaled(_ZERO_CHAR, tau.matrix @ a + b, tau, radius)
-        direct += 2 * math.log(scale * abs(s))  # log ||theta||(tau a + b)
-    if abs(value - direct) > 10 * tol:
+    # ||theta||(tau a + b) = (det Y)^(1/4) |theta[a,b](0)|, summed by the kernel
+    log_norms = _theta_kernel(tau, radius_tol)(_EVEN_A, _EVEN_B)
+    direct = -12 * math.log(2) + 2 * float(np.sum(log_norms))
+    if not abs(value - direct) <= 10 * tol:  # a NaN norm fails too
         raise FormulaMismatchError(
             f"discriminant routes disagree: theta-null product {value!r} vs "
-            f"translated-norm product {direct!r}"
+            f"kernel norm product {direct!r}"
         )
     return value
 

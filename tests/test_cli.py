@@ -382,6 +382,24 @@ def test_arch_tiny_diagonal_tau_exits_5_without_warnings(tmp_path, capsys):
     assert "vanishes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entries", [
+    '["1e-310i", "0", "0", "1e-310i"]',
+    '["1e-320i", "0", "0", "1i"]',
+])
+def test_arch_subnormal_tau_exits_2_without_warnings(entries, tmp_path, capsys):
+    # Y^-1 of a subnormal Im tau overflows: refused as input, before any
+    # reduction step turns it into NaN
+    path = tmp_path / "subnormal.json"
+    path.write_text(f'{{"tau": {entries}}}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["arch", str(path), "--samples", "10000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Im tau is too small to invert")
+    assert "NaN" not in captured.err
+
+
 def test_arch_workers_below_one_exits_2(tau_file, capsys):
     for workers in ("0", "-3"):
         assert main(["arch", tau_file, "--samples", "10000", "--workers", workers]) == 2

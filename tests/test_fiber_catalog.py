@@ -115,6 +115,24 @@ def test_classify_round_trip(rng):
             assert classify(graph_of_type(t)) == t.canonical()
 
 
+def test_classify_matches_relabeled_shapes(rng):
+    # the matcher, not the template order: vertices reversed and renamed to
+    # ints, edges shuffled, and every other edge's ends swapped
+    for tag in ALL_TAGS:
+        for _ in range(3):
+            t = random_type(rng, tag)
+            g = graph_of_type(t)
+            rename = {v: i for i, v in enumerate(reversed(g.vertex_ids))}
+            edges = []
+            for k, e in enumerate(g.edge_ids):
+                u, w = g.edge_ends(e)
+                ends = (rename[w], rename[u]) if k % 2 == 0 else (rename[u], rename[w])
+                edges.append((k, *ends, g.edge_length(e)))
+            rng.shuffle(edges)
+            vertices = [(rename[v], g.genus(v)) for v in reversed(g.vertex_ids)]
+            assert classify(PMGraph(vertices, edges)) == t.canonical()
+
+
 def test_classify_subdivided_circle():
     g = PMGraph(
         [("a", 1), ("b", 0), ("c", 0)],

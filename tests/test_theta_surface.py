@@ -16,8 +16,10 @@ import mpmath
 import numpy as np
 import pytest
 
+import g2inv.theta_surface
 from g2inv.errors import (
     DegenerateThetaNullError,
+    FormulaMismatchError,
     NotPositiveDefiniteError,
     QuadratureUnstableError,
     TruncationOverflowError,
@@ -310,6 +312,17 @@ def test_log_delta2_modular_invariance(rng):
         assert abs(log_delta2(SiegelMatrix(tau.matrix + shift)) - base) < 1e-9
         inverted = SiegelMatrix(-np.linalg.inv(tau.matrix))
         assert abs(log_delta2(inverted) - base) < 1e-9
+
+
+def test_log_delta2_check_route_catches_a_truncated_sum(monkeypatch):
+    """The check sums through the torus-average kernel, not the lattice sum
+    of the theta-null route, so a fault in that sum cannot shift both."""
+    right = g2inv.theta_surface._theta_scaled
+    monkeypatch.setattr(
+        g2inv.theta_surface, "_theta_scaled", lambda char, z, tau, radius: right(char, z, tau, 1)
+    )
+    with pytest.raises(FormulaMismatchError, match="discriminant routes disagree"):
+        log_delta2(GENERIC_TAU)
 
 
 def test_log_delta2_degenerate_null():
