@@ -25,27 +25,13 @@ from .pm_invariants import (
     nonarch_report,
     total_genus,
 )
-# the theta names load numpy, so they are imported on first use (PEP 562)
-# and the graph half starts without it
-_THETA_NAMES = frozenset({
-    "ArchReport",
-    "QuadratureConfig",
-    "QuadratureResult",
-    "SiegelMatrix",
-    "ThetaChar",
-    "arch_invariants",
-    "even_characteristics",
-    "log_delta2",
-    "log_h",
-    "odd_characteristics",
-    "siegel_reduce",
-    "theta",
-    "theta_norm",
-})
 
 
 def __getattr__(name: str):
-    if name in _THETA_NAMES:
+    # each name of `__all__` not imported above is a theta name: those load
+    # numpy, so they are imported on first use (PEP 562) and the graph half
+    # starts without it
+    if name in __all__:
         from . import theta_surface
 
         return getattr(theta_surface, name)

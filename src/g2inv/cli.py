@@ -34,6 +34,7 @@ from .errors import (
 from .exact import rational_function_field
 from .fiber_catalog import ARITY, FiberType, classify, closed_form, graph_of_type
 from .formats import (
+    NONARCH_KEYS,
     arch_to_dict,
     graph_to_dict,
     load_graph,
@@ -52,9 +53,6 @@ INPUT_ERRORS = (InvalidParamsError, NotPositiveDefiniteError,
                 TruncationOverflowError, OSError, ValueError)
 # what `main` reports as a failed internal cross-check: exit 4
 CROSS_CHECK_ERRORS = (FormulaMismatchError,)
-# table column -> the NonArchReport field it shows
-TABLE_FIELDS = {"delta0": "delta0", "delta1": "delta1", "rKK": "r_kk",
-                "epsilon": "epsilon", "phi": "phi", "lambda": "lambda_"}
 
 
 def _default_tolerance(default: float) -> float:
@@ -80,6 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     na = sub.add_parser("nonarch", help="invariants of a reduction graph")
+    na.set_defaults(run=_run_nonarch)
     na.add_argument("graph", nargs="?", help="path to a graph JSON file")
     na.add_argument("--type", dest="fiber_type", choices=TAGS, help="fiber type tag")
     na.add_argument(
@@ -90,6 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     na.add_argument("--format", choices=("human", "structured"), default="human")
 
     ar = sub.add_parser("arch", help="archimedean invariants of a period matrix")
+    ar.set_defaults(run=_run_arch)
     ar.add_argument("tau", help="path to a period-matrix JSON file")
     ar.add_argument("--samples", type=int, default=100_000)
     ar.add_argument("--seed", type=int, default=0)
@@ -100,9 +100,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ar.add_argument("--format", choices=("human", "structured"), default="human")
 
     tb = sub.add_parser("table", help="regenerate the seven-type invariant table symbolically")
+    tb.set_defaults(run=_run_table)
     tb.add_argument("--format", choices=("human", "structured"), default="human")
 
     vf = sub.add_parser("verify", help="random exact sweep: pipeline vs closed forms")
+    vf.set_defaults(run=_run_verify)
     vf.add_argument("--samples", type=int, default=100)
     vf.add_argument("--seed", type=int, default=0)
     return parser
@@ -193,7 +195,7 @@ def _symbolic_rows():
         report = nonarch_report(graph_of_type(fiber))
         _matching_closed_form(report, fiber, "symbolic table row ")
         row = {"type": str(fiber)}
-        for column, name in TABLE_FIELDS.items():
+        for name, column in NONARCH_KEYS.items():
             row[column] = str(field(getattr(report, name)).as_expr())
         rows.append(row)
     return rows
@@ -232,13 +234,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "nonarch":
-            return _run_nonarch(args)
-        if args.command == "arch":
-            return _run_arch(args)
-        if args.command == "table":
-            return _run_table(args)
-        return _run_verify(args)
+        return args.run(args)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

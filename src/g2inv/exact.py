@@ -12,10 +12,11 @@ to a non-integer `Fraction` (`(a/a)/2 == Fraction(1, 2)` is False), so
 values that may be of different kinds are compared as `x - y == 0`.
 
 The generators are declared positive, which is what decides signs
-(`sign_known_nonnegative`) and the numeric order (`sort_exact`) of
-field elements; Python's `<` on them is a structural order, not a numeric
-one.  sympy is imported by the first `rational_function_field` call, so
-rational work never loads it.
+(`sign_known_nonnegative`), the positivity of lengths and parameters
+(`as_positive`) and the numeric order (`sort_exact`) of field elements;
+Python's `<` on them is a structural order, not a numeric one.  sympy is
+imported by the first `rational_function_field` call, so rational work
+never loads it.
 
 The one linear-algebra entry point, `inverse`, is a plain Gauss-Jordan
 elimination on the field values themselves, the same code for both
@@ -52,7 +53,8 @@ def _is_field_element(x: Any) -> bool:
 def as_rational(x: Any) -> Any:
     """Coerce ints and 'p/q' strings to Fraction; pass field elements through.
 
-    Floats are rejected: graph data is exact by contract.
+    Floats are rejected: graph data is exact by contract.  Text that names
+    no rational, a zero denominator included, is a ValueError.
     """
     if isinstance(x, Fraction) or _is_field_element(x):
         return x
@@ -61,12 +63,24 @@ def as_rational(x: Any) -> Any:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     if isinstance(x, float):
         raise TypeError(
             "expected an exact rational (int, Fraction or 'p/q' string), got a float"
         )
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
+
+
+def as_positive(x: Any, what: str) -> Any:
+    """`as_rational(x)`, unless it is zero or known to be negative: then
+    ValueError, naming `what`.  A field element of unknown sign passes."""
+    x = as_rational(x)
+    if x == 0 or sign_known_nonnegative(x) is False:
+        raise ValueError(f"{what} must be positive, got {x}")
+    return x
 
 
 def sign_known_nonnegative(x: Any) -> bool | None:

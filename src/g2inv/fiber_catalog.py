@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from .errors import InvalidParamsError, UnclassifiableError
-from .exact import as_rational, sign_known_nonnegative, sort_exact
+from .exact import as_positive, sort_exact
 from .metric_graph import PMGraph, smooth
 from .pm_invariants import NonArchReport, total_genus
 
@@ -53,17 +53,15 @@ class FiberType:
         if self.tag not in ARITY:
             raise InvalidParamsError(f"unknown fiber type {self.tag!r}")
         try:
-            params = tuple(as_rational(p) for p in self.params)
+            params = tuple(self.params)
+            if len(params) != ARITY[self.tag]:
+                raise InvalidParamsError(
+                    f"type {self.tag} takes {ARITY[self.tag]} parameters, "
+                    f"got {len(params)}"
+                )
+            params = tuple(as_positive(p, "parameters") for p in params)
         except (TypeError, ValueError) as exc:
-            raise InvalidParamsError(f"bad parameter: {exc}") from exc
-        if len(params) != ARITY[self.tag]:
-            raise InvalidParamsError(
-                f"type {self.tag} takes {ARITY[self.tag]} parameters, "
-                f"got {len(params)}"
-            )
-        for p in params:
-            if p == 0 or sign_known_nonnegative(p) is False:
-                raise InvalidParamsError(f"parameters must be positive, got {p}")
+            raise InvalidParamsError(str(exc)) from exc
         object.__setattr__(self, "params", params)
 
     def canonical(self) -> "FiberType":

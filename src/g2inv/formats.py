@@ -7,7 +7,8 @@ Conventions chosen for lossless round-trips:
 * complex entries are written as "re+im i" with shortest-round-trip float
   text, so load(save(x)) is bit-identical;
 * reports serialize to JSON objects whose keys match the field names the
-  reports print in human mode;
+  reports print in human mode: `NONARCH_KEYS` lists the graph report's,
+  and an `ArchReport` field is its own key, less a trailing "_";
 * `render` and `render_table` produce what the commands print, in either
   mode, from those objects.
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, get_type_hints
 
 from .errors import DisconnectedError, InvalidParamsError
 from .exact import as_rational
@@ -27,20 +28,25 @@ if TYPE_CHECKING:  # the theta module loads numpy: imported where it is used
     from .theta_surface import ArchReport, SiegelMatrix
 
 
+# NonArchReport field -> report key of each exact invariant, in print order
+# after the genus: what the report codecs and `g2inv table` read
+NONARCH_KEYS = {"delta0": "delta0", "delta1": "delta1", "r_kk": "rKK",
+                "epsilon": "epsilon", "phi": "phi", "lambda_": "lambda"}
+
+
 def parse_rational(value) -> Fraction:
-    """Parse "p/q" or integer text (or a JSON integer) to an exact rational."""
+    """Parse "p/q" or integer text (or a JSON integer) to an exact rational,
+    by `exact.as_rational`; any other JSON value is refused."""
     if isinstance(value, bool):
         raise InvalidParamsError(f"expected a rational, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidParamsError(f"bad rational {value!r}: {exc}") from exc
-    raise InvalidParamsError(
-        f"expected a rational as a 'p/q' string, got {type(value).__name__}"
-    )
+    if not isinstance(value, (int, str)):
+        raise InvalidParamsError(
+            f"expected a rational as a 'p/q' string, got {type(value).__name__}"
+        )
+    try:
+        return as_rational(value)
+    except ValueError as exc:
+        raise InvalidParamsError(f"bad rational {value!r}: {exc}") from exc
 
 
 def format_rational(value) -> str:
@@ -94,19 +100,26 @@ def graph_to_dict(graph: PMGraph) -> dict:
     }
 
 
-def load_graph(path: str) -> PMGraph:
+def _read_json(path: str, what: str):
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except (json.JSONDecodeError, RecursionError) as exc:  # bad or too deep
-            raise InvalidParamsError(f"graph file is not valid JSON: {exc}") from exc
-    return graph_from_dict(doc)
+            raise InvalidParamsError(f"{what} file is not valid JSON: {exc}") from exc
+
+
+def _write_json(path: str, doc: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+def load_graph(path: str) -> PMGraph:
+    return graph_from_dict(_read_json(path, "graph"))
 
 
 def save_graph(path: str, graph: PMGraph) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_dict(graph), fh, indent=2)
-        fh.write("\n")
+    _write_json(path, graph_to_dict(graph))
 
 
 def tau_from_dict(doc) -> SiegelMatrix:
@@ -129,79 +142,45 @@ def tau_to_dict(tau: SiegelMatrix) -> dict:
 
 
 def load_tau(path: str) -> SiegelMatrix:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:  # bad or too deep
-            raise InvalidParamsError(f"period-matrix file is not valid JSON: {exc}") from exc
     try:
-        return tau_from_dict(doc)
+        return tau_from_dict(_read_json(path, "period-matrix"))
     except ValueError as exc:
         raise InvalidParamsError(str(exc)) from exc
 
 
 def save_tau(path: str, tau: SiegelMatrix) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(tau_to_dict(tau), fh, indent=2)
-        fh.write("\n")
+    _write_json(path, tau_to_dict(tau))
 
 
 def nonarch_to_dict(report: NonArchReport) -> dict:
-    return {
-        "genus": report.genus,
-        "delta0": format_rational(report.delta0),
-        "delta1": format_rational(report.delta1),
-        "rKK": format_rational(report.r_kk),
-        "epsilon": format_rational(report.epsilon),
-        "phi": format_rational(report.phi),
-        "lambda": format_rational(report.lambda_),
-    }
+    exact = {key: format_rational(getattr(report, name)) for name, key in NONARCH_KEYS.items()}
+    return {"genus": report.genus, **exact}
 
 
 def nonarch_from_dict(doc: dict) -> NonArchReport:
-    return NonArchReport(
-        genus=int(doc["genus"]),
-        delta0=parse_rational(doc["delta0"]),
-        delta1=parse_rational(doc["delta1"]),
-        r_kk=parse_rational(doc["rKK"]),
-        epsilon=parse_rational(doc["epsilon"]),
-        phi=parse_rational(doc["phi"]),
-        lambda_=parse_rational(doc["lambda"]),
-    )
+    exact = {name: parse_rational(doc[key]) for name, key in NONARCH_KEYS.items()}
+    return NonArchReport(genus=int(doc["genus"]), **exact)
+
+
+def _arch_fields() -> list:
+    """(field, report key, type) of each `ArchReport` field, in print order;
+    the key is the field name less a trailing "_" (`lambda_` is "lambda")."""
+    from .theta_surface import ArchReport
+
+    hints = get_type_hints(ArchReport)
+    return [(name, name.rstrip("_"), cast) for name, cast in hints.items()]
 
 
 def arch_to_dict(report: ArchReport) -> dict:
     # JSON float text is the shortest round-tripping representation, so
     # parsing it back reproduces each field bit-exactly
-    return {
-        "log_delta2": report.log_delta2,
-        "log_h": report.log_h,
-        "log_h_stderr": report.log_h_stderr,
-        "delta_f": report.delta_f,
-        "log_s": report.log_s,
-        "phi": report.phi,
-        "phi_stderr": report.phi_stderr,
-        "lambda": report.lambda_,
-        "residual": report.residual,
-        "rejected": report.rejected,
-    }
+    return {key: getattr(report, name) for name, key, _ in _arch_fields()}
 
 
 def arch_from_dict(doc: dict) -> ArchReport:
     from .theta_surface import ArchReport
 
-    return ArchReport(
-        log_delta2=float(doc["log_delta2"]),
-        log_h=float(doc["log_h"]),
-        log_h_stderr=float(doc["log_h_stderr"]),
-        delta_f=float(doc["delta_f"]),
-        log_s=float(doc["log_s"]),
-        phi=float(doc["phi"]),
-        phi_stderr=float(doc["phi_stderr"]),
-        lambda_=float(doc["lambda"]),
-        residual=float(doc["residual"]),
-        rejected=int(doc["rejected"]),
-    )
+    return ArchReport(**{name: cast(doc[key]) for name, key, cast in _arch_fields()})
 
 
 def render(doc: dict, fmt: str, stderrs: dict | None = None) -> str:

@@ -31,15 +31,10 @@ from fractions import Fraction
 from typing import Any, Hashable, Iterable, Mapping
 
 from .errors import DisconnectedError
-from .exact import as_rational, inverse, sign_known_nonnegative
+from .exact import as_positive, inverse
 
 VertexId = Hashable
 EdgeId = Hashable
-
-
-def _require_positive(value: Any, what: str) -> None:
-    if value == 0 or sign_known_nonnegative(value) is False:
-        raise ValueError(f"{what} must be positive, got {value}")
 
 
 class PMGraph:
@@ -79,8 +74,7 @@ class PMGraph:
                 raise ValueError(f"duplicate edge id {eid!r}")
             if u not in self._genus or v not in self._genus:
                 raise ValueError(f"edge {eid!r} references an unknown vertex")
-            length = as_rational(length)
-            _require_positive(length, f"edge {eid!r} length")
+            length = as_positive(length, f"edge {eid!r} length")
             self._edges[eid] = (u, v, length)
             self._incident[u].append((eid, 0))
             self._incident[v].append((eid, 1))

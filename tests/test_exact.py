@@ -17,6 +17,7 @@ from conftest import PROPERTY_SETTINGS
 from oracles import solve
 
 from g2inv.exact import (
+    as_positive,
     as_rational,
     inverse,
     rational_function_field,
@@ -32,6 +33,23 @@ def test_coercion():
     for bad in (True, 0.5, sympy.Symbol("a"), sympy.Rational(1, 2)):
         with pytest.raises(TypeError):
             as_rational(bad)
+
+
+def test_as_positive():
+    """The one positivity rule of lengths and parameters: zero, a negative
+    and text that names no rational are ValueErrors, non-exact types
+    TypeErrors; a generator is positive by declaration."""
+    _, a = rational_function_field("a")
+    assert as_positive("3/6", "x") == Fraction(1, 2)
+    assert as_positive(a, "x") is a
+    for bad in (0, "1/0"):
+        with pytest.raises(ValueError):
+            as_positive(bad, "x")
+    with pytest.raises(ValueError, match=r"^edge length must be positive, got -1$"):
+        as_positive(-1, "edge length")
+    for bad in (0.5, True):
+        with pytest.raises(TypeError):
+            as_positive(bad, "x")
 
 
 def test_elements_are_canonical():

@@ -29,8 +29,10 @@ def test_arity_and_positivity():
         FiberType("I", (1,))
     with pytest.raises(InvalidParamsError):
         FiberType("VII", (1, 2))
-    with pytest.raises(InvalidParamsError):
+    with pytest.raises(InvalidParamsError, match=r"^parameters must be positive, got 0$"):
         FiberType("III", (0,))
+    with pytest.raises(InvalidParamsError):  # bad text, not arithmetic
+        FiberType("II", ("1/0",))
     with pytest.raises(InvalidParamsError):
         FiberType("IV", (1, -2))
     with pytest.raises(InvalidParamsError):

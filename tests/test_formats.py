@@ -146,11 +146,17 @@ def test_tau_document_validation():
 
 
 def test_nonarch_report_round_trip():
-    report = closed_form(FiberType("VII", (1, 2, Fraction(3, 7))))
-    doc = nonarch_to_dict(report)
-    assert doc["lambda"] == str(report.lambda_)
-    back = nonarch_from_dict(json.loads(json.dumps(doc)))
-    assert back == report
+    for fiber in [
+        FiberType("I"), FiberType("II", ("3/2",)), FiberType("III", ("2/7",)),
+        FiberType("IV", ("3/2", "5/3")), FiberType("V", ("1/2", "7/4")),
+        FiberType("VI", (2, "3/5", "7/3")), FiberType("VII", (1, 2, Fraction(3, 7))),
+    ]:
+        report = closed_form(fiber)
+        doc = nonarch_to_dict(report)
+        assert list(doc) == ["genus", "delta0", "delta1", "rKK", "epsilon", "phi", "lambda"]
+        assert doc["lambda"] == str(report.lambda_)
+        back = nonarch_from_dict(json.loads(json.dumps(doc)))
+        assert back == report
 
 
 def test_arch_report_round_trip_is_bit_exact():

@@ -49,6 +49,8 @@ def test_rejects_bad_input():
         PMGraph([("a", 0)], [("e", "a", "a", 0)])
     with pytest.raises(ValueError):
         PMGraph([("a", 0)], [("e", "a", "a", -2)])
+    with pytest.raises(ValueError):  # bad text, not arithmetic
+        PMGraph([("u", 1), ("w", 1)], [("e", "u", "w", "1/0")])
     with pytest.raises(ValueError):
         PMGraph([])
     with pytest.raises(DisconnectedError):
