@@ -51,7 +51,8 @@ def _is_field_element(x: Any) -> bool:
 
 
 def as_rational(x: Any) -> Any:
-    """Coerce ints and 'p/q' strings to Fraction; pass field elements through.
+    """Coerce ints and 'p/q', decimal or exponent strings ("2.5", "1e-3") to
+    Fraction, exactly; pass field elements through.
 
     Floats are rejected: graph data is exact by contract.  Text that names
     no rational, a zero denominator included, is a ValueError.

@@ -35,8 +35,9 @@ NONARCH_KEYS = {"delta0": "delta0", "delta1": "delta1", "r_kk": "rKK",
 
 
 def parse_rational(value) -> Fraction:
-    """Parse "p/q" or integer text (or a JSON integer) to an exact rational,
-    by `exact.as_rational`; any other JSON value is refused."""
+    """Parse "p/q", integer or decimal text (or a JSON integer) to an exact
+    rational, by `exact.as_rational`; any other JSON value, a float
+    included, is refused."""
     if isinstance(value, bool):
         raise InvalidParamsError(f"expected a rational, got {value!r}")
     if not isinstance(value, (int, str)):

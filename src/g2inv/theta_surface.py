@@ -15,19 +15,20 @@ Numerical conventions:
   (Y = Im tau, y = Im z) whose terms all have magnitude <= 1; the metric
   norm is then ||theta||(z) = (det Y)^(1/4) |S| with no large exponentials.
 * The truncation radius comes from a Gaussian tail bound driven by the
-  smallest eigenvalue of Y and is capped at 64.
+  smallest eigenvalue of Y and is capped at 64; the ten even theta-nulls
+  of log||Delta_2|| are one stacked lattice sum.
 * log||Delta_2|| and log||H|| are Sp4(Z)-invariant, so both first move
   tau into the Siegel fundamental domain (`siegel_reduce`, the algorithm
   of Deconinck et al., Math. Comp. 2004).  There the smallest eigenvalue
   of Y is at least sqrt(3)/4, the radius stays small and the cap is never
-  reached, so any valid period matrix is accepted.  `theta` and
-  `theta_norm` are not invariant: they sum at the tau they are given and
-  keep the cap.
+  reached, so any valid period matrix is accepted; `arch_invariants`
+  reduces once for both.  `theta` and `theta_norm` are not invariant:
+  they sum at the tau they are given and keep the cap.
 * log||H|| reduces to the mean of log||theta||(tau u + v) over uniform
   (u, v) in [0,1)^4.  Per batch of points the lattice sum factors into
-  two per-sample rows of 1-D Gaussian terms and one fixed matrix,
-  A1 C A2'.  Each row is built from two anchor terms (n = 0 and n = -1)
-  and their step ratios by the Gaussian second-difference recurrence.
+  two per-sample rows of 1-D terms and one fixed matrix, A1 C' A2'.
+  Each row walks from two anchor terms (n = 0 and n = -1) by their step
+  ratios, one multiply per row; C' holds the Gaussian factors.
   Only |sum| enters the norm, so each anchor is the real exponential of
   its real part (its modulus, so the float range is kept) times a phase
   derived from one unit phase per row.  The unit phase is a lookup in a
@@ -119,6 +120,7 @@ class SiegelMatrix:
             raise ValueError(f"Im tau is too small to invert in floating point: {y.tolist()}")
         self._y_inverse.setflags(write=False)
         self.min_eigenvalue = float(eigs[0])
+        self._reduced = False  # set by siegel_reduce on the matrices it returns
 
     @property
     def matrix(self) -> np.ndarray:
@@ -271,10 +273,13 @@ def siegel_reduce(tau: SiegelMatrix) -> tuple[SiegelMatrix, np.ndarray]:
     applies the quasi-inversion.  On return |2 Y12| <= Y11 <= Y22,
     |X_ij| <= 1/2 and |tau11| >= 1, so the smallest eigenvalue of Y is at
     least sqrt(3)/4.  A loop that does not finish within REDUCTION_CAP
-    rounds is a bug: FormulaMismatchError.
+    rounds is a bug: FormulaMismatchError.  Its own result comes back at
+    once with the identity word, as a re-run of the loop would give it.
     """
-    t = tau.matrix
     word = np.eye(4, dtype=int).astype(object)
+    if tau._reduced:
+        return tau, word
+    t = tau.matrix
     for _ in range(REDUCTION_CAP):
         u = _lagrange_basis(t.imag)
         as_float = u.astype(float)
@@ -283,7 +288,9 @@ def siegel_reduce(tau: SiegelMatrix) -> tuple[SiegelMatrix, np.ndarray]:
         t = t / 2 + t.T / 2 - shift  # halve first: t + t.T can overflow
         word = _translation(-shift) @ _conjugation(u) @ word
         if abs(t[0, 0]) >= 1 - _UNIT_MARGIN:
-            return SiegelMatrix(t), word
+            reduced = SiegelMatrix(t)
+            reduced._reduced = True
+            return reduced, word
         (t11, t12), (_, t22) = t
         # t11 t22 - t12^2 would underflow from entries near 1e-160 on;
         # dividing first keeps the digits of tiny entries
@@ -295,22 +302,24 @@ def siegel_reduce(tau: SiegelMatrix) -> tuple[SiegelMatrix, np.ndarray]:
     )
 
 
-def _theta_scaled(char: ThetaChar, z, tau: SiegelMatrix, radius: int):
+def _theta_scaled(char, z, tau: SiegelMatrix, radius: int):
     """Return (S, shift) with theta = S * exp(shift), |terms of S| <= 1,
-    summing over the box of the given truncation radius."""
+    summing over the box of the given truncation radius.  char = (a, b) is
+    one characteristic, or a stack of k as (k, 2) arrays: then one sum over
+    the union of their boxes gives the k values of S."""
     z = np.asarray(z, dtype=complex).reshape(2)
     y = z.imag
     yinv = tau.y_inverse
     shift = math.pi * float(y @ yinv @ y)
 
-    a = np.array([float(char.a[0]), float(char.a[1])])
-    b = np.array([float(char.b[0]), float(char.b[1])])
-    center = -yinv @ y - a
-    n1 = np.arange(math.floor(center[0] - radius), math.ceil(center[0] + radius) + 1)
-    n2 = np.arange(math.floor(center[1] - radius), math.ceil(center[1] + radius) + 1)
+    a, b = (np.asarray(x, dtype=float) for x in char)
+    centers = (-yinv @ y - a).reshape(-1, 2)
+    low, high = centers.min(axis=0) - radius, centers.max(axis=0) + radius
+    n1 = np.arange(math.floor(low[0]), math.ceil(high[0]) + 1)
+    n2 = np.arange(math.floor(low[1]), math.ceil(high[1]) + 1)
     g1, g2 = np.meshgrid(n1, n2, indexing="ij")
-    m1 = g1.ravel() + a[0]
-    m2 = g2.ravel() + a[1]
+    m1 = g1.ravel() + a[..., :1]
+    m2 = g2.ravel() + a[..., 1:]
 
     xm, ym = tau.x_part, tau.y_part
     w = z.real + b
@@ -323,18 +332,15 @@ def _theta_scaled(char: ThetaChar, z, tau: SiegelMatrix, radius: int):
         )
         im_exp = math.pi * (
             xm[0, 0] * m1 * m1 + 2 * xm[0, 1] * m1 * m2 + xm[1, 1] * m2 * m2
-        ) + 2 * math.pi * (m1 * w[0] + m2 * w[1])
-        s = complex(np.sum(np.exp(re_exp + 1j * im_exp)))
+        ) + 2 * math.pi * (m1 * w[..., :1] + m2 * w[..., 1:])
+        s = np.exp(re_exp + 1j * im_exp).sum(axis=-1)
     return s, shift
 
 
 def theta(char: ThetaChar, z, tau: SiegelMatrix, tol: float = DEFAULT_THETA_TOL) -> complex:
     """theta[a,b](z; tau) by truncated lattice sum, absolute error < tol."""
-    s, shift = _theta_scaled(char, z, tau, _truncation_radius(tau.min_eigenvalue, tol))
-    return s * math.exp(shift)
-
-
-_ZERO_CHAR = ThetaChar((0, 0), (0, 0))
+    s, shift = _theta_scaled((char.a, char.b), z, tau, _truncation_radius(tau.min_eigenvalue, tol))
+    return complex(s) * math.exp(shift)
 
 
 def theta_norm(z, tau: SiegelMatrix, tol: float = DEFAULT_THETA_TOL) -> float:
@@ -343,25 +349,25 @@ def theta_norm(z, tau: SiegelMatrix, tol: float = DEFAULT_THETA_TOL) -> float:
     Invariant under translating z by the period lattice; computed from the
     scaled sum so no large exponentials appear.
     """
-    s, _shift = _theta_scaled(_ZERO_CHAR, z, tau, _truncation_radius(tau.min_eigenvalue, tol))
-    return tau.det_y**0.25 * abs(s)
+    s, _shift = _theta_scaled(((0, 0), (0, 0)), z, tau, _truncation_radius(tau.min_eigenvalue, tol))
+    return tau.det_y**0.25 * abs(complex(s))
 
 
 def log_delta2(tau: SiegelMatrix, tol: float = DEFAULT_PRODUCT_TOL) -> float:
     """log of the normalized discriminant 2^-12 (det Y)^5 prod |theta[c](0)|^2.
 
     Sp4(Z)-invariant, so evaluated at siegel_reduce(tau): over the 10 even
-    characteristics, cross-checked against the equivalent product of
-    ||theta||^2 at the points tau a + b, which the torus-average kernel
-    (`_theta_kernel`) sums: two summation codes, which must agree within
-    10 tol.
+    characteristics (one stacked lattice sum), cross-checked against the
+    product of ||theta||^2 at the points tau a + b, which the torus-average
+    kernel (`_theta_kernel`) sums: two summation codes, which must agree
+    within 10 tol.
     """
     tau, _ = siegel_reduce(tau)
     radius_tol = min(DEFAULT_THETA_TOL, tol * 1e-2)
     radius = _truncation_radius(tau.min_eigenvalue, radius_tol)
+    nulls, _ = _theta_scaled((_EVEN_A, _EVEN_B), (0, 0), tau, radius)
     log_nulls = 0.0
-    for char in _EVEN_CHARS:
-        s, _ = _theta_scaled(char, (0, 0), tau, radius)
+    for char, s in zip(_EVEN_CHARS, nulls.tolist()):
         if abs(s) < NULL_FLOOR:
             raise DegenerateThetaNullError(
                 f"even theta-null {char} vanishes (|theta| = {abs(s):.3e}): "
@@ -471,16 +477,18 @@ def _unit_phase(turns: np.ndarray) -> np.ndarray:
 
 
 def _gaussian_rows(radius: int, t: complex, t12: complex, w: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rows exp(f(n) - i Im f(0)) for n = -radius-1 .. radius, one contiguous
-    row per n, where per sample f(n) = pi i t (n+u)^2 + 2 pi i c n +
-    2 pi i (n+u) v with c = t12 w.
+    """Rows exp(f(n) - 2 pi i t T(n) - i Im f(0)) for n = -radius-1 ..
+    radius, one contiguous row per n, where per sample f(n) = pi i t (n+u)^2
+    + 2 pi i c n + 2 pi i (n+u) v with c = t12 w, and T(n) = j(j-1)/2 with
+    j = n for n >= 0 and j = -1-n below.
 
     f has second difference 2 pi i t, so with q = exp(2 pi i t) the ratios
     G_n = exp(f(n+1) - f(n)) obey G_{n+1} = G_n q, and downward
-    H_n = exp(f(n-1) - f(n)) obey H_{n-1} = H_n q.  Only the anchors
-    exp(f(0)), exp(f(-1)), G_0 and H_{-1} are exponentials; the other
-    rows are products, walking up from n = 0 and down from n = -1.  The
-    column phase exp(i Im f(0)) drops out of |A1 C A2'|, so each anchor is
+    H_n = exp(f(n-1) - f(n)) obey H_{n-1} = H_n q.  The sample-free factor
+    q^T(n) is left to C' (`_theta_kernel`), so the rows walk up from
+    exp(f(0)) by G_0 and down from exp(f(-1)) by H_{-1}, one multiply per
+    row, and only these four anchors are exponentials.  The column phase
+    exp(i Im f(0)) drops out of |A1 C' A2'|, so each anchor is
     exp(its real part) times a phase from g = exp(i Im(f(1) - f(0))):
     conj(g) e^(2 pi i Re t) for exp(f(-1)), conj(g) e^(4 pi i Re t) for
     H_{-1}.  g comes from `_unit_phase` of its angle in turns,
@@ -490,9 +498,9 @@ def _gaussian_rows(radius: int, t: complex, t12: complex, w: np.ndarray, u: np.n
     one np.exp call: a row costs one table phase and four real
     exponentials, whatever the radius.  Each anchor keeps its own
     exponent, so an anchor that underflows to 0 is never the product of
-    an underflow and an overflow (0 * inf = NaN).  With Y reduced every
-    ratio has modulus at most one apart from the bounded c term; each row
-    carries about 2(radius+1) roundings.
+    an underflow and an overflow (0 * inf = NaN).  With Y reduced G_0 and
+    H_{-1} have modulus at most one apart from the bounded c term; row n
+    carries about |n| + 1 roundings.
     """
     pi, x, y = math.pi, t.real, t.imag
     lift = w * (2 * pi * t12.imag)  # 2 pi Im c
@@ -527,13 +535,10 @@ def _gaussian_rows(radius: int, t: complex, t12: complex, w: np.ndarray, u: np.n
     low *= at_minus_one
     up *= up_ratio
     down *= down_ratio
-    q = np.exp(2j * pi * t)
     for k in range(mid + 1, 2 * radius + 2):
         np.multiply(rows[k - 1], up, out=rows[k])
-        up *= q
     for k in range(mid - 2, -1, -1):
         np.multiply(rows[k + 1], down, out=rows[k])
-        down *= q
     return rows
 
 
@@ -542,25 +547,33 @@ def _theta_kernel(tau: SiegelMatrix, tol: float) -> Callable[[np.ndarray, np.nda
 
     Up to a factor of modulus one the scaled sum is the sum over m = n + u of
     exp(pi i m' tau m + 2 pi i m' v).  Splitting m1 m2 = n1 n2 + n1 u2 +
-    u1 n2 + u1 u2 factors it as colsum(C A1 * A2) exp(2 pi i tau12 u1 u2)
+    u1 n2 + u1 u2 factors it as colsum(C' A1 * A2) exp(2 pi i tau12 u1 u2)
     with per-sample columns
-        A1[n1, b] = exp(pi i tau11 m1^2 + 2 pi i tau12 n1 u2 + 2 pi i m1 v1)
-    (A2 likewise) and the symmetric C[n1, n2] = exp(2 pi i tau12 n1 n2),
-    computed here once per tau.  Only |s| enters the norm, so per-sample
-    unit factors are dropped: A1 and A2 come from `_gaussian_rows`, and the
-    u1 u2 term is kept as its modulus exp(-2 pi Y12 u1 u2), so a sample
-    costs 2 table phases (no trigonometric call) and 9 real exponentials
-    in 3 np.exp calls per batch, whatever the radius.  C A1 is formed once
-    and scaled by A2 in place.  Each factor stays in floating-point range
-    when Y is reduced; a sum that leaves it raises QuadratureUnstableError.
-    Returns NaN where ||theta|| is below machine epsilon (points straddling
-    the theta divisor); callers count those as rejected.
+        A1[n1, b] = exp(pi i tau11 (m1^2 - 2 T(n1)) + 2 pi i (tau12 n1 u2 + m1 v1))
+    (A2 likewise, T as in `_gaussian_rows`) and the unsymmetric C'[n2, n1]
+    = exp(2 pi i (tau12 n1 n2 + tau22 T(n2) + tau11 T(n1))), computed here
+    once per tau.  Only |s| enters the norm, so per-sample unit factors
+    are dropped: A1 and A2 come from `_gaussian_rows`, and the u1 u2 term
+    is kept as its modulus exp(-2 pi Y12 u1 u2), so a sample costs 2 table
+    phases (no trigonometric call) and 9 real exponentials in 3 np.exp
+    calls per batch, whatever the radius.  C' A1 is formed once and scaled
+    by A2 in place.  |C'| is at most exp(pi (linear in n)), while the cross
+    term alone reaches exp(2 pi |Y12| r^2): on a reduced Y every factor
+    stays in floating-point range, and a sum that leaves it raises
+    QuadratureUnstableError.  Returns NaN where ||theta|| is below machine
+    epsilon (points straddling the theta divisor); callers count those as
+    rejected.
     """
     radius = _truncation_radius(tau.min_eigenvalue, tol)
     n = np.arange(-radius - 1, radius + 1, dtype=float)
+    tri = np.where(n < 0, (n + 1) * (n + 2), n * (n - 1)) / 2  # T(n)
+    cross = np.outer(n, n)
     (t11, t12), (_, t22) = tau.matrix
     with np.errstate(over="ignore", invalid="ignore"):
-        c = np.exp(2j * math.pi * t12 * np.outer(n, n))
+        # real and imaginary exponents apart: at Y near 1e308 a complex product meets inf * 0 = NaN
+        re_exp = t12.imag * cross + t22.imag * tri[:, None] + t11.imag * tri
+        im_exp = t12.real * cross + t22.real * tri[:, None] + t11.real * tri
+        c = np.exp(-2 * math.pi * re_exp + 2j * math.pi * im_exp)
 
     def log_norms(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         (u1, u2), (v1, v2) = u.T, v.T  # contiguous rows when log_h passes its layout
@@ -701,6 +714,7 @@ def arch_invariants(
     delta_F, which is algebraically the same number, so the residual
     measures accumulated floating-point error only.
     """
+    tau, _ = siegel_reduce(tau)  # once: log_delta2 and log_h take it as reduced
     ld2 = log_delta2(tau, tol)
     lh, lh_stderr, rejected = log_h(tau, config, min(DEFAULT_THETA_TOL, tol), workers)
 

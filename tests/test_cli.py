@@ -256,6 +256,33 @@ def test_unknown_subcommand_exits_2():
     assert info.value.code == 2
 
 
+def test_a_closed_stdout_exits_0_silently(monkeypatch, capsys):
+    """A reader that went away (`g2inv verify | head -1`) is no bad input:
+    `main` returns 0, writes nothing to stderr, and leaves stdout on the
+    null device, so closing it raises nothing."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as closed_pipe:
+        monkeypatch.setattr(sys, "stdout", closed_pipe)
+        assert main(["verify", "--samples", "1"]) == 0
+        monkeypatch.undo()
+    assert capsys.readouterr().err == ""
+
+
+def test_a_closed_stdout_leaves_no_exception_at_exit():
+    """The same through a fresh, block-buffered interpreter, whose output
+    would otherwise fail only in the flush at exit."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    argv = [sys.executable, "-m", "g2inv.cli", "verify", "--samples", "1"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 0
+    assert err == b""
+
+
 def test_one_parser_serves_every_call(capsys):
     """`main` builds its parser once per process: a structured call and an
     argparse error (exit 2) in between leave later outputs as they were."""

@@ -53,6 +53,29 @@ def test_rational_parsing():
     assert format_rational(Fraction(4)) == "4"
 
 
+def test_decimal_text_is_read_exactly(capsys):
+    """Decimal and exponent text names an exact rational and is read as
+    one: `--params 1e-3` is II(1/1000), and a length "2.5" is 5/2.  A JSON
+    float is still refused."""
+    assert parse_rational("1e-3") == Fraction(1, 1000)
+    outputs = []
+    for params in ("1e-3", "1/1000"):
+        assert main(["nonarch", "--type", "II", "--params", params, "--format", "structured"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["delta1"] == "1/1000"
+
+    def doc(length):
+        return {
+            "vertices": [{"id": "u", "genus": 1}, {"id": "w", "genus": 1}],
+            "edges": [{"id": "e", "from": "u", "to": "w", "length": length}],
+        }
+
+    assert graph_from_dict(doc("2.5")).edge_length("e") == Fraction(5, 2)
+    with pytest.raises(InvalidParamsError):
+        graph_from_dict(doc(2.5))
+
+
 def test_complex_entry_round_trip():
     awkward = [
         0.1 + 0.3j,

@@ -25,6 +25,8 @@ from g2inv.errors import (
     TruncationOverflowError,
 )
 from g2inv.theta_surface import (
+    _EVEN_A,
+    _EVEN_B,
     DEFAULT_THETA_TOL,
     ArchReport,
     QuadratureConfig,
@@ -36,6 +38,8 @@ from g2inv.theta_surface import (
     log_delta2,
     log_h,
     _theta_kernel,
+    _theta_scaled,
+    _truncation_radius,
     _unit_phase,
     odd_characteristics,
     siegel_reduce,
@@ -299,6 +303,19 @@ def test_log_delta2_against_brute_force():
         for char in even_characteristics():
             total += 2 * mpmath.log(abs(brute_theta(char, (0, 0), tau)))
     assert abs(log_delta2(tau) - float(total)) < 1e-9
+
+
+def test_each_stacked_theta_null_matches_brute_force(rng):
+    """The ten even theta-nulls from the one stacked lattice sum that
+    `log_delta2` makes, each against its own mpmath double sum: a check on
+    their product alone could miss compensating errors."""
+    for tau in (GENERIC_TAU, siegel_reduce(random_tau(rng))[0]):
+        radius = _truncation_radius(tau.min_eigenvalue, DEFAULT_THETA_TOL)
+        nulls, shift = _theta_scaled((_EVEN_A, _EVEN_B), (0, 0), tau, radius)
+        assert shift == 0
+        assert len(nulls) == 10
+        for char, got in zip(even_characteristics(), nulls):
+            assert abs(got - brute_theta(char, (0, 0), tau)) < 1e-12
 
 
 def test_log_delta2_modular_invariance(rng):
@@ -569,6 +586,28 @@ def test_siegel_reduce_keeps_a_reduced_tau():
     reduced, word = siegel_reduce(tau)
     assert np.array_equal(word, np.eye(4))
     assert np.array_equal(reduced.matrix, tau.matrix)
+    # its own result comes back at once, as it is, with the identity word
+    again, word = siegel_reduce(reduced)
+    assert again is reduced
+    assert np.array_equal(word, np.eye(4))
+    assert all(isinstance(x, int) for x in word.flat)
+
+
+def test_arch_invariants_reduces_once(monkeypatch):
+    """`arch_invariants` reduces tau once and hands the result to both
+    `log_delta2` and `log_h`, which take it as it is: on a reduced tau the
+    Lagrange step runs once, not once per invariant."""
+    calls = []
+    right = g2inv.theta_surface._lagrange_basis
+
+    def counted(y):
+        calls.append(y)
+        return right(y)
+
+    monkeypatch.setattr(g2inv.theta_surface, "_lagrange_basis", counted)
+    tau = SiegelMatrix(np.array([[0.12 + 1.1j, 0.21 + 0.33j], [0.21 + 0.33j, -0.17 + 1.3j]]))
+    arch_invariants(tau, QuadratureConfig(n_samples=10000, seed=1))
+    assert len(calls) == 1
 
 
 def _unreduced_images(rng, count):
