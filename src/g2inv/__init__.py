@@ -13,7 +13,6 @@ from .errors import (
     InvalidParamsError,
     NotPositiveDefiniteError,
     QuadratureUnstableError,
-    TruncationOverflowError,
     UnclassifiableError,
 )
 from .fiber_catalog import FiberType, classify, closed_form, graph_of_type
@@ -56,7 +55,6 @@ __all__ = [
     "QuadratureUnstableError",
     "SiegelMatrix",
     "ThetaChar",
-    "TruncationOverflowError",
     "UnclassifiableError",
     "arch_invariants",
     "canonical_divisor",
@@ -68,11 +66,8 @@ __all__ = [
     "log_h",
     "node_counts",
     "nonarch_report",
-    "odd_characteristics",
     "resistance_pairing",
     "siegel_reduce",
     "smooth",
-    "theta",
-    "theta_norm",
     "total_genus",
 ]

@@ -29,7 +29,6 @@ from .errors import (
     InvalidParamsError,
     NotPositiveDefiniteError,
     QuadratureUnstableError,
-    TruncationOverflowError,
 )
 from .exact import rational_function_field
 from .fiber_catalog import ARITY, FiberType, classify, closed_form, graph_of_type
@@ -49,13 +48,12 @@ from .pm_invariants import nonarch_report, total_genus
 
 TAGS = tuple(ARITY)
 # what `main` reports as bad input: an "error: ..." line and exit 2
-INPUT_ERRORS = (InvalidParamsError, NotPositiveDefiniteError,
-                TruncationOverflowError, OSError, ValueError)
+INPUT_ERRORS = (InvalidParamsError, NotPositiveDefiniteError, OSError, ValueError)
 # what `main` reports as a failed internal cross-check: exit 4
 CROSS_CHECK_ERRORS = (FormulaMismatchError,)
 
 
-def _default_tolerance(default: float) -> float:
+def _default_tolerance(default: float, floor: float) -> float:
     raw = os.environ.get("G2INV_TOL")
     if raw is None:
         return default
@@ -63,8 +61,8 @@ def _default_tolerance(default: float) -> float:
         value = float(raw)
     except ValueError as exc:
         raise InvalidParamsError(f"G2INV_TOL is not a number: {raw!r}") from exc
-    if not (math.isfinite(value) and value > 0):
-        raise InvalidParamsError(f"G2INV_TOL must be positive and finite, got {raw!r}")
+    if not (math.isfinite(value) and value >= floor):
+        raise InvalidParamsError(f"G2INV_TOL must be finite and at least {floor:g}, got {raw!r}")
     return value
 
 
@@ -140,11 +138,12 @@ def _run_arch(args) -> int:
     from .theta_surface import (
         DEFAULT_PRODUCT_TOL,
         DEFAULT_TARGET_STDERR,
+        TOL_FLOOR,
         QuadratureConfig,
         arch_invariants,
     )
 
-    tolerance = _default_tolerance(DEFAULT_PRODUCT_TOL)
+    tolerance = _default_tolerance(DEFAULT_PRODUCT_TOL, TOL_FLOOR)
     target = DEFAULT_TARGET_STDERR if args.target_stderr is None else args.target_stderr
     if args.workers < 1:
         raise InvalidParamsError(f"--workers must be at least 1, got {args.workers}")

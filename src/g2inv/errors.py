@@ -33,16 +33,9 @@ class NotPositiveDefiniteError(G2Error):
     """The imaginary part of the period matrix is not positive definite."""
 
 
-class TruncationOverflowError(G2Error):
-    """The theta-series truncation radius exceeded its cap.
-
-    This signals a nearly degenerate imaginary part rather than a tolerance
-    that could be met by summing further.
-    """
-
-
 class DegenerateThetaNullError(G2Error):
-    """An even theta-null vanishes: the surface splits into elliptic curves.
+    """An even theta-null is below 1e-8 in modulus: tau is at or near the
+    locus where the surface is a product of elliptic curves.
 
     The offending characteristic is stored on the exception.
     """

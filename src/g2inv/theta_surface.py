@@ -1,29 +1,29 @@
 """Archimedean invariants of a genus-2 surface from its period matrix.
 
-Evaluates genus-2 theta functions with half-integer characteristics by
-truncated lattice sums, the normalized discriminant log||Delta_2|| (two
-algebraically equal routes through two summation codes, the lattice sums
-and the torus-average kernel, compared numerically), the torus average
-log||H|| by seeded quadrature, and from these the invariant chain
-delta_F, log S, phi, lambda.
+Sums genus-2 theta functions with half-integer characteristics by
+truncated lattice sums where `arch` needs them: the ten even theta-nulls
+of the normalized discriminant log||Delta_2|| (two algebraically equal
+routes through two summation codes, the stacked null sum and the
+torus-average kernel, compared numerically) and the torus average
+log||H|| by seeded quadrature; from these the invariant chain delta_F,
+log S, phi, lambda.
 
 Numerical conventions:
 
-* theta[a,b](z; tau) = sum over n in Z^2 of
-      exp(pi i (n+a)' tau (n+a) + 2 pi i (n+a)' (z+b)).
-* Sums are computed in a scaled form S = theta * exp(-pi y' Y^-1 y)
-  (Y = Im tau, y = Im z) whose terms all have magnitude <= 1; the metric
-  norm is then ||theta||(z) = (det Y)^(1/4) |S| with no large exponentials.
+* theta[a,b](0; tau) = sum over n in Z^2 of
+      exp(pi i (n+a)' tau (n+a) + 2 pi i (n+a)' b),
+  and the metric norm is ||theta||(z) = (det Y)^(1/4) e^(-pi y' Y^-1 y)
+  |theta(z)| (Y = Im tau, y = Im z), so ||theta||(tau a + b) =
+  (det Y)^(1/4) |theta[a,b](0)|.
 * The truncation radius comes from a Gaussian tail bound driven by the
-  smallest eigenvalue of Y and is capped at 64; the ten even theta-nulls
-  of log||Delta_2|| are one stacked lattice sum.
+  smallest eigenvalue of Y; the ten even theta-nulls of log||Delta_2||
+  are one stacked lattice sum.
 * log||Delta_2|| and log||H|| are Sp4(Z)-invariant, so both first move
   tau into the Siegel fundamental domain (`siegel_reduce`, the algorithm
   of Deconinck et al., Math. Comp. 2004).  There the smallest eigenvalue
-  of Y is at least sqrt(3)/4, the radius stays small and the cap is never
-  reached, so any valid period matrix is accepted; `arch_invariants`
-  reduces once for both.  `theta` and `theta_norm` are not invariant:
-  they sum at the tau they are given and keep the cap.
+  of Y is at least sqrt(3)/4, so at any tolerance down to TOL_FLOOR the
+  radius is at most 6 and needs no cap: any valid period matrix is
+  accepted, and `arch_invariants` reduces once for both.
 * log||H|| reduces to the mean of log||theta||(tau u + v) over uniform
   (u, v) in [0,1)^4.  Per batch of points the lattice sum factors into
   two per-sample rows of 1-D terms and one fixed matrix, A1 C' A2'.
@@ -45,6 +45,7 @@ Numerical conventions:
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -58,14 +59,17 @@ from .errors import (
     FormulaMismatchError,
     NotPositiveDefiniteError,
     QuadratureUnstableError,
-    TruncationOverflowError,
 )
 
 DEFAULT_THETA_TOL = 1e-12
 DEFAULT_PRODUCT_TOL = 1e-10
 DEFAULT_TARGET_STDERR = 1e-3
 NULL_FLOOR = 1e-8  # an even theta-null below this in modulus counts as vanishing
-TRUNCATION_CAP = 64
+# the smallest tolerance `log_delta2` accepts: its two routes differ by
+# rounding alone, about 1e-15 |log||Delta_2|||, at most 9.9e-14 over 3000
+# random reduced taus with |log||Delta_2||| <= 158, and their bound of
+# 10 tol must stay above that
+TOL_FLOOR = 1e-13
 REDUCTION_CAP = 200
 SUBSTREAMS = 8
 _CHUNK = 4096  # points per kernel call: a (2r+2) x 4096 complex row block stays cache-sized
@@ -90,9 +94,8 @@ class SiegelMatrix:
     Input is symmetrized exactly when the asymmetry is below 1e-12 and
     rejected otherwise; non-finite entries, and an Im tau whose inverse is
     not finite (subnormal entries), are rejected (ValueError);
-    NotPositiveDefiniteError if Im tau is not PD.  The matrix and Y^-1
-    (`y_inverse`) are fixed at construction and read-only, so every theta
-    sum at this tau shares one inverse.
+    NotPositiveDefiniteError if Im tau is not PD.  The matrix is fixed at
+    construction and read-only.
     """
 
     def __init__(self, tau):
@@ -115,10 +118,8 @@ class SiegelMatrix:
             )
         self._m = m
         self._m.setflags(write=False)
-        self._y_inverse = np.linalg.inv(y)
-        if not np.all(np.isfinite(self._y_inverse)):  # a subnormal Im tau
+        if not np.all(np.isfinite(np.linalg.inv(y))):  # a subnormal Im tau
             raise ValueError(f"Im tau is too small to invert in floating point: {y.tolist()}")
-        self._y_inverse.setflags(write=False)
         self.min_eigenvalue = float(eigs[0])
         self._reduced = False  # set by siegel_reduce on the matrices it returns
 
@@ -138,11 +139,6 @@ class SiegelMatrix:
     def det_y(self) -> float:
         y = self._m.imag
         return float(y[0, 0] * y[1, 1] - y[0, 1] * y[1, 0])
-
-    @property
-    def y_inverse(self) -> np.ndarray:
-        """Y^-1, computed once at construction and read-only."""
-        return self._y_inverse
 
     def __repr__(self) -> str:
         return f"SiegelMatrix({self._m.tolist()!r})"
@@ -182,42 +178,30 @@ class ThetaChar:
         return f"[{fmt(self.a)}; {fmt(self.b)}]"
 
 
-_HALVES = (Fraction(0), HALF)
-_ALL_CHARS = tuple(
-    ThetaChar((a1, a2), (b1, b2))
-    for a1 in _HALVES
-    for a2 in _HALVES
-    for b1 in _HALVES
-    for b2 in _HALVES
+_EVEN_CHARS = tuple(
+    c
+    for c in (ThetaChar(h[:2], h[2:]) for h in itertools.product((0, HALF), repeat=4))
+    if c.is_even
 )
-_EVEN_CHARS = tuple(c for c in _ALL_CHARS if c.is_even)
-_ODD_CHARS = tuple(c for c in _ALL_CHARS if not c.is_even)
 # the even characteristics as the kernel's (10, 2) point arrays u = a, v = b
 _EVEN_A = np.array([[float(x) for x in c.a] for c in _EVEN_CHARS])
 _EVEN_B = np.array([[float(x) for x in c.b] for c in _EVEN_CHARS])
-
-
-def all_characteristics() -> tuple[ThetaChar, ...]:
-    return _ALL_CHARS
 
 
 def even_characteristics() -> tuple[ThetaChar, ...]:
     return _EVEN_CHARS
 
 
-def odd_characteristics() -> tuple[ThetaChar, ...]:
-    return _ODD_CHARS
-
-
 def _truncation_radius(lambda_min: float, tol: float) -> int:
-    """Smallest integer radius whose Gaussian tail bound is below tol."""
-    for radius in range(1, TRUNCATION_CAP + 1):
+    """Smallest integer radius whose Gaussian tail bound is below tol, or
+    the first past which every term underflows.  The sums call it on a
+    reduced tau, lambda_min >= sqrt(3)/4, where it is at most 6 for tol
+    down to TOL_FLOOR * 1e-2."""
+    for radius in itertools.count(1):
         decay = math.pi * lambda_min * radius
         if decay > 700:
             return radius
         q = math.exp(-2 * decay)
-        if q >= 1.0:
-            break
         tail = (
             8
             * math.exp(-decay * radius)
@@ -225,10 +209,6 @@ def _truncation_radius(lambda_min: float, tol: float) -> int:
         )
         if tail < tol:
             return radius
-    raise TruncationOverflowError(
-        f"truncation radius exceeds {TRUNCATION_CAP}: Im tau is nearly "
-        f"degenerate (smallest eigenvalue {lambda_min:.3e})"
-    )
 
 
 def _lagrange_basis(y: np.ndarray) -> np.ndarray:
@@ -302,18 +282,13 @@ def siegel_reduce(tau: SiegelMatrix) -> tuple[SiegelMatrix, np.ndarray]:
     )
 
 
-def _theta_scaled(char, z, tau: SiegelMatrix, radius: int):
-    """Return (S, shift) with theta = S * exp(shift), |terms of S| <= 1,
-    summing over the box of the given truncation radius.  char = (a, b) is
-    one characteristic, or a stack of k as (k, 2) arrays: then one sum over
-    the union of their boxes gives the k values of S."""
-    z = np.asarray(z, dtype=complex).reshape(2)
-    y = z.imag
-    yinv = tau.y_inverse
-    shift = math.pi * float(y @ yinv @ y)
-
+def _theta_scaled(char, tau: SiegelMatrix, radius: int):
+    """The theta-nulls theta[a,b](0; tau), summing over the box of the
+    given truncation radius; every term has modulus <= 1.  char = (a, b)
+    is one characteristic, or a stack of k as (k, 2) arrays: then one sum
+    over the union of their boxes gives the k values."""
     a, b = (np.asarray(x, dtype=float) for x in char)
-    centers = (-yinv @ y - a).reshape(-1, 2)
+    centers = -a.reshape(-1, 2)
     low, high = centers.min(axis=0) - radius, centers.max(axis=0) + radius
     n1 = np.arange(math.floor(low[0]), math.ceil(high[0]) + 1)
     n2 = np.arange(math.floor(low[1]), math.ceil(high[1]) + 1)
@@ -322,35 +297,12 @@ def _theta_scaled(char, z, tau: SiegelMatrix, radius: int):
     m2 = g2.ravel() + a[..., 1:]
 
     xm, ym = tau.x_part, tau.y_part
-    w = z.real + b
     with np.errstate(over="ignore"):  # a huge Y entry: exp(-inf) = 0 is the limit
-        re_exp = (
-            -math.pi
-            * (ym[0, 0] * m1 * m1 + 2 * ym[0, 1] * m1 * m2 + ym[1, 1] * m2 * m2)
-            - 2 * math.pi * (m1 * y[0] + m2 * y[1])
-            - shift
-        )
+        re_exp = -math.pi * (ym[0, 0] * m1 * m1 + 2 * ym[0, 1] * m1 * m2 + ym[1, 1] * m2 * m2)
         im_exp = math.pi * (
             xm[0, 0] * m1 * m1 + 2 * xm[0, 1] * m1 * m2 + xm[1, 1] * m2 * m2
-        ) + 2 * math.pi * (m1 * w[..., :1] + m2 * w[..., 1:])
-        s = np.exp(re_exp + 1j * im_exp).sum(axis=-1)
-    return s, shift
-
-
-def theta(char: ThetaChar, z, tau: SiegelMatrix, tol: float = DEFAULT_THETA_TOL) -> complex:
-    """theta[a,b](z; tau) by truncated lattice sum, absolute error < tol."""
-    s, shift = _theta_scaled((char.a, char.b), z, tau, _truncation_radius(tau.min_eigenvalue, tol))
-    return complex(s) * math.exp(shift)
-
-
-def theta_norm(z, tau: SiegelMatrix, tol: float = DEFAULT_THETA_TOL) -> float:
-    """The metric norm ||theta||(z) = (det Y)^(1/4) e^(-pi y'Y^-1 y) |theta(z)|.
-
-    Invariant under translating z by the period lattice; computed from the
-    scaled sum so no large exponentials appear.
-    """
-    s, _shift = _theta_scaled(((0, 0), (0, 0)), z, tau, _truncation_radius(tau.min_eigenvalue, tol))
-    return tau.det_y**0.25 * abs(complex(s))
+        ) + 2 * math.pi * (m1 * b[..., :1] + m2 * b[..., 1:])
+        return np.exp(re_exp + 1j * im_exp).sum(axis=-1)
 
 
 def log_delta2(tau: SiegelMatrix, tol: float = DEFAULT_PRODUCT_TOL) -> float:
@@ -360,18 +312,21 @@ def log_delta2(tau: SiegelMatrix, tol: float = DEFAULT_PRODUCT_TOL) -> float:
     characteristics (one stacked lattice sum), cross-checked against the
     product of ||theta||^2 at the points tau a + b, which the torus-average
     kernel (`_theta_kernel`) sums: two summation codes, which must agree
-    within 10 tol.
+    within 10 tol.  Rounding alone separates them, so a tol below
+    TOL_FLOOR is refused (ValueError).
     """
+    if not tol >= TOL_FLOOR:
+        raise ValueError(f"tolerance {tol!r} is below the rounding floor {TOL_FLOOR:g}")
     tau, _ = siegel_reduce(tau)
     radius_tol = min(DEFAULT_THETA_TOL, tol * 1e-2)
     radius = _truncation_radius(tau.min_eigenvalue, radius_tol)
-    nulls, _ = _theta_scaled((_EVEN_A, _EVEN_B), (0, 0), tau, radius)
+    nulls = _theta_scaled((_EVEN_A, _EVEN_B), tau, radius)
     log_nulls = 0.0
     for char, s in zip(_EVEN_CHARS, nulls.tolist()):
         if abs(s) < NULL_FLOOR:
             raise DegenerateThetaNullError(
-                f"even theta-null {char} vanishes (|theta| = {abs(s):.3e}): "
-                f"the surface degenerates to a product of elliptic curves",
+                f"even theta-null {char} is below {NULL_FLOOR:g} (|theta| = {abs(s):.3e}): "
+                f"tau is at or near the locus of products of elliptic curves",
                 characteristic=char,
             )
         log_nulls += 2 * math.log(abs(s))

@@ -20,7 +20,7 @@ from conftest import EdgePoint, rand_frac, subdivide, value_at
 from oracles import DiscreteNetwork, admissible_measure, diagonal_green, green_function
 from oracles import green_of_canonical
 from test_properties import report_on_this_model
-from test_theta_surface import random_tau
+from test_theta_surface import ODD_CHARS, char_arrays, random_tau, shift_law_checks, stacked_nulls
 
 from g2inv.cli import main
 from g2inv.errors import DegenerateThetaNullError
@@ -31,11 +31,8 @@ from g2inv.pm_invariants import nonarch_report
 from g2inv.theta_surface import (
     QuadratureConfig,
     SiegelMatrix,
-    ThetaChar,
     arch_invariants,
     log_delta2,
-    odd_characteristics,
-    theta,
 )
 
 TAGS = ("I", "II", "III", "IV", "V", "VI", "VII")
@@ -186,36 +183,17 @@ def test_acceptance_06_discrete_oracle():
 
 def test_acceptance_07_theta_sanity(rng):
     with criterion("7. theta sanity: closed-form null 1e-9, odd nulls 1e-10, quasi-periodicity 1e-10"):
+        # all three through the stacked lattice sum that log_delta2 runs
         eye = SiegelMatrix(1j * np.eye(2))
-        value = theta(ThetaChar((0, 0), (0, 0)), (0, 0), eye)
+        (value,) = stacked_nulls([(0, 0)], [(0, 0)], eye)
         target = float((mpmath.pi ** Fraction(1, 4) / mpmath.gamma(Fraction(3, 4))) ** 2)
         assert abs(value - target) < 1e-9
 
         for tau in (eye, random_tau(rng), random_tau(rng)):
-            for char in odd_characteristics():
-                assert abs(theta(char, (0, 0), tau)) < 1e-10
+            assert np.all(np.abs(stacked_nulls(*char_arrays(ODD_CHARS), tau)) < 1e-10)
 
-        char = ThetaChar((0, 0), (0, 0))
-        checked = 0
-        while checked < 100:
-            tau = random_tau(rng)
-            t = tau.matrix
-            for _ in range(20):
-                z = np.array(
-                    [
-                        complex(rng.uniform(-1, 1), rng.uniform(-0.6, 0.6)),
-                        complex(rng.uniform(-1, 1), rng.uniform(-0.6, 0.6)),
-                    ]
-                )
-                m = np.array([rng.randint(-2, 2), rng.randint(-2, 2)], dtype=float)
-                k = np.array([rng.randint(-2, 2), rng.randint(-2, 2)], dtype=float)
-                base = theta(char, z, tau)
-                if abs(base) < 1e-6:
-                    continue
-                shifted = theta(char, z + t @ m + k, tau)
-                factor = np.exp(-1j * math.pi * (m @ t @ m) - 2j * math.pi * (m @ z))
-                assert abs(shifted / (factor * base) - 1) < 1e-10
-                checked += 1
+        # theta[a+m; b+k](0) = exp(2 pi i a'k) theta[a; b](0), 100 checks
+        shift_law_checks(rng, 100, 1e-10)
 
 
 def test_acceptance_08_arch_identity_chain():

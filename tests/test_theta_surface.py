@@ -1,16 +1,17 @@
 """Tests for theta evaluation and the archimedean invariant chain.
 
 Oracles: a high-precision mpmath double sum (independent of the package's
-truncation and scaling logic), the closed form theta(0; iI) =
-(pi^(1/4)/Gamma(3/4))^2, and mpmath's genus-1 jtheta for diagonal period
-matrices.  The quadrature layer is validated on integrands with known
-means before being trusted on the theta integrand.
+truncation logic), an unfactored numpy lattice sum of the metric norm, the
+closed form theta(0; iI) = (pi^(1/4)/Gamma(3/4))^2, and mpmath's genus-1
+jtheta for diagonal period matrices.  The quadrature layer is validated on
+integrands with known means before being trusted on the theta integrand.
 """
 
 import itertools
 import math
 import random
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -22,17 +23,16 @@ from g2inv.errors import (
     FormulaMismatchError,
     NotPositiveDefiniteError,
     QuadratureUnstableError,
-    TruncationOverflowError,
 )
 from g2inv.theta_surface import (
     _EVEN_A,
     _EVEN_B,
     DEFAULT_THETA_TOL,
+    TOL_FLOOR,
     ArchReport,
     QuadratureConfig,
     SiegelMatrix,
     ThetaChar,
-    all_characteristics,
     arch_invariants,
     even_characteristics,
     log_delta2,
@@ -41,22 +41,21 @@ from g2inv.theta_surface import (
     _theta_scaled,
     _truncation_radius,
     _unit_phase,
-    odd_characteristics,
     siegel_reduce,
-    theta,
-    theta_norm,
 )
 
 LOG_2PI = math.log(2 * math.pi)
 
 
-def brute_theta(char: ThetaChar, z, tau: SiegelMatrix, box: int = 12) -> complex:
-    """Reference double sum at 40 digits, no scaling or truncation logic."""
+def brute_theta(a, b, tau: SiegelMatrix, box: int = 12) -> complex:
+    """theta[a,b](0; tau) by a reference double sum at 40 digits, with no
+    truncation logic; a and b are pairs of rationals or floats."""
     with mpmath.workdps(40):
-        sa = tuple(mpmath.mpf(x.numerator) / x.denominator for x in char.a)
-        sb = tuple(mpmath.mpf(x.numerator) / x.denominator for x in char.b)
+        sa, sb = (
+            tuple(mpmath.mpf(f.numerator) / f.denominator for f in map(Fraction, pair))
+            for pair in (a, b)
+        )
         t = [[mpmath.mpc(tau.matrix[i, j]) for j in range(2)] for i in range(2)]
-        zz = [mpmath.mpc(z[0]), mpmath.mpc(z[1])]
         total = mpmath.mpc(0)
         for n1 in range(-box, box + 1):
             for n2 in range(-box, box + 1):
@@ -67,7 +66,7 @@ def brute_theta(char: ThetaChar, z, tau: SiegelMatrix, box: int = 12) -> complex
                     + 2 * t[0][1] * m0 * m1
                     + t[1][1] * m1 * m1
                 )
-                lin = m0 * (zz[0] + sb[0]) + m1 * (zz[1] + sb[1])
+                lin = m0 * sb[0] + m1 * sb[1]
                 total += mpmath.e ** (mpmath.pi * 1j * (quad + 2 * lin))
         return complex(total)
 
@@ -90,6 +89,41 @@ def lattice_sum_norms(t: np.ndarray):
         return quarter_det * np.abs(np.exp(real + 1j * imag).sum(axis=1))
 
     return norms
+
+
+ALL_CHARS = [ThetaChar(h[:2], h[2:]) for h in itertools.product((0, 0.5), repeat=4)]
+ODD_CHARS = [c for c in ALL_CHARS if not c.is_even]
+
+
+def char_arrays(chars) -> tuple[np.ndarray, np.ndarray]:
+    """Characteristics as the (k, 2) arrays a and b of a stacked sum."""
+    return tuple(np.array([[float(x) for x in getattr(c, part)] for c in chars]) for part in "ab")
+
+
+def stacked_nulls(a, b, tau: SiegelMatrix, tol: float = DEFAULT_THETA_TOL) -> np.ndarray:
+    """theta[a,b](0; tau) for (k, 2) arrays of real characteristics, from
+    the one stacked lattice sum that `log_delta2` runs, at tau as given."""
+    radius = _truncation_radius(tau.min_eigenvalue, tol)
+    return _theta_scaled((np.asarray(a, dtype=float), np.asarray(b, dtype=float)), tau, radius)
+
+
+def shift_law_checks(rng: random.Random, count: int, bound: float) -> None:
+    """theta[a+m; b+k](0) = exp(2 pi i a'k) theta[a; b](0) at `count` random
+    real a, b in [-1, 1]^2, integers m, k in [-2, 2]^2 and random taus,
+    each within `bound` relative; values below 1e-6 are skipped."""
+    checked = 0
+    while checked < count:
+        tau = random_tau(rng)
+        for _ in range(10):
+            a, b = (np.array([rng.uniform(-1, 1), rng.uniform(-1, 1)]) for _ in "ab")
+            m, k = (np.array([rng.randint(-2, 2), rng.randint(-2, 2)], dtype=float) for _ in "mk")
+            base, shifted = stacked_nulls([a, a + m], [b, b + k], tau)
+            if abs(base) < 1e-6:
+                continue
+            assert abs(shifted / (np.exp(2j * math.pi * (a @ k)) * base) - 1) < bound
+            checked += 1
+            if checked == count:
+                return
 
 
 def reference_log_h(t: np.ndarray, samples: int, seed: int) -> tuple[float, float]:
@@ -156,11 +190,11 @@ GENERIC_TAU = SiegelMatrix(
 
 
 def test_characteristic_counts_and_parity():
-    chars = all_characteristics()
-    assert len(chars) == 16
+    assert len(set(ALL_CHARS)) == 16
+    assert list(even_characteristics()) == [c for c in ALL_CHARS if c.is_even]
     assert len(even_characteristics()) == 10
-    assert len(odd_characteristics()) == 6
-    for c in chars:
+    assert len(ODD_CHARS) == 6
+    for c in ALL_CHARS:
         four_ab = 4 * (c.a[0] * c.b[0] + c.a[1] * c.b[1])
         assert four_ab.denominator == 1
         assert c.parity == (-1) ** int(four_ab)
@@ -188,7 +222,7 @@ def test_siegel_matrix_validation():
 
 
 def test_theta_null_closed_form():
-    value = theta(ThetaChar((0, 0), (0, 0)), (0, 0), IDENTITY_TAU)
+    (value,) = stacked_nulls([(0, 0)], [(0, 0)], IDENTITY_TAU)
     expected = float((mpmath.pi ** 0.25 / mpmath.gamma(0.75)) ** 2)
     assert abs(value.imag) < 1e-12
     assert abs(value.real - expected) < 1e-12
@@ -208,92 +242,71 @@ def test_theta_factorizes_on_diagonal_tau():
             ((0, 0), (0.5, 0.5)): mpmath.jtheta(4, 0, q1) * mpmath.jtheta(4, 0, q2),
             ((0.5, 0.5), (0, 0)): mpmath.jtheta(2, 0, q1) * mpmath.jtheta(2, 0, q2),
         }
-        for (a, b), want in expected.items():
-            got = theta(ThetaChar(a, b), (0, 0), tau)
-            assert abs(got - complex(want)) < 1e-12
+    a, b = zip(*expected)
+    for got, want in zip(stacked_nulls(a, b, tau), expected.values()):
+        assert abs(got - complex(want)) < 1e-12
 
 
 def test_theta_matches_brute_force(rng):
-    cases = [
-        (ThetaChar((0, 0), (0, 0)), (0.3 + 0.2j, -0.1 + 0.4j), GENERIC_TAU),
-        (ThetaChar((0.5, 0), (0, 0.5)), (0.1 - 0.3j, 0.25 + 0.1j), GENERIC_TAU),
-        (ThetaChar((0.5, 0.5), (0.5, 0.5)), (-0.2 + 0.1j, 0.4 - 0.2j), GENERIC_TAU),
-    ]
-    for _ in range(3):
-        tau = random_tau(rng)
-        z = (
-            complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)),
-            complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)),
-        )
-        chars = all_characteristics()
-        cases.append((chars[rng.randrange(16)], z, tau))
-    for char, z, tau in cases:
-        got = theta(char, z, tau)
-        want = brute_theta(char, z, tau)
-        assert abs(got - want) < 1e-10 * max(1.0, abs(want))
+    """The stacked sum at real characteristics, the values theta(z) takes
+    at real z, against the mpmath double sum: the 16 half-integer ones
+    and random ones in [-1, 1]^2, at GENERIC_TAU and three random taus."""
+    for tau in (GENERIC_TAU, random_tau(rng), random_tau(rng), random_tau(rng)):
+        a, b = char_arrays(ALL_CHARS)
+        a = np.vstack([a, [[rng.uniform(-1, 1), rng.uniform(-1, 1)] for _ in range(4)]])
+        b = np.vstack([b, [[rng.uniform(-1, 1), rng.uniform(-1, 1)] for _ in range(4)]])
+        for got, ai, bi in zip(stacked_nulls(a, b, tau), a.tolist(), b.tolist()):
+            want = brute_theta(ai, bi, tau)
+            assert abs(got - want) < 1e-10 * max(1.0, abs(want))
 
 
 def test_odd_nulls_vanish(rng):
     taus = [IDENTITY_TAU, GENERIC_TAU] + [random_tau(rng) for _ in range(3)]
     for tau in taus:
-        for char in odd_characteristics():
-            assert abs(theta(char, (0, 0), tau)) < 1e-10
+        assert np.all(np.abs(stacked_nulls(*char_arrays(ODD_CHARS), tau)) < 1e-10)
 
 
 def test_quasi_periodicity(rng):
-    # theta(z + tau m + k) = exp(-pi i m' tau m - 2 pi i m' z) theta(z)
-    char = ThetaChar((0, 0), (0, 0))
-    checked = 0
-    while checked < 100:
-        tau = random_tau(rng)
-        t = tau.matrix
-        for _ in range(10):
-            z = np.array(
-                [
-                    complex(rng.uniform(-1, 1), rng.uniform(-0.6, 0.6)),
-                    complex(rng.uniform(-1, 1), rng.uniform(-0.6, 0.6)),
-                ]
-            )
-            m = np.array([rng.randint(-2, 2), rng.randint(-2, 2)], dtype=float)
-            k = np.array([rng.randint(-2, 2), rng.randint(-2, 2)], dtype=float)
-            base = theta(char, z, tau)
-            if abs(base) < 1e-6:
-                continue
-            shifted = theta(char, z + t @ m + k, tau)
-            factor = np.exp(-1j * math.pi * (m @ t @ m) - 2j * math.pi * (m @ z))
-            assert abs(shifted / (factor * base) - 1) < 1e-10
-            checked += 1
+    """Quasi-periodicity in z, written for the nulls: shifting the
+    characteristic by integers only turns the phase."""
+    shift_law_checks(rng, 100, 1e-10)
 
 
 def test_theta_norm_is_lattice_invariant(rng):
+    # ||theta||(tau a + b) = (det Y)^(1/4) |theta[a,b](0)|: moving the point by
+    # a lattice vector tau m + k leaves the modulus as it is
     for _ in range(5):
         tau = random_tau(rng)
-        t = tau.matrix
-        z = np.array(
-            [
-                complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
-                complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
-            ]
-        )
-        m = np.array([rng.randint(-3, 3), rng.randint(-3, 3)], dtype=float)
-        k = np.array([rng.randint(-3, 3), rng.randint(-3, 3)], dtype=float)
-        base = theta_norm(z, tau)
-        shifted = theta_norm(z + t @ m + k, tau)
+        a, b = (np.array([rng.uniform(-1, 1), rng.uniform(-1, 1)]) for _ in "ab")
+        m, k = (np.array([rng.randint(-3, 3), rng.randint(-3, 3)], dtype=float) for _ in "mk")
+        base, shifted = np.abs(stacked_nulls([a, a + m], [b, b + k], tau))
         assert abs(shifted - base) < 1e-10 * max(1.0, base)
 
 
-def test_truncation_overflow_on_degenerate_imaginary_part():
-    squashed = SiegelMatrix(np.array([[1e-6j, 0], [0, 1j]]))
-    with pytest.raises(TruncationOverflowError):
-        theta(ThetaChar((0, 0), (0, 0)), (0, 0), squashed)
+def test_reduced_radius_stays_bounded(rng):
+    """Without a cap on the truncation radius: every Sp4(Z) image, however
+    squashed, reduces to a tau with lambda_min >= sqrt(3)/4, where the
+    radius at the tightest tolerance `log_delta2` uses is at most 6."""
+    for _ in range(200):
+        image = act(random_word(rng, rng.randint(1, 8)), random_tau(rng).matrix)
+        reduced, _ = siegel_reduce(SiegelMatrix(image))
+        assert reduced.min_eigenvalue >= math.sqrt(3) / 4 * (1 - 1e-12)
+        assert _truncation_radius(reduced.min_eigenvalue, TOL_FLOOR * 1e-2) <= 6
+
+
+def test_log_delta2_refuses_a_tolerance_below_the_floor():
+    assert math.isfinite(log_delta2(GENERIC_TAU, TOL_FLOOR))
+    for tol in (TOL_FLOOR / 2, 1e-323, 0.0, math.nan):
+        with pytest.raises(ValueError, match="rounding floor"):
+            log_delta2(GENERIC_TAU, tol)
 
 
 def test_truncation_tolerance_consistency():
     # loosening the tolerance must not move the value by more than it claims
-    char = ThetaChar((0.5, 0), (0, 0))
-    loose = theta(char, (0.1, 0.2), GENERIC_TAU, tol=1e-8)
-    tight = theta(char, (0.1, 0.2), GENERIC_TAU, tol=1e-14)
-    assert abs(loose - tight) < 1e-8
+    a, b = char_arrays(even_characteristics())
+    loose = stacked_nulls(a, b, GENERIC_TAU, tol=1e-8)
+    tight = stacked_nulls(a, b, GENERIC_TAU, tol=1e-14)
+    assert np.max(np.abs(loose - tight)) < 1e-8
 
 
 def test_log_delta2_against_brute_force():
@@ -301,7 +314,7 @@ def test_log_delta2_against_brute_force():
     with mpmath.workdps(40):
         total = -12 * mpmath.log(2) + 5 * mpmath.log(tau.det_y)
         for char in even_characteristics():
-            total += 2 * mpmath.log(abs(brute_theta(char, (0, 0), tau)))
+            total += 2 * mpmath.log(abs(brute_theta(char.a, char.b, tau)))
     assert abs(log_delta2(tau) - float(total)) < 1e-9
 
 
@@ -310,12 +323,10 @@ def test_each_stacked_theta_null_matches_brute_force(rng):
     `log_delta2` makes, each against its own mpmath double sum: a check on
     their product alone could miss compensating errors."""
     for tau in (GENERIC_TAU, siegel_reduce(random_tau(rng))[0]):
-        radius = _truncation_radius(tau.min_eigenvalue, DEFAULT_THETA_TOL)
-        nulls, shift = _theta_scaled((_EVEN_A, _EVEN_B), (0, 0), tau, radius)
-        assert shift == 0
+        nulls = stacked_nulls(_EVEN_A, _EVEN_B, tau)
         assert len(nulls) == 10
         for char, got in zip(even_characteristics(), nulls):
-            assert abs(got - brute_theta(char, (0, 0), tau)) < 1e-12
+            assert abs(got - brute_theta(char.a, char.b, tau)) < 1e-12
 
 
 def test_log_delta2_modular_invariance(rng):
@@ -336,7 +347,7 @@ def test_log_delta2_check_route_catches_a_truncated_sum(monkeypatch):
     of the theta-null route, so a fault in that sum cannot shift both."""
     right = g2inv.theta_surface._theta_scaled
     monkeypatch.setattr(
-        g2inv.theta_surface, "_theta_scaled", lambda char, z, tau, radius: right(char, z, tau, 1)
+        g2inv.theta_surface, "_theta_scaled", lambda char, tau, radius: right(char, tau, 1)
     )
     with pytest.raises(FormulaMismatchError, match="discriminant routes disagree"):
         log_delta2(GENERIC_TAU)
@@ -457,9 +468,10 @@ def test_log_h_kernel_matches_lattice_sum_through_quadrature(method):
 
 
 def test_kernel_matches_pointwise_theta_norm(rng):
-    """The torus-average kernel against `theta_norm`, whose meshgrid sum
-    shares none of its factoring or recurrence, point by point: an error
-    of 1e-6 per point hides inside the Monte Carlo spread but not here."""
+    """The torus-average kernel against `lattice_sum_norms`, whose plain
+    lattice sum shares none of its factoring or recurrence, point by
+    point: an error of 1e-6 per point hides inside the Monte Carlo spread
+    but not here."""
     taus = [siegel_reduce(random_tau(rng))[0] for _ in range(20)]
     taus.append(SiegelMatrix(np.array([[0.1 + 1.2j, 0.3 + 0.4j], [0.3 + 0.4j, -0.2 + 300j]])))
     taus.append(_stretched_tau(64))  # the moduli span their widest kept range
@@ -472,7 +484,7 @@ def test_kernel_matches_pointwise_theta_norm(rng):
         points[:9, :2] = list(itertools.product(edges, edges))
         u, v = points[:, :2], points[:, 2:]
         got = _theta_kernel(tau, DEFAULT_THETA_TOL)(u, v)
-        norms = np.array([theta_norm(tau.matrix @ a + b, tau) for a, b in zip(u, v)])
+        norms = lattice_sum_norms(tau.matrix)(u, v)
         with np.errstate(divide="ignore"):
             want = np.where(norms < np.finfo(float).eps, np.nan, np.log(norms))
         assert np.array_equal(np.isnan(got), np.isnan(want))
@@ -630,7 +642,7 @@ def test_log_delta2_invariant_under_random_words(rng):
         with mpmath.workdps(40):
             total = -12 * mpmath.log(2) + 5 * mpmath.log(image.det_y)
             for char in even_characteristics():
-                total += 2 * mpmath.log(abs(brute_theta(char, (0, 0), image, box)))
+                total += 2 * mpmath.log(abs(brute_theta(char.a, char.b, image, box)))
         assert abs(log_delta2(image) - float(total)) < 1e-9
 
 
