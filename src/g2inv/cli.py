@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import random
 import sys
@@ -51,19 +50,6 @@ TAGS = tuple(ARITY)
 INPUT_ERRORS = (InvalidParamsError, NotPositiveDefiniteError, OSError, ValueError)
 # what `main` reports as a failed internal cross-check: exit 4
 CROSS_CHECK_ERRORS = (FormulaMismatchError,)
-
-
-def _default_tolerance(default: float, floor: float) -> float:
-    raw = os.environ.get("G2INV_TOL")
-    if raw is None:
-        return default
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise InvalidParamsError(f"G2INV_TOL is not a number: {raw!r}") from exc
-    if not (math.isfinite(value) and value >= floor):
-        raise InvalidParamsError(f"G2INV_TOL must be finite and at least {floor:g}, got {raw!r}")
-    return value
 
 
 @functools.cache  # the parser reads no state, so one per process serves every call
@@ -138,12 +124,10 @@ def _run_arch(args) -> int:
     from .theta_surface import (
         DEFAULT_PRODUCT_TOL,
         DEFAULT_TARGET_STDERR,
-        TOL_FLOOR,
         QuadratureConfig,
         arch_invariants,
     )
 
-    tolerance = _default_tolerance(DEFAULT_PRODUCT_TOL, TOL_FLOOR)
     target = DEFAULT_TARGET_STDERR if args.target_stderr is None else args.target_stderr
     if args.workers < 1:
         raise InvalidParamsError(f"--workers must be at least 1, got {args.workers}")
@@ -155,7 +139,7 @@ def _run_arch(args) -> int:
         target_stderr=target,
     )
     try:
-        report = arch_invariants(tau, config, tol=tolerance, workers=args.workers)
+        report = arch_invariants(tau, config, workers=args.workers)
     except DegenerateThetaNullError as exc:
         print(f"degenerate surface: {exc}", file=sys.stderr)
         return 5
@@ -169,7 +153,7 @@ def _run_arch(args) -> int:
         seed=args.seed,
         method=args.method,
         workers=args.workers,
-        tolerance=tolerance,
+        tolerance=DEFAULT_PRODUCT_TOL,
         target_stderr=target,
     )
     print(render(doc, args.format, {"log_h": report.log_h_stderr, "phi": report.phi_stderr}))

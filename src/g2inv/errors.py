@@ -46,4 +46,5 @@ class DegenerateThetaNullError(G2Error):
 
 
 class QuadratureUnstableError(G2Error):
-    """The quadrature standard error exceeded ten times its target."""
+    """The torus average failed: stderr above ten times its target, a lattice
+    sum out of floating-point range, or a substream lost to the theta divisor."""

@@ -37,6 +37,14 @@ SHAPES = {
 ARITY = {tag: len(edges) for tag, (_, edges) in SHAPES.items()}
 
 
+def _symmetric_order(tag: str, params) -> tuple:
+    """The parameters sorted where the shape is symmetric: V's and VII's edges, VI's loops."""
+    params = tuple(params)
+    if tag == "VI":
+        return (params[0], *sort_exact(params[1:]))
+    return tuple(sort_exact(params)) if tag in ("V", "VII") else params
+
+
 @dataclass(frozen=True)
 class FiberType:
     """A reduction type tag with its length parameters.
@@ -66,12 +74,7 @@ class FiberType:
 
     def canonical(self) -> "FiberType":
         """Sort parameters wherever the shape is symmetric."""
-        if self.tag in ("V", "VII"):
-            return FiberType(self.tag, tuple(sort_exact(self.params)))
-        if self.tag == "VI":
-            a, b, c = self.params
-            return FiberType(self.tag, (a, *sort_exact((b, c))))
-        return self
+        return FiberType(self.tag, _symmetric_order(self.tag, self.params))
 
     def __str__(self) -> str:
         if not self.params:
@@ -155,8 +158,8 @@ def classify(graph: PMGraph) -> FiberType:
             want = [{rename[u], rename[w]} for _, u, w in edges]
             for order in permutations(ends):
                 if all(pair == ends[e] for pair, e in zip(want, order)):
-                    lengths = tuple(map(stable.edge_length, order))
-                    return FiberType(tag, lengths).canonical()
+                    lengths = map(stable.edge_length, order)
+                    return FiberType(tag, _symmetric_order(tag, lengths))
     raise UnclassifiableError(
         "genus-2 graph does not reduce to any of the seven fiber shapes"
     )

@@ -36,17 +36,11 @@ NONARCH_KEYS = {"delta0": "delta0", "delta1": "delta1", "r_kk": "rKK",
 
 def parse_rational(value) -> Fraction:
     """Parse "p/q", integer or decimal text (or a JSON integer) to an exact
-    rational, by `exact.as_rational`; any other JSON value, a float
-    included, is refused."""
-    if isinstance(value, bool):
-        raise InvalidParamsError(f"expected a rational, got {value!r}")
-    if not isinstance(value, (int, str)):
-        raise InvalidParamsError(
-            f"expected a rational as a 'p/q' string, got {type(value).__name__}"
-        )
+    rational by `exact.as_rational`; whatever that refuses, a JSON float,
+    bool or null included, is InvalidParamsError."""
     try:
         return as_rational(value)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise InvalidParamsError(f"bad rational {value!r}: {exc}") from exc
 
 

@@ -21,9 +21,9 @@ Numerical conventions:
 * log||Delta_2|| and log||H|| are Sp4(Z)-invariant, so both first move
   tau into the Siegel fundamental domain (`siegel_reduce`, the algorithm
   of Deconinck et al., Math. Comp. 2004).  There the smallest eigenvalue
-  of Y is at least sqrt(3)/4, so at any tolerance down to TOL_FLOOR the
-  radius is at most 6 and needs no cap: any valid period matrix is
-  accepted, and `arch_invariants` reduces once for both.
+  of Y is at least sqrt(3)/4, so at the fixed tail tolerance
+  DEFAULT_THETA_TOL the radius is at most 5 and needs no cap: any valid
+  period matrix is accepted, and `arch_invariants` reduces once for both.
 * log||H|| reduces to the mean of log||theta||(tau u + v) over uniform
   (u, v) in [0,1)^4.  Per batch of points the lattice sum factors into
   two per-sample rows of 1-D terms and one fixed matrix, A1 C' A2'.
@@ -61,15 +61,13 @@ from .errors import (
     QuadratureUnstableError,
 )
 
-DEFAULT_THETA_TOL = 1e-12
+DEFAULT_THETA_TOL = 1e-12  # the Gaussian tail bound at which both lattice sums truncate
+# `log_delta2`'s two routes must agree within 10x this.  Rounding alone
+# separates them, at most 9.5e-16 |log||Delta_2||| over 3000 random reduced
+# taus, so the bound holds while |log||Delta_2||| stays below about 1e6
 DEFAULT_PRODUCT_TOL = 1e-10
 DEFAULT_TARGET_STDERR = 1e-3
 NULL_FLOOR = 1e-8  # an even theta-null below this in modulus counts as vanishing
-# the smallest tolerance `log_delta2` accepts: its two routes differ by
-# rounding alone, about 1e-15 |log||Delta_2|||, at most 9.9e-14 over 3000
-# random reduced taus with |log||Delta_2||| <= 158, and their bound of
-# 10 tol must stay above that
-TOL_FLOOR = 1e-13
 REDUCTION_CAP = 200
 SUBSTREAMS = 8
 _CHUNK = 4096  # points per kernel call: a (2r+2) x 4096 complex row block stays cache-sized
@@ -194,9 +192,9 @@ def even_characteristics() -> tuple[ThetaChar, ...]:
 
 def _truncation_radius(lambda_min: float, tol: float) -> int:
     """Smallest integer radius whose Gaussian tail bound is below tol, or
-    the first past which every term underflows.  The sums call it on a
-    reduced tau, lambda_min >= sqrt(3)/4, where it is at most 6 for tol
-    down to TOL_FLOOR * 1e-2."""
+    the first past which every term underflows.  The sums call it at
+    DEFAULT_THETA_TOL on a reduced tau, lambda_min >= sqrt(3)/4, where it
+    is at most 5."""
     for radius in itertools.count(1):
         decay = math.pi * lambda_min * radius
         if decay > 700:
@@ -305,21 +303,18 @@ def _theta_scaled(char, tau: SiegelMatrix, radius: int):
         return np.exp(re_exp + 1j * im_exp).sum(axis=-1)
 
 
-def log_delta2(tau: SiegelMatrix, tol: float = DEFAULT_PRODUCT_TOL) -> float:
+def log_delta2(tau: SiegelMatrix) -> float:
     """log of the normalized discriminant 2^-12 (det Y)^5 prod |theta[c](0)|^2.
 
     Sp4(Z)-invariant, so evaluated at siegel_reduce(tau): over the 10 even
     characteristics (one stacked lattice sum), cross-checked against the
     product of ||theta||^2 at the points tau a + b, which the torus-average
-    kernel (`_theta_kernel`) sums: two summation codes, which must agree
-    within 10 tol.  Rounding alone separates them, so a tol below
-    TOL_FLOOR is refused (ValueError).
+    kernel (`_theta_kernel`) sums: two summation codes, both truncated at
+    DEFAULT_THETA_TOL, which must agree within 10 DEFAULT_PRODUCT_TOL
+    (FormulaMismatchError otherwise).
     """
-    if not tol >= TOL_FLOOR:
-        raise ValueError(f"tolerance {tol!r} is below the rounding floor {TOL_FLOOR:g}")
     tau, _ = siegel_reduce(tau)
-    radius_tol = min(DEFAULT_THETA_TOL, tol * 1e-2)
-    radius = _truncation_radius(tau.min_eigenvalue, radius_tol)
+    radius = _truncation_radius(tau.min_eigenvalue, DEFAULT_THETA_TOL)
     nulls = _theta_scaled((_EVEN_A, _EVEN_B), tau, radius)
     log_nulls = 0.0
     for char, s in zip(_EVEN_CHARS, nulls.tolist()):
@@ -333,9 +328,9 @@ def log_delta2(tau: SiegelMatrix, tol: float = DEFAULT_PRODUCT_TOL) -> float:
     value = -12 * math.log(2) + 5 * math.log(tau.det_y) + log_nulls
 
     # ||theta||(tau a + b) = (det Y)^(1/4) |theta[a,b](0)|, summed by the kernel
-    log_norms = _theta_kernel(tau, radius_tol)(_EVEN_A, _EVEN_B)
+    log_norms = _theta_kernel(tau)(_EVEN_A, _EVEN_B)
     direct = -12 * math.log(2) + 2 * float(np.sum(log_norms))
-    if not abs(value - direct) <= 10 * tol:  # a NaN norm fails too
+    if not abs(value - direct) <= 10 * DEFAULT_PRODUCT_TOL:  # a NaN norm fails too
         raise FormulaMismatchError(
             f"discriminant routes disagree: theta-null product {value!r} vs "
             f"kernel norm product {direct!r}"
@@ -497,7 +492,7 @@ def _gaussian_rows(radius: int, t: complex, t12: complex, w: np.ndarray, u: np.n
     return rows
 
 
-def _theta_kernel(tau: SiegelMatrix, tol: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+def _theta_kernel(tau: SiegelMatrix) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """The batch function (u, v) -> log||theta||(tau u + v) for (B, 2) arrays.
 
     Up to a factor of modulus one the scaled sum is the sum over m = n + u of
@@ -519,7 +514,7 @@ def _theta_kernel(tau: SiegelMatrix, tol: float) -> Callable[[np.ndarray, np.nda
     epsilon (points straddling the theta divisor); callers count those as
     rejected.
     """
-    radius = _truncation_radius(tau.min_eigenvalue, tol)
+    radius = _truncation_radius(tau.min_eigenvalue, DEFAULT_THETA_TOL)
     n = np.arange(-radius - 1, radius + 1, dtype=float)
     tri = np.where(n < 0, (n + 1) * (n + 2), n * (n - 1)) / 2  # T(n)
     cross = np.outer(n, n)
@@ -577,7 +572,6 @@ def _substream_chunks(method: str, child_seed, count: int) -> Iterator[tuple[np.
 def log_h(
     tau: SiegelMatrix,
     config: QuadratureConfig | None = None,
-    tol: float = DEFAULT_THETA_TOL,
     workers: int = 1,
     _integrand: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> QuadratureResult:
@@ -594,7 +588,7 @@ def log_h(
     """
     config = config or QuadratureConfig()
     tau, _ = siegel_reduce(tau)
-    integrand = _integrand or _theta_kernel(tau, tol)
+    integrand = _integrand or _theta_kernel(tau)
     per_stream, extra = divmod(config.n_samples, SUBSTREAMS)
     children = np.random.SeedSequence(config.seed).spawn(SUBSTREAMS)
 
@@ -655,23 +649,19 @@ class ArchReport:
     rejected: int
 
 
-def arch_invariants(
-    tau: SiegelMatrix,
-    config: QuadratureConfig | None = None,
-    tol: float = DEFAULT_PRODUCT_TOL,
-    workers: int = 1,
-) -> ArchReport:
+def arch_invariants(tau: SiegelMatrix, config: QuadratureConfig | None = None, workers: int = 1) -> ArchReport:
     """Full archimedean chain: discriminant, torus average, and the
     derived invariants, with the internal consistency residual.
 
+    The tolerances are module constants (DEFAULT_THETA_TOL, DEFAULT_PRODUCT_TOL).
     lambda is reported through its direct discriminant formula; the
     residual compares it against the recombination through phi and
     delta_F, which is algebraically the same number, so the residual
     measures accumulated floating-point error only.
     """
     tau, _ = siegel_reduce(tau)  # once: log_delta2 and log_h take it as reduced
-    ld2 = log_delta2(tau, tol)
-    lh, lh_stderr, rejected = log_h(tau, config, min(DEFAULT_THETA_TOL, tol), workers)
+    ld2 = log_delta2(tau)
+    lh, lh_stderr, rejected = log_h(tau, config, workers)
 
     phi = -0.5 * ld2 + 10 * lh
     delta_f = -16 * LOG_2PI - ld2 - 4 * lh

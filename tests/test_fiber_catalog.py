@@ -78,6 +78,23 @@ def test_canonical_sorting():
         FiberType("V", (a, b)).canonical()  # a - b has no known sign
 
 
+def test_classify_builds_one_fiber_type(monkeypatch):
+    """classify sorts the lengths of a symmetric shape before it builds the
+    type, so the parameters are validated once, not twice."""
+    graph = graph_of_type(FiberType("VII", (2, 1, 3)))
+    want = FiberType("VII", (1, 2, 3))
+    calls = []
+    validate = FiberType.__post_init__
+
+    def counting(self):
+        calls.append(self.params)
+        validate(self)
+
+    monkeypatch.setattr(FiberType, "__post_init__", counting)
+    assert classify(graph) == want
+    assert len(calls) == 1
+
+
 def test_closed_form_spot_values():
     assert closed_form(FiberType("II", (3,))).r_kk == 6
     assert closed_form(FiberType("II", (3,))).epsilon == 3

@@ -28,7 +28,6 @@ from g2inv.theta_surface import (
     _EVEN_A,
     _EVEN_B,
     DEFAULT_THETA_TOL,
-    TOL_FLOOR,
     ArchReport,
     QuadratureConfig,
     SiegelMatrix,
@@ -286,19 +285,15 @@ def test_theta_norm_is_lattice_invariant(rng):
 def test_reduced_radius_stays_bounded(rng):
     """Without a cap on the truncation radius: every Sp4(Z) image, however
     squashed, reduces to a tau with lambda_min >= sqrt(3)/4, where the
-    radius at the tightest tolerance `log_delta2` uses is at most 6."""
+    radius at DEFAULT_THETA_TOL, the one tolerance both sums use, is at
+    most its value at sqrt(3)/4, which is 5."""
+    bound = _truncation_radius(math.sqrt(3) / 4, DEFAULT_THETA_TOL)
+    assert bound == 5
     for _ in range(200):
         image = act(random_word(rng, rng.randint(1, 8)), random_tau(rng).matrix)
         reduced, _ = siegel_reduce(SiegelMatrix(image))
         assert reduced.min_eigenvalue >= math.sqrt(3) / 4 * (1 - 1e-12)
-        assert _truncation_radius(reduced.min_eigenvalue, TOL_FLOOR * 1e-2) <= 6
-
-
-def test_log_delta2_refuses_a_tolerance_below_the_floor():
-    assert math.isfinite(log_delta2(GENERIC_TAU, TOL_FLOOR))
-    for tol in (TOL_FLOOR / 2, 1e-323, 0.0, math.nan):
-        with pytest.raises(ValueError, match="rounding floor"):
-            log_delta2(GENERIC_TAU, tol)
+        assert _truncation_radius(reduced.min_eigenvalue, DEFAULT_THETA_TOL) <= bound
 
 
 def test_truncation_tolerance_consistency():
@@ -483,7 +478,7 @@ def test_kernel_matches_pointwise_theta_norm(rng):
         points = np.random.default_rng(index).random((256, 4))
         points[:9, :2] = list(itertools.product(edges, edges))
         u, v = points[:, :2], points[:, 2:]
-        got = _theta_kernel(tau, DEFAULT_THETA_TOL)(u, v)
+        got = _theta_kernel(tau)(u, v)
         norms = lattice_sum_norms(tau.matrix)(u, v)
         with np.errstate(divide="ignore"):
             want = np.where(norms < np.finfo(float).eps, np.nan, np.log(norms))
