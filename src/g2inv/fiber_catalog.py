@@ -113,14 +113,12 @@ def closed_form(t: FiberType) -> NonArchReport:
         a, b, c = p
         d0, d1, r_kk = b + c, a, 2 * a
         eps, phi = a + (b + c) / 6, a + (b + c) / 12
-    elif t.tag == "VII":
+    else:  # VII: FiberType refuses any other tag
         a, b, c = p
         s = a * b + b * c + c * a
         d0, d1, r_kk = a + b + c, zero, 2 * a * b * c / s
         eps = (a + b + c) / 6 + a * b * c / (6 * s)
         phi = (a + b + c) / 12 - 5 * a * b * c / (12 * s)
-    else:
-        raise InvalidParamsError(f"unknown fiber type {t.tag!r}")
     return NonArchReport(
         genus=2,
         delta0=d0,

@@ -20,7 +20,8 @@ Numerical conventions:
   are one stacked lattice sum.
 * log||Delta_2|| and log||H|| are Sp4(Z)-invariant, so both first move
   tau into the Siegel fundamental domain (`siegel_reduce`, the algorithm
-  of Deconinck et al., Math. Comp. 2004).  There the smallest eigenvalue
+  of Deconinck et al., Math. Comp. 2004) and read only the reduced tau,
+  not the symplectic word that reaches it.  There the smallest eigenvalue
   of Y is at least sqrt(3)/4, so at the fixed tail tolerance
   DEFAULT_THETA_TOL the radius is at most 5 and needs no cap: any valid
   period matrix is accepted, and `arch_invariants` reduces once for both.
@@ -75,12 +76,6 @@ LOG_2PI = math.log(2 * math.pi)
 
 HALF = Fraction(1, 2)
 
-# Gottschling's quasi-inversion (A, B; C, D) = (diag(0,1), -diag(1,0);
-# diag(1,0), diag(0,1)), which sends tau11 to -1/tau11
-_QUASI_INVERSION = np.array(
-    [[0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]], dtype=object
-)
-_to_int = np.frompyfunc(int, 1, 1)
 # a tau with |tau11| = 1 is its own image under the quasi-inversion up to
 # rounding; the margin keeps rounding from bouncing it back and forth
 _UNIT_MARGIN = 1e-12
@@ -191,14 +186,13 @@ def even_characteristics() -> tuple[ThetaChar, ...]:
 
 
 def _truncation_radius(lambda_min: float, tol: float) -> int:
-    """Smallest integer radius whose Gaussian tail bound is below tol, or
-    the first past which every term underflows.  The sums call it at
-    DEFAULT_THETA_TOL on a reduced tau, lambda_min >= sqrt(3)/4, where it
-    is at most 5."""
+    """Smallest integer radius whose Gaussian tail bound is below tol.  The
+    sums call it at DEFAULT_THETA_TOL on a reduced tau, lambda_min >=
+    sqrt(3)/4, where it is at most 5.  Once pi lambda_min radius passes 700
+    the bound is below 1.6e-303, so any tol from 1e-300 up ends the loop
+    there at the latest."""
     for radius in itertools.count(1):
         decay = math.pi * lambda_min * radius
-        if decay > 700:
-            return radius
         q = math.exp(-2 * decay)
         tail = (
             8
@@ -228,53 +222,35 @@ def _lagrange_basis(y: np.ndarray) -> np.ndarray:
     )
 
 
-def _conjugation(u: np.ndarray) -> np.ndarray:
-    """The symplectic matrix diag(U, U^-T), acting as tau -> U tau U'."""
-    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-    inv_t = det * np.array([[u[1, 1], -u[1, 0]], [-u[0, 1], u[0, 0]]], dtype=object)
-    return np.block([[u, 0 * u], [0 * u, inv_t]])
-
-
-def _translation(b: np.ndarray) -> np.ndarray:
-    """The symplectic matrix [[I, B], [0, I]], acting as tau -> tau + B."""
-    eye = np.eye(2, dtype=int).astype(object)
-    return np.block([[eye, _to_int(b)], [0 * eye, eye]])
-
-
-def siegel_reduce(tau: SiegelMatrix) -> tuple[SiegelMatrix, np.ndarray]:
+def siegel_reduce(tau: SiegelMatrix) -> SiegelMatrix:
     """Move tau into the Siegel fundamental domain (Deconinck et al. 2004).
 
-    Returns (tau_red, M): M = [[A, B], [C, D]] is a 4x4 matrix of Python
-    integers (object dtype, so no word overflows) with M' J M = J and
-    tau_red = (A tau + B)(C tau + D)^-1.  The loop Lagrange-reduces Y,
-    subtracts the nearest integer matrix from X and, while |tau11| < 1,
-    applies the quasi-inversion.  On return |2 Y12| <= Y11 <= Y22,
-    |X_ij| <= 1/2 and |tau11| >= 1, so the smallest eigenvalue of Y is at
-    least sqrt(3)/4.  A loop that does not finish within REDUCTION_CAP
-    rounds is a bug: FormulaMismatchError.  Its own result comes back at
-    once with the identity word, as a re-run of the loop would give it.
+    Returns the reduced matrix alone: its callers need only Sp4(Z)-invariant
+    values, so the symplectic word that reaches it is not formed.  The loop
+    Lagrange-reduces Y by an exact integer U (`_lagrange_basis`), subtracts
+    the nearest integer matrix from X and, while |tau11| < 1, applies
+    Gottschling's quasi-inversion, which sends tau11 to -1/tau11.  On return
+    |2 Y12| <= Y11 <= Y22, |X_ij| <= 1/2 and |tau11| >= 1, so the smallest
+    eigenvalue of Y is at least sqrt(3)/4.  A loop that does not finish
+    within REDUCTION_CAP rounds is a bug: FormulaMismatchError.  Its own
+    result comes back at once, as a re-run of the loop would give it.
     """
-    word = np.eye(4, dtype=int).astype(object)
     if tau._reduced:
-        return tau, word
+        return tau
     t = tau.matrix
     for _ in range(REDUCTION_CAP):
-        u = _lagrange_basis(t.imag)
-        as_float = u.astype(float)
-        t = as_float @ t @ as_float.T
-        shift = np.rint(t.real)
-        t = t / 2 + t.T / 2 - shift  # halve first: t + t.T can overflow
-        word = _translation(-shift) @ _conjugation(u) @ word
+        u = _lagrange_basis(t.imag).astype(float)
+        t = u @ t @ u.T
+        t = t / 2 + t.T / 2 - np.rint(t.real)  # halve first: t + t.T can overflow
         if abs(t[0, 0]) >= 1 - _UNIT_MARGIN:
             reduced = SiegelMatrix(t)
             reduced._reduced = True
-            return reduced, word
+            return reduced
         (t11, t12), (_, t22) = t
         # t11 t22 - t12^2 would underflow from entries near 1e-160 on;
         # dividing first keeps the digits of tiny entries
         ratio = t12 / t11
         t = np.array([[-1 / t11, ratio], [ratio, t22 - t12 * ratio]])
-        word = _QUASI_INVERSION @ word
     raise FormulaMismatchError(
         f"Siegel reduction of {tau!r} did not finish in {REDUCTION_CAP} rounds"
     )
@@ -313,7 +289,7 @@ def log_delta2(tau: SiegelMatrix) -> float:
     DEFAULT_THETA_TOL, which must agree within 10 DEFAULT_PRODUCT_TOL
     (FormulaMismatchError otherwise).
     """
-    tau, _ = siegel_reduce(tau)
+    tau = siegel_reduce(tau)
     radius = _truncation_radius(tau.min_eigenvalue, DEFAULT_THETA_TOL)
     nulls = _theta_scaled((_EVEN_A, _EVEN_B), tau, radius)
     log_nulls = 0.0
@@ -583,11 +559,15 @@ def log_h(
     means and the standard error their sample spread.  Each substream
     generates its points one chunk of _CHUNK at a time (`_substream_chunks`)
     and sums each chunk as it is made, so no substream's points are ever
-    held at once.  The _integrand hook substitutes a different function of
-    (u, v) batches and exists for self-tests of the quadrature layer.
+    held at once.  `workers` threads share the substreams; it must be an
+    int of at least 1 (ValueError).  The _integrand hook substitutes a
+    different function of (u, v) batches and exists for self-tests of the
+    quadrature layer.
     """
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ValueError(f"workers must be an integer of at least 1, got {workers!r}")
     config = config or QuadratureConfig()
-    tau, _ = siegel_reduce(tau)
+    tau = siegel_reduce(tau)
     integrand = _integrand or _theta_kernel(tau)
     per_stream, extra = divmod(config.n_samples, SUBSTREAMS)
     children = np.random.SeedSequence(config.seed).spawn(SUBSTREAMS)
@@ -659,7 +639,7 @@ def arch_invariants(tau: SiegelMatrix, config: QuadratureConfig | None = None, w
     delta_F, which is algebraically the same number, so the residual
     measures accumulated floating-point error only.
     """
-    tau, _ = siegel_reduce(tau)  # once: log_delta2 and log_h take it as reduced
+    tau = siegel_reduce(tau)  # once: log_delta2 and log_h take it as reduced
     ld2 = log_delta2(tau)
     lh, lh_stderr, rejected = log_h(tau, config, workers)
 

@@ -38,6 +38,7 @@ from g2inv.theta_surface import (
     log_h,
     _theta_kernel,
     _theta_scaled,
+    _lagrange_basis,
     _truncation_radius,
     _unit_phase,
     siegel_reduce,
@@ -135,9 +136,6 @@ def reference_log_h(t: np.ndarray, samples: int, seed: int) -> tuple[float, floa
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
 
 
-J4 = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]]).astype(int)
-
-
 def act(word: np.ndarray, t: np.ndarray) -> np.ndarray:
     """(A t + B)(C t + D)^-1 for word = [[A, B], [C, D]], symmetrized."""
     word = np.asarray(word, dtype=float)
@@ -166,6 +164,18 @@ def random_word(rng: random.Random, length: int) -> np.ndarray:
             step = np.block([[zero, -eye], [eye, zero]])
         word = step @ word
     return word
+
+
+def assert_fundamental(tau: SiegelMatrix) -> None:
+    """tau meets the conditions `siegel_reduce` promises, up to rounding:
+    |2 Y12| <= Y11 <= Y22, |X_ij| <= 1/2, |tau11| >= 1, lambda_min >= sqrt(3)/4."""
+    t = tau.matrix
+    x, y = t.real, t.imag
+    assert abs(2 * y[0, 1]) <= y[0, 0] * (1 + 1e-12)
+    assert y[0, 0] <= y[1, 1] * (1 + 1e-12)
+    assert np.all(np.abs(x) <= 0.5 + 1e-12)
+    assert abs(t[0, 0]) >= 1 - 1e-12
+    assert tau.min_eigenvalue >= math.sqrt(3) / 4 - 1e-12
 
 
 def random_tau(rng: random.Random) -> SiegelMatrix:
@@ -291,9 +301,20 @@ def test_reduced_radius_stays_bounded(rng):
     assert bound == 5
     for _ in range(200):
         image = act(random_word(rng, rng.randint(1, 8)), random_tau(rng).matrix)
-        reduced, _ = siegel_reduce(SiegelMatrix(image))
+        reduced = siegel_reduce(SiegelMatrix(image))
         assert reduced.min_eigenvalue >= math.sqrt(3) / 4 * (1 - 1e-12)
         assert _truncation_radius(reduced.min_eigenvalue, DEFAULT_THETA_TOL) <= bound
+    # the radius as a function of lambda_min and tol, pinned; a huge
+    # lambda_min ends at radius 1, where every term past the origin underflows
+    assert _truncation_radius(1e300, DEFAULT_THETA_TOL) == 1
+    lams = (0.001, 0.05, 0.3, math.sqrt(3) / 4, 1.0, 4.0, 100.0)
+    want = {
+        1e-8: [91, 13, 5, 5, 3, 2, 1],
+        1e-12: [106, 15, 6, 5, 4, 2, 1],
+        1e-14: [113, 16, 7, 6, 4, 2, 1],
+    }
+    for tol, radii in want.items():
+        assert [_truncation_radius(lam, tol) for lam in lams] == radii
 
 
 def test_truncation_tolerance_consistency():
@@ -317,7 +338,7 @@ def test_each_stacked_theta_null_matches_brute_force(rng):
     """The ten even theta-nulls from the one stacked lattice sum that
     `log_delta2` makes, each against its own mpmath double sum: a check on
     their product alone could miss compensating errors."""
-    for tau in (GENERIC_TAU, siegel_reduce(random_tau(rng))[0]):
+    for tau in (GENERIC_TAU, siegel_reduce(random_tau(rng))):
         nulls = stacked_nulls(_EVEN_A, _EVEN_B, tau)
         assert len(nulls) == 10
         for char, got in zip(even_characteristics(), nulls):
@@ -447,7 +468,7 @@ def test_log_h_kernel_matches_lattice_sum_through_quadrature(method):
     The stretched tau loses about a quarter of its points to the eps
     floor."""
     eps = np.finfo(float).eps
-    for tau in (siegel_reduce(GENERIC_TAU)[0], _stretched_tau(56)):
+    for tau in (siegel_reduce(GENERIC_TAU), _stretched_tau(56)):
         norms = lattice_sum_norms(tau.matrix)
 
         def ref(u, v):
@@ -467,7 +488,7 @@ def test_kernel_matches_pointwise_theta_norm(rng):
     lattice sum shares none of its factoring or recurrence, point by
     point: an error of 1e-6 per point hides inside the Monte Carlo spread
     but not here."""
-    taus = [siegel_reduce(random_tau(rng))[0] for _ in range(20)]
+    taus = [siegel_reduce(random_tau(rng)) for _ in range(20)]
     taus.append(SiegelMatrix(np.array([[0.1 + 1.2j, 0.3 + 0.4j], [0.3 + 0.4j, -0.2 + 300j]])))
     taus.append(_stretched_tau(64))  # the moduli span their widest kept range
     # unreduced, so the row recurrences run to radius 8 and 10
@@ -530,6 +551,17 @@ def test_log_h_reproducible_across_workers(method):
     assert one == threaded
 
 
+@pytest.mark.parametrize("workers", [1e-12, 0, -3])
+def test_log_h_refuses_a_worker_count_that_is_no_positive_int(workers):
+    """A count below one, or a float such as a tolerance passed by
+    position, is refused instead of running serially."""
+    config = QuadratureConfig(n_samples=10000)
+    with pytest.raises(ValueError, match="workers"):
+        log_h(GENERIC_TAU, config, workers)
+    with pytest.raises(ValueError, match="workers"):
+        arch_invariants(GENERIC_TAU, config, workers)
+
+
 def test_log_h_methods_agree():
     mc = log_h(GENERIC_TAU, QuadratureConfig(n_samples=40000, seed=3))
     qmc = log_h(
@@ -575,29 +607,29 @@ def test_siegel_reduce_lands_in_fundamental_domain(rng):
     for _ in range(40):
         tau = random_tau(rng)
         image = act(random_word(rng, rng.randint(1, 6)), tau.matrix)
-        reduced, word = siegel_reduce(SiegelMatrix(image))
-        t = reduced.matrix
-        x, y = t.real, t.imag
-        assert abs(2 * y[0, 1]) <= y[0, 0] * (1 + 1e-12)
-        assert y[0, 0] <= y[1, 1] * (1 + 1e-12)
-        assert np.all(np.abs(x) <= 0.5 + 1e-12)
-        assert abs(t[0, 0]) >= 1 - 1e-12
-        assert reduced.min_eigenvalue >= math.sqrt(3) / 4 - 1e-12
-        assert all(isinstance(x, int) for x in word.flat)
-        assert np.array_equal(word.T @ J4 @ word, J4)
-        assert np.max(np.abs(act(word, image) - t)) < 1e-9
+        assert_fundamental(siegel_reduce(SiegelMatrix(image)))
+
+
+def test_siegel_reduce_stays_in_the_orbit(rng):
+    """Sp4(Z) permutes the ten even null norms (det Y)^(1/4) |theta[c](0)|,
+    so sorted they are the same at an image, summed where it stands, and
+    at its reduction: a check that needs no symplectic word."""
+    for _ in range(40):
+        image = SiegelMatrix(act(random_word(rng, rng.randint(1, 6)), random_tau(rng).matrix))
+        here, reduced = (
+            np.sort(t.det_y**0.25 * np.abs(stacked_nulls(_EVEN_A, _EVEN_B, t)))
+            for t in (image, siegel_reduce(image))
+        )
+        assert np.max(np.abs(here / reduced - 1)) < 1e-12
 
 
 def test_siegel_reduce_keeps_a_reduced_tau():
     tau = SiegelMatrix(np.array([[0.12 + 1.1j, 0.21 + 0.33j], [0.21 + 0.33j, -0.17 + 1.3j]]))
-    reduced, word = siegel_reduce(tau)
-    assert np.array_equal(word, np.eye(4))
+    reduced = siegel_reduce(tau)
     assert np.array_equal(reduced.matrix, tau.matrix)
-    # its own result comes back at once, as it is, with the identity word
-    again, word = siegel_reduce(reduced)
+    # its own result comes back at once, as it is
+    again = siegel_reduce(reduced)
     assert again is reduced
-    assert np.array_equal(word, np.eye(4))
-    assert all(isinstance(x, int) for x in word.flat)
 
 
 def test_arch_invariants_reduces_once(monkeypatch):
@@ -624,7 +656,7 @@ def _unreduced_images(rng, count):
     while len(pairs) < count:
         tau = random_tau(rng)
         image = SiegelMatrix(act(random_word(rng, rng.randint(3, 5)), tau.matrix))
-        reduced, _ = siegel_reduce(image)
+        reduced = siegel_reduce(image)
         if image.min_eigenvalue >= 0.1 and not np.allclose(reduced.matrix, image.matrix):
             pairs.append((tau, image))
     return pairs
@@ -660,18 +692,21 @@ def test_siegel_reduce_keeps_the_digits_of_a_tiny_tau():
         scaled = []
         for k in range(100, 301, 10):
             s = 10.0**-k
-            reduced, _ = siegel_reduce(SiegelMatrix(s * GENERIC_TAU.matrix))
+            reduced = siegel_reduce(SiegelMatrix(s * GENERIC_TAU.matrix))
             scaled.append(s * reduced.matrix)
     for image in scaled[1:]:
         assert np.max(np.abs(image - scaled[0])) < 1e-14 * np.max(np.abs(scaled[0]))
 
 
 def test_siegel_reduce_word_past_int64():
-    """An integer step beyond the int64 range stays exact: the word holds
-    Python integers."""
+    """An integer step beyond the int64 range stays exact: the Lagrange
+    basis holds Python integers and is unimodular, and the reduction lands
+    in the fundamental domain without a numpy warning."""
     skewed = SiegelMatrix(np.array([[1e-20j, 0.099j], [0.099j, 1e20j]]))
-    reduced, word = siegel_reduce(skewed)
-    assert max(abs(x) for x in word.flat) > 2**63
-    assert np.array_equal(word.T @ J4 @ word, J4)
-    y = reduced.y_part
-    assert abs(2 * y[0, 1]) <= y[0, 0] <= y[1, 1]
+    u = _lagrange_basis(skewed.y_part)
+    assert all(isinstance(x, int) for x in u.flat)
+    assert max(abs(x) for x in u.flat) > 2**63
+    assert abs(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_fundamental(siegel_reduce(skewed))
