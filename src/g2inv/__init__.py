@@ -54,13 +54,11 @@ __all__ = [
     "QuadratureResult",
     "QuadratureUnstableError",
     "SiegelMatrix",
-    "ThetaChar",
     "UnclassifiableError",
     "arch_invariants",
     "canonical_divisor",
     "classify",
     "closed_form",
-    "even_characteristics",
     "graph_of_type",
     "log_delta2",
     "log_h",

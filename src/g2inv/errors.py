@@ -37,7 +37,8 @@ class DegenerateThetaNullError(G2Error):
     """An even theta-null is below 1e-8 in modulus: tau is at or near the
     locus where the surface is a product of elliptic curves.
 
-    The offending characteristic is stored on the exception.
+    The printed name of the offending characteristic, such as
+    "[1/2 1/2; 1/2 1/2]", is stored on the exception as `characteristic`.
     """
 
     def __init__(self, message: str, characteristic=None):

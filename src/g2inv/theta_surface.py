@@ -20,8 +20,9 @@ Numerical conventions:
   are one stacked lattice sum.
 * log||Delta_2|| and log||H|| are Sp4(Z)-invariant, so both first move
   tau into the Siegel fundamental domain (`siegel_reduce`, the algorithm
-  of Deconinck et al., Math. Comp. 2004) and read only the reduced tau,
-  not the symplectic word that reaches it.  There the smallest eigenvalue
+  of Deconinck et al., Math. Comp. 2004, whose Lagrange step applies an
+  integer-valued float U, exact below 2^53) and read only the reduced
+  tau, not the symplectic word that reaches it.  There the smallest eigenvalue
   of Y is at least sqrt(3)/4, so at the fixed tail tolerance
   DEFAULT_THETA_TOL the radius is at most 5 and needs no cap: any valid
   period matrix is accepted, and `arch_invariants` reduces once for both.
@@ -50,7 +51,6 @@ import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -73,8 +73,6 @@ REDUCTION_CAP = 200
 SUBSTREAMS = 8
 _CHUNK = 4096  # points per kernel call: a (2r+2) x 4096 complex row block stays cache-sized
 LOG_2PI = math.log(2 * math.pi)
-
-HALF = Fraction(1, 2)
 
 # a tau with |tau11| = 1 is its own image under the quasi-inversion up to
 # rounding; the margin keeps rounding from bouncing it back and forth
@@ -121,14 +119,6 @@ class SiegelMatrix:
         return self._m
 
     @property
-    def x_part(self) -> np.ndarray:
-        return self._m.real
-
-    @property
-    def y_part(self) -> np.ndarray:
-        return self._m.imag
-
-    @property
     def det_y(self) -> float:
         y = self._m.imag
         return float(y[0, 0] * y[1, 1] - y[0, 1] * y[1, 0])
@@ -137,52 +127,11 @@ class SiegelMatrix:
         return f"SiegelMatrix({self._m.tolist()!r})"
 
 
-def _half_pair(pair) -> tuple:
-    vals = tuple(Fraction(x) for x in pair)
-    if len(vals) != 2 or any(x not in (0, HALF) for x in vals):
-        raise ValueError(f"characteristic entries must be 0 or 1/2, got {pair}")
-    return vals
-
-
-@dataclass(frozen=True)
-class ThetaChar:
-    """A half-integer theta characteristic [a; b], entries in {0, 1/2}."""
-
-    a: tuple
-    b: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", _half_pair(self.a))
-        object.__setattr__(self, "b", _half_pair(self.b))
-
-    @property
-    def parity(self) -> int:
-        four_ab = 4 * (self.a[0] * self.b[0] + self.a[1] * self.b[1])
-        return -1 if int(four_ab) % 2 else 1
-
-    @property
-    def is_even(self) -> bool:
-        return self.parity == 1
-
-    def __str__(self) -> str:
-        def fmt(pair):
-            return " ".join("1/2" if x else "0" for x in pair)
-
-        return f"[{fmt(self.a)}; {fmt(self.b)}]"
-
-
-_EVEN_CHARS = tuple(
-    c
-    for c in (ThetaChar(h[:2], h[2:]) for h in itertools.product((0, HALF), repeat=4))
-    if c.is_even
-)
-# the even characteristics as the kernel's (10, 2) point arrays u = a, v = b
-_EVEN_A = np.array([[float(x) for x in c.a] for c in _EVEN_CHARS])
-_EVEN_B = np.array([[float(x) for x in c.b] for c in _EVEN_CHARS])
-
-
-def even_characteristics() -> tuple[ThetaChar, ...]:
-    return _EVEN_CHARS
+# the ten even characteristics [a; b], 4 a'b even, in the order of
+# itertools.product, as the kernel's (10, 2) point arrays u = a, v = b
+_EVEN = [h for h in itertools.product((0.0, 0.5), repeat=4) if (h[0] * h[2] + h[1] * h[3]) * 4 % 2 == 0]
+_EVEN_A = np.array([h[:2] for h in _EVEN])
+_EVEN_B = np.array([h[2:] for h in _EVEN])
 
 
 def _truncation_radius(lambda_min: float, tol: float) -> int:
@@ -190,10 +139,13 @@ def _truncation_radius(lambda_min: float, tol: float) -> int:
     sums call it at DEFAULT_THETA_TOL on a reduced tau, lambda_min >=
     sqrt(3)/4, where it is at most 5.  Once pi lambda_min radius passes 700
     the bound is below 1.6e-303, so any tol from 1e-300 up ends the loop
-    there at the latest."""
+    there at the latest.  A lambda_min so small that exp(-2 pi lambda_min)
+    rounds to 1 has no such bound in floating point: ValueError."""
     for radius in itertools.count(1):
         decay = math.pi * lambda_min * radius
         q = math.exp(-2 * decay)
+        if q == 1:  # only at radius 1: q falls as the radius grows
+            raise ValueError(f"lambda_min {lambda_min!r} is too small: exp(-2 pi lambda_min) rounds to 1")
         tail = (
             8
             * math.exp(-decay * radius)
@@ -204,18 +156,18 @@ def _truncation_radius(lambda_min: float, tol: float) -> int:
 
 
 def _lagrange_basis(y: np.ndarray) -> np.ndarray:
-    """U in GL2(Z) such that U y U' satisfies |2 y12| <= y11 <= y22."""
-    u = np.eye(2, dtype=int).astype(object)
+    """U in GL2(Z) such that U y U' satisfies |2 y12| <= y11 <= y22, as an
+    integer-valued float matrix: exact while its entries stay below 2^53."""
+    u = np.eye(2)
     for _ in range(REDUCTION_CAP):
         if y[0, 0] > y[1, 1]:
-            step = np.array([[0, 1], [1, 0]], dtype=object)
+            step = np.array([[0.0, 1.0], [1.0, 0.0]])
         else:
-            q = int(np.rint(y[0, 1] / y[0, 0]))
+            q = np.rint(y[0, 1] / y[0, 0])
             if q == 0:
                 return u
-            step = np.array([[1, 0], [-q, 1]], dtype=object)
-        as_float = step.astype(float)
-        y = as_float @ y @ as_float.T
+            step = np.array([[1.0, 0.0], [-q, 1.0]])
+        y = step @ y @ step.T
         u = step @ u
     raise FormulaMismatchError(
         f"Lagrange reduction of Im tau did not finish in {REDUCTION_CAP} steps"
@@ -227,19 +179,20 @@ def siegel_reduce(tau: SiegelMatrix) -> SiegelMatrix:
 
     Returns the reduced matrix alone: its callers need only Sp4(Z)-invariant
     values, so the symplectic word that reaches it is not formed.  The loop
-    Lagrange-reduces Y by an exact integer U (`_lagrange_basis`), subtracts
-    the nearest integer matrix from X and, while |tau11| < 1, applies
-    Gottschling's quasi-inversion, which sends tau11 to -1/tau11.  On return
-    |2 Y12| <= Y11 <= Y22, |X_ij| <= 1/2 and |tau11| >= 1, so the smallest
-    eigenvalue of Y is at least sqrt(3)/4.  A loop that does not finish
-    within REDUCTION_CAP rounds is a bug: FormulaMismatchError.  Its own
-    result comes back at once, as a re-run of the loop would give it.
+    Lagrange-reduces Y by an integer-valued float U, exact below 2^53
+    (`_lagrange_basis`), subtracts the nearest integer matrix from X and,
+    while |tau11| < 1, applies Gottschling's quasi-inversion, which sends
+    tau11 to -1/tau11.  On return |2 Y12| <= Y11 <= Y22, |X_ij| <= 1/2 and
+    |tau11| >= 1, so the smallest eigenvalue of Y is at least sqrt(3)/4.  A
+    loop that does not finish within REDUCTION_CAP rounds is a bug:
+    FormulaMismatchError.  Its own result comes back at once, as a re-run
+    of the loop would give it.
     """
     if tau._reduced:
         return tau
     t = tau.matrix
     for _ in range(REDUCTION_CAP):
-        u = _lagrange_basis(t.imag).astype(float)
+        u = _lagrange_basis(t.imag)
         t = u @ t @ u.T
         t = t / 2 + t.T / 2 - np.rint(t.real)  # halve first: t + t.T can overflow
         if abs(t[0, 0]) >= 1 - _UNIT_MARGIN:
@@ -270,7 +223,7 @@ def _theta_scaled(char, tau: SiegelMatrix, radius: int):
     m1 = g1.ravel() + a[..., :1]
     m2 = g2.ravel() + a[..., 1:]
 
-    xm, ym = tau.x_part, tau.y_part
+    xm, ym = tau.matrix.real, tau.matrix.imag
     with np.errstate(over="ignore"):  # a huge Y entry: exp(-inf) = 0 is the limit
         re_exp = -math.pi * (ym[0, 0] * m1 * m1 + 2 * ym[0, 1] * m1 * m2 + ym[1, 1] * m2 * m2)
         im_exp = math.pi * (
@@ -293,12 +246,13 @@ def log_delta2(tau: SiegelMatrix) -> float:
     radius = _truncation_radius(tau.min_eigenvalue, DEFAULT_THETA_TOL)
     nulls = _theta_scaled((_EVEN_A, _EVEN_B), tau, radius)
     log_nulls = 0.0
-    for char, s in zip(_EVEN_CHARS, nulls.tolist()):
+    for a, b, s in zip(_EVEN_A.tolist(), _EVEN_B.tolist(), nulls.tolist()):
         if abs(s) < NULL_FLOOR:
+            name = "[{} {}; {} {}]".format(*("1/2" if x else "0" for x in a + b))
             raise DegenerateThetaNullError(
-                f"even theta-null {char} is below {NULL_FLOOR:g} (|theta| = {abs(s):.3e}): "
+                f"even theta-null {name} is below {NULL_FLOOR:g} (|theta| = {abs(s):.3e}): "
                 f"tau is at or near the locus of products of elliptic curves",
-                characteristic=char,
+                characteristic=name,
             )
         log_nulls += 2 * math.log(abs(s))
     value = -12 * math.log(2) + 5 * math.log(tau.det_y) + log_nulls

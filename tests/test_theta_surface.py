@@ -31,9 +31,7 @@ from g2inv.theta_surface import (
     ArchReport,
     QuadratureConfig,
     SiegelMatrix,
-    ThetaChar,
     arch_invariants,
-    even_characteristics,
     log_delta2,
     log_h,
     _theta_kernel,
@@ -91,13 +89,24 @@ def lattice_sum_norms(t: np.ndarray):
     return norms
 
 
-ALL_CHARS = [ThetaChar(h[:2], h[2:]) for h in itertools.product((0, 0.5), repeat=4)]
-ODD_CHARS = [c for c in ALL_CHARS if not c.is_even]
+# the 16 half-integer characteristics [a; b] as exact pairs, split by
+# parity: [a; b] is even when 4 a'b is an even integer
+ALL_CHARS = [
+    (h[:2], h[2:]) for h in itertools.product((Fraction(0), Fraction(1, 2)), repeat=4)
+]
+EVEN_CHARS = [(a, b) for a, b in ALL_CHARS if 4 * (a[0] * b[0] + a[1] * b[1]) % 2 == 0]
+ODD_CHARS = [c for c in ALL_CHARS if c not in EVEN_CHARS]
+
+
+def char_name(char) -> str:
+    """A characteristic as `log_delta2` prints it, such as [1/2 0; 0 1/2]."""
+    (a1, a2), (b1, b2) = char
+    return f"[{a1} {a2}; {b1} {b2}]"
 
 
 def char_arrays(chars) -> tuple[np.ndarray, np.ndarray]:
     """Characteristics as the (k, 2) arrays a and b of a stacked sum."""
-    return tuple(np.array([[float(x) for x in getattr(c, part)] for c in chars]) for part in "ab")
+    return tuple(np.array([[float(x) for x in c[part]] for c in chars]) for part in (0, 1))
 
 
 def stacked_nulls(a, b, tau: SiegelMatrix, tol: float = DEFAULT_THETA_TOL) -> np.ndarray:
@@ -200,22 +209,15 @@ GENERIC_TAU = SiegelMatrix(
 
 def test_characteristic_counts_and_parity():
     assert len(set(ALL_CHARS)) == 16
-    assert list(even_characteristics()) == [c for c in ALL_CHARS if c.is_even]
-    assert len(even_characteristics()) == 10
+    assert len(EVEN_CHARS) == 10
     assert len(ODD_CHARS) == 6
-    for c in ALL_CHARS:
-        four_ab = 4 * (c.a[0] * c.b[0] + c.a[1] * c.b[1])
-        assert four_ab.denominator == 1
-        assert c.parity == (-1) ** int(four_ab)
-
-
-def test_characteristic_validation():
-    with pytest.raises(ValueError):
-        ThetaChar((0, 1), (0, 0))
-    with pytest.raises(ValueError):
-        ThetaChar((0, 0), (0.25, 0))
-    c = ThetaChar((0.5, 0), (0, 0.5))
-    assert str(c) == "[1/2 0; 0 1/2]"
+    for a, b in ALL_CHARS:
+        assert (4 * (a[0] * b[0] + a[1] * b[1])).denominator == 1
+    # the runtime's arrays are exactly the ten even rows, in order
+    want_a, want_b = char_arrays(EVEN_CHARS)
+    for got, want in ((_EVEN_A, want_a), (_EVEN_B, want_b)):
+        assert got.dtype == float and got.shape == (10, 2)
+        assert np.array_equal(got, want)
 
 
 def test_siegel_matrix_validation():
@@ -317,9 +319,16 @@ def test_reduced_radius_stays_bounded(rng):
         assert [_truncation_radius(lam, tol) for lam in lams] == radii
 
 
+def test_truncation_radius_refuses_a_lambda_min_without_a_bound():
+    """At lambda_min = 1e-18, q = exp(-2 pi lambda_min) rounds to 1, where
+    the tail bound would divide by 1 - q = 0: ValueError naming lambda_min."""
+    with pytest.raises(ValueError, match=r"lambda_min 1e-18 is too small"):
+        _truncation_radius(1e-18, DEFAULT_THETA_TOL)
+
+
 def test_truncation_tolerance_consistency():
     # loosening the tolerance must not move the value by more than it claims
-    a, b = char_arrays(even_characteristics())
+    a, b = char_arrays(EVEN_CHARS)
     loose = stacked_nulls(a, b, GENERIC_TAU, tol=1e-8)
     tight = stacked_nulls(a, b, GENERIC_TAU, tol=1e-14)
     assert np.max(np.abs(loose - tight)) < 1e-8
@@ -329,8 +338,8 @@ def test_log_delta2_against_brute_force():
     tau = GENERIC_TAU
     with mpmath.workdps(40):
         total = -12 * mpmath.log(2) + 5 * mpmath.log(tau.det_y)
-        for char in even_characteristics():
-            total += 2 * mpmath.log(abs(brute_theta(char.a, char.b, tau)))
+        for a, b in EVEN_CHARS:
+            total += 2 * mpmath.log(abs(brute_theta(a, b, tau)))
     assert abs(log_delta2(tau) - float(total)) < 1e-9
 
 
@@ -341,8 +350,8 @@ def test_each_stacked_theta_null_matches_brute_force(rng):
     for tau in (GENERIC_TAU, siegel_reduce(random_tau(rng))):
         nulls = stacked_nulls(_EVEN_A, _EVEN_B, tau)
         assert len(nulls) == 10
-        for char, got in zip(even_characteristics(), nulls):
-            assert abs(got - brute_theta(char.a, char.b, tau)) < 1e-12
+        for (a, b), got in zip(EVEN_CHARS, nulls):
+            assert abs(got - brute_theta(a, b, tau)) < 1e-12
 
 
 def test_log_delta2_modular_invariance(rng):
@@ -372,9 +381,27 @@ def test_log_delta2_check_route_catches_a_truncated_sum(monkeypatch):
 def test_log_delta2_degenerate_null():
     with pytest.raises(DegenerateThetaNullError) as info:
         log_delta2(IDENTITY_TAU)
-    char = info.value.characteristic
-    assert char == ThetaChar((0.5, 0.5), (0.5, 0.5))
-    assert "1/2" in str(info.value)
+    assert info.value.characteristic == "[1/2 1/2; 1/2 1/2]"
+    assert "even theta-null [1/2 1/2; 1/2 1/2] is below" in str(info.value)
+
+
+def test_log_delta2_names_each_vanishing_null(monkeypatch):
+    """Whichever even null vanishes, `log_delta2` names it as printed from
+    the exact characteristic, such as [1/2 0; 0 1/2]."""
+    right = g2inv.theta_surface._theta_scaled
+    assert "[1/2 0; 0 1/2]" in map(char_name, EVEN_CHARS)
+    for index, char in enumerate(EVEN_CHARS):
+
+        def one_null_zeroed(chars, tau, radius):
+            nulls = right(chars, tau, radius)
+            nulls[index] = 0
+            return nulls
+
+        monkeypatch.setattr(g2inv.theta_surface, "_theta_scaled", one_null_zeroed)
+        with pytest.raises(DegenerateThetaNullError) as info:
+            log_delta2(GENERIC_TAU)
+        assert info.value.characteristic == char_name(char)
+        assert f"even theta-null {char_name(char)} is below" in str(info.value)
 
 
 def test_quadrature_config_validation():
@@ -668,8 +695,8 @@ def test_log_delta2_invariant_under_random_words(rng):
         box = math.ceil(math.sqrt(35 / (math.pi * lam))) + 2
         with mpmath.workdps(40):
             total = -12 * mpmath.log(2) + 5 * mpmath.log(image.det_y)
-            for char in even_characteristics():
-                total += 2 * mpmath.log(abs(brute_theta(char.a, char.b, image, box)))
+            for a, b in EVEN_CHARS:
+                total += 2 * mpmath.log(abs(brute_theta(a, b, image, box)))
         assert abs(log_delta2(image) - float(total)) < 1e-9
 
 
@@ -698,15 +725,53 @@ def test_siegel_reduce_keeps_the_digits_of_a_tiny_tau():
         assert np.max(np.abs(image - scaled[0])) < 1e-14 * np.max(np.abs(scaled[0]))
 
 
-def test_siegel_reduce_word_past_int64():
-    """An integer step beyond the int64 range stays exact: the Lagrange
-    basis holds Python integers and is unimodular, and the reduction lands
-    in the fundamental domain without a numpy warning."""
+def exact_lagrange_basis(y: np.ndarray) -> list[list[int]]:
+    """The steps of `_lagrange_basis` replayed with U in Python integers:
+    the same float updates of y, each step multiplied into U exactly."""
+    u = [[1, 0], [0, 1]]
+    for _ in range(200):
+        if y[0, 0] > y[1, 1]:
+            step = [[0, 1], [1, 0]]
+        else:
+            q = int(np.rint(y[0, 1] / y[0, 0]))
+            if q == 0:
+                return u
+            step = [[1, 0], [-q, 1]]
+        as_float = np.array(step, dtype=float)
+        y = as_float @ y @ as_float.T
+        u = [[step[i][0] * u[0][j] + step[i][1] * u[1][j] for j in range(2)] for i in range(2)]
+    raise AssertionError("the exact replay did not finish in 200 steps")
+
+
+def test_lagrange_basis_in_floats_is_the_exact_basis(rng, monkeypatch):
+    """Every Lagrange basis that `siegel_reduce` forms on 200 random
+    unreduced images equals, entry for entry, the basis its steps give in
+    Python integers: the float U is exact there, so the reduction lands on
+    the same bits as with an exact U."""
+    seen = []
+    right = g2inv.theta_surface._lagrange_basis
+
+    def recorded(y):
+        u = right(y)
+        seen.append((y, u))
+        return u
+
+    monkeypatch.setattr(g2inv.theta_surface, "_lagrange_basis", recorded)
+    for _ in range(200):
+        siegel_reduce(SiegelMatrix(act(random_word(rng, rng.randint(1, 8)), random_tau(rng).matrix)))
+    moved = 0
+    for y, u in seen:
+        exact = exact_lagrange_basis(y)
+        assert u.tolist() == exact
+        moved += exact != [[1, 0], [0, 1]]
+    assert moved >= 200
+
+
+def test_siegel_reduce_lands_past_int64_without_a_warning():
+    """A Lagrange step beyond the int64 range: the reduction still lands in
+    the fundamental domain, without a numpy warning."""
     skewed = SiegelMatrix(np.array([[1e-20j, 0.099j], [0.099j, 1e20j]]))
-    u = _lagrange_basis(skewed.y_part)
-    assert all(isinstance(x, int) for x in u.flat)
-    assert max(abs(x) for x in u.flat) > 2**63
-    assert abs(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]) == 1
+    assert np.max(np.abs(_lagrange_basis(skewed.matrix.imag))) > 2**63
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert_fundamental(siegel_reduce(skewed))
