@@ -7,11 +7,9 @@ numerical invariants of genus-2 period matrices through theta functions.
 
 from .errors import (
     DegenerateThetaNullError,
-    DisconnectedError,
     FormulaMismatchError,
     G2Error,
     InvalidParamsError,
-    NotPositiveDefiniteError,
     QuadratureUnstableError,
     UnclassifiableError,
 )
@@ -42,13 +40,11 @@ __version__ = "0.1.0"
 __all__ = [
     "ArchReport",
     "DegenerateThetaNullError",
-    "DisconnectedError",
     "FiberType",
     "FormulaMismatchError",
     "G2Error",
     "InvalidParamsError",
     "NonArchReport",
-    "NotPositiveDefiniteError",
     "PMGraph",
     "QuadratureConfig",
     "QuadratureResult",

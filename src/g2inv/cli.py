@@ -6,7 +6,7 @@ invariants), `arch` (period-matrix file to the archimedean chain),
 pipeline), `verify` (random exact agreement sweep between the pipeline
 and the closed forms).
 
-Exit codes are a stable contract:
+Exit codes are a stable contract (raised errors map to theirs in `EXITS`):
   0 success, 2 parse/validation error, 3 genus != 2, 4 internal
   cross-check failure, 5 degenerate theta-null, 6 unstable quadrature,
   7 verify found a mismatch.
@@ -26,7 +26,6 @@ from .errors import (
     DegenerateThetaNullError,
     FormulaMismatchError,
     InvalidParamsError,
-    NotPositiveDefiniteError,
     QuadratureUnstableError,
 )
 from .exact import rational_function_field
@@ -46,10 +45,16 @@ from .metric_graph import smooth
 from .pm_invariants import nonarch_report, total_genus
 
 TAGS = tuple(ARITY)
-# what `main` reports as bad input: an "error: ..." line and exit 2
-INPUT_ERRORS = (InvalidParamsError, NotPositiveDefiniteError, OSError, ValueError)
-# what `main` reports as a failed internal cross-check: exit 4
-CROSS_CHECK_ERRORS = (FormulaMismatchError,)
+# bad input: the package raises ValueError for it, reading a file OSError
+INPUT_ERRORS = (OSError, ValueError)
+# (error types, stderr prefix, exit code) of each error `main` reports as a
+# "prefix: message" line; one that no row names propagates unchanged
+EXITS = (
+    (INPUT_ERRORS, "error", 2),
+    (FormulaMismatchError, "internal cross-check failed", 4),
+    (DegenerateThetaNullError, "degenerate surface", 5),
+    (QuadratureUnstableError, "quadrature failed", 6),
+)
 
 
 @functools.cache  # the parser reads no state, so one per process serves every call
@@ -111,11 +116,9 @@ def _run_nonarch(args) -> int:
     stable = smooth(graph)  # once, for both: each then finds nothing to merge
     try:  # the paper's closed form is the second route, after the report's tau route
         report = _matching_closed_form(nonarch_report(stable), classify(stable))
-    except CROSS_CHECK_ERRORS as exc:
-        print(f"internal cross-check failed: {exc}", file=sys.stderr)
-        print("offending graph:", file=sys.stderr)
-        print(json.dumps(graph_to_dict(graph), indent=2), file=sys.stderr)
-        return 4
+    except FormulaMismatchError as exc:
+        graph_json = json.dumps(graph_to_dict(graph), indent=2)
+        raise FormulaMismatchError(f"{exc}\noffending graph:\n{graph_json}") from exc
     print(render(nonarch_to_dict(report), args.format))
     return 0
 
@@ -138,15 +141,7 @@ def _run_arch(args) -> int:
         method=args.method,
         target_stderr=target,
     )
-    try:
-        report = arch_invariants(tau, config, workers=args.workers)
-    except DegenerateThetaNullError as exc:
-        print(f"degenerate surface: {exc}", file=sys.stderr)
-        return 5
-    except QuadratureUnstableError as exc:
-        print(f"quadrature failed: {exc}", file=sys.stderr)
-        return 6
-
+    report = arch_invariants(tau, config, workers=args.workers)
     doc = arch_to_dict(report)
     doc.update(
         samples=args.samples,
@@ -205,7 +200,7 @@ def _run_verify(args) -> int:
             try:
                 _matching_closed_form(nonarch_report(graph_of_type(fiber)), fiber)
                 passes += 1
-            except CROSS_CHECK_ERRORS as exc:
+            except FormulaMismatchError as exc:
                 mismatches += 1
                 print(f"MISMATCH {exc}")
         status = "pass" if passes == args.samples else "FAIL"
@@ -228,12 +223,12 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 0
-    except INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CROSS_CHECK_ERRORS as exc:
-        print(f"internal cross-check failed: {exc}", file=sys.stderr)
-        return 4
+    except Exception as exc:
+        for types, prefix, code in EXITS:
+            if isinstance(exc, types):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -2,13 +2,8 @@
 
 
 class G2Error(Exception):
-    """Base class for every error raised by this package."""
-
-
-# -- metric graphs ----------------------------------------------------------
-
-class DisconnectedError(G2Error):
-    """The graph is not connected."""
+    """Base class of the package's own exception types; bad input is a
+    ValueError, which only `InvalidParamsError` of these also is."""
 
 
 # -- graph invariants -------------------------------------------------------
@@ -19,8 +14,9 @@ class FormulaMismatchError(G2Error):
 
 # -- fiber types ------------------------------------------------------------
 
-class InvalidParamsError(G2Error):
-    """Fiber-type parameters have the wrong arity or are not positive."""
+class InvalidParamsError(G2Error, ValueError):
+    """A ValueError: fiber-type parameters have the wrong arity or are not
+    positive, or another input is malformed."""
 
 
 class UnclassifiableError(G2Error):
@@ -28,10 +24,6 @@ class UnclassifiableError(G2Error):
 
 
 # -- theta functions --------------------------------------------------------
-
-class NotPositiveDefiniteError(G2Error):
-    """The imaginary part of the period matrix is not positive definite."""
-
 
 class DegenerateThetaNullError(G2Error):
     """An even theta-null is below 1e-8 in modulus: tau is at or near the

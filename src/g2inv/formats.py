@@ -19,7 +19,7 @@ import json
 from fractions import Fraction
 from typing import TYPE_CHECKING, get_type_hints
 
-from .errors import DisconnectedError, InvalidParamsError
+from .errors import InvalidParamsError
 from .exact import as_rational
 from .metric_graph import PMGraph
 from .pm_invariants import NonArchReport
@@ -66,6 +66,8 @@ def format_complex_entry(value: complex) -> str:
 
 
 def graph_from_dict(doc: dict) -> PMGraph:
+    """The PMGraph of a graph document: a missing key or a wrong type is
+    InvalidParamsError, and what PMGraph refuses passes as its ValueError."""
     try:
         vertices = [(v["id"], v["genus"]) for v in doc["vertices"]]
         edges = [
@@ -74,7 +76,7 @@ def graph_from_dict(doc: dict) -> PMGraph:
         ]
         # building the graph validates it: unhashable ids raise TypeError
         return PMGraph(vertices, edges)
-    except (KeyError, TypeError, DisconnectedError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InvalidParamsError(f"malformed graph document: {exc}") from exc
 
 
@@ -137,10 +139,7 @@ def tau_to_dict(tau: SiegelMatrix) -> dict:
 
 
 def load_tau(path: str) -> SiegelMatrix:
-    try:
-        return tau_from_dict(_read_json(path, "period-matrix"))
-    except ValueError as exc:
-        raise InvalidParamsError(str(exc)) from exc
+    return tau_from_dict(_read_json(path, "period-matrix"))
 
 
 def save_tau(path: str, tau: SiegelMatrix) -> None:

@@ -30,7 +30,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Hashable, Iterable, Mapping
 
-from .errors import DisconnectedError
 from .exact import as_positive, inverse
 
 VertexId = Hashable
@@ -45,7 +44,8 @@ class PMGraph:
     tuples; u == v gives a loop, which counts twice toward the degree
     of its vertex.  Lengths may be ints, Fractions, 'p/q' strings, or
     elements of a rational-function field (`exact.rational_function_field`),
-    whose generators count as positive.
+    whose generators count as positive.  Breaking these rules, or leaving
+    the graph disconnected, is a ValueError; a wrong type is a TypeError.
     """
 
     def __init__(
@@ -97,7 +97,7 @@ class PMGraph:
                     seen.add(other)
                     stack.append(other)
         if len(seen) != len(self._genus):
-            raise DisconnectedError("the graph is not connected")
+            raise ValueError("the graph is not connected")
 
     # -- introspection ------------------------------------------------------
 

@@ -55,12 +55,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateThetaNullError,
-    FormulaMismatchError,
-    NotPositiveDefiniteError,
-    QuadratureUnstableError,
-)
+from .errors import DegenerateThetaNullError, FormulaMismatchError, QuadratureUnstableError
 
 DEFAULT_THETA_TOL = 1e-12  # the Gaussian tail bound at which both lattice sums truncate
 # `log_delta2`'s two routes must agree within 10x this.  Rounding alone
@@ -69,6 +64,9 @@ DEFAULT_THETA_TOL = 1e-12  # the Gaussian tail bound at which both lattice sums 
 DEFAULT_PRODUCT_TOL = 1e-10
 DEFAULT_TARGET_STDERR = 1e-3
 NULL_FLOOR = 1e-8  # an even theta-null below this in modulus counts as vanishing
+# the least lambda_min `_truncation_radius` takes (radius 345 at tol 1e-12);
+# the sums pass the reduced tau's, sqrt(3)/4 or more
+LAMBDA_FLOOR = 1e-4
 REDUCTION_CAP = 200
 SUBSTREAMS = 8
 _CHUNK = 4096  # points per kernel call: a (2r+2) x 4096 complex row block stays cache-sized
@@ -83,10 +81,10 @@ class SiegelMatrix:
     """A 2x2 complex symmetric matrix with positive definite imaginary part.
 
     Input is symmetrized exactly when the asymmetry is below 1e-12 and
-    rejected otherwise; non-finite entries, and an Im tau whose inverse is
-    not finite (subnormal entries), are rejected (ValueError);
-    NotPositiveDefiniteError if Im tau is not PD.  The matrix is fixed at
-    construction and read-only.
+    rejected otherwise; non-finite entries, an Im tau that is not positive
+    definite and one whose inverse is not finite (subnormal entries) are
+    rejected too, each as ValueError.  The matrix is fixed at construction
+    and read-only.
     """
 
     def __init__(self, tau):
@@ -104,9 +102,7 @@ class SiegelMatrix:
         y = m.imag
         eigs = np.linalg.eigvalsh(y)
         if not eigs[0] > 0:  # NaN too
-            raise NotPositiveDefiniteError(
-                f"Im tau must be positive definite, eigenvalues {eigs}"
-            )
+            raise ValueError(f"Im tau must be positive definite, eigenvalues {eigs}")
         self._m = m
         self._m.setflags(write=False)
         if not np.all(np.isfinite(np.linalg.inv(y))):  # a subnormal Im tau
@@ -139,13 +135,14 @@ def _truncation_radius(lambda_min: float, tol: float) -> int:
     sums call it at DEFAULT_THETA_TOL on a reduced tau, lambda_min >=
     sqrt(3)/4, where it is at most 5.  Once pi lambda_min radius passes 700
     the bound is below 1.6e-303, so any tol from 1e-300 up ends the loop
-    there at the latest.  A lambda_min so small that exp(-2 pi lambda_min)
-    rounds to 1 has no such bound in floating point: ValueError."""
+    there at the latest.  A lambda_min below LAMBDA_FLOOR, or NaN, is
+    refused (ValueError): the loop's length grows as 1/sqrt(lambda_min),
+    past 1e9 steps at 1e-17, and a NaN never ends it."""
+    if not lambda_min >= LAMBDA_FLOOR:
+        raise ValueError(f"lambda_min {lambda_min!r} is too small: below {LAMBDA_FLOOR}")
     for radius in itertools.count(1):
         decay = math.pi * lambda_min * radius
         q = math.exp(-2 * decay)
-        if q == 1:  # only at radius 1: q falls as the radius grows
-            raise ValueError(f"lambda_min {lambda_min!r} is too small: exp(-2 pi lambda_min) rounds to 1")
         tail = (
             8
             * math.exp(-decay * radius)

@@ -187,6 +187,21 @@ def test_nonarch_closed_form_mismatch_exits_4(monkeypatch, capsys):
     assert "offending graph:" in err
 
 
+def test_an_error_no_exit_row_names_propagates(monkeypatch, capsys):
+    """`main` maps only the errors its table `EXITS` names to exit codes:
+    any other leaves it as itself, with nothing printed."""
+    failure = RuntimeError("not an input error")
+
+    def broken(graph):
+        raise failure
+
+    monkeypatch.setattr(cli, "nonarch_report", broken)
+    with pytest.raises(RuntimeError) as caught:
+        main(["nonarch", "--type", "VII", "--params", "1,2,3"])
+    assert caught.value is failure
+    assert capsys.readouterr() == ("", "")
+
+
 def test_nonarch_wrong_genus_exits_3(tmp_path, capsys):
     circle = PMGraph([("v", 0)], [("e", "v", "v", Fraction(1))])
     path = tmp_path / "circle.json"
@@ -237,7 +252,7 @@ def test_nonarch_disconnected_graph_file_exits_2(tmp_path, capsys):
         "edges": [],
     }))
     assert main(["nonarch", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err == "error: the graph is not connected\n"
 
 
 def test_nonarch_unhashable_vertex_id_exits_2(tmp_path, capsys):

@@ -15,7 +15,7 @@ from conftest import PROPERTY_SETTINGS, random_pm_graph
 
 from g2inv.cli import INPUT_ERRORS, main
 
-from g2inv.errors import InvalidParamsError, NotPositiveDefiniteError
+from g2inv.errors import InvalidParamsError
 from g2inv.fiber_catalog import FiberType, closed_form
 from g2inv.formats import (
     arch_from_dict,
@@ -161,7 +161,7 @@ def test_tau_document_validation():
     with pytest.raises(ValueError):
         # asymmetry beyond the gate
         tau_from_dict(["1i", "0.2", "0.3", "1i"])
-    with pytest.raises(NotPositiveDefiniteError):
+    with pytest.raises(ValueError, match="positive definite"):
         tau_from_dict(["1i", "0", "0", "-1i"])
     # entries near the float limit: symmetrizing must not overflow to inf/NaN
     huge = tau_from_dict(["1e308i", "0.1+0.2i", "0.1+0.2i", "1.2i"])

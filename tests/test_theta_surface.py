@@ -21,7 +21,6 @@ import g2inv.theta_surface
 from g2inv.errors import (
     DegenerateThetaNullError,
     FormulaMismatchError,
-    NotPositiveDefiniteError,
     QuadratureUnstableError,
 )
 from g2inv.theta_surface import (
@@ -223,9 +222,9 @@ def test_characteristic_counts_and_parity():
 def test_siegel_matrix_validation():
     with pytest.raises(ValueError):
         SiegelMatrix(np.array([[1j, 0.5], [0.2, 1j]]))
-    with pytest.raises(NotPositiveDefiniteError):
+    with pytest.raises(ValueError, match="positive definite"):
         SiegelMatrix(np.array([[1j, 0], [0, -1j]]))
-    with pytest.raises(NotPositiveDefiniteError):
+    with pytest.raises(ValueError, match="positive definite"):
         SiegelMatrix(np.array([[1j, 2j], [2j, 1j]]))
     # asymmetry below the 1e-12 gate is symmetrized away
     m = SiegelMatrix(np.array([[1j, 0.3 + 1e-13], [0.3, 1j]]))
@@ -320,10 +319,13 @@ def test_reduced_radius_stays_bounded(rng):
 
 
 def test_truncation_radius_refuses_a_lambda_min_without_a_bound():
-    """At lambda_min = 1e-18, q = exp(-2 pi lambda_min) rounds to 1, where
-    the tail bound would divide by 1 - q = 0: ValueError naming lambda_min."""
-    with pytest.raises(ValueError, match=r"lambda_min 1e-18 is too small"):
-        _truncation_radius(1e-18, DEFAULT_THETA_TOL)
+    """Below LAMBDA_FLOOR the radius loop has no useful end: at 1e-18,
+    q = exp(-2 pi lambda_min) rounds to 1 and the tail bound would divide by
+    0; at 1e-17 the loop needs over 1e9 steps, and a NaN never ends it.
+    Each is a ValueError naming lambda_min, raised before the loop."""
+    for lam, text in ((1e-18, "1e-18"), (1e-17, "1e-17"), (math.nan, "nan")):
+        with pytest.raises(ValueError, match=rf"lambda_min {text} is too small"):
+            _truncation_radius(lam, DEFAULT_THETA_TOL)
 
 
 def test_truncation_tolerance_consistency():
