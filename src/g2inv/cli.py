@@ -27,6 +27,7 @@ from .errors import (
     FormulaMismatchError,
     InvalidParamsError,
     QuadratureUnstableError,
+    UnclassifiableError,
 )
 from .exact import rational_function_field
 from .fiber_catalog import ARITY, FiberType, classify, closed_form, graph_of_type
@@ -48,10 +49,12 @@ TAGS = tuple(ARITY)
 # bad input: the package raises ValueError for it, reading a file OSError
 INPUT_ERRORS = (OSError, ValueError)
 # (error types, stderr prefix, exit code) of each error `main` reports as a
-# "prefix: message" line; one that no row names propagates unchanged
+# "prefix: message" line; one that no row names propagates unchanged.  Every
+# genus-2 graph `main` reports on is a stable model of one of the seven
+# types, so an unclassifiable one is a fault in `SHAPES` or `smooth`
 EXITS = (
     (INPUT_ERRORS, "error", 2),
-    (FormulaMismatchError, "internal cross-check failed", 4),
+    ((FormulaMismatchError, UnclassifiableError), "internal cross-check failed", 4),
     (DegenerateThetaNullError, "degenerate surface", 5),
     (QuadratureUnstableError, "quadrature failed", 6),
 )

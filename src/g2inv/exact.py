@@ -27,10 +27,18 @@ of its stable model, which is at most 1 x 1.
 
 from __future__ import annotations
 
+import reprlib
 import sys
 from fractions import Fraction
 from functools import cmp_to_key
 from typing import Any, Iterable, Sequence
+
+
+# the most digits a rational's text may spell, an exponent e counting as e
+# digits.  A report's invariants have degree at most 6 in the numerator and
+# denominator of a length (type VII), so an accepted input's report stays
+# under 6 * 700 + a few digits: within the 4300 that Python prints by default
+MAX_RATIONAL_DIGITS = 700
 
 
 def rational_function_field(names: str) -> tuple:
@@ -55,7 +63,9 @@ def as_rational(x: Any) -> Any:
     Fraction, exactly; pass field elements through.
 
     Floats are rejected: graph data is exact by contract.  Text that names
-    no rational, a zero denominator included, is a ValueError.
+    no rational, a zero denominator included, is a ValueError, and so is
+    text that spells more than MAX_RATIONAL_DIGITS digits, refused before
+    `Fraction` builds 10^e in full ("1e1000000").
     """
     if isinstance(x, Fraction) or _is_field_element(x):
         return x
@@ -64,6 +74,8 @@ def as_rational(x: Any) -> Any:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        if _spelled_digits(x) > MAX_RATIONAL_DIGITS:
+            raise ValueError(f"{reprlib.repr(x)} spells more than {MAX_RATIONAL_DIGITS} digits")
         try:
             return Fraction(x)
         except ZeroDivisionError:
@@ -73,6 +85,21 @@ def as_rational(x: Any) -> Any:
             "expected an exact rational (int, Fraction or 'p/q' string), got a float"
         )
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
+
+
+def _spelled_digits(text: str) -> int:
+    """The length of `text` before any exponent plus the exponent's size:
+    at least the digits of the numerator and of the denominator it spells.
+    Text longer than MAX_RATIONAL_DIGITS counts as its length, so a long
+    exponent is never parsed; an exponent that is no integer counts as 0
+    and is left to `Fraction` to refuse."""
+    if len(text) > MAX_RATIONAL_DIGITS:
+        return len(text)
+    mantissa, _, exponent = text.lower().partition("e")
+    try:
+        return len(mantissa) + abs(int(exponent or 0))
+    except ValueError:
+        return len(mantissa)
 
 
 def as_positive(x: Any, what: str) -> Any:

@@ -16,6 +16,7 @@ Conventions chosen for lossless round-trips:
 from __future__ import annotations
 
 import json
+import reprlib
 from fractions import Fraction
 from typing import TYPE_CHECKING, get_type_hints
 
@@ -41,7 +42,7 @@ def parse_rational(value) -> Fraction:
     try:
         return as_rational(value)
     except (TypeError, ValueError) as exc:
-        raise InvalidParamsError(f"bad rational {value!r}: {exc}") from exc
+        raise InvalidParamsError(f"bad rational {reprlib.repr(value)}: {exc}") from exc
 
 
 def format_rational(value) -> str:

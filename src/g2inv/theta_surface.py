@@ -27,8 +27,10 @@ Numerical conventions:
   DEFAULT_THETA_TOL the radius is at most 5 and needs no cap: any valid
   period matrix is accepted, and `arch_invariants` reduces once for both.
 * log||H|| reduces to the mean of log||theta||(tau u + v) over uniform
-  (u, v) in [0,1)^4.  Per batch of points the lattice sum factors into
-  two per-sample rows of 1-D terms and one fixed matrix, A1 C' A2'.
+  (u, v) in [0,1)^4.  Per batch of points the lattice sum over the box
+  n in [-r, r-1]^2, m = n + u, which the tail bound covers at any shift u
+  (`_truncation_radius`), factors into two per-sample rows of 1-D terms
+  and one fixed 2r x 2r matrix, A1 C' A2'.
   Each row walks from two anchor terms (n = 0 and n = -1) by their step
   ratios, one multiply per row; C' holds the Gaussian factors.
   Only |sum| enters the norm, so each anchor is the real exponential of
@@ -69,7 +71,7 @@ NULL_FLOOR = 1e-8  # an even theta-null below this in modulus counts as vanishin
 LAMBDA_FLOOR = 1e-4
 REDUCTION_CAP = 200
 SUBSTREAMS = 8
-_CHUNK = 4096  # points per kernel call: a (2r+2) x 4096 complex row block stays cache-sized
+_CHUNK = 4096  # points per kernel call: a 2r x 4096 complex row block stays cache-sized
 LOG_2PI = math.log(2 * math.pi)
 
 # a tau with |tau11| = 1 is its own image under the quasi-inversion up to
@@ -131,13 +133,29 @@ _EVEN_B = np.array([h[2:] for h in _EVEN])
 
 
 def _truncation_radius(lambda_min: float, tol: float) -> int:
-    """Smallest integer radius whose Gaussian tail bound is below tol.  The
+    """Smallest integer radius r whose Gaussian tail bound is below tol.  The
     sums call it at DEFAULT_THETA_TOL on a reduced tau, lambda_min >=
-    sqrt(3)/4, where it is at most 5.  Once pi lambda_min radius passes 700
-    the bound is below 1.6e-303, so any tol from 1e-300 up ends the loop
-    there at the latest.  A lambda_min below LAMBDA_FLOOR, or NaN, is
-    refused (ValueError): the loop's length grows as 1/sqrt(lambda_min),
-    past 1e9 steps at 1e-17, and a NaN never ends it."""
+    sqrt(3)/4, where it is at most 5.
+
+    The bound covers the kernel's box n in [-r, r-1]^2 at any shift u in
+    [0,1)^2 (`_theta_kernel` sums m = n + u).  An omitted m has |m|_inf >=
+    r: n_i >= r gives m_i >= r, n_i <= -r-1 gives m_i < -r.  Its term has
+    modulus exp(-pi m'Ym) <= exp(-pi lambda_min |m|_inf^2).  At most 8k+4
+    <= 8(k+1) points of u + Z^2 have k <= |m|_inf < k+1: per axis a_i <=
+    2k+2 points have |m_i| < k+1 and b_i >= a_i - 2 have |m_i| < k, so
+    a_1 a_2 - b_1 b_2 <= 8k+4.  Summed over k >= r, with
+    exp(-pi lambda k^2) <= exp(-pi lambda r^2) q^(k-r), q = exp(-2 pi
+    lambda r), the omitted mass is at most
+        8 exp(-pi lambda r^2) ((r+1)/(1-q) + q/(1-q)^2),
+    the tail below: its r+1 already pays for the shift.  The null sum
+    (`_theta_scaled`) keeps every m with |m|_inf <= r, so the bound covers
+    it too.
+
+    Once pi lambda_min radius passes 700 the bound is below 1.6e-303, so
+    any tol from 1e-300 up ends the loop there at the latest.  A
+    lambda_min below LAMBDA_FLOOR, or NaN, is refused (ValueError): the
+    loop's length grows as 1/sqrt(lambda_min), past 1e9 steps at 1e-17,
+    and a NaN never ends it."""
     if not lambda_min >= LAMBDA_FLOOR:
         raise ValueError(f"lambda_min {lambda_min!r} is too small: below {LAMBDA_FLOOR}")
     for radius in itertools.count(1):
@@ -354,8 +372,8 @@ def _unit_phase(turns: np.ndarray) -> np.ndarray:
 
 
 def _gaussian_rows(radius: int, t: complex, t12: complex, w: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rows exp(f(n) - 2 pi i t T(n) - i Im f(0)) for n = -radius-1 ..
-    radius, one contiguous row per n, where per sample f(n) = pi i t (n+u)^2
+    """Rows exp(f(n) - 2 pi i t T(n) - i Im f(0)) for n = -radius ..
+    radius-1, one contiguous row per n, where per sample f(n) = pi i t (n+u)^2
     + 2 pi i c n + 2 pi i (n+u) v with c = t12 w, and T(n) = j(j-1)/2 with
     j = n for n >= 0 and j = -1-n below.
 
@@ -401,8 +419,8 @@ def _gaussian_rows(radius: int, t: complex, t12: complex, w: np.ndarray, u: np.n
     np.subtract(p, 3 * pi * y, out=down_ratio)
     np.exp(anchors, out=anchors)
 
-    rows = np.empty((2 * radius + 2, len(u)), dtype=complex)
-    mid = radius + 1  # the row of n = 0
+    rows = np.empty((2 * radius, len(u)), dtype=complex)
+    mid = radius  # the row of n = 0
     rows[mid] = at_zero
     turn = np.exp(2j * pi * x)
     low = rows[mid - 1]
@@ -412,7 +430,7 @@ def _gaussian_rows(radius: int, t: complex, t12: complex, w: np.ndarray, u: np.n
     low *= at_minus_one
     up *= up_ratio
     down *= down_ratio
-    for k in range(mid + 1, 2 * radius + 2):
+    for k in range(mid + 1, 2 * radius):
         np.multiply(rows[k - 1], up, out=rows[k])
     for k in range(mid - 2, -1, -1):
         np.multiply(rows[k + 1], down, out=rows[k])
@@ -423,7 +441,9 @@ def _theta_kernel(tau: SiegelMatrix) -> Callable[[np.ndarray, np.ndarray], np.nd
     """The batch function (u, v) -> log||theta||(tau u + v) for (B, 2) arrays.
 
     Up to a factor of modulus one the scaled sum is the sum over m = n + u of
-    exp(pi i m' tau m + 2 pi i m' v).  Splitting m1 m2 = n1 n2 + n1 u2 +
+    exp(pi i m' tau m + 2 pi i m' v), n in [-r, r-1]^2 for the radius r of
+    `_truncation_radius`, whose docstring proves that its tail bound covers
+    this box at any u.  Splitting m1 m2 = n1 n2 + n1 u2 +
     u1 n2 + u1 u2 factors it as colsum(C' A1 * A2) exp(2 pi i tau12 u1 u2)
     with per-sample columns
         A1[n1, b] = exp(pi i tau11 (m1^2 - 2 T(n1)) + 2 pi i (tau12 n1 u2 + m1 v1))
@@ -442,7 +462,7 @@ def _theta_kernel(tau: SiegelMatrix) -> Callable[[np.ndarray, np.ndarray], np.nd
     rejected.
     """
     radius = _truncation_radius(tau.min_eigenvalue, DEFAULT_THETA_TOL)
-    n = np.arange(-radius - 1, radius + 1, dtype=float)
+    n = np.arange(-radius, radius, dtype=float)
     tri = np.where(n < 0, (n + 1) * (n + 2), n * (n - 1)) / 2  # T(n)
     cross = np.outer(n, n)
     (t11, t12), (_, t22) = tau.matrix

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -18,6 +19,7 @@ from test_theta_surface import random_tau, reference_log_h
 
 from g2inv import cli
 from g2inv.cli import main
+from g2inv.errors import UnclassifiableError
 from g2inv.fiber_catalog import FiberType, graph_of_type
 from g2inv.formats import arch_from_dict, nonarch_from_dict, save_graph, save_tau
 from g2inv.metric_graph import PMGraph
@@ -200,6 +202,37 @@ def test_an_error_no_exit_row_names_propagates(monkeypatch, capsys):
         main(["nonarch", "--type", "VII", "--params", "1,2,3"])
     assert caught.value is failure
     assert capsys.readouterr() == ("", "")
+
+
+def test_an_unclassifiable_stable_model_exits_4(monkeypatch, capsys):
+    """Every genus-2 stable model is one of the seven shapes, so
+    `UnclassifiableError` out of `classify` means a fault in `SHAPES` or
+    `smooth`: exit 4 with one line, no traceback, nothing on stdout."""
+
+    def broken(graph):
+        raise UnclassifiableError("no shape matches")
+
+    monkeypatch.setattr(cli, "classify", broken)
+    assert main(["nonarch", "--type", "VII", "--params", "1,2,3"]) == 4
+    assert capsys.readouterr() == ("", "internal cross-check failed: no shape matches\n")
+
+
+def test_params_at_the_digit_bound(capsys):
+    """The widest lengths `exact.as_rational` accepts, at the type whose
+    invariants have the highest degree in them, still print in both
+    formats; one digit past the bound, or an exponent of a million, is
+    refused in well under a second, before any report is computed."""
+    widest = ",".join(["9" * 700, "1e699", "1e-699"])
+    for fmt in ("human", "structured"):
+        assert main(["nonarch", "--type", "VII", "--params", widest, "--format", fmt]) == 0
+    capsys.readouterr()
+    for past in ("1e700", "1e-700", "1e1000000"):
+        start = time.perf_counter()
+        assert main(["nonarch", "--type", "II", "--params", past]) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == (
+            "", f"error: bad rational '{past}': '{past}' spells more than 700 digits\n"
+        )
 
 
 def test_nonarch_wrong_genus_exits_3(tmp_path, capsys):

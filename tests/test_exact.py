@@ -17,6 +17,7 @@ from conftest import PROPERTY_SETTINGS
 from oracles import solve
 
 from g2inv.exact import (
+    MAX_RATIONAL_DIGITS,
     as_positive,
     as_rational,
     inverse,
@@ -33,6 +34,22 @@ def test_coercion():
     for bad in (True, 0.5, sympy.Symbol("a"), sympy.Rational(1, 2)):
         with pytest.raises(TypeError):
             as_rational(bad)
+
+
+def test_rational_text_is_bounded():
+    """Text may spell MAX_RATIONAL_DIGITS digits, an exponent e counting as
+    e: up to the bound it parses exactly, past it it is a ValueError naming
+    the text, raised before 10^e is built."""
+    assert MAX_RATIONAL_DIGITS == 700
+    assert as_rational("1e699") == 10**699
+    assert as_rational("1e-699") == Fraction(1, 10**699)
+    assert as_rational("25e-697") == Fraction(1, 4 * 10**695)
+    assert as_rational("9" * 700) == 10**700 - 1
+    assert as_rational("1/" + "7" * 698) == Fraction(1, int("7" * 698))
+    for bad in ("1e700", "1E-700", "9" * 701, "1/" + "7" * 699, "1e1000000", "1e" + "9" * 5000):
+        with pytest.raises(ValueError, match=f"spells more than {MAX_RATIONAL_DIGITS} digits") as info:
+            as_rational(bad)
+        assert str(info.value).startswith(repr(bad)[:5])  # reprlib keeps the head
 
 
 def test_as_positive():

@@ -16,6 +16,9 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+
+from conftest import PROPERTY_SETTINGS
 
 import g2inv.theta_surface
 from g2inv.errors import (
@@ -519,8 +522,12 @@ def test_kernel_matches_pointwise_theta_norm(rng):
     but not here."""
     taus = [siegel_reduce(random_tau(rng)) for _ in range(20)]
     taus.append(SiegelMatrix(np.array([[0.1 + 1.2j, 0.3 + 0.4j], [0.3 + 0.4j, -0.2 + 300j]])))
-    taus.append(_stretched_tau(64))  # the moduli span their widest kept range
-    # unreduced, so the row recurrences run to radius 8 and 10
+    taus.append(_stretched_tau(64))  # the moduli span a wide kept range
+    taus.append(_stretched_tau(200))  # and near its far end, kept since the 2r-row box
+    # the hexagonal corner of the fundamental domain: lambda_min = sqrt(3)/4,
+    # the least of any reduced tau, where the radius is largest (5)
+    taus.append(SiegelMatrix(0.5 * np.eye(2) + 1j * math.sqrt(3) / 2 * np.array([[1, 0.5], [0.5, 1]])))
+    # unreduced, so the row recurrences run over 16 and 20 rows (radius 8 and 10)
     taus.append(SiegelMatrix([[0.3 + 0.2j, 0.1 + 0.05j], [0.1 + 0.05j, 0.2 + 0.3j]]))
     taus.append(SiegelMatrix([[0.45 + 0.12j, -0.5 + 0.03j], [-0.5 + 0.03j, 0.1 + 0.5j]]))
     edges = (0.0, 0.5, 1 - 1e-9)
@@ -534,6 +541,31 @@ def test_kernel_matches_pointwise_theta_norm(rng):
             want = np.where(norms < np.finfo(float).eps, np.nan, np.log(norms))
         assert np.array_equal(np.isnan(got), np.isnan(want))
         assert np.nanmax(np.abs(got - want)) < 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.floats(math.sqrt(3) / 4, 5),
+    st.floats(0, 1, exclude_max=True),
+    st.floats(0, 1, exclude_max=True),
+)
+@example(math.sqrt(3) / 4, 0.0, 0.0)
+@example(math.sqrt(3) / 4, 1 - 1e-9, 1 - 1e-9)
+def test_kernel_box_omits_less_than_the_tail_bound(lam, u1, u2):
+    """The mass the kernel's box n in [-R, R-1]^2 leaves out at a shift u,
+    summed over a box 40 rows wider at Y = lam I (the largest terms of any
+    Y whose smallest eigenvalue is lam), against the tail bound of
+    `_truncation_radius` at R, retyped here, and against its tolerance."""
+    radius = _truncation_radius(lam, DEFAULT_THETA_TOL)
+    ns = np.arange(-radius - 40, radius + 40, dtype=float)
+    terms = np.exp(-math.pi * lam * ((ns[:, None] + u1) ** 2 + (ns[None, :] + u2) ** 2))
+    kept = (ns >= -radius) & (ns < radius)
+    terms[np.ix_(kept, kept)] = 0
+    omitted = float(terms.sum())
+    q = math.exp(-2 * math.pi * lam * radius)
+    tail = 8 * math.exp(-math.pi * lam * radius**2) * ((radius + 1) / (1 - q) + q / (1 - q) ** 2)
+    assert omitted <= tail
+    assert omitted <= DEFAULT_THETA_TOL
 
 
 def test_unit_phase_matches_mpmath():
@@ -559,7 +591,9 @@ def _stretched_tau(scale: float) -> SiegelMatrix:
 
 def test_log_h_float_range_is_kept_and_refused_cleanly():
     """A reduced tau this stretched is refused by `log_delta2` long before;
-    a direct `log_h` keeps the range it had and past it raises
+    a direct `log_h` keeps its range up to s of about 235, where the
+    exponent 2 pi Y12 of the anchor exp(f(-1)) (2 pi 0.48 s at u near 1)
+    passes the float limit 709.78, and past it raises
     QuadratureUnstableError without a numpy warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -567,7 +601,7 @@ def test_log_h_float_range_is_kept_and_refused_cleanly():
             config = QuadratureConfig(n_samples=20000, seed=0, method=method, target_stderr=10)
             assert math.isfinite(log_h(_stretched_tau(64), config).value)
             with pytest.raises(QuadratureUnstableError):
-                log_h(_stretched_tau(100), config)
+                log_h(_stretched_tau(240), config)
 
 
 @pytest.mark.parametrize("method", ["monte-carlo", "lattice-rule"])
