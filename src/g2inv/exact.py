@@ -27,6 +27,7 @@ of its stable model, which is at most 1 x 1.
 
 from __future__ import annotations
 
+import math
 import reprlib
 import sys
 from fractions import Fraction
@@ -100,6 +101,22 @@ def _spelled_digits(text: str) -> int:
         return len(mantissa) + abs(int(exponent or 0))
     except ValueError:
         return len(mantissa)
+
+
+def exceeds_digit_bound(x: Any) -> bool:
+    """Whether x is a `Fraction` whose text p/q spells more than
+    MAX_RATIONAL_DIGITS digits, the rule `as_rational` applies to text;
+    field elements never do.  A sum of accepted values can pass the bound
+    (their denominators multiply), so sums are checked with this."""
+    if not isinstance(x, Fraction):
+        return False
+    # p/q spells at most (bits of p + bits of q) log10(2) + 2 digits, a "/"
+    # and a sign; 4 bits a digit is past the bound, and str() of an int
+    # past 4300 digits raises, so the text is spelled out only in between
+    bits = x.numerator.bit_length(), x.denominator.bit_length()
+    if sum(bits) * math.log10(2) + 4 <= MAX_RATIONAL_DIGITS:
+        return False
+    return max(bits) > 4 * MAX_RATIONAL_DIGITS or len(str(x)) > MAX_RATIONAL_DIGITS
 
 
 def as_positive(x: Any, what: str) -> Any:

@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Hashable, Iterable, Mapping
 
-from .exact import as_positive, inverse
+from .exact import MAX_RATIONAL_DIGITS, as_positive, exceeds_digit_bound, inverse
 
 VertexId = Hashable
 EdgeId = Hashable
@@ -184,7 +184,11 @@ def smooth(graph: PMGraph) -> PMGraph:
     no id is new.  A genus-0 vertex alone on a loop stays, as does one
     vertex of a bare cycle.  Total genus, first Betti number, total length
     and every invariant (Zhang 1993) are kept.  With nothing to merge,
-    `graph` itself is returned, memoized inverse and all.
+    `graph` itself is returned, memoized inverse and all.  A merged length
+    that spells more digits than `exact.as_rational` accepts in text is a
+    ValueError naming its edge (`exact.exceeds_digit_bound`): the sum of
+    accepted lengths can pass that bound, and a report on it would not
+    print.
     """
 
     def merged(v: VertexId) -> bool:
@@ -207,6 +211,10 @@ def smooth(graph: PMGraph) -> PMGraph:
             f, end = next(pair for pair in graph.incident(w) if pair[0] != f)
             seen.add(f)
             w, length = graph.edge_ends(f)[1 - end], length + graph.edge_length(f)
+            if exceeds_digit_bound(length):
+                raise ValueError(
+                    f"the merged length of edge {e!r} spells more than {MAX_RATIONAL_DIGITS} digits"
+                )
         edges.append((e, ends[0], w, length) if start == 0 else (e, w, ends[1], length))
     return PMGraph([(v, graph.genus(v)) for v in graph.vertex_ids if v in keep], edges)
 

@@ -27,22 +27,28 @@ Numerical conventions:
   DEFAULT_THETA_TOL the radius is at most 5 and needs no cap: any valid
   period matrix is accepted, and `arch_invariants` reduces once for both.
 * log||H|| reduces to the mean of log||theta||(tau u + v) over uniform
-  (u, v) in [0,1)^4.  Per batch of points the lattice sum over the box
-  n in [-r, r-1]^2, m = n + u, which the tail bound covers at any shift u
-  (`_truncation_radius`), factors into two per-sample rows of 1-D terms
-  and one fixed 2r x 2r matrix, A1 C' A2'.
+  (u, v) in [0,1)^4, sampled in cosets: a base point in [0,1/2)^4 and its
+  16 half-period translates (u + a, v + b), a, b in {0,1/2}^2, where theta
+  turns into theta[a;b] (Mumford, Tata Lectures I, ch. II 1), so a coset
+  is uniform on the torus.  Per batch of base points the lattice sum over
+  the box n in [-r, r-1]^2, m = n + u + a, which the tail bound covers at
+  any shift in [0,1)^2 (`_truncation_radius`), factors into two
+  per-sample rows of 1-D terms, built once for all 16 translates, and one
+  fixed 16r x 2r stack of the matrices C'_ab, which hold the Gaussian
+  factors and the translates: one matmul gives all 16 sums.
   Each row walks from two anchor terms (n = 0 and n = -1) by their step
-  ratios, one multiply per row; C' holds the Gaussian factors.
+  ratios, one multiply per row.
   Only |sum| enters the norm, so each anchor is the real exponential of
   its real part (its modulus, so the float range is kept) times a phase
   derived from one unit phase per row.  The unit phase is a lookup in a
   1024-entry table of exp(2 pi i j / 1024) turned by short polynomials
   of the remainder angle (absolute error about 2.2e-16, where np.cos
   reaches 4.3e-14 at 64 turns), and a row's four anchor exponents take
-  one np.exp call: a sample costs 2 table phases, no trigonometric call
-  and 9 real exponentials at any radius.  On a reduced tau every factor
-  stays in floating-point range; a sum that leaves it is an error, never
-  a rejected sample.  The spread of 8 substreams gives the standard error.
+  one np.exp call: a base point costs 2 table phases, no trigonometric
+  call and 12 real exponentials at any radius, for 16 evaluations.  On a
+  reduced tau that `log_delta2` accepts every factor stays in
+  floating-point range; a sum that leaves it is an error, never a
+  rejected sample.  The spread of 8 substreams gives the standard error.
   Fixed (seed, N, method) give bit-identical results regardless of
   worker count.
 """
@@ -71,7 +77,7 @@ NULL_FLOOR = 1e-8  # an even theta-null below this in modulus counts as vanishin
 LAMBDA_FLOOR = 1e-4
 REDUCTION_CAP = 200
 SUBSTREAMS = 8
-_CHUNK = 4096  # points per kernel call: a 2r x 4096 complex row block stays cache-sized
+_CHUNK = 1024  # base points per kernel call, 16384 evaluations: the 16r x 1024 block stays cache-sized
 LOG_2PI = math.log(2 * math.pi)
 
 # a tau with |tau11| = 1 is its own image under the quasi-inversion up to
@@ -125,11 +131,15 @@ class SiegelMatrix:
         return f"SiegelMatrix({self._m.tolist()!r})"
 
 
-# the ten even characteristics [a; b], 4 a'b even, in the order of
-# itertools.product, as the kernel's (10, 2) point arrays u = a, v = b
-_EVEN = [h for h in itertools.product((0.0, 0.5), repeat=4) if (h[0] * h[2] + h[1] * h[3]) * 4 % 2 == 0]
-_EVEN_A = np.array([h[:2] for h in _EVEN])
-_EVEN_B = np.array([h[2:] for h in _EVEN])
+# the 16 half periods (a1, a2, b1, b2) in {0, 1/2}^4 in the order of
+# itertools.product: the order in which the kernel returns the translates
+# tau (u + a) + (v + b) of a base point, and of the characteristics [a; b]
+_HALVES = np.array(list(itertools.product((0.0, 0.5), repeat=4)))
+_HALVES.setflags(write=False)
+# the ten even ones, 4 a'b even, as (10, 2) arrays a and b
+_EVEN = (_HALVES[:, 0] * _HALVES[:, 2] + _HALVES[:, 1] * _HALVES[:, 3]) * 4 % 2 == 0
+_EVEN_A = _HALVES[_EVEN, :2]
+_EVEN_B = _HALVES[_EVEN, 2:]
 
 
 def _truncation_radius(lambda_min: float, tol: float) -> int:
@@ -252,10 +262,10 @@ def log_delta2(tau: SiegelMatrix) -> float:
 
     Sp4(Z)-invariant, so evaluated at siegel_reduce(tau): over the 10 even
     characteristics (one stacked lattice sum), cross-checked against the
-    product of ||theta||^2 at the points tau a + b, which the torus-average
-    kernel (`_theta_kernel`) sums: two summation codes, both truncated at
-    DEFAULT_THETA_TOL, which must agree within 10 DEFAULT_PRODUCT_TOL
-    (FormulaMismatchError otherwise).
+    product of ||theta||^2 at the points tau a + b, the even translates of
+    the base point 0 in the torus-average kernel (`_theta_kernel`): two
+    summation codes, both truncated at DEFAULT_THETA_TOL, which must agree
+    within 10 DEFAULT_PRODUCT_TOL (FormulaMismatchError otherwise).
     """
     tau = siegel_reduce(tau)
     radius = _truncation_radius(tau.min_eigenvalue, DEFAULT_THETA_TOL)
@@ -272,8 +282,10 @@ def log_delta2(tau: SiegelMatrix) -> float:
         log_nulls += 2 * math.log(abs(s))
     value = -12 * math.log(2) + 5 * math.log(tau.det_y) + log_nulls
 
-    # ||theta||(tau a + b) = (det Y)^(1/4) |theta[a,b](0)|, summed by the kernel
-    log_norms = _theta_kernel(tau)(_EVEN_A, _EVEN_B)
+    # ||theta||(tau a + b) = (det Y)^(1/4) |theta[a,b](0)|: the translates of
+    # the base point 0, summed by the kernel
+    origin = np.zeros((1, 2))
+    log_norms = _theta_kernel(tau)(origin, origin)[_EVEN, 0]
     direct = -12 * math.log(2) + 2 * float(np.sum(log_norms))
     if not abs(value - direct) <= 10 * DEFAULT_PRODUCT_TOL:  # a NaN norm fails too
         raise FormulaMismatchError(
@@ -285,7 +297,13 @@ def log_delta2(tau: SiegelMatrix) -> float:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Sampling plan for the torus average; deterministic given its fields."""
+    """Sampling plan for the torus average; deterministic given its fields.
+
+    `n_samples` counts evaluations of log||theta||.  `log_h` splits it
+    over 8 substreams and rounds each share up to whole cosets of 16 (a
+    base point and its half-period translates), so up to 8 x 15 more are
+    made: 10^4 gives 10112.
+    """
 
     n_samples: int = 100_000
     seed: int = 0
@@ -438,26 +456,39 @@ def _gaussian_rows(radius: int, t: complex, t12: complex, w: np.ndarray, u: np.n
 
 
 def _theta_kernel(tau: SiegelMatrix) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """The batch function (u, v) -> log||theta||(tau u + v) for (B, 2) arrays.
+    """The batch function (u, v) -> log||theta||(tau (u + a) + (v + b)) for
+    (B, 2) arrays of base points in [0, 1/2)^2, at the 16 half periods
+    (a, b) of `_HALVES`, as a (16, B) array in their order.
 
-    Up to a factor of modulus one the scaled sum is the sum over m = n + u of
-    exp(pi i m' tau m + 2 pi i m' v), n in [-r, r-1]^2 for the radius r of
-    `_truncation_radius`, whose docstring proves that its tail bound covers
-    this box at any u.  Splitting m1 m2 = n1 n2 + n1 u2 +
-    u1 n2 + u1 u2 factors it as colsum(C' A1 * A2) exp(2 pi i tau12 u1 u2)
-    with per-sample columns
+    Up to a factor of modulus one the scaled sum at a point (u, v) is the
+    sum over m = n + u of exp(pi i m' tau m + 2 pi i m' v), n in [-r, r-1]^2
+    for the radius r of `_truncation_radius`, whose docstring proves that
+    its tail bound covers this box at any shift in [0, 1)^2, so at u + a
+    too.  Splitting m1 m2 = n1 n2 + n1 u2 + u1 n2 + u1 u2 factors it as
+    colsum(C' A1 * A2) exp(2 pi i tau12 u1 u2) with per-sample columns
         A1[n1, b] = exp(pi i tau11 (m1^2 - 2 T(n1)) + 2 pi i (tau12 n1 u2 + m1 v1))
     (A2 likewise, T as in `_gaussian_rows`) and the unsymmetric C'[n2, n1]
-    = exp(2 pi i (tau12 n1 n2 + tau22 T(n2) + tau11 T(n1))), computed here
-    once per tau.  Only |s| enters the norm, so per-sample unit factors
-    are dropped: A1 and A2 come from `_gaussian_rows`, and the u1 u2 term
-    is kept as its modulus exp(-2 pi Y12 u1 u2), so a sample costs 2 table
-    phases (no trigonometric call) and 9 real exponentials in 3 np.exp
-    calls per batch, whatever the radius.  C' A1 is formed once and scaled
-    by A2 in place.  |C'| is at most exp(pi (linear in n)), while the cross
-    term alone reaches exp(2 pi |Y12| r^2): on a reduced Y every factor
-    stays in floating-point range, and a sum that leaves it raises
-    QuadratureUnstableError.  Returns NaN where ||theta|| is below machine
+    = exp(2 pi i (tau12 n1 n2 + tau22 T(n2) + tau11 T(n1))).  At the
+    translate by (a, b), m = n + u + a, the same rows A1, A2 of the base
+    point give the sum as
+        exp(-2 pi a'Yu) |colsum(C'_ab A1 * A2) exp(2 pi i tau12 u1 u2)|,
+        C'_ab[n2, n1] = C'[n2, n1] exp(2 pi i a' tau (n + a/2)) (-1)^(2 b'n),
+    and no sample enters C'_ab.  It is computed here once per tau, as 8
+    blocks (a, b1) stacked into one 16r x 2r matrix, each block from its
+    own summed exponent, so no entry is the product of an underflow and an
+    overflow.  Per batch the kernel builds the rows once (`_gaussian_rows`:
+    2 table phases and 8 real exponentials per base point, whatever the
+    radius), forms the stack times A1 in one matmul and scales it by A2 in
+    place.  Rows 2j and 2j+1 have n2 of opposite parity, so the n2 sums P
+    and Q over each parity give b2 = 0 as |P + Q| and b2 = 1/2 as |P - Q|.
+    The 4 moduli exp(-2 pi (a'Yu + Y12 u1 u2)) take one np.exp call.
+    The shift a' tau n grows C'_ab by up to exp(pi Y_jj r) where the rows
+    decay, and each product C'_ab A1 A2 is its term over those moduli:
+    on every reduced tau that `log_delta2` accepts (Y22 below about 24)
+    every factor stays in floating-point range.  A far taller or more
+    stretched Y leaves it, from Y22 or a common scale of about 128 on
+    (`test_log_h_float_range_is_kept_and_refused_cleanly` measures both),
+    and a sum that leaves it raises QuadratureUnstableError.  Returns NaN where ||theta|| is below machine
     epsilon (points straddling the theta divisor); callers count those as
     rejected.
     """
@@ -465,27 +496,50 @@ def _theta_kernel(tau: SiegelMatrix) -> Callable[[np.ndarray, np.ndarray], np.nd
     n = np.arange(-radius, radius, dtype=float)
     tri = np.where(n < 0, (n + 1) * (n + 2), n * (n - 1)) / 2  # T(n)
     cross = np.outer(n, n)
-    (t11, t12), (_, t22) = tau.matrix
+    blocks = _HALVES[::2]  # (a1, a2, b1) in order, b2 = 0
+    a1, a2, b1 = (blocks[:, k, None, None] for k in range(3))
+    h1, h2 = n + a1 / 2, n[:, None] + a2 / 2  # columns n1, rows n2
+
+    def exponent(t: np.ndarray) -> np.ndarray:
+        """t12 n1 n2 + t22 T(n2) + t11 T(n1) + a't(n + a/2) for real t."""
+        (t11, t12), (_, t22) = t
+        return (
+            t12 * cross + t22 * tri[:, None] + t11 * tri
+            + a1 * (t11 * h1 + t12 * h2) + a2 * (t12 * h1 + t22 * h2)
+        )
+
+    y = tau.matrix.imag
     with np.errstate(over="ignore", invalid="ignore"):
         # real and imaginary exponents apart: at Y near 1e308 a complex product meets inf * 0 = NaN
-        re_exp = t12.imag * cross + t22.imag * tri[:, None] + t11.imag * tri
-        im_exp = t12.real * cross + t22.real * tri[:, None] + t11.real * tri
-        c = np.exp(-2 * math.pi * re_exp + 2j * math.pi * im_exp)
+        im_exp = exponent(tau.matrix.real) + b1 * n
+        stack = np.exp(-2 * math.pi * exponent(y) + 2j * math.pi * im_exp).reshape(-1, 2 * radius)
+    shift_y = _HALVES[::4, :2] @ y  # the rows a'Y of the 4 a, in order
+    (t11, t12), (_, t22) = tau.matrix
 
     def log_norms(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         (u1, u2), (v1, v2) = u.T, v.T  # contiguous rows when log_h passes its layout
         with np.errstate(over="ignore", invalid="ignore"):
-            a1 = _gaussian_rows(radius, t11, t12, u2, u1, v1)
-            a2 = _gaussian_rows(radius, t22, t12, u1, u2, v2)
-            ca = c @ a1
-            ca *= a2
-            s = np.abs(ca.sum(axis=0))
-            s *= np.exp(u1 * u2 * (-2 * math.pi * t12.imag))
+            rows1 = _gaussian_rows(radius, t11, t12, u2, u1, v1)
+            rows2 = _gaussian_rows(radius, t22, t12, u1, u2, v2)
+            ca = (stack @ rows1).reshape(8, 2 * radius, -1)
+            ca *= rows2
+            # rows 2j and 2j+1 have n2 of opposite parity
+            pq = ca.reshape(8, radius, 2, -1).sum(axis=1)
+            p, q = pq[:, 0], pq[:, 1]
+            s = np.empty((8, 2, len(u1)))
+            np.abs(p + q, out=s[:, 0])
+            np.abs(p - q, out=s[:, 1])
+            moduli = shift_y @ u.T
+            moduli += t12.imag * (u1 * u2)
+            moduli *= -2 * math.pi
+            np.exp(moduli, out=moduli)
+            s = s.reshape(4, 4, -1)
+            s *= moduli[:, None]
         if not np.all(np.isfinite(s)):
             raise QuadratureUnstableError(
                 f"theta lattice sum overflowed at {tau!r} (radius {radius})"
             )
-        norms = tau.det_y**0.25 * s
+        norms = tau.det_y**0.25 * s.reshape(16, -1)
         with np.errstate(divide="ignore"):
             return np.where(norms < np.finfo(float).eps, np.nan, np.log(norms))
 
@@ -493,14 +547,15 @@ def _theta_kernel(tau: SiegelMatrix) -> Callable[[np.ndarray, np.ndarray], np.nd
 
 
 def _substream_chunks(method: str, child_seed, count: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """One substream's `count` points as (u, v) chunks of up to _CHUNK points.
+    """One substream's `count` base points as (u, v) chunks of up to _CHUNK.
 
     Each chunk is generated when it is asked for, as one block of
     contiguous coordinate rows (u1, u2, v1, v2) that u and v view as
-    (B, 2) arrays.  Monte Carlo points are consecutive `random` calls on
-    one generator, which fills them from its stream in order; the lattice
-    rule's point k is frac(offset + k K) for k = 1 .. count, with one
-    random offset per substream and x - floor(x) exact for x >= 0.
+    (B, 2) arrays, and halved into [0, 1/2)^4.  Monte Carlo points are
+    consecutive `random` calls on one generator, which fills them from its
+    stream in order; the lattice rule's point k is frac(offset + k K) for
+    k = 1 .. count, with one random offset per substream and x - floor(x)
+    exact for x >= 0.
     """
     rng = np.random.default_rng(child_seed)
     if method == "lattice-rule":
@@ -513,7 +568,17 @@ def _substream_chunks(method: str, child_seed, count: int) -> Iterator[tuple[np.
             block = _KRONECKER[:, None] * np.arange(start + 1, start + size + 1, dtype=float)
             block += offset
             block -= np.floor(block)
+        block *= 0.5
         yield block[:2].T, block[2:].T
+
+
+def _translates(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 16 points (u + a, v + b) of each base point in the kernel's
+    order, (a, b) in `_HALVES` order outermost, as (16 B, 2) arrays."""
+    return (
+        (u[None] + _HALVES[:, None, :2]).reshape(-1, 2),
+        (v[None] + _HALVES[:, None, 2:]).reshape(-1, 2),
+    )
 
 
 def log_h(
@@ -525,31 +590,46 @@ def log_h(
     """The mean of log||theta||(tau u + v) over the unit 4-torus.
 
     Sp4(Z)-invariant, so evaluated at siegel_reduce(tau).  Splits the
-    budget into 8 substreams, which differ by at most one point and
-    together hold exactly n_samples; the estimate is the mean of substream
-    means and the standard error their sample spread.  Each substream
-    generates its points one chunk of _CHUNK at a time (`_substream_chunks`)
-    and sums each chunk as it is made, so no substream's points are ever
-    held at once.  `workers` threads share the substreams; it must be an
-    int of at least 1 (ValueError).  The _integrand hook substitutes a
-    different function of (u, v) batches and exists for self-tests of the
-    quadrature layer.
+    budget into 8 substreams, which differ by at most one point; each
+    evaluates whole cosets of 16, ceil(count / 16) base points in
+    [0, 1/2)^4 with their 16 half-period translates (`_theta_kernel`), so
+    together they hold n_samples rounded up to whole cosets.  A coset is
+    uniform on the torus where one translate alone is uniform on its own
+    sub-box only, so a partial coset would bias the mean.  The estimate is
+    the mean of substream means and the standard error their sample
+    spread.  Each substream generates its base points one chunk of _CHUNK
+    at a time (`_substream_chunks`) and sums each chunk as it is made, so
+    no substream's points are ever held at once.  `workers` threads share
+    the substreams; it must be an int of at least 1 (ValueError).  The
+    _integrand hook substitutes a different function of (u, v) batches,
+    called on each chunk's translates in the kernel's order
+    (`_translates`), and exists for self-tests of the quadrature layer.
     """
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise ValueError(f"workers must be an integer of at least 1, got {workers!r}")
     config = config or QuadratureConfig()
     tau = siegel_reduce(tau)
-    integrand = _integrand or _theta_kernel(tau)
+    if _integrand is None:
+        kernel = _theta_kernel(tau)
+
+        def evaluate(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+            return kernel(u, v).ravel()
+
+    else:
+
+        def evaluate(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+            return _integrand(*_translates(u, v))
+
     per_stream, extra = divmod(config.n_samples, SUBSTREAMS)
     children = np.random.SeedSequence(config.seed).spawn(SUBSTREAMS)
 
     def run_substream(index: int) -> tuple[float, int, int]:
-        count = per_stream + (index < extra)
+        cosets = -(-(per_stream + (index < extra)) // len(_HALVES))
         total = 0.0
         kept = 0
         rejected = 0
-        for u, v in _substream_chunks(config.method, children[index], count):
-            vals = integrand(u, v)
+        for u, v in _substream_chunks(config.method, children[index], cosets):
+            vals = evaluate(u, v)
             bad = int(np.count_nonzero(np.isnan(vals)))
             rejected += bad
             kept += len(vals) - bad

@@ -235,6 +235,29 @@ def test_params_at_the_digit_bound(capsys):
         )
 
 
+def test_graph_file_past_the_digit_bound_after_smoothing_exits_2(tmp_path, capsys):
+    """Type VII with each edge cut into 8 pieces of accepted length
+    1/(10^600 + k), k odd: the merged lengths pass the digit bound, so
+    `nonarch` refuses the file with one line naming the edge, before any
+    report is computed, where it used to fail at Python's 4300-digit
+    print limit."""
+    vertices, edges, k = [("u", 0), ("v", 0)], [], 1
+    for e in "abc":
+        chain = ["u"] + [f"{e}{i}" for i in range(7)] + ["v"]
+        vertices += [(v, 0) for v in chain[1:-1]]
+        for i in range(8):
+            edges.append((f"{e}-{i}", chain[i], chain[i + 1], Fraction(1, 10**600 + k)))
+            k += 2
+    path = tmp_path / "wide.json"
+    save_graph(str(path), PMGraph(vertices, edges))
+    start = time.perf_counter()
+    assert main(["nonarch", str(path)]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == (
+        "", "error: the merged length of edge 'a-0' spells more than 700 digits\n"
+    )
+
+
 def test_nonarch_wrong_genus_exits_3(tmp_path, capsys):
     circle = PMGraph([("v", 0)], [("e", "v", "v", Fraction(1))])
     path = tmp_path / "circle.json"
@@ -509,12 +532,15 @@ def _within(a, a_err, b, b_err):
 
 def test_arch_on_squashed_tau(tmp_path, capsys):
     """A tau that needs truncation radius 53 where it stands: `arch`
-    reduces it first and must agree with sums taken at the tau itself."""
+    reduces it first and must agree with sums taken at the tau itself.
+    Its reduced Y is large enough that the monte-carlo stderr at 10^4
+    samples sits at the 10x-target refusal (median 0.009 over seeds, a
+    third of them past 0.01), so it runs at 4 x 10^4."""
     t = np.array([[0.3 + 0.004j, 0.2 + 0.001j], [0.2 + 0.001j, 0.1 + 3j]])
     squashed = SiegelMatrix(t)
     path = tmp_path / "squashed.json"
     save_tau(str(path), squashed)
-    doc = _arch_doc(path, capsys)
+    doc = _arch_doc(path, capsys, samples=40000)
 
     radius = _truncation_radius(squashed.min_eigenvalue, DEFAULT_THETA_TOL)
     assert radius == 53

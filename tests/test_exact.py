@@ -20,6 +20,7 @@ from g2inv.exact import (
     MAX_RATIONAL_DIGITS,
     as_positive,
     as_rational,
+    exceeds_digit_bound,
     inverse,
     rational_function_field,
     sign_known_nonnegative,
@@ -50,6 +51,21 @@ def test_rational_text_is_bounded():
         with pytest.raises(ValueError, match=f"spells more than {MAX_RATIONAL_DIGITS} digits") as info:
             as_rational(bad)
         assert str(info.value).startswith(repr(bad)[:5])  # reprlib keeps the head
+
+
+def test_digit_bound_applies_the_text_rule_to_values():
+    """A Fraction is within the bound while its text p/q spells at most
+    MAX_RATIONAL_DIGITS characters, as text is in `as_rational`, and past
+    it also far beyond Python's 4300-digit print limit; field elements
+    are never past it."""
+    _, a = rational_function_field("a")
+    widest = Fraction(1, int("7" * 698))
+    assert len(str(widest)) == MAX_RATIONAL_DIGITS
+    assert not exceeds_digit_bound(widest)
+    assert not exceeds_digit_bound(Fraction(10**345, 10**345 + 1))
+    assert not exceeds_digit_bound(a)
+    for past in (Fraction(1, int("7" * 699)), Fraction(10**5000 + 1, 3)):
+        assert exceeds_digit_bound(past)
 
 
 def test_as_positive():

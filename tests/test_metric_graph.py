@@ -246,6 +246,21 @@ def test_smooth_reuses_input_ids_only():
     }
 
 
+def test_smooth_bounds_the_digits_of_a_merged_length():
+    """Two accepted lengths 1/(10^600 + k) sum to a 1200-digit denominator:
+    `smooth` refuses the merged length, naming the chain's edge, where a
+    report on it would fail to print."""
+    g = PMGraph(
+        [("u", 1), ("m", 0), ("v", 1)],
+        [("e", "u", "m", Fraction(1, 10**600 + 1)), ("f", "m", "v", Fraction(1, 10**600 + 3))],
+    )
+    with pytest.raises(ValueError, match="^the merged length of edge 'e' spells more than 700 digits$"):
+        smooth(g)
+    pieces = Fraction(1, 10**200 + 1), Fraction(1, 10**200 + 3)  # 603 digits together
+    near = PMGraph([("u", 1), ("m", 0), ("v", 1)], [("e", "u", "m", pieces[0]), ("f", "m", "v", pieces[1])])
+    assert smooth(near).edge_length("e") == sum(pieces)
+
+
 def test_poly_laplacian_inverts_solve(rng):
     # the Laplacian of a solution, read off its coefficients in the sign
     # convention of `oracles`, is the source: -f'' = -2 c2 on each edge,

@@ -100,6 +100,11 @@ EVEN_CHARS = [(a, b) for a, b in ALL_CHARS if 4 * (a[0] * b[0] + a[1] * b[1]) % 
 ODD_CHARS = [c for c in ALL_CHARS if c not in EVEN_CHARS]
 
 
+# the 16 half periods (a1, a2, b1, b2) as floats, in the order of
+# itertools.product: the order of the kernel's translates
+HALVES = np.array(list(itertools.product((0.0, 0.5), repeat=4)))
+
+
 def char_name(char) -> str:
     """A characteristic as `log_delta2` prints it, such as [1/2 0; 0 1/2]."""
     (a1, a2), (b1, b2) = char
@@ -444,9 +449,18 @@ def test_log_h_known_mean_integrand():
     assert abs(lattice.value - 1.0) < 1e-3
 
 
+def whole_cosets(n_samples: int) -> list[int]:
+    """Each substream's base point count: its share of n_samples, which
+    differ by at most one, rounded up to whole cosets of 16."""
+    per_stream, extra = divmod(n_samples, 8)
+    return [-(-(per_stream + (index < extra)) // 16) for index in range(8)]
+
+
 @pytest.mark.parametrize("method", ["monte-carlo", "lattice-rule"])
 @pytest.mark.parametrize("n_samples", [10000, 10007, 8 * 4096 + 5])
 def test_log_h_sums_exactly_n_samples(method, n_samples):
+    """Exactly n_samples evaluations, each substream's share rounded up to
+    whole cosets of 16: 10000 gives 8 x 79 x 16 = 10112."""
     seen = []
 
     def count(u, v):
@@ -454,16 +468,20 @@ def test_log_h_sums_exactly_n_samples(method, n_samples):
         return np.ones(len(u))
 
     log_h(GENERIC_TAU, QuadratureConfig(n_samples=n_samples, seed=2, method=method), _integrand=count)
-    assert sum(seen) == n_samples
+    assert sum(seen) == 16 * sum(whole_cosets(n_samples))
+    assert all(size % 16 == 0 for size in seen)
 
 
 @pytest.mark.parametrize("method", ["monte-carlo", "lattice-rule"])
 @pytest.mark.parametrize("n_samples", [10007, 8 * 4096 + 5])
 def test_log_h_points_match_whole_substream_formulas(method, n_samples):
     """The (u, v) chunks `log_h` hands its integrand, bit for bit, against
-    each substream's points drawn at once: one random((count, 4)) call for
-    monte-carlo, frac(offset + k K) for k = 1 .. count for the lattice rule.
-    Chunks hold 4096 points, the last of each substream the rest, so the
+    each substream's base points drawn at once and halved: one
+    random((count, 4)) call for monte-carlo, frac(offset + k K) for k = 1
+    .. count for the lattice rule, count the substream's whole cosets.
+    Chunks hold 1024 base points, the last of each substream the rest, and
+    each reaches the integrand as its 16 half-period translates
+    (u + a, v + b), (a, b) in the order of itertools.product, so the
     summation order is fixed too."""
     seed = 5
     blocks = []
@@ -476,19 +494,35 @@ def test_log_h_points_match_whole_substream_formulas(method, n_samples):
     log_h(GENERIC_TAU, config, _integrand=capture)
 
     kronecker = np.array([math.sqrt(2) - 1, math.sqrt(3) - 1, math.sqrt(5) - 2, math.sqrt(7) - 2])
-    per_stream, extra = divmod(n_samples, 8)
-    want, sizes = [], []
-    for index, child in enumerate(np.random.SeedSequence(seed).spawn(8)):
-        count = per_stream + (index < extra)
+    want = []
+    children = np.random.SeedSequence(seed).spawn(8)
+    for child, count in zip(children, whole_cosets(n_samples)):
         rng = np.random.default_rng(child)
         if method == "monte-carlo":
-            want.append(rng.random((count, 4)))
+            base = rng.random((count, 4))
         else:
             steps = np.arange(1, count + 1, dtype=float)
-            want.append(np.mod(rng.random(4)[:, None] + kronecker[:, None] * steps, 1.0).T)
-        sizes += [min(4096, count - start) for start in range(0, count, 4096)]
-    assert [len(block) for block in blocks] == sizes
+            base = np.mod(rng.random(4)[:, None] + kronecker[:, None] * steps, 1.0).T
+        for start in range(0, count, 1024):
+            chunk = base[start : start + 1024] / 2
+            want.append((chunk[None] + HALVES[:, None]).reshape(-1, 4))
+    assert [len(block) for block in blocks] == [len(block) for block in want]
     assert np.array_equal(np.concatenate(blocks), np.concatenate(want))
+
+
+@pytest.mark.parametrize("method", ["monte-carlo", "lattice-rule"])
+def test_log_h_averages_whole_cosets(method):
+    """The indicator of u in [0, 1/2)^2 holds at exactly 4 of the 16
+    translates of every base point, so over whole cosets its mean is 1/4
+    with no error at all; a partial coset would move it."""
+    config = QuadratureConfig(n_samples=10007, seed=8, method=method)
+
+    def quarter(u, v):
+        return np.all(u < 0.5, axis=1).astype(float)
+
+    result = log_h(GENERIC_TAU, config, _integrand=quarter)
+    assert result.value == 0.25
+    assert result.stderr == 0.0
 
 
 @pytest.mark.parametrize("method", ["monte-carlo", "lattice-rule"])
@@ -515,32 +549,61 @@ def test_log_h_kernel_matches_lattice_sum_through_quadrature(method):
         assert got.rejected == want.rejected
 
 
+HEXAGONAL_TAU = SiegelMatrix(0.5 * np.eye(2) + 1j * math.sqrt(3) / 2 * np.array([[1, 0.5], [0.5, 1]]))
+
+
+def kernel_translates(tau: SiegelMatrix, u: np.ndarray, v: np.ndarray):
+    """The kernel's (16, B) values at the base points (u, v), and the
+    (16 B, 2) arrays of their translates (u + a, v + b) in its order."""
+    points = (np.hstack([u, v])[None] + HALVES[:, None]).reshape(-1, 4)
+    return _theta_kernel(tau)(u, v), points[:, :2], points[:, 2:]
+
+
 def test_kernel_matches_pointwise_theta_norm(rng):
     """The torus-average kernel against `lattice_sum_norms`, whose plain
     lattice sum shares none of its factoring or recurrence, point by
-    point: an error of 1e-6 per point hides inside the Monte Carlo spread
-    but not here."""
+    point at all 16 half-period translates of each base point: an error
+    of 1e-6 per point hides inside the Monte Carlo spread but not here."""
     taus = [siegel_reduce(random_tau(rng)) for _ in range(20)]
-    taus.append(SiegelMatrix(np.array([[0.1 + 1.2j, 0.3 + 0.4j], [0.3 + 0.4j, -0.2 + 300j]])))
+    taus.append(siegel_reduce(GENERIC_TAU))
+    taus.append(_tall_tau(120))  # Y22 near the far end of the kept range
     taus.append(_stretched_tau(64))  # the moduli span a wide kept range
-    taus.append(_stretched_tau(200))  # and near its far end, kept since the 2r-row box
+    taus.append(_stretched_tau(120))  # and near its far end
     # the hexagonal corner of the fundamental domain: lambda_min = sqrt(3)/4,
     # the least of any reduced tau, where the radius is largest (5)
-    taus.append(SiegelMatrix(0.5 * np.eye(2) + 1j * math.sqrt(3) / 2 * np.array([[1, 0.5], [0.5, 1]])))
+    taus.append(HEXAGONAL_TAU)
     # unreduced, so the row recurrences run over 16 and 20 rows (radius 8 and 10)
     taus.append(SiegelMatrix([[0.3 + 0.2j, 0.1 + 0.05j], [0.1 + 0.05j, 0.2 + 0.3j]]))
     taus.append(SiegelMatrix([[0.45 + 0.12j, -0.5 + 0.03j], [-0.5 + 0.03j, 0.1 + 0.5j]]))
-    edges = (0.0, 0.5, 1 - 1e-9)
+    edges = (0.0, 0.25, 0.5 - 1e-9)
     for index, tau in enumerate(taus):
-        points = np.random.default_rng(index).random((256, 4))
+        points = np.random.default_rng(index).random((64, 4)) / 2
         points[:9, :2] = list(itertools.product(edges, edges))
-        u, v = points[:, :2], points[:, 2:]
-        got = _theta_kernel(tau)(u, v)
+        got, u, v = kernel_translates(tau, points[:, :2], points[:, 2:])
         norms = lattice_sum_norms(tau.matrix)(u, v)
         with np.errstate(divide="ignore"):
             want = np.where(norms < np.finfo(float).eps, np.nan, np.log(norms))
-        assert np.array_equal(np.isnan(got), np.isnan(want))
-        assert np.nanmax(np.abs(got - want)) < 1e-10
+        assert np.array_equal(np.isnan(got.ravel()), np.isnan(want))
+        assert np.nanmax(np.abs(got.ravel() - want)) < 1e-10
+
+
+def test_kernel_at_the_origin_gives_the_theta_nulls(rng):
+    """The 16 translates of the base point 0 are the points tau a + b, where
+    ||theta|| = (det Y)^(1/4) |theta[a,b](0)|: the even ones match the
+    stacked null sum.  The box sum of an odd null is minus the mass the
+    box omits, so it stays within the tail bound DEFAULT_THETA_TOL at any
+    tau, and below machine epsilon, rejected (NaN), where Y is diagonal."""
+    odd = 4 * (HALVES[:, 0] * HALVES[:, 2] + HALVES[:, 1] * HALVES[:, 3]) % 2 == 1
+    assert odd.sum() == 6
+    origin = np.zeros((1, 2))
+    for tau in (siegel_reduce(GENERIC_TAU), HEXAGONAL_TAU):
+        got = _theta_kernel(tau)(origin, origin)[:, 0]
+        nulls = stacked_nulls(_EVEN_A, _EVEN_B, tau)
+        assert np.allclose(got[~odd], np.log(tau.det_y**0.25 * np.abs(nulls)), rtol=0, atol=1e-12)
+    assert np.all(np.isnan(_theta_kernel(IDENTITY_TAU)(origin, origin)[odd]))
+    for tau in [siegel_reduce(GENERIC_TAU), HEXAGONAL_TAU] + [siegel_reduce(random_tau(rng)) for _ in range(50)]:
+        got = _theta_kernel(tau)(origin, origin)[odd, 0]
+        assert np.all(np.nan_to_num(np.exp(got)) <= tau.det_y**0.25 * DEFAULT_THETA_TOL)
 
 
 @PROPERTY_SETTINGS
@@ -589,19 +652,30 @@ def _stretched_tau(scale: float) -> SiegelMatrix:
     return SiegelMatrix(0.05 + 1j * scale * np.array([[1, 0.48], [0.48, 1.1]]))
 
 
+def _tall_tau(y22: float) -> SiegelMatrix:
+    """A reduced tau at radius 3 whose Y22 alone grows."""
+    return SiegelMatrix(np.array([[0.1 + 1.2j, 0.3 + 0.4j], [0.3 + 0.4j, -0.2 + 1j * y22]]))
+
+
 def test_log_h_float_range_is_kept_and_refused_cleanly():
-    """A reduced tau this stretched is refused by `log_delta2` long before;
-    a direct `log_h` keeps its range up to s of about 235, where the
-    exponent 2 pi Y12 of the anchor exp(f(-1)) (2 pi 0.48 s at u near 1)
-    passes the float limit 709.78, and past it raises
-    QuadratureUnstableError without a numpy warning."""
+    """Reduced taus this stretched or this tall are refused by `log_delta2`
+    long before (an even null falls below 1e-8 from Y22 of about 24 on);
+    a direct `log_h` keeps its range up to about 128.6 in s or 128.4 in
+    Y22 at this config, and past it raises QuadratureUnstableError
+    without a numpy warning.  The stretched tau ends where the largest
+    product C'_ab A1 A2 of the kernel, the term nearest the origin of the
+    translate a = (1/2, 1/2) over its modulus exp(-2 pi (a'Yu + Y12 u1
+    u2)), about exp(5.56 s) at u near (1/2, 1/2), passes the float limit
+    709.78; the tall one where the entries of C'_ab at n2 = -2 for a2 =
+    1/2, about exp(2 pi (7/8) Y22), pass it."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for method in ("monte-carlo", "lattice-rule"):
             config = QuadratureConfig(n_samples=20000, seed=0, method=method, target_stderr=10)
-            assert math.isfinite(log_h(_stretched_tau(64), config).value)
-            with pytest.raises(QuadratureUnstableError):
-                log_h(_stretched_tau(240), config)
+            for kept, refused in ((_stretched_tau(128), _stretched_tau(130)), (_tall_tau(128), _tall_tau(130))):
+                assert math.isfinite(log_h(kept, config).value)
+                with pytest.raises(QuadratureUnstableError):
+                    log_h(refused, config)
 
 
 @pytest.mark.parametrize("method", ["monte-carlo", "lattice-rule"])
