@@ -33,9 +33,10 @@ Numerical conventions:
   is uniform on the torus.  Per batch of base points the lattice sum over
   the box n in [-r, r-1]^2, m = n + u + a, which the tail bound covers at
   any shift in [0,1)^2 (`_truncation_radius`), factors into two
-  per-sample rows of 1-D terms, built once for all 16 translates, and one
-  fixed 16r x 2r stack of the matrices C'_ab, which hold the Gaussian
-  factors and the translates: one matmul gives all 16 sums.
+  per-sample rows of 1-D terms, built at the two shifts u_i and u_i + 1/2
+  of each axis once for all 16 translates, and one fixed stack of the
+  matrices C'_ab, which hold the Gaussian factors and the sign of b: one
+  batched matmul gives all 16 sums.
   Each row walks from two anchor terms (n = 0 and n = -1) by their step
   ratios, one multiply per row.
   Only |sum| enters the norm, so each anchor is the real exponential of
@@ -44,11 +45,14 @@ Numerical conventions:
   1024-entry table of exp(2 pi i j / 1024) turned by short polynomials
   of the remainder angle (absolute error about 2.2e-16, where np.cos
   reaches 4.3e-14 at 64 turns), and a row's four anchor exponents take
-  one np.exp call: a base point costs 2 table phases, no trigonometric
-  call and 12 real exponentials at any radius, for 16 evaluations.  On a
-  reduced tau that `log_delta2` accepts every factor stays in
+  one np.exp call: a base point costs 4 table phases (each axis at its
+  two shifts), no trigonometric call and 20 real exponentials at any
+  radius, for 16 evaluations.  On a reduced tau every factor stays in
   floating-point range; a sum that leaves it is an error, never a
-  rejected sample.  The spread of 8 substreams gives the standard error.
+  rejected sample.  The mean subtracts a control variate, the
+  piecewise quadratic -pi s'Ys (s = u minus its nearest integer point,
+  so the log of the largest lattice term), whose exact mean is known, and
+  the spread of 8 substreams gives the standard error.
   Fixed (seed, N, method) give bit-identical results regardless of
   worker count.
 """
@@ -57,6 +61,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
@@ -140,6 +145,7 @@ _HALVES.setflags(write=False)
 _EVEN = (_HALVES[:, 0] * _HALVES[:, 2] + _HALVES[:, 1] * _HALVES[:, 3]) * 4 % 2 == 0
 _EVEN_A = _HALVES[_EVEN, :2]
 _EVEN_B = _HALVES[_EVEN, 2:]
+_HALF_SHIFTS = np.array([[0.0], [0.5]])  # a_i = 0 and 1/2 as a column
 
 
 def _truncation_radius(lambda_min: float, tol: float) -> int:
@@ -371,7 +377,7 @@ def _unit_phase(turns: np.ndarray) -> np.ndarray:
     theta -= k
     theta *= 2 * math.pi / _UNIT_CELLS
     theta2 = theta * theta
-    rotation = np.empty(len(theta), dtype=complex)
+    rotation = np.empty(theta.shape, dtype=complex)
     cos, sin = rotation.real, rotation.imag
     np.multiply(theta2, 1 / 24, out=cos)
     cos -= 0.5
@@ -389,11 +395,14 @@ def _unit_phase(turns: np.ndarray) -> np.ndarray:
     return phase
 
 
-def _gaussian_rows(radius: int, t: complex, t12: complex, w: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _gaussian_rows(radius: int, t, t12: complex, w: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rows exp(f(n) - 2 pi i t T(n) - i Im f(0)) for n = -radius ..
     radius-1, one contiguous row per n, where per sample f(n) = pi i t (n+u)^2
     + 2 pi i c n + 2 pi i (n+u) v with c = t12 w, and T(n) = j(j-1)/2 with
-    j = n for n >= 0 and j = -1-n below.
+    j = n for n >= 0 and j = -1-n below.  t, w, u and v broadcast to u's
+    shape, samples last (the kernel passes both axes at both shifts at
+    once: t as (2, 1, 1), u as (2, 2, B)), and the rows come back with 2
+    radius rows inserted before the samples, (2, 2, 2 radius, B) there.
 
     f has second difference 2 pi i t, so with q = exp(2 pi i t) the ratios
     G_n = exp(f(n+1) - f(n)) obey G_{n+1} = G_n q, and downward
@@ -407,9 +416,9 @@ def _gaussian_rows(radius: int, t: complex, t12: complex, w: np.ndarray, u: np.n
     H_{-1}.  g comes from `_unit_phase` of its angle in turns,
     Re t u + Re c + v + Re t / 2, and the four real parts
         -pi y u^2,  2 pi Im c - pi y (u-1)^2,  -p - pi y,  p - 3 pi y
-    (y = Im t, p = 2 pi y u + 2 pi Im c) fill one (4, B) block that takes
-    one np.exp call: a row costs one table phase and four real
-    exponentials, whatever the radius.  Each anchor keeps its own
+    (y = Im t, p = 2 pi y u + 2 pi Im c) fill one block of 4 times u's
+    shape that takes one np.exp call: a row costs one table phase and
+    four real exponentials, whatever the radius.  Each anchor keeps its own
     exponent, so an anchor that underflows to 0 is never the product of
     an underflow and an overflow (0 * inf = NaN).  With Y reduced G_0 and
     H_{-1} have modulus at most one apart from the bounded c term; row n
@@ -417,13 +426,11 @@ def _gaussian_rows(radius: int, t: complex, t12: complex, w: np.ndarray, u: np.n
     """
     pi, x, y = math.pi, t.real, t.imag
     lift = w * (2 * pi * t12.imag)  # 2 pi Im c
-    turns = w * t12.real
-    turns += v
-    turns += x * u
-    turns += x / 2
+    turns = u * x
+    turns += w * t12.real + v + x / 2
     up = _unit_phase(turns)
 
-    anchors = np.empty((4, len(u)))
+    anchors = np.empty((4,) + u.shape)
     at_zero, at_minus_one, up_ratio, down_ratio = anchors
     np.multiply(u, u, out=at_zero)
     at_zero *= -pi * y
@@ -437,11 +444,11 @@ def _gaussian_rows(radius: int, t: complex, t12: complex, w: np.ndarray, u: np.n
     np.subtract(p, 3 * pi * y, out=down_ratio)
     np.exp(anchors, out=anchors)
 
-    rows = np.empty((2 * radius, len(u)), dtype=complex)
+    rows = np.empty(u.shape[:-1] + (2 * radius, u.shape[-1]), dtype=complex)
     mid = radius  # the row of n = 0
-    rows[mid] = at_zero
+    rows[..., mid, :] = at_zero
     turn = np.exp(2j * pi * x)
-    low = rows[mid - 1]
+    low = rows[..., mid - 1, :]
     np.conjugate(up, out=low)
     low *= turn
     down = low * turn
@@ -449,9 +456,9 @@ def _gaussian_rows(radius: int, t: complex, t12: complex, w: np.ndarray, u: np.n
     up *= up_ratio
     down *= down_ratio
     for k in range(mid + 1, 2 * radius):
-        np.multiply(rows[k - 1], up, out=rows[k])
+        np.multiply(rows[..., k - 1, :], up, out=rows[..., k, :])
     for k in range(mid - 2, -1, -1):
-        np.multiply(rows[k + 1], down, out=rows[k])
+        np.multiply(rows[..., k + 1, :], down, out=rows[..., k, :])
     return rows
 
 
@@ -469,79 +476,91 @@ def _theta_kernel(tau: SiegelMatrix) -> Callable[[np.ndarray, np.ndarray], np.nd
         A1[n1, b] = exp(pi i tau11 (m1^2 - 2 T(n1)) + 2 pi i (tau12 n1 u2 + m1 v1))
     (A2 likewise, T as in `_gaussian_rows`) and the unsymmetric C'[n2, n1]
     = exp(2 pi i (tau12 n1 n2 + tau22 T(n2) + tau11 T(n1))).  At the
-    translate by (a, b), m = n + u + a, the same rows A1, A2 of the base
-    point give the sum as
-        exp(-2 pi a'Yu) |colsum(C'_ab A1 * A2) exp(2 pi i tau12 u1 u2)|,
-        C'_ab[n2, n1] = C'[n2, n1] exp(2 pi i a' tau (n + a/2)) (-1)^(2 b'n),
-    and no sample enters C'_ab.  It is computed here once per tau, as 8
-    blocks (a, b1) stacked into one 16r x 2r matrix, each block from its
-    own summed exponent, so no entry is the product of an underflow and an
-    overflow.  Per batch the kernel builds the rows once (`_gaussian_rows`:
-    2 table phases and 8 real exponentials per base point, whatever the
-    radius), forms the stack times A1 in one matmul and scales it by A2 in
+    translate by (a, b), m = n + u + a, A1 is built at u1 + a1 and A2 at
+    u2 + a2, each with the other axis's base coordinate in its cross term,
+    so each axis has rows at two shifts, a_i = 0 and 1/2.  The rest of the
+    cross term and the sign of b are sample-free and go into
+        C'_ab[n2, n1] = exp(2 pi i (tau12 (n1 n2 + a2 n1 + a1 n2)
+                        + tau22 T(n2) + tau11 T(n1))) (-1)^(2 b1 n1),
+    which leaves the modulus exp(-2 pi Y12 (u1 + a1)(u2 + a2)) per sample.
+    C'_ab is computed here once per tau, as 8 blocks (a, b1) stacked by a1
+    into two 8r x 2r matrices, each block from its own summed exponent, so
+    no entry is the product of an underflow and an overflow.  Per batch
+    the kernel builds the rows at both shifts (`_gaussian_rows`: 4 table
+    phases and 16 real exponentials per base point, whatever the radius),
+    forms the stack times A1 in one batched matmul and scales it by A2 in
     place.  Rows 2j and 2j+1 have n2 of opposite parity, so the n2 sums P
     and Q over each parity give b2 = 0 as |P + Q| and b2 = 1/2 as |P - Q|.
-    The 4 moduli exp(-2 pi (a'Yu + Y12 u1 u2)) take one np.exp call.
-    The shift a' tau n grows C'_ab by up to exp(pi Y_jj r) where the rows
-    decay, and each product C'_ab A1 A2 is its term over those moduli:
-    on every reduced tau that `log_delta2` accepts (Y22 below about 24)
-    every factor stays in floating-point range.  A far taller or more
-    stretched Y leaves it, from Y22 or a common scale of about 128 on
-    (`test_log_h_float_range_is_kept_and_refused_cleanly` measures both),
-    and a sum that leaves it raises QuadratureUnstableError.  Returns NaN where ||theta|| is below machine
-    epsilon (points straddling the theta divisor); callers count those as
-    rejected.
+    The 4 moduli take one np.exp call.  Every row is the one a single
+    point u + a in [0, 1)^2 would build, and |C'_ab| grows with the cross
+    term only, as |C'| does: on a reduced tau every factor stays in
+    floating-point range, and a direct `log_h` keeps it up to a common
+    scale of Y of about 236 (`test_log_h_float_range_is_kept_and_refused_cleanly`).
+    A sum that leaves it raises QuadratureUnstableError.  Returns NaN
+    where ||theta|| is below machine epsilon (points straddling the theta
+    divisor); callers count those as rejected.
     """
     radius = _truncation_radius(tau.min_eigenvalue, DEFAULT_THETA_TOL)
     n = np.arange(-radius, radius, dtype=float)
     tri = np.where(n < 0, (n + 1) * (n + 2), n * (n - 1)) / 2  # T(n)
-    cross = np.outer(n, n)
     blocks = _HALVES[::2]  # (a1, a2, b1) in order, b2 = 0
     a1, a2, b1 = (blocks[:, k, None, None] for k in range(3))
-    h1, h2 = n + a1 / 2, n[:, None] + a2 / 2  # columns n1, rows n2
+    cross = (n + a1) * (n[:, None] + a2) - a1 * a2  # n1 n2 + a2 n1 + a1 n2, columns n1
 
     def exponent(t: np.ndarray) -> np.ndarray:
-        """t12 n1 n2 + t22 T(n2) + t11 T(n1) + a't(n + a/2) for real t."""
+        """t12 (n1 n2 + a2 n1 + a1 n2) + t22 T(n2) + t11 T(n1) for real t."""
         (t11, t12), (_, t22) = t
-        return (
-            t12 * cross + t22 * tri[:, None] + t11 * tri
-            + a1 * (t11 * h1 + t12 * h2) + a2 * (t12 * h1 + t22 * h2)
-        )
+        return t12 * cross + t22 * tri[:, None] + t11 * tri
 
-    y = tau.matrix.imag
     with np.errstate(over="ignore", invalid="ignore"):
         # real and imaginary exponents apart: at Y near 1e308 a complex product meets inf * 0 = NaN
         im_exp = exponent(tau.matrix.real) + b1 * n
-        stack = np.exp(-2 * math.pi * exponent(y) + 2j * math.pi * im_exp).reshape(-1, 2 * radius)
-    shift_y = _HALVES[::4, :2] @ y  # the rows a'Y of the 4 a, in order
+        stack = np.exp(-2 * math.pi * exponent(tau.matrix.imag) + 2j * math.pi * im_exp)
+    stack = stack.reshape(2, 8 * radius, 2 * radius)  # the blocks of a1 = 0 and a1 = 1/2
+    shifts = _HALVES[::4, :2, None]  # the 4 a, in order
     (t11, t12), (_, t22) = tau.matrix
+    diagonal = np.array([t11, t22])[:, None, None]  # the axes' tau_jj
+    # each thread keeps one product block, sized for its largest batch and
+    # reused: a fresh 1 MB block per batch made the allocator hand its
+    # pages back and fetch them again, about a third of `log_h`'s time
+    products = threading.local()
 
     def log_norms(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        (u1, u2), (v1, v2) = u.T, v.T  # contiguous rows when log_h passes its layout
+        u1, u2 = u.T  # contiguous rows when log_h passes its layout
+        size = len(u1)
+        block = getattr(products, "block", None)
+        if block is None or len(block) < 16 * radius * size:
+            block = products.block = np.empty(16 * radius * size, dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
-            rows1 = _gaussian_rows(radius, t11, t12, u2, u1, v1)
-            rows2 = _gaussian_rows(radius, t22, t12, u1, u2, v2)
-            ca = (stack @ rows1).reshape(8, 2 * radius, -1)
-            ca *= rows2
+            # both axes in one call, each at its base coordinate plus 0 and 1/2
+            rows1, rows2 = _gaussian_rows(
+                radius, diagonal, t12, u.T[::-1, None], u.T[:, None] + _HALF_SHIFTS, v.T[:, None]
+            )
+            ca = np.matmul(stack, rows1, out=block[: 16 * radius * size].reshape(2, 8 * radius, size))
+            ca = ca.reshape(2, 2, 2, 2 * radius, size)
+            ca *= rows2[:, None]
+            del rows1, rows2  # free the rows before the sums below allocate
             # rows 2j and 2j+1 have n2 of opposite parity
-            pq = ca.reshape(8, radius, 2, -1).sum(axis=1)
+            pq = ca.reshape(8, radius, 2, size).sum(axis=1)
             p, q = pq[:, 0], pq[:, 1]
-            s = np.empty((8, 2, len(u1)))
+            s = np.empty((8, 2, size))
             np.abs(p + q, out=s[:, 0])
             np.abs(p - q, out=s[:, 1])
-            moduli = shift_y @ u.T
-            moduli += t12.imag * (u1 * u2)
-            moduli *= -2 * math.pi
+            moduli = (u1 + shifts[:, 0]) * (u2 + shifts[:, 1])
+            moduli *= -2 * math.pi * t12.imag
             np.exp(moduli, out=moduli)
-            s = s.reshape(4, 4, -1)
+            s = s.reshape(4, 4, size)
             s *= moduli[:, None]
         if not np.all(np.isfinite(s)):
             raise QuadratureUnstableError(
                 f"theta lattice sum overflowed at {tau!r} (radius {radius})"
             )
-        norms = tau.det_y**0.25 * s.reshape(16, -1)
+        norms = s.reshape(16, size)
+        norms *= tau.det_y**0.25
         with np.errstate(divide="ignore"):
-            return np.where(norms < np.finfo(float).eps, np.nan, np.log(norms))
+            logs = np.log(norms)
+        logs[norms < np.finfo(float).eps] = np.nan
+        return logs
 
     return log_norms
 
@@ -595,15 +614,29 @@ def log_h(
     [0, 1/2)^4 with their 16 half-period translates (`_theta_kernel`), so
     together they hold n_samples rounded up to whole cosets.  A coset is
     uniform on the torus where one translate alone is uniform on its own
-    sub-box only, so a partial coset would bias the mean.  The estimate is
-    the mean of substream means and the standard error their sample
-    spread.  Each substream generates its base points one chunk of _CHUNK
-    at a time (`_substream_chunks`) and sums each chunk as it is made, so
-    no substream's points are ever held at once.  `workers` threads share
+    sub-box only, so a partial coset would bias the mean.
+
+    The mean carries a control variate: g(u) = -pi s'Ys with s = u -
+    floor(u + 1/2) in [-1/2, 1/2)^2, whose exact mean over the torus is
+    -pi (Y11 + Y22) / 12 (E s_i^2 = 1/12, E s1 s2 = 0).  It is the log of
+    the largest lattice term up to the constant (det Y)^(1/4), so it
+    follows log||theta|| closely once Y is large, where most of the
+    spread comes from it.  Per coset, F sums log||theta|| over its kept
+    translates and G sums g - E g over the same ones; beta is the least
+    squares slope of F on G over all cosets of all substreams, and a
+    substream's mean is (sum F - beta sum G) / kept.  The estimate is the
+    mean of substream means and the standard error their sample spread.
+    For a fixed beta the estimate is unbiased, and fitting beta from the
+    same cosets adds a bias of order 1/N.
+
+    Each substream generates its base points one chunk of _CHUNK at a time
+    (`_substream_chunks`) and sums each chunk as it is made, so no
+    substream's points are ever held at once.  `workers` threads share
     the substreams; it must be an int of at least 1 (ValueError).  The
     _integrand hook substitutes a different function of (u, v) batches,
     called on each chunk's translates in the kernel's order
-    (`_translates`), and exists for self-tests of the quadrature layer.
+    (`_translates`), and exists for self-tests of the quadrature layer;
+    the control variate applies to it as well.
     """
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise ValueError(f"workers must be an integer of at least 1, got {workers!r}")
@@ -622,20 +655,31 @@ def log_h(
 
     per_stream, extra = divmod(config.n_samples, SUBSTREAMS)
     children = np.random.SeedSequence(config.seed).spawn(SUBSTREAMS)
+    (y11, y12), (_, y22) = tau.matrix.imag
+    control_mean = -math.pi * (y11 + y22) / 12
 
-    def run_substream(index: int) -> tuple[float, int, int]:
+    def run_substream(index: int) -> tuple[np.ndarray, int]:
         cosets = -(-(per_stream + (index < extra)) // len(_HALVES))
-        total = 0.0
-        kept = 0
+        sums = np.zeros(6)  # cosets, kept, and the sums of F, G, F G and G^2
         rejected = 0
         for u, v in _substream_chunks(config.method, children[index], cosets):
-            vals = evaluate(u, v)
-            bad = int(np.count_nonzero(np.isnan(vals)))
-            rejected += bad
-            kept += len(vals) - bad
-            total += float(np.nansum(vals))
-        mean = total / kept if kept else math.nan
-        return mean, kept, rejected
+            vals = evaluate(u, v).reshape(len(_HALVES), -1)
+            # s of the translate u + a is u - a, for a_i = 0 and 1/2
+            s1, s2 = u[:, 0] - _HALF_SHIFTS, u[:, 1] - _HALF_SHIFTS
+            g = (y11 * s1 * s1)[:, None] + (2 * y12 * s1)[:, None] * s2 + y22 * s2 * s2
+            g *= -math.pi
+            g -= control_mean
+            g = g.reshape(len(_HALVES) // 4, -1)  # the 4 a in order, each with 4 b
+            g_sum = 4 * g.sum(axis=0)
+            bad = np.isnan(vals)
+            lost = int(np.count_nonzero(bad))
+            if lost:
+                g_sum -= (bad.reshape(len(g), 4, -1).sum(axis=1) * g).sum(axis=0)
+                vals = np.where(bad, 0.0, vals)
+            f_sum = vals.sum(axis=0)
+            rejected += lost
+            sums += (len(u), vals.size - lost, f_sum.sum(), g_sum.sum(), (f_sum * g_sum).sum(), (g_sum * g_sum).sum())
+        return sums, rejected
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -643,8 +687,15 @@ def log_h(
     else:
         results = [run_substream(j) for j in range(SUBSTREAMS)]
 
-    means = np.array([r[0] for r in results])
-    rejected = sum(r[2] for r in results)
+    sums = np.array([r[0] for r in results])
+    rejected = sum(r[1] for r in results)
+    cosets, _, f_total, g_total, fg, gg = sums.sum(axis=0)
+    covariance = fg - f_total / cosets * g_total
+    variance = gg - g_total / cosets * g_total
+    beta = covariance / variance if math.isfinite(covariance) and 0 < variance < math.inf else 0.0
+    kept, f_sums, g_sums = sums[:, 1], sums[:, 2], sums[:, 3]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        means = (f_sums - beta * g_sums) / kept
     if not np.all(np.isfinite(means)):
         raise QuadratureUnstableError(
             "a quadrature substream lost every sample to the theta divisor"
@@ -654,7 +705,7 @@ def log_h(
     if stderr > 10 * config.target_stderr:
         raise QuadratureUnstableError(
             f"standard error {stderr:.3e} exceeds 10x target "
-            f"{config.target_stderr:.3e} after {config.n_samples} samples"
+            f"{config.target_stderr:.3e} after {len(_HALVES) * int(cosets)} samples"
         )
     return QuadratureResult(value, stderr, rejected)
 

@@ -532,15 +532,12 @@ def _within(a, a_err, b, b_err):
 
 def test_arch_on_squashed_tau(tmp_path, capsys):
     """A tau that needs truncation radius 53 where it stands: `arch`
-    reduces it first and must agree with sums taken at the tau itself.
-    Its reduced Y is large enough that the monte-carlo stderr at 10^4
-    samples sits at the 10x-target refusal (median 0.009 over seeds, a
-    third of them past 0.01), so it runs at 4 x 10^4."""
+    reduces it first and must agree with sums taken at the tau itself."""
     t = np.array([[0.3 + 0.004j, 0.2 + 0.001j], [0.2 + 0.001j, 0.1 + 3j]])
     squashed = SiegelMatrix(t)
     path = tmp_path / "squashed.json"
     save_tau(str(path), squashed)
-    doc = _arch_doc(path, capsys, samples=40000)
+    doc = _arch_doc(path, capsys)
 
     radius = _truncation_radius(squashed.min_eigenvalue, DEFAULT_THETA_TOL)
     assert radius == 53
