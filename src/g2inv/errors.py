@@ -6,10 +6,12 @@ class G2Error(Exception):
     ValueError, which only `InvalidParamsError` of these also is."""
 
 
-# -- graph invariants -------------------------------------------------------
+# -- cross-checks -----------------------------------------------------------
 
 class FormulaMismatchError(G2Error):
-    """Two independent formulas for the same invariant disagree."""
+    """Two independent formulas for the same invariant disagree (the graph
+    invariants against their closed forms, or the two routes of
+    `log_delta2`), or a reduction loop of `siegel_reduce` did not finish."""
 
 
 # -- fiber types ------------------------------------------------------------

@@ -41,13 +41,12 @@ Numerical conventions:
   ratios, one multiply per row.
   Only |sum| enters the norm, so each anchor is the real exponential of
   its real part (its modulus, so the float range is kept) times a phase
-  derived from one unit phase per row.  The unit phase is a lookup in a
-  1024-entry table of exp(2 pi i j / 1024) turned by short polynomials
-  of the remainder angle (absolute error about 2.2e-16, where np.cos
-  reaches 4.3e-14 at 64 turns), and a row's four anchor exponents take
-  one np.exp call: a base point costs 4 table phases (each axis at its
-  two shifts), no trigonometric call and 20 real exponentials at any
-  radius, for 16 evaluations.  On a reduced tau every factor stays in
+  derived from one unit phase per row.  The unit phase is linear in the
+  shift, so one complex np.exp per axis gives it at both shifts (the
+  shift 1/2 turns it by the constant exp(pi i Re tau_jj)), and the four
+  anchor exponents of a row take one real np.exp call: a base point
+  costs 2 complex and 20 real exponentials at any radius, for 16
+  evaluations.  On a reduced tau every factor stays in
   floating-point range; a sum that leaves it is an error, never a
   rejected sample.  The mean subtracts a control variate, the
   piecewise quadratic -pi s'Ys (s = u minus its nearest integer point,
@@ -340,69 +339,16 @@ class QuadratureResult(NamedTuple):
 _KRONECKER = np.array([math.sqrt(2) - 1, math.sqrt(3) - 1, math.sqrt(5) - 2, math.sqrt(7) - 2])
 
 
-def _unit_table(size: int) -> np.ndarray:
-    """exp(2 pi i j / size) for j < size, size a multiple of 8.
-
-    Only angles up to pi/4 go through cos and sin; the rest of a quadrant
-    follows from cos(pi/2 - a) = sin(a) and the other quadrants from the
-    exact rotations by i, so no entry inherits the rounding of an angle
-    near 2 pi.  Built with `math`, so importing the module runs no numpy
-    trigonometry.
-    """
-    step = 2 * math.pi / size
-    octant = [complex(math.cos(j * step), math.sin(j * step)) for j in range(size // 8 + 1)]
-    quadrant = octant + [complex(z.imag, z.real) for z in octant[-2:0:-1]]
-    table = np.array([1j**q * z for q in range(4) for z in quadrant])
-    table.setflags(write=False)
-    return table
-
-
-_UNIT_CELLS = 1024
-_UNIT = _unit_table(_UNIT_CELLS)  # read-only, shared by every worker thread
-
-
-def _unit_phase(turns: np.ndarray) -> np.ndarray:
-    """exp(2 pi i turns) without a trigonometric call per element.
-
-    With s = 1024 turns, k = rint(s) and r = s - k (all three exact for
-    |turns| < 2^53), the phase is _UNIT[k mod 1024] exp(i theta) with
-    theta = 2 pi r / 1024, |theta| <= pi / 1024, where cos theta to degree
-    4 and sin theta to degree 5 leave a truncation error below 1e-18.
-    Against mpmath the absolute error is at most 2.2e-16 up to |turns| =
-    64; np.cos(2 pi turns) reaches 4.3e-14 there, because the rounding of
-    2 pi turns grows with |turns| and this exact reduction has none.
-    """
-    theta = turns * _UNIT_CELLS
-    k = np.rint(theta)
-    theta -= k
-    theta *= 2 * math.pi / _UNIT_CELLS
-    theta2 = theta * theta
-    rotation = np.empty(theta.shape, dtype=complex)
-    cos, sin = rotation.real, rotation.imag
-    np.multiply(theta2, 1 / 24, out=cos)
-    cos -= 0.5
-    cos *= theta2
-    cos += 1
-    np.multiply(theta2, 1 / 120, out=sin)
-    sin -= 1 / 6
-    sin *= theta2
-    sin += 1
-    sin *= theta
-    cell = k.astype(np.intp)
-    cell &= _UNIT_CELLS - 1
-    phase = _UNIT[cell]
-    phase *= rotation
-    return phase
-
-
 def _gaussian_rows(radius: int, t, t12: complex, w: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rows exp(f(n) - 2 pi i t T(n) - i Im f(0)) for n = -radius ..
     radius-1, one contiguous row per n, where per sample f(n) = pi i t (n+u)^2
     + 2 pi i c n + 2 pi i (n+u) v with c = t12 w, and T(n) = j(j-1)/2 with
-    j = n for n >= 0 and j = -1-n below.  t, w, u and v broadcast to u's
-    shape, samples last (the kernel passes both axes at both shifts at
-    once: t as (2, 1, 1), u as (2, 2, B)), and the rows come back with 2
-    radius rows inserted before the samples, (2, 2, 2 radius, B) there.
+    j = n for n >= 0 and j = -1-n below.  t, w, u and v broadcast
+    together, samples last, with a length-1 axis before the samples that
+    the rows fill with the two shifts u and u + 1/2 (the kernel passes
+    both axes at once: t as (2, 1, 1), u as (2, 1, B)), and the rows come
+    back with 2 radius rows inserted before the samples, (2, 2, 2 radius,
+    B) there.
 
     f has second difference 2 pi i t, so with q = exp(2 pi i t) the ratios
     G_n = exp(f(n+1) - f(n)) obey G_{n+1} = G_n q, and downward
@@ -413,22 +359,27 @@ def _gaussian_rows(radius: int, t, t12: complex, w: np.ndarray, u: np.ndarray, v
     exp(i Im f(0)) drops out of |A1 C' A2'|, so each anchor is
     exp(its real part) times a phase from g = exp(i Im(f(1) - f(0))):
     conj(g) e^(2 pi i Re t) for exp(f(-1)), conj(g) e^(4 pi i Re t) for
-    H_{-1}.  g comes from `_unit_phase` of its angle in turns,
-    Re t u + Re c + v + Re t / 2, and the four real parts
+    H_{-1}.  g = exp(2 pi i turns) with turns = Re t u + Re c + v + Re t / 2
+    is linear in u, so one np.exp at the base u gives both shifts: g at u
+    + 1/2 is g e^(pi i Re t).  The four real parts
         -pi y u^2,  2 pi Im c - pi y (u-1)^2,  -p - pi y,  p - 3 pi y
-    (y = Im t, p = 2 pi y u + 2 pi Im c) fill one block of 4 times u's
-    shape that takes one np.exp call: a row costs one table phase and
-    four real exponentials, whatever the radius.  Each anchor keeps its own
-    exponent, so an anchor that underflows to 0 is never the product of
-    an underflow and an overflow (0 * inf = NaN).  With Y reduced G_0 and
-    H_{-1} have modulus at most one apart from the bounded c term; row n
-    carries about |n| + 1 roundings.
+    (y = Im t, p = 2 pi y u + 2 pi Im c) are taken at each shift apart
+    and fill one block that takes one np.exp call: per sample, an axis's
+    rows at both shifts cost one complex and eight real exponentials,
+    whatever the radius.  Each anchor keeps its own exponent, so an
+    anchor that underflows to 0 is never the product of an underflow and
+    an overflow (0 * inf = NaN).  With Y reduced G_0 and H_{-1} have
+    modulus at most one apart from the bounded c term; row n carries
+    about |n| + 1 roundings.
     """
     pi, x, y = math.pi, t.real, t.imag
     lift = w * (2 * pi * t12.imag)  # 2 pi Im c
     turns = u * x
     turns += w * t12.real + v + x / 2
-    up = _unit_phase(turns)
+    u = u + _HALF_SHIFTS
+    up = np.empty(u.shape, dtype=complex)
+    np.exp(2j * pi * turns, out=up[..., :1, :])
+    np.multiply(up[..., :1, :], np.exp(1j * pi * x), out=up[..., 1:, :])
 
     anchors = np.empty((4,) + u.shape)
     at_zero, at_minus_one, up_ratio, down_ratio = anchors
@@ -486,8 +437,8 @@ def _theta_kernel(tau: SiegelMatrix) -> Callable[[np.ndarray, np.ndarray], np.nd
     C'_ab is computed here once per tau, as 8 blocks (a, b1) stacked by a1
     into two 8r x 2r matrices, each block from its own summed exponent, so
     no entry is the product of an underflow and an overflow.  Per batch
-    the kernel builds the rows at both shifts (`_gaussian_rows`: 4 table
-    phases and 16 real exponentials per base point, whatever the radius),
+    the kernel builds the rows at both shifts (`_gaussian_rows`: 2 complex
+    and 16 real exponentials per base point, whatever the radius),
     forms the stack times A1 in one batched matmul and scales it by A2 in
     place.  Rows 2j and 2j+1 have n2 of opposite parity, so the n2 sums P
     and Q over each parity give b2 = 0 as |P + Q| and b2 = 1/2 as |P - Q|.
@@ -534,7 +485,7 @@ def _theta_kernel(tau: SiegelMatrix) -> Callable[[np.ndarray, np.ndarray], np.nd
         with np.errstate(over="ignore", invalid="ignore"):
             # both axes in one call, each at its base coordinate plus 0 and 1/2
             rows1, rows2 = _gaussian_rows(
-                radius, diagonal, t12, u.T[::-1, None], u.T[:, None] + _HALF_SHIFTS, v.T[:, None]
+                radius, diagonal, t12, u.T[::-1, None], u.T[:, None], v.T[:, None]
             )
             ca = np.matmul(stack, rows1, out=block[: 16 * radius * size].reshape(2, 8 * radius, size))
             ca = ca.reshape(2, 2, 2, 2 * radius, size)
@@ -591,21 +542,12 @@ def _substream_chunks(method: str, child_seed, count: int) -> Iterator[tuple[np.
         yield block[:2].T, block[2:].T
 
 
-def _translates(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 16 points (u + a, v + b) of each base point in the kernel's
-    order, (a, b) in `_HALVES` order outermost, as (16 B, 2) arrays."""
-    return (
-        (u[None] + _HALVES[:, None, :2]).reshape(-1, 2),
-        (v[None] + _HALVES[:, None, 2:]).reshape(-1, 2),
-    )
+def _check_workers(workers) -> None:
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ValueError(f"workers must be an integer of at least 1, got {workers!r}")
 
 
-def log_h(
-    tau: SiegelMatrix,
-    config: QuadratureConfig | None = None,
-    workers: int = 1,
-    _integrand: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
-) -> QuadratureResult:
+def log_h(tau: SiegelMatrix, config: QuadratureConfig | None = None, workers: int = 1) -> QuadratureResult:
     """The mean of log||theta||(tau u + v) over the unit 4-torus.
 
     Sp4(Z)-invariant, so evaluated at siegel_reduce(tau).  Splits the
@@ -632,27 +574,12 @@ def log_h(
     Each substream generates its base points one chunk of _CHUNK at a time
     (`_substream_chunks`) and sums each chunk as it is made, so no
     substream's points are ever held at once.  `workers` threads share
-    the substreams; it must be an int of at least 1 (ValueError).  The
-    _integrand hook substitutes a different function of (u, v) batches,
-    called on each chunk's translates in the kernel's order
-    (`_translates`), and exists for self-tests of the quadrature layer;
-    the control variate applies to it as well.
+    the substreams; it must be an int of at least 1 (ValueError).
     """
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-        raise ValueError(f"workers must be an integer of at least 1, got {workers!r}")
+    _check_workers(workers)
     config = config or QuadratureConfig()
     tau = siegel_reduce(tau)
-    if _integrand is None:
-        kernel = _theta_kernel(tau)
-
-        def evaluate(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-            return kernel(u, v).ravel()
-
-    else:
-
-        def evaluate(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-            return _integrand(*_translates(u, v))
-
+    kernel = _theta_kernel(tau)
     per_stream, extra = divmod(config.n_samples, SUBSTREAMS)
     children = np.random.SeedSequence(config.seed).spawn(SUBSTREAMS)
     (y11, y12), (_, y22) = tau.matrix.imag
@@ -663,7 +590,7 @@ def log_h(
         sums = np.zeros(6)  # cosets, kept, and the sums of F, G, F G and G^2
         rejected = 0
         for u, v in _substream_chunks(config.method, children[index], cosets):
-            vals = evaluate(u, v).reshape(len(_HALVES), -1)
+            vals = kernel(u, v)
             # s of the translate u + a is u - a, for a_i = 0 and 1/2
             s1, s2 = u[:, 0] - _HALF_SHIFTS, u[:, 1] - _HALF_SHIFTS
             g = (y11 * s1 * s1)[:, None] + (2 * y12 * s1)[:, None] * s2 + y22 * s2 * s2
@@ -739,8 +666,10 @@ def arch_invariants(tau: SiegelMatrix, config: QuadratureConfig | None = None, w
     lambda is reported through its direct discriminant formula; the
     residual compares it against the recombination through phi and
     delta_F, which is algebraically the same number, so the residual
-    measures accumulated floating-point error only.
+    measures accumulated floating-point error only.  A `workers` that is
+    not an int of at least 1 is refused first (ValueError).
     """
+    _check_workers(workers)
     tau = siegel_reduce(tau)  # once: log_delta2 and log_h take it as reduced
     ld2 = log_delta2(tau)
     lh, lh_stderr, rejected = log_h(tau, config, workers)

@@ -5,6 +5,7 @@ import copy
 import io
 import json
 import math
+from datetime import timedelta
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import PROPERTY_SETTINGS, random_pm_graph
 
-from g2inv.cli import INPUT_ERRORS, main
+from g2inv.cli import INPUT_ERRORS, TAGS, main
 
 from g2inv.errors import InvalidParamsError
 from g2inv.fiber_catalog import FiberType, closed_form
@@ -348,3 +349,25 @@ def test_bad_tau_files_exit_2_through_the_cli(tmp_path_factory, doc):
     assert "Traceback" not in err
     assert code == 2
     assert err.startswith("error: ")
+
+
+# one --params entry: text of the characters a rational is spelled with,
+# arbitrary text, or a mantissa with an exponent up to a billion
+PARAM_ENTRIES = (
+    st.text("0123456789/.e-, \t", max_size=12)
+    | st.text(max_size=6)
+    | st.builds("{}e{}".format, st.integers(0, 99), st.integers(-(10**9), 10**9))
+)
+
+
+@settings(PROPERTY_SETTINGS, deadline=timedelta(seconds=1))
+@given(st.sampled_from(TAGS), st.lists(PARAM_ENTRIES, max_size=4).map(",".join))
+def test_any_params_text_exits_0_or_2_through_the_cli(tag, text):
+    """Whatever --params text a fiber type gets, `nonarch` prints its
+    report or refuses the text as bad input, without a traceback and in
+    well under the deadline.  The text goes in as --params=<text>, so a
+    leading '-' is read as the value and not as an option."""
+    code, err = _run_cli(["nonarch", "--type", tag, f"--params={text}"])
+    assert "Traceback" not in err
+    assert code in (0, 2)
+    assert code == 0 or err.startswith("error: ")

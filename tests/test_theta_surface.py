@@ -40,7 +40,6 @@ from g2inv.theta_surface import (
     _theta_scaled,
     _lagrange_basis,
     _truncation_radius,
-    _unit_phase,
     siegel_reduce,
 )
 
@@ -426,26 +425,48 @@ def test_quadrature_config_validation():
         QuadratureConfig(seed=-1)
 
 
-def test_log_h_constant_integrand_self_test():
+def translates(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 16 points (u + a, v + b) of each base point in the kernel's
+    order, (a, b) in HALVES order outermost, as (16 B, 2) arrays."""
+    points = (np.hstack([u, v])[None] + HALVES[:, None]).reshape(-1, 4)
+    return points[:, :2], points[:, 2:]
+
+
+def kernel_translates(tau: SiegelMatrix, u: np.ndarray, v: np.ndarray):
+    """The kernel's (16, B) values at the base points (u, v), and the
+    (16 B, 2) arrays of their translates (u + a, v + b) in its order."""
+    return (_theta_kernel(tau)(u, v),) + translates(u, v)
+
+
+def use_integrand(monkeypatch, integrand) -> None:
+    """Make `log_h` average integrand(u, v), a function of the (16 B, 2)
+    arrays of `translates`, in place of log||theta||: the kernel is
+    swapped for one that evaluates it at each chunk's translates and
+    returns the kernel's (16, B) layout.  The control variate applies
+    to its values too."""
+
+    def kernel(tau):
+        return lambda u, v: integrand(*translates(u, v)).reshape(len(HALVES), -1)
+
+    monkeypatch.setattr(g2inv.theta_surface, "_theta_kernel", kernel)
+
+
+def test_log_h_constant_integrand_self_test(monkeypatch):
     config = QuadratureConfig(n_samples=16000, seed=7)
-    result = log_h(GENERIC_TAU, config, _integrand=lambda u, v: np.ones(len(u)))
+    use_integrand(monkeypatch, lambda u, v: np.ones(len(u)))
+    result = log_h(GENERIC_TAU, config)
     assert result.value == 1.0
     assert result.stderr == 0.0
     assert result.rejected == 0
 
 
-def test_log_h_known_mean_integrand():
+def test_log_h_known_mean_integrand(monkeypatch):
     config = QuadratureConfig(n_samples=40000, seed=11)
-    result = log_h(
-        GENERIC_TAU, config, _integrand=lambda u, v: u[:, 0] + v[:, 1]
-    )
+    use_integrand(monkeypatch, lambda u, v: u[:, 0] + v[:, 1])
+    result = log_h(GENERIC_TAU, config)
     assert result.stderr > 0
     assert abs(result.value - 1.0) < 6 * result.stderr + 1e-12
-    lattice = log_h(
-        GENERIC_TAU,
-        QuadratureConfig(n_samples=40000, seed=11, method="lattice-rule"),
-        _integrand=lambda u, v: u[:, 0] + v[:, 1],
-    )
+    lattice = log_h(GENERIC_TAU, QuadratureConfig(n_samples=40000, seed=11, method="lattice-rule"))
     assert abs(lattice.value - 1.0) < 1e-3
 
 
@@ -458,7 +479,7 @@ def whole_cosets(n_samples: int) -> list[int]:
 
 @pytest.mark.parametrize("method", ["monte-carlo", "lattice-rule"])
 @pytest.mark.parametrize("n_samples", [10000, 10007, 8 * 4096 + 5])
-def test_log_h_sums_exactly_n_samples(method, n_samples):
+def test_log_h_sums_exactly_n_samples(monkeypatch, method, n_samples):
     """Exactly n_samples evaluations, each substream's share rounded up to
     whole cosets of 16: 10000 gives 8 x 79 x 16 = 10112."""
     seen = []
@@ -467,14 +488,15 @@ def test_log_h_sums_exactly_n_samples(method, n_samples):
         seen.append(len(u))
         return np.ones(len(u))
 
-    log_h(GENERIC_TAU, QuadratureConfig(n_samples=n_samples, seed=2, method=method), _integrand=count)
+    use_integrand(monkeypatch, count)
+    log_h(GENERIC_TAU, QuadratureConfig(n_samples=n_samples, seed=2, method=method))
     assert sum(seen) == 16 * sum(whole_cosets(n_samples))
     assert all(size % 16 == 0 for size in seen)
 
 
 @pytest.mark.parametrize("method", ["monte-carlo", "lattice-rule"])
 @pytest.mark.parametrize("n_samples", [10007, 8 * 4096 + 5])
-def test_log_h_points_match_whole_substream_formulas(method, n_samples):
+def test_log_h_points_match_whole_substream_formulas(monkeypatch, method, n_samples):
     """The (u, v) chunks `log_h` hands its integrand, bit for bit, against
     each substream's base points drawn at once and halved: one
     random((count, 4)) call for monte-carlo, frac(offset + k K) for k = 1
@@ -491,7 +513,8 @@ def test_log_h_points_match_whole_substream_formulas(method, n_samples):
         return np.zeros(len(u))
 
     config = QuadratureConfig(n_samples=n_samples, seed=seed, method=method)
-    log_h(GENERIC_TAU, config, _integrand=capture)
+    use_integrand(monkeypatch, capture)
+    log_h(GENERIC_TAU, config)
 
     kronecker = np.array([math.sqrt(2) - 1, math.sqrt(3) - 1, math.sqrt(5) - 2, math.sqrt(7) - 2])
     want = []
@@ -511,7 +534,7 @@ def test_log_h_points_match_whole_substream_formulas(method, n_samples):
 
 
 @pytest.mark.parametrize("method", ["monte-carlo", "lattice-rule"])
-def test_log_h_averages_whole_cosets(method):
+def test_log_h_averages_whole_cosets(monkeypatch, method):
     """The indicator of u in [0, 1/2)^2 holds at exactly 4 of the 16
     translates of every base point, so over whole cosets its mean is 1/4
     with no error at all; a partial coset would move it."""
@@ -520,13 +543,14 @@ def test_log_h_averages_whole_cosets(method):
     def quarter(u, v):
         return np.all(u < 0.5, axis=1).astype(float)
 
-    result = log_h(GENERIC_TAU, config, _integrand=quarter)
+    use_integrand(monkeypatch, quarter)
+    result = log_h(GENERIC_TAU, config)
     assert result.value == 0.25
     assert result.stderr == 0.0
 
 
 @pytest.mark.parametrize("method", ["monte-carlo", "lattice-rule"])
-def test_log_h_integrates_its_control_variate_exactly(method):
+def test_log_h_integrates_its_control_variate_exactly(monkeypatch, method):
     """An integrand equal to the control variate -pi s'Ys, s = u - floor(u + 1/2),
     fits it with slope 1, so `log_h` returns its exact mean -pi (Y11 +
     Y22) / 12 up to rounding, with no spread: this pins the control's
@@ -538,7 +562,8 @@ def test_log_h_integrates_its_control_variate_exactly(method):
         s = u - np.floor(u + 0.5)
         return -math.pi * np.einsum("bi,ij,bj->b", s, y, s)
 
-    result = log_h(tau, QuadratureConfig(n_samples=10007, seed=3, method=method), _integrand=control)
+    use_integrand(monkeypatch, control)
+    result = log_h(tau, QuadratureConfig(n_samples=10007, seed=3, method=method))
     assert abs(result.value + math.pi * (y[0, 0] + y[1, 1]) / 12) < 1e-12
     assert result.stderr < 1e-12
 
@@ -557,7 +582,7 @@ def test_control_variate_keeps_a_tall_reduced_tau_clear_of_the_refusal():
 @pytest.mark.parametrize("method", ["monte-carlo", "lattice-rule"])
 def test_log_h_kernel_matches_lattice_sum_through_quadrature(method):
     """The factored kernel inside `log_h` against the unfactored lattice
-    sum passed through the `_integrand` hook, with substreams that span
+    sum swapped in for the kernel (`use_integrand`), with substreams that span
     several chunks and end in a partial one: the point layout, chunking
     and NaN accounting must give the same value and the same rejections.
     The stretched tau loses about a quarter of its points to the eps
@@ -573,19 +598,14 @@ def test_log_h_kernel_matches_lattice_sum_through_quadrature(method):
 
         config = QuadratureConfig(n_samples=40005, seed=4, method=method, target_stderr=10)
         got = log_h(tau, config)
-        want = log_h(tau, config, _integrand=ref)
+        with pytest.MonkeyPatch.context() as patch:
+            use_integrand(patch, ref)
+            want = log_h(tau, config)
         assert abs(got.value - want.value) < 1e-10
         assert got.rejected == want.rejected
 
 
 HEXAGONAL_TAU = SiegelMatrix(0.5 * np.eye(2) + 1j * math.sqrt(3) / 2 * np.array([[1, 0.5], [0.5, 1]]))
-
-
-def kernel_translates(tau: SiegelMatrix, u: np.ndarray, v: np.ndarray):
-    """The kernel's (16, B) values at the base points (u, v), and the
-    (16 B, 2) arrays of their translates (u + a, v + b) in its order."""
-    points = (np.hstack([u, v])[None] + HALVES[:, None]).reshape(-1, 4)
-    return _theta_kernel(tau)(u, v), points[:, :2], points[:, 2:]
 
 
 def test_kernel_matches_pointwise_theta_norm(rng):
@@ -660,23 +680,6 @@ def test_kernel_box_omits_less_than_the_tail_bound(lam, u1, u2):
     assert omitted <= DEFAULT_THETA_TOL
 
 
-def test_unit_phase_matches_mpmath():
-    """The table phase against exp(2 pi i t) at 30 digits: random turns up
-    to 64, every table-cell boundary and centre k/2048 for |k| <= 2048,
-    and the edge inputs 1 - 2^-53 and 1e-300."""
-    turns = np.concatenate([
-        np.random.default_rng(15).uniform(-64, 64, 3000),
-        np.arange(-2048, 2049) / 2048,
-        [1 - 2.0**-53, 1e-300],
-    ])
-    got = _unit_phase(turns)
-    with mpmath.workdps(30):
-        error = max(
-            abs(mpmath.expjpi(2 * mpmath.mpf(t)) - mpmath.mpc(g))
-            for t, g in zip(turns.tolist(), got.tolist())
-        )
-    assert error <= 2e-15
-
 def _stretched_tau(scale: float) -> SiegelMatrix:
     return SiegelMatrix(0.05 + 1j * scale * np.array([[1, 0.48], [0.48, 1.1]]))
 
@@ -716,6 +719,20 @@ def test_log_h_refuses_a_worker_count_that_is_no_positive_int(workers):
         log_h(GENERIC_TAU, config, workers)
     with pytest.raises(ValueError, match="workers"):
         arch_invariants(GENERIC_TAU, config, workers)
+
+
+def test_arch_invariants_refuses_workers_before_any_sum(monkeypatch):
+    """The worker count is checked first: a degenerate tau still raises
+    ValueError, and on a good tau no discriminant sum is made."""
+    with pytest.raises(ValueError, match="workers"):
+        arch_invariants(IDENTITY_TAU, workers=0)
+
+    def no_sum(*args):
+        raise AssertionError("summed a theta-null before refusing workers")
+
+    monkeypatch.setattr(g2inv.theta_surface, "_theta_scaled", no_sum)
+    with pytest.raises(ValueError, match="workers"):
+        arch_invariants(GENERIC_TAU, workers=0)
 
 
 def test_log_h_methods_agree():
