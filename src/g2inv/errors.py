@@ -41,5 +41,5 @@ class DegenerateThetaNullError(G2Error):
 
 
 class QuadratureUnstableError(G2Error):
-    """The torus average failed: stderr above ten times its target, a lattice
-    sum out of floating-point range, or a substream lost to the theta divisor."""
+    """The torus average failed: stderr above ten times its target, or a
+    log||theta|| out of floating-point range."""

@@ -47,8 +47,10 @@ Numerical conventions:
   anchor exponents of a row take one real np.exp call: a base point
   costs 2 complex and 20 real exponentials at any radius, for 16
   evaluations.  On a reduced tau every factor stays in
-  floating-point range; a sum that leaves it is an error, never a
-  rejected sample.  The mean subtracts a control variate, the
+  floating-point range, and each log||theta|| is the log of its computed
+  modulus, however small: every sample is kept, and a value that leaves
+  the range (a sum that overflows, or a modulus that underflows to 0)
+  makes `log_h` refuse tau.  The mean subtracts a control variate, the
   piecewise quadratic -pi s'Ys (s = u minus its nearest integer point,
   so the log of the largest lattice term), whose exact mean is known, and
   the spread of 8 substreams gives the standard error.
@@ -300,6 +302,13 @@ def log_delta2(tau: SiegelMatrix) -> float:
     return value
 
 
+def _check_int(name: str, value, least: int) -> None:
+    """Refuse (ValueError) a value that is not an int of at least `least`:
+    a float or a bool would otherwise run, late or as another number."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Sampling plan for the torus average; deterministic given its fields.
@@ -316,10 +325,8 @@ class QuadratureConfig:
     target_stderr: float = DEFAULT_TARGET_STDERR
 
     def __post_init__(self):
-        if self.n_samples < 10_000:
-            raise ValueError(f"need at least 10^4 samples, got {self.n_samples}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
+        _check_int("samples", self.n_samples, 10_000)
+        _check_int("seed", self.seed, 0)
         if self.method not in ("monte-carlo", "lattice-rule"):
             raise ValueError(f"unknown quadrature method {self.method!r}")
         if not (math.isfinite(self.target_stderr) and self.target_stderr > 0):
@@ -447,9 +454,11 @@ def _theta_kernel(tau: SiegelMatrix) -> Callable[[np.ndarray, np.ndarray], np.nd
     term only, as |C'| does: on a reduced tau every factor stays in
     floating-point range, and a direct `log_h` keeps it up to a common
     scale of Y of about 236 (`test_log_h_float_range_is_kept_and_refused_cleanly`).
-    A sum that leaves it raises QuadratureUnstableError.  Returns NaN
-    where ||theta|| is below machine epsilon (points straddling the theta
-    divisor); callers count those as rejected.
+    It returns np.log of every modulus, -inf where one is exactly 0 and
+    inf or NaN where a sum overflowed, and raises nothing: `log_h` refuses
+    a chunk with any such value.  `log_delta2` reads the
+    even translates of the origin only; the odd ones are sums of the
+    omitted tail, tiny or -inf, and nothing reads them.
     """
     radius = _truncation_radius(tau.min_eigenvalue, DEFAULT_THETA_TOL)
     n = np.arange(-radius, radius, dtype=float)
@@ -482,7 +491,7 @@ def _theta_kernel(tau: SiegelMatrix) -> Callable[[np.ndarray, np.ndarray], np.nd
         block = getattr(products, "block", None)
         if block is None or len(block) < 16 * radius * size:
             block = products.block = np.empty(16 * radius * size, dtype=complex)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # both axes in one call, each at its base coordinate plus 0 and 1/2
             rows1, rows2 = _gaussian_rows(
                 radius, diagonal, t12, u.T[::-1, None], u.T[:, None], v.T[:, None]
@@ -502,16 +511,9 @@ def _theta_kernel(tau: SiegelMatrix) -> Callable[[np.ndarray, np.ndarray], np.nd
             np.exp(moduli, out=moduli)
             s = s.reshape(4, 4, size)
             s *= moduli[:, None]
-        if not np.all(np.isfinite(s)):
-            raise QuadratureUnstableError(
-                f"theta lattice sum overflowed at {tau!r} (radius {radius})"
-            )
-        norms = s.reshape(16, size)
-        norms *= tau.det_y**0.25
-        with np.errstate(divide="ignore"):
-            logs = np.log(norms)
-        logs[norms < np.finfo(float).eps] = np.nan
-        return logs
+            norms = s.reshape(16, size)
+            norms *= tau.det_y**0.25
+            return np.log(norms)
 
     return log_norms
 
@@ -542,16 +544,11 @@ def _substream_chunks(method: str, child_seed, count: int) -> Iterator[tuple[np.
         yield block[:2].T, block[2:].T
 
 
-def _check_workers(workers) -> None:
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-        raise ValueError(f"workers must be an integer of at least 1, got {workers!r}")
-
-
 def log_h(tau: SiegelMatrix, config: QuadratureConfig | None = None, workers: int = 1) -> QuadratureResult:
     """The mean of log||theta||(tau u + v) over the unit 4-torus.
 
     Sp4(Z)-invariant, so evaluated at siegel_reduce(tau).  Splits the
-    budget into 8 substreams, which differ by at most one point; each
+    budget into 8 substreams, which differ by at most one coset; each
     evaluates whole cosets of 16, ceil(count / 16) base points in
     [0, 1/2)^4 with their 16 half-period translates (`_theta_kernel`), so
     together they hold n_samples rounded up to whole cosets.  A coset is
@@ -563,20 +560,26 @@ def log_h(tau: SiegelMatrix, config: QuadratureConfig | None = None, workers: in
     -pi (Y11 + Y22) / 12 (E s_i^2 = 1/12, E s1 s2 = 0).  It is the log of
     the largest lattice term up to the constant (det Y)^(1/4), so it
     follows log||theta|| closely once Y is large, where most of the
-    spread comes from it.  Per coset, F sums log||theta|| over its kept
+    spread comes from it.  Per coset, F sums log||theta|| over its 16
     translates and G sums g - E g over the same ones; beta is the least
     squares slope of F on G over all cosets of all substreams, and a
-    substream's mean is (sum F - beta sum G) / kept.  The estimate is the
-    mean of substream means and the standard error their sample spread.
-    For a fixed beta the estimate is unbiased, and fitting beta from the
-    same cosets adds a bias of order 1/N.
+    substream's mean is (sum F - beta sum G) over its evaluations.  The
+    estimate is the mean of substream means and the standard error their
+    sample spread.  For a fixed beta the estimate is unbiased, and fitting
+    beta from the same cosets adds a bias of order 1/N.
 
     Each substream generates its base points one chunk of _CHUNK at a time
     (`_substream_chunks`) and sums each chunk as it is made, so no
     substream's points are ever held at once.  `workers` threads share
     the substreams; it must be an int of at least 1 (ValueError).
+
+    Every sample is kept, so `rejected` is always 0.  A chunk with any
+    log||theta|| out of floating-point range (an overflowed sum, or a
+    modulus that underflows to 0, which a direct call at a Y22 of 10^3
+    meets) raises QuadratureUnstableError naming tau, before any sum; so
+    does a standard error above 10x the target.
     """
-    _check_workers(workers)
+    _check_int("workers", workers, 1)
     config = config or QuadratureConfig()
     tau = siegel_reduce(tau)
     kernel = _theta_kernel(tau)
@@ -585,12 +588,15 @@ def log_h(tau: SiegelMatrix, config: QuadratureConfig | None = None, workers: in
     (y11, y12), (_, y22) = tau.matrix.imag
     control_mean = -math.pi * (y11 + y22) / 12
 
-    def run_substream(index: int) -> tuple[np.ndarray, int]:
+    def run_substream(index: int) -> np.ndarray:
         cosets = -(-(per_stream + (index < extra)) // len(_HALVES))
-        sums = np.zeros(6)  # cosets, kept, and the sums of F, G, F G and G^2
-        rejected = 0
+        sums = np.zeros(5)  # cosets and the sums of F, G, F G and G^2
         for u, v in _substream_chunks(config.method, children[index], cosets):
             vals = kernel(u, v)
+            if not np.all(np.isfinite(vals)):
+                raise QuadratureUnstableError(
+                    f"log||theta|| left floating-point range at {tau!r}"
+                )
             # s of the translate u + a is u - a, for a_i = 0 and 1/2
             s1, s2 = u[:, 0] - _HALF_SHIFTS, u[:, 1] - _HALF_SHIFTS
             g = (y11 * s1 * s1)[:, None] + (2 * y12 * s1)[:, None] * s2 + y22 * s2 * s2
@@ -598,15 +604,9 @@ def log_h(tau: SiegelMatrix, config: QuadratureConfig | None = None, workers: in
             g -= control_mean
             g = g.reshape(len(_HALVES) // 4, -1)  # the 4 a in order, each with 4 b
             g_sum = 4 * g.sum(axis=0)
-            bad = np.isnan(vals)
-            lost = int(np.count_nonzero(bad))
-            if lost:
-                g_sum -= (bad.reshape(len(g), 4, -1).sum(axis=1) * g).sum(axis=0)
-                vals = np.where(bad, 0.0, vals)
             f_sum = vals.sum(axis=0)
-            rejected += lost
-            sums += (len(u), vals.size - lost, f_sum.sum(), g_sum.sum(), (f_sum * g_sum).sum(), (g_sum * g_sum).sum())
-        return sums, rejected
+            sums += (len(u), f_sum.sum(), g_sum.sum(), (f_sum * g_sum).sum(), (g_sum * g_sum).sum())
+        return sums
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -614,19 +614,12 @@ def log_h(tau: SiegelMatrix, config: QuadratureConfig | None = None, workers: in
     else:
         results = [run_substream(j) for j in range(SUBSTREAMS)]
 
-    sums = np.array([r[0] for r in results])
-    rejected = sum(r[1] for r in results)
-    cosets, _, f_total, g_total, fg, gg = sums.sum(axis=0)
+    sums = np.array(results)
+    cosets, f_total, g_total, fg, gg = sums.sum(axis=0)
     covariance = fg - f_total / cosets * g_total
     variance = gg - g_total / cosets * g_total
     beta = covariance / variance if math.isfinite(covariance) and 0 < variance < math.inf else 0.0
-    kept, f_sums, g_sums = sums[:, 1], sums[:, 2], sums[:, 3]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        means = (f_sums - beta * g_sums) / kept
-    if not np.all(np.isfinite(means)):
-        raise QuadratureUnstableError(
-            "a quadrature substream lost every sample to the theta divisor"
-        )
+    means = (sums[:, 1] - beta * sums[:, 2]) / (len(_HALVES) * sums[:, 0])
     value = float(np.mean(means))
     stderr = float(np.std(means, ddof=1) / math.sqrt(SUBSTREAMS))
     if stderr > 10 * config.target_stderr:
@@ -634,7 +627,7 @@ def log_h(tau: SiegelMatrix, config: QuadratureConfig | None = None, workers: in
             f"standard error {stderr:.3e} exceeds 10x target "
             f"{config.target_stderr:.3e} after {len(_HALVES) * int(cosets)} samples"
         )
-    return QuadratureResult(value, stderr, rejected)
+    return QuadratureResult(value, stderr, 0)
 
 
 @dataclass(frozen=True)
@@ -643,7 +636,9 @@ class ArchReport:
 
     `residual` compares two algebraically identical recombinations of
     lambda (see `arch_invariants`), so it measures floating-point rounding
-    only; it is no margin on the accuracy of any field.
+    only; it is no margin on the accuracy of any field.  `rejected` is
+    always 0, as `log_h` keeps every sample; it stays as a stable report
+    field.
     """
 
     log_delta2: float
@@ -669,7 +664,7 @@ def arch_invariants(tau: SiegelMatrix, config: QuadratureConfig | None = None, w
     measures accumulated floating-point error only.  A `workers` that is
     not an int of at least 1 is refused first (ValueError).
     """
-    _check_workers(workers)
+    _check_int("workers", workers, 1)
     tau = siegel_reduce(tau)  # once: log_delta2 and log_h take it as reduced
     ld2 = log_delta2(tau)
     lh, lh_stderr, rejected = log_h(tau, config, workers)

@@ -202,6 +202,8 @@ def random_tau(rng: random.Random) -> SiegelMatrix:
     return SiegelMatrix(x + 1j * y)
 
 
+# reduced, with Y22 = 300: log||theta|| reaches about -236, and its mean is about -77
+TALL_TAU = SiegelMatrix(np.array([[0.1 + 1.2j, 0.3 + 0.4j], [0.3 + 0.4j, -0.2 + 300j]]))
 IDENTITY_TAU = SiegelMatrix(1j * np.eye(2))
 GENERIC_TAU = SiegelMatrix(
     np.array(
@@ -423,6 +425,11 @@ def test_quadrature_config_validation():
             QuadratureConfig(target_stderr=bad)
     with pytest.raises(ValueError, match="seed"):
         QuadratureConfig(seed=-1)
+    # a float count would fail inside `log_h`, after `arch_invariants` had
+    # summed the discriminant, and seed=True would run as seed 1
+    for field, bad in (("n_samples", 1e5), ("n_samples", 20000.0), ("seed", 2.0), ("seed", True)):
+        with pytest.raises(ValueError, match="samples" if field == "n_samples" else "seed"):
+            QuadratureConfig(**{field: bad})
 
 
 def translates(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -583,26 +590,20 @@ def test_control_variate_keeps_a_tall_reduced_tau_clear_of_the_refusal():
 def test_log_h_kernel_matches_lattice_sum_through_quadrature(method):
     """The factored kernel inside `log_h` against the unfactored lattice
     sum swapped in for the kernel (`use_integrand`), with substreams that span
-    several chunks and end in a partial one: the point layout, chunking
-    and NaN accounting must give the same value and the same rejections.
-    The stretched tau loses about a quarter of its points to the eps
-    floor."""
-    eps = np.finfo(float).eps
-    for tau in (siegel_reduce(GENERIC_TAU), _stretched_tau(56)):
+    several chunks and end in a partial one: the point layout and
+    chunking must give the same value, with every sample kept.  On the
+    large-Y taus many moduli are far below machine epsilon (log||theta||
+    down to about -236), and each counts as it is."""
+    taus = (siegel_reduce(GENERIC_TAU), _stretched_tau(56), _stretched_tau(100), TALL_TAU)
+    for tau in taus:
         norms = lattice_sum_norms(tau.matrix)
-
-        def ref(u, v):
-            values = norms(u, v)
-            with np.errstate(divide="ignore"):
-                return np.where(values < eps, np.nan, np.log(values))
-
         config = QuadratureConfig(n_samples=40005, seed=4, method=method, target_stderr=10)
         got = log_h(tau, config)
         with pytest.MonkeyPatch.context() as patch:
-            use_integrand(patch, ref)
+            use_integrand(patch, lambda u, v: np.log(norms(u, v)))
             want = log_h(tau, config)
         assert abs(got.value - want.value) < 1e-10
-        assert got.rejected == want.rejected
+        assert got.rejected == want.rejected == 0
 
 
 HEXAGONAL_TAU = SiegelMatrix(0.5 * np.eye(2) + 1j * math.sqrt(3) / 2 * np.array([[1, 0.5], [0.5, 1]]))
@@ -612,10 +613,12 @@ def test_kernel_matches_pointwise_theta_norm(rng):
     """The torus-average kernel against `lattice_sum_norms`, whose plain
     lattice sum shares none of its factoring or recurrence, point by
     point at all 16 half-period translates of each base point: an error
-    of 1e-6 per point hides inside the Monte Carlo spread but not here."""
+    of 1e-6 per point hides inside the Monte Carlo spread but not here.
+    Wherever the reference modulus is a normal float, however small, the
+    kernel's value is finite and matches in log."""
     taus = [siegel_reduce(random_tau(rng)) for _ in range(20)]
     taus.append(siegel_reduce(GENERIC_TAU))
-    taus.append(SiegelMatrix(np.array([[0.1 + 1.2j, 0.3 + 0.4j], [0.3 + 0.4j, -0.2 + 300j]])))
+    taus.append(TALL_TAU)
     taus.append(_stretched_tau(64))  # the moduli span a wide kept range
     taus.append(_stretched_tau(200))  # and near its far end, kept since the 2r-row box
     # the hexagonal corner of the fundamental domain: lambda_min = sqrt(3)/4,
@@ -630,10 +633,10 @@ def test_kernel_matches_pointwise_theta_norm(rng):
         points[:9, :2] = list(itertools.product(edges, edges))
         got, u, v = kernel_translates(tau, points[:, :2], points[:, 2:])
         norms = lattice_sum_norms(tau.matrix)(u, v)
-        with np.errstate(divide="ignore"):
-            want = np.where(norms < np.finfo(float).eps, np.nan, np.log(norms))
-        assert np.array_equal(np.isnan(got.ravel()), np.isnan(want))
-        assert np.nanmax(np.abs(got.ravel() - want)) < 1e-10
+        normal = norms > np.finfo(float).tiny
+        got = got.ravel()[normal]
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - np.log(norms[normal]))) < 1e-10
 
 
 def test_kernel_at_the_origin_gives_the_theta_nulls(rng):
@@ -641,7 +644,7 @@ def test_kernel_at_the_origin_gives_the_theta_nulls(rng):
     ||theta|| = (det Y)^(1/4) |theta[a,b](0)|: the even ones match the
     stacked null sum.  The box sum of an odd null is minus the mass the
     box omits, so it stays within the tail bound DEFAULT_THETA_TOL at any
-    tau, and below machine epsilon, rejected (NaN), where Y is diagonal."""
+    tau, where Y is diagonal too (there it is tiny or exactly 0, log -inf)."""
     odd = 4 * (HALVES[:, 0] * HALVES[:, 2] + HALVES[:, 1] * HALVES[:, 3]) % 2 == 1
     assert odd.sum() == 6
     origin = np.zeros((1, 2))
@@ -649,10 +652,10 @@ def test_kernel_at_the_origin_gives_the_theta_nulls(rng):
         got = _theta_kernel(tau)(origin, origin)[:, 0]
         nulls = stacked_nulls(_EVEN_A, _EVEN_B, tau)
         assert np.allclose(got[~odd], np.log(tau.det_y**0.25 * np.abs(nulls)), rtol=0, atol=1e-12)
-    assert np.all(np.isnan(_theta_kernel(IDENTITY_TAU)(origin, origin)[odd]))
-    for tau in [siegel_reduce(GENERIC_TAU), HEXAGONAL_TAU] + [siegel_reduce(random_tau(rng)) for _ in range(50)]:
+    taus = [siegel_reduce(GENERIC_TAU), HEXAGONAL_TAU, IDENTITY_TAU]
+    for tau in taus + [siegel_reduce(random_tau(rng)) for _ in range(50)]:
         got = _theta_kernel(tau)(origin, origin)[odd, 0]
-        assert np.all(np.nan_to_num(np.exp(got)) <= tau.det_y**0.25 * DEFAULT_THETA_TOL)
+        assert np.all(np.exp(got) <= tau.det_y**0.25 * DEFAULT_THETA_TOL)
 
 
 @PROPERTY_SETTINGS
@@ -690,14 +693,23 @@ def test_log_h_float_range_is_kept_and_refused_cleanly():
     (236.9 for monte-carlo), where the exponent 2 pi Y12 of the anchor
     exp(f(-1)) (2 pi 0.48 s at u near 1, reached by the translates u + 1/2
     of base points near 1/2) passes the float limit 709.78, and past it
-    raises QuadratureUnstableError without a numpy warning."""
+    raises QuadratureUnstableError without a numpy warning, every sample
+    kept below it.  The range ends at the least float too: at Y22 = 1000
+    the largest lattice term of a point with u2 near 1/2 is about
+    exp(-pi 1000 / 4) = 1e-341, so ||theta|| is 0 there, and `log_h`
+    refuses tau, naming it, where dropping those points returned about -1."""
+    underflow = SiegelMatrix(np.array([[0.1 + 1.2j, 0.3 + 0.4j], [0.3 + 0.4j, -0.2 + 1000j]]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for method in ("monte-carlo", "lattice-rule"):
             config = QuadratureConfig(n_samples=20000, seed=0, method=method, target_stderr=10)
-            assert math.isfinite(log_h(_stretched_tau(230), config).value)
+            kept = log_h(_stretched_tau(230), config)
+            assert math.isfinite(kept.value)
+            assert kept.rejected == 0
             with pytest.raises(QuadratureUnstableError):
                 log_h(_stretched_tau(240), config)
+            with pytest.raises(QuadratureUnstableError, match="1000j"):
+                log_h(underflow, config)
 
 
 @pytest.mark.parametrize("method", ["monte-carlo", "lattice-rule"])
