@@ -27,33 +27,35 @@ Numerical conventions:
   DEFAULT_THETA_TOL the radius is at most 5 and needs no cap: any valid
   period matrix is accepted, and `arch_invariants` reduces once for both.
 * log||H|| reduces to the mean of log||theta||(tau u + v) over uniform
-  (u, v) in [0,1)^4, sampled in cosets: a base point in [0,1/2)^4 and its
-  16 half-period translates (u + a, v + b), a, b in {0,1/2}^2, where theta
-  turns into theta[a;b] (Mumford, Tata Lectures I, ch. II 1), so a coset
-  is uniform on the torus.  Per batch of base points the lattice sum over
-  the box n in [-r, r-1]^2, m = n + u + a, which the tail bound covers at
-  any shift in [0,1)^2 (`_truncation_radius`), factors into two
-  per-sample rows of 1-D terms, built at the two shifts u_i and u_i + 1/2
-  of each axis once for all 16 translates, and one fixed stack of the
-  matrices C'_ab, which hold the Gaussian factors and the sign of b: one
-  batched matmul gives all 16 sums.
+  (u, v) in [0,1)^4, sampled in cosets: a base point in [0,1/4)^4 and its
+  256 quarter-period translates (u + a, v + b), a, b in {0,1/4,1/2,3/4}^2,
+  where theta turns into theta[a;b] (Mumford, Tata Lectures I, ch. II 1),
+  so a coset is uniform on the torus.  Per batch of base points the
+  lattice sum over the box n in [-r, r-1]^2, m = n + u + a, which the tail
+  bound covers at any shift in [0,1)^2 (`_truncation_radius`), factors
+  into two per-sample rows of 1-D terms, built at the four shifts u_i + a_i
+  of each axis once for all 256 translates, and one fixed stack of the
+  matrices C'_ab, which hold the Gaussian factors and the phase of b1: one
+  batched matmul gives the sums for every (a, b1), and a 4-point DFT over
+  n2 mod 4, one more matmul, the four b2.
   Each row walks from two anchor terms (n = 0 and n = -1) by their step
   ratios, one multiply per row.
   Only |sum| enters the norm, so each anchor is the real exponential of
   its real part (its modulus, so the float range is kept) times a phase
   derived from one unit phase per row.  The unit phase is linear in the
-  shift, so one complex np.exp per axis gives it at both shifts (the
-  shift 1/2 turns it by the constant exp(pi i Re tau_jj)), and the four
+  shift, so one complex np.exp per axis gives it at all four shifts (the
+  shift a turns it by the constant exp(2 pi i a Re tau_jj)), and the four
   anchor exponents of a row take one real np.exp call: a base point
-  costs 2 complex and 20 real exponentials at any radius, for 16
+  costs 2 complex and 48 real exponentials at any radius, for 256
   evaluations.  On a reduced tau every factor stays in
   floating-point range, and each log||theta|| is the log of its computed
   modulus, however small: every sample is kept, and a value that leaves
   the range (a sum that overflows, or a modulus that underflows to 0)
   makes `log_h` refuse tau.  The mean subtracts a control variate, the
-  piecewise quadratic -pi s'Ys (s = u minus its nearest integer point,
-  so the log of the largest lattice term), whose exact mean is known, and
-  the spread of 8 substreams gives the standard error.
+  piecewise quadratic -pi d_Y(u)^2 (d_Y the distance from u to the
+  nearest lattice point in the metric Y, so the log of the largest
+  lattice term), whose exact mean, the second moment of the Voronoi cell,
+  is known, and the spread of 8 substreams gives the standard error.
   Fixed (seed, N, method) give bit-identical results regardless of
   worker count.
 """
@@ -63,6 +65,7 @@ from __future__ import annotations
 import itertools
 import math
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
@@ -83,7 +86,16 @@ NULL_FLOOR = 1e-8  # an even theta-null below this in modulus counts as vanishin
 LAMBDA_FLOOR = 1e-4
 REDUCTION_CAP = 200
 SUBSTREAMS = 8
-_CHUNK = 1024  # base points per kernel call, 16384 evaluations: the 16r x 1024 block stays cache-sized
+# base points per kernel call, shared by the substreams: 32768 evaluations
+# into a 128r x 128 product block, 1 MB at r = 4 like the 16r x 1024 block
+# of the old 16-translate kernel, so the peak memory stays where it was.
+# Larger calls ran faster (log_h at 2e5 samples, r = 4, 2-core Xeon: 4.3 ms
+# at 128, 3.7 at 256, 3.4 at 512) but raised the peak RSS of a 2e5-sample
+# `arch` by 1.7 and 5.3 MB; smaller ones pay about 50 us per call (5.6 ms
+# at 32).  Single-threaded OpenBLAS (OPENBLAS_NUM_THREADS=1) took the old
+# 1024-point calls from 36 to 27 ns per evaluation, but moves log_h at 128
+# by less than 3 %
+_CHUNK = 128
 LOG_2PI = math.log(2 * math.pi)
 
 # a tau with |tau11| = 1 is its own image under the quasi-inversion up to
@@ -137,16 +149,20 @@ class SiegelMatrix:
         return f"SiegelMatrix({self._m.tolist()!r})"
 
 
-# the 16 half periods (a1, a2, b1, b2) in {0, 1/2}^4 in the order of
-# itertools.product: the order in which the kernel returns the translates
-# tau (u + a) + (v + b) of a base point, and of the characteristics [a; b]
-_HALVES = np.array(list(itertools.product((0.0, 0.5), repeat=4)))
-_HALVES.setflags(write=False)
-# the ten even ones, 4 a'b even, as (10, 2) arrays a and b
-_EVEN = (_HALVES[:, 0] * _HALVES[:, 2] + _HALVES[:, 1] * _HALVES[:, 3]) * 4 % 2 == 0
-_EVEN_A = _HALVES[_EVEN, :2]
-_EVEN_B = _HALVES[_EVEN, 2:]
-_HALF_SHIFTS = np.array([[0.0], [0.5]])  # a_i = 0 and 1/2 as a column
+# the 256 quarter periods (a1, a2, b1, b2) in {0, 1/4, 1/2, 3/4}^4 in the
+# order of itertools.product: the order in which the kernel returns the
+# translates tau (u + a) + (v + b) of a base point
+_QUARTERS = np.array(list(itertools.product((0.0, 0.25, 0.5, 0.75), repeat=4)))
+_QUARTERS.setflags(write=False)
+_SHIFTS = np.array([[0.0], [0.25], [0.5], [0.75]])  # the four a_i as a column
+# the half periods among them are the characteristics [a; b]: where the
+# kernel returns the ten even ones, 4 a'b even, and them as (10, 2) arrays a and b
+_EVEN_INDEX = np.flatnonzero(
+    np.all(_QUARTERS % 0.5 == 0, axis=1)
+    & ((_QUARTERS[:, 0] * _QUARTERS[:, 2] + _QUARTERS[:, 1] * _QUARTERS[:, 3]) * 4 % 2 == 0)
+)
+_EVEN_A = _QUARTERS[_EVEN_INDEX, :2]
+_EVEN_B = _QUARTERS[_EVEN_INDEX, 2:]
 
 
 def _truncation_radius(lambda_min: float, tol: float) -> int:
@@ -269,8 +285,9 @@ def log_delta2(tau: SiegelMatrix) -> float:
 
     Sp4(Z)-invariant, so evaluated at siegel_reduce(tau): over the 10 even
     characteristics (one stacked lattice sum), cross-checked against the
-    product of ||theta||^2 at the points tau a + b, the even translates of
-    the base point 0 in the torus-average kernel (`_theta_kernel`): two
+    product of ||theta||^2 at the points tau a + b, the even half-period
+    translates of the base point 0 among the 256 that the torus-average
+    kernel (`_theta_kernel`) returns: two
     summation codes, both truncated at DEFAULT_THETA_TOL, which must agree
     within 10 DEFAULT_PRODUCT_TOL (FormulaMismatchError otherwise).
     """
@@ -289,10 +306,10 @@ def log_delta2(tau: SiegelMatrix) -> float:
         log_nulls += 2 * math.log(abs(s))
     value = -12 * math.log(2) + 5 * math.log(tau.det_y) + log_nulls
 
-    # ||theta||(tau a + b) = (det Y)^(1/4) |theta[a,b](0)|: the translates of
-    # the base point 0, summed by the kernel
+    # ||theta||(tau a + b) = (det Y)^(1/4) |theta[a,b](0)|: the half-period
+    # translates of the base point 0, summed by the kernel
     origin = np.zeros((1, 2))
-    log_norms = _theta_kernel(tau)(origin, origin)[_EVEN, 0]
+    log_norms = _theta_kernel(tau)(origin, origin)[_EVEN_INDEX, 0]
     direct = -12 * math.log(2) + 2 * float(np.sum(log_norms))
     if not abs(value - direct) <= 10 * DEFAULT_PRODUCT_TOL:  # a NaN norm fails too
         raise FormulaMismatchError(
@@ -314,9 +331,9 @@ class QuadratureConfig:
     """Sampling plan for the torus average; deterministic given its fields.
 
     `n_samples` counts evaluations of log||theta||.  `log_h` splits it
-    over 8 substreams and rounds each share up to whole cosets of 16 (a
-    base point and its half-period translates), so up to 8 x 15 more are
-    made: 10^4 gives 10112.
+    over 8 substreams and rounds each share up to whole cosets of 256 (a
+    base point and its quarter-period translates), so up to 8 x 255 more
+    are made: 10^4 gives 10240.
     """
 
     n_samples: int = 100_000
@@ -352,10 +369,10 @@ def _gaussian_rows(radius: int, t, t12: complex, w: np.ndarray, u: np.ndarray, v
     + 2 pi i c n + 2 pi i (n+u) v with c = t12 w, and T(n) = j(j-1)/2 with
     j = n for n >= 0 and j = -1-n below.  t, w, u and v broadcast
     together, samples last, with a length-1 axis before the samples that
-    the rows fill with the two shifts u and u + 1/2 (the kernel passes
-    both axes at once: t as (2, 1, 1), u as (2, 1, B)), and the rows come
-    back with 2 radius rows inserted before the samples, (2, 2, 2 radius,
-    B) there.
+    the rows fill with the four shifts u + a, a = 0, 1/4, 1/2, 3/4 (the
+    kernel passes both axes at once: t as (2, 1, 1), u as (2, 1, B)), and
+    the rows come back with 2 radius rows inserted before the samples,
+    (2, 4, 2 radius, B) there.
 
     f has second difference 2 pi i t, so with q = exp(2 pi i t) the ratios
     G_n = exp(f(n+1) - f(n)) obey G_{n+1} = G_n q, and downward
@@ -367,12 +384,13 @@ def _gaussian_rows(radius: int, t, t12: complex, w: np.ndarray, u: np.ndarray, v
     exp(its real part) times a phase from g = exp(i Im(f(1) - f(0))):
     conj(g) e^(2 pi i Re t) for exp(f(-1)), conj(g) e^(4 pi i Re t) for
     H_{-1}.  g = exp(2 pi i turns) with turns = Re t u + Re c + v + Re t / 2
-    is linear in u, so one np.exp at the base u gives both shifts: g at u
-    + 1/2 is g e^(pi i Re t).  The four real parts
+    is linear in u, so one np.exp at the base u gives every shift: g at u
+    + a is g e^(2 pi i a Re t), a constant per axis and shift.  The four
+    real parts
         -pi y u^2,  2 pi Im c - pi y (u-1)^2,  -p - pi y,  p - 3 pi y
     (y = Im t, p = 2 pi y u + 2 pi Im c) are taken at each shift apart
     and fill one block that takes one np.exp call: per sample, an axis's
-    rows at both shifts cost one complex and eight real exponentials,
+    rows at the four shifts cost one complex and 16 real exponentials,
     whatever the radius.  Each anchor keeps its own exponent, so an
     anchor that underflows to 0 is never the product of an underflow and
     an overflow (0 * inf = NaN).  With Y reduced G_0 and H_{-1} have
@@ -383,10 +401,8 @@ def _gaussian_rows(radius: int, t, t12: complex, w: np.ndarray, u: np.ndarray, v
     lift = w * (2 * pi * t12.imag)  # 2 pi Im c
     turns = u * x
     turns += w * t12.real + v + x / 2
-    u = u + _HALF_SHIFTS
-    up = np.empty(u.shape, dtype=complex)
-    np.exp(2j * pi * turns, out=up[..., :1, :])
-    np.multiply(up[..., :1, :], np.exp(1j * pi * x), out=up[..., 1:, :])
+    u = u + _SHIFTS
+    up = np.exp(2j * pi * turns) * np.exp(2j * pi * x * _SHIFTS)
 
     anchors = np.empty((4,) + u.shape)
     at_zero, at_minus_one, up_ratio, down_ratio = anchors
@@ -422,8 +438,8 @@ def _gaussian_rows(radius: int, t, t12: complex, w: np.ndarray, u: np.ndarray, v
 
 def _theta_kernel(tau: SiegelMatrix) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """The batch function (u, v) -> log||theta||(tau (u + a) + (v + b)) for
-    (B, 2) arrays of base points in [0, 1/2)^2, at the 16 half periods
-    (a, b) of `_HALVES`, as a (16, B) array in their order.
+    (B, 2) arrays of base points in [0, 1/4)^2, at the 256 quarter periods
+    (a, b) of `_QUARTERS`, as a (256, B) array in their order.
 
     Up to a factor of modulus one the scaled sum at a point (u, v) is the
     sum over m = n + u of exp(pi i m' tau m + 2 pi i m' v), n in [-r, r-1]^2
@@ -436,34 +452,37 @@ def _theta_kernel(tau: SiegelMatrix) -> Callable[[np.ndarray, np.ndarray], np.nd
     = exp(2 pi i (tau12 n1 n2 + tau22 T(n2) + tau11 T(n1))).  At the
     translate by (a, b), m = n + u + a, A1 is built at u1 + a1 and A2 at
     u2 + a2, each with the other axis's base coordinate in its cross term,
-    so each axis has rows at two shifts, a_i = 0 and 1/2.  The rest of the
-    cross term and the sign of b are sample-free and go into
+    so each axis has rows at four shifts, a_i = 0, 1/4, 1/2 and 3/4.  The
+    rest of the cross term and the phase of b1 are sample-free and go into
         C'_ab[n2, n1] = exp(2 pi i (tau12 (n1 n2 + a2 n1 + a1 n2)
-                        + tau22 T(n2) + tau11 T(n1))) (-1)^(2 b1 n1),
+                        + tau22 T(n2) + tau11 T(n1) + b1 n1)),
     which leaves the modulus exp(-2 pi Y12 (u1 + a1)(u2 + a2)) per sample.
-    C'_ab is computed here once per tau, as 8 blocks (a, b1) stacked by a1
-    into two 8r x 2r matrices, each block from its own summed exponent, so
-    no entry is the product of an underflow and an overflow.  Per batch
-    the kernel builds the rows at both shifts (`_gaussian_rows`: 2 complex
-    and 16 real exponentials per base point, whatever the radius),
-    forms the stack times A1 in one batched matmul and scales it by A2 in
-    place.  Rows 2j and 2j+1 have n2 of opposite parity, so the n2 sums P
-    and Q over each parity give b2 = 0 as |P + Q| and b2 = 1/2 as |P - Q|.
-    The 4 moduli take one np.exp call.  Every row is the one a single
-    point u + a in [0, 1)^2 would build, and |C'_ab| grows with the cross
-    term only, as |C'| does: on a reduced tau every factor stays in
-    floating-point range, and a direct `log_h` keeps it up to a common
-    scale of Y of about 236 (`test_log_h_float_range_is_kept_and_refused_cleanly`).
+    C'_ab is computed here once per tau, as 64 blocks (a, b1) stacked by
+    a1 into four 32r x 2r matrices, each block from its own summed
+    exponent, so no entry is the product of an underflow and an overflow.
+    Per batch the kernel builds the rows at the four shifts
+    (`_gaussian_rows`: 2 complex and 32 real exponentials per base point,
+    whatever the radius), forms the stack times A1 in one batched matmul
+    (a 128r x B block, 1 MB at r = 4 and B = 128) and scales it by A2 in
+    place.  The phase e^(2 pi i b2 n2) of b2 = j/4 is i^(j n2): up to a
+    phase common to the column, the 4-point DFT over the residues of n2
+    mod 4, which one more matmul with the fixed 4 x 2r matrix i^(j k)
+    (row k has n2 = k - r) applies to the n2 sums at any radius.  The 16
+    moduli take one np.exp call.  Every row is the one a single point u +
+    a in [0, 1)^2 would build, and |C'_ab| grows with the cross term only,
+    as |C'| does: on a reduced tau every factor stays in floating-point
+    range, and a direct `log_h` keeps it up to a common scale of Y of
+    about 237 (`test_log_h_float_range_is_kept_and_refused_cleanly`).
     It returns np.log of every modulus, -inf where one is exactly 0 and
     inf or NaN where a sum overflowed, and raises nothing: `log_h` refuses
-    a chunk with any such value.  `log_delta2` reads the
-    even translates of the origin only; the odd ones are sums of the
-    omitted tail, tiny or -inf, and nothing reads them.
+    a chunk with any such value.  `log_delta2` reads the even half-period
+    translates of the origin only; the odd ones are sums of the omitted
+    tail, tiny or -inf, and nothing reads them.
     """
     radius = _truncation_radius(tau.min_eigenvalue, DEFAULT_THETA_TOL)
     n = np.arange(-radius, radius, dtype=float)
     tri = np.where(n < 0, (n + 1) * (n + 2), n * (n - 1)) / 2  # T(n)
-    blocks = _HALVES[::2]  # (a1, a2, b1) in order, b2 = 0
+    blocks = _QUARTERS[::4]  # (a1, a2, b1) in order, b2 = 0
     a1, a2, b1 = (blocks[:, k, None, None] for k in range(3))
     cross = (n + a1) * (n[:, None] + a2) - a1 * a2  # n1 n2 + a2 n1 + a1 n2, columns n1
 
@@ -476,8 +495,12 @@ def _theta_kernel(tau: SiegelMatrix) -> Callable[[np.ndarray, np.ndarray], np.nd
         # real and imaginary exponents apart: at Y near 1e308 a complex product meets inf * 0 = NaN
         im_exp = exponent(tau.matrix.real) + b1 * n
         stack = np.exp(-2 * math.pi * exponent(tau.matrix.imag) + 2j * math.pi * im_exp)
-    stack = stack.reshape(2, 8 * radius, 2 * radius)  # the blocks of a1 = 0 and a1 = 1/2
-    shifts = _HALVES[::4, :2, None]  # the 4 a, in order
+    stack = stack.reshape(4, 32 * radius, 2 * radius)  # the blocks of each a1, in order
+    shifts = _QUARTERS[::16, :2, None]  # the 16 a, in order
+    # e^(2 pi i b2 n2) = i^(4 b2 n2): row k has n2 = k - r, so up to a phase
+    # common to the column this is i^(j k) for b2 = j/4, exact in floats,
+    # the 4-point DFT over the residues of n2 mod 4, at any radius
+    dft = np.array([1, 1j, -1, -1j])[np.arange(4)[:, None] * np.arange(2 * radius) % 4]
     (t11, t12), (_, t22) = tau.matrix
     diagonal = np.array([t11, t22])[:, None, None]  # the axes' tau_jj
     # each thread keeps one product block, sized for its largest batch and
@@ -489,59 +512,115 @@ def _theta_kernel(tau: SiegelMatrix) -> Callable[[np.ndarray, np.ndarray], np.nd
         u1, u2 = u.T  # contiguous rows when log_h passes its layout
         size = len(u1)
         block = getattr(products, "block", None)
-        if block is None or len(block) < 16 * radius * size:
-            block = products.block = np.empty(16 * radius * size, dtype=complex)
+        if block is None or len(block) < 128 * radius * size:
+            block = products.block = np.empty(128 * radius * size, dtype=complex)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            # both axes in one call, each at its base coordinate plus 0 and 1/2
+            # both axes in one call, each at its base coordinate plus the four a_i
             rows1, rows2 = _gaussian_rows(
                 radius, diagonal, t12, u.T[::-1, None], u.T[:, None], v.T[:, None]
             )
-            ca = np.matmul(stack, rows1, out=block[: 16 * radius * size].reshape(2, 8 * radius, size))
-            ca = ca.reshape(2, 2, 2, 2 * radius, size)
+            ca = np.matmul(stack, rows1, out=block[: 128 * radius * size].reshape(4, 32 * radius, size))
+            ca = ca.reshape(4, 4, 4, 2 * radius, size)
             ca *= rows2[:, None]
             del rows1, rows2  # free the rows before the sums below allocate
-            # rows 2j and 2j+1 have n2 of opposite parity
-            pq = ca.reshape(8, radius, 2, size).sum(axis=1)
-            p, q = pq[:, 0], pq[:, 1]
-            s = np.empty((8, 2, size))
-            np.abs(p + q, out=s[:, 0])
-            np.abs(p - q, out=s[:, 1])
+            # the n2 sums with the phases of b2: one matmul with `dft`
+            s = np.abs(np.matmul(dft, ca.reshape(64, 2 * radius, size)))
             moduli = (u1 + shifts[:, 0]) * (u2 + shifts[:, 1])
             moduli *= -2 * math.pi * t12.imag
             np.exp(moduli, out=moduli)
-            s = s.reshape(4, 4, size)
+            s = s.reshape(16, 16, size)
             s *= moduli[:, None]
-            norms = s.reshape(16, size)
+            norms = s.reshape(256, size)
             norms *= tau.det_y**0.25
             return np.log(norms)
 
     return log_norms
 
 
-def _substream_chunks(method: str, child_seed, count: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """One substream's `count` base points as (u, v) chunks of up to _CHUNK.
+def _nearest_distance_sq(y: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """d_Y(x)^2 = min over n in Z^2 of (x + n)'Y(x + n) at points x in [0, 1)^2
+    (coordinates x1, x2), for reduced Y (|2 Y12| <= Y11 <= Y22).  The
+    nearest lattice point is then one of the four corners c in {0, 1}^2 of
+    the unit square: its Delaunay triangles, cut by the short diagonal, have
+    no obtuse angle, so the Voronoi cells of their vertices cover them.  With
+    w = Y x, (x - c)'Y(x - c) = x'Yx - 2 c'w + c'Yc."""
+    (y11, y12), (_, y22) = y
+    w1 = y11 * x1 + y12 * x2
+    w2 = y12 * x1 + y22 * x2
+    far = np.minimum(y11 - 2 * w1, y22 - 2 * w2)
+    np.minimum(far, y11 + 2 * y12 + y22 - 2 * (w1 + w2), out=far)
+    np.minimum(far, 0, out=far)
+    far += x1 * w1
+    far += x2 * w2
+    return far
 
-    Each chunk is generated when it is asked for, as one block of
-    contiguous coordinate rows (u1, u2, v1, v2) that u and v view as
-    (B, 2) arrays, and halved into [0, 1/2)^4.  Monte Carlo points are
-    consecutive `random` calls on one generator, which fills them from its
-    stream in order; the lattice rule's point k is frac(offset + k K) for
-    k = 1 .. count, with one random offset per substream and x - floor(x)
-    exact for x >= 0.
+
+def _voronoi_moment(y: np.ndarray) -> float:
+    """M2(Y), the mean of d_Y(x)^2 over the torus: the second moment of the
+    Voronoi cell of Z^2 in the metric Y, which has area 1 (Conway and
+    Sloane, Sphere Packings, Lattices and Groups, ch. 21).
+
+    For reduced Y the cell is the hexagon of the obtuse superbase: its
+    relevant vectors are +-e1, +-e2 and +-(e1 + s e2), s = -sign Y12, and
+    its vertices are the points x with x'Yp = p'Yp / 2 for two neighbouring
+    relevant vectors p (at Y12 = 0 two of them meet).  Fanned from 0 into
+    triangles (0, v, w), each contributes |T| / 12 (v'Yv + w'Yw + (v + w)'Y(v + w))."""
+    # counterclockwise: e1, e1 + e2, e2 for s = 1, and e1, e2, e2 - e1 for s = -1
+    half = [[1, 0], [1, 1], [0, 1]] if y[0, 1] <= 0 else [[1, 0], [0, 1], [-1, 1]]
+    relevant = np.array(half + [[-p, -q] for p, q in half], dtype=float)
+    rows = relevant @ y
+    system = np.stack([rows, np.roll(rows, -1, axis=0)], axis=1)
+    half_norms = np.einsum("ki,ki->k", rows, relevant) / 2
+    rhs = np.stack([half_norms, np.roll(half_norms, -1)], axis=1)
+    vertices = np.linalg.solve(system, rhs[..., None])[..., 0]
+    after = np.roll(vertices, -1, axis=0)
+    areas = (vertices[:, 0] * after[:, 1] - vertices[:, 1] * after[:, 0]) / 2
+
+    def norm(x):
+        return np.einsum("ki,ij,kj->k", x, y, x)
+
+    return float(np.sum(areas / 12 * (norm(vertices) + norm(after) + norm(vertices + after))))
+
+
+def _base_points(method: str, seed: int, counts: list[int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The base points of all substreams, substream after substream, as
+    chunks of up to _CHUNK: each a (4, B) block of contiguous coordinate
+    rows (u1, u2, v1, v2) in [0, 1/4)^4 and the (B,) array of the substream
+    each point belongs to.
+
+    Substream j draws counts[j] points from its own generator, spawned from
+    the seed, one piece per chunk it reaches, which is then quartered.  Monte
+    Carlo points are consecutive `random` calls on the generator, which
+    fills them from its stream in order; the lattice rule's point k is
+    frac(offset + k K) for k = 1 .. counts[j], with one random offset per
+    substream and x - floor(x) exact for x >= 0.  So the points do not
+    depend on where the chunks cut the substreams, and no substream's points
+    are ever held at once.
     """
-    rng = np.random.default_rng(child_seed)
-    if method == "lattice-rule":
-        offset = rng.random(4)[:, None]
-    for start in range(0, count, _CHUNK):
-        size = min(_CHUNK, count - start)
-        if method == "monte-carlo":
-            block = np.ascontiguousarray(rng.random((size, 4)).T)
-        else:
-            block = _KRONECKER[:, None] * np.arange(start + 1, start + size + 1, dtype=float)
-            block += offset
-            block -= np.floor(block)
-        block *= 0.5
-        yield block[:2].T, block[2:].T
+    children = np.random.SeedSequence(seed).spawn(len(counts))
+    block, owner, filled = np.empty((4, _CHUNK)), np.empty(_CHUNK, dtype=np.intp), 0
+    for index, (child, count) in enumerate(zip(children, counts)):
+        rng = np.random.default_rng(child)
+        if method == "lattice-rule":
+            offset = rng.random(4)[:, None]
+        start = 0
+        while start < count:
+            size = min(_CHUNK - filled, count - start)
+            piece = block[:, filled : filled + size]
+            if method == "monte-carlo":
+                piece[...] = rng.random((size, 4)).T
+            else:
+                np.multiply(_KRONECKER[:, None], np.arange(start + 1, start + size + 1, dtype=float), out=piece)
+                piece += offset
+                piece -= np.floor(piece)
+            owner[filled : filled + size] = index
+            filled += size
+            start += size
+            if filled == _CHUNK:
+                yield block * 0.25, owner.copy()
+                filled = 0
+    if filled:
+        yield block[:, :filled] * 0.25, owner[:filled].copy()
 
 
 def log_h(tau: SiegelMatrix, config: QuadratureConfig | None = None, workers: int = 1) -> QuadratureResult:
@@ -549,29 +628,33 @@ def log_h(tau: SiegelMatrix, config: QuadratureConfig | None = None, workers: in
 
     Sp4(Z)-invariant, so evaluated at siegel_reduce(tau).  Splits the
     budget into 8 substreams, which differ by at most one coset; each
-    evaluates whole cosets of 16, ceil(count / 16) base points in
-    [0, 1/2)^4 with their 16 half-period translates (`_theta_kernel`), so
-    together they hold n_samples rounded up to whole cosets.  A coset is
-    uniform on the torus where one translate alone is uniform on its own
-    sub-box only, so a partial coset would bias the mean.
+    evaluates whole cosets of 256, ceil(count / 256) base points in
+    [0, 1/4)^4 with their 256 quarter-period translates (`_theta_kernel`),
+    so together they hold n_samples rounded up to whole cosets.  A coset
+    is uniform on the torus where one translate alone is uniform on its
+    own sub-box only, so a partial coset would bias the mean.
 
-    The mean carries a control variate: g(u) = -pi s'Ys with s = u -
-    floor(u + 1/2) in [-1/2, 1/2)^2, whose exact mean over the torus is
-    -pi (Y11 + Y22) / 12 (E s_i^2 = 1/12, E s1 s2 = 0).  It is the log of
-    the largest lattice term up to the constant (det Y)^(1/4), so it
-    follows log||theta|| closely once Y is large, where most of the
-    spread comes from it.  Per coset, F sums log||theta|| over its 16
-    translates and G sums g - E g over the same ones; beta is the least
-    squares slope of F on G over all cosets of all substreams, and a
-    substream's mean is (sum F - beta sum G) over its evaluations.  The
-    estimate is the mean of substream means and the standard error their
-    sample spread.  For a fixed beta the estimate is unbiased, and fitting
-    beta from the same cosets adds a bias of order 1/N.
+    The mean carries a control variate: g(u) = -pi d_Y(u)^2, the log of
+    the largest lattice term up to the constant (det Y)^(1/4)
+    (`_nearest_distance_sq`), whose exact mean over the torus is -pi
+    M2(Y) (`_voronoi_moment`).  It follows log||theta|| closely once Y is
+    large, where most of the spread comes from it, and log||theta|| - g
+    stays bounded.  Per coset, F sums log||theta|| over its 256 translates
+    and G sums g - E g over the same ones; beta is the least squares
+    slope of F on G over all cosets of all substreams, and a substream's
+    mean is (sum F - beta sum G) over its evaluations, so a constant
+    integrand, or one equal to g, comes out exact.  The estimate is the
+    mean of substream means and the standard error their sample spread.
+    For a fixed beta the estimate is unbiased, and fitting beta from the
+    same cosets adds a bias of order 1/N.
 
-    Each substream generates its base points one chunk of _CHUNK at a time
-    (`_substream_chunks`) and sums each chunk as it is made, so no
-    substream's points are ever held at once.  `workers` threads share
-    the substreams; it must be an int of at least 1 (ValueError).
+    The base points of all substreams, substream after substream, go
+    through shared kernel calls of _CHUNK (`_base_points`), so 10^4
+    samples, 5 base points per substream, take one call, not eight.  Each
+    chunk's sums are kept apart per substream and added in chunk order;
+    `workers` threads evaluate the chunks, which come back in that order,
+    so the result does not depend on their number.  `workers` must be an
+    int of at least 1 (ValueError).
 
     Every sample is kept, so `rejected` is always 0.  A chunk with any
     log||theta|| out of floating-point range (an overflowed sum, or a
@@ -584,48 +667,53 @@ def log_h(tau: SiegelMatrix, config: QuadratureConfig | None = None, workers: in
     tau = siegel_reduce(tau)
     kernel = _theta_kernel(tau)
     per_stream, extra = divmod(config.n_samples, SUBSTREAMS)
-    children = np.random.SeedSequence(config.seed).spawn(SUBSTREAMS)
-    (y11, y12), (_, y22) = tau.matrix.imag
-    control_mean = -math.pi * (y11 + y22) / 12
+    coset = len(_QUARTERS)
+    counts = [-(-(per_stream + (index < extra)) // coset) for index in range(SUBSTREAMS)]
+    y = tau.matrix.imag
+    control_mean = -math.pi * _voronoi_moment(y)
 
-    def run_substream(index: int) -> np.ndarray:
-        cosets = -(-(per_stream + (index < extra)) // len(_HALVES))
-        sums = np.zeros(5)  # cosets and the sums of F, G, F G and G^2
-        for u, v in _substream_chunks(config.method, children[index], cosets):
-            vals = kernel(u, v)
-            if not np.all(np.isfinite(vals)):
-                raise QuadratureUnstableError(
-                    f"log||theta|| left floating-point range at {tau!r}"
-                )
-            # s of the translate u + a is u - a, for a_i = 0 and 1/2
-            s1, s2 = u[:, 0] - _HALF_SHIFTS, u[:, 1] - _HALF_SHIFTS
-            g = (y11 * s1 * s1)[:, None] + (2 * y12 * s1)[:, None] * s2 + y22 * s2 * s2
-            g *= -math.pi
-            g -= control_mean
-            g = g.reshape(len(_HALVES) // 4, -1)  # the 4 a in order, each with 4 b
-            g_sum = 4 * g.sum(axis=0)
-            f_sum = vals.sum(axis=0)
-            sums += (len(u), f_sum.sum(), g_sum.sum(), (f_sum * g_sum).sum(), (g_sum * g_sum).sum())
-        return sums
+    def chunk_sums(chunk: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """Per substream: the chunk's cosets and its sums of F, G, F G and G^2."""
+        block, owner = chunk
+        u = block[:2].T
+        vals = kernel(u, block[2:].T)
+        if not np.all(np.isfinite(vals)):
+            raise QuadratureUnstableError(f"log||theta|| left floating-point range at {tau!r}")
+        # g at the translates u + a, each shared by its 16 b
+        g = _nearest_distance_sq(y, (u[:, 0] + _SHIFTS)[:, None], u[:, 1] + _SHIFTS)
+        g *= -math.pi
+        g -= control_mean
+        g_sum = 16 * g.reshape(16, -1).sum(axis=0)
+        f_sum = vals.sum(axis=0)
+        columns = (np.ones_like(f_sum), f_sum, g_sum, f_sum * g_sum, g_sum * g_sum)
+        return np.stack([np.bincount(owner, column, SUBSTREAMS) for column in columns], axis=1)
 
+    chunks = _base_points(config.method, config.seed, counts)
+    sums = np.zeros((SUBSTREAMS, 5))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_substream, range(SUBSTREAMS)))
+            pending: deque = deque()
+            for chunk in chunks:
+                pending.append(pool.submit(chunk_sums, chunk))
+                if len(pending) > workers:  # a bounded queue: the points are drawn as they are needed
+                    sums += pending.popleft().result()
+            for future in pending:
+                sums += future.result()
     else:
-        results = [run_substream(j) for j in range(SUBSTREAMS)]
+        for chunk in chunks:
+            sums += chunk_sums(chunk)
 
-    sums = np.array(results)
     cosets, f_total, g_total, fg, gg = sums.sum(axis=0)
     covariance = fg - f_total / cosets * g_total
     variance = gg - g_total / cosets * g_total
     beta = covariance / variance if math.isfinite(covariance) and 0 < variance < math.inf else 0.0
-    means = (sums[:, 1] - beta * sums[:, 2]) / (len(_HALVES) * sums[:, 0])
+    means = (sums[:, 1] - beta * sums[:, 2]) / (coset * sums[:, 0])
     value = float(np.mean(means))
     stderr = float(np.std(means, ddof=1) / math.sqrt(SUBSTREAMS))
     if stderr > 10 * config.target_stderr:
         raise QuadratureUnstableError(
             f"standard error {stderr:.3e} exceeds 10x target "
-            f"{config.target_stderr:.3e} after {len(_HALVES) * int(cosets)} samples"
+            f"{config.target_stderr:.3e} after {coset * int(cosets)} samples"
         )
     return QuadratureResult(value, stderr, 0)
 

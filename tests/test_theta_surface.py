@@ -10,13 +10,14 @@ integrands with known means before being trusted on the theta integrand.
 import itertools
 import math
 import random
+import sys
 import warnings
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import PROPERTY_SETTINGS
 
@@ -99,9 +100,12 @@ EVEN_CHARS = [(a, b) for a, b in ALL_CHARS if 4 * (a[0] * b[0] + a[1] * b[1]) % 
 ODD_CHARS = [c for c in ALL_CHARS if c not in EVEN_CHARS]
 
 
-# the 16 half periods (a1, a2, b1, b2) as floats, in the order of
-# itertools.product: the order of the kernel's translates
-HALVES = np.array(list(itertools.product((0.0, 0.5), repeat=4)))
+# the 256 quarter periods (a1, a2, b1, b2) as floats, in the order of
+# itertools.product: the order of the kernel's translates; the 16 half
+# periods among them, in the same order
+QUARTERS = np.array(list(itertools.product((0.0, 0.25, 0.5, 0.75), repeat=4)))
+HALF = np.all(QUARTERS % 0.5 == 0, axis=1)
+HALVES = QUARTERS[HALF]
 
 
 def char_name(char) -> str:
@@ -433,27 +437,27 @@ def test_quadrature_config_validation():
 
 
 def translates(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 16 points (u + a, v + b) of each base point in the kernel's
-    order, (a, b) in HALVES order outermost, as (16 B, 2) arrays."""
-    points = (np.hstack([u, v])[None] + HALVES[:, None]).reshape(-1, 4)
+    """The 256 points (u + a, v + b) of each base point in the kernel's
+    order, (a, b) in QUARTERS order outermost, as (256 B, 2) arrays."""
+    points = (np.hstack([u, v])[None] + QUARTERS[:, None]).reshape(-1, 4)
     return points[:, :2], points[:, 2:]
 
 
 def kernel_translates(tau: SiegelMatrix, u: np.ndarray, v: np.ndarray):
-    """The kernel's (16, B) values at the base points (u, v), and the
-    (16 B, 2) arrays of their translates (u + a, v + b) in its order."""
+    """The kernel's (256, B) values at the base points (u, v), and the
+    (256 B, 2) arrays of their translates (u + a, v + b) in its order."""
     return (_theta_kernel(tau)(u, v),) + translates(u, v)
 
 
 def use_integrand(monkeypatch, integrand) -> None:
-    """Make `log_h` average integrand(u, v), a function of the (16 B, 2)
+    """Make `log_h` average integrand(u, v), a function of the (256 B, 2)
     arrays of `translates`, in place of log||theta||: the kernel is
     swapped for one that evaluates it at each chunk's translates and
-    returns the kernel's (16, B) layout.  The control variate applies
+    returns the kernel's (256, B) layout.  The control variate applies
     to its values too."""
 
     def kernel(tau):
-        return lambda u, v: integrand(*translates(u, v)).reshape(len(HALVES), -1)
+        return lambda u, v: integrand(*translates(u, v)).reshape(len(QUARTERS), -1)
 
     monkeypatch.setattr(g2inv.theta_surface, "_theta_kernel", kernel)
 
@@ -473,22 +477,32 @@ def test_log_h_known_mean_integrand(monkeypatch):
     result = log_h(GENERIC_TAU, config)
     assert result.stderr > 0
     assert abs(result.value - 1.0) < 6 * result.stderr + 1e-12
-    lattice = log_h(GENERIC_TAU, QuadratureConfig(n_samples=40000, seed=11, method="lattice-rule"))
+    # the lattice rule's error on this integrand, which is not periodic,
+    # follows its base point count: 2500, as many as 4e4 samples in cosets of 16 had
+    lattice = log_h(GENERIC_TAU, QuadratureConfig(n_samples=640_000, seed=11, method="lattice-rule"))
     assert abs(lattice.value - 1.0) < 1e-3
 
 
 def whole_cosets(n_samples: int) -> list[int]:
     """Each substream's base point count: its share of n_samples, which
-    differ by at most one, rounded up to whole cosets of 16."""
+    differ by at most one, rounded up to whole cosets of 256."""
     per_stream, extra = divmod(n_samples, 8)
-    return [-(-(per_stream + (index < extra)) // 16) for index in range(8)]
+    return [-(-(per_stream + (index < extra)) // 256) for index in range(8)]
+
+
+def shared_chunks(total: int) -> list[int]:
+    """The base point counts of the kernel calls for `total` base points:
+    all substreams' points, one after another, in calls of 128."""
+    return [min(128, total - start) for start in range(0, total, 128)]
 
 
 @pytest.mark.parametrize("method", ["monte-carlo", "lattice-rule"])
 @pytest.mark.parametrize("n_samples", [10000, 10007, 8 * 4096 + 5])
 def test_log_h_sums_exactly_n_samples(monkeypatch, method, n_samples):
     """Exactly n_samples evaluations, each substream's share rounded up to
-    whole cosets of 16: 10000 gives 8 x 79 x 16 = 10112."""
+    whole cosets of 256: 10000 gives 8 x 5 x 256 = 10240.  The substreams
+    share kernel calls of 128 base points, so 10^4 samples take one call,
+    not one per substream."""
     seen = []
 
     def count(u, v):
@@ -497,21 +511,22 @@ def test_log_h_sums_exactly_n_samples(monkeypatch, method, n_samples):
 
     use_integrand(monkeypatch, count)
     log_h(GENERIC_TAU, QuadratureConfig(n_samples=n_samples, seed=2, method=method))
-    assert sum(seen) == 16 * sum(whole_cosets(n_samples))
-    assert all(size % 16 == 0 for size in seen)
+    assert sum(seen) == 256 * sum(whole_cosets(n_samples))
+    assert seen == [256 * size for size in shared_chunks(sum(whole_cosets(n_samples)))]
 
 
 @pytest.mark.parametrize("method", ["monte-carlo", "lattice-rule"])
 @pytest.mark.parametrize("n_samples", [10007, 8 * 4096 + 5])
 def test_log_h_points_match_whole_substream_formulas(monkeypatch, method, n_samples):
     """The (u, v) chunks `log_h` hands its integrand, bit for bit, against
-    each substream's base points drawn at once and halved: one
+    each substream's base points drawn at once and quartered: one
     random((count, 4)) call for monte-carlo, frac(offset + k K) for k = 1
     .. count for the lattice rule, count the substream's whole cosets.
-    Chunks hold 1024 base points, the last of each substream the rest, and
-    each reaches the integrand as its 16 half-period translates
-    (u + a, v + b), (a, b) in the order of itertools.product, so the
-    summation order is fixed too."""
+    The substreams' points, one substream after another, are cut into
+    chunks of 128 base points, the last chunk the rest, and each reaches
+    the integrand as its 256 quarter-period translates (u + a, v + b),
+    (a, b) in the order of itertools.product, so the summation order is
+    fixed too."""
     seed = 5
     blocks = []
 
@@ -533,46 +548,145 @@ def test_log_h_points_match_whole_substream_formulas(monkeypatch, method, n_samp
         else:
             steps = np.arange(1, count + 1, dtype=float)
             base = np.mod(rng.random(4)[:, None] + kronecker[:, None] * steps, 1.0).T
-        for start in range(0, count, 1024):
-            chunk = base[start : start + 1024] / 2
-            want.append((chunk[None] + HALVES[:, None]).reshape(-1, 4))
+        want.append(base / 4)
+    want = np.concatenate(want)
+    want = [
+        (want[start : start + 128][None] + QUARTERS[:, None]).reshape(-1, 4)
+        for start in range(0, len(want), 128)
+    ]
     assert [len(block) for block in blocks] == [len(block) for block in want]
     assert np.array_equal(np.concatenate(blocks), np.concatenate(want))
 
 
 @pytest.mark.parametrize("method", ["monte-carlo", "lattice-rule"])
 def test_log_h_averages_whole_cosets(monkeypatch, method):
-    """The indicator of u in [0, 1/2)^2 holds at exactly 4 of the 16
-    translates of every base point, so over whole cosets its mean is 1/4
+    """The indicator of u in [0, 1/4)^2 holds at exactly 16 of the 256
+    translates of every base point, so over whole cosets its mean is 1/16
     with no error at all; a partial coset would move it."""
     config = QuadratureConfig(n_samples=10007, seed=8, method=method)
 
-    def quarter(u, v):
-        return np.all(u < 0.5, axis=1).astype(float)
+    def corner(u, v):
+        return np.all(u < 0.25, axis=1).astype(float)
 
-    use_integrand(monkeypatch, quarter)
+    use_integrand(monkeypatch, corner)
     result = log_h(GENERIC_TAU, config)
-    assert result.value == 0.25
+    assert result.value == 1 / 16
     assert result.stderr == 0.0
 
 
+def brute_distance_sq(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """min over n in [-2, 3]^2 of (x + n)'Y(x + n) for a (k, 2) array x."""
+    ns = np.array(list(itertools.product(range(-2, 4), repeat=2)), dtype=float)
+    shifted = x[:, None, :] + ns[None]
+    return np.einsum("kni,ij,knj->kn", shifted, y, shifted).min(axis=1)
+
+
+def exact_voronoi_moment(y: np.ndarray) -> Fraction:
+    """The second moment of the Voronoi cell of Z^2 in the metric Y (area
+    1) for reduced Y, in exact arithmetic on the float entries: its six
+    vertices, counterclockwise, are equidistant from 0 and two neighbouring
+    relevant vectors of the obtuse superbase, and the cell is fanned from 0
+    into triangles, each with the second moment |T|/12 (v'Yv + w'Yw +
+    (v + w)'Y(v + w))."""
+    (y11, y12), (_, y22) = (tuple(map(Fraction, row)) for row in y.tolist())
+
+    def form(p, q):
+        return p[0] * (y11 * q[0] + y12 * q[1]) + p[1] * (y12 * q[0] + y22 * q[1])
+
+    if y12 > 0:
+        half = [(1, 0), (0, 1), (-1, 1)]
+    else:
+        half = [(1, 0), (1, 1), (0, 1)]
+    relevant = half + [(-p, -q) for p, q in half]
+    vertices = []
+    for p, q in zip(relevant, relevant[1:] + relevant[:1]):
+        # x'Y p = p'Y p / 2 and x'Y q = q'Y q / 2 by Cramer's rule
+        (a, b), (c, d) = ((form((1, 0), r), form((0, 1), r)) for r in (p, q))
+        e, f = form(p, p) / 2, form(q, q) / 2
+        det = a * d - b * c
+        vertices.append(((e * d - b * f) / det, (a * f - e * c) / det))
+    moment = Fraction(0)
+    for v, w in zip(vertices, vertices[1:] + vertices[:1]):
+        area = (v[0] * w[1] - v[1] * w[0]) / 2
+        both = (v[0] + w[0], v[1] + w[1])
+        moment += area / 12 * (form(v, v) + form(w, w) + form(both, both))
+    return moment
+
+
 @pytest.mark.parametrize("method", ["monte-carlo", "lattice-rule"])
-def test_log_h_integrates_its_control_variate_exactly(monkeypatch, method):
-    """An integrand equal to the control variate -pi s'Ys, s = u - floor(u + 1/2),
-    fits it with slope 1, so `log_h` returns its exact mean -pi (Y11 +
-    Y22) / 12 up to rounding, with no spread: this pins the control's
-    mean, its sign and the translates it is evaluated at."""
-    tau = siegel_reduce(GENERIC_TAU)
-    y = tau.matrix.imag
+def test_log_h_integrates_its_control_variate_exactly(method):
+    """An integrand equal to the control variate -pi d_Y(u)^2 fits it with
+    slope 1, so `log_h` returns its exact mean -pi M2(Y) up to rounding,
+    with no spread: this pins the control's mean against the exact
+    Voronoi moment (the mean (Y11 + Y22) / 12 of the componentwise
+    nearest integer is 0.012 and 0.083 above M2 here), its sign and the
+    translates it is evaluated at, on both signs of Y12."""
+    slanted = SiegelMatrix([[0.1 + 4j, -0.3 - 1.8j], [-0.3 - 1.8j, 0.2 + 6j]])
+    for tau in (siegel_reduce(GENERIC_TAU), slanted):
+        y = tau.matrix.imag
+        with pytest.MonkeyPatch.context() as patch:
+            use_integrand(patch, lambda u, v: -math.pi * brute_distance_sq(y, u))
+            result = log_h(tau, QuadratureConfig(n_samples=10007, seed=3, method=method))
+        assert abs(result.value + math.pi * float(exact_voronoi_moment(y))) < 1e-12
+        assert result.stderr < 1e-12
 
-    def control(u, v):
-        s = u - np.floor(u + 0.5)
-        return -math.pi * np.einsum("bi,ij,bj->b", s, y, s)
 
-    use_integrand(monkeypatch, control)
-    result = log_h(tau, QuadratureConfig(n_samples=10007, seed=3, method=method))
-    assert abs(result.value + math.pi * (y[0, 0] + y[1, 1]) / 12) < 1e-12
-    assert result.stderr < 1e-12
+def reduced_y(y11: float, ratio: float, slant: float) -> np.ndarray:
+    """The reduced Y with Y22 = ratio Y11 (ratio >= 1) and Y12 = slant Y11 / 2
+    (|slant| <= 1): |2 Y12| <= Y11 <= Y22."""
+    return np.array([[y11, slant * y11 / 2], [slant * y11 / 2, ratio * y11]])
+
+
+@PROPERTY_SETTINGS
+@given(st.floats(0.5, 50), st.floats(1, 8), st.floats(-1, 1))
+@example(1.0, 1.0, 0.0)
+@example(1.0, 1.0, 1.0)
+@example(1.0, 1.0, -1.0)
+@example(3.0, 1.0, 1.0)
+def test_nearest_corner_is_the_nearest_lattice_point(y11, ratio, slant):
+    """For reduced Y the four-corner d_Y(x)^2 of the control variate is the
+    minimum over all of n in [-2, 3]^2, at random points of [0, 1)^2 and on
+    the edges and diagonals of the square, at both signs of Y12 and at the
+    hexagonal corner |2 Y12| = Y11 = Y22."""
+    y = reduced_y(y11, ratio, slant)
+    x = np.random.default_rng(0).random((500, 2))
+    edge = np.linspace(0, 1 - 1e-9, 41)
+    x = np.vstack([x, np.stack([edge, edge], 1), np.stack([edge, 1 - edge], 1),
+                   np.stack([edge, 0 * edge], 1), np.stack([0 * edge, edge], 1)])
+    got = g2inv.theta_surface._nearest_distance_sq(y, x[:, 0], x[:, 1])
+    assert np.allclose(got, brute_distance_sq(y, x), rtol=1e-13, atol=1e-13 * y11)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=20)
+@given(
+    st.floats(math.sqrt(3) / 2, 2),
+    st.floats(1, 3),
+    st.floats(0.1, 1),
+    st.sampled_from((-1, 1)),
+)
+@example(1.0, 1.0, 1.0, 1)
+@example(1.0, 1.0, 1.0, -1)
+def test_voronoi_moment_matches_a_midpoint_grid(y11, ratio, slant, sign):
+    """M2(Y) against the mean of the four-corner d_Y^2 over a 2000^2
+    midpoint grid of the torus (which the property above pins to the
+    lattice minimum), within 1e-8, and against its exact value in
+    Fractions, on both signs of Y12 and at the hexagonal corner.  M2 is
+    homogeneous in Y, so a modest scale loses nothing; Y12 stays clear of
+    0, since a kink of d^2 nearly along the grid's cell edges leaves the
+    midpoint rule an error of about (Y11 + Y22) / (12 2000^2), 2e-8 at
+    Y = I.  A diagonal Y has the unit square for its cell, with M2 =
+    (Y11 + Y22) / 12, the mean of the componentwise control."""
+    y = reduced_y(y11, ratio, sign * slant)
+    got = g2inv.theta_surface._voronoi_moment(y)
+    grid = (np.arange(2000) + 0.5) / 2000
+    total = sum(
+        float(g2inv.theta_surface._nearest_distance_sq(y, rows[:, None], grid).sum())
+        for rows in np.split(grid, 8)
+    )
+    assert abs(got - total / 2000**2) < 1e-8
+    assert abs(got - float(exact_voronoi_moment(y))) < 1e-15
+    diagonal = np.diag(np.diag(y))
+    assert abs(g2inv.theta_surface._voronoi_moment(diagonal) - (y[0, 0] + y[1, 1]) / 12) < 1e-15
 
 
 def test_control_variate_keeps_a_tall_reduced_tau_clear_of_the_refusal():
@@ -584,6 +698,18 @@ def test_control_variate_keeps_a_tall_reduced_tau_clear_of_the_refusal():
     tau = siegel_reduce(SiegelMatrix(np.array([[0.3 + 0.004j, 0.2 + 0.001j], [0.2 + 0.001j, 0.1 + 3j]])))
     for seed in range(10):
         assert log_h(tau, QuadratureConfig(n_samples=10000, seed=seed)).stderr < 0.004
+
+
+def test_voronoi_control_keeps_a_slanted_tall_tau_clear_of_the_refusal():
+    """At Y = [[8, 2], [2, 20]], which `log_delta2` accepts (-138.11), the
+    componentwise control -pi s'Ys missed the nearest lattice point, and
+    the monte-carlo standard error at 10^4 samples passed the refusal
+    bound 10 x 1e-3 on 13 of seeds 0-29 (exit 6 through `arch`); with
+    the Voronoi control -pi d_Y(u)^2 every seed passes."""
+    tau = SiegelMatrix([[0.1 + 8j, 0.3 + 2j], [0.3 + 2j, -0.2 + 20j]])
+    assert abs(log_delta2(tau) + 138.11) < 0.01
+    for seed in range(30):
+        assert log_h(tau, QuadratureConfig(n_samples=10000, seed=seed)).stderr < 10 * 1e-3
 
 
 @pytest.mark.parametrize("method", ["monte-carlo", "lattice-rule"])
@@ -612,7 +738,8 @@ HEXAGONAL_TAU = SiegelMatrix(0.5 * np.eye(2) + 1j * math.sqrt(3) / 2 * np.array(
 def test_kernel_matches_pointwise_theta_norm(rng):
     """The torus-average kernel against `lattice_sum_norms`, whose plain
     lattice sum shares none of its factoring or recurrence, point by
-    point at all 16 half-period translates of each base point: an error
+    point at all 256 quarter-period translates of base points in
+    [0, 1/4)^4, the edges of that box among them: an error
     of 1e-6 per point hides inside the Monte Carlo spread but not here.
     Wherever the reference modulus is a normal float, however small, the
     kernel's value is finite and matches in log."""
@@ -627,9 +754,9 @@ def test_kernel_matches_pointwise_theta_norm(rng):
     # unreduced, so the row recurrences run over 16 and 20 rows (radius 8 and 10)
     taus.append(SiegelMatrix([[0.3 + 0.2j, 0.1 + 0.05j], [0.1 + 0.05j, 0.2 + 0.3j]]))
     taus.append(SiegelMatrix([[0.45 + 0.12j, -0.5 + 0.03j], [-0.5 + 0.03j, 0.1 + 0.5j]]))
-    edges = (0.0, 0.25, 0.5 - 1e-9)
+    edges = (0.0, 0.125, 0.25 - 1e-9)
     for index, tau in enumerate(taus):
-        points = np.random.default_rng(index).random((64, 4)) / 2
+        points = np.random.default_rng(index).random((64, 4)) / 4
         points[:9, :2] = list(itertools.product(edges, edges))
         got, u, v = kernel_translates(tau, points[:, :2], points[:, 2:])
         norms = lattice_sum_norms(tau.matrix)(u, v)
@@ -640,8 +767,8 @@ def test_kernel_matches_pointwise_theta_norm(rng):
 
 
 def test_kernel_at_the_origin_gives_the_theta_nulls(rng):
-    """The 16 translates of the base point 0 are the points tau a + b, where
-    ||theta|| = (det Y)^(1/4) |theta[a,b](0)|: the even ones match the
+    """The 16 half-period translates of the base point 0 are the points
+    tau a + b, where ||theta|| = (det Y)^(1/4) |theta[a,b](0)|: the even ones match the
     stacked null sum.  The box sum of an odd null is minus the mass the
     box omits, so it stays within the tail bound DEFAULT_THETA_TOL at any
     tau, where Y is diagonal too (there it is tiny or exactly 0, log -inf)."""
@@ -649,12 +776,12 @@ def test_kernel_at_the_origin_gives_the_theta_nulls(rng):
     assert odd.sum() == 6
     origin = np.zeros((1, 2))
     for tau in (siegel_reduce(GENERIC_TAU), HEXAGONAL_TAU):
-        got = _theta_kernel(tau)(origin, origin)[:, 0]
+        got = _theta_kernel(tau)(origin, origin)[HALF, 0]
         nulls = stacked_nulls(_EVEN_A, _EVEN_B, tau)
         assert np.allclose(got[~odd], np.log(tau.det_y**0.25 * np.abs(nulls)), rtol=0, atol=1e-12)
     taus = [siegel_reduce(GENERIC_TAU), HEXAGONAL_TAU, IDENTITY_TAU]
     for tau in taus + [siegel_reduce(random_tau(rng)) for _ in range(50)]:
-        got = _theta_kernel(tau)(origin, origin)[odd, 0]
+        got = _theta_kernel(tau)(origin, origin)[HALF][odd, 0]
         assert np.all(np.exp(got) <= tau.det_y**0.25 * DEFAULT_THETA_TOL)
 
 
@@ -689,10 +816,11 @@ def _stretched_tau(scale: float) -> SiegelMatrix:
 
 def test_log_h_float_range_is_kept_and_refused_cleanly():
     """A reduced tau this stretched is refused by `log_delta2` long before;
-    a direct `log_h` keeps its range up to s of about 236.5 at this config
-    (236.9 for monte-carlo), where the exponent 2 pi Y12 of the anchor
-    exp(f(-1)) (2 pi 0.48 s at u near 1, reached by the translates u + 1/2
-    of base points near 1/2) passes the float limit 709.78, and past it
+    a direct `log_h` keeps its range up to s of about 237.5 at this config
+    (237 for monte-carlo), where the sum before its modulus factor
+    exp(-2 pi Y12 (u1 + a1)(u2 + a2)), about exp(2 pi Y12) = exp(2 pi 0.48
+    s) at the translates u + 3/4 of base points near 1/4, passes the float
+    limit 709.78, and past it
     raises QuadratureUnstableError without a numpy warning, every sample
     kept below it.  The range ends at the least float too: at Y22 = 1000
     the largest lattice term of a point with u2 near 1/2 is about
@@ -714,12 +842,20 @@ def test_log_h_float_range_is_kept_and_refused_cleanly():
 
 @pytest.mark.parametrize("method", ["monte-carlo", "lattice-rule"])
 def test_log_h_reproducible_across_workers(method):
-    config = QuadratureConfig(n_samples=20000, seed=42, method=method)
+    """10^5 samples make 392 base points, four shared kernel calls: threads
+    evaluate them in any order, with thread switches forced often, and
+    the sums still come out bit for bit as in one thread."""
+    config = QuadratureConfig(n_samples=100_000, seed=42, method=method)
     one = log_h(GENERIC_TAU, config, workers=1)
     again = log_h(GENERIC_TAU, config, workers=1)
-    threaded = log_h(GENERIC_TAU, config, workers=4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = [log_h(GENERIC_TAU, config, workers=workers) for workers in (2, 4)]
+    finally:
+        sys.setswitchinterval(interval)
     assert one == again
-    assert one == threaded
+    assert threaded == [one, one]
 
 
 @pytest.mark.parametrize("workers", [1e-12, 0, -3])
