@@ -497,9 +497,7 @@ def _theta_kernel(tau: SiegelMatrix) -> Callable[[np.ndarray, np.ndarray], np.nd
         stack = np.exp(-2 * math.pi * exponent(tau.matrix.imag) + 2j * math.pi * im_exp)
     stack = stack.reshape(4, 32 * radius, 2 * radius)  # the blocks of each a1, in order
     shifts = _QUARTERS[::16, :2, None]  # the 16 a, in order
-    # e^(2 pi i b2 n2) = i^(4 b2 n2): row k has n2 = k - r, so up to a phase
-    # common to the column this is i^(j k) for b2 = j/4, exact in floats,
-    # the 4-point DFT over the residues of n2 mod 4, at any radius
+    # i^(j k), exact in floats: the phase of b2 = j/4 at row k up to a column phase
     dft = np.array([1, 1j, -1, -1j])[np.arange(4)[:, None] * np.arange(2 * radius) % 4]
     (t11, t12), (_, t22) = tau.matrix
     diagonal = np.array([t11, t22])[:, None, None]  # the axes' tau_jj
