@@ -62,10 +62,10 @@ Numerical conventions:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import threading
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
@@ -358,9 +358,35 @@ class QuadratureResult(NamedTuple):
     rejected: int
 
 
-# fractional parts of sqrt(2), sqrt(3), sqrt(5), sqrt(7): a Kronecker
-# direction that equidistributes on the 4-torus
-_KRONECKER = np.array([math.sqrt(2) - 1, math.sqrt(3) - 1, math.sqrt(5) - 2, math.sqrt(7) - 2])
+# the generator search of `_lattice_generator` tries at most this many candidates per component
+_GENERATOR_CANDIDATES = 32
+
+
+@functools.lru_cache(maxsize=16)
+def _lattice_generator(n: int) -> tuple[int, ...]:
+    """A generating vector z = (1, z2, z3, z4) of the rank-1 lattice rule
+    with the n points k z / n mod 1, built component by component (Sloan
+    and Reztsov, Math. Comp. 2002): each z_j, prime to n so that every
+    coordinate takes all n values k / n, minimises the criterion P2 of
+    Sloan and Joe, (1/n) sum over k of the product over the components so
+    far of 1 + 2 pi^2 B2(frac(k z_j / n)), B2(x) = x^2 - x + 1/6.  Each
+    component tries the candidates in [1, n/2] (c and n - c score alike),
+    or _GENERATOR_CANDIDATES of them spread evenly."""
+    k = np.arange(n)
+
+    def weight(x: np.ndarray) -> np.ndarray:
+        return 1 + 2 * math.pi**2 * (x * x - x + 1 / 6)
+
+    candidates = np.array([c for c in range(1, n // 2 + 1) if math.gcd(c, n) == 1] or [1])
+    if len(candidates) > _GENERATOR_CANDIDATES:
+        candidates = candidates[np.linspace(0, len(candidates) - 1, _GENERATOR_CANDIDATES).astype(int)]
+    z = [1]
+    product = weight(k / n)
+    for _ in range(3):
+        scores = (product * weight(np.outer(candidates, k) % n / n)).sum(axis=1)
+        z.append(int(candidates[np.argmin(scores)]))
+        product *= weight(k * z[-1] % n / n)
+    return tuple(z)
 
 
 def _gaussian_rows(radius: int, t, t12: complex, w: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -589,11 +615,17 @@ def _base_points(method: str, seed: int, counts: list[int]) -> Iterator[tuple[np
     Substream j draws counts[j] points from its own generator, spawned from
     the seed, one piece per chunk it reaches, which is then quartered.  Monte
     Carlo points are consecutive `random` calls on the generator, which
-    fills them from its stream in order; the lattice rule's point k is
-    frac(offset + k K) for k = 1 .. counts[j], with one random offset per
-    substream and x - floor(x) exact for x >= 0.  So the points do not
-    depend on where the chunks cut the substreams, and no substream's points
-    are ever held at once.
+    fills them from its stream in order.  The lattice rule's point k is
+    t(frac(offset + (k z mod n) / n)) for k = 0 .. n - 1, n = counts[j]:
+    the rank-1 lattice of `_lattice_generator(n)` built for the base box,
+    one random offset per substream (x - floor(x) exact for x >= 0), and
+    the tent t(x) = 1 - |2x - 1| in each coordinate (the baker's
+    transformation, Hickernell 2002), which keeps the points uniform and
+    makes the lattice rule exact on an integrand linear in the base point,
+    where the plain rule misses the jump at the edge of the box (u + a runs
+    past 1 and wraps to 0).  t reaches 1, and a base point 1/4, where
+    frac(...) is 1/2 exactly; the kernel covers that shift too.  So the
+    points do not depend on where the chunks cut the substreams.
     """
     children = np.random.SeedSequence(seed).spawn(len(counts))
     block, owner, filled = np.empty((4, _CHUNK)), np.empty(_CHUNK, dtype=np.intp), 0
@@ -601,6 +633,7 @@ def _base_points(method: str, seed: int, counts: list[int]) -> Iterator[tuple[np
         rng = np.random.default_rng(child)
         if method == "lattice-rule":
             offset = rng.random(4)[:, None]
+            generator = np.array(_lattice_generator(count))[:, None]
         start = 0
         while start < count:
             size = min(_CHUNK - filled, count - start)
@@ -608,9 +641,10 @@ def _base_points(method: str, seed: int, counts: list[int]) -> Iterator[tuple[np
             if method == "monte-carlo":
                 piece[...] = rng.random((size, 4)).T
             else:
-                np.multiply(_KRONECKER[:, None], np.arange(start + 1, start + size + 1, dtype=float), out=piece)
+                np.divide(generator * np.arange(start, start + size) % count, count, out=piece)
                 piece += offset
                 piece -= np.floor(piece)
+                piece[...] = 1 - np.abs(2 * piece - 1)
             owner[filled : filled + size] = index
             filled += size
             start += size
@@ -688,18 +722,9 @@ def log_h(tau: SiegelMatrix, config: QuadratureConfig | None = None, workers: in
 
     chunks = _base_points(config.method, config.seed, counts)
     sums = np.zeros((SUBSTREAMS, 5))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pending: deque = deque()
-            for chunk in chunks:
-                pending.append(pool.submit(chunk_sums, chunk))
-                if len(pending) > workers:  # a bounded queue: the points are drawn as they are needed
-                    sums += pending.popleft().result()
-            for future in pending:
-                sums += future.result()
-    else:
-        for chunk in chunks:
-            sums += chunk_sums(chunk)
+    with ThreadPoolExecutor(max_workers=workers) as pool:  # no thread starts for workers = 1
+        for part in (pool.map if workers > 1 else map)(chunk_sums, chunks):
+            sums += part
 
     cosets, f_total, g_total, fg, gg = sums.sum(axis=0)
     covariance = fg - f_total / cosets * g_total
