@@ -86,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ar.add_argument("--samples", type=int, default=100_000)
     ar.add_argument("--seed", type=int, default=0)
     ar.add_argument("--method", choices=("monte-carlo", "lattice-rule"), default="monte-carlo")
-    ar.add_argument("--workers", type=int, default=1)
+    ar.add_argument("--workers", type=int, default=1, help="for compatibility; echoed, changes no work")
     # default None: the theta module, which holds the default, loads numpy
     ar.add_argument("--target-stderr", type=float)
     ar.add_argument("--format", choices=("human", "structured"), default="human")
@@ -144,7 +144,7 @@ def _run_arch(args) -> int:
         method=args.method,
         target_stderr=target,
     )
-    report = arch_invariants(tau, config, workers=args.workers)
+    report = arch_invariants(tau, config)
     doc = arch_to_dict(report)
     doc.update(
         samples=args.samples,

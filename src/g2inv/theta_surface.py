@@ -56,8 +56,7 @@ Numerical conventions:
   nearest lattice point in the metric Y, so the log of the largest
   lattice term), whose exact mean, the second moment of the Voronoi cell,
   is known, and the spread of 8 substreams gives the standard error.
-  Fixed (seed, N, method) give bit-identical results regardless of
-  worker count.
+  Fixed (seed, N, method) give bit-identical results.
 """
 
 from __future__ import annotations
@@ -65,8 +64,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
@@ -86,15 +83,8 @@ NULL_FLOOR = 1e-8  # an even theta-null below this in modulus counts as vanishin
 LAMBDA_FLOOR = 1e-4
 REDUCTION_CAP = 200
 SUBSTREAMS = 8
-# base points per kernel call, shared by the substreams: 32768 evaluations
-# into a 128r x 128 product block, 1 MB at r = 4 like the 16r x 1024 block
-# of the old 16-translate kernel, so the peak memory stays where it was.
-# Larger calls ran faster (log_h at 2e5 samples, r = 4, 2-core Xeon: 4.3 ms
-# at 128, 3.7 at 256, 3.4 at 512) but raised the peak RSS of a 2e5-sample
-# `arch` by 1.7 and 5.3 MB; smaller ones pay about 50 us per call (5.6 ms
-# at 32).  Single-threaded OpenBLAS (OPENBLAS_NUM_THREADS=1) took the old
-# 1024-point calls from 36 to 27 ns per evaluation, but moves log_h at 128
-# by less than 3 %
+# base points per kernel call, shared by the substreams: a 128r x 128
+# product block, 1 MB at r = 4, which keeps the peak memory where it was
 _CHUNK = 128
 LOG_2PI = math.log(2 * math.pi)
 
@@ -527,17 +517,17 @@ def _theta_kernel(tau: SiegelMatrix) -> Callable[[np.ndarray, np.ndarray], np.nd
     dft = np.array([1, 1j, -1, -1j])[np.arange(4)[:, None] * np.arange(2 * radius) % 4]
     (t11, t12), (_, t22) = tau.matrix
     diagonal = np.array([t11, t22])[:, None, None]  # the axes' tau_jj
-    # each thread keeps one product block, sized for its largest batch and
-    # reused: a fresh 1 MB block per batch made the allocator hand its
-    # pages back and fetch them again, about a third of `log_h`'s time
-    products = threading.local()
+    # one product block, grown to the largest batch and reused, so a kernel
+    # serves one thread: a fresh 1 MB block per batch made the allocator
+    # hand its pages back and fetch them again, about a third of `log_h`'s time
+    block = np.empty(0, dtype=complex)
 
     def log_norms(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        nonlocal block
         u1, u2 = u.T  # contiguous rows when log_h passes its layout
         size = len(u1)
-        block = getattr(products, "block", None)
-        if block is None or len(block) < 128 * radius * size:
-            block = products.block = np.empty(128 * radius * size, dtype=complex)
+        if len(block) < 128 * radius * size:
+            block = np.empty(128 * radius * size, dtype=complex)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # both axes in one call, each at its base coordinate plus the four a_i
             rows1, rows2 = _gaussian_rows(
@@ -655,7 +645,7 @@ def _base_points(method: str, seed: int, counts: list[int]) -> Iterator[tuple[np
         yield block[:, :filled] * 0.25, owner[:filled].copy()
 
 
-def log_h(tau: SiegelMatrix, config: QuadratureConfig | None = None, workers: int = 1) -> QuadratureResult:
+def log_h(tau: SiegelMatrix, config: QuadratureConfig | None = None) -> QuadratureResult:
     """The mean of log||theta||(tau u + v) over the unit 4-torus.
 
     Sp4(Z)-invariant, so evaluated at siegel_reduce(tau).  Splits the
@@ -683,10 +673,7 @@ def log_h(tau: SiegelMatrix, config: QuadratureConfig | None = None, workers: in
     The base points of all substreams, substream after substream, go
     through shared kernel calls of _CHUNK (`_base_points`), so 10^4
     samples, 5 base points per substream, take one call, not eight.  Each
-    chunk's sums are kept apart per substream and added in chunk order;
-    `workers` threads evaluate the chunks, which come back in that order,
-    so the result does not depend on their number.  `workers` must be an
-    int of at least 1 (ValueError).
+    chunk's sums are kept apart per substream and added in chunk order.
 
     Every sample is kept, so `rejected` is always 0.  A chunk with any
     log||theta|| out of floating-point range (an overflowed sum, or a
@@ -694,7 +681,6 @@ def log_h(tau: SiegelMatrix, config: QuadratureConfig | None = None, workers: in
     meets) raises QuadratureUnstableError naming tau, before any sum; so
     does a standard error above 10x the target.
     """
-    _check_int("workers", workers, 1)
     config = config or QuadratureConfig()
     tau = siegel_reduce(tau)
     kernel = _theta_kernel(tau)
@@ -722,9 +708,8 @@ def log_h(tau: SiegelMatrix, config: QuadratureConfig | None = None, workers: in
 
     chunks = _base_points(config.method, config.seed, counts)
     sums = np.zeros((SUBSTREAMS, 5))
-    with ThreadPoolExecutor(max_workers=workers) as pool:  # no thread starts for workers = 1
-        for part in (pool.map if workers > 1 else map)(chunk_sums, chunks):
-            sums += part
+    for part in map(chunk_sums, chunks):
+        sums += part
 
     cosets, f_total, g_total, fg, gg = sums.sum(axis=0)
     covariance = fg - f_total / cosets * g_total
@@ -764,7 +749,7 @@ class ArchReport:
     rejected: int
 
 
-def arch_invariants(tau: SiegelMatrix, config: QuadratureConfig | None = None, workers: int = 1) -> ArchReport:
+def arch_invariants(tau: SiegelMatrix, config: QuadratureConfig | None = None) -> ArchReport:
     """Full archimedean chain: discriminant, torus average, and the
     derived invariants, with the internal consistency residual.
 
@@ -772,13 +757,11 @@ def arch_invariants(tau: SiegelMatrix, config: QuadratureConfig | None = None, w
     lambda is reported through its direct discriminant formula; the
     residual compares it against the recombination through phi and
     delta_F, which is algebraically the same number, so the residual
-    measures accumulated floating-point error only.  A `workers` that is
-    not an int of at least 1 is refused first (ValueError).
+    measures accumulated floating-point error only.
     """
-    _check_int("workers", workers, 1)
     tau = siegel_reduce(tau)  # once: log_delta2 and log_h take it as reduced
     ld2 = log_delta2(tau)
-    lh, lh_stderr, rejected = log_h(tau, config, workers)
+    lh, lh_stderr, rejected = log_h(tau, config)
 
     phi = -0.5 * ld2 + 10 * lh
     delta_f = -16 * LOG_2PI - ld2 - 4 * lh

@@ -403,6 +403,15 @@ def test_arch_structured_output_round_trips(tau_file, capsys):
     assert doc["samples"] == 20000
     assert doc["method"] == "monte-carlo"
     assert json.dumps(arch_from_dict(json.loads(first)).__dict__["phi"]) == json.dumps(report.phi)
+    # --workers is echoed and changes no work: apart from that field the
+    # bytes are those of --workers 1, for either method
+    for method in ("monte-carlo", "lattice-rule"):
+        outs = {}
+        for workers in ("1", "2"):
+            assert main(args + ["--method", method, "--workers", workers]) == 0
+            outs[workers] = capsys.readouterr().out
+        assert json.loads(outs["2"])["workers"] == 2
+        assert outs["2"].replace('"workers": 2', '"workers": 1') == outs["1"]
 
 
 def test_arch_reports_config_for_reproducibility(tau_file, capsys):

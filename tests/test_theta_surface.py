@@ -10,7 +10,6 @@ integrands with known means before being trusted on the theta integrand.
 import itertools
 import math
 import random
-import sys
 import warnings
 from fractions import Fraction
 
@@ -867,46 +866,24 @@ def test_log_h_float_range_is_kept_and_refused_cleanly():
 
 
 @pytest.mark.parametrize("method", ["monte-carlo", "lattice-rule"])
-def test_log_h_reproducible_across_workers(method):
-    """10^5 samples make 392 base points, four shared kernel calls: threads
-    evaluate them in any order, with thread switches forced often, and
-    the sums still come out bit for bit as in one thread."""
+def test_log_h_is_deterministic(method):
+    """10^5 samples make 392 base points, four shared kernel calls, the
+    last a partial one that reuses the kernel's product block: a second
+    run comes out bit for bit as the first."""
     config = QuadratureConfig(n_samples=100_000, seed=42, method=method)
-    one = log_h(GENERIC_TAU, config, workers=1)
-    again = log_h(GENERIC_TAU, config, workers=1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = [log_h(GENERIC_TAU, config, workers=workers) for workers in (2, 4)]
-    finally:
-        sys.setswitchinterval(interval)
+    one = log_h(GENERIC_TAU, config)
+    again = log_h(GENERIC_TAU, config)
     assert one == again
-    assert threaded == [one, one]
 
 
-@pytest.mark.parametrize("workers", [1e-12, 0, -3])
-def test_log_h_refuses_a_worker_count_that_is_no_positive_int(workers):
-    """A count below one, or a float such as a tolerance passed by
-    position, is refused instead of running serially."""
+def test_log_h_refuses_a_stale_positional_third_argument():
+    """A tolerance passed by position, written for an older signature,
+    is refused instead of running."""
     config = QuadratureConfig(n_samples=10000)
-    with pytest.raises(ValueError, match="workers"):
-        log_h(GENERIC_TAU, config, workers)
-    with pytest.raises(ValueError, match="workers"):
-        arch_invariants(GENERIC_TAU, config, workers)
-
-
-def test_arch_invariants_refuses_workers_before_any_sum(monkeypatch):
-    """The worker count is checked first: a degenerate tau still raises
-    ValueError, and on a good tau no discriminant sum is made."""
-    with pytest.raises(ValueError, match="workers"):
-        arch_invariants(IDENTITY_TAU, workers=0)
-
-    def no_sum(*args):
-        raise AssertionError("summed a theta-null before refusing workers")
-
-    monkeypatch.setattr(g2inv.theta_surface, "_theta_scaled", no_sum)
-    with pytest.raises(ValueError, match="workers"):
-        arch_invariants(GENERIC_TAU, workers=0)
+    with pytest.raises(TypeError):
+        log_h(GENERIC_TAU, config, 1e-12)
+    with pytest.raises(TypeError):
+        arch_invariants(GENERIC_TAU, config, 1e-12)
 
 
 def test_log_h_methods_agree():
