@@ -130,6 +130,7 @@ def _run_arch(args) -> int:
     from .theta_surface import (
         DEFAULT_PRODUCT_TOL,
         DEFAULT_TARGET_STDERR,
+        LOG_H_COEFFICIENTS,
         QuadratureConfig,
         arch_invariants,
     )
@@ -154,7 +155,12 @@ def _run_arch(args) -> int:
         tolerance=DEFAULT_PRODUCT_TOL,
         target_stderr=target,
     )
-    print(render(doc, args.format, {"log_h": report.log_h_stderr, "phi": report.phi_stderr}))
+    stderrs = {
+        name.rstrip("_"): abs(coefficient) * report.log_h_stderr
+        for name, coefficient in LOG_H_COEFFICIENTS.items()
+        if coefficient
+    }
+    print(render(doc, args.format, stderrs))
     return 0
 
 

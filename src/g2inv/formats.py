@@ -15,6 +15,7 @@ Conventions chosen for lossless round-trips:
 
 from __future__ import annotations
 
+import functools
 import json
 import reprlib
 from fractions import Fraction
@@ -157,13 +158,13 @@ def nonarch_from_dict(doc: dict) -> NonArchReport:
     return NonArchReport(genus=int(doc["genus"]), **exact)
 
 
-def _arch_fields() -> list:
+@functools.cache  # `ArchReport` is fixed, so one table serves every report
+def _arch_fields() -> tuple:
     """(field, report key, type) of each `ArchReport` field, in print order;
     the key is the field name less a trailing "_" (`lambda_` is "lambda")."""
     from .theta_surface import ArchReport
 
-    hints = get_type_hints(ArchReport)
-    return [(name, name.rstrip("_"), cast) for name, cast in hints.items()]
+    return tuple((name, name.rstrip("_"), cast) for name, cast in get_type_hints(ArchReport).items())
 
 
 def arch_to_dict(report: ArchReport) -> dict:

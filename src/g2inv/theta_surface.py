@@ -72,10 +72,7 @@ import numpy as np
 from .errors import DegenerateThetaNullError, FormulaMismatchError, QuadratureUnstableError
 
 DEFAULT_THETA_TOL = 1e-12  # the Gaussian tail bound at which both lattice sums truncate
-# `log_delta2`'s two routes must agree within 10x this.  Rounding alone
-# separates them, at most 9.5e-16 |log||Delta_2||| over 3000 random reduced
-# taus, so the bound holds while |log||Delta_2||| stays below about 1e6
-DEFAULT_PRODUCT_TOL = 1e-10
+DEFAULT_PRODUCT_TOL = 1e-10  # `log_delta2`'s two routes must agree within 10x this
 DEFAULT_TARGET_STDERR = 1e-3
 NULL_FLOOR = 1e-8  # an even theta-null below this in modulus counts as vanishing
 # the least lambda_min `_truncation_radius` takes (radius 345 at tol 1e-12);
@@ -83,9 +80,7 @@ NULL_FLOOR = 1e-8  # an even theta-null below this in modulus counts as vanishin
 LAMBDA_FLOOR = 1e-4
 REDUCTION_CAP = 200
 SUBSTREAMS = 8
-# base points per kernel call, shared by the substreams: a 128r x 128
-# product block, 1 MB at r = 4, which keeps the peak memory where it was
-_CHUNK = 128
+_CHUNK = 128  # base points per kernel call, shared by the substreams
 LOG_2PI = math.log(2 * math.pi)
 
 # a tau with |tau11| = 1 is its own image under the quasi-inversion up to
@@ -137,6 +132,11 @@ class SiegelMatrix:
 
     def __repr__(self) -> str:
         return f"SiegelMatrix({self._m.tolist()!r})"
+
+    @functools.cached_property
+    def _kernel(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """`_theta_kernel(self)`, built once: `log_delta2` and `log_h` share it."""
+        return _theta_kernel(self)
 
 
 # the 256 quarter periods (a1, a2, b1, b2) in {0, 1/4, 1/2, 3/4}^4 in the
@@ -277,7 +277,7 @@ def log_delta2(tau: SiegelMatrix) -> float:
     characteristics (one stacked lattice sum), cross-checked against the
     product of ||theta||^2 at the points tau a + b, the even half-period
     translates of the base point 0 among the 256 that the torus-average
-    kernel (`_theta_kernel`) returns: two
+    kernel returns (`tau._kernel`, the build `log_h` reads too): two
     summation codes, both truncated at DEFAULT_THETA_TOL, which must agree
     within 10 DEFAULT_PRODUCT_TOL (FormulaMismatchError otherwise).
     """
@@ -299,7 +299,7 @@ def log_delta2(tau: SiegelMatrix) -> float:
     # ||theta||(tau a + b) = (det Y)^(1/4) |theta[a,b](0)|: the half-period
     # translates of the base point 0, summed by the kernel
     origin = np.zeros((1, 2))
-    log_norms = _theta_kernel(tau)(origin, origin)[_EVEN_INDEX, 0]
+    log_norms = tau._kernel(origin, origin)[_EVEN_INDEX, 0]
     direct = -12 * math.log(2) + 2 * float(np.sum(log_norms))
     if not abs(value - direct) <= 10 * DEFAULT_PRODUCT_TOL:  # a NaN norm fails too
         raise FormulaMismatchError(
@@ -517,9 +517,9 @@ def _theta_kernel(tau: SiegelMatrix) -> Callable[[np.ndarray, np.ndarray], np.nd
     dft = np.array([1, 1j, -1, -1j])[np.arange(4)[:, None] * np.arange(2 * radius) % 4]
     (t11, t12), (_, t22) = tau.matrix
     diagonal = np.array([t11, t22])[:, None, None]  # the axes' tau_jj
+    scale = tau.det_y**0.25  # here, so the kernel kept on tau holds no reference back to it
     # one product block, grown to the largest batch and reused, so a kernel
-    # serves one thread: a fresh 1 MB block per batch made the allocator
-    # hand its pages back and fetch them again, about a third of `log_h`'s time
+    # serves one thread (README, design notes)
     block = np.empty(0, dtype=complex)
 
     def log_norms(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -545,7 +545,7 @@ def _theta_kernel(tau: SiegelMatrix) -> Callable[[np.ndarray, np.ndarray], np.nd
             s = s.reshape(16, 16, size)
             s *= moduli[:, None]
             norms = s.reshape(256, size)
-            norms *= tau.det_y**0.25
+            norms *= scale
             return np.log(norms)
 
     return log_norms
@@ -578,22 +578,26 @@ def _voronoi_moment(y: np.ndarray) -> float:
     relevant vectors are +-e1, +-e2 and +-(e1 + s e2), s = -sign Y12, and
     its vertices are the points x with x'Yp = p'Yp / 2 for two neighbouring
     relevant vectors p (at Y12 = 0 two of them meet).  Fanned from 0 into
-    triangles (0, v, w), each contributes |T| / 12 (v'Yv + w'Yw + (v + w)'Y(v + w))."""
+    triangles (0, v, w), each contributes |T| / 12 (v'Yv + w'Yw + (v + w)'Y(v + w))
+    = |T| / 6 (v'Yv + w'Yw + v'Yw)."""
+    (y11, y12), (_, y22) = y.tolist()
     # counterclockwise: e1, e1 + e2, e2 for s = 1, and e1, e2, e2 - e1 for s = -1
-    half = [[1, 0], [1, 1], [0, 1]] if y[0, 1] <= 0 else [[1, 0], [0, 1], [-1, 1]]
-    relevant = np.array(half + [[-p, -q] for p, q in half], dtype=float)
-    rows = relevant @ y
-    system = np.stack([rows, np.roll(rows, -1, axis=0)], axis=1)
-    half_norms = np.einsum("ki,ki->k", rows, relevant) / 2
-    rhs = np.stack([half_norms, np.roll(half_norms, -1)], axis=1)
-    vertices = np.linalg.solve(system, rhs[..., None])[..., 0]
-    after = np.roll(vertices, -1, axis=0)
-    areas = (vertices[:, 0] * after[:, 1] - vertices[:, 1] * after[:, 0]) / 2
+    half = [(1, 0), (1, 1), (0, 1)] if y12 <= 0 else [(1, 0), (0, 1), (-1, 1)]
+    relevant = half + [(-p, -q) for p, q in half]
 
-    def norm(x):
-        return np.einsum("ki,ij,kj->k", x, y, x)
+    def form(v, w):  # v'Yw
+        return v[0] * (y11 * w[0] + y12 * w[1]) + v[1] * (y12 * w[0] + y22 * w[1])
 
-    return float(np.sum(areas / 12 * (norm(vertices) + norm(after) + norm(vertices + after))))
+    vertices = []
+    for p, q in zip(relevant, relevant[1:] + relevant[:1]):
+        # x'Yp = p'Yp / 2 and x'Yq = q'Yq / 2 by Cramer's rule
+        (a, b), (c, d) = ((form(r, (1, 0)), form(r, (0, 1))) for r in (p, q))
+        e, f, det = form(p, p) / 2, form(q, q) / 2, a * d - b * c
+        vertices.append(((e * d - b * f) / det, (a * f - e * c) / det))
+    return sum(  # 2 |T| = v1 w2 - v2 w1
+        (v[0] * w[1] - v[1] * w[0]) / 12 * (form(v, v) + form(w, w) + form(v, w))
+        for v, w in zip(vertices, vertices[1:] + vertices[:1])
+    )
 
 
 def _base_points(method: str, seed: int, counts: list[int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -683,7 +687,7 @@ def log_h(tau: SiegelMatrix, config: QuadratureConfig | None = None) -> Quadratu
     """
     config = config or QuadratureConfig()
     tau = siegel_reduce(tau)
-    kernel = _theta_kernel(tau)
+    kernel = tau._kernel
     per_stream, extra = divmod(config.n_samples, SUBSTREAMS)
     coset = len(_QUARTERS)
     counts = [-(-(per_stream + (index < extra)) // coset) for index in range(SUBSTREAMS)]
@@ -749,6 +753,11 @@ class ArchReport:
     rejected: int
 
 
+# each `ArchReport` field's coefficient on log||H|| in the chain of
+# `arch_invariants`, so its standard error is |coefficient| log_h_stderr
+LOG_H_COEFFICIENTS = {"log_h": 1, "phi": 10, "delta_f": -4, "log_s": 4, "lambda_": 0}
+
+
 def arch_invariants(tau: SiegelMatrix, config: QuadratureConfig | None = None) -> ArchReport:
     """Full archimedean chain: discriminant, torus average, and the
     derived invariants, with the internal consistency residual.
@@ -777,7 +786,7 @@ def arch_invariants(tau: SiegelMatrix, config: QuadratureConfig | None = None) -
         delta_f=delta_f,
         log_s=log_s,
         phi=phi,
-        phi_stderr=10 * lh_stderr,
+        phi_stderr=LOG_H_COEFFICIENTS["phi"] * lh_stderr,
         lambda_=lam_direct,
         residual=residual,
         rejected=rejected,

@@ -23,6 +23,11 @@ the reference for the package's resistance formulas (Cinkir's tau).
 The float oracle replaces each edge by n equal resistors in series and
 lumps measures onto the chain nodes (half a segment's mass to each end),
 solved with numpy in floats.  Agreement is expected to O(1/n).
+
+The Voronoi moment M2(Y), the mean of d_Y(x)^2 over the torus that the
+control variate of `log_h` subtracts, is computed exactly in Fractions on
+the float entries of Y (`exact_voronoi_moment`), with its own code: it
+imports nothing from `g2inv.theta_surface`.
 """
 
 from __future__ import annotations
@@ -315,3 +320,35 @@ class DiscreteNetwork:
         w = self.lump(mu)
         g0w = g0 @ w
         return np.diag(g0) - 2.0 * g0w + w @ g0w
+
+
+def exact_voronoi_moment(y: np.ndarray) -> Fraction:
+    """The second moment of the Voronoi cell of Z^2 in the metric Y (area
+    1) for reduced Y, in exact arithmetic on the float entries: its six
+    vertices, counterclockwise, are equidistant from 0 and two neighbouring
+    relevant vectors of the obtuse superbase, and the cell is fanned from 0
+    into triangles, each with the second moment |T|/12 (v'Yv + w'Yw +
+    (v + w)'Y(v + w))."""
+    (y11, y12), (_, y22) = (tuple(map(Fraction, row)) for row in y.tolist())
+
+    def form(p, q):
+        return p[0] * (y11 * q[0] + y12 * q[1]) + p[1] * (y12 * q[0] + y22 * q[1])
+
+    if y12 > 0:
+        half = [(1, 0), (0, 1), (-1, 1)]
+    else:
+        half = [(1, 0), (1, 1), (0, 1)]
+    relevant = half + [(-p, -q) for p, q in half]
+    vertices = []
+    for p, q in zip(relevant, relevant[1:] + relevant[:1]):
+        # x'Y p = p'Y p / 2 and x'Y q = q'Y q / 2 by Cramer's rule
+        (a, b), (c, d) = ((form((1, 0), r), form((0, 1), r)) for r in (p, q))
+        e, f = form(p, p) / 2, form(q, q) / 2
+        det = a * d - b * c
+        vertices.append(((e * d - b * f) / det, (a * f - e * c) / det))
+    moment = Fraction(0)
+    for v, w in zip(vertices, vertices[1:] + vertices[:1]):
+        area = (v[0] * w[1] - v[1] * w[0]) / 2
+        both = (v[0] + w[0], v[1] + w[1])
+        moment += area / 12 * (form(v, v) + form(w, w) + form(both, both))
+    return moment

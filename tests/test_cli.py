@@ -431,7 +431,14 @@ def test_arch_reports_config_for_reproducibility(tau_file, capsys):
     for key in ("log_delta2", "log_h", "delta_f", "log_s", "phi", "lambda",
                 "residual", "seed", "method", "tolerance"):
         assert key in out
-    assert "+-" in out
+    # `+- e` after exactly the fields that move with log_h: e is the
+    # field's coefficient on log||H|| in absolute value times log_h_stderr
+    lines = dict(line.split(None, 1) for line in out.splitlines())
+    stderr = float(lines["log_h_stderr"])
+    errors = {key: text.split(" +- ")[1] for key, text in lines.items() if " +- " in text}
+    assert errors == {key: repr(factor * stderr) for key, factor in
+                      (("log_h", 1), ("delta_f", 4), ("log_s", 4), ("phi", 10))}
+    assert errors["phi"] == lines["phi_stderr"]
 
 
 def test_arch_degenerate_exits_5(tmp_path, capsys):

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import PROPERTY_SETTINGS
+from oracles import exact_voronoi_moment
 
 import g2inv.theta_surface
 from g2inv.errors import (
@@ -30,6 +31,7 @@ from g2inv.theta_surface import (
     _EVEN_A,
     _EVEN_B,
     DEFAULT_THETA_TOL,
+    LOG_H_COEFFICIENTS,
     ArchReport,
     QuadratureConfig,
     SiegelMatrix,
@@ -606,38 +608,6 @@ def brute_distance_sq(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("kni,ij,knj->kn", shifted, y, shifted).min(axis=1)
 
 
-def exact_voronoi_moment(y: np.ndarray) -> Fraction:
-    """The second moment of the Voronoi cell of Z^2 in the metric Y (area
-    1) for reduced Y, in exact arithmetic on the float entries: its six
-    vertices, counterclockwise, are equidistant from 0 and two neighbouring
-    relevant vectors of the obtuse superbase, and the cell is fanned from 0
-    into triangles, each with the second moment |T|/12 (v'Yv + w'Yw +
-    (v + w)'Y(v + w))."""
-    (y11, y12), (_, y22) = (tuple(map(Fraction, row)) for row in y.tolist())
-
-    def form(p, q):
-        return p[0] * (y11 * q[0] + y12 * q[1]) + p[1] * (y12 * q[0] + y22 * q[1])
-
-    if y12 > 0:
-        half = [(1, 0), (0, 1), (-1, 1)]
-    else:
-        half = [(1, 0), (1, 1), (0, 1)]
-    relevant = half + [(-p, -q) for p, q in half]
-    vertices = []
-    for p, q in zip(relevant, relevant[1:] + relevant[:1]):
-        # x'Y p = p'Y p / 2 and x'Y q = q'Y q / 2 by Cramer's rule
-        (a, b), (c, d) = ((form((1, 0), r), form((0, 1), r)) for r in (p, q))
-        e, f = form(p, p) / 2, form(q, q) / 2
-        det = a * d - b * c
-        vertices.append(((e * d - b * f) / det, (a * f - e * c) / det))
-    moment = Fraction(0)
-    for v, w in zip(vertices, vertices[1:] + vertices[:1]):
-        area = (v[0] * w[1] - v[1] * w[0]) / 2
-        both = (v[0] + w[0], v[1] + w[1])
-        moment += area / 12 * (form(v, v) + form(w, w) + form(both, both))
-    return moment
-
-
 @pytest.mark.parametrize("method", ["monte-carlo", "lattice-rule"])
 def test_log_h_integrates_its_control_variate_exactly(method):
     """An integrand equal to the control variate -pi d_Y(u)^2 fits it with
@@ -712,6 +682,26 @@ def test_voronoi_moment_matches_a_midpoint_grid(y11, ratio, slant, sign):
     assert abs(got - float(exact_voronoi_moment(y))) < 1e-15
     diagonal = np.diag(np.diag(y))
     assert abs(g2inv.theta_surface._voronoi_moment(diagonal) - (y[0, 0] + y[1, 1]) / 12) < 1e-15
+
+
+@PROPERTY_SETTINGS
+@given(st.floats(0.5, 1e3), st.floats(1, 1e3), st.floats(-1, 1))
+@example(1.0, 1.0, 1.0)
+@example(1.0, 1.0, -1.0)
+@example(1e3, 1.0, 1.0)
+@example(1e3, 1e3, -1.0)
+@example(2.0, 3.0, 0.0)
+@example(1e3, 1.0, -0.0)
+def test_voronoi_moment_matches_its_exact_value(y11, ratio, slant):
+    """The float M2(Y) against its exact value on the same float entries
+    (`oracles.exact_voronoi_moment`, Fractions), on both signs of Y12, at
+    Y12 = 0, at the hexagonal corner |2 Y12| = Y11 = Y22 and up to Y11 =
+    1e3.  M2 grows with Y, so only a relative bound can hold: 1e-14, where
+    2e4 random reduced Y up to Y11 = 1e3 gave at most 1.0e-15."""
+    y = reduced_y(y11, ratio, slant)
+    exact = exact_voronoi_moment(y)
+    got = g2inv.theta_surface._voronoi_moment(y)
+    assert abs(Fraction(got) - exact) <= Fraction(1e-14) * exact
 
 
 def test_control_variate_keeps_a_tall_reduced_tau_clear_of_the_refusal():
@@ -919,6 +909,23 @@ def test_arch_invariants_chain(rng):
     assert abs(report.lambda_ - (-20 * LOG_2PI - report.log_delta2) / 10) < 1e-15
 
 
+def test_log_h_coefficients_match_the_chain(monkeypatch):
+    """`LOG_H_COEFFICIENTS`, which the human output's errors read, holds
+    each report field's slope in log||H||: moving log_h by 1 moves the
+    field by its coefficient, and no other field of the chain moves."""
+    reports = []
+    for value in (-0.5, 0.5):
+        monkeypatch.setattr(
+            g2inv.theta_surface, "log_h", lambda tau, config, value=value: (value, 0.0, 0)
+        )
+        reports.append(arch_invariants(GENERIC_TAU))
+    low, high = reports
+    for name in ("log_delta2", "log_h", "delta_f", "log_s", "phi", "lambda_"):
+        slope = getattr(high, name) - getattr(low, name)
+        assert abs(slope - LOG_H_COEFFICIENTS.get(name, 0)) < 1e-12, name
+    assert set(LOG_H_COEFFICIENTS) == {"log_h", "delta_f", "log_s", "phi", "lambda_"}
+
+
 def test_log_h_modular_invariance():
     config = QuadratureConfig(n_samples=40000, seed=9, method="lattice-rule")
     base = log_h(GENERIC_TAU, config)
@@ -971,6 +978,53 @@ def test_arch_invariants_reduces_once(monkeypatch):
     tau = SiegelMatrix(np.array([[0.12 + 1.1j, 0.21 + 0.33j], [0.21 + 0.33j, -0.17 + 1.3j]]))
     arch_invariants(tau, QuadratureConfig(n_samples=10000, seed=1))
     assert len(calls) == 1
+
+
+def _counted_kernel_builds(monkeypatch) -> list:
+    """The taus `_theta_kernel` is built for from here on, in order."""
+    builds = []
+    right = g2inv.theta_surface._theta_kernel
+
+    def counted(tau):
+        builds.append(tau)
+        return right(tau)
+
+    monkeypatch.setattr(g2inv.theta_surface, "_theta_kernel", counted)
+    return builds
+
+
+@pytest.mark.parametrize("where", ["reduced", "sheared"])
+def test_arch_invariants_builds_one_kernel(monkeypatch, where):
+    """`log_delta2`'s kernel-route check and `log_h` read one theta kernel,
+    built once per call for the reduced tau both are handed."""
+    tau = np.array([[0.12 + 1.1j, 0.21 + 0.33j], [0.21 + 0.33j, -0.17 + 1.3j]])
+    if where == "sheared":
+        u = np.array([[1.0, 1.0], [0.0, 1.0]])
+        tau = u @ tau @ u.T
+    builds = _counted_kernel_builds(monkeypatch)
+    arch_invariants(SiegelMatrix(tau), QuadratureConfig(n_samples=10000, seed=1))
+    assert len(builds) == 1
+    assert np.array_equal(builds[0].matrix, siegel_reduce(SiegelMatrix(tau)).matrix)
+
+
+def test_each_reduced_tau_builds_its_own_kernel(monkeypatch):
+    """Two reduced taus give two builds, each kept on its own matrix, so
+    no tau reads another's kernel: interleaved calls return what a fresh
+    kernel of each tau returns."""
+    builds = _counted_kernel_builds(monkeypatch)
+    first, second = (
+        siegel_reduce(SiegelMatrix(t))
+        for t in ([[0.1 + 1.1j, 0.2 + 0.3j], [0.2 + 0.3j, -0.15 + 1.3j]],
+                  [[0.3 + 1.4j, -0.1 - 0.4j], [-0.1 - 0.4j, 0.2 + 1.6j]])
+    )
+    config = QuadratureConfig(n_samples=10000, seed=3)
+    results = [(log_delta2(t), log_h(t, config)) for t in (first, second, first, second)]
+    assert builds == [first, second]
+    assert results[:2] == results[2:] and results[0] != results[1]
+    u = np.random.default_rng(0).random((5, 2)) / 4
+    for tau in (first, second):
+        assert np.array_equal(tau._kernel(u, u[::-1]), _theta_kernel(tau)(u, u[::-1]))
+    assert first._kernel is not second._kernel
 
 
 def _unreduced_images(rng, count):
