@@ -55,8 +55,9 @@ Numerical conventions:
   piecewise quadratic -pi d_Y(u)^2 (d_Y the distance from u to the
   nearest lattice point in the metric Y, so the log of the largest
   lattice term), whose exact mean, the second moment of the Voronoi cell,
-  is known, and the spread of 8 substreams gives the standard error.
-  Fixed (seed, N, method) give bit-identical results.
+  is known, and the spread of 8 substreams, whose base points fill one
+  array, gives the standard error.  Fixed (seed, N, method) give
+  bit-identical results.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -322,8 +323,8 @@ class QuadratureConfig:
 
     `n_samples` counts evaluations of log||theta||.  `log_h` splits it
     over 8 substreams and rounds each share up to whole cosets of 256 (a
-    base point and its quarter-period translates), so up to 8 x 255 more
-    are made: 10^4 gives 10240.
+    base point and its quarter-period translates), an odd number for the
+    lattice rule, so up to 8 x 255 (8 x 511) more are made: 10^4 gives 10240.
     """
 
     n_samples: int = 100_000
@@ -600,16 +601,15 @@ def _voronoi_moment(y: np.ndarray) -> float:
     )
 
 
-def _base_points(method: str, seed: int, counts: list[int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The base points of all substreams, substream after substream, as
-    chunks of up to _CHUNK: each a (4, B) block of contiguous coordinate
-    rows (u1, u2, v1, v2) in [0, 1/4)^4 and the (B,) array of the substream
-    each point belongs to.
+def _base_points(method: str, seed: int, counts: list[int]) -> np.ndarray:
+    """The base points of all substreams, substream after substream, as one
+    (4, sum(counts)) array of contiguous coordinate rows (u1, u2, v1, v2)
+    in [0, 1/4)^4.
 
-    Substream j draws counts[j] points from its own generator, spawned from
-    the seed, one piece per chunk it reaches, which is then quartered.  Monte
-    Carlo points are consecutive `random` calls on the generator, which
-    fills them from its stream in order.  The lattice rule's point k is
+    Substream j draws its counts[j] points in one piece from its own
+    generator, spawned from the seed, into its columns, and the whole array
+    is then quartered in place.  Monte Carlo points are one `random` call
+    on the generator.  The lattice rule's point k is
     t(frac(offset + (k z mod n) / n)) for k = 0 .. n - 1, n = counts[j]:
     the rank-1 lattice of `_lattice_generator(n)` built for the base box,
     one random offset per substream (x - floor(x) exact for x >= 0), and
@@ -618,47 +618,40 @@ def _base_points(method: str, seed: int, counts: list[int]) -> Iterator[tuple[np
     makes the lattice rule exact on an integrand linear in the base point,
     where the plain rule misses the jump at the edge of the box (u + a runs
     past 1 and wraps to 0).  t reaches 1, and a base point 1/4, where
-    frac(...) is 1/2 exactly; the kernel covers that shift too.  So the
-    points do not depend on where the chunks cut the substreams.
+    frac(...) is 1/2 exactly; the kernel covers that shift too.
     """
+    points = np.empty((4, sum(counts)))
     children = np.random.SeedSequence(seed).spawn(len(counts))
-    block, owner, filled = np.empty((4, _CHUNK)), np.empty(_CHUNK, dtype=np.intp), 0
-    for index, (child, count) in enumerate(zip(children, counts)):
+    start = 0
+    for child, count in zip(children, counts):
         rng = np.random.default_rng(child)
-        if method == "lattice-rule":
+        part = points[:, start : start + count]
+        if method == "monte-carlo":
+            part[...] = rng.random((count, 4)).T
+        else:
             offset = rng.random(4)[:, None]
             generator = np.array(_lattice_generator(count))[:, None]
-        start = 0
-        while start < count:
-            size = min(_CHUNK - filled, count - start)
-            piece = block[:, filled : filled + size]
-            if method == "monte-carlo":
-                piece[...] = rng.random((size, 4)).T
-            else:
-                np.divide(generator * np.arange(start, start + size) % count, count, out=piece)
-                piece += offset
-                piece -= np.floor(piece)
-                piece[...] = 1 - np.abs(2 * piece - 1)
-            owner[filled : filled + size] = index
-            filled += size
-            start += size
-            if filled == _CHUNK:
-                yield block * 0.25, owner.copy()
-                filled = 0
-    if filled:
-        yield block[:, :filled] * 0.25, owner[:filled].copy()
+            np.divide(generator * np.arange(count) % count, count, out=part)
+            part += offset
+            part -= np.floor(part)
+            part[...] = 1 - np.abs(2 * part - 1)
+        start += count
+    points *= 0.25
+    return points
 
 
 def log_h(tau: SiegelMatrix, config: QuadratureConfig | None = None) -> QuadratureResult:
     """The mean of log||theta||(tau u + v) over the unit 4-torus.
 
     Sp4(Z)-invariant, so evaluated at siegel_reduce(tau).  Splits the
-    budget into 8 substreams, which differ by at most one coset; each
-    evaluates whole cosets of 256, ceil(count / 256) base points in
-    [0, 1/4)^4 with their 256 quarter-period translates (`_theta_kernel`),
-    so together they hold n_samples rounded up to whole cosets.  A coset
-    is uniform on the torus where one translate alone is uniform on its
-    own sub-box only, so a partial coset would bias the mean.
+    budget into 8 substreams; each evaluates whole cosets of 256,
+    ceil(count / 256) base points in [0, 1/4)^4 with their 256
+    quarter-period translates (`_theta_kernel`), so together they hold
+    n_samples rounded up to whole cosets.  A coset is uniform on the torus
+    where one translate alone is uniform on its own sub-box only, so a
+    partial coset would bias the mean.  The lattice rule takes an odd
+    count: at even n its points k and k + n/2 sit at t and 1 - t, where
+    log||theta||, even in z, repeats its 256 values.
 
     The mean carries a control variate: g(u) = -pi d_Y(u)^2, the log of
     the largest lattice term up to the constant (det Y)^(1/4)
@@ -674,15 +667,15 @@ def log_h(tau: SiegelMatrix, config: QuadratureConfig | None = None) -> Quadratu
     For a fixed beta the estimate is unbiased, and fitting beta from the
     same cosets adds a bias of order 1/N.
 
-    The base points of all substreams, substream after substream, go
-    through shared kernel calls of _CHUNK (`_base_points`), so 10^4
-    samples, 5 base points per substream, take one call, not eight.  Each
-    chunk's sums are kept apart per substream and added in chunk order.
+    All base points, substream after substream, are one array
+    (`_base_points`) that the kernel takes _CHUNK at a time, so 10^4
+    samples, 5 base points per substream, take one call, not eight; each
+    call's F and G fill a (2, cosets) array that one reduceat sums per substream.
 
-    Every sample is kept, so `rejected` is always 0.  A chunk with any
-    log||theta|| out of floating-point range (an overflowed sum, or a
+    Every sample is kept, so `rejected` is always 0.  A kernel call with
+    any log||theta|| out of floating-point range (an overflowed sum, or a
     modulus that underflows to 0, which a direct call at a Y22 of 10^3
-    meets) raises QuadratureUnstableError naming tau, before any sum; so
+    meets) raises QuadratureUnstableError naming tau, before any mean; so
     does a standard error above 10x the target.
     """
     config = config or QuadratureConfig()
@@ -691,12 +684,13 @@ def log_h(tau: SiegelMatrix, config: QuadratureConfig | None = None) -> Quadratu
     per_stream, extra = divmod(config.n_samples, SUBSTREAMS)
     coset = len(_QUARTERS)
     counts = [-(-(per_stream + (index < extra)) // coset) for index in range(SUBSTREAMS)]
+    if config.method == "lattice-rule":
+        counts = [count | 1 for count in counts]
     y = tau.matrix.imag
     control_mean = -math.pi * _voronoi_moment(y)
 
-    def chunk_sums(chunk: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """Per substream: the chunk's cosets and its sums of F, G, F G and G^2."""
-        block, owner = chunk
+    def coset_sums(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """F and G, as defined above, of each base point of a (4, B) block."""
         u = block[:2].T
         vals = kernel(u, block[2:].T)
         if not np.all(np.isfinite(vals)):
@@ -705,27 +699,27 @@ def log_h(tau: SiegelMatrix, config: QuadratureConfig | None = None) -> Quadratu
         g = _nearest_distance_sq(y, (u[:, 0] + _SHIFTS)[:, None], u[:, 1] + _SHIFTS)
         g *= -math.pi
         g -= control_mean
-        g_sum = 16 * g.reshape(16, -1).sum(axis=0)
-        f_sum = vals.sum(axis=0)
-        columns = (np.ones_like(f_sum), f_sum, g_sum, f_sum * g_sum, g_sum * g_sum)
-        return np.stack([np.bincount(owner, column, SUBSTREAMS) for column in columns], axis=1)
+        return vals.sum(axis=0), 16 * g.reshape(16, -1).sum(axis=0)
 
-    chunks = _base_points(config.method, config.seed, counts)
-    sums = np.zeros((SUBSTREAMS, 5))
-    for part in map(chunk_sums, chunks):
-        sums += part
+    points = _base_points(config.method, config.seed, counts)
+    cosets = points.shape[1]
+    fg = np.empty((2, cosets))
+    for start in range(0, cosets, _CHUNK):
+        fg[:, start : start + _CHUNK] = coset_sums(points[:, start : start + _CHUNK])
 
-    cosets, f_total, g_total, fg, gg = sums.sum(axis=0)
-    covariance = fg - f_total / cosets * g_total
-    variance = gg - g_total / cosets * g_total
+    f, g = fg
+    f_total, g_total = fg.sum(axis=1)
+    covariance = (f * g).sum() - f_total / cosets * g_total
+    variance = (g * g).sum() - g_total / cosets * g_total
     beta = covariance / variance if math.isfinite(covariance) and 0 < variance < math.inf else 0.0
-    means = (sums[:, 1] - beta * sums[:, 2]) / (coset * sums[:, 0])
+    f_streams, g_streams = np.add.reduceat(fg, np.cumsum([0] + counts[:-1]), axis=1)
+    means = (f_streams - beta * g_streams) / (coset * np.array(counts))
     value = float(np.mean(means))
     stderr = float(np.std(means, ddof=1) / math.sqrt(SUBSTREAMS))
     if stderr > 10 * config.target_stderr:
         raise QuadratureUnstableError(
             f"standard error {stderr:.3e} exceeds 10x target "
-            f"{config.target_stderr:.3e} after {coset * int(cosets)} samples"
+            f"{config.target_stderr:.3e} after {coset * cosets} samples"
         )
     return QuadratureResult(value, stderr, 0)
 

@@ -10,6 +10,7 @@ integrands with known means before being trusted on the theta integrand.
 import itertools
 import math
 import random
+import re
 import warnings
 from fractions import Fraction
 
@@ -510,11 +511,13 @@ def test_lattice_generator_is_the_component_by_component_minimum(n):
         product = product * weight(chosen)
 
 
-def whole_cosets(n_samples: int) -> list[int]:
+def whole_cosets(n_samples: int, method: str) -> list[int]:
     """Each substream's base point count: its share of n_samples, which
-    differ by at most one, rounded up to whole cosets of 256."""
+    differ by at most one, rounded up to whole cosets of 256, and for the
+    lattice rule on to an odd count."""
     per_stream, extra = divmod(n_samples, 8)
-    return [-(-(per_stream + (index < extra)) // 256) for index in range(8)]
+    counts = [-(-(per_stream + (index < extra)) // 256) for index in range(8)]
+    return [count | 1 for count in counts] if method == "lattice-rule" else counts
 
 
 def shared_chunks(total: int) -> list[int]:
@@ -538,8 +541,8 @@ def test_log_h_sums_exactly_n_samples(monkeypatch, method, n_samples):
 
     use_integrand(monkeypatch, count)
     log_h(GENERIC_TAU, QuadratureConfig(n_samples=n_samples, seed=2, method=method))
-    assert sum(seen) == 256 * sum(whole_cosets(n_samples))
-    assert seen == [256 * size for size in shared_chunks(sum(whole_cosets(n_samples)))]
+    assert sum(seen) == 256 * sum(whole_cosets(n_samples, method))
+    assert seen == [256 * size for size in shared_chunks(sum(whole_cosets(n_samples, method)))]
 
 
 @pytest.mark.parametrize("method", ["monte-carlo", "lattice-rule"])
@@ -568,7 +571,7 @@ def test_log_h_points_match_whole_substream_formulas(monkeypatch, method, n_samp
 
     want = []
     children = np.random.SeedSequence(seed).spawn(8)
-    for child, count in zip(children, whole_cosets(n_samples)):
+    for child, count in zip(children, whole_cosets(n_samples, method)):
         rng = np.random.default_rng(child)
         if method == "monte-carlo":
             base = rng.random((count, 4))
@@ -624,6 +627,70 @@ def test_log_h_integrates_its_control_variate_exactly(method):
             result = log_h(tau, QuadratureConfig(n_samples=10007, seed=3, method=method))
         assert abs(result.value + math.pi * float(exact_voronoi_moment(y))) < 1e-12
         assert result.stderr < 1e-12
+
+
+@pytest.mark.parametrize("method", ["monte-carlo", "lattice-rule"])
+@pytest.mark.parametrize("n_samples", [10007, 8 * 4096 + 5])
+def test_log_h_estimator_matches_its_formulas(monkeypatch, method, n_samples):
+    """On u1 + v2 + sin 2 pi u2, neither constant nor the control, `log_h`
+    returns the estimate its docstring defines, recomputed here from the
+    translates it evaluated: per coset F, the sum of the integrand over
+    its 256 translates, and G, the sum of -pi d_Y^2 + pi M2(Y) over them
+    (d_Y by brute force, M2 exact); beta, the least squares slope of F on
+    G over all cosets, in centred form; each substream's mean (sum F -
+    beta sum G) / its evaluations; their mean, and their spread over
+    sqrt(8) as the standard error."""
+    tau = siegel_reduce(GENERIC_TAU)
+    y = tau.matrix.imag
+    seen = []
+
+    def integrand(u, v):
+        return u[:, 0] + v[:, 1] + np.sin(2 * math.pi * u[:, 1])
+
+    def capture(u, v):
+        seen.append((u, v))
+        return integrand(u, v)
+
+    use_integrand(monkeypatch, capture)
+    # monte-carlo's stderr on it at 1e4 is about 0.012, past 10x the default target
+    config = QuadratureConfig(n_samples=n_samples, seed=6, method=method, target_stderr=1)
+    result = log_h(tau, config)
+
+    control_mean = -math.pi * float(exact_voronoi_moment(y))
+    f = np.concatenate([integrand(u, v).reshape(256, -1).sum(axis=0) for u, v in seen])
+    g = np.concatenate(
+        [(-math.pi * brute_distance_sq(y, u) - control_mean).reshape(256, -1).sum(axis=0) for u, _ in seen]
+    )
+    beta = np.sum((f - f.mean()) * (g - g.mean())) / np.sum((g - g.mean()) ** 2)
+    counts = whole_cosets(n_samples, method)
+    assert len(f) == sum(counts)
+    cuts = np.cumsum(counts)[:-1]
+    means = [(fs.sum() - beta * gs.sum()) / (256 * len(fs)) for fs, gs in zip(np.split(f, cuts), np.split(g, cuts))]
+    assert abs(result.value - np.mean(means)) < 1e-12
+    assert abs(result.stderr - np.std(means, ddof=1) / math.sqrt(8)) < 1e-12
+    assert result.stderr > 0
+
+
+def test_log_h_refuses_a_value_out_of_range_in_the_last_call_only(monkeypatch):
+    """At 8 x 8192 + 5 samples the 261 base points take three kernel calls
+    (128, 128 and 5).  A -inf at one translate of the last call alone
+    still makes `log_h` refuse tau, naming it, with no numpy warning."""
+    tau = siegel_reduce(GENERIC_TAU)
+    calls = []
+
+    def integrand(u, v):
+        calls.append(len(u))
+        values = np.zeros(len(u))
+        if len(calls) == 3:
+            values[-1] = -np.inf
+        return values
+
+    use_integrand(monkeypatch, integrand)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureUnstableError, match=re.escape(repr(tau))):
+            log_h(tau, QuadratureConfig(n_samples=8 * 8192 + 5, seed=4))
+    assert calls == [256 * 128, 256 * 128, 256 * 5]
 
 
 def reduced_y(y11: float, ratio: float, slant: float) -> np.ndarray:
