@@ -28,8 +28,9 @@ class UnclassifiableError(G2Error):
 # -- theta functions --------------------------------------------------------
 
 class DegenerateThetaNullError(G2Error):
-    """An even theta-null is below 1e-8 in modulus: tau is at or near the
-    locus where the surface is a product of elliptic curves.
+    """An even theta-null is below 1e-8 of its largest lattice term in
+    modulus, or 0: its terms cancel, so tau is at or near the locus where
+    the surface is a product of elliptic curves.
 
     The printed name of the offending characteristic, such as
     "[1/2 1/2; 1/2 1/2]", is stored on the exception as `characteristic`.

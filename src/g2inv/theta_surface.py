@@ -75,7 +75,7 @@ from .errors import DegenerateThetaNullError, FormulaMismatchError, QuadratureUn
 DEFAULT_THETA_TOL = 1e-12  # the Gaussian tail bound at which both lattice sums truncate
 DEFAULT_PRODUCT_TOL = 1e-10  # `log_delta2`'s two routes must agree within 10x this
 DEFAULT_TARGET_STDERR = 1e-3
-NULL_FLOOR = 1e-8  # an even theta-null below this in modulus counts as vanishing
+NULL_FLOOR = 1e-8  # an even theta-null below this share of its largest term counts as vanishing
 # the least lambda_min `_truncation_radius` takes (radius 345 at tol 1e-12);
 # the sums pass the reduced tau's, sqrt(3)/4 or more
 LAMBDA_FLOOR = 1e-4
@@ -280,17 +280,21 @@ def log_delta2(tau: SiegelMatrix) -> float:
     translates of the base point 0 among the 256 that the torus-average
     kernel returns (`tau._kernel`, the build `log_h` reads too): two
     summation codes, both truncated at DEFAULT_THETA_TOL, which must agree
-    within 10 DEFAULT_PRODUCT_TOL (FormulaMismatchError otherwise).
+    within 10 DEFAULT_PRODUCT_TOL (FormulaMismatchError otherwise).  A null
+    below NULL_FLOOR of its largest term cancels: DegenerateThetaNullError.
     """
     tau = siegel_reduce(tau)
     radius = _truncation_radius(tau.min_eigenvalue, DEFAULT_THETA_TOL)
     nulls = _theta_scaled((_EVEN_A, _EVEN_B), tau, radius)
+    # the largest term of the null of a has modulus exp(-pi d_Y(a)^2)
+    distances = _nearest_distance_sq(tau.matrix.imag, _EVEN_A[:, 0], _EVEN_A[:, 1])
     log_nulls = 0.0
-    for a, b, s in zip(_EVEN_A.tolist(), _EVEN_B.tolist(), nulls.tolist()):
-        if abs(s) < NULL_FLOOR:
+    for a, b, s, d2 in zip(_EVEN_A.tolist(), _EVEN_B.tolist(), nulls.tolist(), distances.tolist()):
+        if not abs(s) > 0 or math.log(abs(s)) + math.pi * d2 < math.log(NULL_FLOOR):
             name = "[{} {}; {} {}]".format(*("1/2" if x else "0" for x in a + b))
             raise DegenerateThetaNullError(
-                f"even theta-null {name} is below {NULL_FLOOR:g} (|theta| = {abs(s):.3e}): "
+                f"even theta-null {name} is below {NULL_FLOOR:g} of its largest term "
+                f"(|theta| = {abs(s):.3e}, largest term {math.exp(-math.pi * d2):.3e}): "
                 f"tau is at or near the locus of products of elliptic curves",
                 characteristic=name,
             )
@@ -321,10 +325,10 @@ def _check_int(name: str, value, least: int) -> None:
 class QuadratureConfig:
     """Sampling plan for the torus average; deterministic given its fields.
 
-    `n_samples` counts evaluations of log||theta||.  `log_h` splits it
-    over 8 substreams and rounds each share up to whole cosets of 256 (a
-    base point and its quarter-period translates), an odd number for the
-    lattice rule, so up to 8 x 255 (8 x 511) more are made: 10^4 gives 10240.
+    `n_samples` counts evaluations of log||theta||.  `log_h` gives each of
+    8 substreams ceil(n_samples / 2048) whole cosets of 256 (a base point
+    and its quarter-period translates), odd for the lattice rule, so up to
+    2047 (4095 for the lattice rule) more are made: 10^4 gives 10240.
     """
 
     n_samples: int = 100_000
@@ -601,55 +605,48 @@ def _voronoi_moment(y: np.ndarray) -> float:
     )
 
 
-def _base_points(method: str, seed: int, counts: list[int]) -> np.ndarray:
-    """The base points of all substreams, substream after substream, as one
-    (4, sum(counts)) array of contiguous coordinate rows (u1, u2, v1, v2)
-    in [0, 1/4)^4.
+def _base_points(method: str, seed: int, count: int) -> np.ndarray:
+    """The count base points of each substream, substream after substream,
+    as one (4, 8 count) array of contiguous coordinate rows (u1, u2, v1,
+    v2) in [0, 1/4)^4, quartered in place at the end.
 
-    Substream j draws its counts[j] points in one piece from its own
-    generator, spawned from the seed, into its columns, and the whole array
-    is then quartered in place.  Monte Carlo points are one `random` call
-    on the generator.  The lattice rule's point k is
-    t(frac(offset + (k z mod n) / n)) for k = 0 .. n - 1, n = counts[j]:
-    the rank-1 lattice of `_lattice_generator(n)` built for the base box,
-    one random offset per substream (x - floor(x) exact for x >= 0), and
-    the tent t(x) = 1 - |2x - 1| in each coordinate (the baker's
-    transformation, Hickernell 2002), which keeps the points uniform and
-    makes the lattice rule exact on an integrand linear in the base point,
-    where the plain rule misses the jump at the edge of the box (u + a runs
-    past 1 and wraps to 0).  t reaches 1, and a base point 1/4, where
-    frac(...) is 1/2 exactly; the kernel covers that shift too.
+    Substream j draws from its own generator, spawned from the seed:
+    monte-carlo points in one `random((count, 4))` call, and for the
+    lattice rule one random offset_j, its point k being t(frac(offset_j +
+    (k z mod count) / count)), k = 0 .. count - 1: one rank-1 lattice of
+    `_lattice_generator(count)` for the base box, shifted per substream
+    (x - floor(x) exact for x >= 0), and the tent t(x) = 1 - |2x - 1| in
+    each coordinate (the baker's transformation, Hickernell 2002), which
+    keeps the points uniform and makes the lattice rule exact on an
+    integrand linear in the base point, where the plain rule misses the
+    jump at the edge of the box (u + a runs past 1 and wraps to 0).  t
+    reaches 1, and a base point 1/4, where frac(...) is 1/2 exactly; the
+    kernel covers that shift too.
     """
-    points = np.empty((4, sum(counts)))
-    children = np.random.SeedSequence(seed).spawn(len(counts))
-    start = 0
-    for child, count in zip(children, counts):
-        rng = np.random.default_rng(child)
-        part = points[:, start : start + count]
-        if method == "monte-carlo":
-            part[...] = rng.random((count, 4)).T
-        else:
-            offset = rng.random(4)[:, None]
-            generator = np.array(_lattice_generator(count))[:, None]
-            np.divide(generator * np.arange(count) % count, count, out=part)
-            part += offset
-            part -= np.floor(part)
-            part[...] = 1 - np.abs(2 * part - 1)
-        start += count
+    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(SUBSTREAMS)]
+    if method == "monte-carlo":
+        points = np.empty((4, SUBSTREAMS, count))
+        for j, rng in enumerate(rngs):
+            points[:, j] = rng.random((count, 4)).T
+    else:
+        lattice = np.array(_lattice_generator(count))[:, None] * np.arange(count) % count / count
+        points = lattice[:, None] + np.array([rng.random(4) for rng in rngs]).T[:, :, None]
+        points -= np.floor(points)
+        points = 1 - np.abs(2 * points - 1)
     points *= 0.25
-    return points
+    return points.reshape(4, -1)
 
 
 def log_h(tau: SiegelMatrix, config: QuadratureConfig | None = None) -> QuadratureResult:
     """The mean of log||theta||(tau u + v) over the unit 4-torus.
 
     Sp4(Z)-invariant, so evaluated at siegel_reduce(tau).  Splits the
-    budget into 8 substreams; each evaluates whole cosets of 256,
-    ceil(count / 256) base points in [0, 1/4)^4 with their 256
+    budget into 8 substreams of count = ceil(n_samples / (8 x 256)) whole
+    cosets each, a coset being a base point in [0, 1/4)^4 with its 256
     quarter-period translates (`_theta_kernel`), so together they hold
-    n_samples rounded up to whole cosets.  A coset is uniform on the torus
-    where one translate alone is uniform on its own sub-box only, so a
-    partial coset would bias the mean.  The lattice rule takes an odd
+    n_samples rounded up to a multiple of 2048.  A coset is uniform on the
+    torus where one translate alone is uniform on its own sub-box only, so
+    a partial coset would bias the mean.  The lattice rule takes an odd
     count: at even n its points k and k + n/2 sit at t and 1 - t, where
     log||theta||, even in z, repeats its 256 values.
 
@@ -670,7 +667,7 @@ def log_h(tau: SiegelMatrix, config: QuadratureConfig | None = None) -> Quadratu
     All base points, substream after substream, are one array
     (`_base_points`) that the kernel takes _CHUNK at a time, so 10^4
     samples, 5 base points per substream, take one call, not eight; each
-    call's F and G fill a (2, cosets) array that one reduceat sums per substream.
+    call's F and G fill one (2, 8 count) array, summed per substream.
 
     Every sample is kept, so `rejected` is always 0.  A kernel call with
     any log||theta|| out of floating-point range (an overflowed sum, or a
@@ -681,11 +678,10 @@ def log_h(tau: SiegelMatrix, config: QuadratureConfig | None = None) -> Quadratu
     config = config or QuadratureConfig()
     tau = siegel_reduce(tau)
     kernel = tau._kernel
-    per_stream, extra = divmod(config.n_samples, SUBSTREAMS)
     coset = len(_QUARTERS)
-    counts = [-(-(per_stream + (index < extra)) // coset) for index in range(SUBSTREAMS)]
+    count = -(-config.n_samples // (SUBSTREAMS * coset))
     if config.method == "lattice-rule":
-        counts = [count | 1 for count in counts]
+        count |= 1
     y = tau.matrix.imag
     control_mean = -math.pi * _voronoi_moment(y)
 
@@ -701,7 +697,7 @@ def log_h(tau: SiegelMatrix, config: QuadratureConfig | None = None) -> Quadratu
         g -= control_mean
         return vals.sum(axis=0), 16 * g.reshape(16, -1).sum(axis=0)
 
-    points = _base_points(config.method, config.seed, counts)
+    points = _base_points(config.method, config.seed, count)
     cosets = points.shape[1]
     fg = np.empty((2, cosets))
     for start in range(0, cosets, _CHUNK):
@@ -712,8 +708,8 @@ def log_h(tau: SiegelMatrix, config: QuadratureConfig | None = None) -> Quadratu
     covariance = (f * g).sum() - f_total / cosets * g_total
     variance = (g * g).sum() - g_total / cosets * g_total
     beta = covariance / variance if math.isfinite(covariance) and 0 < variance < math.inf else 0.0
-    f_streams, g_streams = np.add.reduceat(fg, np.cumsum([0] + counts[:-1]), axis=1)
-    means = (f_streams - beta * g_streams) / (coset * np.array(counts))
+    f_streams, g_streams = fg.reshape(2, SUBSTREAMS, count).sum(axis=2)
+    means = (f_streams - beta * g_streams) / (coset * count)
     value = float(np.mean(means))
     stderr = float(np.std(means, ddof=1) / math.sqrt(SUBSTREAMS))
     if stderr > 10 * config.target_stderr:

@@ -403,6 +403,22 @@ def test_log_delta2_degenerate_null():
     assert "even theta-null [1/2 1/2; 1/2 1/2] is below" in str(info.value)
 
 
+@pytest.mark.parametrize("y", [12, 20, 40])
+def test_log_delta2_accepts_large_y(y):
+    """On tau = [[0.1 + Y i, 0.3 + 0.2i], [., -0.15 + (Y + 1) i]], reduced
+    and far from the product locus, the nulls with a != 0 are tiny only
+    because their largest term exp(-pi d_Y(a)^2) is: at Y = 12 |theta| of
+    [1/2 1/2; 1/2 1/2] is 6.6e-9, at Y = 20 that of [1/2 1/2; 0 0] is
+    3.9e-14.  Measured against that term they do not cancel, so
+    `log_delta2` keeps them and matches the mpmath sums."""
+    tau = SiegelMatrix([[0.1 + y * 1j, 0.3 + 0.2j], [0.3 + 0.2j, -0.15 + (y + 1) * 1j]])
+    with mpmath.workdps(40):
+        total = -12 * mpmath.log(2) + 5 * mpmath.log(tau.det_y)
+        for a, b in EVEN_CHARS:
+            total += 2 * mpmath.log(abs(brute_theta(a, b, tau)))
+    assert abs(log_delta2(tau) - float(total)) < 1e-12 * abs(float(total))
+
+
 def test_log_delta2_names_each_vanishing_null(monkeypatch):
     """Whichever even null vanishes, `log_delta2` names it as printed from
     the exact characteristic, such as [1/2 0; 0 1/2]."""
@@ -512,12 +528,10 @@ def test_lattice_generator_is_the_component_by_component_minimum(n):
 
 
 def whole_cosets(n_samples: int, method: str) -> list[int]:
-    """Each substream's base point count: its share of n_samples, which
-    differ by at most one, rounded up to whole cosets of 256, and for the
-    lattice rule on to an odd count."""
-    per_stream, extra = divmod(n_samples, 8)
-    counts = [-(-(per_stream + (index < extra)) // 256) for index in range(8)]
-    return [count | 1 for count in counts] if method == "lattice-rule" else counts
+    """Each substream's base point count, the same for all 8: n_samples
+    over 8 x 256, rounded up, and for the lattice rule on to an odd count."""
+    count = -(-n_samples // 2048)
+    return [count | 1 if method == "lattice-rule" else count] * 8
 
 
 def shared_chunks(total: int) -> list[int]:
@@ -527,10 +541,12 @@ def shared_chunks(total: int) -> list[int]:
 
 
 @pytest.mark.parametrize("method", ["monte-carlo", "lattice-rule"])
-@pytest.mark.parametrize("n_samples", [10000, 10007, 8 * 4096 + 5])
+@pytest.mark.parametrize("n_samples", [10000, 10007, 8 * 4096 + 5, 20480, 20481])
 def test_log_h_sums_exactly_n_samples(monkeypatch, method, n_samples):
-    """Exactly n_samples evaluations, each substream's share rounded up to
-    whole cosets of 256: 10000 gives 8 x 5 x 256 = 10240.  The substreams
+    """n_samples rounded up to 8 equal substreams of whole cosets of 256:
+    10000 gives 8 x 5 x 256 = 10240.  20480 = 8 x 10 x 256 gives 10 cosets
+    per substream for monte-carlo and 11 for the lattice rule (odd), and
+    one sample more gives 11 for both, in every substream.  The substreams
     share kernel calls of 128 base points, so 10^4 samples take one call,
     not one per substream."""
     seen = []
@@ -672,9 +688,10 @@ def test_log_h_estimator_matches_its_formulas(monkeypatch, method, n_samples):
 
 
 def test_log_h_refuses_a_value_out_of_range_in_the_last_call_only(monkeypatch):
-    """At 8 x 8192 + 5 samples the 261 base points take three kernel calls
-    (128, 128 and 5).  A -inf at one translate of the last call alone
-    still makes `log_h` refuse tau, naming it, with no numpy warning."""
+    """At 8 x 8192 + 5 samples the 264 base points, 33 per substream, take
+    three kernel calls (128, 128 and 8).  A -inf at one translate of the
+    last call alone still makes `log_h` refuse tau, naming it, with no
+    numpy warning."""
     tau = siegel_reduce(GENERIC_TAU)
     calls = []
 
@@ -690,7 +707,7 @@ def test_log_h_refuses_a_value_out_of_range_in_the_last_call_only(monkeypatch):
         warnings.simplefilter("error")
         with pytest.raises(QuadratureUnstableError, match=re.escape(repr(tau))):
             log_h(tau, QuadratureConfig(n_samples=8 * 8192 + 5, seed=4))
-    assert calls == [256 * 128, 256 * 128, 256 * 5]
+    assert calls == [256 * 128, 256 * 128, 256 * 8]
 
 
 def reduced_y(y11: float, ratio: float, slant: float) -> np.ndarray:
@@ -897,8 +914,10 @@ def _stretched_tau(scale: float) -> SiegelMatrix:
 
 
 def test_log_h_float_range_is_kept_and_refused_cleanly():
-    """A reduced tau this stretched is refused by `log_delta2` long before;
-    a direct `log_h` keeps its range up to s of about 237.5 at this config
+    """`log_delta2` accepts a reduced tau this stretched, as it measures
+    each null against its largest term (it returns about -2388 at s =
+    240), so this range is also the one `arch` meets.
+    A direct `log_h` keeps its range up to s of about 237.5 at this config
     (237 for monte-carlo), where the sum before its modulus factor
     exp(-2 pi Y12 (u1 + a1)(u2 + a2)), about exp(2 pi Y12) = exp(2 pi 0.48
     s) at the translates u + 3/4 of base points near 1/4, passes the float
