@@ -36,8 +36,8 @@ Numerical conventions:
   into two per-sample rows of 1-D terms, built at the four shifts u_i + a_i
   of each axis once for all 256 translates, and one fixed stack of the
   matrices C'_ab, which hold the Gaussian factors and the phase of b1: one
-  batched matmul gives the sums for every (a, b1), and a 4-point DFT over
-  n2 mod 4, one more matmul, the four b2.
+  a1 at a time, a matmul gives the sums for its 16 (a2, b1), and a 4-point
+  DFT over n2 mod 4, one more matmul, the four b2.
   Each row walks from two anchor terms (n = 0 and n = -1) by their step
   ratios, one multiply per row.
   Only |sum| enters the norm, so each anchor is the real exponential of
@@ -81,7 +81,7 @@ NULL_FLOOR = 1e-8  # an even theta-null below this share of its largest term cou
 LAMBDA_FLOOR = 1e-4
 REDUCTION_CAP = 200
 SUBSTREAMS = 8
-_CHUNK = 128  # base points per kernel call, shared by the substreams
+_CHUNK = 200  # the most base points per kernel call, shared by the substreams
 LOG_2PI = math.log(2 * math.pi)
 
 # a tau with |tau11| = 1 is its own image under the quasi-inversion up to
@@ -384,7 +384,9 @@ def _lattice_generator(n: int) -> tuple[int, ...]:
     return tuple(z)
 
 
-def _gaussian_rows(radius: int, t, t12: complex, w: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _gaussian_rows(
+    radius: int, t, t12: complex, phases, w: np.ndarray, u: np.ndarray, v: np.ndarray, out: np.ndarray
+) -> np.ndarray:
     """Rows exp(f(n) - 2 pi i t T(n) - i Im f(0)) for n = -radius ..
     radius-1, one contiguous row per n, where per sample f(n) = pi i t (n+u)^2
     + 2 pi i c n + 2 pi i (n+u) v with c = t12 w, and T(n) = j(j-1)/2 with
@@ -392,8 +394,8 @@ def _gaussian_rows(radius: int, t, t12: complex, w: np.ndarray, u: np.ndarray, v
     together, samples last, with a length-1 axis before the samples that
     the rows fill with the four shifts u + a, a = 0, 1/4, 1/2, 3/4 (the
     kernel passes both axes at once: t as (2, 1, 1), u as (2, 1, B)), and
-    the rows come back with 2 radius rows inserted before the samples,
-    (2, 4, 2 radius, B) there.
+    the rows, with 2 radius rows inserted before the samples, (2, 4,
+    2 radius, B) there, fill the complex array `out`, which is returned.
 
     f has second difference 2 pi i t, so with q = exp(2 pi i t) the ratios
     G_n = exp(f(n+1) - f(n)) obey G_{n+1} = G_n q, and downward
@@ -406,7 +408,10 @@ def _gaussian_rows(radius: int, t, t12: complex, w: np.ndarray, u: np.ndarray, v
     conj(g) e^(2 pi i Re t) for exp(f(-1)), conj(g) e^(4 pi i Re t) for
     H_{-1}.  g = exp(2 pi i turns) with turns = Re t u + Re c + v + Re t / 2
     is linear in u, so one np.exp at the base u gives every shift: g at u
-    + a is g e^(2 pi i a Re t), a constant per axis and shift.  The four
+    + a is g e^(2 pi i a Re t), a constant per axis and shift.  These
+    per-tau constants come in as phases = (e^(2 pi i a Re t) at the four
+    a, e^(2 pi i Re t)), shaped like t with the shifts on its middle axis,
+    which the kernel computes once per tau.  The four
     real parts
         -pi y u^2,  2 pi Im c - pi y (u-1)^2,  -p - pi y,  p - 3 pi y
     (y = Im t, p = 2 pi y u + 2 pi Im c) are taken at each shift apart
@@ -423,7 +428,8 @@ def _gaussian_rows(radius: int, t, t12: complex, w: np.ndarray, u: np.ndarray, v
     turns = u * x
     turns += w * t12.real + v + x / 2
     u = u + _SHIFTS
-    up = np.exp(2j * pi * turns) * np.exp(2j * pi * x * _SHIFTS)
+    shifted, turn = phases
+    up = np.exp(2j * pi * turns) * shifted
 
     anchors = np.empty((4,) + u.shape)
     at_zero, at_minus_one, up_ratio, down_ratio = anchors
@@ -439,10 +445,9 @@ def _gaussian_rows(radius: int, t, t12: complex, w: np.ndarray, u: np.ndarray, v
     np.subtract(p, 3 * pi * y, out=down_ratio)
     np.exp(anchors, out=anchors)
 
-    rows = np.empty(u.shape[:-1] + (2 * radius, u.shape[-1]), dtype=complex)
+    rows = out
     mid = radius  # the row of n = 0
     rows[..., mid, :] = at_zero
-    turn = np.exp(2j * pi * x)
     low = rows[..., mid - 1, :]
     np.conjugate(up, out=low)
     low *= turn
@@ -479,24 +484,35 @@ def _theta_kernel(tau: SiegelMatrix) -> Callable[[np.ndarray, np.ndarray], np.nd
                         + tau22 T(n2) + tau11 T(n1) + b1 n1)),
     which leaves the modulus exp(-2 pi Y12 (u1 + a1)(u2 + a2)) per sample.
     C'_ab is computed here once per tau, as 64 blocks (a, b1) stacked by
-    a1 into four 32r x 2r matrices, each block from its own summed
-    exponent, so no entry is the product of an underflow and an overflow.
+    a1 into four 32r x 2r matrices, the blocks of each in the order (b1,
+    a2), each block from its own summed exponent, so no entry is the
+    product of an underflow and an overflow.
     Per batch the kernel builds the rows at the four shifts
     (`_gaussian_rows`: 2 complex and 32 real exponentials per base point,
-    whatever the radius), forms the stack times A1 in one batched matmul
-    (a 128r x B block, 1 MB at r = 4 and B = 128) and scales it by A2 in
+    whatever the radius), then takes one a1 at a time: it multiplies that
+    a1's block of the stack by its A1 (a 32r x B block, 0.4 MB at r = 4
+    and B = 200, small enough to stay in cache) and scales it by A2 in
     place.  The phase e^(2 pi i b2 n2) of b2 = j/4 is i^(j n2): up to a
     phase common to the column, the 4-point DFT over the residues of n2
     mod 4, which one more matmul with the fixed 4 x 2r matrix i^(j k)
-    (row k has n2 = k - r) applies to the n2 sums at any radius.  The 16
-    moduli take one np.exp call.  Every row is the one a single point u +
-    a in [0, 1)^2 would build, and |C'_ab| grows with the cross term only,
-    as |C'| does: on a reduced tau every factor stays in floating-point
-    range, and a direct `log_h` keeps it up to a common scale of Y of
-    about 237 (`test_log_h_float_range_is_kept_and_refused_cleanly`).
+    (row k has n2 = k - r) applies to the n2 sums at any radius; their
+    moduli fill that a1's quarter of the 256.  The 16 translate moduli
+    exp(-2 pi Y12 (u1 + a1)(u2 + a2)) take one np.exp call.  The rows,
+    the block, the n2 sums and the moduli live in one buffer kept across
+    calls, so the one large array a call allocates is the one it returns,
+    and that after its matmuls.  A batch is padded with base points 0 to
+    a whole number of tiles of four: OpenBLAS's complex matmul sums a
+    remainder of fewer than four columns in other code, whose last bits
+    differ, so with the padding a base point's 256 values do not depend on
+    the call it came in.  Every
+    row is the one a single point u + a in [0, 1)^2 would build, and
+    |C'_ab| grows with the cross term only, as |C'| does: on a reduced tau
+    every factor stays in floating-point range, and a direct `log_h` keeps
+    it up to a common scale of Y of about 237
+    (`test_log_h_float_range_is_kept_and_refused_cleanly`).
     It returns np.log of every modulus, -inf where one is exactly 0 and
     inf or NaN where a sum overflowed, and raises nothing: `log_h` refuses
-    a chunk with any such value.  `log_delta2` reads the even half-period
+    a call with any such value.  `log_delta2` reads the even half-period
     translates of the origin only; the odd ones are sums of the omitted
     tail, tiny or -inf, and nothing reads them.
     """
@@ -516,42 +532,65 @@ def _theta_kernel(tau: SiegelMatrix) -> Callable[[np.ndarray, np.ndarray], np.nd
         # real and imaginary exponents apart: at Y near 1e308 a complex product meets inf * 0 = NaN
         im_exp = exponent(tau.matrix.real) + b1 * n
         stack = np.exp(-2 * math.pi * exponent(tau.matrix.imag) + 2j * math.pi * im_exp)
-    stack = stack.reshape(4, 32 * radius, 2 * radius)  # the blocks of each a1, in order
+    # per a1 one 32r x 2r matrix, its blocks in the order (b1, a2): A2 then
+    # scales the four b1 broadcast along the outermost axis, where numpy
+    # would copy A2 first to broadcast it along an inner one
+    stack = stack.reshape(4, 4, 4, 2 * radius, 2 * radius).transpose(0, 2, 1, 3, 4)
+    stack = stack.reshape(4, 32 * radius, 2 * radius)
     shifts = _QUARTERS[::16, :2, None]  # the 16 a, in order
     # i^(j k), exact in floats: the phase of b2 = j/4 at row k up to a column phase
     dft = np.array([1, 1j, -1, -1j])[np.arange(4)[:, None] * np.arange(2 * radius) % 4]
     (t11, t12), (_, t22) = tau.matrix
     diagonal = np.array([t11, t22])[:, None, None]  # the axes' tau_jj
+    # `_gaussian_rows`'s per-tau phases: e^(2 pi i a Re tau_jj) at the four a, and e^(2 pi i Re tau_jj)
+    phases = np.exp(2j * math.pi * diagonal.real * _SHIFTS), np.exp(2j * math.pi * diagonal.real)
     scale = tau.det_y**0.25  # here, so the kernel kept on tau holds no reference back to it
-    # one product block, grown to the largest batch and reused, so a kernel
-    # serves one thread (README, design notes)
-    block = np.empty(0, dtype=complex)
+    # per base point the rows (16r), the product block of one a1 (32r), its
+    # n2 sums (64) and the 256 moduli (128 complex): one buffer, grown to the
+    # largest call and reused, so a kernel serves one thread (README, design notes)
+    cuts = np.cumsum([0, 16 * radius, 32 * radius, 64, 128]).tolist()  # their offsets
+    buffer = np.empty(0, dtype=complex)
 
     def log_norms(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        nonlocal block
+        nonlocal buffer
+        size = len(u)
+        width = -(-size // 4) * 4  # whole tiles of four base points (docstring)
+        if width > size:
+            padded = np.zeros((4, width))
+            padded[:2, :size] = u.T
+            padded[2:, :size] = v.T
+            u, v = padded[:2].T, padded[2:].T
         u1, u2 = u.T  # contiguous rows when log_h passes its layout
-        size = len(u1)
-        if len(block) < 128 * radius * size:
-            block = np.empty(128 * radius * size, dtype=complex)
+        if len(buffer) < cuts[-1] * width:
+            buffer = np.empty(cuts[-1] * width, dtype=complex)
+        rows, ca, n2_sums, norms = (buffer[a * width : b * width] for a, b in zip(cuts, cuts[1:]))
+        ca = ca.reshape(32 * radius, width)
+        by_b1 = ca.reshape(4, 8 * radius, width)  # the (a2, n2) rows of each b1
+        # the n2 sums are stored in the order (a2, b1, b2): this view has b1 first
+        b1_first = n2_sums.reshape(4, 4, 4, width).transpose(1, 0, 2, 3)
+        norms = norms.view(float).reshape(4, 64, width)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # both axes in one call, each at its base coordinate plus the four a_i
             rows1, rows2 = _gaussian_rows(
-                radius, diagonal, t12, u.T[::-1, None], u.T[:, None], v.T[:, None]
+                radius, diagonal, t12, phases, u.T[::-1, None], u.T[:, None], v.T[:, None],
+                rows.reshape(2, 4, 2 * radius, width),
             )
-            ca = np.matmul(stack, rows1, out=block[: 128 * radius * size].reshape(4, 32 * radius, size))
-            ca = ca.reshape(4, 4, 4, 2 * radius, size)
-            ca *= rows2[:, None]
-            del rows1, rows2  # free the rows before the sums below allocate
-            # the n2 sums with the phases of b2: one matmul with `dft`
-            s = np.abs(np.matmul(dft, ca.reshape(64, 2 * radius, size)))
+            rows2 = rows2.reshape(8 * radius, width)
+            for k in range(4):  # one a1 at a time, so its block stays in cache
+                np.matmul(stack[k], rows1[k], out=ca)
+                by_b1 *= rows2
+                # the n2 sums with the phases of b2: one matmul with `dft`
+                np.matmul(dft, ca.reshape(4, 4, 2 * radius, width), out=b1_first)
+                np.abs(n2_sums.reshape(64, width), out=norms[k])
             moduli = (u1 + shifts[:, 0]) * (u2 + shifts[:, 1])
             moduli *= -2 * math.pi * t12.imag
             np.exp(moduli, out=moduli)
-            s = s.reshape(16, 16, size)
-            s *= moduli[:, None]
-            norms = s.reshape(256, size)
+            norms = norms.reshape(16, 16, width)
+            norms *= moduli[:, None]
+            norms = norms.reshape(256, width)
             norms *= scale
-            return np.log(norms)
+            # the one large array a call allocates, after its matmuls (README, design notes)
+            return np.log(norms[:, :size])
 
     return log_norms
 
@@ -665,9 +704,15 @@ def log_h(tau: SiegelMatrix, config: QuadratureConfig | None = None) -> Quadratu
     same cosets adds a bias of order 1/N.
 
     All base points, substream after substream, are one array
-    (`_base_points`) that the kernel takes _CHUNK at a time, so 10^4
-    samples, 5 base points per substream, take one call, not eight; each
-    call's F and G fill one (2, 8 count) array, summed per substream.
+    (`_base_points`) that the kernel takes in the fewest calls of at most
+    _CHUNK base points, cut at ceil(cosets k / calls), so the calls differ
+    in size by at most one, a larger one first: 10^4 samples (40 base
+    points) take one call, not eight, 2 x 10^5 (784) four of 196 and 10^6
+    (3912) twenty of 196 and 195.  Each call's F and G fill one
+    (2, 8 count) array, summed per substream.  The partition moves no bit:
+    the kernel's columns do not depend on the call, numpy sums a (256, B)
+    array over its translates row by row for any B > 1, and a call of one
+    base point, which numpy would sum pairwise, is summed as two copies.
 
     Every sample is kept, so `rejected` is always 0.  A kernel call with
     any log||theta|| out of floating-point range (an overflowed sum, or a
@@ -685,8 +730,10 @@ def log_h(tau: SiegelMatrix, config: QuadratureConfig | None = None) -> Quadratu
     y = tau.matrix.imag
     control_mean = -math.pi * _voronoi_moment(y)
 
-    def coset_sums(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def coset_sums(block: np.ndarray) -> np.ndarray:
         """F and G, as defined above, of each base point of a (4, B) block."""
+        if block.shape[1] == 1:  # numpy sums a lone column pairwise, several row by row
+            return coset_sums(np.repeat(block, 2, axis=1))[:, :1]
         u = block[:2].T
         vals = kernel(u, block[2:].T)
         if not np.all(np.isfinite(vals)):
@@ -695,13 +742,15 @@ def log_h(tau: SiegelMatrix, config: QuadratureConfig | None = None) -> Quadratu
         g = _nearest_distance_sq(y, (u[:, 0] + _SHIFTS)[:, None], u[:, 1] + _SHIFTS)
         g *= -math.pi
         g -= control_mean
-        return vals.sum(axis=0), 16 * g.reshape(16, -1).sum(axis=0)
+        return np.array([vals.sum(axis=0), 16 * g.reshape(16, -1).sum(axis=0)])
 
     points = _base_points(config.method, config.seed, count)
     cosets = points.shape[1]
     fg = np.empty((2, cosets))
-    for start in range(0, cosets, _CHUNK):
-        fg[:, start : start + _CHUNK] = coset_sums(points[:, start : start + _CHUNK])
+    calls = -(-cosets // _CHUNK)
+    cuts = [-(-cosets * k // calls) for k in range(calls + 1)]  # a larger call first
+    for start, stop in zip(cuts, cuts[1:]):
+        fg[:, start:stop] = coset_sums(points[:, start:stop])
 
     f, g = fg
     f_total, g_total = fg.sum(axis=1)

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -717,3 +718,30 @@ def test_output_matches_golden_file(name, capsys):
     assert main(GOLDEN[name]) == 0
     want = (Path(__file__).parent / "data" / name).read_bytes()
     assert capsys.readouterr().out.encode() == want
+
+
+def test_arch_human_output_matches_golden_file(tmp_path, capsys):
+    """`arch` in human form on the CI tau (seed 0, lattice rule, 10^4
+    samples) against tests/data/arch-human.txt: the labels, the layout and
+    the four `+-` lines exactly, every float within 1e-12 relative, so that
+    last-bit differences between BLAS builds cannot fail it.  The residual,
+    which measures rounding only and reads 0.0 here, is held to 1e-12
+    absolute instead."""
+    path = tmp_path / "tau.json"
+    path.write_text(json.dumps({"tau": ["0.1+1.1i", "0.2+0.3i", "0.2+0.3i", "-0.15+1.3i"]}))
+    args = ["arch", str(path), "--samples", "10000", "--seed", "0", "--method", "lattice-rule"]
+    assert main(args) == 0
+    got = capsys.readouterr().out.splitlines()
+    want = (Path(__file__).parent / "data" / "arch-human.txt").read_text().splitlines()
+    number = r"-?\d+\.\d+(?:e-?\d+)?"
+
+    def layout(line: str) -> str:
+        return re.sub(number, "#", line)
+
+    assert [layout(line) for line in got] == [layout(line) for line in want]
+    assert sum(" +- " in line for line in got) == 4
+    for g, w in zip(got, want):
+        label = w.split()[0]
+        for a, b in zip(re.findall(number, g), re.findall(number, w)):
+            bound = 1e-12 if label == "residual" else 1e-12 * abs(float(b))
+            assert abs(float(a) - float(b)) <= bound, (label, a, b)

@@ -491,7 +491,12 @@ def test_log_h_constant_integrand_self_test(monkeypatch):
 
 
 def test_log_h_known_mean_integrand(monkeypatch):
-    config = QuadratureConfig(n_samples=40000, seed=11)
+    """u1 + v2 has mean 1.  A coset's mean of it is u1 + v2 + 3/4 at its
+    base point, variance 2 (1/4)^2 / 12 = 1/96, so at 20 cosets per
+    substream monte-carlo's standard error is about sqrt(1/96 / 160) = 8e-3
+    whatever the seed: the target is set to that scale (the default 1e-3
+    would refuse about one seed in eight at 10x)."""
+    config = QuadratureConfig(n_samples=40000, seed=11, target_stderr=1e-2)
     use_integrand(monkeypatch, lambda u, v: u[:, 0] + v[:, 1])
     result = log_h(GENERIC_TAU, config)
     assert result.stderr > 0
@@ -536,19 +541,24 @@ def whole_cosets(n_samples: int, method: str) -> list[int]:
 
 def shared_chunks(total: int) -> list[int]:
     """The base point counts of the kernel calls for `total` base points:
-    all substreams' points, one after another, in calls of 128."""
-    return [min(128, total - start) for start in range(0, total, 128)]
+    all substreams' points, one after another, in the fewest calls of at
+    most 200, cut at ceil(total k / calls), so their sizes differ by at most
+    one, a larger one first."""
+    calls = -(-total // 200)
+    cuts = [-(-total * k // calls) for k in range(calls + 1)]
+    return [stop - start for start, stop in zip(cuts, cuts[1:])]
 
 
 @pytest.mark.parametrize("method", ["monte-carlo", "lattice-rule"])
-@pytest.mark.parametrize("n_samples", [10000, 10007, 8 * 4096 + 5, 20480, 20481])
+@pytest.mark.parametrize("n_samples", [10000, 10007, 8 * 4096 + 5, 20480, 20481, 8 * 16384 + 5])
 def test_log_h_sums_exactly_n_samples(monkeypatch, method, n_samples):
     """n_samples rounded up to 8 equal substreams of whole cosets of 256:
     10000 gives 8 x 5 x 256 = 10240.  20480 = 8 x 10 x 256 gives 10 cosets
     per substream for monte-carlo and 11 for the lattice rule (odd), and
     one sample more gives 11 for both, in every substream.  The substreams
-    share kernel calls of 128 base points, so 10^4 samples take one call,
-    not one per substream."""
+    share equal kernel calls of at most 200 base points, so 10^4 samples
+    take one call, not one per substream, 8 x 4096 + 5 (136 base points)
+    one too, and 8 x 16384 + 5 (520) three of 174, 173 and 173."""
     seen = []
 
     def count(u, v):
@@ -562,7 +572,7 @@ def test_log_h_sums_exactly_n_samples(monkeypatch, method, n_samples):
 
 
 @pytest.mark.parametrize("method", ["monte-carlo", "lattice-rule"])
-@pytest.mark.parametrize("n_samples", [10007, 8 * 4096 + 5])
+@pytest.mark.parametrize("n_samples", [10007, 8 * 4096 + 5, 8 * 16384 + 5])
 def test_log_h_points_match_whole_substream_formulas(monkeypatch, method, n_samples):
     """The (u, v) chunks `log_h` hands its integrand, bit for bit, against
     each substream's base points drawn at once and quartered: one
@@ -570,7 +580,7 @@ def test_log_h_points_match_whole_substream_formulas(monkeypatch, method, n_samp
     1 - |2x - 1| of x = frac(offset + (k z mod count) / count), k = 0 ..
     count - 1, z its generating vector; count the substream's whole cosets.
     The substreams' points, one substream after another, are cut into
-    chunks of 128 base points, the last chunk the rest, and each reaches
+    the equal calls of `shared_chunks`, and each reaches
     the integrand as its 256 quarter-period translates (u + a, v + b),
     (a, b) in the order of itertools.product, so the summation order is
     fixed too."""
@@ -596,10 +606,8 @@ def test_log_h_points_match_whole_substream_formulas(monkeypatch, method, n_samp
             base = 1 - np.abs(2 * np.mod(rng.random(4) + lattice, 1.0) - 1)
         want.append(base / 4)
     want = np.concatenate(want)
-    want = [
-        (want[start : start + 128][None] + QUARTERS[:, None]).reshape(-1, 4)
-        for start in range(0, len(want), 128)
-    ]
+    cuts = np.cumsum(shared_chunks(len(want)))[:-1]
+    want = [(chunk[None] + QUARTERS[:, None]).reshape(-1, 4) for chunk in np.split(want, cuts)]
     assert [len(block) for block in blocks] == [len(block) for block in want]
     assert np.array_equal(np.concatenate(blocks), np.concatenate(want))
 
@@ -688,8 +696,8 @@ def test_log_h_estimator_matches_its_formulas(monkeypatch, method, n_samples):
 
 
 def test_log_h_refuses_a_value_out_of_range_in_the_last_call_only(monkeypatch):
-    """At 8 x 8192 + 5 samples the 264 base points, 33 per substream, take
-    three kernel calls (128, 128 and 8).  A -inf at one translate of the
+    """At 8 x 16384 + 5 samples the 520 base points, 65 per substream, take
+    three kernel calls (174, 173 and 173).  A -inf at one translate of the
     last call alone still makes `log_h` refuse tau, naming it, with no
     numpy warning."""
     tau = siegel_reduce(GENERIC_TAU)
@@ -706,8 +714,8 @@ def test_log_h_refuses_a_value_out_of_range_in_the_last_call_only(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(QuadratureUnstableError, match=re.escape(repr(tau))):
-            log_h(tau, QuadratureConfig(n_samples=8 * 8192 + 5, seed=4))
-    assert calls == [256 * 128, 256 * 128, 256 * 8]
+            log_h(tau, QuadratureConfig(n_samples=8 * 16384 + 5, seed=4))
+    assert calls == [256 * 174, 256 * 173, 256 * 173]
 
 
 def reduced_y(y11: float, ratio: float, slant: float) -> np.ndarray:
@@ -942,10 +950,41 @@ def test_log_h_float_range_is_kept_and_refused_cleanly():
 
 
 @pytest.mark.parametrize("method", ["monte-carlo", "lattice-rule"])
+@pytest.mark.parametrize("n_samples", [8 * 4096 + 5, 200_000])
+def test_log_h_call_partition_moves_no_bit(monkeypatch, method, n_samples):
+    """How `log_h` cuts its base points into kernel calls changes no bit:
+    calls of at most 1, 7, 128 or _CHUNK base points give the same
+    QuadratureResult, at 136 base points and at 784."""
+    config = QuadratureConfig(n_samples=n_samples, seed=3, method=method)
+    results = []
+    for chunk in (1, 7, 128, g2inv.theta_surface._CHUNK):
+        monkeypatch.setattr(g2inv.theta_surface, "_CHUNK", chunk)
+        results.append(log_h(GENERIC_TAU, config))
+    assert results[1:] == results[:-1]
+
+
+def test_kernel_columns_do_not_depend_on_the_call():
+    """Each column of the kernel's output depends on its base point alone:
+    a 300-point batch gives, bit for bit, the concatenation of the calls on
+    its sub-batches of 1, 37 and 262 points, none a whole number of the
+    kernel's tiles of four, whether the kernel's buffer was grown by the
+    whole batch first or is grown call by call."""
+    slanted = SiegelMatrix([[0.1 + 8j, 0.3 + 2j], [0.3 + 2j, -0.2 + 20j]])
+    points = np.random.default_rng(35)
+    for tau in (siegel_reduce(GENERIC_TAU), siegel_reduce(slanted)):
+        u, v = points.uniform(0, 0.25, (2, 300, 2))
+        grown = _theta_kernel(tau)
+        whole = grown(u, v)
+        for kernel in (grown, _theta_kernel(tau)):
+            parts = [kernel(u[a:b], v[a:b]) for a, b in ((0, 1), (1, 38), (38, 300))]
+            assert np.array_equal(np.concatenate(parts, axis=1), whole)
+
+
+@pytest.mark.parametrize("method", ["monte-carlo", "lattice-rule"])
 def test_log_h_is_deterministic(method):
-    """10^5 samples make 392 base points, four shared kernel calls, the
-    last a partial one that reuses the kernel's product block: a second
-    run comes out bit for bit as the first."""
+    """10^5 samples make 392 base points, two shared kernel calls of 196,
+    the second reusing the kernel's buffer: a second run comes out bit for
+    bit as the first."""
     config = QuadratureConfig(n_samples=100_000, seed=42, method=method)
     one = log_h(GENERIC_TAU, config)
     again = log_h(GENERIC_TAU, config)
