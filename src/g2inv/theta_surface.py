@@ -20,9 +20,10 @@ Numerical conventions:
   are one stacked lattice sum.
 * log||Delta_2|| and log||H|| are Sp4(Z)-invariant, so both first move
   tau into the Siegel fundamental domain (`siegel_reduce`, the algorithm
-  of Deconinck et al., Math. Comp. 2004, whose Lagrange step applies an
-  integer-valued float U, exact below 2^53) and read only the reduced
-  tau, not the symplectic word that reaches it.  There the smallest eigenvalue
+  of Deconinck et al., Math. Comp. 2004, run on Python scalars, whose
+  Lagrange step applies U in Python ints, exact at any size) and read
+  only the reduced tau, not the symplectic word that reaches it.  There
+  the smallest eigenvalue
   of Y is at least sqrt(3)/4, so at the fixed tail tolerance
   DEFAULT_THETA_TOL the radius is at most 5 and needs no cap: any valid
   period matrix is accepted, and `arch_invariants` reduces once for both.
@@ -81,6 +82,11 @@ NULL_FLOOR = 1e-8  # an even theta-null below this share of its largest term cou
 LAMBDA_FLOOR = 1e-4
 REDUCTION_CAP = 200
 SUBSTREAMS = 8
+# the most samples `log_h` takes.  Its base points and per-coset sums take 48
+# bytes per coset of 256, 0.19 per sample: 190 MB at 10^9 (a fresh `arch`
+# peaked 0.22 bytes per sample higher from 1e7 to 4e7 samples, 0.35 for the
+# lattice rule's temporaries), and at about 40 ns per sample it runs ~40 s
+MAX_SAMPLES = 10**9
 _CHUNK = 200  # the most base points per kernel call, shared by the substreams
 LOG_2PI = math.log(2 * math.pi)
 
@@ -194,20 +200,25 @@ def _truncation_radius(lambda_min: float, tol: float) -> int:
             return radius
 
 
-def _lagrange_basis(y: np.ndarray) -> np.ndarray:
-    """U in GL2(Z) such that U y U' satisfies |2 y12| <= y11 <= y22, as an
-    integer-valued float matrix: exact while its entries stay below 2^53."""
-    u = np.eye(2)
+def _lagrange_basis(y) -> tuple[tuple[int, int], tuple[int, int]]:
+    """U in GL2(Z) such that U y U' satisfies |2 y12| <= y11 <= y22, for a
+    symmetric 2 x 2 y (an array or nested pairs), as nested pairs of Python
+    ints, exact at any size.  Each step swaps the two basis vectors or
+    subtracts q = round(y12 / y11) times the first from the second, and
+    updates y11, y12, y22 in Python floats."""
+    y11, y12, y22 = float(y[0][0]), float(y[0][1]), float(y[1][1])
+    u11, u12, u21, u22 = 1, 0, 0, 1
     for _ in range(REDUCTION_CAP):
-        if y[0, 0] > y[1, 1]:
-            step = np.array([[0.0, 1.0], [1.0, 0.0]])
+        if y11 > y22:
+            y11, y22 = y22, y11
+            u11, u12, u21, u22 = u21, u22, u11, u12
         else:
-            q = np.rint(y[0, 1] / y[0, 0])
+            q = round(y12 / y11)
             if q == 0:
-                return u
-            step = np.array([[1.0, 0.0], [-q, 1.0]])
-        y = step @ y @ step.T
-        u = step @ u
+                return (u11, u12), (u21, u22)
+            shear = y12 - q * y11
+            y12, y22 = shear, y22 - q * y12 - q * shear
+            u21, u22 = u21 - q * u11, u22 - q * u12
     raise FormulaMismatchError(
         f"Lagrange reduction of Im tau did not finish in {REDUCTION_CAP} steps"
     )
@@ -218,31 +229,37 @@ def siegel_reduce(tau: SiegelMatrix) -> SiegelMatrix:
 
     Returns the reduced matrix alone: its callers need only Sp4(Z)-invariant
     values, so the symplectic word that reaches it is not formed.  The loop
-    Lagrange-reduces Y by an integer-valued float U, exact below 2^53
-    (`_lagrange_basis`), subtracts the nearest integer matrix from X and,
-    while |tau11| < 1, applies Gottschling's quasi-inversion, which sends
-    tau11 to -1/tau11.  On return |2 Y12| <= Y11 <= Y22, |X_ij| <= 1/2 and
-    |tau11| >= 1, so the smallest eigenvalue of Y is at least sqrt(3)/4.  A
-    loop that does not finish within REDUCTION_CAP rounds is a bug:
-    FormulaMismatchError.  Its own result comes back at once, as a re-run
-    of the loop would give it.
+    runs on the three entries of tau as Python complex numbers: it
+    Lagrange-reduces Y by U in Python ints (`_lagrange_basis`), applies U
+    to tau as (U tau) U' with U's entries rounded to floats, subtracts the
+    nearest integer from each entry of X and, while |tau11| < 1, applies
+    Gottschling's quasi-inversion, which sends tau11 to -1/tau11.  On return
+    |2 Y12| <= Y11 <= Y22, |X_ij| <= 1/2 and |tau11| >= 1, so the smallest
+    eigenvalue of Y is at least sqrt(3)/4.  A loop that does not finish
+    within REDUCTION_CAP rounds is a bug: FormulaMismatchError.  Its own
+    result comes back at once, as a re-run of the loop would give it.
     """
     if tau._reduced:
         return tau
-    t = tau.matrix
+    (t11, t12), (_, t22) = tau.matrix.tolist()
     for _ in range(REDUCTION_CAP):
-        u = _lagrange_basis(t.imag)
-        t = u @ t @ u.T
-        t = t / 2 + t.T / 2 - np.rint(t.real)  # halve first: t + t.T can overflow
-        if abs(t[0, 0]) >= 1 - _UNIT_MARGIN:
-            reduced = SiegelMatrix(t)
+        (a, b), (c, d) = _lagrange_basis(((t11.imag, t12.imag), (t12.imag, t22.imag)))
+        a, b, c, d = float(a), float(b), float(c), float(d)
+        first, second = a * t11 + b * t12, a * t12 + b * t22  # the first row of U tau
+        t11, t12, t22 = (
+            first * a + second * b,
+            first * c + second * d,
+            (c * t11 + d * t12) * c + (c * t12 + d * t22) * d,
+        )
+        t11, t12, t22 = (t - round(t.real) for t in (t11, t12, t22))
+        if abs(t11) >= 1 - _UNIT_MARGIN:
+            reduced = SiegelMatrix([[t11, t12], [t12, t22]])
             reduced._reduced = True
             return reduced
-        (t11, t12), (_, t22) = t
         # t11 t22 - t12^2 would underflow from entries near 1e-160 on;
         # dividing first keeps the digits of tiny entries
         ratio = t12 / t11
-        t = np.array([[-1 / t11, ratio], [ratio, t22 - t12 * ratio]])
+        t11, t12, t22 = -1 / t11, ratio, t22 - t12 * ratio
     raise FormulaMismatchError(
         f"Siegel reduction of {tau!r} did not finish in {REDUCTION_CAP} rounds"
     )
@@ -328,7 +345,9 @@ class QuadratureConfig:
     `n_samples` counts evaluations of log||theta||.  `log_h` gives each of
     8 substreams ceil(n_samples / 2048) whole cosets of 256 (a base point
     and its quarter-period translates), odd for the lattice rule, so up to
-    2047 (4095 for the lattice rule) more are made: 10^4 gives 10240.
+    2047 (4095 for the lattice rule) more are made: 10^4 gives 10240.  It
+    is at most MAX_SAMPLES, refused (ValueError) above, before any array
+    is made.
     """
 
     n_samples: int = 100_000
@@ -338,6 +357,11 @@ class QuadratureConfig:
 
     def __post_init__(self):
         _check_int("samples", self.n_samples, 10_000)
+        if self.n_samples > MAX_SAMPLES:
+            raise ValueError(
+                f"samples must be at most {MAX_SAMPLES} (the base points and sums take "
+                f"about 0.19 bytes per sample), got {self.n_samples}"
+            )
         _check_int("seed", self.seed, 0)
         if self.method not in ("monte-carlo", "lattice-rule"):
             raise ValueError(f"unknown quadrature method {self.method!r}")
@@ -462,6 +486,34 @@ def _gaussian_rows(
     return rows
 
 
+@functools.lru_cache(maxsize=8)  # a reduced tau has radius 5 or less
+def _kernel_tables(radius: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_theta_kernel`'s tables that do not depend on tau, at one radius r:
+
+    * the terms 2 pi (n1 n2 + a2 n1 + a1 n2, T(n2), T(n1)) of C'_a's
+      exponent, whose products with (tau12, tau22, tau11) it sums, for the
+      16 shifts a = (a1, a2) in order, as a (16 (2r)^2, 3) array of rows
+      (a, n2, n1), n_i = -r .. r-1 (T as in `_gaussian_rows`);
+    * the phases i^(j n1) of b1 = j/4 as a (4, 1, 1, 2r) array;
+    * i^(j k), the phase of b2 = j/4 at row k up to a column phase, as the
+      4 x 2r matrix of the DFT over n2 mod 4 (row k has n2 = k - r).
+
+    The phases are powers of i, exact in floats.  Read-only, as they are
+    shared."""
+    n = np.arange(-radius, radius, dtype=float)
+    tri = np.where(n < 0, (n + 1) * (n + 2), n * (n - 1)) / 2  # T(n)
+    a1, a2 = _QUARTERS[::16, :2, None, None].transpose(1, 0, 2, 3)  # the 16 a, in order
+    cross = (n + a1) * (n[:, None] + a2) - a1 * a2  # n1 n2 + a2 n1 + a1 n2, columns n1
+    terms = np.stack(np.broadcast_arrays(cross, tri[:, None], tri), axis=-1).reshape(-1, 3)
+    terms *= 2 * math.pi
+    powers = np.array([1, 1j, -1, -1j])  # i^k
+    turns = powers[np.arange(4)[:, None] * n.astype(int) % 4][:, None, None]
+    dft = powers[np.arange(4)[:, None] * np.arange(2 * radius) % 4]
+    for table in (terms, turns, dft):
+        table.setflags(write=False)
+    return terms, turns, dft
+
+
 def _theta_kernel(tau: SiegelMatrix) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """The batch function (u, v) -> log||theta||(tau (u + a) + (v + b)) for
     (B, 2) arrays of base points in [0, 1/4)^2, at the 256 quarter periods
@@ -483,10 +535,19 @@ def _theta_kernel(tau: SiegelMatrix) -> Callable[[np.ndarray, np.ndarray], np.nd
         C'_ab[n2, n1] = exp(2 pi i (tau12 (n1 n2 + a2 n1 + a1 n2)
                         + tau22 T(n2) + tau11 T(n1) + b1 n1)),
     which leaves the modulus exp(-2 pi Y12 (u1 + a1)(u2 + a2)) per sample.
-    C'_ab is computed here once per tau, as 64 blocks (a, b1) stacked by
-    a1 into four 32r x 2r matrices, the blocks of each in the order (b1,
-    a2), each block from its own summed exponent, so no entry is the
-    product of an underflow and an overflow.
+    C'_ab is C'_a, its block at b1 = 0, with column n1 turned by
+    e^(2 pi i b1 n1) = i^(j n1) for b1 = j/4.  So the build exponentiates
+    the 16 distinct blocks C'_a once per tau, (2r)^2 complex exponentials
+    each (1024 at r = 4, where the 64 blocks (a, b1) took 4096), each
+    entry from its own summed exponent, whose real and imaginary parts
+    come from one product of `_kernel_tables`'s terms with tau's entries.
+    It multiplies each block by the exact quarter turns 1, i, -1, -i and
+    stacks the 64 blocks C'_ab by a1 into four 32r x 2r matrices, the
+    blocks of each in the order (b1, a2).  The turns have modulus exactly
+    1, so no entry is the product of an underflow and an overflow: a
+    finite entry is only swapped between its parts and negated, exactly,
+    and the one product that meets inf * 0 = NaN is an entry whose own
+    exponent already overflowed, whose sums are not finite either way.
     Per batch the kernel builds the rows at the four shifts
     (`_gaussian_rows`: 2 complex and 32 real exponentials per base point,
     whatever the radius), then takes one a1 at a time: it multiplies that
@@ -517,30 +578,19 @@ def _theta_kernel(tau: SiegelMatrix) -> Callable[[np.ndarray, np.ndarray], np.nd
     tail, tiny or -inf, and nothing reads them.
     """
     radius = _truncation_radius(tau.min_eigenvalue, DEFAULT_THETA_TOL)
-    n = np.arange(-radius, radius, dtype=float)
-    tri = np.where(n < 0, (n + 1) * (n + 2), n * (n - 1)) / 2  # T(n)
-    blocks = _QUARTERS[::4]  # (a1, a2, b1) in order, b2 = 0
-    a1, a2, b1 = (blocks[:, k, None, None] for k in range(3))
-    cross = (n + a1) * (n[:, None] + a2) - a1 * a2  # n1 n2 + a2 n1 + a1 n2, columns n1
-
-    def exponent(t: np.ndarray) -> np.ndarray:
-        """t12 (n1 n2 + a2 n1 + a1 n2) + t22 T(n2) + t11 T(n1) for real t."""
-        (t11, t12), (_, t22) = t
-        return t12 * cross + t22 * tri[:, None] + t11 * tri
-
+    terms, turns, dft = _kernel_tables(radius)
+    (t11, t12), (_, t22) = tau.matrix
     with np.errstate(over="ignore", invalid="ignore"):
-        # real and imaginary exponents apart: at Y near 1e308 a complex product meets inf * 0 = NaN
-        im_exp = exponent(tau.matrix.real) + b1 * n
-        stack = np.exp(-2 * math.pi * exponent(tau.matrix.imag) + 2j * math.pi * im_exp)
-    # per a1 one 32r x 2r matrix, its blocks in the order (b1, a2): A2 then
-    # scales the four b1 broadcast along the outermost axis, where numpy
-    # would copy A2 first to broadcast it along an inner one
-    stack = stack.reshape(4, 4, 4, 2 * radius, 2 * radius).transpose(0, 2, 1, 3, 4)
+        # both real exponents of each entry in one product, read as one complex
+        # number: no complex product meets inf * 0 = NaN at Y near 1e308
+        exponents = terms @ np.array([[-t12.imag, t12.real], [-t22.imag, t22.real], [-t11.imag, t11.real]])
+        blocks = np.exp(exponents.view(complex), out=exponents.view(complex))
+        # per a1 one 32r x 2r matrix, its blocks in the order (b1, a2): A2 then
+        # scales the four b1 broadcast along the outermost axis, where numpy
+        # would copy A2 first to broadcast it along an inner one
+        stack = blocks.reshape(4, 1, 4, 2 * radius, 2 * radius) * turns
     stack = stack.reshape(4, 32 * radius, 2 * radius)
     shifts = _QUARTERS[::16, :2, None]  # the 16 a, in order
-    # i^(j k), exact in floats: the phase of b2 = j/4 at row k up to a column phase
-    dft = np.array([1, 1j, -1, -1j])[np.arange(4)[:, None] * np.arange(2 * radius) % 4]
-    (t11, t12), (_, t22) = tau.matrix
     diagonal = np.array([t11, t22])[:, None, None]  # the axes' tau_jj
     # `_gaussian_rows`'s per-tau phases: e^(2 pi i a Re tau_jj) at the four a, and e^(2 pi i Re tau_jj)
     phases = np.exp(2j * math.pi * diagonal.real * _SHIFTS), np.exp(2j * math.pi * diagonal.real)
@@ -548,7 +598,7 @@ def _theta_kernel(tau: SiegelMatrix) -> Callable[[np.ndarray, np.ndarray], np.nd
     # per base point the rows (16r), the product block of one a1 (32r), its
     # n2 sums (64) and the 256 moduli (128 complex): one buffer, grown to the
     # largest call and reused, so a kernel serves one thread (README, design notes)
-    cuts = np.cumsum([0, 16 * radius, 32 * radius, 64, 128]).tolist()  # their offsets
+    cuts = list(itertools.accumulate([0, 16 * radius, 32 * radius, 64, 128]))  # their offsets
     buffer = np.empty(0, dtype=complex)
 
     def log_norms(u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -13,11 +13,13 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
-from test_theta_surface import random_tau, reference_log_h
+from test_theta_surface import EVEN_CHARS, brute_theta, random_tau, reference_log_h
 
+import g2inv.theta_surface
 from g2inv import cli
 from g2inv.cli import main
 from g2inv.errors import UnclassifiableError
@@ -26,8 +28,10 @@ from g2inv.formats import arch_from_dict, nonarch_from_dict, save_graph, save_ta
 from g2inv.metric_graph import PMGraph
 from g2inv.theta_surface import (
     DEFAULT_THETA_TOL,
+    MAX_SAMPLES,
     _EVEN_A,
     _EVEN_B,
+    QuadratureConfig,
     SiegelMatrix,
     _theta_scaled,
     _truncation_radius,
@@ -479,6 +483,25 @@ def test_arch_validation_exits_2(tmp_path, tau_file, capsys):
     assert captured.out == ""
 
 
+def test_arch_samples_above_the_cap_exit_2(tau_file, capsys, monkeypatch):
+    """A sample count above MAX_SAMPLES is refused before any array is
+    made: exit 2 with one `error:` line, no traceback.  10^18 samples would
+    ask for 111 PiB of base points; MAX_SAMPLES itself is accepted."""
+    def no_points(*args):
+        raise AssertionError("base points drawn for a refused sample count")
+
+    monkeypatch.setattr(g2inv.theta_surface, "_base_points", no_points)
+    QuadratureConfig(n_samples=MAX_SAMPLES)
+    for samples in (MAX_SAMPLES + 1, 10**18):
+        assert main(["arch", tau_file, "--samples", str(samples)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: samples must be at most {MAX_SAMPLES} (the base points and sums "
+            f"take about 0.19 bytes per sample), got {samples}\n"
+        )
+        assert captured.out == ""
+
+
 def test_arch_non_finite_entry_exits_2(tmp_path, capsys):
     path = tmp_path / "nan.json"
     path.write_text('{"tau": ["0.1+1.2i", "nan+0.3i", "nan+0.3i", "0.2+1.1i"]}')
@@ -545,6 +568,51 @@ def _arch_doc(path, capsys, samples=10000):
 
 def _within(a, a_err, b, b_err):
     return abs(a - b) < 10 * math.hypot(a_err, b_err)
+
+
+def _brute_log_delta2(tau: SiegelMatrix, box: int) -> float:
+    """log||Delta_2|| from the mpmath sums of `brute_theta` at 40 digits."""
+    with mpmath.workdps(40):
+        total = -12 * mpmath.log(2) + 5 * mpmath.log(tau.det_y)
+        for a, b in EVEN_CHARS:
+            total += 2 * mpmath.log(abs(brute_theta(a, b, tau, box)))
+    return float(total)
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+def test_arch_near_the_product_locus(tmp_path, capsys, eps):
+    """tau = [[0.1 + 1.1i, eps (1 + i)], [., -0.15 + 1.3i]], reduced, tends
+    to a product of elliptic curves as eps -> 0, where the null
+    [1/2 1/2; 1/2 1/2] vanishes: it is 1.35 eps here, 8.9 eps of its
+    largest term 0.15, so above NULL_FLOOR down to eps = 1e-6.  `arch`
+    exits 0 and its log_delta2 matches the mpmath sums within 1e-13 +
+    1e-15 / eps.  That bound is the cancellation: a rounding delta in the
+    null's sum moves 2 log|theta| by 2 delta / (1.35 eps), and delta up to
+    6.7e-16, a few ulp of its terms, gives 1e-15 / eps (1.8e-10 was seen
+    at 1e-6); the other nine nulls add far less than 1e-13.  A second route
+    through Riemann's duplication formula at 2 tau, whose squares cancel
+    like eps^2 where the nulls cancel like eps, loses these taus: it
+    disagreed with the nulls past 1e-9 at eps = 1e-5 and 1e-6."""
+    path = tmp_path / "near-product.json"
+    off = f"{eps!r}+{eps!r}i"
+    path.write_text(json.dumps({"tau": ["0.1+1.1i", off, off, "-0.15+1.3i"]}))
+    doc = _arch_doc(path, capsys)
+    tau = SiegelMatrix([[0.1 + 1.1j, eps * (1 + 1j)], [eps * (1 + 1j), -0.15 + 1.3j]])
+    assert abs(doc["log_delta2"] - _brute_log_delta2(tau, 12)) < 1e-13 + 1e-15 / eps
+
+
+def test_arch_at_y_300(tmp_path, capsys):
+    """tau = [[0.1 + 300i, 0.3 + 0.2i], [., -0.15 + 300i]]: its nulls with a
+    != 0 are as small as 5e-205, all of them far above NULL_FLOOR of their
+    largest terms.  `arch` exits 0 and its log_delta2, about -3711.4,
+    matches the mpmath sums within 1e-12 relative, a few roundings of each
+    log (a box of radius 3 is ample at Y = 300: the terms it leaves out are
+    below exp(-11000) of the largest)."""
+    path = tmp_path / "y300.json"
+    path.write_text('{"tau": ["0.1+300i", "0.3+0.2i", "0.3+0.2i", "-0.15+300i"]}')
+    doc = _arch_doc(path, capsys)
+    reference = _brute_log_delta2(SiegelMatrix([[0.1 + 300j, 0.3 + 0.2j], [0.3 + 0.2j, -0.15 + 300j]]), 3)
+    assert abs(doc["log_delta2"] - reference) < 1e-12 * abs(reference)
 
 
 def test_arch_on_squashed_tau(tmp_path, capsys):

@@ -1201,9 +1201,11 @@ def test_siegel_reduce_keeps_the_digits_of_a_tiny_tau():
         assert np.max(np.abs(image - scaled[0])) < 1e-14 * np.max(np.abs(scaled[0]))
 
 
-def exact_lagrange_basis(y: np.ndarray) -> list[list[int]]:
-    """The steps of `_lagrange_basis` replayed with U in Python integers:
-    the same float updates of y, each step multiplied into U exactly."""
+def exact_lagrange_basis(y) -> list[list[int]]:
+    """The steps of `_lagrange_basis` replayed as 2 x 2 matrices: y updated
+    by numpy's float products S y S', each step S multiplied into U in
+    Python integers."""
+    y = np.array(y, dtype=float)
     u = [[1, 0], [0, 1]]
     for _ in range(200):
         if y[0, 0] > y[1, 1]:
@@ -1221,15 +1223,15 @@ def exact_lagrange_basis(y: np.ndarray) -> list[list[int]]:
 
 def test_lagrange_basis_in_floats_is_the_exact_basis(rng, monkeypatch):
     """Every Lagrange basis that `siegel_reduce` forms on 200 random
-    unreduced images equals, entry for entry, the basis its steps give in
-    Python integers: the float U is exact there, so the reduction lands on
-    the same bits as with an exact U."""
+    unreduced images equals, entry for entry, the basis that the matrix
+    form of its steps gives (`exact_lagrange_basis`): the scalar updates of
+    y take the steps of the matrix algorithm, and U is exact."""
     seen = []
     right = g2inv.theta_surface._lagrange_basis
 
     def recorded(y):
         u = right(y)
-        seen.append((y, u))
+        seen.append((y, np.array(u, dtype=object)))  # Python ints, as they are
         return u
 
     monkeypatch.setattr(g2inv.theta_surface, "_lagrange_basis", recorded)
