@@ -88,7 +88,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ar.add_argument("--method", choices=("monte-carlo", "lattice-rule"), default="monte-carlo")
     ar.add_argument("--workers", type=int, default=1, help="for compatibility; echoed, changes no work")
     # default None: the theta module, which holds the default, loads numpy
-    ar.add_argument("--target-stderr", type=float)
+    ar.add_argument("--target-stderr", type=float, help="default 1e-3. Each +- is one standard error, "
+                    "from the spread of log_h's 8 substream means over sqrt(8) (7 degrees of freedom); "
+                    "exit 6 when that estimate for log_h, not the true error, exceeds 10x the target")
     ar.add_argument("--format", choices=("human", "structured"), default="human")
 
     tb = sub.add_parser("table", help="regenerate the seven-type invariant table symbolically")

@@ -42,5 +42,7 @@ class DegenerateThetaNullError(G2Error):
 
 
 class QuadratureUnstableError(G2Error):
-    """The torus average failed: stderr above ten times its target, or a
-    log||theta|| out of floating-point range."""
+    """The theta kernel or the torus average failed: a log||theta|| out of
+    floating-point range, in `log_h` or in the kernel route of
+    `log_delta2`, or a standard error estimate above ten times its
+    target."""

@@ -84,8 +84,8 @@ REDUCTION_CAP = 200
 SUBSTREAMS = 8
 # the most samples `log_h` takes.  Its base points and per-coset sums take 48
 # bytes per coset of 256, 0.19 per sample: 190 MB at 10^9 (a fresh `arch`
-# peaked 0.22 bytes per sample higher from 1e7 to 4e7 samples, 0.35 for the
-# lattice rule's temporaries), and at about 40 ns per sample it runs ~40 s
+# peaked 0.23-0.24 bytes per sample higher from 1e7 to 4e7 samples, by either
+# method), and at about 40 ns per sample it runs ~40 s
 MAX_SAMPLES = 10**9
 _CHUNK = 200  # the most base points per kernel call, shared by the substreams
 LOG_2PI = math.log(2 * math.pi)
@@ -299,6 +299,9 @@ def log_delta2(tau: SiegelMatrix) -> float:
     summation codes, both truncated at DEFAULT_THETA_TOL, which must agree
     within 10 DEFAULT_PRODUCT_TOL (FormulaMismatchError otherwise).  A null
     below NULL_FLOOR of its largest term cancels: DegenerateThetaNullError.
+    A kernel norm out of floating-point range (a sum that overflowed, as
+    at |Y12| past about 113) is no disagreement: QuadratureUnstableError
+    naming tau, as `log_h` raises for it.
     """
     tau = siegel_reduce(tau)
     radius = _truncation_radius(tau.min_eigenvalue, DEFAULT_THETA_TOL)
@@ -322,8 +325,10 @@ def log_delta2(tau: SiegelMatrix) -> float:
     # translates of the base point 0, summed by the kernel
     origin = np.zeros((1, 2))
     log_norms = tau._kernel(origin, origin)[_EVEN_INDEX, 0]
+    if not np.all(np.isfinite(log_norms)):  # as in `log_h`: a sum left float range
+        raise QuadratureUnstableError(f"log||theta|| left floating-point range at {tau!r}")
     direct = -12 * math.log(2) + 2 * float(np.sum(log_norms))
-    if not abs(value - direct) <= 10 * DEFAULT_PRODUCT_TOL:  # a NaN norm fails too
+    if not abs(value - direct) <= 10 * DEFAULT_PRODUCT_TOL:
         raise FormulaMismatchError(
             f"discriminant routes disagree: theta-null product {value!r} vs "
             f"kernel norm product {direct!r}"
@@ -561,19 +566,18 @@ def _theta_kernel(tau: SiegelMatrix) -> Callable[[np.ndarray, np.ndarray], np.nd
     exp(-2 pi Y12 (u1 + a1)(u2 + a2)) take one np.exp call.  The rows,
     the block, the n2 sums and the moduli live in one buffer kept across
     calls, so the one large array a call allocates is the one it returns,
-    and that after its matmuls.  A batch is padded with base points 0 to
-    a whole number of tiles of four: OpenBLAS's complex matmul sums a
+    and that after its matmuls.  OpenBLAS's complex matmul sums a
     remainder of fewer than four columns in other code, whose last bits
-    differ, so with the padding a base point's 256 values do not depend on
-    the call it came in.  Every
-    row is the one a single point u + a in [0, 1)^2 would build, and
-    |C'_ab| grows with the cross term only, as |C'| does: on a reduced tau
-    every factor stays in floating-point range, and a direct `log_h` keeps
-    it up to a common scale of Y of about 237
-    (`test_log_h_float_range_is_kept_and_refused_cleanly`).
+    differ, so a base point's 256 values do not depend on the call it came
+    in when every call is a whole number of tiles of four base points, as
+    `log_h` cuts them.  Every row is the one a single point u + a in
+    [0, 1)^2 would build, and |C'_ab| grows with the cross term only, as
+    |C'| does: on a reduced tau every factor stays in floating-point
+    range, and a direct `log_h` keeps it up to a common scale of Y of
+    about 237 (`test_log_h_float_range_is_kept_and_refused_cleanly`).
     It returns np.log of every modulus, -inf where one is exactly 0 and
-    inf or NaN where a sum overflowed, and raises nothing: `log_h` refuses
-    a call with any such value.  `log_delta2` reads the even half-period
+    inf or NaN where a sum overflowed, and raises nothing: `log_h` and
+    `log_delta2` refuse a call with any such value.  `log_delta2` reads the even half-period
     translates of the origin only; the odd ones are sums of the omitted
     tail, tiny or -inf, and nothing reads them.
     """
@@ -603,13 +607,7 @@ def _theta_kernel(tau: SiegelMatrix) -> Callable[[np.ndarray, np.ndarray], np.nd
 
     def log_norms(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         nonlocal buffer
-        size = len(u)
-        width = -(-size // 4) * 4  # whole tiles of four base points (docstring)
-        if width > size:
-            padded = np.zeros((4, width))
-            padded[:2, :size] = u.T
-            padded[2:, :size] = v.T
-            u, v = padded[:2].T, padded[2:].T
+        width = len(u)
         u1, u2 = u.T  # contiguous rows when log_h passes its layout
         if len(buffer) < cuts[-1] * width:
             buffer = np.empty(cuts[-1] * width, dtype=complex)
@@ -637,10 +635,9 @@ def _theta_kernel(tau: SiegelMatrix) -> Callable[[np.ndarray, np.ndarray], np.nd
             np.exp(moduli, out=moduli)
             norms = norms.reshape(16, 16, width)
             norms *= moduli[:, None]
-            norms = norms.reshape(256, width)
             norms *= scale
             # the one large array a call allocates, after its matmuls (README, design notes)
-            return np.log(norms[:, :size])
+            return np.log(norms.reshape(256, width))
 
     return log_norms
 
@@ -656,7 +653,8 @@ def _nearest_distance_sq(y: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.nd
     w1 = y11 * x1 + y12 * x2
     w2 = y12 * x1 + y22 * x2
     far = np.minimum(y11 - 2 * w1, y22 - 2 * w2)
-    np.minimum(far, y11 + 2 * y12 + y22 - 2 * (w1 + w2), out=far)
+    with np.errstate(over="ignore", invalid="ignore"):  # Y entries near 1e308, as in `_theta_scaled`
+        np.minimum(far, y11 + 2 * y12 + y22 - 2 * (w1 + w2), out=far)
     np.minimum(far, 0, out=far)
     far += x1 * w1
     far += x2 * w2
@@ -720,8 +718,10 @@ def _base_points(method: str, seed: int, count: int) -> np.ndarray:
     else:
         lattice = np.array(_lattice_generator(count))[:, None] * np.arange(count) % count / count
         points = lattice[:, None] + np.array([rng.random(4) for rng in rngs]).T[:, :, None]
-        points -= np.floor(points)
-        points = 1 - np.abs(2 * points - 1)
+        np.fmod(points, 1, out=points)  # x - floor(x), exactly, for x >= 0
+        points *= 2
+        points -= 1
+        np.subtract(1, np.abs(points, out=points), out=points)  # the tent 1 - |2x - 1|
     points *= 0.25
     return points.reshape(4, -1)
 
@@ -754,15 +754,16 @@ def log_h(tau: SiegelMatrix, config: QuadratureConfig | None = None) -> Quadratu
     same cosets adds a bias of order 1/N.
 
     All base points, substream after substream, are one array
-    (`_base_points`) that the kernel takes in the fewest calls of at most
-    _CHUNK base points, cut at ceil(cosets k / calls), so the calls differ
-    in size by at most one, a larger one first: 10^4 samples (40 base
-    points) take one call, not eight, 2 x 10^5 (784) four of 196 and 10^6
-    (3912) twenty of 196 and 195.  Each call's F and G fill one
-    (2, 8 count) array, summed per substream.  The partition moves no bit:
-    the kernel's columns do not depend on the call, numpy sums a (256, B)
-    array over its translates row by row for any B > 1, and a call of one
-    base point, which numpy would sum pairwise, is summed as two copies.
+    (`_base_points`) of tiles = cosets / 4 whole tiles of four base points
+    (cosets = 8 count).  The kernel takes them in the fewest calls of at
+    most _CHUNK base points (one tile at least), cut at 4 ceil(tiles k /
+    calls), so the calls differ in size by at most one tile, a larger one
+    first, and none is empty: 10^4 samples (40 base points) take one call,
+    not eight, 2 x 10^5 (784) four of 196 and 10^6 (3912) eighteen of 196
+    and two of 192.  Each call's F and G fill one (2, 8 count) array,
+    summed per substream.  The partition moves no bit: on whole tiles the
+    kernel's columns do not depend on the call, and numpy sums a (256, B)
+    array over its translates row by row for any B > 1.
 
     Every sample is kept, so `rejected` is always 0.  A kernel call with
     any log||theta|| out of floating-point range (an overflowed sum, or a
@@ -782,8 +783,6 @@ def log_h(tau: SiegelMatrix, config: QuadratureConfig | None = None) -> Quadratu
 
     def coset_sums(block: np.ndarray) -> np.ndarray:
         """F and G, as defined above, of each base point of a (4, B) block."""
-        if block.shape[1] == 1:  # numpy sums a lone column pairwise, several row by row
-            return coset_sums(np.repeat(block, 2, axis=1))[:, :1]
         u = block[:2].T
         vals = kernel(u, block[2:].T)
         if not np.all(np.isfinite(vals)):
@@ -797,8 +796,9 @@ def log_h(tau: SiegelMatrix, config: QuadratureConfig | None = None) -> Quadratu
     points = _base_points(config.method, config.seed, count)
     cosets = points.shape[1]
     fg = np.empty((2, cosets))
-    calls = -(-cosets // _CHUNK)
-    cuts = [-(-cosets * k // calls) for k in range(calls + 1)]  # a larger call first
+    tiles = cosets // 4  # cosets = 8 count, so whole tiles of four base points
+    calls = -(-tiles // max(_CHUNK // 4, 1))
+    cuts = [-(-tiles * k // calls) * 4 for k in range(calls + 1)]  # a larger call first
     for start, stop in zip(cuts, cuts[1:]):
         fg[:, start:stop] = coset_sums(points[:, start:stop])
 
@@ -823,11 +823,15 @@ def log_h(tau: SiegelMatrix, config: QuadratureConfig | None = None) -> Quadratu
 class ArchReport:
     """The archimedean invariant chain at one period matrix.
 
-    `residual` compares two algebraically identical recombinations of
-    lambda (see `arch_invariants`), so it measures floating-point rounding
-    only; it is no margin on the accuracy of any field.  `rejected` is
-    always 0, as `log_h` keeps every sample; it stays as a stable report
-    field.
+    `log_h_stderr` is one standard error of `log_h`: the sample spread of
+    the 8 substream means over sqrt(8), an estimate with 7 degrees of
+    freedom.  `phi_stderr` is 10 times it, as phi carries 10 log||H|| and
+    log_delta2 no sampling error.  `log_h` refuses tau (exit 6) when that
+    estimate, not the true error, exceeds 10x the target.  `residual`
+    compares two algebraically identical recombinations of lambda (see
+    `arch_invariants`), so it measures floating-point rounding only; it is
+    no margin on the accuracy of any field.  `rejected` is always 0, as
+    `log_h` keeps every sample; it stays as a stable report field.
     """
 
     log_delta2: float

@@ -513,13 +513,33 @@ def test_arch_non_finite_entry_exits_2(tmp_path, capsys):
 
 def test_arch_huge_finite_entry_exits_5_without_warnings(tmp_path, capsys):
     # Y11 = 1e308 is finite: the reduction must not overflow it to inf, and
-    # the theta terms it sends to exp(-inf) vanish without a warning
+    # the theta terms it sends to exp(-inf) vanish without a warning.  With
+    # both diagonal entries 1e308 the nearest-corner term Y11 + 2 Y12 + Y22
+    # overflows too: still one stderr line and no warning
     path = tmp_path / "huge.json"
-    path.write_text('{"tau": ["1e308i", "0.1+0.2i", "0.1+0.2i", "1.2i"]}')
+    for y11, y22 in (("1e308i", "1.2i"), ("0.5+1e308i", "1e308i")):
+        path.write_text(f'{{"tau": ["{y11}", "0.1+0.2i", "0.1+0.2i", "{y22}"]}}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["arch", str(path), "--samples", "10000"]) == 5
+        err = capsys.readouterr().err
+        assert "[0 1/2; 0 0]" in err
+        assert err.startswith("degenerate surface: ") and err.count("\n") == 1
+
+
+def test_arch_kernel_check_out_of_float_range_exits_6(tmp_path, capsys):
+    # at Y = [[240, -120], [-120, 240]] the kernel route of log_delta2 sums
+    # exp(2 pi |Y12|) past the float range: no disagreement (exit 4) but an
+    # unstable sum, exit 6 as log_h gives for it, naming tau
+    path = tmp_path / "wide.json"
+    path.write_text('{"tau": ["0.1+240i", "0.3-120i", "0.3-120i", "-0.15+240i"]}')
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["arch", str(path), "--samples", "10000"]) == 5
-    assert "[0 1/2; 0 0]" in capsys.readouterr().err
+        assert main(["arch", str(path), "--samples", "10000"]) == 6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("quadrature failed: log||theta|| left floating-point range at ")
+    assert "SiegelMatrix([[(0.1+240j), (0.3-120j)]" in captured.err and captured.err.count("\n") == 1
 
 
 def test_arch_tiny_diagonal_tau_exits_5_without_warnings(tmp_path, capsys):

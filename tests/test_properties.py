@@ -3,18 +3,20 @@ and vertex weights: the report against the reference routes in `oracles`
 (Poisson solves, and Zhang's integral route built on them), and the
 invariance laws of the report."""
 
+import itertools
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import EdgePoint, GraphMeasure, PROPERTY_SETTINGS, drop_genus0_leaves
 from conftest import integrate, subdivide, subdivide_at, value_at
 from oracles import admissible_measure, diagonal_green, effective_resistance, green_function
-from oracles import green_of_canonical
+from oracles import exact_voronoi_moment, green_of_canonical
 
-from g2inv.fiber_catalog import classify, closed_form
+from g2inv.fiber_catalog import FiberType, classify, closed_form
 from g2inv.metric_graph import PMGraph, resistance_pairing, smooth
 from g2inv.pm_invariants import (
     NonArchReport,
@@ -303,3 +305,55 @@ def test_report_refuses_exactly_the_graphs_with_a_genus0_leaf(graph):
         return
     with pytest.raises(ValueError, match=re.escape(f"vertex {leaves[0]!r} has genus 0")):
         nonarch_report(graph)
+
+
+def tropical_phi(q) -> Fraction:
+    """1/2 the sum over the 10 even characteristics [a; b] of mu_a(Q), minus
+    5 M2(Q), for an exact 2 x 2 Gram matrix Q: mu_a(Q) the least (n + a)'Q(n
+    + a) over n in [-3, 3]^2, M2 the second moment of the Voronoi cell."""
+    half = (Fraction(0), Fraction(1, 2))
+
+    def mu(a):
+        return min(
+            q[0][0] * x * x + 2 * q[0][1] * x * y + q[1][1] * y * y
+            for x, y in ((n1 + a[0], n2 + a[1]) for n1, n2 in itertools.product(range(-3, 4), repeat=2))
+        )
+
+    total = sum(
+        mu(a)
+        for a in itertools.product(half, repeat=2)
+        for b in itertools.product(half, repeat=2)
+        if 4 * (a[0] * b[0] + a[1] * b[1]) % 2 == 0
+    )
+    return total / 2 - 5 * exact_voronoi_moment(np.array(q, dtype=object))
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.sampled_from(["V", "VII"]),
+    st.lists(st.builds(Fraction, st.integers(1, 50), st.integers(1, 50)), min_size=3, max_size=3),
+)
+@example("VII", [Fraction(1)] * 3)
+def test_phi_is_the_tropical_limit_of_the_theta_nulls(tag, lengths):
+    """phi of a genus-2 graph whose vertices all have genus 0 (type V or
+    VII) is the tropical limit of the theta side of `arch`, exactly:
+    phi(Gamma) = 1/2 sum over the 10 even [a; b] of mu_a(Q) - 5 M2(Q), Q the
+    Gram matrix of the cycle lattice, diag(a, b) for V(a, b) and [[a + b,
+    -b], [-b, b + c]] for VII(a, b, c).  Along Im tau = s Q the null of
+    characteristic a decays like exp(-pi s mu_a(Q)), so -1/2 log||Delta_2||
+    grows like pi s sum mu_a, while log||H|| = 1/4 log det Y - pi s M2(Q) +
+    o(1) (its largest lattice term, the control variate of `log_h`): phi =
+    -1/2 log||Delta_2|| + 10 log||H|| grows like 2 pi s times the right-hand
+    side (de Jong, Asian J. Math. 18, 2014, on the Kawazumi-Zhang
+    invariant), which is the graph's phi.  {e1, e2, -e1 - e2} is an obtuse
+    superbase of every such Q, so the hexagon of `exact_voronoi_moment`
+    applies without reduction, and the nearest lattice point of a half
+    period is a corner of the unit square, well inside the enumerated
+    box.  VII(1, 1, 1) gives 3/2 - 5 x 5/18 = 1/9."""
+    a, b, c = lengths
+    if tag == "V":
+        fiber, q = FiberType("V", (a, b)), ((a, 0), (0, b))
+    else:
+        fiber, q = FiberType("VII", (a, b, c)), ((a + b, -b), (-b, b + c))
+    assert closed_form(fiber).phi == tropical_phi(q)
+

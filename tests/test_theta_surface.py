@@ -540,12 +540,14 @@ def whole_cosets(n_samples: int, method: str) -> list[int]:
 
 
 def shared_chunks(total: int) -> list[int]:
-    """The base point counts of the kernel calls for `total` base points:
-    all substreams' points, one after another, in the fewest calls of at
-    most 200, cut at ceil(total k / calls), so their sizes differ by at most
-    one, a larger one first."""
-    calls = -(-total // 200)
-    cuts = [-(-total * k // calls) for k in range(calls + 1)]
+    """The base point counts of the kernel calls for `total` base points, a
+    multiple of 8: all substreams' points, one after another, in whole
+    tiles of four, in the fewest calls of at most 200, cut at 4 ceil(tiles
+    k / calls), so their sizes differ by at most one tile, a larger one
+    first."""
+    tiles = total // 4
+    calls = -(-tiles // 50)
+    cuts = [-(-tiles * k // calls) * 4 for k in range(calls + 1)]
     return [stop - start for start, stop in zip(cuts, cuts[1:])]
 
 
@@ -558,7 +560,8 @@ def test_log_h_sums_exactly_n_samples(monkeypatch, method, n_samples):
     one sample more gives 11 for both, in every substream.  The substreams
     share equal kernel calls of at most 200 base points, so 10^4 samples
     take one call, not one per substream, 8 x 4096 + 5 (136 base points)
-    one too, and 8 x 16384 + 5 (520) three of 174, 173 and 173."""
+    one too, and 8 x 16384 + 5 (520, 130 tiles of four) three of 176, 172
+    and 172."""
     seen = []
 
     def count(u, v):
@@ -697,9 +700,9 @@ def test_log_h_estimator_matches_its_formulas(monkeypatch, method, n_samples):
 
 def test_log_h_refuses_a_value_out_of_range_in_the_last_call_only(monkeypatch):
     """At 8 x 16384 + 5 samples the 520 base points, 65 per substream, take
-    three kernel calls (174, 173 and 173).  A -inf at one translate of the
-    last call alone still makes `log_h` refuse tau, naming it, with no
-    numpy warning."""
+    three kernel calls of whole tiles of four (176, 172 and 172).  A -inf
+    at one translate of the last call alone still makes `log_h` refuse tau,
+    naming it, with no numpy warning."""
     tau = siegel_reduce(GENERIC_TAU)
     calls = []
 
@@ -715,7 +718,7 @@ def test_log_h_refuses_a_value_out_of_range_in_the_last_call_only(monkeypatch):
         warnings.simplefilter("error")
         with pytest.raises(QuadratureUnstableError, match=re.escape(repr(tau))):
             log_h(tau, QuadratureConfig(n_samples=8 * 16384 + 5, seed=4))
-    assert calls == [256 * 174, 256 * 173, 256 * 173]
+    assert calls == [256 * 176, 256 * 172, 256 * 172]
 
 
 def reduced_y(y11: float, ratio: float, slant: float) -> np.ndarray:
@@ -964,11 +967,11 @@ def test_log_h_call_partition_moves_no_bit(monkeypatch, method, n_samples):
 
 
 def test_kernel_columns_do_not_depend_on_the_call():
-    """Each column of the kernel's output depends on its base point alone:
-    a 300-point batch gives, bit for bit, the concatenation of the calls on
-    its sub-batches of 1, 37 and 262 points, none a whole number of the
-    kernel's tiles of four, whether the kernel's buffer was grown by the
-    whole batch first or is grown call by call."""
+    """On whole tiles of four base points, the calls `log_h` makes, each
+    column of the kernel's output depends on its base point alone: a
+    300-point batch gives, bit for bit, the concatenation of the calls on
+    its sub-batches of 4, 36 and 260 points, whether the kernel's buffer
+    was grown by the whole batch first or is grown call by call."""
     slanted = SiegelMatrix([[0.1 + 8j, 0.3 + 2j], [0.3 + 2j, -0.2 + 20j]])
     points = np.random.default_rng(35)
     for tau in (siegel_reduce(GENERIC_TAU), siegel_reduce(slanted)):
@@ -976,7 +979,7 @@ def test_kernel_columns_do_not_depend_on_the_call():
         grown = _theta_kernel(tau)
         whole = grown(u, v)
         for kernel in (grown, _theta_kernel(tau)):
-            parts = [kernel(u[a:b], v[a:b]) for a, b in ((0, 1), (1, 38), (38, 300))]
+            parts = [kernel(u[a:b], v[a:b]) for a, b in ((0, 4), (4, 40), (40, 300))]
             assert np.array_equal(np.concatenate(parts, axis=1), whole)
 
 
