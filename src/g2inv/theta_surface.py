@@ -310,7 +310,8 @@ def log_delta2(tau: SiegelMatrix) -> float:
     distances = _nearest_distance_sq(tau.matrix.imag, _EVEN_A[:, 0], _EVEN_A[:, 1])
     log_nulls = 0.0
     for a, b, s, d2 in zip(_EVEN_A.tolist(), _EVEN_B.tolist(), nulls.tolist(), distances.tolist()):
-        if not abs(s) > 0 or math.log(abs(s)) + math.pi * d2 < math.log(NULL_FLOOR):
+        # written so that a NaN distance refuses too: every comparison with NaN is False
+        if not (abs(s) > 0 and math.log(abs(s)) + math.pi * d2 >= math.log(NULL_FLOOR)):
             name = "[{} {}; {} {}]".format(*("1/2" if x else "0" for x in a + b))
             raise DegenerateThetaNullError(
                 f"even theta-null {name} is below {NULL_FLOOR:g} of its largest term "

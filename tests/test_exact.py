@@ -3,6 +3,7 @@ the rationals and over the rational-function field of the table; and the
 reference solve in `oracles`, which shares no code with the inverse."""
 
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -91,6 +92,27 @@ def test_elements_are_canonical():
     assert (a + 1) / a - 1 / a == 1
     assert (a / 3) / (b / 6) == 2 * a / b
     assert a / a - 1 == 0
+    assert (a / a) / 2 == Fraction(1, 2)
+    # the common factor a is of degree 1 in a*b + a, of degree 1 and 2 in a**2 + a
+    assert (a * a + a) / (a * b + a) == (a + 1) / (b + 1)
+
+
+def test_field_prints_as_sympy():
+    """The text sympy prints for these, corner cases of its printer."""
+    _, a, b = rational_function_field("a,b")
+    cases = [
+        (1 - a, "1 - a"),
+        (1 - a * b, "-a*b + 1"),
+        ((1 - a) / (b + 1), "(1 - a)/(b + 1)"),
+        (1 / a**2, "a**(-2)"),
+        (-1 / a**2, "-1/a**2"),
+        (2 * a / (3 * b), "2*a/(3*b)"),
+        ((a + b) / (2 * a * b), "(a + b)/(2*a*b)"),
+        (-a / (b + 1), "-a/(b + 1)"),
+        ((a + b) / 6, "a/6 + b/6"),
+        (a * 0, "0"),
+    ]
+    assert [str(x) for x, _ in cases] == [text for _, text in cases]
 
 
 def test_sign_rule():
@@ -111,7 +133,8 @@ def test_sort_exact():
         0, Fraction(1, 3), Fraction(1, 2), Fraction(1, 2)
     ]
     _, a, b = rational_function_field("a,b")
-    assert a < a / 2  # Python's order on field elements is structural
+    with pytest.raises(TypeError):
+        a < a / 2  # noqa: B015 - only sort_exact orders field elements
     assert sort_exact([a, a / 2, 3 * a / 4]) == [a / 2, 3 * a / 4, a]
     with pytest.raises(ValueError):
         sort_exact([a, b])
@@ -221,11 +244,13 @@ def test_elimination_over_rational_functions():
     assert all(sum(m * v for m, v in zip(row, x)) - r == 0 for row, r in zip(matrix, rhs))
 
 
-def test_rational_work_does_not_load_sympy():
+def test_nonarch_and_table_do_not_load_sympy():
     code = (
         "import sys, g2inv.cli\n"
-        "g2inv.cli.main(['nonarch', '--type', 'VII', '--params', '1,2,3'])\n"
-        "assert 'sympy' not in sys.modules"
+        "for argv in (['nonarch', '--type', 'VII', '--params', '1,2,3'], ['table'],\n"
+        "             ['table', '--format', 'structured']):\n"
+        "    assert g2inv.cli.main(argv) == 0\n"
+        "    assert 'sympy' not in sys.modules, argv"
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -241,3 +266,71 @@ def test_reference_solve_shares_no_code_with_the_runtime():
     assert names and not any(name.startswith("g2inv.exact") for name in names)
     calls = [n.func for n in nodes if isinstance(n, ast.Call)]
     assert not any(isinstance(f, ast.Attribute) and f.attr == "resistance" for f in calls)
+
+
+# -- the rational-function field against sympy's, the oracle it replaced -----
+
+LEAVES = st.one_of(st.sampled_from("abc"), st.fractions(-3, 3, max_denominator=4))
+TREES = st.recursive(
+    LEAVES,
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from("+-*/"), sub, sub),
+        st.tuples(st.just("**"), sub, st.sampled_from((-2, -1, 1, 2, 3))),  # sympy refuses 0**0
+    ),
+    max_leaves=8,
+)
+POINTS = st.lists(
+    st.fractions(Fraction(1, 9), 9, max_denominator=9).filter(lambda x: x > 0),
+    min_size=3, max_size=3,
+)
+
+
+def _evaluate(tree, leaf):
+    """The tree's value with each leaf mapped by `leaf`; a division by zero
+    raises ZeroDivisionError in every field."""
+    if not isinstance(tree, tuple):
+        return leaf(tree)
+    op, x, y = tree
+    x = _evaluate(x, leaf)
+    if op == "**":  # sympy's x**-k may leave a negative leading coefficient below; 1 / x**k not
+        return x**y if y > 0 else 1 / x**-y
+    y = _evaluate(y, leaf)
+    return x + y if op == "+" else x - y if op == "-" else x * y if op == "*" else x / y
+
+
+def _leaf_of(gens, rational):
+    return lambda x: gens["abc".index(x)] if isinstance(x, str) else rational(x)
+
+
+def _value_at(poly, point):
+    return sum(c * math.prod(p**e for p, e in zip(point, m)) for m, c in poly.items())
+
+
+@PROPERTY_SETTINGS
+@given(TREES, st.lists(POINTS, min_size=3, max_size=3))
+def test_field_matches_sympy_and_fractions(tree, points):
+    """Random + - * / ** trees over a, b, c and small rationals: the field's
+    text and zero test are sympy's, and its value at positive rational
+    points is the tree's value there in Fraction arithmetic."""
+    from sympy.polys.domains import QQ
+    from sympy.polys.fields import field
+
+    _, *our_gens = rational_function_field("a,b,c")
+    ours = _leaf_of(our_gens, (our_gens[0] * 0).__add__)  # a rational as a field constant
+    their_field, *their_gens = field("a,b,c", QQ)
+    theirs = _leaf_of(their_gens, lambda x: their_field(sympy.Rational(x.numerator, x.denominator)))
+    try:
+        want = _evaluate(tree, theirs)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            _evaluate(tree, ours)
+        return
+    got = _evaluate(tree, ours)
+    assert str(got) == str(want.as_expr())
+    assert (got == 0) == (want == 0)
+    for point in points:
+        try:
+            value = _evaluate(tree, _leaf_of(point, Fraction))
+        except ZeroDivisionError:
+            continue  # a pole of the tree, or of a subtree, at this point
+        assert Fraction(_value_at(got.numer, point), _value_at(got.denom, point)) == value

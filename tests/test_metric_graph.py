@@ -157,9 +157,8 @@ def test_solvers_reject_edge_interior_points(solver):
 
 
 def test_symbolic_cuts_are_ordered_numerically():
-    # Python's < on field elements is structural (a < a/2 holds), so the
-    # cuts must be ordered by sign: segments a/4, a/12, 2a/3; endpoint and
-    # repeated cuts are ignored
+    # field elements have no < of their own, so the cuts are ordered by
+    # sign: segments a/4, a/12, 2a/3; endpoint and repeated cuts are ignored
     _, a = rational_function_field("a")
     h = subdivide(segment(a), {"e": [a / 3, a / 4, a, 0, a / 4]})
     segs = [("seg", "e", i) for i in range(3)]
@@ -486,7 +485,7 @@ def test_diagonal_green_circle_with_vertex_mass():
 
 
 def test_diagonal_green_symbolic():
-    field, a = rational_function_field("a")
+    _, a = rational_function_field("a")
     g = circle(a)
     mu = GraphMeasure({"v": Fraction(1, 2)}, {"e": 1 / (2 * a)})
     diag, mean = diagonal_green(g, mu)
@@ -494,7 +493,7 @@ def test_diagonal_green_symbolic():
     assert mean == integrate(g, diag, measure=mu)
     c2, c1, c0 = diag.coefficients("e")
     assert c2 == -1 / (2 * a)
-    assert c1 == field(Fraction(1, 2))
+    assert c1 == Fraction(1, 2)
 
 
 def test_diagonal_green_against_discrete_oracle(rng):

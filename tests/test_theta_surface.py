@@ -419,6 +419,18 @@ def test_log_delta2_accepts_large_y(y):
     assert abs(log_delta2(tau) - float(total)) < 1e-12 * abs(float(total))
 
 
+def test_log_delta2_refuses_a_nan_distance(monkeypatch):
+    """A NaN distance to the nearest lattice point (inf - inf, as for
+    a = (1/2, 1/2) when both diagonal entries of Y are 1e308) leaves the
+    size of a null unknown: refused as degenerate, though no null is 0."""
+    right = g2inv.theta_surface._nearest_distance_sq
+    monkeypatch.setattr(
+        g2inv.theta_surface, "_nearest_distance_sq", lambda *args: right(*args) * math.nan
+    )
+    with pytest.raises(DegenerateThetaNullError):
+        log_delta2(GENERIC_TAU)
+
+
 def test_log_delta2_names_each_vanishing_null(monkeypatch):
     """Whichever even null vanishes, `log_delta2` names it as printed from
     the exact characteristic, such as [1/2 0; 0 1/2]."""
