@@ -75,8 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     na.add_argument("--type", dest="fiber_type", choices=TAGS, help="fiber type tag")
     na.add_argument(
         "--params",
-        default="",
-        help="comma-separated positive rationals, e.g. 1,3/2,2",
+        help="with --type: comma-separated positive rationals, e.g. 1,3/2,2 (none for type I)",
     )
     na.add_argument("--format", choices=("human", "structured"), default="human")
 
@@ -108,10 +107,11 @@ def _run_nonarch(args) -> int:
     if (args.graph is None) == (args.fiber_type is None):
         raise InvalidParamsError("give exactly one input: a graph file or --type")
     if args.fiber_type is not None:
-        params = tuple(
-            parse_rational(part) for part in args.params.split(",") if part
-        )
-        graph = graph_of_type(FiberType(args.fiber_type, params))
+        # an empty field is bad input; an empty --params, like none, gives no parameters
+        parts = args.params.split(",") if args.params else ()
+        graph = graph_of_type(FiberType(args.fiber_type, tuple(map(parse_rational, parts))))
+    elif args.params is not None:
+        raise InvalidParamsError("--params needs --type: a graph file carries its own lengths")
     else:
         graph = load_graph(args.graph)
     g = total_genus(graph)

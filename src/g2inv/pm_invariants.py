@@ -59,7 +59,7 @@ def is_bridge(graph: PMGraph, e) -> bool:
     """Whether removing edge e disconnects the graph: exactly when the
     resistance between its ends equals its length.  Loops never do."""
     u, v = graph.edge_ends(e)
-    return u != v and graph.resistance(u, v) - graph.edge_length(e) == 0
+    return u != v and graph.resistance(u, v) == graph.edge_length(e)
 
 
 def node_counts(graph: PMGraph) -> NodeCounts:

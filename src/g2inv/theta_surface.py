@@ -20,13 +20,13 @@ Numerical conventions:
   are one stacked lattice sum.
 * log||Delta_2|| and log||H|| are Sp4(Z)-invariant, so both first move
   tau into the Siegel fundamental domain (`siegel_reduce`, the algorithm
-  of Deconinck et al., Math. Comp. 2004, run on Python scalars, whose
-  Lagrange step applies U in Python ints, exact at any size) and read
-  only the reduced tau, not the symplectic word that reaches it.  There
-  the smallest eigenvalue
-  of Y is at least sqrt(3)/4, so at the fixed tail tolerance
-  DEFAULT_THETA_TOL the radius is at most 5 and needs no cap: any valid
-  period matrix is accepted, and `arch_invariants` reduces once for both.
+  of Deconinck et al., Math. Comp. 2004, run exactly in integers on the
+  dyadic rationals that tau's floats are, and rounded once at the end)
+  and read only the reduced tau, not the symplectic word that reaches it.
+  There the smallest eigenvalue of Y is at least sqrt(3)/4, so at the
+  fixed tail tolerance DEFAULT_THETA_TOL the radius is at most 5 and
+  needs no cap: any valid period matrix is accepted, and
+  `arch_invariants` reduces once for both.
 * log||H|| reduces to the mean of log||theta||(tau u + v) over uniform
   (u, v) in [0,1)^4, sampled in cosets: a base point in [0,1/4)^4 and its
   256 quarter-period translates (u + a, v + b), a, b in {0,1/4,1/2,3/4}^2,
@@ -67,6 +67,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -89,10 +90,6 @@ SUBSTREAMS = 8
 MAX_SAMPLES = 10**9
 _CHUNK = 200  # the most base points per kernel call, shared by the substreams
 LOG_2PI = math.log(2 * math.pi)
-
-# a tau with |tau11| = 1 is its own image under the quasi-inversion up to
-# rounding; the margin keeps rounding from bouncing it back and forth
-_UNIT_MARGIN = 1e-12
 
 
 class SiegelMatrix:
@@ -200,66 +197,62 @@ def _truncation_radius(lambda_min: float, tol: float) -> int:
             return radius
 
 
-def _lagrange_basis(y) -> tuple[tuple[int, int], tuple[int, int]]:
-    """U in GL2(Z) such that U y U' satisfies |2 y12| <= y11 <= y22, for a
-    symmetric 2 x 2 y (an array or nested pairs), as nested pairs of Python
-    ints, exact at any size.  Each step swaps the two basis vectors or
-    subtracts q = round(y12 / y11) times the first from the second, and
-    updates y11, y12, y22 in Python floats."""
-    y11, y12, y22 = float(y[0][0]), float(y[0][1]), float(y[1][1])
-    u11, u12, u21, u22 = 1, 0, 0, 1
-    for _ in range(REDUCTION_CAP):
-        if y11 > y22:
-            y11, y22 = y22, y11
-            u11, u12, u21, u22 = u21, u22, u11, u12
-        else:
-            q = round(y12 / y11)
-            if q == 0:
-                return (u11, u12), (u21, u22)
-            shear = y12 - q * y11
-            y12, y22 = shear, y22 - q * y12 - q * shear
-            u21, u22 = u21 - q * u11, u22 - q * u12
-    raise FormulaMismatchError(
-        f"Lagrange reduction of Im tau did not finish in {REDUCTION_CAP} steps"
-    )
-
-
 def siegel_reduce(tau: SiegelMatrix) -> SiegelMatrix:
     """Move tau into the Siegel fundamental domain (Deconinck et al. 2004).
 
     Returns the reduced matrix alone: its callers need only Sp4(Z)-invariant
     values, so the symplectic word that reaches it is not formed.  The loop
-    runs on the three entries of tau as Python complex numbers: it
-    Lagrange-reduces Y by U in Python ints (`_lagrange_basis`), applies U
-    to tau as (U tau) U' with U's entries rounded to floats, subtracts the
-    nearest integer from each entry of X and, while |tau11| < 1, applies
-    Gottschling's quasi-inversion, which sends tau11 to -1/tau11.  On return
-    |2 Y12| <= Y11 <= Y22, |X_ij| <= 1/2 and |tau11| >= 1, so the smallest
-    eigenvalue of Y is at least sqrt(3)/4.  A loop that does not finish
-    within REDUCTION_CAP rounds is a bug: FormulaMismatchError.  Its own
-    result comes back at once, as a re-run of the loop would give it.
+    is exact: it holds the three entries of tau as Gaussian integers x + i y
+    over one common denominator d (each float is a dyadic rational), and
+    every step is integer arithmetic.  A round Lagrange-reduces Y, by swaps
+    of the two basis vectors and shears by q = round(y12 / y11), applied to
+    all of tau as U tau U'; subtracts the nearest integer from each entry of
+    X and, while |tau11| < 1, applies Gottschling's quasi-inversion, which
+    sends tau11 to -1/tau11, and divides the seven integers by their gcd.
+    On return |2 Y12| <= Y11 <= Y22, |X_ij| <= 1/2 and |tau11| >= 1, so the
+    smallest eigenvalue of Y is at least sqrt(3)/4; the entries are rounded
+    to floats once, at the end, and a reduced entry beyond the float range
+    is refused as ValueError.  A loop that does not finish within
+    REDUCTION_CAP steps is a bug: FormulaMismatchError.  Its own result
+    comes back at once, as a re-run of the loop would give it.
     """
     if tau._reduced:
         return tau
     (t11, t12), (_, t22) = tau.matrix.tolist()
+    ratios = [part.as_integer_ratio() for t in (t11, t12, t22) for part in (t.real, t.imag)]
+    d = math.lcm(*(q for _, q in ratios))
+    x11, y11, x12, y12, x22, y22 = (p * (d // q) for p, q in ratios)
+    if not (y11 > 0 and y11 * y22 > y12 * y12):  # floats can pass where the exact Y fails
+        raise ValueError(f"Im tau of {tau!r} is not positive definite in exact arithmetic")
     for _ in range(REDUCTION_CAP):
-        (a, b), (c, d) = _lagrange_basis(((t11.imag, t12.imag), (t12.imag, t22.imag)))
-        a, b, c, d = float(a), float(b), float(c), float(d)
-        first, second = a * t11 + b * t12, a * t12 + b * t22  # the first row of U tau
-        t11, t12, t22 = (
-            first * a + second * b,
-            first * c + second * d,
-            (c * t11 + d * t12) * c + (c * t12 + d * t22) * d,
-        )
-        t11, t12, t22 = (t - round(t.real) for t in (t11, t12, t22))
-        if abs(t11) >= 1 - _UNIT_MARGIN:
-            reduced = SiegelMatrix([[t11, t12], [t12, t22]])
+        for _ in range(REDUCTION_CAP):
+            if y11 > y22:
+                x11, y11, x22, y22 = x22, y22, x11, y11
+                continue
+            q = round(Fraction(y12, y11))
+            if q == 0:
+                break
+            x22, y22 = x22 - q * (2 * x12 - q * x11), y22 - q * (2 * y12 - q * y11)
+            x12, y12 = x12 - q * x11, y12 - q * y11
+        else:
+            raise FormulaMismatchError(f"Lagrange reduction did not finish in {REDUCTION_CAP} steps")
+        x11, x12, x22 = (x - round(Fraction(x, d)) * d for x in (x11, x12, x22))
+        norm = x11 * x11 + y11 * y11
+        if norm >= d * d:
+            try:
+                entries = [complex(x / d, y / d) for x, y in ((x11, y11), (x12, y12), (x22, y22))]
+            except OverflowError:
+                raise ValueError(f"the reduction of {tau!r} leaves the float range") from None
+            reduced = SiegelMatrix([entries[:2], entries[1:]])
             reduced._reduced = True
             return reduced
-        # t11 t22 - t12^2 would underflow from entries near 1e-160 on;
-        # dividing first keeps the digits of tiny entries
-        ratio = t12 / t11
-        t11, t12, t22 = -1 / t11, ratio, t22 - t12 * ratio
+        # over the denominator d |z11|^2, z = x + i y: tau11 -> -d^2 conj(z11),
+        # tau12 -> d w and tau22 -> |z11|^2 z22 - z12 w, where w = z12 conj(z11)
+        wx, wy = x12 * x11 + y12 * y11, y12 * x11 - x12 * y11
+        x22, y22 = norm * x22 - x12 * wx + y12 * wy, norm * y22 - x12 * wy - y12 * wx
+        x11, y11, x12, y12, d = -d * d * x11, d * d * y11, d * wx, d * wy, d * norm
+        g = math.gcd(x11, y11, x12, y12, x22, y22, d)
+        x11, y11, x12, y12, x22, y22, d = (v // g for v in (x11, y11, x12, y12, x22, y22, d))
     raise FormulaMismatchError(
         f"Siegel reduction of {tau!r} did not finish in {REDUCTION_CAP} rounds"
     )

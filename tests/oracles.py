@@ -24,6 +24,11 @@ The float oracle replaces each edge by n equal resistors in series and
 lumps measures onto the chain nodes (half a segment's mass to each end),
 solved with numpy in floats.  Agreement is expected to O(1/n).
 
+The exact Siegel reduction (`exact_siegel_reduce`) reduces a period
+matrix in the 2 x 2 matrix form of Deconinck et al. (Math. Comp. 2004),
+each entry a pair (real, imaginary) of Fractions, so every step is exact;
+it too imports nothing from `g2inv.theta_surface`.
+
 The Voronoi moment M2(Y), the mean of d_Y(x)^2 over the torus that the
 control variate of `log_h` subtracts, is computed exactly in Fractions on
 the float entries of Y (`exact_voronoi_moment`), with its own code: it
@@ -352,3 +357,64 @@ def exact_voronoi_moment(y: np.ndarray) -> Fraction:
         both = (v[0] + w[0], v[1] + w[1])
         moment += area / 12 * (form(v, v) + form(w, w) + form(both, both))
     return moment
+
+
+def _pair_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _pair_div(a, b):
+    norm = b[0] * b[0] + b[1] * b[1]
+    return ((a[0] * b[0] + a[1] * b[1]) / norm, (a[1] * b[0] - a[0] * b[1]) / norm)
+
+
+def _pair_neg(a):
+    return (-a[0], -a[1])
+
+
+def _pair_sum(*terms):
+    return (sum(t[0] for t in terms), sum(t[1] for t in terms))
+
+
+def _matmul(a, b):
+    """The product of two 2 x 2 matrices of pairs."""
+    return [[_pair_sum(*(_pair_mul(a[i][k], b[k][j]) for k in range(2))) for j in range(2)]
+            for i in range(2)]
+
+
+def exact_siegel_reduce(tau: np.ndarray, cap: int = 1000) -> np.ndarray:
+    """tau moved into the Siegel fundamental domain in exact arithmetic on
+    the float entries of tau, rounded to floats once at the end.  A round
+    Lagrange-reduces Y by the unimodular steps S = [[0, 1], [1, 0]] (while
+    Y11 > Y22) and S = [[1, 0], [-q, 1]], q = round(Y12 / Y11), each
+    applied as S tau S'; subtracts the nearest integer from each entry of
+    X; and while |tau11| < 1 applies the quasi-inversion as the symplectic
+    action (A tau + B)(C tau + D)^-1, A = D = diag(0, 1), B = diag(-1, 0),
+    C = diag(1, 0), with the 2 x 2 inverse by its adjugate."""
+    zero, one = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
+    t = [[(Fraction(z.real), Fraction(z.imag)) for z in row] for row in tau.tolist()]
+    for _ in range(cap):
+        while True:
+            y11, y12, y22 = t[0][0][1], t[0][1][1], t[1][1][1]
+            if y11 > y22:
+                step = [[0, 1], [1, 0]]
+            else:
+                q = round(y12 / y11)
+                if q == 0:
+                    break
+                step = [[1, 0], [-q, 1]]
+            s = [[(Fraction(v), Fraction(0)) for v in row] for row in step]
+            s_t = [[s[j][i] for j in range(2)] for i in range(2)]
+            t = _matmul(_matmul(s, t), s_t)
+        t = [[(re - round(re), im) for re, im in row] for row in t]
+        if t[0][0][0] ** 2 + t[0][0][1] ** 2 >= 1:
+            return np.array([[complex(float(re), float(im)) for re, im in row] for row in t])
+        upper = _matmul([[zero, zero], [zero, one]], t)  # A tau + B
+        upper[0][0] = _pair_sum(upper[0][0], _pair_neg(one))
+        lower = _matmul([[one, zero], [zero, zero]], t)  # C tau + D
+        lower[1][1] = _pair_sum(lower[1][1], one)
+        (a, b), (c, d) = lower
+        det = _pair_sum(_pair_mul(a, d), _pair_neg(_pair_mul(b, c)))
+        adjugate = [[d, _pair_neg(b)], [_pair_neg(c), a]]
+        t = _matmul(upper, [[_pair_div(entry, det) for entry in row] for row in adjugate])
+    raise AssertionError(f"the exact Siegel reduction did not finish in {cap} rounds")

@@ -295,6 +295,27 @@ def test_nonarch_parse_failures_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_nonarch_params_without_type_exit_2(tmp_path, capsys):
+    """A graph file carries its own lengths: --params beside it, even an
+    empty one, is refused with one `error:` line, not ignored."""
+    graph = tmp_path / "vii.json"
+    save_graph(str(graph), graph_of_type(FiberType("VII", (1, 2, 3))))
+    assert main(["nonarch", str(graph)]) == 0
+    capsys.readouterr()
+    for params in ("1,2", ""):
+        assert main(["nonarch", str(graph), "--params", params]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("params", ["1,,2", ",1,2,", "1,2,"])
+def test_nonarch_empty_params_field_exits_2(params, capsys):
+    """An empty field among the parameters is bad input, not a dropped
+    one (an empty --params alone, type I's golden run, means none)."""
+    assert main(["nonarch", "--type", "IV", "--params", params]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_nonarch_genus0_leaf_exits_2(tmp_path, capsys):
     # II(1) with a genus-0 leaf: K(leaf) = -1, so it is no pm-graph
     path = tmp_path / "leaf.json"

@@ -17,10 +17,10 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import PROPERTY_SETTINGS
-from oracles import exact_voronoi_moment
+from oracles import exact_siegel_reduce, exact_voronoi_moment
 
 import g2inv.theta_surface
 from g2inv.errors import (
@@ -42,7 +42,6 @@ from g2inv.theta_surface import (
     _lattice_generator,
     _theta_kernel,
     _theta_scaled,
-    _lagrange_basis,
     _truncation_radius,
     siegel_reduce,
 )
@@ -1106,18 +1105,18 @@ def test_siegel_reduce_keeps_a_reduced_tau():
 def test_arch_invariants_reduces_once(monkeypatch):
     """`arch_invariants` reduces tau once and hands the result to both
     `log_delta2` and `log_h`, which take it as it is: on a reduced tau the
-    Lagrange step runs once, not once per invariant."""
-    calls = []
-    right = g2inv.theta_surface._lagrange_basis
-
-    def counted(y):
-        calls.append(y)
-        return right(y)
-
-    monkeypatch.setattr(g2inv.theta_surface, "_lagrange_basis", counted)
+    loop builds one reduced matrix, not one per invariant."""
     tau = SiegelMatrix(np.array([[0.12 + 1.1j, 0.21 + 0.33j], [0.21 + 0.33j, -0.17 + 1.3j]]))
+    builds = []
+
+    class Counted(SiegelMatrix):
+        def __init__(self, matrix):
+            builds.append(matrix)
+            super().__init__(matrix)
+
+    monkeypatch.setattr(g2inv.theta_surface, "SiegelMatrix", Counted)
     arch_invariants(tau, QuadratureConfig(n_samples=10000, seed=1))
-    assert len(calls) == 1
+    assert len(builds) == 1
 
 
 def _counted_kernel_builds(monkeypatch) -> list:
@@ -1203,8 +1202,8 @@ def test_log_h_and_phi_invariant_under_random_words(rng):
 
 def test_siegel_reduce_keeps_the_digits_of_a_tiny_tau():
     """Scaling tau by s scales its reduction by 1/s down to s = 1e-300,
-    without a numpy warning: the quasi-inversion forms no product of two
-    entries, which for entries near 1e-160 would underflow."""
+    without a numpy warning: the reduction is exact, and its entries are
+    rounded to floats once."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         scaled = []
@@ -1216,55 +1215,80 @@ def test_siegel_reduce_keeps_the_digits_of_a_tiny_tau():
         assert np.max(np.abs(image - scaled[0])) < 1e-14 * np.max(np.abs(scaled[0]))
 
 
-def exact_lagrange_basis(y) -> list[list[int]]:
-    """The steps of `_lagrange_basis` replayed as 2 x 2 matrices: y updated
-    by numpy's float products S y S', each step S multiplied into U in
-    Python integers."""
-    y = np.array(y, dtype=float)
-    u = [[1, 0], [0, 1]]
-    for _ in range(200):
-        if y[0, 0] > y[1, 1]:
-            step = [[0, 1], [1, 0]]
-        else:
-            q = int(np.rint(y[0, 1] / y[0, 0]))
-            if q == 0:
-                return u
-            step = [[1, 0], [-q, 1]]
-        as_float = np.array(step, dtype=float)
-        y = as_float @ y @ as_float.T
-        u = [[step[i][0] * u[0][j] + step[i][1] * u[1][j] for j in range(2)] for i in range(2)]
-    raise AssertionError("the exact replay did not finish in 200 steps")
-
-
-def test_lagrange_basis_in_floats_is_the_exact_basis(rng, monkeypatch):
-    """Every Lagrange basis that `siegel_reduce` forms on 200 random
-    unreduced images equals, entry for entry, the basis that the matrix
-    form of its steps gives (`exact_lagrange_basis`): the scalar updates of
-    y take the steps of the matrix algorithm, and U is exact."""
-    seen = []
-    right = g2inv.theta_surface._lagrange_basis
-
-    def recorded(y):
-        u = right(y)
-        seen.append((y, np.array(u, dtype=object)))  # Python ints, as they are
-        return u
-
-    monkeypatch.setattr(g2inv.theta_surface, "_lagrange_basis", recorded)
-    for _ in range(200):
-        siegel_reduce(SiegelMatrix(act(random_word(rng, rng.randint(1, 8)), random_tau(rng).matrix)))
-    moved = 0
-    for y, u in seen:
-        exact = exact_lagrange_basis(y)
-        assert u.tolist() == exact
-        moved += exact != [[1, 0], [0, 1]]
-    assert moved >= 200
-
-
 def test_siegel_reduce_lands_past_int64_without_a_warning():
     """A Lagrange step beyond the int64 range: the reduction still lands in
-    the fundamental domain, without a numpy warning."""
+    the fundamental domain, without a numpy warning, and on the exact
+    reduction (X12 = 0.27628294589104296, where floats landed on 0.2212)."""
     skewed = SiegelMatrix(np.array([[1e-20j, 0.099j], [0.099j, 1e20j]]))
-    assert np.max(np.abs(_lagrange_basis(skewed.matrix.imag))) > 2**63
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert_fundamental(siegel_reduce(skewed))
+        reduced = siegel_reduce(skewed)
+    assert_fundamental(reduced)
+    assert reduced.matrix.tobytes() == exact_siegel_reduce(skewed.matrix).tobytes()
+    assert reduced.matrix[0, 1].real == 0.27628294589104296
+
+
+# a valid tau (lambda_min 1.5e-12) whose reduction in floats gave log_delta2
+# -31.98863153336442; its exact reduction gives -34.43725110839023, as
+# replays at 120 and 240 digits do
+ILL_CONDITIONED_TAU = np.array(
+    [
+        [1.278175945681923 + 1.4259912760812774e-06j, -0.03994299224837316 - 8.925342033475608e-08j],
+        [-0.03994299224837316 - 8.925342033475608e-08j, -7.566995918750763e-10 + 5.587935447692871e-09j],
+    ]
+)
+
+
+@st.composite
+def sp4_images(draw) -> SiegelMatrix:
+    """A random tau moved by a random word of 1 to 40 generators and, for
+    most draws, sheared by U = [[1, k], [0, 1]] with k = 10 to 10^12, so
+    lambda_min reaches 1e-20 and below.  Only a tau that `SiegelMatrix`
+    accepts and whose Y is positive definite in exact arithmetic on its
+    floats is drawn."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    image = act(random_word(rng, rng.randint(1, 40)), random_tau(rng).matrix)
+    k = draw(st.sampled_from([0] + [10**e for e in range(1, 13)]))
+    u = np.array([[1.0, k], [0.0, 1.0]])
+    image = u @ image @ u.T
+    try:
+        tau = SiegelMatrix((image + image.T) / 2)
+    except ValueError:
+        assume(False)
+    (y11, y12), (_, y22) = (tuple(map(Fraction, row)) for row in tau.matrix.imag.tolist())
+    assume(y11 * y22 > y12 * y12)
+    return tau
+
+
+@PROPERTY_SETTINGS
+@given(sp4_images())
+@example(SiegelMatrix(ILL_CONDITIONED_TAU))
+def test_siegel_reduce_is_the_exact_reduction(tau):
+    """`siegel_reduce` returns, bit for bit, the exact reduction of the
+    oracle (`exact_siegel_reduce`, on pairs of Fractions), however
+    ill-conditioned tau is."""
+    assert siegel_reduce(tau).matrix.tobytes() == exact_siegel_reduce(tau.matrix).tobytes()
+
+
+def test_log_delta2_of_an_ill_conditioned_tau():
+    assert abs(log_delta2(SiegelMatrix(ILL_CONDITIONED_TAU)) - -34.43725110839023) < 1e-9
+
+
+def test_siegel_reduce_refuses_a_y_positive_definite_only_in_floats():
+    """eigvalsh finds this Y positive definite, but the determinant of its
+    float entries is negative: bad input (ValueError), not a loop that
+    runs on an indefinite form."""
+    y = np.array([[5821085912619817.0, 5821085.911888932], [5821085.911888932, 0.005821085911158047]])
+    tau = SiegelMatrix(1j * y)
+    with pytest.raises(ValueError, match="exact arithmetic"):
+        siegel_reduce(tau)
+
+
+def test_siegel_reduce_refuses_a_reduction_beyond_the_float_range():
+    """An entry of the reduced tau past the float range is a ValueError.
+    This Y is built past the constructor, whose eigvalsh refuses it: its
+    quasi-inversion sends Y22 to 1.75e308 + 0.25 / 3e-308."""
+    tau = object.__new__(SiegelMatrix)
+    tau._m, tau._reduced = np.array([[3e-308j, 0.5], [0.5, 1.75e308j]]), False
+    with pytest.raises(ValueError, match="float range"):
+        siegel_reduce(tau)
