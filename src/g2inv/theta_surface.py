@@ -67,7 +67,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -86,9 +85,12 @@ SUBSTREAMS = 8
 # the most samples `log_h` takes.  Its base points and per-coset sums take 48
 # bytes per coset of 256, 0.19 per sample: 190 MB at 10^9 (a fresh `arch`
 # peaked 0.23-0.24 bytes per sample higher from 1e7 to 4e7 samples, by either
-# method), and at about 40 ns per sample it runs ~40 s
+# method), and at about 20 ns per sample it runs ~20 s
 MAX_SAMPLES = 10**9
-_CHUNK = 200  # the most base points per kernel call, shared by the substreams
+# the most base points per kernel call, shared by the substreams: 200 tiles of
+# four, so 2 x 10^5 samples (784 base points) take one call and 10^6 five; the
+# kernel's buffer, 6 KB per base point at radius 4, grows to 4.8 MB
+_CHUNK = 800
 LOG_2PI = math.log(2 * math.pi)
 
 
@@ -98,8 +100,13 @@ class SiegelMatrix:
     Input is symmetrized exactly when the asymmetry is below 1e-12 and
     rejected otherwise; non-finite entries, an Im tau that is not positive
     definite and one whose inverse is not finite (subnormal entries) are
-    rejected too, each as ValueError.  The matrix is fixed at construction
-    and read-only.
+    rejected too, each as ValueError.  Both tests on Y are exact, in
+    integers over the common denominator of its float entries, which are
+    dyadic rationals: y11 > 0 and y11 y22 > y12^2, then adj(Y) / det Y,
+    whose largest entry is max(y11, y22) / det Y, rounded to a float once,
+    so a positive definite Y however ill-conditioned passes where
+    floating-point eigenvalues round its smallest to 0.  The matrix is
+    fixed at construction and read-only.
     """
 
     def __init__(self, tau):
@@ -114,15 +121,19 @@ class SiegelMatrix:
                 f"{m[0, 1]} vs {m[1, 0]}"
             )
         m = m / 2 + m.T / 2  # halve first: entries near the float limit stay finite
-        y = m.imag
-        eigs = np.linalg.eigvalsh(y)
-        if not eigs[0] > 0:  # NaN too
-            raise ValueError(f"Im tau must be positive definite, eigenvalues {eigs}")
+        y = m.imag.tolist()
+        ratios = [part.as_integer_ratio() for part in (y[0][0], y[0][1], y[1][1])]
+        d = math.lcm(*(q for _, q in ratios))
+        y11, y12, y22 = (p * (d // q) for p, q in ratios)  # Y is these over d, exactly
+        det = y11 * y22 - y12 * y12  # det Y over d^2
+        if not (y11 > 0 and det > 0):
+            raise ValueError(f"Im tau must be positive definite in exact arithmetic, got {y}")
+        try:
+            max(y11, y22) * d / det  # the largest entry of adj(Y) / det Y, rounded once
+        except OverflowError:  # a subnormal Im tau
+            raise ValueError(f"Im tau is too small to invert in floating point: {y}") from None
         self._m = m
         self._m.setflags(write=False)
-        if not np.all(np.isfinite(np.linalg.inv(y))):  # a subnormal Im tau
-            raise ValueError(f"Im tau is too small to invert in floating point: {y.tolist()}")
-        self.min_eigenvalue = float(eigs[0])
         self._reduced = False  # set by siegel_reduce on the matrices it returns
 
     @property
@@ -136,6 +147,12 @@ class SiegelMatrix:
 
     def __repr__(self) -> str:
         return f"SiegelMatrix({self._m.tolist()!r})"
+
+    @functools.cached_property
+    def min_eigenvalue(self) -> float:
+        """The smallest eigenvalue of Im tau, in floats: the sums read it on a
+        reduced tau, where it is at least sqrt(3)/4."""
+        return float(np.linalg.eigvalsh(self._m.imag)[0])
 
     @functools.cached_property
     def _kernel(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -197,6 +214,14 @@ def _truncation_radius(lambda_min: float, tol: float) -> int:
             return radius
 
 
+def _round_half_even(n: int, d: int) -> int:
+    """round(n / d) for integers, d > 0, ties to even as `round` does, with
+    no Fraction built: floor(n / d + 1/2) by one divmod, one step back on an
+    exact tie that lands on an odd integer."""
+    q, r = divmod(2 * n + d, 2 * d)
+    return q - 1 if r == 0 and q & 1 else q
+
+
 def siegel_reduce(tau: SiegelMatrix) -> SiegelMatrix:
     """Move tau into the Siegel fundamental domain (Deconinck et al. 2004).
 
@@ -222,21 +247,19 @@ def siegel_reduce(tau: SiegelMatrix) -> SiegelMatrix:
     ratios = [part.as_integer_ratio() for t in (t11, t12, t22) for part in (t.real, t.imag)]
     d = math.lcm(*(q for _, q in ratios))
     x11, y11, x12, y12, x22, y22 = (p * (d // q) for p, q in ratios)
-    if not (y11 > 0 and y11 * y22 > y12 * y12):  # floats can pass where the exact Y fails
-        raise ValueError(f"Im tau of {tau!r} is not positive definite in exact arithmetic")
     for _ in range(REDUCTION_CAP):
         for _ in range(REDUCTION_CAP):
             if y11 > y22:
                 x11, y11, x22, y22 = x22, y22, x11, y11
                 continue
-            q = round(Fraction(y12, y11))
+            q = _round_half_even(y12, y11)
             if q == 0:
                 break
             x22, y22 = x22 - q * (2 * x12 - q * x11), y22 - q * (2 * y12 - q * y11)
             x12, y12 = x12 - q * x11, y12 - q * y11
         else:
             raise FormulaMismatchError(f"Lagrange reduction did not finish in {REDUCTION_CAP} steps")
-        x11, x12, x22 = (x - round(Fraction(x, d)) * d for x in (x11, x12, x22))
+        x11, x12, x22 = (x - _round_half_even(x, d) * d for x in (x11, x12, x22))
         norm = x11 * x11 + y11 * y11
         if norm >= d * d:
             try:
@@ -550,17 +573,20 @@ def _theta_kernel(tau: SiegelMatrix) -> Callable[[np.ndarray, np.ndarray], np.nd
     Per batch the kernel builds the rows at the four shifts
     (`_gaussian_rows`: 2 complex and 32 real exponentials per base point,
     whatever the radius), then takes one a1 at a time: it multiplies that
-    a1's block of the stack by its A1 (a 32r x B block, 0.4 MB at r = 4
-    and B = 200, small enough to stay in cache) and scales it by A2 in
-    place.  The phase e^(2 pi i b2 n2) of b2 = j/4 is i^(j n2): up to a
+    a1's block of the stack by its A1 (a 32r x B block, 1.6 MB at r = 4
+    and B = 800, small enough to stay in a core's L2 cache) and scales it
+    by A2 in place.  The phase e^(2 pi i b2 n2) of b2 = j/4 is i^(j n2): up to a
     phase common to the column, the 4-point DFT over the residues of n2
     mod 4, which one more matmul with the fixed 4 x 2r matrix i^(j k)
     (row k has n2 = k - r) applies to the n2 sums at any radius; their
     moduli fill that a1's quarter of the 256.  The 16 translate moduli
     exp(-2 pi Y12 (u1 + a1)(u2 + a2)) take one np.exp call.  The rows,
     the block, the n2 sums and the moduli live in one buffer kept across
-    calls, so the one large array a call allocates is the one it returns,
-    and that after its matmuls.  OpenBLAS's complex matmul sums a
+    calls, and log||theta|| is written over the moduli, so a call of no
+    more base points than an earlier one allocates no array of its size:
+    it returns a (256, B) view of the buffer, valid until the kernel's
+    next call, which overwrites it (`log_h` sums it at once, and
+    `log_delta2` copies what it reads).  OpenBLAS's complex matmul sums a
     remainder of fewer than four columns in other code, whose last bits
     differ, so a base point's 256 values do not depend on the call it came
     in when every call is a whole number of tiles of four base points, as
@@ -630,8 +656,9 @@ def _theta_kernel(tau: SiegelMatrix) -> Callable[[np.ndarray, np.ndarray], np.nd
             norms = norms.reshape(16, 16, width)
             norms *= moduli[:, None]
             norms *= scale
-            # the one large array a call allocates, after its matmuls (README, design notes)
-            return np.log(norms.reshape(256, width))
+            norms = norms.reshape(256, width)
+            # log||theta|| over the moduli, in the buffer: a call allocates no large array
+            return np.log(norms, out=norms)
 
     return log_norms
 
@@ -753,8 +780,9 @@ def log_h(tau: SiegelMatrix, config: QuadratureConfig | None = None) -> Quadratu
     most _CHUNK base points (one tile at least), cut at 4 ceil(tiles k /
     calls), so the calls differ in size by at most one tile, a larger one
     first, and none is empty: 10^4 samples (40 base points) take one call,
-    not eight, 2 x 10^5 (784) four of 196 and 10^6 (3912) eighteen of 196
-    and two of 192.  Each call's F and G fill one (2, 8 count) array,
+    not eight, 2 x 10^5 (784) one too, and 10^6 (3912) five, of 784, 784,
+    780, 784 and 780.  Each call's F and G, summed from the kernel's
+    result at once (a view of its buffer), fill one (2, 8 count) array,
     summed per substream.  The partition moves no bit: on whole tiles the
     kernel's columns do not depend on the call, and numpy sums a (256, B)
     array over its translates row by row for any B > 1.
@@ -776,16 +804,21 @@ def log_h(tau: SiegelMatrix, config: QuadratureConfig | None = None) -> Quadratu
     control_mean = -math.pi * _voronoi_moment(y)
 
     def coset_sums(block: np.ndarray) -> np.ndarray:
-        """F and G, as defined above, of each base point of a (4, B) block."""
+        """F and G, as defined above, of each base point of a (4, B) block.
+
+        Finiteness is tested on F alone: a finite log||theta|| lies in [-745,
+        710], so 256 of them sum to a finite F, and an inf or NaN among them
+        makes F inf or NaN (inf - inf is NaN, silenced here as it is refused)."""
         u = block[:2].T
-        vals = kernel(u, block[2:].T)
-        if not np.all(np.isfinite(vals)):
+        with np.errstate(invalid="ignore"):
+            f = kernel(u, block[2:].T).sum(axis=0)
+        if not np.all(np.isfinite(f)):
             raise QuadratureUnstableError(f"log||theta|| left floating-point range at {tau!r}")
         # g at the translates u + a, each shared by its 16 b
         g = _nearest_distance_sq(y, (u[:, 0] + _SHIFTS)[:, None], u[:, 1] + _SHIFTS)
         g *= -math.pi
         g -= control_mean
-        return np.array([vals.sum(axis=0), 16 * g.reshape(16, -1).sum(axis=0)])
+        return np.array([f, 16 * g.reshape(16, -1).sum(axis=0)])
 
     points = _base_points(config.method, config.seed, count)
     cosets = points.shape[1]

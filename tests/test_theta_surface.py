@@ -40,6 +40,7 @@ from g2inv.theta_surface import (
     log_delta2,
     log_h,
     _lattice_generator,
+    _round_half_even,
     _theta_kernel,
     _theta_scaled,
     _truncation_radius,
@@ -553,11 +554,11 @@ def whole_cosets(n_samples: int, method: str) -> list[int]:
 def shared_chunks(total: int) -> list[int]:
     """The base point counts of the kernel calls for `total` base points, a
     multiple of 8: all substreams' points, one after another, in whole
-    tiles of four, in the fewest calls of at most 200, cut at 4 ceil(tiles
-    k / calls), so their sizes differ by at most one tile, a larger one
-    first."""
+    tiles of four, in the fewest calls of at most _CHUNK, cut at 4
+    ceil(tiles k / calls), so their sizes differ by at most one tile, a
+    larger one first."""
     tiles = total // 4
-    calls = -(-tiles // 50)
+    calls = -(-tiles // (g2inv.theta_surface._CHUNK // 4))
     cuts = [-(-tiles * k // calls) * 4 for k in range(calls + 1)]
     return [stop - start for start, stop in zip(cuts, cuts[1:])]
 
@@ -569,10 +570,10 @@ def test_log_h_sums_exactly_n_samples(monkeypatch, method, n_samples):
     10000 gives 8 x 5 x 256 = 10240.  20480 = 8 x 10 x 256 gives 10 cosets
     per substream for monte-carlo and 11 for the lattice rule (odd), and
     one sample more gives 11 for both, in every substream.  The substreams
-    share equal kernel calls of at most 200 base points, so 10^4 samples
-    take one call, not one per substream, 8 x 4096 + 5 (136 base points)
-    one too, and 8 x 16384 + 5 (520, 130 tiles of four) three of 176, 172
-    and 172."""
+    share equal kernel calls of at most _CHUNK base points, so 10^4
+    samples take one call, not one per substream, 8 x 4096 + 5 (136 base
+    points) one too, and 8 x 16384 + 5 (520, 130 tiles of four) one as
+    well."""
     seen = []
 
     def count(u, v):
@@ -711,10 +712,11 @@ def test_log_h_estimator_matches_its_formulas(monkeypatch, method, n_samples):
 
 def test_log_h_refuses_a_value_out_of_range_in_the_last_call_only(monkeypatch):
     """At 8 x 16384 + 5 samples the 520 base points, 65 per substream, take
-    three kernel calls of whole tiles of four (176, 172 and 172).  A -inf
-    at one translate of the last call alone still makes `log_h` refuse tau,
-    naming it, with no numpy warning."""
+    three kernel calls of whole tiles of four (176, 172 and 172) at a cap
+    of 200 base points.  A -inf at one translate of the last call alone
+    still makes `log_h` refuse tau, naming it, with no numpy warning."""
     tau = siegel_reduce(GENERIC_TAU)
+    monkeypatch.setattr(g2inv.theta_surface, "_CHUNK", 200)
     calls = []
 
     def integrand(u, v):
@@ -730,6 +732,25 @@ def test_log_h_refuses_a_value_out_of_range_in_the_last_call_only(monkeypatch):
         with pytest.raises(QuadratureUnstableError, match=re.escape(repr(tau))):
             log_h(tau, QuadratureConfig(n_samples=8 * 16384 + 5, seed=4))
     assert calls == [256 * 176, 256 * 172, 256 * 172]
+
+
+def test_log_h_refuses_opposite_infinities_in_one_coset_without_a_warning(monkeypatch):
+    """`log_h` tests finiteness on each coset's sum F: inf and -inf among
+    one base point's translates sum to NaN, which is refused like either
+    alone, and the invalid operation raises no numpy warning."""
+    tau = siegel_reduce(GENERIC_TAU)
+
+    def integrand(u, v):
+        values = np.zeros(len(u))
+        width = len(u) // 256  # the (256, B) layout: translate a of base point b at a B + b
+        values[[0, width]] = np.inf, -np.inf  # two translates of the first base point
+        return values
+
+    use_integrand(monkeypatch, integrand)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureUnstableError, match=re.escape(repr(tau))):
+            log_h(tau, QuadratureConfig(n_samples=10000, seed=4))
 
 
 def reduced_y(y11: float, ratio: float, slant: float) -> np.ndarray:
@@ -977,6 +998,35 @@ def test_log_h_call_partition_moves_no_bit(monkeypatch, method, n_samples):
     assert results[1:] == results[:-1]
 
 
+@pytest.mark.parametrize(
+    "method, n_samples, calls",
+    [
+        ("monte-carlo", 200_000, [784]),
+        ("lattice-rule", 200_000, [792]),
+        ("monte-carlo", 1_000_000, [784, 784, 780, 784, 780]),
+        ("lattice-rule", 1_000_000, [784, 784, 780, 784, 780]),
+    ],
+)
+def test_log_h_kernel_calls(monkeypatch, method, n_samples, calls):
+    """The real kernel's calls, in base points: 2 x 10^5 samples take one
+    call (784 base points, 792 for the lattice rule's odd count of 99 per
+    substream), and 10^6 (3912) five, of whole tiles of four, a larger one
+    first."""
+    seen = []
+    kernel = siegel_reduce(GENERIC_TAU)._kernel
+
+    def counted(tau):
+        def log_norms(u, v):
+            seen.append(len(u))
+            return kernel(u, v)
+
+        return log_norms
+
+    monkeypatch.setattr(g2inv.theta_surface, "_theta_kernel", counted)
+    log_h(GENERIC_TAU, QuadratureConfig(n_samples=n_samples, seed=1, method=method))
+    assert seen == calls
+
+
 def test_kernel_columns_do_not_depend_on_the_call():
     """On whole tiles of four base points, the calls `log_h` makes, each
     column of the kernel's output depends on its base point alone: a
@@ -988,17 +1038,31 @@ def test_kernel_columns_do_not_depend_on_the_call():
     for tau in (siegel_reduce(GENERIC_TAU), siegel_reduce(slanted)):
         u, v = points.uniform(0, 0.25, (2, 300, 2))
         grown = _theta_kernel(tau)
-        whole = grown(u, v)
+        whole = grown(u, v).copy()
         for kernel in (grown, _theta_kernel(tau)):
-            parts = [kernel(u[a:b], v[a:b]) for a, b in ((0, 4), (4, 40), (40, 300))]
+            # copies: a result is a view of the kernel's buffer, valid until its next call
+            parts = [kernel(u[a:b], v[a:b]).copy() for a, b in ((0, 4), (4, 40), (40, 300))]
             assert np.array_equal(np.concatenate(parts, axis=1), whole)
+
+
+def test_kernel_writes_its_result_in_its_buffer():
+    """A kernel call allocates no result: log||theta|| is written over the
+    moduli in the kernel's kept buffer, so a second call of the same size
+    returns a view of the same memory."""
+    kernel = _theta_kernel(siegel_reduce(GENERIC_TAU))
+    u, v = np.random.default_rng(40).uniform(0, 0.25, (2, 2, 8, 2))
+    first = kernel(u[0], v[0])
+    kept = first.copy()
+    second = kernel(u[1], v[1])
+    assert second.shape == (256, 8) and np.shares_memory(first, second)
+    assert not np.array_equal(first, kept)  # overwritten by the second call
 
 
 @pytest.mark.parametrize("method", ["monte-carlo", "lattice-rule"])
 def test_log_h_is_deterministic(method):
-    """10^5 samples make 392 base points, two shared kernel calls of 196,
-    the second reusing the kernel's buffer: a second run comes out bit for
-    bit as the first."""
+    """10^5 samples make 392 base points, one kernel call; a second run
+    reuses the kernel's buffer, as every call after the first does, and
+    comes out bit for bit as the first."""
     config = QuadratureConfig(n_samples=100_000, seed=42, method=method)
     one = log_h(GENERIC_TAU, config)
     again = log_h(GENERIC_TAU, config)
@@ -1276,19 +1340,47 @@ def test_log_delta2_of_an_ill_conditioned_tau():
 
 def test_siegel_reduce_refuses_a_y_positive_definite_only_in_floats():
     """eigvalsh finds this Y positive definite, but the determinant of its
-    float entries is negative: bad input (ValueError), not a loop that
-    runs on an indefinite form."""
+    float entries is negative: bad input (ValueError) from the constructor,
+    whose test is exact, so no reduction loop runs on an indefinite form."""
     y = np.array([[5821085912619817.0, 5821085.911888932], [5821085.911888932, 0.005821085911158047]])
-    tau = SiegelMatrix(1j * y)
     with pytest.raises(ValueError, match="exact arithmetic"):
-        siegel_reduce(tau)
+        SiegelMatrix(1j * y)
+
+
+def test_siegel_matrix_accepts_an_ill_conditioned_positive_definite_y():
+    """The shear U tau U', U = [[1, 10^8], [0, 1]], of the CI tau rounds to
+    floats whose Y is positive definite exactly, while eigvalsh rounds its
+    smallest eigenvalue to 0: the constructor accepts it, and it reduces."""
+    sheared = np.array(
+        [
+            [-1499999959999999.8 + 1.300000006e16j, -14999999.799999999 + 130000000.3j],
+            [-14999999.799999999 + 130000000.3j, -0.15 + 1.3j],
+        ]
+    )
+    assert np.linalg.eigvalsh(sheared.imag)[0] <= 0
+    tau = SiegelMatrix(sheared)
+    assert tau.min_eigenvalue <= 0
+    assert abs(log_delta2(tau) - -11.76808806762008) < 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(-(10**40), 10**40), st.integers(1, 10**40))
+@example(5, 2)
+@example(7, 2)
+@example(-5, 2)
+@example(-7, 2)
+@example(3, 6)
+def test_round_half_even_is_round_of_the_fraction(n, d):
+    """The integer rounding of `siegel_reduce` is round(Fraction(n, d)),
+    ties to even, at exact ties of both signs too."""
+    assert _round_half_even(n, d) == round(Fraction(n, d))
+    assert _round_half_even(2 * n + d, 2 * d) == round(Fraction(2 * n + d, 2 * d))
 
 
 def test_siegel_reduce_refuses_a_reduction_beyond_the_float_range():
     """An entry of the reduced tau past the float range is a ValueError.
-    This Y is built past the constructor, whose eigvalsh refuses it: its
-    quasi-inversion sends Y22 to 1.75e308 + 0.25 / 3e-308."""
-    tau = object.__new__(SiegelMatrix)
-    tau._m, tau._reduced = np.array([[3e-308j, 0.5], [0.5, 1.75e308j]]), False
+    The constructor accepts this Y, positive definite with a finite
+    inverse; its quasi-inversion sends Y22 to 1.75e308 + 0.25 / 3e-308."""
+    tau = SiegelMatrix(np.array([[3e-308j, 0.5], [0.5, 1.75e308j]]))
     with pytest.raises(ValueError, match="float range"):
         siegel_reduce(tau)
