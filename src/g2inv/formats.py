@@ -15,11 +15,11 @@ Conventions chosen for lossless round-trips:
 
 from __future__ import annotations
 
-import functools
+import dataclasses
 import json
 import reprlib
 from fractions import Fraction
-from typing import TYPE_CHECKING, get_type_hints
+from typing import TYPE_CHECKING
 
 from .errors import InvalidParamsError
 from .exact import as_rational
@@ -158,25 +158,18 @@ def nonarch_from_dict(doc: dict) -> NonArchReport:
     return NonArchReport(genus=int(doc["genus"]), **exact)
 
 
-@functools.cache  # `ArchReport` is fixed, so one table serves every report
-def _arch_fields() -> tuple:
-    """(field, report key, type) of each `ArchReport` field, in print order;
-    the key is the field name less a trailing "_" (`lambda_` is "lambda")."""
-    from .theta_surface import ArchReport
-
-    return tuple((name, name.rstrip("_"), cast) for name, cast in get_type_hints(ArchReport).items())
-
-
 def arch_to_dict(report: ArchReport) -> dict:
-    # JSON float text is the shortest round-tripping representation, so
-    # parsing it back reproduces each field bit-exactly
-    return {key: getattr(report, name) for name, key, _ in _arch_fields()}
+    # each field under its own name less a trailing "_" (`lambda_` is
+    # "lambda"), in print order; JSON float text is the shortest
+    # round-tripping representation, so parsing it back reproduces each
+    # field bit-exactly
+    return {name.rstrip("_"): value for name, value in vars(report).items()}
 
 
 def arch_from_dict(doc: dict) -> ArchReport:
     from .theta_surface import ArchReport
 
-    return ArchReport(**{name: cast(doc[key]) for name, key, cast in _arch_fields()})
+    return ArchReport(**{f.name: doc[f.name.rstrip("_")] for f in dataclasses.fields(ArchReport)})
 
 
 def render(doc: dict, fmt: str, stderrs: dict | None = None) -> str:

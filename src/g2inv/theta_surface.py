@@ -97,20 +97,22 @@ LOG_2PI = math.log(2 * math.pi)
 class SiegelMatrix:
     """A 2x2 complex symmetric matrix with positive definite imaginary part.
 
-    Input is symmetrized exactly when the asymmetry is below 1e-12 and
-    rejected otherwise; non-finite entries, an Im tau that is not positive
-    definite and one whose inverse is not finite (subnormal entries) are
-    rejected too, each as ValueError.  Both tests on Y are exact, in
-    integers over the common denominator of its float entries, which are
-    dyadic rationals: y11 > 0 and y11 y22 > y12^2, then adj(Y) / det Y,
-    whose largest entry is max(y11, y22) / det Y, rounded to a float once,
-    so a positive definite Y however ill-conditioned passes where
-    floating-point eigenvalues round its smallest to 0.  The matrix is
-    fixed at construction and read-only.
+    The input is copied, never written.  Off-diagonals that differ by at
+    most 1e-12 are both replaced by their average, and by more rejected;
+    a symmetric input is kept bit for bit, subnormal entries included, and
+    the diagonal always is.  Non-finite entries, an Im tau that is not
+    positive definite and one whose inverse is not finite (subnormal
+    entries) are rejected too, each as ValueError.  Both tests on Y are
+    exact, in integers over the common denominator of its float entries,
+    which are dyadic rationals: y11 > 0 and y11 y22 > y12^2, then
+    adj(Y) / det Y, whose largest entry is max(y11, y22) / det Y, rounded
+    to a float once, so a positive definite Y however ill-conditioned
+    passes where floating-point eigenvalues round its smallest to 0.  The
+    matrix is fixed at construction and read-only.
     """
 
     def __init__(self, tau):
-        m = np.asarray(tau, dtype=complex)
+        m = np.array(tau, dtype=complex)  # a copy: the caller's array is never written
         if m.shape != (2, 2):
             raise ValueError(f"period matrix must be 2x2, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
@@ -120,7 +122,9 @@ class SiegelMatrix:
                 f"period matrix is not symmetric: off-diagonals "
                 f"{m[0, 1]} vs {m[1, 0]}"
             )
-        m = m / 2 + m.T / 2  # halve first: entries near the float limit stay finite
+        # only an asymmetric pair is averaged, halving first (entries near the float
+        # limit stay finite): a symmetric input is kept bit for bit, subnormals too
+        m[0, 1] = m[1, 0] = m[0, 1] if m[0, 1] == m[1, 0] else m[0, 1] / 2 + m[1, 0] / 2
         y = m.imag.tolist()
         ratios = [part.as_integer_ratio() for part in (y[0][0], y[0][1], y[1][1])]
         d = math.lcm(*(q for _, q in ratios))
@@ -560,9 +564,9 @@ def _theta_kernel(tau: SiegelMatrix) -> Callable[[np.ndarray, np.ndarray], np.nd
     C'_ab is C'_a, its block at b1 = 0, with column n1 turned by
     e^(2 pi i b1 n1) = i^(j n1) for b1 = j/4.  So the build exponentiates
     the 16 distinct blocks C'_a once per tau, (2r)^2 complex exponentials
-    each (1024 at r = 4, where the 64 blocks (a, b1) took 4096), each
-    entry from its own summed exponent, whose real and imaginary parts
-    come from one product of `_kernel_tables`'s terms with tau's entries.
+    each, each entry from its own summed exponent, whose real and
+    imaginary parts come from one product of `_kernel_tables`'s terms
+    with tau's entries.
     It multiplies each block by the exact quarter turns 1, i, -1, -i and
     stacks the 64 blocks C'_ab by a1 into four 32r x 2r matrices, the
     blocks of each in the order (b1, a2).  The turns have modulus exactly
@@ -682,35 +686,23 @@ def _nearest_distance_sq(y: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.nd
     return far
 
 
-def _voronoi_moment(y: np.ndarray) -> float:
+def _voronoi_moment(y) -> float:
     """M2(Y), the mean of d_Y(x)^2 over the torus: the second moment of the
     Voronoi cell of Z^2 in the metric Y, which has area 1 (Conway and
     Sloane, Sphere Packings, Lattices and Groups, ch. 21).
 
-    For reduced Y the cell is the hexagon of the obtuse superbase: its
-    relevant vectors are +-e1, +-e2 and +-(e1 + s e2), s = -sign Y12, and
-    its vertices are the points x with x'Yp = p'Yp / 2 for two neighbouring
-    relevant vectors p (at Y12 = 0 two of them meet).  Fanned from 0 into
-    triangles (0, v, w), each contributes |T| / 12 (v'Yv + w'Yw + (v + w)'Y(v + w))
-    = |T| / 6 (v'Yv + w'Yw + v'Yw)."""
+    For reduced Y the cell is the hexagon of the obtuse superbase e1, e2
+    and -(e1 + s e2), s = -sign Y12, whose Selling parameters p = |Y12|,
+    q = Y11 - p and r = Y22 - p are all >= 0, with pq + qr + rp = det Y.
+    Fanning the hexagon into triangles from 0 and summing their moments
+    gives M2 = (p + q + r) / 12 + pqr / (12 det Y): the square's
+    (Y11 + Y22) / 12 at Y12 = 0, and 5 Y11 / 36 at the hexagonal corner
+    Y11 = Y22 = 2 |Y12|.  It reads the entries of Y as they are, so Y of
+    Fractions gives M2 exactly (`tests/oracles.exact_voronoi_moment`)."""
     (y11, y12), (_, y22) = y.tolist()
-    # counterclockwise: e1, e1 + e2, e2 for s = 1, and e1, e2, e2 - e1 for s = -1
-    half = [(1, 0), (1, 1), (0, 1)] if y12 <= 0 else [(1, 0), (0, 1), (-1, 1)]
-    relevant = half + [(-p, -q) for p, q in half]
-
-    def form(v, w):  # v'Yw
-        return v[0] * (y11 * w[0] + y12 * w[1]) + v[1] * (y12 * w[0] + y22 * w[1])
-
-    vertices = []
-    for p, q in zip(relevant, relevant[1:] + relevant[:1]):
-        # x'Yp = p'Yp / 2 and x'Yq = q'Yq / 2 by Cramer's rule
-        (a, b), (c, d) = ((form(r, (1, 0)), form(r, (0, 1))) for r in (p, q))
-        e, f, det = form(p, p) / 2, form(q, q) / 2, a * d - b * c
-        vertices.append(((e * d - b * f) / det, (a * f - e * c) / det))
-    return sum(  # 2 |T| = v1 w2 - v2 w1
-        (v[0] * w[1] - v[1] * w[0]) / 12 * (form(v, v) + form(w, w) + form(v, w))
-        for v, w in zip(vertices, vertices[1:] + vertices[:1])
-    )
+    p = abs(y12)
+    q, r = y11 - p, y22 - p
+    return (p + q + r) / 12 + p * q * r / (12 * (p * q + q * r + r * p))
 
 
 def _base_points(method: str, seed: int, count: int) -> np.ndarray:

@@ -31,12 +31,16 @@ it too imports nothing from `g2inv.theta_surface`.
 
 The Voronoi moment M2(Y), the mean of d_Y(x)^2 over the torus that the
 control variate of `log_h` subtracts, is computed exactly in Fractions on
-the float entries of Y (`exact_voronoi_moment`), with its own code: it
-imports nothing from `g2inv.theta_surface`.
+the entries of Y (`exact_voronoi_moment`) by fanning the Voronoi hexagon
+into triangles.  The package has only the closed form in the Selling
+parameters; the fan lives here alone, as its independent reference, and
+imports nothing from `g2inv.theta_surface`.  `large_y_log_h` builds the
+large-Y law of log||H||, 1/4 log det Y - pi M2(Y), on that fan.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -357,6 +361,17 @@ def exact_voronoi_moment(y: np.ndarray) -> Fraction:
         both = (v[0] + w[0], v[1] + w[1])
         moment += area / 12 * (form(v, v) + form(w, w) + form(both, both))
     return moment
+
+
+def large_y_log_h(y: np.ndarray) -> float:
+    """1/4 log det Y - pi M2(Y) for reduced Y: the torus mean of the log of
+    the largest lattice term of ||theta||, (det Y)^(1/4) exp(-pi d_Y(u)^2),
+    which log||H|| approaches as Y grows, with a remainder of order
+    1/det Y from the u near the vertices of the Voronoi cell, where two or
+    more terms are as large.  det Y and M2 are exact on the float entries,
+    each rounded once."""
+    (y11, y12), (_, y22) = (tuple(map(Fraction, row)) for row in y.tolist())
+    return math.log(y11 * y22 - y12 * y12) / 4 - math.pi * float(exact_voronoi_moment(y))
 
 
 def _pair_mul(a, b):

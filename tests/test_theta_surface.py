@@ -20,7 +20,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import PROPERTY_SETTINGS
-from oracles import exact_siegel_reduce, exact_voronoi_moment
+from oracles import exact_siegel_reduce, exact_voronoi_moment, large_y_log_h
 
 import g2inv.theta_surface
 from g2inv.errors import (
@@ -245,6 +245,30 @@ def test_siegel_matrix_validation():
     # asymmetry below the 1e-12 gate is symmetrized away
     m = SiegelMatrix(np.array([[1j, 0.3 + 1e-13], [0.3, 1j]]))
     assert m.matrix[0, 1] == m.matrix[1, 0]
+
+
+def test_siegel_matrix_keeps_a_symmetric_input_bit_for_bit():
+    """A symmetric input comes back as it is, where averaging its halves
+    rounded subnormal entries: Y11 = 3e-308 came back 3.0000000000000007e-308,
+    an off-diagonal real part 5e-324 as 0.0 and an imaginary part 1e-310
+    as 1.00000000000005e-310.  An asymmetry of 1e-13 is still averaged,
+    into the float between the two entries, and the caller's array is
+    never written."""
+    for tau in (
+        [[3e-308j, 0], [0, 1j]],
+        [[1j, 5e-324], [5e-324, 1j]],
+        [[1j, 1e-310j], [1e-310j, 1j]],
+    ):
+        entries = np.array(tau, dtype=complex)
+        kept = np.array(entries)
+        assert SiegelMatrix(entries).matrix.tobytes() == kept.tobytes()
+        assert entries.tobytes() == kept.tobytes()
+    asymmetric = np.array([[1j, 0.3 + 1e-13], [0.3, 1j]])
+    kept = np.array(asymmetric)
+    m = SiegelMatrix(asymmetric).matrix
+    assert m[0, 1] == m[1, 0] == 0.3 / 2 + (0.3 + 1e-13) / 2
+    assert 0.3 < m[0, 1].real < 0.3 + 1e-13
+    assert asymmetric.tobytes() == kept.tobytes()
 
 
 def test_theta_null_closed_form():
@@ -819,16 +843,24 @@ def test_voronoi_moment_matches_a_midpoint_grid(y11, ratio, slant, sign):
 @example(1e3, 1e3, -1.0)
 @example(2.0, 3.0, 0.0)
 @example(1e3, 1.0, -0.0)
+@example(1.0, 2.5, -1.0)
 def test_voronoi_moment_matches_its_exact_value(y11, ratio, slant):
     """The float M2(Y) against its exact value on the same float entries
     (`oracles.exact_voronoi_moment`, Fractions), on both signs of Y12, at
-    Y12 = 0, at the hexagonal corner |2 Y12| = Y11 = Y22 and up to Y11 =
-    1e3.  M2 grows with Y, so only a relative bound can hold: 1e-14, where
-    2e4 random reduced Y up to Y11 = 1e3 gave at most 1.0e-15."""
+    Y12 = 0, at the hexagonal corner |2 Y12| = Y11 (Y22 = Y11 too, or not)
+    and up to Y11 = 1e3.  M2 grows with Y, so only a relative bound can
+    hold: 1e-14, where 2e4 random reduced Y up to Y11 = 1e3 gave at most
+    2.9e-16.  The same Y as an object array of Fractions, and its
+    diagonal, give M2 exactly: the closed form in the Selling parameters
+    against the oracle's fan of the hexagon."""
     y = reduced_y(y11, ratio, slant)
     exact = exact_voronoi_moment(y)
     got = g2inv.theta_surface._voronoi_moment(y)
     assert abs(Fraction(got) - exact) <= Fraction(1e-14) * exact
+    fractions = np.array([[Fraction(v) for v in row] for row in y.tolist()], dtype=object)
+    assert g2inv.theta_surface._voronoi_moment(fractions) == exact
+    diagonal = np.diag(np.diag(fractions))
+    assert g2inv.theta_surface._voronoi_moment(diagonal) == exact_voronoi_moment(diagonal)
 
 
 def test_control_variate_keeps_a_tall_reduced_tau_clear_of_the_refusal():
@@ -852,6 +884,54 @@ def test_voronoi_control_keeps_a_slanted_tall_tau_clear_of_the_refusal():
     assert abs(log_delta2(tau) + 138.11) < 0.01
     for seed in range(30):
         assert log_h(tau, QuadratureConfig(n_samples=10000, seed=seed)).stderr < 10 * 1e-3
+
+
+@settings(PROPERTY_SETTINGS, max_examples=24)
+@given(
+    st.floats(0.8, 2),
+    st.floats(1, 3),
+    st.floats(-1, 1),
+    st.sampled_from((4, 8, 16)),
+    st.tuples(*[st.floats(-0.5, 0.5)] * 3),
+    st.integers(0, 10**6),
+)
+@example(1.0, 1.0, 1.0, 4, (0.1, 0.5, -0.3), 0)
+@example(1.0, 1.0, -1.0, 4, (0.1, 0.5, -0.3), 0)
+@example(0.8, 1.0, 0.0, 4, (0.1, 0.5, -0.3), 0)
+def test_log_h_follows_the_large_y_law(y11, ratio, slant, scale, x, seed):
+    """log||H|| at Y = s Q against 1/4 log det Y - pi M2(Y)
+    (`oracles.large_y_log_h`, M2 from the oracle's own fan), for Q reduced
+    with Y11 in [0.8, 2], Y22 / Y11 in [1, 3] and either sign of Y12, s in
+    {4, 8, 16} and random X: |log_h - law| <= 10 stderr + c / det Y, the
+    lattice rule at 4e5 samples.
+
+    c: the remainder eps = log||H|| - law times det Y, measured with the
+    lattice rule at 3.2e7 samples (1e8 at s = 16) over 90 random draws of
+    this distribution and a scan of X12 at Y12 = 0 and at the hexagonal
+    corners, lay in [0.003, 0.029] wherever its standard error was small
+    (eps det Y at most 0.027 plus three standard errors).  At Y12 = 0 it
+    rises with |X12| to 0.0267 at X12 = 1/2, close to 1/(12 pi); at the
+    hexagonal corner it is 0.0153 whatever X.  So c = 0.05 holds it with a
+    margin of 1.7.
+
+    k = 10: a failure needs |log_h - log||H||| > 10 stderr, as |eps| <
+    c / det Y.  With 7 degrees of freedom, P(|t| > 10) = 2.1e-5.  The
+    tails are heavier than t_7: over 900 runs at 4e5 samples on six such
+    Y, |z| > 5 came up at 0.0044, 2.8 times t_7's 0.0016, and the largest
+    |z| was 7.2.  Allowing ten times t_7 at 10 gives at most 2e-4 per
+    draw and 5e-3 for the 24 draws, which are fixed (derandomized), so a
+    false failure can only follow a change of the draws or of the sample
+    stream.  At s = 4 the remainder carries the bound: at Y12 = 0 and
+    X12 = 1/2, |log_h - law| is 31 stderr and 0.47 of the bound, the
+    largest share over the draws.  A wrong exponent on det Y in the
+    kernel's scale (0.3 for 1/4), the square's (Y11 + Y22) / 12 for M2,
+    or p = Y12 for |Y12| in M2 each fail it."""
+    y = scale * reduced_y(y11, ratio, slant)
+    x11, x12, x22 = x
+    tau = SiegelMatrix(np.array([[x11, x12], [x12, x22]]) + 1j * y)
+    result = log_h(tau, QuadratureConfig(n_samples=400_000, seed=seed, method="lattice-rule"))
+    det = y[0, 0] * y[1, 1] - y[0, 1] * y[1, 0]
+    assert abs(result.value - large_y_log_h(y)) <= 10 * result.stderr + 0.05 / det
 
 
 @pytest.mark.parametrize("method", ["monte-carlo", "lattice-rule"])
