@@ -84,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ar.add_argument("tau", help="path to a period-matrix JSON file")
     ar.add_argument("--samples", type=int, default=100_000)
     ar.add_argument("--seed", type=int, default=0)
-    ar.add_argument("--method", choices=("monte-carlo", "lattice-rule"), default="monte-carlo")
+    ar.add_argument("--method", choices=("monte-carlo", "lattice-rule"), default="lattice-rule")
     ar.add_argument("--workers", type=int, default=1, help="for compatibility; echoed, changes no work")
     # default None: the theta module, which holds the default, loads numpy
     ar.add_argument("--target-stderr", type=float, help="default 1e-3. Each +- is one standard error, "

@@ -14,11 +14,10 @@ compares every report with `closed_form(classify(graph))` exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations
 
 from .errors import InvalidParamsError, UnclassifiableError
-from .exact import as_positive, sort_exact
+from .exact import as_positive, as_rational, sort_exact
 from .metric_graph import PMGraph, smooth
 from .pm_invariants import NonArchReport, total_genus
 
@@ -93,7 +92,7 @@ def graph_of_type(t: FiberType) -> PMGraph:
 def closed_form(t: FiberType) -> NonArchReport:
     """Invariants straight from the type's known formulas, no graph solves."""
     p = t.params
-    zero = Fraction(0)
+    zero = as_rational(0)  # the field's zero: type I's lambda divides it
     if t.tag == "I":
         d0, d1, r_kk, eps, phi = zero, zero, zero, zero, zero
     elif t.tag == "II":

@@ -27,10 +27,9 @@ that the package uses.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Any, Hashable, Iterable, Mapping
 
-from .exact import MAX_RATIONAL_DIGITS, as_positive, exceeds_digit_bound, inverse
+from .exact import MAX_RATIONAL_DIGITS, as_positive, as_rational, exceeds_digit_bound, inverse
 
 VertexId = Hashable
 EdgeId = Hashable
@@ -140,7 +139,7 @@ class PMGraph:
 
     @property
     def total_length(self):
-        return sum((length for _, _, length in self._edges.values()), Fraction(0))
+        return sum(length for _, _, length in self._edges.values())
 
     def resistance(self, a: VertexId, b: VertexId):
         """Effective resistance between two vertices.
@@ -153,7 +152,7 @@ class PMGraph:
         if a not in self._genus or b not in self._genus:
             raise ValueError(f"unknown vertex {a!r} or {b!r}")
         if a == b:
-            return Fraction(0)
+            return 0
         green, slot = self._factored()
         i, j = slot.get(a), slot.get(b)
         if i is None:
@@ -231,7 +230,7 @@ def _reduced_laplacian(graph: PMGraph, base: VertexId) -> tuple[list, list]:
     order = [v for v in graph.vertex_ids if v != base]
     index = {v: i for i, v in enumerate(order)}
     n = len(order)
-    matrix = [[Fraction(0)] * n for _ in range(n)]
+    matrix = [[0] * n for _ in range(n)]
     for v in order:
         i = index[v]
         for eid, end in graph.incident(v):
@@ -250,7 +249,7 @@ def resistance_pairing(graph: PMGraph, d: Mapping[VertexId, Any], e: Mapping[Ver
     """The resistance function extended bilinearly to two vertex-mass maps
     {vertex: mass}, each r read from `PMGraph.resistance`; a key that is
     no vertex of the graph raises ValueError."""
-    total = Fraction(0)
+    total = as_rational(0)  # the field's zero, which a report divides when K sits on one vertex
     for a, cx in d.items():
         for b, cy in e.items():
             if a != b:

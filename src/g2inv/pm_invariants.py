@@ -27,9 +27,9 @@ with a ValueError that names it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any
 
+from .exact import as_rational
 from .metric_graph import PMGraph, resistance_pairing, smooth
 
 
@@ -64,8 +64,9 @@ def is_bridge(graph: PMGraph, e) -> bool:
 
 def node_counts(graph: PMGraph) -> NodeCounts:
     bridge = {e: is_bridge(graph, e) for e in graph.edge_ids}
-    delta0 = sum((graph.edge_length(e) for e in bridge if not bridge[e]), Fraction(0))
-    delta1 = sum((graph.edge_length(e) for e in bridge if bridge[e]), Fraction(0))
+    # the field's zero, not the int 0: an edgeless graph's total length is divided
+    delta0 = sum((graph.edge_length(e) for e in bridge if not bridge[e]), as_rational(0))
+    delta1 = sum((graph.edge_length(e) for e in bridge if bridge[e]), as_rational(0))
     return NodeCounts(delta0, delta1)
 
 
@@ -78,7 +79,7 @@ def _tau(graph: PMGraph):
     first vertex, the base of the memoized inverse."""
     r = graph.resistance
     y = graph.vertex_ids[0]
-    tau = Fraction(0)
+    tau = as_rational(0)  # the field's zero: on an edgeless graph 0 / 4 would be a float
     for e in graph.edge_ids:
         a, b = graph.edge_ends(e)
         length = graph.edge_length(e)
@@ -135,12 +136,14 @@ def nonarch_report(graph: PMGraph) -> NonArchReport:
     theta = resistance_pairing(graph, k, k)
     tau = _tau(graph)
     ell = counts.delta
+    # each coefficient of tau is formed as an exact rational first, so tau takes
+    # one field operation for it, not two: `table`'s symbolic tau pays per operation
     return NonArchReport(
         genus=g,
         delta0=counts.delta0,
         delta1=counts.delta1,
         r_kk=theta,
-        epsilon=Fraction(4 * g - 4, g) * tau + theta / (2 * g),
-        phi=Fraction(5 * g - 2, g) * tau + theta / (4 * g) - ell / 4,
-        lambda_=Fraction(3 * g - 3, 4 * g + 2) * tau + (theta + (g + 1) * ell) / (16 * g + 8),
+        epsilon=as_rational(4 * g - 4) / g * tau + theta / (2 * g),
+        phi=as_rational(5 * g - 2) / g * tau + theta / (4 * g) - ell / 4,
+        lambda_=as_rational(3 * g - 3) / (4 * g + 2) * tau + (theta + (g + 1) * ell) / (16 * g + 8),
     )

@@ -57,8 +57,8 @@ Numerical conventions:
   nearest lattice point in the metric Y, so the log of the largest
   lattice term), whose exact mean, the second moment of the Voronoi cell,
   is known, and the spread of 8 substreams, whose base points fill one
-  array, gives the standard error.  Fixed (seed, N, method) give
-  bit-identical results.
+  array drawn from one generator seeded by the seed, gives the standard
+  error.  Fixed (seed, N, method) give bit-identical results.
 """
 
 from __future__ import annotations
@@ -368,17 +368,20 @@ def _check_int(name: str, value, least: int) -> None:
 class QuadratureConfig:
     """Sampling plan for the torus average; deterministic given its fields.
 
-    `n_samples` counts evaluations of log||theta||.  `log_h` gives each of
-    8 substreams ceil(n_samples / 2048) whole cosets of 256 (a base point
-    and its quarter-period translates), odd for the lattice rule, so up to
-    2047 (4095 for the lattice rule) more are made: 10^4 gives 10240.  It
-    is at most MAX_SAMPLES, refused (ValueError) above, before any array
-    is made.
+    `method` is "lattice-rule" (the default: 8 independent random shifts
+    of one rank-1 lattice) or "monte-carlo" (independent uniform points);
+    either draws every random number from one generator seeded by `seed`
+    (`_base_points`).  `n_samples` counts evaluations of log||theta||.
+    `log_h` gives each of 8 substreams ceil(n_samples / 2048) whole
+    cosets of 256 (a base point and its quarter-period translates), odd
+    for the lattice rule, so up to 2047 (4095 for the lattice rule) more
+    are made: 10^4 gives 10240.  It is at most MAX_SAMPLES, refused
+    (ValueError) above, before any array is made.
     """
 
     n_samples: int = 100_000
     seed: int = 0
-    method: str = "monte-carlo"
+    method: str = "lattice-rule"
     target_stderr: float = DEFAULT_TARGET_STDERR
 
     def __post_init__(self):
@@ -708,29 +711,31 @@ def _voronoi_moment(y) -> float:
 def _base_points(method: str, seed: int, count: int) -> np.ndarray:
     """The count base points of each substream, substream after substream,
     as one (4, 8 count) array of contiguous coordinate rows (u1, u2, v1,
-    v2) in [0, 1/4)^4, quartered in place at the end.
+    v2) in [0, 1/4)^4, quartered in place at the end: substream j is
+    columns j count .. (j + 1) count - 1.
 
-    Substream j draws from its own generator, spawned from the seed:
-    monte-carlo points in one `random((count, 4))` call, and for the
-    lattice rule one random offset_j, its point k being t(frac(offset_j +
-    (k z mod count) / count)), k = 0 .. count - 1: one rank-1 lattice of
-    `_lattice_generator(count)` for the base box, shifted per substream
-    (x - floor(x) exact for x >= 0), and the tent t(x) = 1 - |2x - 1| in
-    each coordinate (the baker's transformation, Hickernell 2002), which
-    keeps the points uniform and makes the lattice rule exact on an
-    integrand linear in the base point, where the plain rule misses the
-    jump at the edge of the box (u + a runs past 1 and wraps to 0).  t
-    reaches 1, and a base point 1/4, where frac(...) is 1/2 exactly; the
-    kernel covers that shift too.
+    Every draw comes from one generator, `default_rng(seed)`; independent
+    uniform draws stay independent whichever generator makes them, so the
+    substreams are independent.  Monte-carlo points are one `random((4, 8
+    count))` call, already in this layout.  The lattice rule draws the 8 x
+    4 random offsets in one call, and point k of substream j is
+    t(frac(offset_j + (k z mod count) / count)), k = 0 .. count - 1: one
+    rank-1 lattice of `_lattice_generator(count)` for the base box, shifted
+    per substream (x - floor(x) exact for x >= 0), so the substreams are
+    independent random shifts of one lattice (Dick, Kuo and Sloan, Acta
+    Numerica 2013), and the tent t(x) = 1 - |2x - 1| in each coordinate
+    (the baker's transformation, Hickernell 2002), which keeps the points
+    uniform and makes the lattice rule exact on an integrand linear in the
+    base point, where the plain rule misses the jump at the edge of the box
+    (u + a runs past 1 and wraps to 0).  t reaches 1, and a base point 1/4,
+    where frac(...) is 1/2 exactly; the kernel covers that shift too.
     """
-    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(SUBSTREAMS)]
+    rng = np.random.default_rng(seed)
     if method == "monte-carlo":
-        points = np.empty((4, SUBSTREAMS, count))
-        for j, rng in enumerate(rngs):
-            points[:, j] = rng.random((count, 4)).T
+        points = rng.random((4, SUBSTREAMS * count))
     else:
         lattice = np.array(_lattice_generator(count))[:, None] * np.arange(count) % count / count
-        points = lattice[:, None] + np.array([rng.random(4) for rng in rngs]).T[:, :, None]
+        points = lattice[:, None] + rng.random((4, SUBSTREAMS, 1))
         np.fmod(points, 1, out=points)  # x - floor(x), exactly, for x >= 0
         points *= 2
         points -= 1
@@ -766,9 +771,9 @@ def log_h(tau: SiegelMatrix, config: QuadratureConfig | None = None) -> Quadratu
     For a fixed beta the estimate is unbiased, and fitting beta from the
     same cosets adds a bias of order 1/N.
 
-    All base points, substream after substream, are one array
-    (`_base_points`) of tiles = cosets / 4 whole tiles of four base points
-    (cosets = 8 count).  The kernel takes them in the fewest calls of at
+    All base points, substream after substream, are one array drawn from
+    one generator seeded by config.seed (`_base_points`), of tiles =
+    cosets / 4 whole tiles of four base points (cosets = 8 count).  The kernel takes them in the fewest calls of at
     most _CHUNK base points (one tile at least), cut at 4 ceil(tiles k /
     calls), so the calls differ in size by at most one tile, a larger one
     first, and none is empty: 10^4 samples (40 base points) take one call,

@@ -427,7 +427,7 @@ def test_arch_structured_output_round_trips(tau_file, capsys):
     assert report.phi > 0
     assert doc["seed"] == 6
     assert doc["samples"] == 20000
-    assert doc["method"] == "monte-carlo"
+    assert doc["method"] == "lattice-rule"  # the default method
     assert json.dumps(arch_from_dict(json.loads(first)).__dict__["phi"]) == json.dumps(report.phi)
     # --workers is echoed and changes no work: apart from that field the
     # bytes are those of --workers 1, for either method

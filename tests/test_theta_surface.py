@@ -532,7 +532,7 @@ def test_log_h_known_mean_integrand(monkeypatch):
     substream monte-carlo's standard error is about sqrt(1/96 / 160) = 8e-3
     whatever the seed: the target is set to that scale (the default 1e-3
     would refuse about one seed in eight at 10x)."""
-    config = QuadratureConfig(n_samples=40000, seed=11, target_stderr=1e-2)
+    config = QuadratureConfig(n_samples=40000, seed=11, method="monte-carlo", target_stderr=1e-2)
     use_integrand(monkeypatch, lambda u, v: u[:, 0] + v[:, 1])
     result = log_h(GENERIC_TAU, config)
     assert result.stderr > 0
@@ -614,10 +614,13 @@ def test_log_h_sums_exactly_n_samples(monkeypatch, method, n_samples):
 @pytest.mark.parametrize("n_samples", [10007, 8 * 4096 + 5, 8 * 16384 + 5])
 def test_log_h_points_match_whole_substream_formulas(monkeypatch, method, n_samples):
     """The (u, v) chunks `log_h` hands its integrand, bit for bit, against
-    each substream's base points drawn at once and quartered: one
-    random((count, 4)) call for monte-carlo; for the lattice rule the tent
-    1 - |2x - 1| of x = frac(offset + (k z mod count) / count), k = 0 ..
-    count - 1, z its generating vector; count the substream's whole cosets.
+    each substream's base points drawn from one default_rng(seed), built
+    substream by substream and quartered: for monte-carlo one random((4, 8
+    count)) call, whose columns j count .. (j + 1) count - 1 are substream
+    j; for the lattice rule one random((4, 8)) call of offsets, column j
+    substream j's, and the tent 1 - |2x - 1| of x = frac(offset + (k z mod
+    count) / count), k = 0 .. count - 1, z its generating vector; count the
+    substream's whole cosets.
     The substreams' points, one substream after another, are cut into
     the equal calls of `shared_chunks`, and each reaches
     the integrand as its 256 quarter-period translates (u + a, v + b),
@@ -635,14 +638,15 @@ def test_log_h_points_match_whole_substream_formulas(monkeypatch, method, n_samp
     log_h(GENERIC_TAU, config)
 
     want = []
-    children = np.random.SeedSequence(seed).spawn(8)
-    for child, count in zip(children, whole_cosets(n_samples, method)):
-        rng = np.random.default_rng(child)
+    counts = whole_cosets(n_samples, method)
+    rng = np.random.default_rng(seed)
+    draws = rng.random((4, sum(counts)) if method == "monte-carlo" else (4, 8))
+    for j, count in enumerate(counts):
         if method == "monte-carlo":
-            base = rng.random((count, 4))
+            base = draws[:, j * count : (j + 1) * count].T
         else:
             lattice = np.outer(np.arange(count), _lattice_generator(count)) % count / count
-            base = 1 - np.abs(2 * np.mod(rng.random(4) + lattice, 1.0) - 1)
+            base = 1 - np.abs(2 * np.mod(draws[:, j] + lattice, 1.0) - 1)
         want.append(base / 4)
     want = np.concatenate(want)
     cuts = np.cumsum(shared_chunks(len(want)))[:-1]
@@ -871,7 +875,7 @@ def test_control_variate_keeps_a_tall_reduced_tau_clear_of_the_refusal():
     bound 10 x 1e-3.  With it the largest over seeds 0-59 is 0.0021."""
     tau = siegel_reduce(SiegelMatrix(np.array([[0.3 + 0.004j, 0.2 + 0.001j], [0.2 + 0.001j, 0.1 + 3j]])))
     for seed in range(10):
-        assert log_h(tau, QuadratureConfig(n_samples=10000, seed=seed)).stderr < 0.004
+        assert log_h(tau, QuadratureConfig(n_samples=10000, seed=seed, method="monte-carlo")).stderr < 0.004
 
 
 def test_voronoi_control_keeps_a_slanted_tall_tau_clear_of_the_refusal():
@@ -883,7 +887,7 @@ def test_voronoi_control_keeps_a_slanted_tall_tau_clear_of_the_refusal():
     tau = SiegelMatrix([[0.1 + 8j, 0.3 + 2j], [0.3 + 2j, -0.2 + 20j]])
     assert abs(log_delta2(tau) + 138.11) < 0.01
     for seed in range(30):
-        assert log_h(tau, QuadratureConfig(n_samples=10000, seed=seed)).stderr < 10 * 1e-3
+        assert log_h(tau, QuadratureConfig(n_samples=10000, seed=seed, method="monte-carlo")).stderr < 10 * 1e-3
 
 
 @settings(PROPERTY_SETTINGS, max_examples=24)
@@ -1160,12 +1164,43 @@ def test_log_h_refuses_a_stale_positional_third_argument():
 
 
 def test_log_h_methods_agree():
-    mc = log_h(GENERIC_TAU, QuadratureConfig(n_samples=40000, seed=3))
+    mc = log_h(GENERIC_TAU, QuadratureConfig(n_samples=40000, seed=3, method="monte-carlo"))
     qmc = log_h(
         GENERIC_TAU,
         QuadratureConfig(n_samples=40000, seed=3, method="lattice-rule"),
     )
     assert abs(mc.value - qmc.value) < 6 * (mc.stderr + qmc.stderr) + 1e-3
+
+
+# log||H|| at the CI tau: the mean of 10 lattice-rule runs at 4e6 samples
+# (seeds 1000-1009), whose spread gives it a standard error of 5.0e-6
+CI_TAU_LOG_H = -0.5143517865832993
+
+
+@pytest.mark.parametrize("method", ["monte-carlo", "lattice-rule"])
+def test_log_h_stderr_covers_its_error(method):
+    """The standard error `log_h` prints is honest: over seeds 0-199 at 10^4
+    samples on the CI tau, z = (log_h - CI_TAU_LOG_H) / stderr passes 3.5 in
+    absolute value at most 14 times.
+
+    With 7 degrees of freedom P(|t_7| > 3.5) = 0.010, but the measured
+    tails are heavier: at 1000 seeds here 0.007 (monte-carlo) and 0.012
+    (lattice rule), and 0.000-0.020 over 300 seeds on three tau (this one,
+    the hexagonal corner Y = [[1, 1/2], [1/2, 1]] and Y = [[8, 2], [2,
+    20]]) at 1e4 and 1e5 samples, by either method.  The bound is set for
+    a rate of 0.025, above all of them: P(Binomial(200, 0.025) > 14) =
+    1.8e-4, so at most 3.5e-4 for the two methods.  The seeds are fixed,
+    so a false failure can only follow a change of the sample stream.  The
+    reference's own error, 5e-6, is under 1 % of a 10^4-sample stderr
+    (about 1e-3).  A stderr half its size makes |z| > 3.5 wherever |t| >
+    1.75, 12 % of draws under t_7: 29 (monte-carlo) and 26 (lattice rule)
+    of these 200 seeds, so it fails."""
+    tau = SiegelMatrix([[0.1 + 1.1j, 0.2 + 0.3j], [0.2 + 0.3j, -0.15 + 1.3j]])
+    outside = 0
+    for seed in range(200):
+        result = log_h(tau, QuadratureConfig(n_samples=10_000, seed=seed, method=method))
+        outside += abs(result.value - CI_TAU_LOG_H) > 3.5 * result.stderr
+    assert outside <= 14
 
 
 def test_log_h_rejects_unreachable_target():
