@@ -20,7 +20,6 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 
 from .errors import (
     DegenerateThetaNullError,
@@ -29,7 +28,7 @@ from .errors import (
     QuadratureUnstableError,
     UnclassifiableError,
 )
-from .exact import rational_function_field
+from .exact import as_rational, rational_function_field
 from .fiber_catalog import ARITY, FiberType, classify, closed_form, graph_of_type
 from .formats import (
     NONARCH_KEYS,
@@ -158,7 +157,7 @@ def _run_arch(args) -> int:
         target_stderr=target,
     )
     stderrs = {
-        name.rstrip("_"): abs(coefficient) * report.log_h_stderr
+        name: abs(coefficient) * report.log_h_stderr
         for name, coefficient in LOG_H_COEFFICIENTS.items()
         if coefficient
     }
@@ -204,7 +203,7 @@ def _run_verify(args) -> int:
         passes = 0
         for _ in range(args.samples):
             params = tuple(
-                Fraction(rng.randint(1, 1000), rng.randint(1, 1000))
+                as_rational(rng.randint(1, 1000)) / rng.randint(1, 1000)
                 for _ in range(ARITY[tag])
             )
             fiber = FiberType(tag, params)

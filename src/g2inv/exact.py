@@ -1,10 +1,12 @@
 """Exact arithmetic: the fields, coercion, signs, ordering, the inverse.
 
 The graph half of the package computes over an exact field, and this is
-the only module that knows which: `metric_graph`, `pm_invariants` and
-`fiber_catalog` name no field, and a sum of theirs whose zero may meet
-an int division starts from `as_rational(0)`, as 0 / 4 is a float.
-Numbers are `fractions.Fraction`.
+the only module that knows which, and the only one that imports
+`fractions`: `metric_graph`, `pm_invariants`, `fiber_catalog`, `formats`
+and `cli` name no field.  A sum of theirs whose zero may meet an int
+division starts from `as_rational(0)`, as 0 / 4 is a float, and a
+rational of two ints is `as_rational(p) / q`.  Numbers are
+`fractions.Fraction`.
 Symbolic lengths, which is how the fiber-type table is regenerated as
 rational functions of the edge lengths, are elements of a rational-function
 field Q(a, b, ...) (`RationalFunction`, generators from

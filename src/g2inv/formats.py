@@ -1,24 +1,27 @@
-"""File formats: graph documents, period-matrix files, report serialization.
+"""File formats: the two input files the commands read, the reports they print.
 
-Conventions chosen for lossless round-trips:
+The package reads graph documents and period-matrix files, through one
+JSON reader, and writes reports, through `render` and `render_table`; it
+writes no input file and reads no report back.  Conventions chosen so
+that any JSON reader gets the printed values back exactly:
 
-* rationals are written as "p/q" (or "n" for integers) and parsed back
-  exactly; floats are never accepted where a rational is required;
-* complex entries are written as "re+im i" with shortest-round-trip float
-  text, so load(save(x)) is bit-identical;
+* rationals are written as "p/q" (or "n" for integers), and
+  `parse_rational` reads them back exactly; floats are never accepted
+  where a rational is required;
+* complex entries are read from "re+im i" text (`parse_complex_entry`),
+  so shortest-round-trip float text loads bit-identically;
 * reports serialize to JSON objects whose keys match the field names the
   reports print in human mode: `NONARCH_KEYS` lists the graph report's,
-  and an `ArchReport` field is its own key, less a trailing "_";
+  and `arch_to_dict` keys an `ArchReport` field by its name less a
+  trailing "_"; JSON float text round-trips each float bit for bit;
 * `render` and `render_table` produce what the commands print, in either
   mode, from those objects.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import reprlib
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import InvalidParamsError
@@ -31,12 +34,12 @@ if TYPE_CHECKING:  # the theta module loads numpy: imported where it is used
 
 
 # NonArchReport field -> report key of each exact invariant, in print order
-# after the genus: what the report codecs and `g2inv table` read
+# after the genus: what `nonarch_to_dict` and `g2inv table` read
 NONARCH_KEYS = {"delta0": "delta0", "delta1": "delta1", "r_kk": "rKK",
                 "epsilon": "epsilon", "phi": "phi", "lambda_": "lambda"}
 
 
-def parse_rational(value) -> Fraction:
+def parse_rational(value):
     """Parse "p/q", integer or decimal text (or a JSON integer) to an exact
     rational by `exact.as_rational`; whatever that refuses, a JSON float,
     bool or null included, is InvalidParamsError."""
@@ -59,12 +62,6 @@ def parse_complex_entry(text: str) -> complex:
         return complex(compact)
     except ValueError as exc:
         raise InvalidParamsError(f"bad complex entry {text!r}: {exc}") from exc
-
-
-def format_complex_entry(value: complex) -> str:
-    re, im = float(value.real), float(value.imag)
-    sign = "+" if im >= 0 else "-"
-    return f"{re!r}{sign}{abs(im)!r}i"
 
 
 def graph_from_dict(doc: dict) -> PMGraph:
@@ -107,18 +104,8 @@ def _read_json(path: str, what: str):
             raise InvalidParamsError(f"{what} file is not valid JSON: {exc}") from exc
 
 
-def _write_json(path: str, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
 def load_graph(path: str) -> PMGraph:
     return graph_from_dict(_read_json(path, "graph"))
-
-
-def save_graph(path: str, graph: PMGraph) -> None:
-    _write_json(path, graph_to_dict(graph))
 
 
 def tau_from_dict(doc) -> SiegelMatrix:
@@ -135,17 +122,8 @@ def tau_from_dict(doc) -> SiegelMatrix:
     return SiegelMatrix(np.array(values, dtype=complex).reshape(2, 2))
 
 
-def tau_to_dict(tau: SiegelMatrix) -> dict:
-    flat = tau.matrix.reshape(4)
-    return {"tau": [format_complex_entry(v) for v in flat]}
-
-
 def load_tau(path: str) -> SiegelMatrix:
     return tau_from_dict(_read_json(path, "period-matrix"))
-
-
-def save_tau(path: str, tau: SiegelMatrix) -> None:
-    _write_json(path, tau_to_dict(tau))
 
 
 def nonarch_to_dict(report: NonArchReport) -> dict:
@@ -153,23 +131,12 @@ def nonarch_to_dict(report: NonArchReport) -> dict:
     return {"genus": report.genus, **exact}
 
 
-def nonarch_from_dict(doc: dict) -> NonArchReport:
-    exact = {name: parse_rational(doc[key]) for name, key in NONARCH_KEYS.items()}
-    return NonArchReport(genus=int(doc["genus"]), **exact)
-
-
 def arch_to_dict(report: ArchReport) -> dict:
     # each field under its own name less a trailing "_" (`lambda_` is
-    # "lambda"), in print order; JSON float text is the shortest
-    # round-tripping representation, so parsing it back reproduces each
-    # field bit-exactly
+    # "lambda"), in print order: the one place that rule is written.  JSON
+    # float text is the shortest round-tripping representation, so any JSON
+    # reader gets each field back bit-exactly
     return {name.rstrip("_"): value for name, value in vars(report).items()}
-
-
-def arch_from_dict(doc: dict) -> ArchReport:
-    from .theta_surface import ArchReport
-
-    return ArchReport(**{f.name: doc[f.name.rstrip("_")] for f in dataclasses.fields(ArchReport)})
 
 
 def render(doc: dict, fmt: str, stderrs: dict | None = None) -> str:

@@ -25,7 +25,6 @@ from test_theta_surface import ODD_CHARS, char_arrays, random_tau, shift_law_che
 from g2inv.cli import main
 from g2inv.errors import DegenerateThetaNullError
 from g2inv.fiber_catalog import ARITY, FiberType, closed_form, graph_of_type
-from g2inv.formats import save_tau
 from g2inv.metric_graph import PMGraph
 from g2inv.pm_invariants import nonarch_report
 from g2inv.theta_surface import (
@@ -244,7 +243,7 @@ def test_acceptance_10_degeneracy(tmp_path, capsys):
         assert char in str(info.value)
 
         path = tmp_path / "degenerate_tau.json"
-        save_tau(str(path), eye)
+        path.write_text('{"tau": ["1i", "0", "0", "1i"]}')
         code = main(["arch", str(path), "--samples", "10000"])
         err = capsys.readouterr().err
         assert code == 5

@@ -5,6 +5,7 @@ invariance laws of the report."""
 
 import itertools
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -422,3 +423,84 @@ def test_arch_phi_meets_the_tropical_limit_with_its_remainder(tag, lengths, s, x
     det = y[0, 0] * y[1, 1] - y[0, 1] * y[1, 0]
     assert abs(remainder) <= 10 * report.phi_stderr + 0.5 / det
 
+
+def degeneration_draws(count=2, seed=25) -> list:
+    """`count` fiber types each of II, III, IV and VI with random lengths in
+    twelfths: an edge or a loop in [1/2, 2], a bridge beside loops in [1/4, 1/2]."""
+    rng = random.Random(seed)
+
+    def edge():
+        return Fraction(rng.randint(6, 24), 12)
+
+    def bridge():
+        return Fraction(rng.randint(3, 6), 12)
+
+    draws = []
+    for _ in range(count):
+        draws += [FiberType("II", (edge(),)), FiberType("III", (edge(),)),
+                  FiberType("IV", (bridge(), edge())), FiberType("VI", (bridge(), edge(), edge()))]
+    return draws
+
+
+def degenerate_tau(fiber, t) -> SiegelMatrix:
+    """tau at t on the degeneration path of II, III, IV or VI: the bridge a
+    as tau12 = exp(-2 pi t a), each loop b as Im tau_jj = t b; a genus-1
+    vertex keeps tau11 = 0.1 + 1.1i, or tau22 = -0.15 + 1.3i, and III its
+    coupling tau12 = 0.3 + 0.2i."""
+    lengths = [float(p) for p in fiber.params]
+    if fiber.tag == "III":
+        (b,) = lengths
+        tau12, y11, y22 = 0.3 + 0.2j, 1.1, t * b
+    else:
+        a, *loops = lengths
+        tau12 = math.exp(-2 * math.pi * t * a)
+        y11, y22 = [1.1, 1.3][: 2 - len(loops)] + [t * b for b in loops]
+    return SiegelMatrix(np.array([[0.1 + 1j * y11, tau12], [tau12, -0.15 + 1j * y22]]))
+
+
+@pytest.mark.parametrize("fiber", degeneration_draws(), ids=str)
+def test_arch_phi_slope_meets_the_tropical_limit_on_partial_degenerations(fiber):
+    """The slope of `arch`'s phi along a degeneration path of II, III, IV
+    or VI against the graph's phi from `closed_form`.  On the path of
+    `degenerate_tau`, phi(t) = 2 pi t phi(Gamma) + C + r(t) with r -> 0
+    (Wentworth, Comm. Math. Phys. 137, 1991; de Jong, Asian J. Math. 18,
+    2014), so the finite-difference slope of phi in 2 pi t tends to
+    phi(Gamma).  Type I has no edge, so it does not degenerate: it has no
+    path and no tropical limit to test.  The lattice rule at 4e5 samples,
+    seed 1.
+
+    A bridge path runs from |tau12| = 1e-4 to 1e-6 (2 pi t a = 4 ln 10,
+    then 6 ln 10), so it stays out of the band below about 1e-6 where the
+    two routes of `log_delta2` may disagree (exit 4).  III keeps its
+    coupling, so its remainder falls like 1/t only: its loop runs through
+    Im tau22 = 8, 16 and 32, and one Richardson step, (4 S(16, 32) -
+    S(8, 16)) / 3 of the two slopes S, cancels that term.
+
+    The tolerance is 10 sigma + R = 3e-4.  sigma: both ends of a slope use
+    the same seed and lattice, so most of their sampling error cancels, and
+    phi_stderr, up to 2.9e-4 per slope here, overstates it more than
+    tenfold.  The spread of the differences measures it instead: the 8
+    substream means of log||H|| at each end, differenced substream by
+    substream (combined as the Richardson step combines the slopes), with
+    their standard error over sqrt(8).  It was at most 1.6e-5 on these
+    draws, VI(1/2, 7/12, 7/6), and 1.8e-5 over the corners of the length
+    ranges; sigma = 2e-5, and k = 10 for 7 degrees of freedom as in the
+    test above.  R: the remainder the finite differences leave, the slope's
+    distance from phi(Gamma), was at most 3.4e-5 on these draws and 6.7e-5
+    over the corners, VI(1/2, 1/2, 1/2); R = 1e-4.  The smallest shift of a
+    mutation below, 1/132 of a loop of length 1/2, is 3.8e-3, 12 times the
+    tolerance.  Each of these fails it: 1/11 for the 1/12 on a loop of
+    III, IV or VI in `closed_form`, the bridge term a dropped from II's,
+    IV's or VI's phi, and 9 for the 10 on log||H|| in phi (on the III, IV
+    and VI draws: along II's path log||H|| tends to a constant, so the
+    slope is log||Delta_2||'s alone)."""
+    config = QuadratureConfig(n_samples=400_000, seed=1, method="lattice-rule")
+    first = float(fiber.params[0])  # III's loop, or the bridge
+    if fiber.tag == "III":
+        ts = [s / first for s in (8, 16, 32)]
+    else:
+        ts = [k * math.log(10) / (2 * math.pi * first) for k in (4, 6)]
+    phis = [arch_invariants(degenerate_tau(fiber, t), config).phi for t in ts]
+    slopes = [(q - p) / (2 * math.pi * (u - s)) for p, q, s, u in zip(phis, phis[1:], ts, ts[1:])]
+    slope = (4 * slopes[1] - slopes[0]) / 3 if len(slopes) == 2 else slopes[0]
+    assert abs(slope - float(closed_form(fiber).phi)) <= 10 * 2e-5 + 1e-4
